@@ -10,76 +10,23 @@ differences in the reports come from the methods alone.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
+from .config import BASELINE_METHODS, ExperimentConfig, build_model_config
 from .engine import SGD, PlateauScheduler, add, loss_and_grads, scale
 from .losses import FisherState, decay_and_anchor, ewc_penalty, task_loss, update_fisher
-from .model import ModelConfig, ResidualClassifier, build_model
-from .protocol import RunReport, child_seed, epoch_batches
+from .model import ResidualClassifier, build_model
+from .protocol import RunRecorder, RunReport, child_seed, epoch_batches
 from .replay import ExemplarSet, Memory, draw_batch, subsample_memory
-from .streams import MetricsRecord, TaskStream, backward_transfer, evaluate_cil, mean_accuracy
-
-BASELINE_METHODS = ("sgd", "er", "oewc")
-
-
-@dataclass(frozen=True)
-class BaselineConfig:
-    """Hyper-parameters for the sequential methods.
-
-    Replay settings apply to "er", the penalty settings to "oewc"; the rest
-    are shared. Model-shape fields mirror the distributed configuration so
-    comparisons run the identical architecture.
-    """
-
-    method: str = "sgd"
-    epochs_per_task: int = 2
-    lr: float = 0.1
-    batch_size: int = 32
-    memory_capacity: int = 10_000
-    replay_coef: float = 1.0
-    penalty_coef: float = 0.7
-    gamma: float = 1.0
-    res_blocks: int = 2
-    res_layers_per_block: int = 3
-    res_dim: int = 256
-    hidden_dim: int = 128
-    dropout_p: float = 0.3
-
-    def __post_init__(self):
-        if self.method not in BASELINE_METHODS:
-            raise ValueError(
-                f"unknown baseline {self.method!r}; expected one of {BASELINE_METHODS}"
-            )
-        if self.epochs_per_task < 0:
-            raise ValueError("epochs_per_task must be >= 0")
-        if self.batch_size < 2:
-            raise ValueError("batch_size must be >= 2 (normalization needs 2 rows)")
-        if self.method == "er" and self.memory_capacity < 1:
-            raise ValueError("er needs a positive memory capacity")
-        if self.method == "er" and self.replay_coef < 0:
-            raise ValueError("replay_coef must be >= 0")
-        if self.method == "oewc" and (self.penalty_coef < 0 or self.gamma < 0):
-            raise ValueError("penalty_coef and gamma must be >= 0")
-
-    def model_config(self, stream: TaskStream) -> ModelConfig:
-        return ModelConfig(
-            input_dim=stream.dim,
-            total_classes=stream.total_classes,
-            res_blocks=self.res_blocks,
-            res_layers_per_block=self.res_layers_per_block,
-            res_dim=self.res_dim,
-            hidden_dim=self.hidden_dim,
-            dropout_p=self.dropout_p,
-        )
+from .streams import TaskStream, evaluate_cil
 
 
 def _train_task_plain(
     model: ResidualClassifier,
     x: np.ndarray,
     y: np.ndarray,
-    config: BaselineConfig,
+    cfg: ExperimentConfig,
     rng: np.random.Generator,
     fisher: FisherState | None = None,
 ) -> None:
@@ -89,18 +36,19 @@ def _train_task_plain(
     fine-tuning, batch for batch, which is what makes the degenerate
     penalty setting reproduce it bit-exactly.
     """
-    opt = SGD(lr=config.lr)
+    t, penalty_coef = cfg.training, cfg.baseline.penalty_coef
+    opt = SGD(lr=t.lr)
     sched = PlateauScheduler(opt)
-    use_penalty = fisher is not None and config.penalty_coef > 0
-    for _ in range(config.epochs_per_task):
+    use_penalty = fisher is not None and penalty_coef > 0
+    for _ in range(t.epochs_per_task):
         losses = []
-        for idx in epoch_batches(len(y), config.batch_size, rng):
+        for idx in epoch_batches(len(y), t.batch_size, rng):
             tapset, leaves = model.forward_with_taps(x[idx], train=True, rng=rng)
             loss = task_loss(tapset.logits, y[idx])
             if use_penalty:
                 loss = add(
                     loss,
-                    scale(ewc_penalty(leaves, fisher), config.penalty_coef, name="penalty"),
+                    scale(ewc_penalty(leaves, fisher), penalty_coef, name="penalty"),
                     name="penalized",
                 )
             value, grads = loss_and_grads(loss, leaves)
@@ -114,7 +62,7 @@ def _train_task_replay(
     model: ResidualClassifier,
     x: np.ndarray,
     y: np.ndarray,
-    config: BaselineConfig,
+    cfg: ExperimentConfig,
     rng: np.random.Generator,
     memory: Memory,
 ) -> None:
@@ -125,16 +73,17 @@ def _train_task_replay(
     coefficient. Before anything is stored the loop degenerates to plain
     fine-tuning.
     """
-    opt = SGD(lr=config.lr)
+    t, replay_coef = cfg.training, cfg.baseline.replay_coef
+    opt = SGD(lr=t.lr)
     sched = PlateauScheduler(opt)
-    half = max(2, config.batch_size // 2)
-    for _ in range(config.epochs_per_task):
+    half = max(2, t.batch_size // 2)
+    for _ in range(t.epochs_per_task):
         losses = []
-        for idx in epoch_batches(len(y), config.batch_size, rng):
+        for idx in epoch_batches(len(y), t.batch_size, rng):
             tapset, leaves = model.forward_with_taps(x[idx], train=True, rng=rng)
             loss = task_loss(tapset.logits, y[idx])
             mem_leaves = None
-            if len(memory) > 0 and config.replay_coef > 0:
+            if len(memory) > 0 and replay_coef > 0:
                 mem_batch = draw_batch(memory.exemplars, half, rng)
                 mem_taps, mem_leaves = model.forward_with_taps(
                     mem_batch.features, train=True, rng=rng
@@ -143,7 +92,7 @@ def _train_task_replay(
                     loss,
                     scale(
                         task_loss(mem_taps.logits, mem_batch.labels),
-                        config.replay_coef,
+                        replay_coef,
                         name="replay",
                     ),
                     name="combined",
@@ -161,29 +110,30 @@ def _train_task_replay(
             sched.step(float(np.mean(losses)))
 
 
-def run_baseline(stream: TaskStream, config: BaselineConfig, seed: int) -> RunReport:
+def run_baseline(stream: TaskStream, cfg: ExperimentConfig) -> RunReport:
     """Train the chosen sequential method over the stream, task by task.
 
-    Evaluation after each task covers every task seen so far with no task
-    identity at test time — the same path the distributed method reports
-    through.
+    Reads the ``model``, ``training`` and ``baseline`` sections of ``cfg``;
+    the seed is ``cfg.seed``. Evaluation after each task covers every task
+    seen so far with no task identity at test time, through the same
+    bookkeeping the distributed method reports with.
     """
-    t_start = time.perf_counter()
-    model = build_model(config.model_config(stream), seed=child_seed(seed, "init"))
-    memory = Memory(config.memory_capacity, stream.dim) if config.method == "er" else None
+    method, seed = cfg.method, cfg.seed
+    if method not in BASELINE_METHODS:
+        raise ValueError(f"unknown baseline {method!r}; expected one of {BASELINE_METHODS}")
+    recorder = RunRecorder(method)
+    model = build_model(build_model_config(cfg.model, stream), seed=child_seed(seed, "init"))
+    memory = Memory(cfg.baseline.memory_capacity, stream.dim) if method == "er" else None
     fisher = (
-        FisherState.zeros_like(model.params, gamma=config.gamma)
-        if config.method == "oewc"
+        FisherState.zeros_like(model.params, gamma=cfg.baseline.gamma)
+        if method == "oewc"
         else None
     )
-    records: list[MetricsRecord] = []
-    history: list[dict[int, float]] = []
-    seen = []
     for t, task in enumerate(stream.tasks):
         step_t0 = time.perf_counter()
         rng = np.random.default_rng(child_seed(seed, "task", t))
-        if config.method == "er":
-            _train_task_replay(model, task.train_x, task.train_y, config, rng, memory)
+        if method == "er":
+            _train_task_replay(model, task.train_x, task.train_y, cfg, rng, memory)
             fresh = ExemplarSet.from_task_data(
                 task.train_x, task.train_y, task_id=task.task_id, origin=0
             )
@@ -191,52 +141,31 @@ def run_baseline(stream: TaskStream, config: BaselineConfig, seed: int) -> RunRe
             memory.replace(
                 subsample_memory(pool, memory.capacity, seed=child_seed(seed, "memory", t))
             )
-        elif config.method == "oewc":
-            _train_task_plain(model, task.train_x, task.train_y, config, rng, fisher)
-            if config.penalty_coef > 0:
+        elif method == "oewc":
+            _train_task_plain(model, task.train_x, task.train_y, cfg, rng, fisher)
+            if cfg.baseline.penalty_coef > 0:
                 update_fisher(model, task.train_x, task.train_y, fisher)
                 decay_and_anchor(fisher, model.params)
         else:
-            _train_task_plain(model, task.train_x, task.train_y, config, rng)
-        seen.append(task)
-        accs = evaluate_cil(model, seen)
-        history.append(accs)
-        bwt = backward_transfer(history) if len(history) >= 2 else None
-        records.append(
-            MetricsRecord(
-                step_id=t,
-                per_task_acc=accs,
-                mean_acc=mean_accuracy(accs),
-                first_task_acc=history[-1][min(history[0])],
-                backward_transfer=bwt,
-                wall_clock_s=time.perf_counter() - step_t0,
-            )
-        )
-    return RunReport(
-        method=config.method,
-        records=records,
-        ledger=None,
-        wall_clock_s=time.perf_counter() - t_start,
-        final_mean_acc=records[-1].mean_acc if records else 0.0,
-        final_backward_transfer=records[-1].backward_transfer if records else None,
-        final_params=model.to_param_vector(),
-    )
+            _train_task_plain(model, task.train_x, task.train_y, cfg, rng)
+        recorder.record(t, model, [task], step_t0)
+    return recorder.report(model)
 
 
-def isolated_task_accuracies(
-    stream: TaskStream, config: BaselineConfig, seed: int
-) -> dict[int, float]:
+def isolated_task_accuracies(stream: TaskStream, cfg: ExperimentConfig) -> dict[int, float]:
     """Train a fresh model per task and score it on that task alone."""
     out: dict[int, float] = {}
     for t, task in enumerate(stream.tasks):
-        model = build_model(config.model_config(stream), seed=child_seed(seed, "bound", t))
-        rng = np.random.default_rng(child_seed(seed, "task", t))
-        _train_task_plain(model, task.train_x, task.train_y, config, rng)
+        model = build_model(
+            build_model_config(cfg.model, stream), seed=child_seed(cfg.seed, "bound", t)
+        )
+        rng = np.random.default_rng(child_seed(cfg.seed, "task", t))
+        _train_task_plain(model, task.train_x, task.train_y, cfg, rng)
         out[task.task_id] = evaluate_cil(model, [task])[task.task_id]
     return out
 
 
-def multitask_bound(stream: TaskStream, config: BaselineConfig, seed: int) -> float:
+def multitask_bound(stream: TaskStream, cfg: ExperimentConfig) -> float:
     """Ceiling for the sequential methods: mean isolated per-task accuracy."""
-    accs = isolated_task_accuracies(stream, config, seed)
+    accs = isolated_task_accuracies(stream, cfg)
     return float(np.mean(list(accs.values())))

@@ -16,6 +16,7 @@ import glob as globlib
 import json
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -30,8 +31,6 @@ from .config import (
     load_config,
     load_sweep,
     parse_config,
-    to_baseline_config,
-    to_bmc_config,
 )
 from .protocol import RunReport, child_seed, cost_accuracy, run_full_stream, total_cost
 from .streams import STREAM_KINDS, generate_stream, save_stream
@@ -92,22 +91,20 @@ def run_experiment(
 
     reference_wall = None
     if time_reference and cfg.method != "sgd":
-        ref_cfg = to_baseline_config(
-            ExperimentConfig(method="sgd", seed=cfg.seed, stream=cfg.stream,
-                             model=cfg.model, training=cfg.training)
-        )
         t0 = time.perf_counter()
-        run_baseline(stream, ref_cfg, cfg.seed)
+        run_baseline(stream, replace(cfg, method="sgd"))
         reference_wall = time.perf_counter() - t0
 
     bound = None
     report = None
     if cfg.method == "bmc":
-        report = run_full_stream(stream, to_bmc_config(cfg, workers=workers), cfg.seed)
+        if workers is not None:
+            cfg = replace(cfg, bmc=replace(cfg.bmc, workers=workers))
+        report = run_full_stream(stream, cfg)
     elif cfg.method == "multitask":
-        bound = multitask_bound(stream, to_baseline_config(cfg), cfg.seed)
+        bound = multitask_bound(stream, cfg)
     else:
-        report = run_baseline(stream, to_baseline_config(cfg), cfg.seed)
+        report = run_baseline(stream, cfg)
 
     lines = _step_records(report) if report else []
     timing: dict = {"type": "timing", "wall_clock_s": report.wall_clock_s if report else 0.0}
@@ -139,13 +136,8 @@ def _set_path(raw: dict, dotted: str, value) -> None:
     node[parts[-1]] = value
 
 
-def sample_trial(spec: SweepSpec, index: int) -> tuple[ExperimentConfig, dict]:
-    """Pure function of (spec, trial index): sampled values and the config.
-
-    The trial's run seed and its sampling randomness both derive from the
-    sweep master seed and the index alone, so any trial can be reproduced
-    in isolation.
-    """
+def _sample_raw(spec: SweepSpec, index: int) -> tuple[dict, dict]:
+    """One trial's raw config mapping and the values sampled into it."""
     rng = np.random.default_rng(child_seed(spec.seed, "sample", index))
     sampled: dict = {}
     raw = config_to_dict(spec.base)
@@ -158,6 +150,17 @@ def sample_trial(spec: SweepSpec, index: int) -> tuple[ExperimentConfig, dict]:
         sampled[path] = value
         _set_path(raw, path, value)
     raw["seed"] = child_seed(spec.seed, "trial", index)
+    return raw, sampled
+
+
+def sample_trial(spec: SweepSpec, index: int) -> tuple[ExperimentConfig, dict]:
+    """Pure function of (spec, trial index): the config and its sampled values.
+
+    The trial's run seed and its sampling randomness both derive from the
+    sweep master seed and the index alone, so any trial can be reproduced
+    in isolation.
+    """
+    raw, sampled = _sample_raw(spec, index)
     return parse_config(raw), sampled
 
 
@@ -173,8 +176,11 @@ def run_sweep(
         for i in range(spec.trials):
             row: dict = {"type": "trial", "trial": i}
             try:
-                cfg, sampled = sample_trial(spec, i)
-                row.update(seed=cfg.seed, sampled=sampled)
+                raw, sampled = _sample_raw(spec, i)
+                # recorded first, so a trial the schema rejects still shows
+                # the values that made it invalid
+                row.update(seed=raw["seed"], sampled=sampled)
+                cfg = parse_config(raw)
                 code, summary = run_experiment(cfg, out / f"trial-{i:04d}", workers=workers)
                 row["status"] = "ok" if code == 0 else "failed_step"
                 for key in ("final_mean_acc", "final_backward_transfer",

@@ -1,7 +1,9 @@
-"""Experiment configuration: schema-validated parsing and method dispatch glue.
+"""Experiment configuration: the one run-level config tree and its schema.
 
 Config files are JSON with a fixed schema; unknown keys anywhere are
-rejected so typos fail loudly instead of silently running defaults.
+rejected so typos fail loudly instead of silently running defaults, and
+out-of-range values are rejected here, naming the key, rather than
+mid-run. The runners read the parsed :class:`ExperimentConfig` directly.
 ``parse_config -> config_to_dict -> parse_config`` is an identity.
 """
 
@@ -13,12 +15,12 @@ from pathlib import Path
 
 import jsonschema
 
-from .baselines import BASELINE_METHODS, BaselineConfig
-from .losses import DISTILL_KINDS, LossCoefficients
-from .protocol import BmcConfig
+from .losses import DISTILL_KINDS
+from .model import ModelConfig
 from .replay import SAMPLING_STRATEGIES
 from .streams import STREAM_KINDS, TaskStream, generate_stream, load_feature_stream
 
+BASELINE_METHODS = ("sgd", "er", "oewc")
 METHODS = ("bmc",) + BASELINE_METHODS + ("multitask",)
 
 
@@ -105,6 +107,17 @@ def _section(cls, extra: dict | None = None) -> dict:
     return {"type": "object", "properties": props, "additionalProperties": False}
 
 
+def _when(method: str, section: str, bounds: dict) -> dict:
+    """Bounds on one section's keys that hold only in runs of ``method``."""
+    return {
+        "if": {"properties": {"method": {"const": method}}},
+        "then": {"properties": {section: {"properties": bounds}}},
+    }
+
+
+_POSITIVE = {"minimum": 1}
+_NON_NEGATIVE = {"minimum": 0}
+
 CONFIG_SCHEMA = {
     "type": "object",
     "required": ["method", "seed", "stream"],
@@ -114,8 +127,25 @@ CONFIG_SCHEMA = {
         "seed": {"type": "integer"},
         "out_dir": {"type": "string"},
         "stream": _section(StreamSpec, {"kind": {"enum": list(STREAM_KINDS) + ["file"]}}),
-        "model": _section(ModelSpec),
-        "training": _section(TrainingSpec),
+        "model": _section(
+            ModelSpec,
+            {
+                "res_blocks": _POSITIVE,
+                "res_layers_per_block": _POSITIVE,
+                "res_dim": _POSITIVE,
+                "hidden_dim": _POSITIVE,
+                "dropout_p": {"minimum": 0, "exclusiveMaximum": 1},
+            },
+        ),
+        "training": _section(
+            TrainingSpec,
+            {
+                "epochs_per_task": _NON_NEGATIVE,
+                "lr": {"exclusiveMinimum": 0},
+                # train-mode normalization needs at least 2 rows
+                "batch_size": {"minimum": 2},
+            },
+        ),
         "bmc": _section(
             BmcSpec,
             {
@@ -125,16 +155,43 @@ CONFIG_SCHEMA = {
         ),
         "baseline": _section(BaselineSpec),
     },
+    # a section only binds the methods that read it, so e.g. sgd runs with
+    # any baseline/memory_capacity
+    "allOf": [
+        _when(
+            "bmc",
+            "bmc",
+            {
+                "experts_per_step": _POSITIVE,
+                # an empty buffer leaves step 0 nothing to consolidate on
+                "buffer_capacity": _POSITIVE,
+                "memory_capacity": _POSITIVE,
+                "stability_coef": _NON_NEGATIVE,
+                "task_coef": _NON_NEGATIVE,
+                "consolidation_coef": _NON_NEGATIVE,
+            },
+        ),
+        _when("er", "baseline", {"memory_capacity": _POSITIVE, "replay_coef": _NON_NEGATIVE}),
+        _when("oewc", "baseline", {"penalty_coef": _NON_NEGATIVE, "gamma": _NON_NEGATIVE}),
+    ],
 }
+
+
+def _validate(raw, validator: jsonschema.Draft202012Validator, what: str) -> None:
+    """Raise ConfigError for the most relevant schema violation, naming its key."""
+    error = jsonschema.exceptions.best_match(validator.iter_errors(raw))
+    if error is not None:
+        where = "/".join(str(p) for p in error.absolute_path) or "<top level>"
+        raise ConfigError(f"{what} invalid at {where}: {error.message}")
+
+
+# built once: jsonschema.validate would re-check the schema itself on every call
+_CONFIG_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a raw mapping against the schema and build the config."""
-    try:
-        jsonschema.validate(raw, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as e:
-        where = "/".join(str(p) for p in e.absolute_path) or "<top level>"
-        raise ConfigError(f"config invalid at {where}: {e.message}") from e
+    _validate(raw, _CONFIG_VALIDATOR, "config")
     return ExperimentConfig(
         method=raw["method"],
         seed=raw["seed"],
@@ -178,48 +235,10 @@ def build_stream(spec: StreamSpec) -> TaskStream:
     )
 
 
-def to_bmc_config(cfg: ExperimentConfig, workers: int | None = None) -> BmcConfig:
-    b, m, t = cfg.bmc, cfg.model, cfg.training
-    return BmcConfig(
-        experts_per_step=b.experts_per_step,
-        coefficients=LossCoefficients(
-            stability=b.stability_coef, task=b.task_coef, consolidation=b.consolidation_coef
-        ),
-        expert_epochs=t.epochs_per_task,
-        rehearsal_epochs=b.rehearsal_epochs,
-        lr=t.lr,
-        batch_size=t.batch_size,
-        buffer_capacity=b.buffer_capacity,
-        memory_capacity=b.memory_capacity,
-        sampling=b.sampling,
-        distill_kind=b.distill_kind,
-        res_blocks=m.res_blocks,
-        res_layers_per_block=m.res_layers_per_block,
-        res_dim=m.res_dim,
-        hidden_dim=m.hidden_dim,
-        dropout_p=m.dropout_p,
-        workers=b.workers if workers is None else workers,
-    )
-
-
-def to_baseline_config(cfg: ExperimentConfig) -> BaselineConfig:
-    method = "sgd" if cfg.method == "multitask" else cfg.method
-    b, m, t = cfg.baseline, cfg.model, cfg.training
-    return BaselineConfig(
-        method=method,
-        epochs_per_task=t.epochs_per_task,
-        lr=t.lr,
-        batch_size=t.batch_size,
-        memory_capacity=b.memory_capacity,
-        replay_coef=b.replay_coef,
-        penalty_coef=b.penalty_coef,
-        gamma=b.gamma,
-        res_blocks=m.res_blocks,
-        res_layers_per_block=m.res_layers_per_block,
-        res_dim=m.res_dim,
-        hidden_dim=m.hidden_dim,
-        dropout_p=m.dropout_p,
-    )
+def build_model_config(spec: ModelSpec, stream: TaskStream) -> ModelConfig:
+    """The classifier shape a run builds: the spec's layers over the stream's
+    input width and class count."""
+    return ModelConfig(input_dim=stream.dim, total_classes=stream.total_classes, **asdict(spec))
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +298,7 @@ class SweepSpec:
 
 
 def parse_sweep(raw: dict) -> SweepSpec:
-    try:
-        jsonschema.validate(raw, SWEEP_SCHEMA)
-    except jsonschema.ValidationError as e:
-        where = "/".join(str(p) for p in e.absolute_path) or "<top level>"
-        raise ConfigError(f"sweep spec invalid at {where}: {e.message}") from e
+    _validate(raw, jsonschema.Draft202012Validator(SWEEP_SCHEMA), "sweep spec")
     return SweepSpec(
         trials=raw["trials"],
         seed=raw["seed"],

@@ -73,13 +73,3 @@ class PlateauScheduler:
                 self.optimizer.lr = max(self.optimizer.lr * self.factor, self.min_lr)
                 self.bad_epochs = 0
         return self.optimizer.lr
-
-    def reset(self, lr: float) -> None:
-        """Restore a fresh LR and forget plateau history.
-
-        Used between training phases that should not inherit each other's
-        decayed learning rate.
-        """
-        self.optimizer.lr = float(lr)
-        self.best = None
-        self.bad_epochs = 0

@@ -164,10 +164,6 @@ class ParamVector:
         )
         return header + 4 * sum(a.size for a in self.arrays)
 
-    @property
-    def num_floats(self) -> int:
-        return int(sum(a.size for a in self.arrays))
-
     def same_bytes(self, other: "ParamVector") -> bool:
         return self.to_bytes() == other.to_bytes()
 
@@ -358,30 +354,6 @@ class ResidualClassifier:
         tapset, _ = self.forward_with_taps(x, train=False)
         return np.argmax(tapset.logits.data, axis=1)
 
-    def grow_head(self, new_class_count: int, rng: np.random.Generator) -> None:
-        """Widen the head to ``new_class_count`` outputs.
-
-        Existing class weights and biases are kept bit-exactly, so old-class
-        logits are unchanged for any input; new columns are Xavier-drawn
-        against the widened fan-out.
-        """
-        if new_class_count <= self.classes:
-            raise ValueError(
-                f"head can only grow: have {self.classes}, requested {new_class_count}"
-            )
-        extra = new_class_count - self.classes
-        new_w = xavier_uniform(
-            rng,
-            self.config.hidden_dim,
-            new_class_count,
-            (self.config.hidden_dim, extra),
-        )
-        self.params["head.W"] = np.concatenate([self.params["head.W"], new_w], axis=1)
-        self.params["head.b"] = np.concatenate(
-            [self.params["head.b"], np.zeros(extra, dtype=np.float32)]
-        )
-        self.classes = new_class_count
-
     def to_param_vector(self) -> ParamVector:
         names = tuple(self.params) + tuple(self.stats)
         arrays = tuple(a.copy() for a in self.params.values()) + tuple(
@@ -403,7 +375,7 @@ class ResidualClassifier:
             target = self.params if name in self.params else self.stats
             if target[name].shape != arr.shape:
                 raise ValueError(
-                    f"shape mismatch for '{name}': {target[name].shape} vs {arr.shape}"
+                    f"layout mismatch for '{name}': {arr.shape}, expected {target[name].shape}"
                 )
             target[name] = arr.copy()
 
@@ -422,19 +394,11 @@ def build_model(config: ModelConfig, seed: int) -> ResidualClassifier:
 
 
 def model_from_vector(config: ModelConfig, pv: ParamVector) -> ResidualClassifier:
-    """Materialize a model from a snapshot, inferring the current head width.
+    """Materialize a model of shape ``config`` from a snapshot of that layout.
 
     This is how a worker reconstructs the base model it was sent, and how
     the coordinator rebuilds expert teachers from uploaded artifacts.
     """
-    entries = dict(zip(pv.names, pv.arrays))
-    if "head.b" not in entries:
-        raise ValueError("snapshot has no head; not a classifier ParamVector")
-    classes = int(entries["head.b"].size)
     m = ResidualClassifier(config, seed=0)
-    if classes != m.classes:
-        m.params["head.W"] = np.zeros((config.hidden_dim, classes), dtype=np.float32)
-        m.params["head.b"] = np.zeros(classes, dtype=np.float32)
-        m.classes = classes
     m.load_param_vector(pv)
     return m

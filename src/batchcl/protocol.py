@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import ExperimentConfig, build_model_config
 from .engine import SGD, NonFiniteError, PlateauScheduler, loss_and_grads
 from .losses import DISTILL_KINDS, LossCoefficients, l_base, l_bd, l_exp
 from .model import ModelConfig, ParamVector, ResidualClassifier, build_model, model_from_vector
@@ -640,50 +641,6 @@ def expert_distances(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BmcConfig:
-    """Run-level settings for the consolidation method."""
-
-    experts_per_step: int = 10
-    coefficients: LossCoefficients = field(default_factory=LossCoefficients)
-    expert_epochs: int = 2
-    rehearsal_epochs: int = 100
-    lr: float = 0.1
-    batch_size: int = 32
-    buffer_capacity: int = 10_000
-    memory_capacity: int = 10_000
-    sampling: str = "random"
-    distill_kind: str = "features"
-    res_blocks: int = 2
-    res_layers_per_block: int = 3
-    res_dim: int = 256
-    hidden_dim: int = 128
-    dropout_p: float = 0.3
-    workers: int = 1
-
-    def expert_hyper(self) -> ExpertHyper:
-        return ExpertHyper(
-            epochs=self.expert_epochs,
-            lr=self.lr,
-            stability_coef=self.coefficients.stability,
-            batch_size=self.batch_size,
-            buffer_capacity=self.buffer_capacity,
-            sampling=self.sampling,
-            distill_kind=self.distill_kind,
-        )
-
-    def model_config(self, stream: TaskStream) -> ModelConfig:
-        return ModelConfig(
-            input_dim=stream.dim,
-            total_classes=stream.total_classes,
-            res_blocks=self.res_blocks,
-            res_layers_per_block=self.res_layers_per_block,
-            res_dim=self.res_dim,
-            hidden_dim=self.hidden_dim,
-            dropout_p=self.dropout_p,
-        )
-
-
 @dataclass
 class StepResult:
     base: ResidualClassifier
@@ -819,6 +776,56 @@ class RunReport:
         }
 
 
+class RunRecorder:
+    """The evaluation bookkeeping every runner shares.
+
+    After each step it scores every task seen so far, strictly
+    class-incremental, keeps the accuracy history that backward transfer
+    reads, and finally assembles the :class:`RunReport`.
+    """
+
+    def __init__(self, method: str, ledger: CostLedger | None = None):
+        self.method = method
+        self.ledger = ledger
+        self.t_start = time.perf_counter()
+        self.records: list[MetricsRecord] = []
+        self.history: list[dict[int, float]] = []
+        self.seen: list[Task] = []
+
+    def record(self, step_id: int, model: ResidualClassifier, tasks, step_t0: float,
+               experts: list[dict] | None = None) -> None:
+        """Evaluate ``model`` after the step that learned ``tasks``."""
+        self.seen.extend(tasks)
+        accs = evaluate_cil(model, self.seen)
+        self.history.append(accs)
+        self.records.append(
+            MetricsRecord(
+                step_id=step_id,
+                per_task_acc=accs,
+                mean_acc=mean_accuracy(accs),
+                first_task_acc=accs[min(self.history[0])],
+                backward_transfer=(
+                    backward_transfer(self.history) if len(self.history) >= 2 else None
+                ),
+                wall_clock_s=time.perf_counter() - step_t0,
+                experts=experts,
+            )
+        )
+
+    def report(self, model: ResidualClassifier, failed_step: int | None = None) -> RunReport:
+        last = self.records[-1] if self.records else None
+        return RunReport(
+            method=self.method,
+            records=self.records,
+            ledger=self.ledger,
+            wall_clock_s=time.perf_counter() - self.t_start,
+            final_mean_acc=last.mean_acc if last else 0.0,
+            final_backward_transfer=last.backward_transfer if last else None,
+            failed_step=failed_step,
+            final_params=model.to_param_vector(),
+        )
+
+
 def plan_steps(stream: TaskStream, k: int, master_seed: int, hyper: ExpertHyper) -> list[StepPlan]:
     """Consecutive k-task batches; the final step may carry fewer tasks."""
     if k < 1:
@@ -836,76 +843,52 @@ def plan_steps(stream: TaskStream, k: int, master_seed: int, hyper: ExpertHyper)
     return plans
 
 
-def run_full_stream(
-    stream: TaskStream,
-    config: BmcConfig,
-    master_seed: int,
-    executor=None,
-) -> RunReport:
+def run_full_stream(stream: TaskStream, cfg: ExperimentConfig, executor=None) -> RunReport:
     """Iterate incremental steps over the whole stream, evaluating after each.
 
-    Evaluation happens after consolidation, over every task seen so far,
-    strictly class-incremental. A failed step stops the run; the report
-    carries the partial history and the failed step id.
+    Reads the ``model``, ``training`` and ``bmc`` sections of ``cfg``; the
+    master seed is ``cfg.seed``. Evaluation happens after consolidation. A
+    failed step stops the run; the report carries the partial history and
+    the failed step id.
     """
+    b, t = cfg.bmc, cfg.training
     if executor is None:
-        executor = (
-            SerialExecutor()
-            if config.workers <= 1
-            else ProcessExecutor(config.workers)
-        )
-    t_start = time.perf_counter()
-    base = build_model(config.model_config(stream), seed=child_seed(master_seed, "init"))
-    memory = Memory(config.memory_capacity, stream.dim)
-    transport = CountingTransport()
+        executor = SerialExecutor() if b.workers <= 1 else ProcessExecutor(b.workers)
     ledger = CostLedger()
-    plans = plan_steps(stream, config.experts_per_step, master_seed, config.expert_hyper())
-    records: list[MetricsRecord] = []
-    history: list[dict[int, float]] = []
-    seen: list[Task] = []
-    failed_step = None
-    for plan in plans:
+    recorder = RunRecorder("bmc", ledger)
+    base = build_model(build_model_config(cfg.model, stream), seed=child_seed(cfg.seed, "init"))
+    memory = Memory(b.memory_capacity, stream.dim)
+    transport = CountingTransport()
+    hyper = ExpertHyper(
+        epochs=t.epochs_per_task,
+        lr=t.lr,
+        stability_coef=b.stability_coef,
+        batch_size=t.batch_size,
+        buffer_capacity=b.buffer_capacity,
+        sampling=b.sampling,
+        distill_kind=b.distill_kind,
+    )
+    coefficients = LossCoefficients(
+        stability=b.stability_coef, task=b.task_coef, consolidation=b.consolidation_coef
+    )
+    for plan in plan_steps(stream, b.experts_per_step, cfg.seed, hyper):
         step_t0 = time.perf_counter()
         try:
             result = run_incremental_step(
                 base,
                 plan,
                 memory,
-                master_seed=master_seed,
-                coefficients=config.coefficients,
-                rehearsal_epochs=config.rehearsal_epochs,
+                master_seed=cfg.seed,
+                coefficients=coefficients,
+                rehearsal_epochs=b.rehearsal_epochs,
                 transport=transport,
                 executor=executor,
-                lr=config.lr,
-                batch_size=config.batch_size,
+                lr=t.lr,
+                batch_size=t.batch_size,
             )
         except StepFailure:
-            failed_step = plan.step_id
-            break
+            return recorder.report(base, failed_step=plan.step_id)
         base = result.base
         ledger.add(result.cost)
-        seen.extend(plan.tasks)
-        accs = evaluate_cil(base, seen)
-        history.append(accs)
-        bwt = backward_transfer(history) if len(history) >= 2 else None
-        records.append(
-            MetricsRecord(
-                step_id=plan.step_id,
-                per_task_acc=accs,
-                mean_acc=mean_accuracy(accs),
-                first_task_acc=history[-1][min(history[0])],
-                backward_transfer=bwt,
-                wall_clock_s=time.perf_counter() - step_t0,
-                experts=result.expert_distances,
-            )
-        )
-    return RunReport(
-        method="bmc",
-        records=records,
-        ledger=ledger,
-        wall_clock_s=time.perf_counter() - t_start,
-        final_mean_acc=records[-1].mean_acc if records else 0.0,
-        final_backward_transfer=records[-1].backward_transfer if records else None,
-        failed_step=failed_step,
-        final_params=base.to_param_vector(),
-    )
+        recorder.record(plan.step_id, base, plan.tasks, step_t0, result.expert_distances)
+    return recorder.report(base)

@@ -25,16 +25,6 @@ SAMPLING_STRATEGIES = ("random", "grad_max_base", "grad_min_expert")
 
 
 @dataclass(frozen=True)
-class Exemplar:
-    """Row view of a stored example (tests and debugging; storage is columnar)."""
-
-    feature: np.ndarray
-    class_id: int
-    task_id: int
-    origin: int
-
-
-@dataclass(frozen=True)
 class ExemplarSet:
     """Immutable columnar collection of exemplars."""
 
@@ -92,14 +82,6 @@ class ExemplarSet:
             labels=self.labels,
             task_ids=self.task_ids,
             origins=np.full(len(self), origin, dtype=np.int64),
-        )
-
-    def exemplar(self, i: int) -> Exemplar:
-        return Exemplar(
-            feature=self.features[i],
-            class_id=int(self.labels[i]),
-            task_id=int(self.task_ids[i]),
-            origin=int(self.origins[i]),
         )
 
     @staticmethod

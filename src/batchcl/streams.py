@@ -313,7 +313,6 @@ class MetricsRecord:
     first_task_acc: float
     backward_transfer: float | None = None
     wall_clock_s: float = 0.0
-    relative_time: float | None = None
     # per-expert telemetry of a consolidation step; absent for baselines
     experts: list[dict] | None = None
 
@@ -325,7 +324,6 @@ class MetricsRecord:
             "first_task_acc": self.first_task_acc,
             "backward_transfer": self.backward_transfer,
             "wall_clock_s": self.wall_clock_s,
-            "relative_time": self.relative_time,
         }
         if self.experts is not None:
             out["experts"] = self.experts
@@ -376,9 +374,3 @@ def backward_transfer(history: list[dict[int, float]]) -> float:
     if not drifts:
         raise ValueError("no task was learned before the final step")
     return float(np.mean(drifts))
-
-
-def first_task_curve(history: list[dict[int, float]]) -> list[float]:
-    """Accuracy of the earliest-learned task after each step."""
-    first = min(history[0])
-    return [accs[first] for accs in history]

@@ -4,7 +4,34 @@ from __future__ import annotations
 
 import numpy as np
 
+from batchcl.config import (
+    BaselineSpec,
+    BmcSpec,
+    ExperimentConfig,
+    ModelSpec,
+    StreamSpec,
+    TrainingSpec,
+)
 from batchcl.model import ResidualClassifier
+
+
+def experiment(method: str = "bmc", seed: int = 0, *, model: dict | None = None,
+               training: dict | None = None, bmc: dict | None = None,
+               baseline: dict | None = None) -> ExperimentConfig:
+    """A run config from per-section overrides of the defaults.
+
+    The runners take the stream already built, so the stream section keeps
+    its defaults.
+    """
+    return ExperimentConfig(
+        method=method,
+        seed=seed,
+        stream=StreamSpec(),
+        model=ModelSpec(**(model or {})),
+        training=TrainingSpec(**(training or {})),
+        bmc=BmcSpec(**(bmc or {})),
+        baseline=BaselineSpec(**(baseline or {})),
+    )
 
 
 def float64_twin(model: ResidualClassifier) -> ResidualClassifier:

@@ -20,11 +20,11 @@ import time
 
 import numpy as np
 import pytest
-from helpers import finite_diff_params
+from helpers import experiment, finite_diff_params
 
-from batchcl.baselines import BaselineConfig, run_baseline
+from batchcl.baselines import run_baseline
 from batchcl.cli import export_pareto, run_experiment, run_sweep
-from batchcl.config import parse_config, parse_sweep
+from batchcl.config import build_model_config, parse_config, parse_sweep
 from batchcl.engine import (
     SGD,
     PlateauScheduler,
@@ -58,10 +58,10 @@ from batchcl.model import ModelConfig, TapSet, build_model
 from batchcl.protocol import (
     ARTIFACT_FIXED_NBYTES,
     SYNC_FIXED_NBYTES,
-    BmcConfig,
     CountingTransport,
     ExpertContext,
     ExpertFailure,
+    ExpertHyper,
     ProcessExecutor,
     ProtocolViolation,
     SerialExecutor,
@@ -101,7 +101,8 @@ TREND_STREAM = dict(
 TREND_MODEL = dict(
     res_blocks=1, res_layers_per_block=2, res_dim=32, hidden_dim=16, dropout_p=0.1,
 )
-TREND_HYPER = dict(expert_epochs=2, rehearsal_epochs=40, lr=0.1, batch_size=32)
+TREND_TRAINING = dict(epochs_per_task=2, lr=0.1, batch_size=32)
+TREND_REHEARSAL = 40
 GAP_BUFFER, GAP_MEMORY = 200, 1000  # criterion 3 (pinned)
 TREND_BUFFER, TREND_MEMORY = 200, 32  # criterion 4 (memory-starved)
 SEEDS = (0, 1, 2)
@@ -385,14 +386,16 @@ def test_02_degenerate_reduction():
     )
     master = 5
     lr, batch, rehearsal, buf_cap, mem_cap = 0.1, 8, 3, 30, 60
-    cfg = BmcConfig(
-        experts_per_step=1,
-        coefficients=LossCoefficients(stability=0.0, task=1.0, consolidation=0.0),
-        expert_epochs=1, rehearsal_epochs=rehearsal, lr=lr, batch_size=batch,
-        buffer_capacity=buf_cap, memory_capacity=mem_cap,
-        res_blocks=1, res_layers_per_block=1, res_dim=8, hidden_dim=6, dropout_p=0.3,
+    cfg = experiment(
+        "bmc", master,
+        model=dict(res_blocks=1, res_layers_per_block=1, res_dim=8, hidden_dim=6,
+                   dropout_p=0.3),
+        training=dict(epochs_per_task=1, lr=lr, batch_size=batch),
+        bmc=dict(experts_per_step=1, stability_coef=0.0, task_coef=1.0,
+                 consolidation_coef=0.0, rehearsal_epochs=rehearsal,
+                 buffer_capacity=buf_cap, memory_capacity=mem_cap),
     )
-    report = run_full_stream(stream, cfg, master_seed=master)
+    report = run_full_stream(stream, cfg)
     assert report.failed_step is None
 
     # reference: sequential rehearsal — sample a buffer, train the running
@@ -400,7 +403,7 @@ def test_02_degenerate_reduction():
     # With the consolidation coefficient at zero the expert snapshots are
     # inert, and random buffer sampling reads nothing but (data, seed), so
     # the distributed path must land on bit-identical parameters.
-    model = build_model(cfg.model_config(stream), seed=child_seed(master, "init"))
+    model = build_model(build_model_config(cfg.model, stream), seed=child_seed(master, "init"))
     memory = Memory(mem_cap, stream.dim)
     for t, task in enumerate(stream.tasks):
         buffer = sample_buffer(
@@ -454,13 +457,12 @@ def _consolidated_acc(k: int, seed: int, buffer: int, memory: int) -> float:
     key = (k, seed, buffer, memory)
     if key not in _trend_cache:
         stream = generate_stream(**TREND_STREAM)
-        cfg = BmcConfig(
-            experts_per_step=k,
-            coefficients=LossCoefficients(1.0, 1.0, 1.0),
-            buffer_capacity=buffer, memory_capacity=memory,
-            **TREND_HYPER, **TREND_MODEL,
+        cfg = experiment(
+            "bmc", seed, model=TREND_MODEL, training=TREND_TRAINING,
+            bmc=dict(experts_per_step=k, rehearsal_epochs=TREND_REHEARSAL,
+                     buffer_capacity=buffer, memory_capacity=memory),
         )
-        _trend_cache[key] = run_full_stream(stream, cfg, master_seed=seed).final_mean_acc
+        _trend_cache[key] = run_full_stream(stream, cfg).final_mean_acc
     return _trend_cache[key]
 
 
@@ -469,12 +471,14 @@ def test_03_forgetting_gap():
     bmc = [_consolidated_acc(4, s, GAP_BUFFER, GAP_MEMORY) for s in SEEDS]
     # compute-matched naive baseline: the same per-task epochs an expert gets
     # plus this run's share of the rehearsal budget
-    sgd_epochs = TREND_HYPER["expert_epochs"] + TREND_HYPER["rehearsal_epochs"] // 4
-    sgd_cfg = BaselineConfig(
-        method="sgd", epochs_per_task=sgd_epochs,
-        lr=TREND_HYPER["lr"], batch_size=TREND_HYPER["batch_size"], **TREND_MODEL,
-    )
-    sgd = [run_baseline(stream, sgd_cfg, seed=s).final_mean_acc for s in SEEDS]
+    sgd_epochs = TREND_TRAINING["epochs_per_task"] + TREND_REHEARSAL // 4
+    sgd_training = dict(TREND_TRAINING, epochs_per_task=sgd_epochs)
+    sgd = [
+        run_baseline(
+            stream, experiment("sgd", s, model=TREND_MODEL, training=sgd_training)
+        ).final_mean_acc
+        for s in SEEDS
+    ]
     mean_bmc, mean_sgd = float(np.mean(bmc)), float(np.mean(sgd))
     ok = mean_bmc >= 2.0 * mean_sgd
     assert verdict(
@@ -508,14 +512,15 @@ def test_05_sampling_ablation():
     stream = generate_stream(**SAMPLING_STREAM)
     means = {}
     for strategy in ("random", "grad_max_base", "grad_min_expert"):
-        cfg = BmcConfig(
-            experts_per_step=4,
-            coefficients=LossCoefficients(1.0, 1.0, 1.0),
-            expert_epochs=4, rehearsal_epochs=20, lr=0.1, batch_size=32,
-            buffer_capacity=100, memory_capacity=400, sampling=strategy,
-            **SAMPLING_MODEL,
-        )
-        accs = [run_full_stream(stream, cfg, master_seed=s).final_mean_acc for s in SEEDS]
+        accs = [
+            run_full_stream(stream, experiment(
+                "bmc", s, model=SAMPLING_MODEL,
+                training=dict(epochs_per_task=4, lr=0.1, batch_size=32),
+                bmc=dict(experts_per_step=4, rehearsal_epochs=20, buffer_capacity=100,
+                         memory_capacity=400, sampling=strategy),
+            )).final_mean_acc
+            for s in SEEDS
+        ]
         means[strategy] = float(np.mean(accs))
     margin = 0.01  # one accuracy point
     gaps = {s: means["random"] - m for s, m in means.items() if s != "random"}
@@ -599,18 +604,19 @@ def _ledger_case(n_tasks, k, dim, buffer_capacity, memory_capacity, train_per_ta
         kind="permuted", n_tasks=n_tasks, classes_per_task=2, dim=dim,
         train_per_task=train_per_task, val_per_task=6, seed=17,
     )
-    cfg = BmcConfig(
-        experts_per_step=k,
-        coefficients=LossCoefficients(1.0, 1.0, 1.0),
-        expert_epochs=1, rehearsal_epochs=1, lr=0.1, batch_size=4,
-        buffer_capacity=buffer_capacity, memory_capacity=memory_capacity,
-        res_blocks=1, res_layers_per_block=1, res_dim=6, hidden_dim=5, dropout_p=0.0,
+    cfg = experiment(
+        "bmc", 2,
+        model=dict(res_blocks=1, res_layers_per_block=1, res_dim=6, hidden_dim=5,
+                   dropout_p=0.0),
+        training=dict(epochs_per_task=1, lr=0.1, batch_size=4),
+        bmc=dict(experts_per_step=k, rehearsal_epochs=1, buffer_capacity=buffer_capacity,
+                 memory_capacity=memory_capacity),
     )
-    report = run_full_stream(stream, cfg, master_seed=2)
+    report = run_full_stream(stream, cfg)
     assert report.failed_step is None
 
     # independent arithmetic from the serialization layout alone
-    n_param = build_model(cfg.model_config(stream), seed=0).to_param_vector().nbytes
+    n_param = build_model(build_model_config(cfg.model, stream), seed=0).to_param_vector().nbytes
     rows_per_buffer = min(buffer_capacity, train_per_task)
     mem_len = 0
     mismatches = []
@@ -677,27 +683,25 @@ def test_07_cost_ledger_exactness():
 def test_08_parallel_time():
     stream = generate_stream(**TREND_STREAM)
     k, expert_epochs, rehearsal = 4, 40, 8
-    cfg = BmcConfig(
-        experts_per_step=k,
-        coefficients=LossCoefficients(1.0, 1.0, 1.0),
-        expert_epochs=expert_epochs, rehearsal_epochs=rehearsal,
-        lr=0.1, batch_size=32,
-        buffer_capacity=GAP_BUFFER, memory_capacity=GAP_MEMORY,
-        workers=4, **TREND_MODEL,
+    cfg = experiment(
+        "bmc", 0, model=TREND_MODEL,
+        training=dict(epochs_per_task=expert_epochs, lr=0.1, batch_size=32),
+        bmc=dict(experts_per_step=k, rehearsal_epochs=rehearsal, buffer_capacity=GAP_BUFFER,
+                 memory_capacity=GAP_MEMORY, workers=4),
     )
     t0 = time.perf_counter()
-    report = run_full_stream(stream, cfg, master_seed=0, executor=ProcessExecutor(4))
+    report = run_full_stream(stream, cfg, executor=ProcessExecutor(4))
     bmc_wall = time.perf_counter() - t0
     assert report.failed_step is None
 
     # epoch-matched sequential reference: expert epochs plus this run's
     # per-task share of the rehearsal budget
-    sgd_cfg = BaselineConfig(
-        method="sgd", epochs_per_task=expert_epochs + rehearsal // k,
-        lr=0.1, batch_size=32, **TREND_MODEL,
+    sgd_cfg = experiment(
+        "sgd", 0, model=TREND_MODEL,
+        training=dict(epochs_per_task=expert_epochs + rehearsal // k, lr=0.1, batch_size=32),
     )
     t0 = time.perf_counter()
-    run_baseline(stream, sgd_cfg, seed=0)
+    run_baseline(stream, sgd_cfg)
     sgd_wall = time.perf_counter() - t0
     ratio = bmc_wall / sgd_wall
 
@@ -740,22 +744,21 @@ def test_09_protocol_constraints(tmp_path):
         kind="permuted", n_tasks=3, classes_per_task=2, dim=5,
         train_per_task=16, val_per_task=6, seed=3,
     )
-    cfg = BmcConfig(
-        experts_per_step=3,
-        coefficients=LossCoefficients(1.0, 1.0, 1.0),
-        expert_epochs=1, rehearsal_epochs=1, lr=0.1, batch_size=4,
-        buffer_capacity=10, memory_capacity=40,
-        res_blocks=1, res_layers_per_block=1, res_dim=6, hidden_dim=5, dropout_p=0.0,
+    model_cfg = ModelConfig(
+        input_dim=stream.dim, total_classes=stream.total_classes, res_blocks=1,
+        res_layers_per_block=1, res_dim=6, hidden_dim=5, dropout_p=0.0,
     )
-    base = build_model(cfg.model_config(stream), seed=child_seed(9, "init"))
-    memory = Memory(cfg.memory_capacity, stream.dim)
+    coefficients = LossCoefficients(1.0, 1.0, 1.0)
+    base = build_model(model_cfg, seed=child_seed(9, "init"))
+    memory = Memory(40, stream.dim)
     transport = CountingTransport()
-    plan = plan_steps(stream, 3, 9, cfg.expert_hyper())[0]
+    hyper = ExpertHyper(epochs=1, lr=0.1, batch_size=4, buffer_capacity=10)
+    plan = plan_steps(stream, 3, 9, hyper)[0]
     capturing = _CapturingExecutor()
     result = run_incremental_step(
-        base, plan, memory, master_seed=9, coefficients=cfg.coefficients,
+        base, plan, memory, master_seed=9, coefficients=coefficients,
         rehearsal_epochs=1, transport=transport, executor=capturing,
-        lr=cfg.lr, batch_size=cfg.batch_size,
+        lr=0.1, batch_size=4,
     )
 
     # (a) exactly k artifact messages, duplicates rejected
@@ -778,9 +781,9 @@ def test_09_protocol_constraints(tmp_path):
     memory_bytes = memory.exemplars.features.tobytes() + memory.exemplars.labels.tobytes()
     with pytest.raises(StepFailure):
         run_incremental_step(
-            base2, plan, memory, master_seed=9, coefficients=cfg.coefficients,
+            base2, plan, memory, master_seed=9, coefficients=coefficients,
             rehearsal_epochs=1, transport=transport, executor=_FailingExecutor(),
-            lr=cfg.lr, batch_size=cfg.batch_size,
+            lr=0.1, batch_size=4,
         )
     untouched = (
         base2.to_param_vector().to_bytes() == base_bytes
@@ -841,26 +844,25 @@ def test_10_replay_invariants():
         kind="permuted", n_tasks=16, classes_per_task=2, dim=8,
         train_per_task=80, val_per_task=24, seed=21,
     )
-    cfg = BmcConfig(
-        experts_per_step=3,
-        coefficients=LossCoefficients(1.0, 1.0, 1.0),
-        expert_epochs=1, rehearsal_epochs=1, lr=0.1, batch_size=8,
-        buffer_capacity=30, memory_capacity=100,
-        res_blocks=1, res_layers_per_block=1, res_dim=8, hidden_dim=6, dropout_p=0.0,
+    k, mem_cap = 3, 100
+    model_cfg = ModelConfig(
+        input_dim=stream.dim, total_classes=stream.total_classes, res_blocks=1,
+        res_layers_per_block=1, res_dim=8, hidden_dim=6, dropout_p=0.0,
     )
-    base = build_model(cfg.model_config(stream), seed=child_seed(4, "init"))
-    memory = Memory(cfg.memory_capacity, stream.dim)
+    base = build_model(model_cfg, seed=child_seed(4, "init"))
+    memory = Memory(mem_cap, stream.dim)
     transport = CountingTransport()
     executor = SerialExecutor()
+    hyper = ExpertHyper(epochs=1, lr=0.1, batch_size=8, buffer_capacity=30)
     over_capacity = []
-    for plan in plan_steps(stream, cfg.experts_per_step, 4, cfg.expert_hyper()):
+    for plan in plan_steps(stream, k, 4, hyper):
         result = run_incremental_step(
-            base, plan, memory, master_seed=4, coefficients=cfg.coefficients,
+            base, plan, memory, master_seed=4, coefficients=LossCoefficients(1.0, 1.0, 1.0),
             rehearsal_epochs=1, transport=transport, executor=executor,
-            lr=cfg.lr, batch_size=cfg.batch_size,
+            lr=0.1, batch_size=8,
         )
         base = result.base
-        if len(memory) > cfg.memory_capacity:
+        if len(memory) > mem_cap:
             over_capacity.append((plan.step_id, len(memory)))
 
     # adversarial pools: balanced quotas and exact totals
@@ -884,8 +886,8 @@ def test_10_replay_invariants():
     ok = not over_capacity and not quota_violations
     assert verdict(
         10, "replay invariants", ok,
-        f"memory <= {cfg.memory_capacity} across "
-        f"{len(stream.tasks) // cfg.experts_per_step + 1} steps"
+        f"memory <= {mem_cap} across "
+        f"{len(stream.tasks) // k + 1} steps"
         + (f" (VIOLATED {over_capacity})" if over_capacity else "")
         + "; adversarial quotas "
         + ("held" if not quota_violations else f"VIOLATED: {quota_violations[:3]}"),

@@ -3,11 +3,18 @@
 from __future__ import annotations
 
 import json
+import os
+import re
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from batchcl.cli import export_pareto, main, run_experiment, run_sweep, sample_trial
+import batchcl
+from batchcl.cli import _build_parser, export_pareto, main, run_experiment, run_sweep, sample_trial
 from batchcl.config import (
     ConfigError,
     config_to_dict,
@@ -63,6 +70,37 @@ class TestConfig:
         assert cfg.bmc.stability_coef == 1.0
         assert cfg.bmc.sampling == "random"
         assert cfg.training.lr == 0.1
+
+    @pytest.mark.parametrize(
+        "method, section, key, value",
+        [
+            ("sgd", "training", "batch_size", 1),
+            ("bmc", "training", "batch_size", 1),
+            ("er", "baseline", "memory_capacity", 0),
+            ("bmc", "bmc", "memory_capacity", 0),
+            ("bmc", "bmc", "buffer_capacity", 0),
+            ("bmc", "bmc", "experts_per_step", 0),
+            ("sgd", "training", "lr", -1.0),
+            ("sgd", "model", "dropout_p", 1.5),
+        ],
+    )
+    def test_bad_value_rejected_at_parse_time(self, tmp_path, capsys, method, section,
+                                              key, value):
+        raw = toy_raw(method=method, out_dir=str(tmp_path / "out"))
+        raw.setdefault(section, {})[key] = value
+        with pytest.raises(ConfigError, match=f"{section}/{key}"):
+            parse_config(raw)
+        cfg_file = tmp_path / "bad.json"
+        cfg_file.write_text(json.dumps(raw))
+        assert main(["run", str(cfg_file)]) == 2
+        assert f"{section}/{key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_section_bounds_bind_only_the_methods_that_read_them(self):
+        raw = toy_raw(method="sgd", baseline={"memory_capacity": 0})
+        raw["bmc"]["memory_capacity"] = 0
+        cfg = parse_config(raw)
+        assert (cfg.baseline.memory_capacity, cfg.bmc.memory_capacity) == (0, 0)
 
     def test_sweep_range_must_target_real_key(self):
         with pytest.raises(ConfigError, match="unknown config key"):
@@ -132,6 +170,65 @@ class TestRunVerb:
         assert timing["relative_time"] > 0
 
 
+# summary.json of every method on toy_raw(), as the runners wrote it before
+# the run config was collapsed into ExperimentConfig; any change to a method's
+# arithmetic or randomness moves at least one of these bytes
+PINNED_SUMMARIES = {
+    "bmc": '{"cost_accuracy": 26.321330806485573, "failed_step": null, '
+           '"final_backward_transfer": null, "final_mean_acc": 0.3333333333333333, '
+           '"method": "bmc", "n_steps": 1, "per_task_acc": {"0": 0.5, "1": 0.16666666666666666}, '
+           '"seed": 3, "total_cost": 0.012664, "type": "summary"}\n',
+    "sgd": '{"failed_step": null, "final_backward_transfer": -0.25, "final_mean_acc": 0.25, '
+           '"method": "sgd", "n_steps": 2, "per_task_acc": {"0": 0.08333333333333333, '
+           '"1": 0.4166666666666667}, "seed": 3, "type": "summary"}\n',
+    "er": '{"failed_step": null, "final_backward_transfer": 0.3333333333333333, '
+          '"final_mean_acc": 0.3333333333333333, "method": "er", "n_steps": 2, '
+          '"per_task_acc": {"0": 0.6666666666666666, "1": 0.0}, "seed": 3, "type": "summary"}\n',
+    "oewc": '{"failed_step": null, "final_backward_transfer": -0.25, "final_mean_acc": 0.25, '
+            '"method": "oewc", "n_steps": 2, "per_task_acc": {"0": 0.08333333333333333, '
+            '"1": 0.4166666666666667}, "seed": 3, "type": "summary"}\n',
+    "multitask": '{"failed_step": null, "final_backward_transfer": null, '
+                 '"final_mean_acc": 0.5416666666666667, "method": "multitask", "n_steps": 0, '
+                 '"seed": 3, "type": "summary"}\n',
+}
+
+
+@pytest.mark.parametrize("method", sorted(PINNED_SUMMARIES))
+def test_summary_bytes_pinned(tmp_path, method):
+    run_experiment(parse_config(toy_raw(method=method)), tmp_path)
+    assert (tmp_path / "summary.json").read_text() == PINNED_SUMMARIES[method]
+
+
+class TestReadmeCli:
+    README = Path(__file__).resolve().parents[1] / "README.md"
+
+    def commands(self) -> list[list[str]]:
+        text = self.README.read_text()
+        section = text[text.index("## CLI"):]
+        block = re.search(r"```bash\n(.*?)```", section, re.S).group(1)
+        lines = block.replace("\\\n", " ").splitlines()
+        return [shlex.split(line) for line in lines if line.strip()]
+
+    def test_module_entry_point_runs(self):
+        src = str(Path(batchcl.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run([sys.executable, "-m", "batchcl", "--help"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert "gen-stream" in done.stdout
+
+    def test_every_documented_command_parses(self):
+        commands = self.commands()
+        assert len(commands) >= 5
+        for argv in commands:
+            assert argv[:3] == ["python", "-m", "batchcl"], argv
+            try:
+                _build_parser().parse_args(argv[3:])
+            except SystemExit:
+                pytest.fail(f"README command does not parse: {shlex.join(argv)}")
+
+
 class TestSweep:
     def spec(self, trials, ranges, method="sgd"):
         return parse_sweep({"trials": trials, "seed": 5,
@@ -163,7 +260,8 @@ class TestSweep:
         spec = self.spec(2, {"training.lr": {"choices": [-1.0]}})
         rows = run_sweep(spec, tmp_path / "sweep")
         assert [r["status"] for r in rows] == ["error", "error"]
-        assert "error" in rows[0]
+        assert "training/lr" in rows[0]["error"]
+        assert rows[0]["sampled"] == {"training.lr": -1.0}
         csv_text = (tmp_path / "sweep" / "sweep.csv").read_text()
         assert csv_text.count("\n") == 3  # header + 2 trial rows
 

@@ -1,6 +1,8 @@
-"""Classifier construction, forward oracle, head growth, snapshot round-trips."""
+"""Classifier construction, forward oracle, snapshot round-trips."""
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -182,50 +184,6 @@ class TestForward:
         np.testing.assert_array_equal(pred, np.zeros(4, dtype=np.intp))
 
 
-class TestGrowHead:
-    def test_old_logits_preserved(self):
-        rng = np.random.default_rng(3)
-        m = build_model(TOY, seed=1)
-        x = rng.standard_normal((6, 4)).astype(np.float32)
-        before, _ = m.forward_with_taps(x)
-        m.grow_head(8, np.random.default_rng(4))
-        after, _ = m.forward_with_taps(x)
-        assert after.logits.shape == (6, 8)
-        np.testing.assert_array_equal(after.logits.data[:, :3], before.logits.data)
-
-    def test_layout_reflects_growth(self):
-        m = build_model(TOY, seed=1)
-        m.grow_head(8, np.random.default_rng(4))
-        pv = m.to_param_vector()
-        shapes = dict(zip(pv.names, (a.shape for a in pv.arrays)))
-        assert shapes["head.W"] == (5, 8)
-        assert shapes["head.b"] == (8,)
-
-    def test_shrink_rejected(self):
-        m = build_model(TOY, seed=1)
-        with pytest.raises(ValueError, match="grow"):
-            m.grow_head(2, np.random.default_rng(0))
-
-    def test_repeated_growth_matches_scripted_construction(self):
-        from batchcl.model import xavier_uniform
-
-        cfg = ModelConfig(
-            input_dim=4, total_classes=2, res_blocks=1,
-            res_layers_per_block=1, res_dim=6, hidden_dim=5, dropout_p=0.0,
-        )
-        m = build_model(cfg, seed=9)
-        w0, b0 = m.params["head.W"].copy(), m.params["head.b"].copy()
-        m.grow_head(4, np.random.default_rng(10))
-        m.grow_head(8, np.random.default_rng(11))
-
-        # scripted: same copy-plus-fresh-columns arithmetic done by hand
-        w = np.concatenate([w0, xavier_uniform(np.random.default_rng(10), 5, 4, (5, 2))], axis=1)
-        w = np.concatenate([w, xavier_uniform(np.random.default_rng(11), 5, 8, (5, 4))], axis=1)
-        b = np.concatenate([b0, np.zeros(6, dtype=np.float32)])
-        np.testing.assert_array_equal(m.params["head.W"], w)
-        np.testing.assert_array_equal(m.params["head.b"], b)
-
-
 class TestParamVector:
     def test_round_trip_bit_exact(self):
         m = build_model(TOY, seed=2)
@@ -272,12 +230,14 @@ class TestParamVector:
         b, _ = dst.forward_with_taps(x)
         np.testing.assert_array_equal(a.logits.data, b.logits.data)
 
-    def test_model_from_vector_infers_grown_head(self):
+    def test_model_from_vector_rejects_other_head_width(self):
+        wider = build_model(dataclasses.replace(TOY, total_classes=7), seed=3)
+        with pytest.raises(ValueError, match="layout mismatch for 'head.W'"):
+            model_from_vector(TOY, wider.to_param_vector())
         m = build_model(TOY, seed=3)
-        m.grow_head(7, np.random.default_rng(0))
-        rebuilt = model_from_vector(TOY, m.to_param_vector())
-        assert rebuilt.classes == 7
-        assert rebuilt.to_param_vector().same_bytes(m.to_param_vector())
+        assert model_from_vector(TOY, m.to_param_vector()).to_param_vector().same_bytes(
+            m.to_param_vector()
+        )
 
     def test_layout_mismatch_rejected(self):
         m = build_model(TOY, seed=3)

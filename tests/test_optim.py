@@ -79,15 +79,3 @@ class TestPlateauScheduler:
         sched.step(1.0)
         sched.step(2.0)
         assert opt.lr == pytest.approx(1e-5)
-
-    def test_reset_restores_lr_and_history(self):
-        opt = SGD(lr=0.1)
-        sched = PlateauScheduler(opt, factor=0.5, patience=0)
-        sched.step(1.0)
-        sched.step(2.0)  # reduce
-        assert opt.lr == pytest.approx(0.05)
-        sched.reset(0.1)
-        assert opt.lr == pytest.approx(0.1)
-        assert sched.best is None
-        # after reset the first metric is a fresh best, no reduction
-        assert sched.step(100.0) == pytest.approx(0.1)

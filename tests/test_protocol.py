@@ -11,6 +11,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from helpers import experiment
 
 from batchcl.losses import LossCoefficients
 from batchcl.model import ModelConfig, ParamVector, build_model
@@ -20,7 +21,6 @@ from batchcl.protocol import (
     SYNC_FIXED_NBYTES,
     TAG_ARTIFACT,
     TAG_SYNC,
-    BmcConfig,
     CostLedger,
     CountingTransport,
     ExpertArtifact,
@@ -71,23 +71,20 @@ def stream():
     )
 
 
-def tiny_config(**overrides) -> BmcConfig:
-    defaults = dict(
-        experts_per_step=2,
-        expert_epochs=1,
-        rehearsal_epochs=4,
-        lr=0.1,
-        batch_size=8,
-        buffer_capacity=12,
-        memory_capacity=40,
-        res_blocks=1,
-        res_layers_per_block=1,
-        res_dim=8,
-        hidden_dim=6,
-        dropout_p=0.0,
+def tiny_config(seed=13, epochs=1, **bmc):
+    """A bmc run on the module stream with the TOY model shape."""
+    return experiment(
+        "bmc", seed,
+        model=dict(res_blocks=1, res_layers_per_block=1, res_dim=8, hidden_dim=6,
+                   dropout_p=0.0),
+        training=dict(epochs_per_task=epochs, lr=0.1, batch_size=8),
+        bmc={"experts_per_step": 2, "rehearsal_epochs": 4, "buffer_capacity": 12,
+             "memory_capacity": 40, **bmc},
     )
-    defaults.update(overrides)
-    return BmcConfig(**defaults)
+
+
+# the expert settings tiny_config() runs with, for tests that drive single steps
+TINY_HYPER = ExpertHyper(epochs=1, lr=0.1, batch_size=8, buffer_capacity=12)
 
 
 def make_exemplars(n, dim=6, seed=0):
@@ -481,17 +478,16 @@ class TestConsolidate:
 
 class TestIncrementalStep:
     def run_one(self, stream, plan_idx=0, memory=None, master_seed=5):
-        config = tiny_config()
-        base = build_model(config.model_config(stream), seed=child_seed(master_seed, "init"))
-        plans = plan_steps(stream, config.experts_per_step, master_seed, config.expert_hyper())
-        memory = memory if memory is not None else Memory(config.memory_capacity, stream.dim)
+        base = build_model(TOY, seed=child_seed(master_seed, "init"))
+        plans = plan_steps(stream, 2, master_seed, TINY_HYPER)
+        memory = memory if memory is not None else Memory(40, stream.dim)
         transport = CountingTransport()
         result = run_incremental_step(
             base, plans[plan_idx], memory, master_seed,
-            coefficients=config.coefficients,
-            rehearsal_epochs=config.rehearsal_epochs,
+            coefficients=LossCoefficients(),
+            rehearsal_epochs=4,
             transport=transport, executor=SerialExecutor(),
-            lr=config.lr, batch_size=config.batch_size,
+            lr=0.1, batch_size=8,
         )
         return base, memory, transport, result
 
@@ -520,20 +516,19 @@ class TestIncrementalStep:
         assert result.cost.model_bytes == result.base.to_param_vector().nbytes
 
     def test_second_step_costs_are_deltas_not_cumulative(self, stream):
-        config = tiny_config()
         master_seed = 5
-        base = build_model(config.model_config(stream), seed=child_seed(master_seed, "init"))
-        plans = plan_steps(stream, 2, master_seed, config.expert_hyper())
-        memory = Memory(config.memory_capacity, stream.dim)
+        base = build_model(TOY, seed=child_seed(master_seed, "init"))
+        plans = plan_steps(stream, 2, master_seed, TINY_HYPER)
+        memory = Memory(40, stream.dim)
         transport = CountingTransport()
         costs = []
         for plan in plans:
             result = run_incremental_step(
                 base, plan, memory, master_seed,
-                coefficients=config.coefficients,
-                rehearsal_epochs=config.rehearsal_epochs,
+                coefficients=LossCoefficients(),
+                rehearsal_epochs=4,
                 transport=transport, executor=SerialExecutor(),
-                lr=config.lr, batch_size=config.batch_size,
+                lr=0.1, batch_size=8,
             )
             base = result.base
             costs.append(result.cost)
@@ -547,11 +542,10 @@ class TestIncrementalStep:
     def test_failed_expert_rolls_back_base_and_memory(self, stream, monkeypatch):
         import batchcl.protocol as protocol_mod
 
-        config = tiny_config()
         master_seed = 5
-        base = build_model(config.model_config(stream), seed=child_seed(master_seed, "init"))
-        plans = plan_steps(stream, 2, master_seed, config.expert_hyper())
-        memory = Memory(config.memory_capacity, stream.dim)
+        base = build_model(TOY, seed=child_seed(master_seed, "init"))
+        plans = plan_steps(stream, 2, master_seed, TINY_HYPER)
+        memory = Memory(40, stream.dim)
         memory.replace(make_exemplars(10))
         base_before = base.to_param_vector().to_bytes()
         memory_before = memory.exemplars.features.tobytes()
@@ -567,10 +561,10 @@ class TestIncrementalStep:
         with pytest.raises(StepFailure, match="simulated crash"):
             run_incremental_step(
                 base, plans[0], memory, master_seed,
-                coefficients=config.coefficients,
+                coefficients=LossCoefficients(),
                 rehearsal_epochs=2,
                 transport=CountingTransport(), executor=SerialExecutor(),
-                lr=config.lr, batch_size=config.batch_size,
+                lr=0.1, batch_size=8,
             )
         assert base.to_param_vector().to_bytes() == base_before
         assert memory.exemplars.features.tobytes() == memory_before
@@ -583,23 +577,18 @@ class TestFullStream:
         d.pop("wall_clock_s")
         for r in d["records"]:
             r.pop("wall_clock_s", None)
-            r.pop("relative_time", None)
         return d
 
     def test_serial_run_is_bit_reproducible(self, stream):
-        config = tiny_config()
-        r1 = run_full_stream(stream, config, master_seed=13)
-        r2 = run_full_stream(stream, config, master_seed=13)
+        r1 = run_full_stream(stream, tiny_config())
+        r2 = run_full_stream(stream, tiny_config())
         assert self.strip_times(r1) == self.strip_times(r2)
         assert r1.failed_step is None
         assert len(r1.records) == 2
 
     def test_process_pool_matches_serial(self, stream):
-        config = tiny_config()
-        serial = run_full_stream(stream, config, master_seed=13,
-                                 executor=SerialExecutor())
-        parallel = run_full_stream(stream, config, master_seed=13,
-                                   executor=ProcessExecutor(2))
+        serial = run_full_stream(stream, tiny_config(), executor=SerialExecutor())
+        parallel = run_full_stream(stream, tiny_config(), executor=ProcessExecutor(2))
         assert self.strip_times(serial) == self.strip_times(parallel)
 
     def test_reversed_launch_order_changes_nothing(self, stream):
@@ -608,15 +597,12 @@ class TestFullStream:
                 arts = [remote_train(c) for c in reversed(contexts)]
                 return sorted(arts, key=lambda a: a.expert_index)
 
-        config = tiny_config()
-        forward = run_full_stream(stream, config, master_seed=13,
-                                  executor=SerialExecutor())
-        backward = run_full_stream(stream, config, master_seed=13,
-                                   executor=ReversedExecutor())
+        forward = run_full_stream(stream, tiny_config(), executor=SerialExecutor())
+        backward = run_full_stream(stream, tiny_config(), executor=ReversedExecutor())
         assert self.strip_times(forward) == self.strip_times(backward)
 
     def test_step_records_carry_expert_distances(self, stream):
-        report = run_full_stream(stream, tiny_config(), master_seed=13)
+        report = run_full_stream(stream, tiny_config())
         for rec, tasks in zip(report.records, ((0, 1), (2, 3))):
             assert [e["expert_index"] for e in rec.experts] == [0, 1]
             assert tuple(e["task_id"] for e in rec.experts) == tasks
@@ -626,7 +612,7 @@ class TestFullStream:
         assert "experts" in report.to_dict()["records"][0]
 
     def test_untrained_experts_sit_on_the_base(self, stream):
-        report = run_full_stream(stream, tiny_config(expert_epochs=0), master_seed=13)
+        report = run_full_stream(stream, tiny_config(epochs=0))
         for rec in report.records:
             assert all(e["expert_base_distance"] == 0.0 for e in rec.experts)
 
@@ -641,7 +627,7 @@ class TestFullStream:
             return real(ctx)
 
         monkeypatch.setattr(protocol_mod, "remote_train", flaky)
-        report = run_full_stream(stream, tiny_config(), master_seed=13)
+        report = run_full_stream(stream, tiny_config())
         assert report.failed_step == 1
         assert len(report.records) == 1
 
@@ -679,6 +665,6 @@ class TestCostLedger:
             cost_accuracy(0.8, 0.0)
 
     def test_bigger_buffers_cost_more(self, stream):
-        small = run_full_stream(stream, tiny_config(buffer_capacity=6), master_seed=3)
-        big = run_full_stream(stream, tiny_config(buffer_capacity=24), master_seed=3)
+        small = run_full_stream(stream, tiny_config(seed=3, buffer_capacity=6))
+        big = run_full_stream(stream, tiny_config(seed=3, buffer_capacity=24))
         assert total_cost(big.ledger) > total_cost(small.ledger)

@@ -75,12 +75,6 @@ class TestContainers:
         mem.replace(make_set(4, origin=2))
         assert (mem.exemplars.origins == ORIGIN_MEMORY).all()
 
-    def test_exemplar_row_view(self):
-        s = make_set(3, task_id=7, origin=1)
-        e = s.exemplar(1)
-        np.testing.assert_array_equal(e.feature, s.features[1])
-        assert (e.task_id, e.origin) == (7, 1)
-
 
 class TestSampleBuffer:
     def test_saturation_takes_everything(self):

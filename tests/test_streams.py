@@ -17,7 +17,6 @@ from batchcl.streams import (
     TaskStream,
     backward_transfer,
     evaluate_cil,
-    first_task_curve,
     generate_stream,
     load_feature_stream,
     mean_accuracy,
@@ -289,10 +288,6 @@ class TestMetrics:
     def test_single_step_rejected(self):
         with pytest.raises(ValueError, match="two steps"):
             backward_transfer([{0: 0.5}])
-
-    def test_first_task_curve(self):
-        history = [{3: 0.9}, {3: 0.7, 4: 0.8}, {3: 0.6, 4: 0.7, 5: 0.9}]
-        assert first_task_curve(history) == [0.9, 0.7, 0.6]
 
     def test_mean_accuracy(self):
         assert mean_accuracy({0: 0.5, 1: 0.7}) == pytest.approx(0.6)
