@@ -108,6 +108,8 @@ def run_experiment(
 
     lines = _step_records(report) if report else []
     timing: dict = {"type": "timing", "wall_clock_s": report.wall_clock_s if report else 0.0}
+    if report is not None and report.phase_walls:
+        timing["steps"] = report.phase_walls
     if reference_wall is not None and report is not None:
         timing["sgd_wall_clock_s"] = reference_wall
         timing["relative_time"] = report.wall_clock_s / reference_wall

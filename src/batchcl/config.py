@@ -117,6 +117,7 @@ def _when(method: str, section: str, bounds: dict) -> dict:
 
 _POSITIVE = {"minimum": 1}
 _NON_NEGATIVE = {"minimum": 0}
+_STREAM_SIZE_FIELDS = ("n_tasks", "classes_per_task", "dim", "train_per_task", "val_per_task")
 
 CONFIG_SCHEMA = {
     "type": "object",
@@ -173,6 +174,19 @@ CONFIG_SCHEMA = {
         ),
         _when("er", "baseline", {"memory_capacity": _POSITIVE, "replay_coef": _NON_NEGATIVE}),
         _when("oewc", "baseline", {"penalty_coef": _NON_NEGATIVE, "gamma": _NON_NEGATIVE}),
+        # a file stream ignores the size fields, so they bind generated streams only
+        {
+            "if": {
+                "properties": {
+                    "stream": {"properties": {"kind": {"const": "file"}}, "required": ["kind"]}
+                }
+            },
+            "else": {
+                "properties": {
+                    "stream": {"properties": {key: _POSITIVE for key in _STREAM_SIZE_FIELDS}}
+                }
+            },
+        },
     ],
 }
 

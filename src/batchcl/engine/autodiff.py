@@ -12,7 +12,7 @@ finite-difference oracle.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -221,9 +221,14 @@ def batch_norm_values(
     """Forward value of train-mode :func:`batch_norm` on plain arrays.
 
     No tape node, no running buffers: for passes that are never
-    differentiated but must match a train-mode pass bit for bit.
+    differentiated but must match a train-mode pass bit for bit. Leading
+    axes stack independent layers: ``x`` is ``(..., B, D)`` and ``gamma``,
+    ``beta`` are ``(..., D)``; statistics are taken over the rows (axis -2)
+    of each, with the same arithmetic as a single ``(B, D)`` input.
     """
-    return _normalize(x, gamma, beta, x.mean(axis=0), x.var(axis=0), eps)[0]
+    mean = x.mean(axis=-2, keepdims=True)
+    var = x.var(axis=-2, keepdims=True)
+    return _normalize(x, gamma[..., None, :], beta[..., None, :], mean, var, eps)[0]
 
 
 def batch_norm(
@@ -407,6 +412,66 @@ def mean_square(
         _accumulate(x, (g * 2.0 / denom) * m[:, None] * x.data)
 
     return _node(out_data, (x,), backward, name)
+
+
+def stacked_distance(
+    students: Sequence[Tensor],
+    targets: Sequence[np.ndarray],
+    masks: np.ndarray,
+    per_feature: bool = True,
+    name: str = "stacked_distance",
+) -> Tensor:
+    """Masked squared distances of students to k teachers' targets, summed.
+
+    ``students[i]`` is a ``(B, D_i)`` node and ``targets[i]`` the constant
+    ``(k, B, D_i)`` stack of what k teachers put in its place (no gradient
+    path); ``masks`` is the constant ``(k, B)`` 0/1 row selector of each
+    teacher. Term (j, i) is the squared difference of target j and student
+    i over teacher j's rows, averaged over those rows and, when
+    ``per_feature``, over the D_i features too (:func:`mean_square`), else
+    summed over them (:func:`masked_row_sqnorm_mean`). An empty selection
+    contributes exactly 0.
+
+    The value adds the terms of one teacher in student order, then the
+    teachers in order; the backward adds teacher j's gradient into each
+    student in order j = 0..k-1. Both repeat the float operations, in their
+    order, of the graph of per-term ops, summed teacher by teacher, that
+    this node replaces, so its value and gradients are bit-identical to it.
+    """
+    if not students or len(students) != len(targets):
+        raise GraphError(f"{name}: {len(students)} students for {len(targets)} target stacks")
+    m = np.asarray(masks, dtype=students[0].dtype)
+    if m.ndim != 2:
+        raise GraphError(f"{name}: masks of shape {m.shape}, expected (teachers, rows)")
+    k, rows = m.shape
+    for i, (s, t) in enumerate(zip(students, targets)):
+        if s.data.ndim != 2 or s.shape[0] != rows or t.shape != (k, *s.shape):
+            raise GraphError(
+                f"{name}: student {i} of shape {s.shape} and target stack of shape "
+                f"{t.shape} do not fit masks of shape {m.shape}"
+            )
+    counts = np.maximum(m.sum(axis=1), 1)
+    denoms = [counts * s.shape[1] if per_feature else counts for s in students]
+    diffs = [t - s.data for s, t in zip(students, targets)]
+    per_teacher = None
+    for d, denom in zip(diffs, denoms):
+        term = (m * (d * d).sum(axis=-1)).sum(axis=-1) / denom
+        per_teacher = term if per_teacher is None else per_teacher + term
+    total = per_teacher[0]
+    for term in per_teacher[1:]:
+        total = total + term
+    out_data = np.asarray(total, dtype=m.dtype)
+
+    def backward(g: np.ndarray) -> None:
+        for s, d, denom in zip(students, diffs, denoms):
+            if per_feature:
+                grad = ((g * 2.0 / denom)[:, None, None] * m[:, :, None]) * d
+            else:
+                grad = ((g * 2.0) * (m / denom[:, None])[:, :, None]) * d
+            for j in range(k):
+                _accumulate(s, -grad[j])
+
+    return _node(out_data, tuple(students), backward, name)
 
 
 def _toposort(root: Tensor) -> list[Tensor]:

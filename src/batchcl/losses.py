@@ -10,7 +10,7 @@ Objectives:
 - ``task_loss``            cross-entropy on the full current head
 - ``l_bd``                 per-tap mean squared feature distillation
 - ``l_exp``                expert objective: task + stability
-- ``l_bmc``                batched distillation, summed over expert teachers
+- ``l_bmc``                batched distillation over a stack of expert teachers
 - ``l_base``               consolidation objective: replay task loss + l_bmc
 - ``alt_distill``          ablation alternatives (logit space / last tap only)
 - ``ewc_penalty``          quadratic parameter-importance penalty
@@ -32,6 +32,7 @@ from .engine import (
     row_sqnorm_mean,
     scale,
     softmax_cross_entropy,
+    stacked_distance,
     stop_gradient,
     sub,
 )
@@ -122,12 +123,17 @@ def l_exp(
 
 def l_bmc(
     student: TapSet,
-    expert_teachers: list[TapSet],
+    expert_teachers: TapSet | Sequence[TapSet],
     teacher_origins: Sequence[int],
     batch_origins: np.ndarray,
     kind: str = "features",
 ) -> Tensor:
-    """Batched distillation: per-expert feature distances, summed over experts.
+    """Batched distillation: per-expert distances, summed over experts, as one node.
+
+    ``expert_teachers`` is the pass of a stack of k expert teachers: a
+    TapSet whose taps and logits carry a leading expert axis, ``(k, B, D)``,
+    as :meth:`~batchcl.model.ResidualClassifier.forward_as_teacher` returns
+    for a stack. A list of k single-teacher TapSets is stacked first.
 
     Each expert is authoritative only for the exemplars its own buffer
     contributed, so its distance is averaged over the batch rows whose
@@ -136,26 +142,43 @@ def l_bmc(
     from the batch contributes an exact zero. Teacher taps are recomputed
     locally from transmitted parameter snapshots; features themselves never
     cross a worker boundary.
+
+    Every ``kind`` is one :func:`~batchcl.engine.stacked_distance` node over
+    the (k, B) origin masks. It adds expert j's gradient into the student in
+    expert order j = 0..k-1, the order in which a sum of per-expert
+    :func:`alt_distill` graphs accumulates them, so the loss and every
+    gradient are bit-identical to that sum.
     """
-    if not expert_teachers:
-        raise GraphError("batched distillation needs at least one expert teacher")
-    if len(teacher_origins) != len(expert_teachers):
+    if isinstance(expert_teachers, TapSet):
+        teachers = expert_teachers
+    else:
+        if not expert_teachers:
+            raise GraphError("batched distillation needs at least one expert teacher")
+        for teacher in expert_teachers:
+            _check_aligned(teacher, student)
+        teachers = TapSet(
+            taps=[
+                Tensor(np.stack([t.taps[i].data for t in expert_teachers]))
+                for i in range(len(student.taps))
+            ],
+            logits=Tensor(np.stack([t.logits.data for t in expert_teachers])),
+        )
+    k = teachers.logits.shape[0]
+    if len(teacher_origins) != k:
+        raise GraphError(f"{k} teachers but {len(teacher_origins)} origin tags")
+    if len(teachers.taps) != len(student.taps):
         raise GraphError(
-            f"{len(expert_teachers)} teachers but {len(teacher_origins)} origin tags"
+            f"tap count mismatch: teacher {len(teachers.taps)} vs student {len(student.taps)}"
         )
     origins = np.asarray(batch_origins)
-    total: Tensor | None = None
-    for teacher, owner in zip(expert_teachers, teacher_origins):
-        mask = (origins == owner).astype(np.float64)
-        term = alt_distill(kind, teacher, student, row_mask=mask)
-        total = term if total is None else add(total, term, name="expert_sum")
-    assert total is not None
-    return total
+    masks = origins[None, :] == np.asarray(teacher_origins)[:, None]
+    students, targets, per_feature = _distilled(kind, teachers, student)
+    return stacked_distance(students, targets, masks, per_feature, name="expert_distance")
 
 
 def l_base(
     student: TapSet,
-    expert_teachers: list[TapSet],
+    expert_teachers: TapSet | Sequence[TapSet] | None,
     labels: np.ndarray,
     task_coef: float,
     consolidation_coef: float,
@@ -192,6 +215,21 @@ def l_base(
 
 
 DISTILL_KINDS = ("features", "kd_logits", "phi_penultimate")
+
+
+def _distilled(kind: str, teacher: TapSet, student: TapSet):
+    """What ``kind`` compares: (student nodes, teacher arrays, per-feature mean).
+
+    The same choice as :func:`alt_distill`: every tap, the last tap only,
+    or the logits with the per-row squared norm.
+    """
+    if kind == "features":
+        return student.taps, [t.data for t in teacher.taps], True
+    if kind == "phi_penultimate":
+        return student.taps[-1:], [teacher.taps[-1].data], True
+    if kind == "kd_logits":
+        return [student.logits], [teacher.logits.data], False
+    raise ValueError(f"unknown distillation kind {kind!r}; expected one of {DISTILL_KINDS}")
 
 
 def alt_distill(

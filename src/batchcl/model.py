@@ -182,6 +182,55 @@ def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -
     return rng.uniform(-limit, limit, size=shape).astype(np.float32)
 
 
+def _affine_layers(config: ModelConfig):
+    """(prefix, fan-in, fan-out) of every affine -> BN layer, in build order."""
+    yield "stem", config.input_dim, config.res_dim
+    for b in range(config.res_blocks):
+        for l in range(config.res_layers_per_block):
+            yield f"block{b}.layer{l}", config.res_dim, config.res_dim
+    yield "penult", config.res_dim, config.hidden_dim
+
+
+def _state_shapes(config: ModelConfig) -> tuple[dict, dict]:
+    """Shape of every parameter and running buffer, in snapshot order."""
+    params: dict[str, tuple[int, ...]] = {}
+    stats: dict[str, tuple[int, ...]] = {}
+    for prefix, d_in, d_out in _affine_layers(config):
+        params[f"{prefix}.W"] = (d_in, d_out)
+        for name in ("b", "bn.gamma", "bn.beta"):
+            params[f"{prefix}.{name}"] = (d_out,)
+        for name in ("bn.running_mean", "bn.running_var"):
+            stats[f"{prefix}.{name}"] = (d_out,)
+    params["head.W"] = (config.hidden_dim, config.total_classes)
+    params["head.b"] = (config.total_classes,)
+    return params, stats
+
+
+def _state_from_vector(config: ModelConfig, pv: ParamVector) -> tuple[dict, dict]:
+    """A snapshot's arrays as (params, stats), checked against the shapes of ``config``.
+
+    The arrays are the snapshot's own, not copies.
+    """
+    incoming = dict(zip(pv.names, pv.arrays))
+    shapes = _state_shapes(config)
+    expected = set(shapes[0]) | set(shapes[1])
+    if set(incoming) != expected:
+        missing = expected - set(incoming)
+        extra = set(incoming) - expected
+        raise ValueError(
+            f"layout mismatch: missing={sorted(missing)} unexpected={sorted(extra)}"
+        )
+    state: tuple[dict, dict] = ({}, {})
+    for part, part_shapes in zip(state, shapes):
+        for name, shape in part_shapes.items():
+            if incoming[name].shape != shape:
+                raise ValueError(
+                    f"layout mismatch for '{name}': {incoming[name].shape}, expected {shape}"
+                )
+            part[name] = incoming[name]
+    return state
+
+
 class ResidualClassifier:
     """The shared backbone. Single-owner: never share an instance across workers.
 
@@ -196,17 +245,22 @@ class ResidualClassifier:
         self.params: dict[str, np.ndarray] = {}
         self.stats: dict[str, np.ndarray] = {}
         rng = np.random.default_rng(seed)
-        self._add_affine_bn(rng, "stem", config.input_dim, config.res_dim)
-        for b in range(config.res_blocks):
-            for l in range(config.res_layers_per_block):
-                self._add_affine_bn(
-                    rng, f"block{b}.layer{l}", config.res_dim, config.res_dim
-                )
-        self._add_affine_bn(rng, "penult", config.res_dim, config.hidden_dim)
+        for prefix, d_in, d_out in _affine_layers(config):
+            self._add_affine_bn(rng, prefix, d_in, d_out)
         self.params["head.W"] = xavier_uniform(
             rng, config.hidden_dim, self.classes, (config.hidden_dim, self.classes)
         )
         self.params["head.b"] = np.zeros(self.classes, dtype=np.float32)
+
+    @classmethod
+    def _from_state(cls, config: ModelConfig, params: dict, stats: dict) -> "ResidualClassifier":
+        """A model that owns the given arrays, with no initialization drawn."""
+        m = cls.__new__(cls)
+        m.config = config
+        m.classes = config.total_classes
+        m.params = params
+        m.stats = stats
+        return m
 
     def _add_affine_bn(self, rng, prefix: str, d_in: int, d_out: int) -> None:
         self.params[f"{prefix}.W"] = xavier_uniform(rng, d_in, d_out, (d_in, d_out))
@@ -301,6 +355,15 @@ class ResidualClassifier:
         on plain arrays with the student pass's arithmetic and records no
         tape: its taps and logits are constants. Running buffers are left
         untouched and no randomness is consumed.
+
+        A model returns taps and logits of shape ``(B, D)``. A stack of k
+        models (:func:`stack_vectors`) carries a leading expert axis on
+        every array and runs the one shared batch through all k at once,
+        returning ``(k, B, D)``: the shared input broadcasts over the
+        ``(k, d, D)`` weights, biases and normalization scales broadcast as
+        ``[..., None, :]``, and batch statistics reduce over the row axis
+        (-2) of each expert. Every expert's slice thus goes through the same
+        float operations as a single pass, and equals it bit for bit.
         """
         x = self._check_input(x)
         if len(x) < 2:
@@ -313,7 +376,7 @@ class ResidualClassifier:
         params = self.params
 
         def layer(h: np.ndarray, prefix: str, drop: bool) -> np.ndarray:
-            h = h @ params[f"{prefix}.W"] + params[f"{prefix}.b"]
+            h = h @ params[f"{prefix}.W"] + params[f"{prefix}.b"][..., None, :]
             h = np.maximum(
                 batch_norm_values(h, params[f"{prefix}.bn.gamma"], params[f"{prefix}.bn.beta"]),
                 0,
@@ -331,7 +394,7 @@ class ResidualClassifier:
         pen = layer(h, "penult", False)
         taps.append(pen)
         head_in = pen * next(replay) if masks else pen
-        logits = head_in @ params["head.W"] + params["head.b"]
+        logits = head_in @ params["head.W"] + params["head.b"][..., None, :]
         return TapSet(taps=[Tensor(t) for t in taps], logits=Tensor(logits))
 
     @property
@@ -363,29 +426,16 @@ class ResidualClassifier:
 
     def load_param_vector(self, pv: ParamVector) -> None:
         """Overwrite all state from a snapshot (shapes must match exactly)."""
-        incoming = dict(zip(pv.names, pv.arrays))
-        expected = set(self.params) | set(self.stats)
-        if set(incoming) != expected:
-            missing = expected - set(incoming)
-            extra = set(incoming) - expected
-            raise ValueError(
-                f"layout mismatch: missing={sorted(missing)} unexpected={sorted(extra)}"
-            )
-        for name, arr in incoming.items():
-            target = self.params if name in self.params else self.stats
-            if target[name].shape != arr.shape:
-                raise ValueError(
-                    f"layout mismatch for '{name}': {arr.shape}, expected {target[name].shape}"
-                )
-            target[name] = arr.copy()
+        params, stats = _state_from_vector(self.config, pv)
+        self.params = {k: v.copy() for k, v in params.items()}
+        self.stats = {k: v.copy() for k, v in stats.items()}
 
     def copy(self) -> "ResidualClassifier":
-        clone = ResidualClassifier.__new__(ResidualClassifier)
-        clone.config = self.config
-        clone.classes = self.classes
-        clone.params = {k: v.copy() for k, v in self.params.items()}
-        clone.stats = {k: v.copy() for k, v in self.stats.items()}
-        return clone
+        return ResidualClassifier._from_state(
+            self.config,
+            {k: v.copy() for k, v in self.params.items()},
+            {k: v.copy() for k, v in self.stats.items()},
+        )
 
 
 def build_model(config: ModelConfig, seed: int) -> ResidualClassifier:
@@ -396,9 +446,25 @@ def build_model(config: ModelConfig, seed: int) -> ResidualClassifier:
 def model_from_vector(config: ModelConfig, pv: ParamVector) -> ResidualClassifier:
     """Materialize a model of shape ``config`` from a snapshot of that layout.
 
-    This is how a worker reconstructs the base model it was sent, and how
-    the coordinator rebuilds expert teachers from uploaded artifacts.
+    This is how a worker reconstructs the base model it was sent. The
+    arrays are copied from the snapshot; no initialization is drawn.
     """
-    m = ResidualClassifier(config, seed=0)
+    m = ResidualClassifier._from_state(config, {}, {})
     m.load_param_vector(pv)
     return m
+
+
+def stack_vectors(config: ModelConfig, pvs) -> ResidualClassifier:
+    """k snapshots of one layout as one teacher whose arrays lead with the expert axis.
+
+    Each entry is the ``(k, ...)`` stack of the snapshots' arrays, in the
+    given order, so expert j is slice j of every tap and logit of
+    :meth:`ResidualClassifier.forward_as_teacher`. That pass is the only
+    one a stack runs.
+    """
+    states = [_state_from_vector(config, pv) for pv in pvs]
+    if not states:
+        raise ValueError("a teacher stack needs at least one snapshot")
+    params = {name: np.stack([p[name] for p, _ in states]) for name in states[0][0]}
+    stats = {name: np.stack([s[name] for _, s in states]) for name in states[0][1]}
+    return ResidualClassifier._from_state(config, params, stats)

@@ -45,7 +45,14 @@ import numpy as np
 from .config import ExperimentConfig, build_model_config
 from .engine import SGD, NonFiniteError, PlateauScheduler, loss_and_grads
 from .losses import DISTILL_KINDS, LossCoefficients, l_base, l_bd, l_exp
-from .model import ModelConfig, ParamVector, ResidualClassifier, build_model, model_from_vector
+from .model import (
+    ModelConfig,
+    ParamVector,
+    ResidualClassifier,
+    build_model,
+    model_from_vector,
+    stack_vectors,
+)
 from .replay import (
     SAMPLING_STRATEGIES,
     Buffer,
@@ -550,10 +557,11 @@ def consolidate(
     """Distill all experts into a fresh copy of the base on the pooled data.
 
     The learning rate is reset going in (fresh optimizer/scheduler) and the
-    caller never reuses this phase's optimizer afterwards. Expert teachers
-    are rebuilt from their transmitted snapshots in expert-index order so
-    the summation is deterministic. Returns the updated copy; the input
-    base is untouched.
+    caller never reuses this phase's optimizer afterwards. The expert
+    teachers are rebuilt from their transmitted snapshots as one stack, in
+    expert-index order so the summation is deterministic: each batch takes
+    one teacher pass for all k experts and one batched distillation node.
+    Returns the updated copy; the input base is untouched.
     """
     if not artifacts:
         raise ValueError("consolidation needs at least one expert artifact")
@@ -564,7 +572,7 @@ def consolidate(
     if len(pool) == 0:
         raise ValueError("consolidation pool is empty (no memory, empty buffers)")
     student = base.copy()
-    teachers = [model_from_vector(base.config, a.param_vector) for a in ordered]
+    teachers = stack_vectors(base.config, [a.param_vector for a in ordered])
     teacher_origins = [a.expert_index for a in ordered]
     opt = SGD(lr=lr)
     sched = PlateauScheduler(opt)
@@ -578,9 +586,9 @@ def consolidate(
                 batch.features, train=True, rng=rng
             )
             teacher_taps = (
-                [t.forward_as_teacher(batch.features, student_taps.masks) for t in teachers]
+                teachers.forward_as_teacher(batch.features, student_taps.masks)
                 if use_distill
-                else []
+                else None
             )
             loss = l_base(
                 student_taps,
@@ -605,10 +613,12 @@ def expert_distances(
     artifacts: list[ExpertArtifact],
     plan: StepPlan,
 ) -> list[dict]:
-    """Per-expert drift of one step, measured on that expert's buffer rows.
+    """Per-expert telemetry of one step: final loss and drift on its buffer rows.
 
-    ``expert_base_distance`` is how far the expert ended from the base it
-    started at, the distance the stability coefficient holds down;
+    ``final_loss`` is the expert's mean training loss over its last epoch
+    (None when it trained no epoch). ``expert_base_distance`` is how far
+    the expert ended from the base it started at, the distance the
+    stability coefficient holds down;
     ``consolidated_expert_distance`` is how far the consolidated base ended
     from the expert, the distance the consolidation coefficient pulls in.
     Both are :func:`l_bd` between dropout-free teacher passes, computed on
@@ -621,6 +631,7 @@ def expert_distances(
         row: dict = {
             "expert_index": a.expert_index,
             "task_id": plan.tasks[a.expert_index].task_id,
+            "final_loss": a.stats.final_loss if np.isfinite(a.stats.final_loss) else None,
         }
         if len(x) < 2:
             row.update(expert_base_distance=None, consolidated_expert_distance=None)
@@ -763,6 +774,8 @@ class RunReport:
     failed_step: int | None = None
     # final parameters; in-memory only, deliberately absent from to_dict
     final_params: ParamVector | None = None
+    # per-step phase wall times; timings stay out of to_dict, like the above
+    phase_walls: list[dict] = field(default_factory=list)
 
     def to_dict(self) -> dict:
         return {
@@ -791,6 +804,7 @@ class RunRecorder:
         self.records: list[MetricsRecord] = []
         self.history: list[dict[int, float]] = []
         self.seen: list[Task] = []
+        self.phase_walls: list[dict] = []
 
     def record(self, step_id: int, model: ResidualClassifier, tasks, step_t0: float,
                experts: list[dict] | None = None) -> None:
@@ -823,6 +837,7 @@ class RunRecorder:
             final_backward_transfer=last.backward_transfer if last else None,
             failed_step=failed_step,
             final_params=model.to_param_vector(),
+            phase_walls=self.phase_walls,
         )
 
 
@@ -890,5 +905,10 @@ def run_full_stream(stream: TaskStream, cfg: ExperimentConfig, executor=None) ->
             return recorder.report(base, failed_step=plan.step_id)
         base = result.base
         ledger.add(result.cost)
+        recorder.phase_walls.append({
+            "step_id": plan.step_id,
+            "expert_wall_s": result.expert_wall_s,
+            "consolidation_wall_s": result.consolidation_wall_s,
+        })
         recorder.record(plan.step_id, base, plan.tasks, step_t0, result.expert_distances)
     return recorder.report(base)

@@ -29,6 +29,7 @@ from batchcl.engine import (
     scale,
     softmax_cross_entropy,
     square,
+    stacked_distance,
     stop_gradient,
     sub,
     sum_all,
@@ -210,6 +211,77 @@ class TestFiniteDifferenceOracle:
         assert mean_square(Tensor(x), np.zeros(5)).item() == 0.0
         with pytest.raises(GraphError, match="mask shape"):
             mean_square(Tensor(x), np.ones(3))
+
+    @pytest.mark.parametrize("per_feature", [True, False])
+    def test_stacked_distance_grads(self, per_feature):
+        rng = np.random.default_rng(14)
+        shapes = {"s0": (6, 5), "s1": (6, 3)}
+        for trial in range(5):
+            params = random_params(rng, shapes)
+            targets = [rng.standard_normal((3, *shape)) for shape in shapes.values()]
+            masks = rng.random((3, 6)) < 0.5
+            masks[2] = False  # a teacher with no rows in the batch
+
+            def build(ps):
+                students = [Tensor(ps[k], requires_grad=True, name=k) for k in shapes]
+                return stacked_distance(students, targets, masks, per_feature), students
+
+            loss, students = build(params)
+            _, analytic = loss_and_grads(loss, dict(zip(shapes, students)))
+            numeric = finite_diff(lambda ps: build(ps)[0].item(), params)
+            assert_grads_close(analytic, numeric)
+
+    @pytest.mark.parametrize("per_feature", [True, False])
+    def test_stacked_distance_is_the_per_term_graph_bitwise(self, per_feature):
+        """Overlapping masks and a second consumer of each student, so the
+        order in which gradients are accumulated shows in the bits."""
+        rng = np.random.default_rng(16)
+        x = rng.standard_normal((7, 5)).astype(np.float32)
+        targets = [rng.standard_normal((4, 7, 5)).astype(np.float32) for _ in range(2)]
+        masks = rng.random((4, 7)) < 0.6
+        masks[1] = False
+        term = mean_square if per_feature else masked_row_sqnorm_mean
+
+        def run(distance):
+            leaf = Tensor(x, requires_grad=True, name="x")
+            students = [relu(leaf), square(leaf)]
+            other = add(sum_all(students[0]), sum_all(students[1]))
+            loss = add(other, scale(distance(students), 0.3))
+            return loss_and_grads(loss, {"x": leaf})
+
+        def per_term_graph(students):
+            total = None
+            for j in range(4):
+                per_teacher = None
+                for s, t in zip(students, targets):
+                    d = term(sub(Tensor(t[j]), s), masks[j].astype(np.float64))
+                    per_teacher = d if per_teacher is None else add(per_teacher, d)
+                total = per_teacher if total is None else add(total, per_teacher)
+            return total
+
+        got = run(lambda ss: stacked_distance(ss, targets, masks, per_feature))
+        want = run(per_term_graph)
+        assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+        assert got[1]["x"].tobytes() == want[1]["x"].tobytes()
+
+    @pytest.mark.parametrize("per_feature", [True, False])
+    def test_stacked_distance_values(self, per_feature):
+        rng = np.random.default_rng(15)
+        s = rng.standard_normal((4, 3))
+        targets = rng.standard_normal((2, 4, 3))
+        masks = np.array([[1, 0, 1, 1], [0, 0, 0, 0]], dtype=bool)
+        got = stacked_distance([Tensor(s)], [targets], masks, per_feature).item()
+        sq = ((targets[0] - s) ** 2)[masks[0]]
+        want = sq.mean() if per_feature else sq.sum(axis=1).mean()
+        assert got == pytest.approx(want, rel=1e-12)
+        with pytest.raises(GraphError, match="target stack"):
+            stacked_distance([Tensor(s)], [targets[:, :3]], masks)
+        with pytest.raises(GraphError, match="do not fit masks"):
+            stacked_distance([Tensor(s)], [targets], masks[:, :1])
+        with pytest.raises(GraphError, match="students"):
+            stacked_distance([Tensor(s)], [], masks)
+        with pytest.raises(GraphError, match="masks of shape"):
+            stacked_distance([Tensor(s)], [targets], masks[0])
 
     def test_train_mode_batch_norm(self):
         rng = np.random.default_rng(3)

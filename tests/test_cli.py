@@ -82,6 +82,11 @@ class TestConfig:
             ("bmc", "bmc", "experts_per_step", 0),
             ("sgd", "training", "lr", -1.0),
             ("sgd", "model", "dropout_p", 1.5),
+            ("sgd", "stream", "n_tasks", 0),
+            ("bmc", "stream", "classes_per_task", 0),
+            ("sgd", "stream", "dim", 0),
+            ("er", "stream", "train_per_task", 0),
+            ("bmc", "stream", "val_per_task", 0),
         ],
     )
     def test_bad_value_rejected_at_parse_time(self, tmp_path, capsys, method, section,
@@ -101,6 +106,14 @@ class TestConfig:
         raw["bmc"]["memory_capacity"] = 0
         cfg = parse_config(raw)
         assert (cfg.baseline.memory_capacity, cfg.bmc.memory_capacity) == (0, 0)
+
+    def test_stream_sizes_bind_generated_streams_only(self):
+        raw = toy_raw()
+        raw["stream"].update(kind="file", path="stream.bin", n_tasks=0, dim=0)
+        assert parse_config(raw).stream.n_tasks == 0
+        del raw["stream"]["kind"]  # the default kind is generated
+        with pytest.raises(ConfigError, match="stream/"):
+            parse_config(raw)
 
     def test_sweep_range_must_target_real_key(self):
         with pytest.raises(ConfigError, match="unknown config key"):
@@ -133,6 +146,19 @@ class TestRunVerb:
         for e in steps[0]["experts"]:
             assert {"expert_base_distance", "consolidated_expert_distance"} <= set(e)
         assert "experts" not in json.loads((tmp_path / "summary.json").read_text())
+
+    def test_records_carry_phase_walls_and_expert_losses(self, tmp_path):
+        run_experiment(parse_config(toy_raw(method="bmc")), tmp_path, workers=1)
+        rows = [json.loads(s) for s in (tmp_path / "records.jsonl").read_text().splitlines()]
+        steps = [r for r in rows if r["type"] == "step"]
+        timing = [r for r in rows if r["type"] == "timing"][0]
+        assert [w["step_id"] for w in timing["steps"]] == [r["step_id"] for r in steps]
+        for w in timing["steps"]:
+            assert w["expert_wall_s"] > 0.0 and w["consolidation_wall_s"] > 0.0
+        for e in steps[0]["experts"]:
+            assert 0.0 < e["final_loss"] < float("inf")
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert not {"steps", "experts", "final_loss"} & set(summary)
 
     def test_summary_byte_identical_across_reruns(self, tmp_path):
         cfg = parse_config(toy_raw(method="bmc"))

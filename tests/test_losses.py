@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from helpers import assert_matches_fd, finite_diff_params, float64_twin, jitter_params
 
-from batchcl.engine import GraphError, Tensor, loss_and_grads
+from batchcl.engine import GraphError, Tensor, add, loss_and_grads, scale
 from batchcl.losses import (
     DISTILL_KINDS,
     FisherState,
@@ -23,7 +23,7 @@ from batchcl.losses import (
     task_loss,
     update_fisher,
 )
-from batchcl.model import ModelConfig, TapSet, build_model
+from batchcl.model import ModelConfig, TapSet, build_model, stack_vectors
 
 TOY = ModelConfig(
     input_dim=4, total_classes=3, res_blocks=1, res_layers_per_block=2,
@@ -222,6 +222,113 @@ class TestBatchedDistillation:
         s = self._taps(self.base)
         with pytest.raises(GraphError, match="at least one"):
             l_bmc(s, [], [], self.origins)
+
+
+def per_teacher_l_bmc(student, teachers, owners, origins, kind):
+    """The batched term as a sum of per-teacher graphs, in teacher order: the
+    reference the single batched node must reproduce bit for bit."""
+    total = None
+    for teacher, owner in zip(teachers, owners):
+        term = alt_distill(kind, teacher, student, row_mask=(origins == owner).astype(np.float64))
+        total = term if total is None else add(total, term, name="expert_sum")
+    return total
+
+
+class TestStackedDistillation:
+    """One node over a teacher stack equals the per-teacher composition bitwise."""
+
+    CONFIG = dataclasses.replace(TOY, res_blocks=2, dropout_p=0.1)
+    OWNERS = [0, 1, 2, 3]
+
+    def setup_method(self):
+        rng = np.random.default_rng(15)
+        self.x = rng.standard_normal((10, 4)).astype(np.float32)
+        self.y = rng.integers(0, 3, size=10)
+        # expert 3 has no rows in this batch; -1 marks memory rows
+        self.origins = np.array([0, 1, -1, 2, 0, 1, -1, 2, 2, 0])
+        self.base = build_model(self.CONFIG, seed=0)
+        self.experts = [build_model(self.CONFIG, seed=70 + j) for j in self.OWNERS]
+        self.stack = stack_vectors(self.CONFIG, [e.to_param_vector() for e in self.experts])
+
+    def _grads(self, build):
+        """Loss value and parameter gradients of one train-mode student pass."""
+        student = self.base.copy()
+        taps, leaves = student.forward_with_taps(
+            self.x, train=True, rng=np.random.default_rng(16)
+        )
+        return loss_and_grads(build(taps), leaves)
+
+    def _assert_bitwise(self, got, want):
+        assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
+        assert got[1].keys() == want[1].keys()
+        for name in want[1]:
+            assert got[1][name].tobytes() == want[1][name].tobytes(), name
+
+    @pytest.mark.parametrize("kind", DISTILL_KINDS)
+    def test_value_and_gradients_match_per_teacher_graphs(self, kind):
+        def batched(s):
+            return l_bmc(s, self.stack.forward_as_teacher(self.x, s.masks),
+                         self.OWNERS, self.origins, kind)
+
+        def reference(s):
+            teachers = [e.forward_as_teacher(self.x, s.masks) for e in self.experts]
+            return per_teacher_l_bmc(s, teachers, self.OWNERS, self.origins, kind)
+
+        self._assert_bitwise(self._grads(batched), self._grads(reference))
+
+    @pytest.mark.parametrize("kind", DISTILL_KINDS)
+    def test_consolidation_objective_matches_per_teacher_graphs(self, kind):
+        """With the replay cross-entropy also reaching the taps and logits."""
+
+        def batched(s):
+            return l_base(s, self.stack.forward_as_teacher(self.x, s.masks), self.y,
+                          0.7, 1.3, kind, self.OWNERS, self.origins)
+
+        def reference(s):
+            teachers = [e.forward_as_teacher(self.x, s.masks) for e in self.experts]
+            return add(
+                scale(task_loss(s.logits, self.y), 0.7),
+                scale(per_teacher_l_bmc(s, teachers, self.OWNERS, self.origins, kind), 1.3),
+            )
+
+        self._assert_bitwise(self._grads(batched), self._grads(reference))
+
+    def test_list_of_teachers_equals_stack(self):
+        s, _ = self.base.forward_with_taps(self.x)
+        teachers = [e.forward_as_teacher(self.x) for e in self.experts]
+        stacked = self.stack.forward_as_teacher(self.x)
+        for kind in DISTILL_KINDS:
+            assert l_bmc(s, teachers, self.OWNERS, self.origins, kind).item() == \
+                l_bmc(s, stacked, self.OWNERS, self.origins, kind).item()
+
+    @pytest.mark.parametrize("kind", DISTILL_KINDS)
+    def test_absent_expert_contributes_exact_zero(self, kind):
+        absent = stack_vectors(self.CONFIG, [self.experts[3].to_param_vector()])
+        value, grads = self._grads(
+            lambda s: l_bmc(s, absent.forward_as_teacher(self.x, s.masks), [3],
+                            self.origins, kind)
+        )
+        assert value == 0.0
+        assert all(not g.any() for g in grads.values())
+
+    def test_checks_still_raise(self):
+        s, _ = self.base.forward_with_taps(self.x)
+        stacked = self.stack.forward_as_teacher(self.x)
+        with pytest.raises(GraphError, match="origin tags"):
+            l_bmc(s, stacked, self.OWNERS[:-1], self.origins)
+        fewer = TapSet(taps=stacked.taps[:-1], logits=stacked.logits)
+        with pytest.raises(GraphError, match="tap count mismatch"):
+            l_bmc(s, fewer, self.OWNERS, self.origins)
+        other_rows = self.stack.forward_as_teacher(self.x[:6])
+        for kind in DISTILL_KINDS:
+            with pytest.raises(GraphError, match="do not fit"):
+                l_bmc(s, other_rows, self.OWNERS, self.origins, kind)
+        with pytest.raises(GraphError, match="do not fit"):
+            l_bmc(s, stacked, self.OWNERS, self.origins[:6])
+        with pytest.raises(GraphError, match="tap 0 shape mismatch"):
+            l_bmc(s, [self.experts[0].forward_as_teacher(self.x[:6])], [0], self.origins)
+        with pytest.raises(ValueError, match="unknown"):
+            l_bmc(s, stacked, self.OWNERS, self.origins, "temperature_kl")
 
 
 class TestBaseObjective:

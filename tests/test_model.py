@@ -14,6 +14,7 @@ from batchcl.model import (
     ResidualClassifier,
     build_model,
     model_from_vector,
+    stack_vectors,
 )
 
 TOY = ModelConfig(
@@ -239,6 +240,20 @@ class TestParamVector:
             m.to_param_vector()
         )
 
+    def test_model_from_vector_draws_no_initialization(self, monkeypatch):
+        import batchcl.model as model_mod
+
+        pv = build_model(TOY, seed=3).to_param_vector()
+
+        def no_draws(*args, **kwargs):
+            raise AssertionError("model_from_vector drew an initialization")
+
+        monkeypatch.setattr(model_mod, "xavier_uniform", no_draws)
+        m = model_from_vector(TOY, pv)
+        assert m.to_param_vector().same_bytes(pv)
+        m.params["head.b"][:] = 123.0  # the model owns copies, not the snapshot's arrays
+        assert pv.arrays[pv.names.index("head.b")].max() != 123.0
+
     def test_layout_mismatch_rejected(self):
         m = build_model(TOY, seed=3)
         other = build_model(
@@ -254,3 +269,76 @@ class TestParamVector:
         c.params["head.b"][:] = 123.0
         assert m.params["head.b"].max() != 123.0
         assert c.to_param_vector().names == m.to_param_vector().names
+
+
+class TestStackedTeacher:
+    """A stack of k models runs one teacher pass equal to k single passes."""
+
+    CONFIG = dataclasses.replace(TOY, res_blocks=3)
+
+    def _models(self, k, dropout_p):
+        config = dataclasses.replace(self.CONFIG, dropout_p=dropout_p)
+        rng = np.random.default_rng(40)
+        models = [build_model(config, seed=50 + j) for j in range(k)]
+        for m in models:  # distinct running stats, which a teacher pass must ignore
+            m.forward_with_taps(rng.standard_normal((8, 4)).astype(np.float32),
+                                train=True, rng=rng)
+        return config, models
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("dropout_p", [0.0, 0.1, 0.3])
+    def test_stack_equals_single_passes_bitwise(self, k, dropout_p):
+        config, models = self._models(k, dropout_p)
+        x = np.random.default_rng(41).standard_normal((9, 4)).astype(np.float32)
+        student, _ = build_model(config, seed=60).forward_with_taps(
+            x, train=True, rng=np.random.default_rng(42)
+        )
+        stack = stack_vectors(config, [m.to_param_vector() for m in models])
+        stacked = stack.forward_as_teacher(x, student.masks)
+        assert len(stacked.taps) == config.res_blocks + 1
+        assert stacked.logits.shape == (k, 9, 3)
+        for j, m in enumerate(models):
+            single = m.forward_as_teacher(x, student.masks)
+            assert single.logits.shape == (9, 3)
+            for got, want in zip(stacked.taps, single.taps):
+                assert got.shape == (k, *want.shape)
+                assert got.data[j].tobytes() == want.data.tobytes()
+            assert stacked.logits.data[j].tobytes() == single.logits.data.tobytes()
+
+    def test_stack_keeps_snapshot_order_and_layout(self):
+        config, models = self._models(2, 0.0)
+        pvs = [m.to_param_vector() for m in models]
+        stack = stack_vectors(config, pvs)
+        for j, pv in enumerate(pvs):
+            for name, arr in zip(pv.names, pv.arrays):
+                state = stack.params if name in stack.params else stack.stats
+                np.testing.assert_array_equal(state[name][j], arr)
+        wider = build_model(dataclasses.replace(config, total_classes=7), seed=3)
+        with pytest.raises(ValueError, match="layout mismatch for 'head.W'"):
+            stack_vectors(config, [pvs[0], wider.to_param_vector()])
+        with pytest.raises(ValueError, match="at least one"):
+            stack_vectors(config, [])
+
+    def test_stack_keeps_the_single_pass_checks(self):
+        config, models = self._models(2, 0.1)
+        stack = stack_vectors(config, [m.to_param_vector() for m in models])
+        x = np.random.default_rng(43).standard_normal((5, 4)).astype(np.float32)
+        student, _ = models[0].copy().forward_with_taps(
+            x, train=True, rng=np.random.default_rng(44)
+        )
+        with pytest.raises(GraphError, match="dropout masks"):
+            stack.forward_as_teacher(x, student.masks[:-1])
+        with pytest.raises(GraphError, match=">= 2"):
+            stack.forward_as_teacher(x[:1])
+        with pytest.raises(GraphError, match="input_dim"):
+            stack.forward_as_teacher(np.zeros((5, 9), dtype=np.float32))
+
+    def test_stacked_pass_is_pure(self):
+        config, models = self._models(2, 0.1)
+        stack = stack_vectors(config, [m.to_param_vector() for m in models])
+        before = [a.tobytes() for a in (*stack.params.values(), *stack.stats.values())]
+        x = np.random.default_rng(45).standard_normal((5, 4)).astype(np.float32)
+        teacher = stack.forward_as_teacher(x)
+        after = [a.tobytes() for a in (*stack.params.values(), *stack.stats.values())]
+        assert before == after
+        assert not any(t.requires_grad for t in teacher.taps)

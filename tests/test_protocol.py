@@ -616,6 +616,15 @@ class TestFullStream:
         for rec in report.records:
             assert all(e["expert_base_distance"] == 0.0 for e in rec.experts)
 
+    def test_expert_final_losses_and_phase_walls_recorded(self, stream):
+        report = run_full_stream(stream, tiny_config())
+        for rec in report.records:
+            assert all(0.0 < e["final_loss"] < float("inf") for e in rec.experts)
+        assert [w["step_id"] for w in report.phase_walls] == [0, 1]
+        assert "phase_walls" not in report.to_dict()
+        untrained = run_full_stream(stream, tiny_config(epochs=0))
+        assert all(e["final_loss"] is None for r in untrained.records for e in r.experts)
+
     def test_mid_stream_failure_reports_partial_history(self, stream, monkeypatch):
         import batchcl.protocol as protocol_mod
 
