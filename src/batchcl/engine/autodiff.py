@@ -311,163 +311,76 @@ def softmax_cross_entropy(
     return _node(out_data, (logits,), backward, name)
 
 
-def row_norm_mean(x: Tensor, name: str = "row_norm_mean") -> Tensor:
-    """Mean over rows of the row-wise L2 norm. Subgradient 0 at a zero row."""
-    if x.data.ndim != 2:
-        raise GraphError(f"{name}: expected a matrix, got shape {x.shape}")
-    norms = np.sqrt((x.data * x.data).sum(axis=1))
-    out_data = np.asarray(norms.mean(), dtype=x.dtype)
-
-    def backward(g: np.ndarray) -> None:
-        safe = np.where(norms > 0, norms, 1.0)
-        dx = x.data / safe[:, None]
-        dx[norms == 0] = 0.0
-        _accumulate(x, (g / x.shape[0]) * dx)
-
-    return _node(out_data, (x,), backward, name)
-
-
-def row_sqnorm_mean(x: Tensor, name: str = "row_sqnorm_mean") -> Tensor:
-    """Mean over rows of the squared row-wise L2 norm."""
-    if x.data.ndim != 2:
-        raise GraphError(f"{name}: expected a matrix, got shape {x.shape}")
-    out_data = np.asarray((x.data * x.data).sum(axis=1).mean(), dtype=x.dtype)
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(x, (g * 2.0 / x.shape[0]) * x.data)
-
-    return _node(out_data, (x,), backward, name)
-
-
-def _row_mask(x: Tensor, mask: np.ndarray, name: str) -> np.ndarray:
-    if x.data.ndim != 2:
-        raise GraphError(f"{name}: expected a matrix, got shape {x.shape}")
-    m = np.asarray(mask, dtype=x.data.dtype)
-    if m.shape != (x.shape[0],):
-        raise GraphError(
-            f"{name}: mask shape {m.shape} does not match {x.shape[0]} rows"
-        )
-    return m
-
-
-def masked_row_norm_mean(
-    x: Tensor, mask: np.ndarray, name: str = "masked_row_norm_mean"
-) -> Tensor:
-    """Mean of the row-wise L2 norm over selected rows only.
-
-    ``mask`` is a constant 0/1 row selector (no gradient path); the mean is
-    taken over the selected count, and an empty selection yields exactly 0.
-    Subgradient 0 at a zero row, as in :func:`row_norm_mean`.
-    """
-    m = _row_mask(x, mask, name)
-    norms = np.sqrt((x.data * x.data).sum(axis=1))
-    denom = max(float(m.sum()), 1.0)
-    out_data = np.asarray((m * norms).sum() / denom, dtype=x.dtype)
-
-    def backward(g: np.ndarray) -> None:
-        safe = np.where(norms > 0, norms, 1.0)
-        dx = (m / denom)[:, None] * (x.data / safe[:, None])
-        dx[norms == 0] = 0.0
-        _accumulate(x, g * dx)
-
-    return _node(out_data, (x,), backward, name)
-
-
-def masked_row_sqnorm_mean(
-    x: Tensor, mask: np.ndarray, name: str = "masked_row_sqnorm_mean"
-) -> Tensor:
-    """Mean of the squared row-wise L2 norm over selected rows only."""
-    m = _row_mask(x, mask, name)
-    denom = max(float(m.sum()), 1.0)
-    out_data = np.asarray((m * (x.data * x.data).sum(axis=1)).sum() / denom, dtype=x.dtype)
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(x, (g * 2.0) * (m / denom)[:, None] * x.data)
-
-    return _node(out_data, (x,), backward, name)
-
-
-def mean_square(
-    x: Tensor, mask: np.ndarray | None = None, name: str = "mean_square"
-) -> Tensor:
-    """Mean of the squared entries over every column and the selected rows.
-
-    ``mask`` is an optional constant 0/1 row selector (no gradient path);
-    without it every row counts. An empty selection yields exactly 0.
-    """
-    if mask is None:
-        if x.data.ndim != 2:
-            raise GraphError(f"{name}: expected a matrix, got shape {x.shape}")
-        out_data = np.asarray((x.data * x.data).mean(), dtype=x.dtype)
-
-        def backward(g: np.ndarray) -> None:
-            _accumulate(x, (g * 2.0 / x.data.size) * x.data)
-
-        return _node(out_data, (x,), backward, name)
-    m = _row_mask(x, mask, name)
-    denom = max(float(m.sum()), 1.0) * x.shape[1]
-    out_data = np.asarray((m * (x.data * x.data).sum(axis=1)).sum() / denom, dtype=x.dtype)
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(x, (g * 2.0 / denom) * m[:, None] * x.data)
-
-    return _node(out_data, (x,), backward, name)
-
-
 def stacked_distance(
     students: Sequence[Tensor],
     targets: Sequence[np.ndarray],
-    masks: np.ndarray,
+    masks: np.ndarray | None = None,
     per_feature: bool = True,
     name: str = "stacked_distance",
 ) -> Tensor:
-    """Masked squared distances of students to k teachers' targets, summed.
+    """Squared distances of students to k teachers' targets, summed.
 
-    ``students[i]`` is a ``(B, D_i)`` node and ``targets[i]`` the constant
-    ``(k, B, D_i)`` stack of what k teachers put in its place (no gradient
-    path); ``masks`` is the constant ``(k, B)`` 0/1 row selector of each
-    teacher. Term (j, i) is the squared difference of target j and student
-    i over teacher j's rows, averaged over those rows and, when
-    ``per_feature``, over the D_i features too (:func:`mean_square`), else
-    summed over them (:func:`masked_row_sqnorm_mean`). An empty selection
-    contributes exactly 0.
+    This is the one distance op of the engine: every distillation term is
+    one node of it. ``students[i]`` is a ``(B, D_i)`` node and
+    ``targets[i]`` the constant ``(k, B, D_i)`` stack of what k teachers put
+    in its place (no gradient path). Term (j, i) is the squared difference
+    of target j and student i, averaged over rows and, when
+    ``per_feature``, over the D_i features too, else summed over them.
+
+    ``masks``, when given, is the constant ``(k, B)`` 0/1 row selector of
+    each teacher: term (j, i) averages over teacher j's rows only, and an
+    empty selection contributes exactly 0. Without ``masks`` every row
+    counts for every teacher. That mode takes numpy's mean over the rows
+    (and features), not a row sum divided by the count: the two round
+    differently in float32, so an all-ones mask is not the same number.
 
     The value adds the terms of one teacher in student order, then the
     teachers in order; the backward adds teacher j's gradient into each
-    student in order j = 0..k-1. Both repeat the float operations, in their
-    order, of the graph of per-term ops, summed teacher by teacher, that
-    this node replaces, so its value and gradients are bit-identical to it.
+    student in order j = 0..k-1. A sum of k=1 nodes, one per teacher,
+    joined with ``add`` in teacher order, gives the same bits.
     """
     if not students or len(students) != len(targets):
         raise GraphError(f"{name}: {len(students)} students for {len(targets)} target stacks")
-    m = np.asarray(masks, dtype=students[0].dtype)
-    if m.ndim != 2:
+    m = None if masks is None else np.asarray(masks, dtype=students[0].dtype)
+    if m is not None and m.ndim != 2:
         raise GraphError(f"{name}: masks of shape {m.shape}, expected (teachers, rows)")
-    k, rows = m.shape
+    k, rows = (len(targets[0]), students[0].shape[0]) if m is None else m.shape
+    if k == 0:
+        raise GraphError(f"{name}: needs at least one teacher")
+    fit = f"{k} teachers of {rows} rows" if m is None else f"masks of shape {m.shape}"
     for i, (s, t) in enumerate(zip(students, targets)):
         if s.data.ndim != 2 or s.shape[0] != rows or t.shape != (k, *s.shape):
             raise GraphError(
                 f"{name}: student {i} of shape {s.shape} and target stack of shape "
-                f"{t.shape} do not fit masks of shape {m.shape}"
+                f"{t.shape} do not fit {fit}"
             )
-    counts = np.maximum(m.sum(axis=1), 1)
-    denoms = [counts * s.shape[1] if per_feature else counts for s in students]
     diffs = [t - s.data for s, t in zip(students, targets)]
-    per_teacher = None
-    for d, denom in zip(diffs, denoms):
-        term = (m * (d * d).sum(axis=-1)).sum(axis=-1) / denom
-        per_teacher = term if per_teacher is None else per_teacher + term
+    if m is None:
+        denoms = [s.data.size if per_feature else rows for s in students]
+        terms = [
+            (d * d).mean(axis=(-2, -1)) if per_feature else (d * d).sum(axis=-1).mean(axis=-1)
+            for d in diffs
+        ]
+    else:
+        counts = np.maximum(m.sum(axis=1), 1)
+        denoms = [counts * s.shape[1] if per_feature else counts for s in students]
+        terms = [(m * (d * d).sum(axis=-1)).sum(axis=-1) / den for d, den in zip(diffs, denoms)]
+    per_teacher = terms[0]
+    for term in terms[1:]:
+        per_teacher = per_teacher + term
     total = per_teacher[0]
     for term in per_teacher[1:]:
         total = total + term
-    out_data = np.asarray(total, dtype=m.dtype)
+    out_data = np.asarray(total, dtype=students[0].dtype)
 
     def backward(g: np.ndarray) -> None:
-        for s, d, denom in zip(students, diffs, denoms):
-            if per_feature:
-                grad = ((g * 2.0 / denom)[:, None, None] * m[:, :, None]) * d
+        for s, d, den in zip(students, diffs, denoms):
+            if m is None:
+                grad = (g * 2.0 / den) * d
+            elif per_feature:
+                grad = ((g * 2.0 / den)[:, None, None] * m[:, :, None]) * d
             else:
-                grad = ((g * 2.0) * (m / denom[:, None])[:, :, None]) * d
+                grad = ((g * 2.0) * (m / den[:, None])[:, :, None]) * d
             for j in range(k):
                 _accumulate(s, -grad[j])
 

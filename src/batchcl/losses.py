@@ -9,11 +9,15 @@ Objectives:
 
 - ``task_loss``            cross-entropy on the full current head
 - ``l_bd``                 per-tap mean squared feature distillation
-- ``l_exp``                expert objective: task + stability
+- ``alt_distill``          the distillation kinds (every tap / logits / last tap only)
+- ``l_exp``                expert objective: task + stability (``alt_distill`` to the base)
 - ``l_bmc``                batched distillation over a stack of expert teachers
 - ``l_base``               consolidation objective: replay task loss + l_bmc
-- ``alt_distill``          ablation alternatives (logit space / last tap only)
 - ``ewc_penalty``          quadratic parameter-importance penalty
+
+Every distillation distance is one :func:`~batchcl.engine.stacked_distance`
+node: a single teacher pass is a stack of one, every row counting, and
+``l_bmc`` masks each expert of its stack to the rows its buffer contributed.
 """
 
 from __future__ import annotations
@@ -27,33 +31,27 @@ from .engine import (
     GraphError,
     Tensor,
     add,
-    masked_row_sqnorm_mean,
-    mean_square,
-    row_sqnorm_mean,
     scale,
     softmax_cross_entropy,
     stacked_distance,
-    stop_gradient,
-    sub,
 )
 from .model import TapSet
 
 
 @dataclass(frozen=True)
 class LossCoefficients:
-    """Scalar weights of the composite objectives.
+    """Scalar weights of the consolidation objective.
 
-    ``stability`` multiplies the expert-side distillation term,
-    ``task`` the replay cross-entropy during consolidation, and
-    ``consolidation`` the batched distillation term.
+    ``task`` multiplies the replay cross-entropy and ``consolidation`` the
+    batched distillation term. The expert-side stability weight is
+    :attr:`~batchcl.protocol.ExpertHyper.stability_coef`.
     """
 
-    stability: float = 1.0
     task: float = 1.0
     consolidation: float = 1.0
 
     def __post_init__(self):
-        for name in ("stability", "task", "consolidation"):
+        for name in ("task", "consolidation"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} coefficient must be >= 0")
 
@@ -63,17 +61,7 @@ def task_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
     return softmax_cross_entropy(logits, labels, name="task_loss")
 
 
-def _check_aligned(teacher: TapSet, student: TapSet) -> None:
-    if len(teacher.taps) != len(student.taps):
-        raise GraphError(
-            f"tap count mismatch: teacher {len(teacher.taps)} vs student {len(student.taps)}"
-        )
-    for i, (t, s) in enumerate(zip(teacher.taps, student.taps)):
-        if t.shape != s.shape:
-            raise GraphError(f"tap {i} shape mismatch: {t.shape} vs {s.shape}")
-
-
-def l_bd(teacher: TapSet, student: TapSet, row_mask: np.ndarray | None = None) -> Tensor:
+def l_bd(teacher: TapSet, student: TapSet) -> Tensor:
     """Feature distillation: sum over depths of the mean squared tap difference.
 
     Each tap contributes the mean over rows and features of the squared
@@ -81,22 +69,10 @@ def l_bd(teacher: TapSet, student: TapSet, row_mask: np.ndarray | None = None) -
     with the distance, so a fixed-step update settles onto the teacher
     instead of overshooting it as the constant-size gradient of an
     unsquared norm does; the per-feature mean keeps taps of different
-    widths on one scale. The teacher taps enter through stop-gradient, so
-    the result is a function of student parameters only. ``row_mask``
-    restricts the mean to selected rows (used when a teacher is
-    authoritative for only part of a batch).
+    widths on one scale. The teacher taps are constants, so the result is
+    a function of student parameters only.
     """
-    _check_aligned(teacher, student)
-    total: Tensor | None = None
-    for i, (t, s) in enumerate(zip(teacher.taps, student.taps)):
-        d = mean_square(
-            sub(stop_gradient(t, name=f"teacher_tap{i}"), s, name=f"tap{i}.diff"),
-            row_mask,
-            name=f"tap{i}.distance",
-        )
-        total = d if total is None else add(total, d, name="tap_distance_sum")
-    assert total is not None
-    return total
+    return alt_distill("features", teacher, student)
 
 
 def l_exp(
@@ -123,7 +99,7 @@ def l_exp(
 
 def l_bmc(
     student: TapSet,
-    expert_teachers: TapSet | Sequence[TapSet],
+    expert_teachers: TapSet,
     teacher_origins: Sequence[int],
     batch_origins: np.ndarray,
     kind: str = "features",
@@ -133,7 +109,7 @@ def l_bmc(
     ``expert_teachers`` is the pass of a stack of k expert teachers: a
     TapSet whose taps and logits carry a leading expert axis, ``(k, B, D)``,
     as :meth:`~batchcl.model.ResidualClassifier.forward_as_teacher` returns
-    for a stack. A list of k single-teacher TapSets is stacked first.
+    for a stack.
 
     Each expert is authoritative only for the exemplars its own buffer
     contributed, so its distance is averaged over the batch rows whose
@@ -145,40 +121,21 @@ def l_bmc(
 
     Every ``kind`` is one :func:`~batchcl.engine.stacked_distance` node over
     the (k, B) origin masks. It adds expert j's gradient into the student in
-    expert order j = 0..k-1, the order in which a sum of per-expert
-    :func:`alt_distill` graphs accumulates them, so the loss and every
-    gradient are bit-identical to that sum.
+    expert order j = 0..k-1, so the loss and every gradient are
+    bit-identical to a sum of k single-expert nodes.
     """
-    if isinstance(expert_teachers, TapSet):
-        teachers = expert_teachers
-    else:
-        if not expert_teachers:
-            raise GraphError("batched distillation needs at least one expert teacher")
-        for teacher in expert_teachers:
-            _check_aligned(teacher, student)
-        teachers = TapSet(
-            taps=[
-                Tensor(np.stack([t.taps[i].data for t in expert_teachers]))
-                for i in range(len(student.taps))
-            ],
-            logits=Tensor(np.stack([t.logits.data for t in expert_teachers])),
-        )
-    k = teachers.logits.shape[0]
+    k = expert_teachers.logits.shape[0]
     if len(teacher_origins) != k:
         raise GraphError(f"{k} teachers but {len(teacher_origins)} origin tags")
-    if len(teachers.taps) != len(student.taps):
-        raise GraphError(
-            f"tap count mismatch: teacher {len(teachers.taps)} vs student {len(student.taps)}"
-        )
     origins = np.asarray(batch_origins)
     masks = origins[None, :] == np.asarray(teacher_origins)[:, None]
-    students, targets, per_feature = _distilled(kind, teachers, student)
+    students, targets, per_feature = _distilled(kind, expert_teachers, student)
     return stacked_distance(students, targets, masks, per_feature, name="expert_distance")
 
 
 def l_base(
     student: TapSet,
-    expert_teachers: TapSet | Sequence[TapSet] | None,
+    expert_teachers: TapSet | None,
     labels: np.ndarray,
     task_coef: float,
     consolidation_coef: float,
@@ -220,9 +177,13 @@ DISTILL_KINDS = ("features", "kd_logits", "phi_penultimate")
 def _distilled(kind: str, teacher: TapSet, student: TapSet):
     """What ``kind`` compares: (student nodes, teacher arrays, per-feature mean).
 
-    The same choice as :func:`alt_distill`: every tap, the last tap only,
-    or the logits with the per-row squared norm.
+    Every tap, the last tap only, or the logits with the per-row squared
+    norm. Teacher arrays may carry a leading expert axis.
     """
+    if len(teacher.taps) != len(student.taps):
+        raise GraphError(
+            f"tap count mismatch: teacher {len(teacher.taps)} vs student {len(student.taps)}"
+        )
     if kind == "features":
         return student.taps, [t.data for t in teacher.taps], True
     if kind == "phi_penultimate":
@@ -232,41 +193,20 @@ def _distilled(kind: str, teacher: TapSet, student: TapSet):
     raise ValueError(f"unknown distillation kind {kind!r}; expected one of {DISTILL_KINDS}")
 
 
-def alt_distill(
-    kind: str, teacher: TapSet, student: TapSet, row_mask: np.ndarray | None = None
-) -> Tensor:
-    """Distillation variants for the loss ablation.
+def alt_distill(kind: str, teacher: TapSet, student: TapSet) -> Tensor:
+    """Distillation to one teacher pass, in each of the loss-ablation variants.
 
     ``features`` is :func:`l_bd`; ``kd_logits`` is the per-row squared L2
     distance of the raw logits, averaged over rows; ``phi_penultimate`` is
     :func:`l_bd`'s term for the last tap only. Every kind is exactly 0
     between identical passes, which takes a teacher pass given the
-    student's dropout masks when the model drops units.
+    student's dropout masks when the model drops units. The teacher pass
+    is a stack of one (a view, no copy) in which every row counts.
     """
-    if kind == "features":
-        return l_bd(teacher, student, row_mask)
-    if kind == "kd_logits":
-        if teacher.logits.shape != student.logits.shape:
-            raise GraphError(
-                f"logit shape mismatch: {teacher.logits.shape} vs {student.logits.shape}"
-            )
-        diff = sub(
-            stop_gradient(teacher.logits, name="teacher_logits"),
-            student.logits,
-            name="logit.diff",
-        )
-        if row_mask is None:
-            return row_sqnorm_mean(diff, name="logit.distance")
-        return masked_row_sqnorm_mean(diff, row_mask, name="logit.distance")
-    if kind == "phi_penultimate":
-        _check_aligned(teacher, student)
-        diff = sub(
-            stop_gradient(teacher.taps[-1], name="teacher_penult"),
-            student.taps[-1],
-            name="penult.diff",
-        )
-        return mean_square(diff, row_mask, name="penult.distance")
-    raise ValueError(f"unknown distillation kind {kind!r}; expected one of {DISTILL_KINDS}")
+    students, targets, per_feature = _distilled(kind, teacher, student)
+    return stacked_distance(
+        students, [t[None] for t in targets], None, per_feature, name="teacher_distance"
+    )
 
 
 @dataclass

@@ -271,10 +271,6 @@ class ResidualClassifier:
         self.stats[f"{prefix}.bn.running_var"] = np.ones(d_out, dtype=np.float32)
 
     @property
-    def tap_count(self) -> int:
-        return self.config.res_blocks + 1
-
-    @property
     def param_count(self) -> int:
         """Learnable scalars only (running statistics excluded)."""
         return int(sum(a.size for a in self.params.values()))

@@ -677,9 +677,10 @@ def run_incremental_step(
     """Execute sync -> parallel expert training -> consolidate -> memory refresh.
 
     On success returns the NEW base model and records the step's cost; the
-    memory is refreshed in place as the final action. On expert failure
-    raises StepFailure with base and memory untouched (the consolidation
-    trains a copy, and the memory write only happens after success).
+    memory is refreshed in place as the final action. If an expert fails
+    or the consolidation loss or a gradient turns non-finite, raises
+    StepFailure with base and memory untouched (the consolidation trains a
+    copy, and the memory write only happens after success).
     """
     transport.begin_step()
     broadcast_before = transport.broadcast_bytes
@@ -723,17 +724,20 @@ def run_incremental_step(
 
     t1 = time.perf_counter()
     rng = np.random.default_rng(child_seed(master_seed, "consolidate", plan.step_id))
-    new_base = consolidate(
-        base,
-        received,
-        memory,
-        coefficients,
-        rehearsal_epochs=rehearsal_epochs,
-        batch_size=batch_size,
-        rng=rng,
-        lr=lr,
-        distill_kind=plan.hyper.distill_kind,
-    )
+    try:
+        new_base = consolidate(
+            base,
+            received,
+            memory,
+            coefficients,
+            rehearsal_epochs=rehearsal_epochs,
+            batch_size=batch_size,
+            rng=rng,
+            lr=lr,
+            distill_kind=plan.hyper.distill_kind,
+        )
+    except NonFiniteError as e:
+        raise StepFailure(f"step {plan.step_id}: consolidation: {e}") from e
     consolidation_wall = time.perf_counter() - t1
     distances = expert_distances(base, new_base, received, plan)
 
@@ -883,9 +887,7 @@ def run_full_stream(stream: TaskStream, cfg: ExperimentConfig, executor=None) ->
         sampling=b.sampling,
         distill_kind=b.distill_kind,
     )
-    coefficients = LossCoefficients(
-        stability=b.stability_coef, task=b.task_coef, consolidation=b.consolidation_coef
-    )
+    coefficients = LossCoefficients(task=b.task_coef, consolidation=b.consolidation_coef)
     for plan in plan_steps(stream, b.experts_per_step, cfg.seed, hyper):
         step_t0 = time.perf_counter()
         try:

@@ -1,4 +1,4 @@
-"""Shared test utilities: float64 model twins and finite-difference oracles."""
+"""Shared test utilities: float64 model twins, teacher stacks and finite-difference oracles."""
 
 from __future__ import annotations
 
@@ -12,7 +12,8 @@ from batchcl.config import (
     StreamSpec,
     TrainingSpec,
 )
-from batchcl.model import ResidualClassifier
+from batchcl.engine import Tensor
+from batchcl.model import ResidualClassifier, TapSet
 
 
 def experiment(method: str = "bmc", seed: int = 0, *, model: dict | None = None,
@@ -31,6 +32,15 @@ def experiment(method: str = "bmc", seed: int = 0, *, model: dict | None = None,
         training=TrainingSpec(**(training or {})),
         bmc=BmcSpec(**(bmc or {})),
         baseline=BaselineSpec(**(baseline or {})),
+    )
+
+
+def stack_passes(passes: list[TapSet]) -> TapSet:
+    """Single-teacher passes as one stacked pass, taps and logits ``(k, B, D)``."""
+    return TapSet(
+        taps=[Tensor(np.stack([p.taps[i].data for p in passes]))
+              for i in range(len(passes[0].taps))],
+        logits=Tensor(np.stack([p.logits.data for p in passes])),
     )
 
 

@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 import pytest
-from helpers import experiment, finite_diff_params
+from helpers import experiment, finite_diff_params, stack_passes
 
 from batchcl.baselines import run_baseline
 from batchcl.cli import export_pareto, run_experiment, run_sweep
@@ -34,13 +34,10 @@ from batchcl.engine import (
     matmul,
     mul,
     relu,
-    row_norm_mean,
-    row_sqnorm_mean,
-    masked_row_norm_mean,
-    masked_row_sqnorm_mean,
     scale,
     softmax_cross_entropy,
     square,
+    stacked_distance,
     sub,
     sum_all,
 )
@@ -141,10 +138,11 @@ def _gen_program(seed: int):
     """One random op pipeline over float64 leaves, as replayable instructions.
 
     Instructions are either ("leaf", name) or (op, operand indices...); the
-    terminal reduces the final 2-D node to a scalar. Leaf magnitudes are
-    bounded away from zero, and kink-sensitive sites (relu inputs, row norms
-    at zero) are resolved once on the unperturbed values before any
-    differencing happens.
+    terminal reduces the final 2-D node to a scalar: a sum, a cross-entropy,
+    or a distance to a one-teacher target stack, with and without a row
+    mask and per feature or per row. Leaf magnitudes are bounded away from
+    zero, and relu inputs near their kink are resolved once on the
+    unperturbed values before any differencing happens.
     """
     rng = np.random.default_rng(seed)
     rows = int(rng.integers(3, 7))
@@ -180,17 +178,19 @@ def _gen_program(seed: int):
             instrs.append(("matmul", i, w))
             shapes.append((shapes[i][0], shapes[w][1]))
     last_shape = shapes[-1]
+    # six slots, as many as ever, so every program's draws stay the same
     terminal = str(
         rng.choice(
-            ["sum_all", "row_norm_mean", "row_sqnorm_mean",
-             "masked_norm", "masked_sqnorm", "ce"]
+            ["sum_all", "distance_features", "distance_rows",
+             "masked_features", "masked_rows", "ce"]
         )
     )
     mask = rng.integers(0, 2, size=last_shape[0]).astype(np.float64)
     if mask.sum() == 0:
         mask[int(rng.integers(len(mask)))] = 1.0
     labels = rng.integers(0, last_shape[1], size=last_shape[0])
-    return leaves, instrs, [terminal, mask, labels]
+    target = rng.standard_normal((1, *last_shape))
+    return leaves, instrs, [terminal, mask, labels, target]
 
 
 def _run_program(leaves, instrs, terminal):
@@ -210,49 +210,33 @@ def _run_program(leaves, instrs, terminal):
             nodes.append(_UN_OPS[ins[0]](nodes[ins[1]]))
         else:
             nodes.append(matmul(nodes[ins[1]], nodes[ins[2]]))
-    term, mask, labels = terminal
+    term, mask, labels, target = terminal
     x = nodes[-1]
     if term == "sum_all":
         out = sum_all(x)
-    elif term == "row_norm_mean":
-        out = row_norm_mean(x)
-    elif term == "row_sqnorm_mean":
-        out = row_sqnorm_mean(x)
-    elif term == "masked_norm":
-        out = masked_row_norm_mean(x, mask)
-    elif term == "masked_sqnorm":
-        out = masked_row_sqnorm_mean(x, mask)
-    else:
+    elif term == "ce":
         out = softmax_cross_entropy(x, labels)
+    else:
+        masks = mask[None] if term.startswith("masked") else None
+        out = stacked_distance([x], [target], masks, per_feature=term.endswith("features"))
     return out, tensors, nodes
 
 
 def _resolve_kinks(leaves, instrs, terminal) -> None:
-    """Swap ops whose unperturbed inputs sit on a non-differentiable point.
+    """Swap relu ops whose unperturbed inputs sit near the kink for square.
 
-    relu near 0 becomes square; a row-norm terminal over a near-zero row
-    becomes the squared variant. Re-checked to a fixed point because each
-    substitution changes downstream values.
+    Re-checked to a fixed point because each substitution changes
+    downstream values. The terminals are smooth (squared distances have no
+    kink), so they need no such care.
     """
     while True:
         _, _, nodes = _run_program(leaves, instrs, terminal)
-        changed = False
         for idx, ins in enumerate(instrs):
             if ins[0] == "relu" and np.abs(nodes[ins[1]].data).min() < 1e-2:
                 instrs[idx] = ("square", ins[1])
-                changed = True
                 break
-        if changed:
-            continue
-        if terminal[0] in ("row_norm_mean", "masked_norm"):
-            norms = np.sqrt((nodes[-1].data ** 2).sum(axis=1))
-            if norms.min() < 1e-2:
-                terminal[0] = {
-                    "row_norm_mean": "row_sqnorm_mean",
-                    "masked_norm": "masked_sqnorm",
-                }[terminal[0]]
-                continue
-        return
+        else:
+            return
 
 
 def _max_rel_err(analytic: dict, numeric: dict) -> float:
@@ -295,7 +279,8 @@ def _loss_fd_cases():
     )
     labels = rng.integers(0, classes, size=n)
     origins = np.array([0, 1, 0, -1, 1])
-    mask = np.array([1.0, 0.0, 1.0, 1.0, 0.0])
+    # the same two teachers as one stacked pass, as consolidation sees them
+    teachers = stack_passes([teacher, teacher_b])
 
     def case_task(a):
         reg: dict[str, Tensor] = {}
@@ -305,7 +290,7 @@ def _loss_fd_cases():
 
     def case_stability(a):
         reg: dict[str, Tensor] = {}
-        return l_bd(teacher, leaf_taps(a, reg), row_mask=mask), reg
+        return l_bd(teacher, leaf_taps(a, reg)), reg
 
     def case_expert(a):
         reg: dict[str, Tensor] = {}
@@ -313,12 +298,12 @@ def _loss_fd_cases():
 
     def case_batched(a):
         reg: dict[str, Tensor] = {}
-        return l_bmc(leaf_taps(a, reg), [teacher, teacher_b], [0, 1], origins), reg
+        return l_bmc(leaf_taps(a, reg), teachers, [0, 1], origins), reg
 
     def case_consolidation(a):
         reg: dict[str, Tensor] = {}
         return (
-            l_base(leaf_taps(a, reg), [teacher, teacher_b], labels,
+            l_base(leaf_taps(a, reg), teachers, labels,
                    task_coef=0.6, consolidation_coef=1.3,
                    teacher_origins=[0, 1], batch_origins=origins),
             reg,
@@ -748,7 +733,7 @@ def test_09_protocol_constraints(tmp_path):
         input_dim=stream.dim, total_classes=stream.total_classes, res_blocks=1,
         res_layers_per_block=1, res_dim=6, hidden_dim=5, dropout_p=0.0,
     )
-    coefficients = LossCoefficients(1.0, 1.0, 1.0)
+    coefficients = LossCoefficients(1.0, 1.0)
     base = build_model(model_cfg, seed=child_seed(9, "init"))
     memory = Memory(40, stream.dim)
     transport = CountingTransport()
@@ -857,7 +842,7 @@ def test_10_replay_invariants():
     over_capacity = []
     for plan in plan_steps(stream, k, 4, hyper):
         result = run_incremental_step(
-            base, plan, memory, master_seed=4, coefficients=LossCoefficients(1.0, 1.0, 1.0),
+            base, plan, memory, master_seed=4, coefficients=LossCoefficients(1.0, 1.0),
             rehearsal_epochs=1, transport=transport, executor=executor,
             lr=0.1, batch_size=8,
         )

@@ -19,13 +19,8 @@ from batchcl.engine import (
     gradients,
     loss_and_grads,
     matmul,
-    mean_square,
     mul,
     relu,
-    masked_row_norm_mean,
-    masked_row_sqnorm_mean,
-    row_norm_mean,
-    row_sqnorm_mean,
     scale,
     softmax_cross_entropy,
     square,
@@ -124,94 +119,6 @@ class TestFiniteDifferenceOracle:
             numeric = finite_diff(lambda ps: build(ps).item(), params)
             assert_grads_close(analytic, numeric)
 
-    def test_row_norm_means(self):
-        rng = np.random.default_rng(2)
-        for trial in range(10):
-            params = random_params(rng, {"x": (6, 5)})
-
-            def build_l2(ps):
-                return row_norm_mean(Tensor(ps["x"], requires_grad=True, name="x"))
-
-            def build_sq(ps):
-                return row_sqnorm_mean(Tensor(ps["x"], requires_grad=True, name="x"))
-
-            for build in (build_l2, build_sq):
-                tx = Tensor(params["x"], requires_grad=True, name="x")
-                loss = (
-                    row_norm_mean(tx) if build is build_l2 else row_sqnorm_mean(tx)
-                )
-                _, analytic = loss_and_grads(loss, {"x": tx})
-                numeric = finite_diff(lambda ps: build(ps).item(), params)
-                assert_grads_close(analytic, numeric)
-
-    def test_masked_row_norm_means(self):
-        rng = np.random.default_rng(3)
-        for trial in range(10):
-            params = random_params(rng, {"x": (6, 5)})
-            mask = (rng.random(6) < 0.5).astype(np.float64)
-
-            for op in (masked_row_norm_mean, masked_row_sqnorm_mean):
-                def build(ps):
-                    return op(Tensor(ps["x"], requires_grad=True, name="x"), mask)
-
-                tx = Tensor(params["x"], requires_grad=True, name="x")
-                _, analytic = loss_and_grads(op(tx, mask), {"x": tx})
-                numeric = finite_diff(lambda ps: build(ps).item(), params)
-                assert_grads_close(analytic, numeric)
-
-    def test_masked_row_norm_selected_rows_only(self):
-        rng = np.random.default_rng(4)
-        x = rng.standard_normal((5, 3))
-        mask = np.array([1.0, 0.0, 1.0, 0.0, 0.0])
-        got = masked_row_norm_mean(Tensor(x, name="x"), mask).item()
-        want = np.sqrt((x[[0, 2]] ** 2).sum(axis=1)).mean()
-        assert got == pytest.approx(want, rel=1e-12)
-        # deselected rows get exactly zero gradient
-        tx = Tensor(x, requires_grad=True, name="x")
-        _, grads = loss_and_grads(masked_row_norm_mean(tx, mask), {"x": tx})
-        assert np.all(grads["x"][mask == 0.0] == 0.0)
-
-    def test_masked_row_norm_empty_selection_is_zero(self):
-        x = np.ones((4, 3))
-        tx = Tensor(x, requires_grad=True, name="x")
-        loss = masked_row_norm_mean(tx, np.zeros(4))
-        assert loss.item() == 0.0
-        _, grads = loss_and_grads(loss, {"x": tx})
-        assert np.all(grads["x"] == 0.0)
-
-    def test_masked_row_norm_bad_mask_shape(self):
-        x = Tensor(np.ones((4, 3)), name="x")
-        with pytest.raises(GraphError, match="mask shape"):
-            masked_row_norm_mean(x, np.ones(3))
-
-    def test_mean_square_grads(self):
-        rng = np.random.default_rng(12)
-        for trial in range(10):
-            params = random_params(rng, {"x": (6, 5)})
-            mask = (rng.random(6) < 0.5).astype(np.float64)
-            for m in (None, mask):
-                def build(ps, m=m):
-                    return mean_square(Tensor(ps["x"], requires_grad=True, name="x"), m)
-
-                tx = Tensor(params["x"], requires_grad=True, name="x")
-                _, analytic = loss_and_grads(mean_square(tx, m), {"x": tx})
-                numeric = finite_diff(lambda ps: build(ps).item(), params)
-                assert_grads_close(analytic, numeric)
-
-    def test_mean_square_values(self):
-        rng = np.random.default_rng(13)
-        x = rng.standard_normal((5, 3))
-        assert mean_square(Tensor(x)).item() == pytest.approx((x ** 2).mean(), rel=1e-12)
-        mask = np.array([1.0, 0.0, 1.0, 0.0, 0.0])
-        tx = Tensor(x, requires_grad=True, name="x")
-        loss = mean_square(tx, mask)
-        assert loss.item() == pytest.approx((x[[0, 2]] ** 2).mean(), rel=1e-12)
-        _, grads = loss_and_grads(loss, {"x": tx})
-        assert np.all(grads["x"][mask == 0.0] == 0.0)
-        assert mean_square(Tensor(x), np.zeros(5)).item() == 0.0
-        with pytest.raises(GraphError, match="mask shape"):
-            mean_square(Tensor(x), np.ones(3))
-
     @pytest.mark.parametrize("per_feature", [True, False])
     def test_stacked_distance_grads(self, per_feature):
         rng = np.random.default_rng(14)
@@ -221,26 +128,26 @@ class TestFiniteDifferenceOracle:
             targets = [rng.standard_normal((3, *shape)) for shape in shapes.values()]
             masks = rng.random((3, 6)) < 0.5
             masks[2] = False  # a teacher with no rows in the batch
+            for m in (masks, None):
+                def build(ps, m=m):
+                    students = [Tensor(ps[k], requires_grad=True, name=k) for k in shapes]
+                    return stacked_distance(students, targets, m, per_feature), students
 
-            def build(ps):
-                students = [Tensor(ps[k], requires_grad=True, name=k) for k in shapes]
-                return stacked_distance(students, targets, masks, per_feature), students
-
-            loss, students = build(params)
-            _, analytic = loss_and_grads(loss, dict(zip(shapes, students)))
-            numeric = finite_diff(lambda ps: build(ps)[0].item(), params)
-            assert_grads_close(analytic, numeric)
+                loss, students = build(params)
+                _, analytic = loss_and_grads(loss, dict(zip(shapes, students)))
+                numeric = finite_diff(lambda ps: build(ps)[0].item(), params)
+                assert_grads_close(analytic, numeric)
 
     @pytest.mark.parametrize("per_feature", [True, False])
     def test_stacked_distance_is_the_per_term_graph_bitwise(self, per_feature):
-        """Overlapping masks and a second consumer of each student, so the
-        order in which gradients are accumulated shows in the bits."""
+        """Against a sum of one-teacher nodes, joined with add in teacher
+        order. Overlapping masks and a second consumer of each student, so
+        the order in which gradients are accumulated shows in the bits."""
         rng = np.random.default_rng(16)
         x = rng.standard_normal((7, 5)).astype(np.float32)
         targets = [rng.standard_normal((4, 7, 5)).astype(np.float32) for _ in range(2)]
         masks = rng.random((4, 7)) < 0.6
         masks[1] = False
-        term = mean_square if per_feature else masked_row_sqnorm_mean
 
         def run(distance):
             leaf = Tensor(x, requires_grad=True, name="x")
@@ -249,20 +156,56 @@ class TestFiniteDifferenceOracle:
             loss = add(other, scale(distance(students), 0.3))
             return loss_and_grads(loss, {"x": leaf})
 
-        def per_term_graph(students):
+        def per_teacher_graph(students):
             total = None
             for j in range(4):
-                per_teacher = None
-                for s, t in zip(students, targets):
-                    d = term(sub(Tensor(t[j]), s), masks[j].astype(np.float64))
-                    per_teacher = d if per_teacher is None else add(per_teacher, d)
-                total = per_teacher if total is None else add(total, per_teacher)
+                term = stacked_distance(
+                    students, [t[j : j + 1] for t in targets], masks[j : j + 1], per_feature
+                )
+                total = term if total is None else add(total, term)
             return total
 
         got = run(lambda ss: stacked_distance(ss, targets, masks, per_feature))
-        want = run(per_term_graph)
+        want = run(per_teacher_graph)
         assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
         assert got[1]["x"].tobytes() == want[1]["x"].tobytes()
+
+    @pytest.mark.parametrize("per_feature", [True, False])
+    def test_stacked_distance_unmasked_is_the_numpy_mean_bitwise(self, per_feature):
+        """Without masks the value is numpy's mean over rows (and features)
+        and the gradient is 2 g d / size, bit for bit, on float32 inputs.
+        A row sum divided by the row count, as an all-ones mask computes
+        it, rounds differently on many of these shapes."""
+        rng = np.random.default_rng(17)
+        for trial in range(60):
+            k = int(rng.integers(1, 4))
+            rows = int(rng.integers(2, 40))
+            widths = [int(rng.integers(1, 40)) for _ in range(int(rng.integers(1, 4)))]
+            xs = [rng.standard_normal((rows, w)).astype(np.float32) for w in widths]
+            targets = [rng.standard_normal((k, rows, w)).astype(np.float32) for w in widths]
+            students = [Tensor(a, requires_grad=True, name=f"s{i}") for i, a in enumerate(xs)]
+            loss = scale(stacked_distance(students, targets, None, per_feature), 0.3)
+            value, grads = loss_and_grads(loss, {s.name: s for s in students})
+
+            def distance(d):
+                return (d * d).mean() if per_feature else (d * d).sum(axis=1).mean()
+
+            total = None
+            for j in range(k):
+                per_teacher = None
+                for a, t in zip(xs, targets):
+                    term = distance(t[j] - a)
+                    per_teacher = term if per_teacher is None else per_teacher + term
+                total = per_teacher if total is None else total + per_teacher
+            want = np.float32(total) * np.float32(0.3)
+            assert np.float32(value).tobytes() == want.tobytes(), (trial, k, rows, widths)
+            g = np.float32(0.3)
+            for i, (a, t) in enumerate(zip(xs, targets)):
+                size = a.size if per_feature else rows
+                acc = np.zeros_like(a)
+                for j in range(k):
+                    acc += -((g * 2.0 / size) * (t[j] - a))
+                assert grads[f"s{i}"].tobytes() == acc.tobytes(), (trial, i)
 
     @pytest.mark.parametrize("per_feature", [True, False])
     def test_stacked_distance_values(self, per_feature):
@@ -274,14 +217,53 @@ class TestFiniteDifferenceOracle:
         sq = ((targets[0] - s) ** 2)[masks[0]]
         want = sq.mean() if per_feature else sq.sum(axis=1).mean()
         assert got == pytest.approx(want, rel=1e-12)
+        got = stacked_distance([Tensor(s)], [targets], None, per_feature).item()
+        sq = (targets - s) ** 2
+        want = sum(sq[j].mean() if per_feature else sq[j].sum(axis=1).mean() for j in range(2))
+        assert got == pytest.approx(want, rel=1e-12)
         with pytest.raises(GraphError, match="target stack"):
             stacked_distance([Tensor(s)], [targets[:, :3]], masks)
         with pytest.raises(GraphError, match="do not fit masks"):
             stacked_distance([Tensor(s)], [targets], masks[:, :1])
+        with pytest.raises(GraphError, match="do not fit 2 teachers"):
+            stacked_distance([Tensor(s), Tensor(s)], [targets, targets[:1]])
         with pytest.raises(GraphError, match="students"):
             stacked_distance([Tensor(s)], [], masks)
+        with pytest.raises(GraphError, match="at least one teacher"):
+            stacked_distance([Tensor(s)], [targets[:0]], masks[:0])
+        with pytest.raises(GraphError, match="at least one teacher"):
+            stacked_distance([Tensor(s)], [targets[:0]])
+
+    @pytest.mark.parametrize("per_feature", [True, False])
+    def test_stacked_distance_selected_rows_only(self, per_feature):
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((5, 3))
+        target = rng.standard_normal((1, 5, 3))
+        mask = np.array([[1.0, 0.0, 1.0, 0.0, 0.0]])
+        tx = Tensor(x, requires_grad=True, name="x")
+        loss = stacked_distance([tx], [target], mask, per_feature)
+        sq = ((target[0] - x) ** 2)[[0, 2]]
+        want = sq.mean() if per_feature else sq.sum(axis=1).mean()
+        assert loss.item() == pytest.approx(want, rel=1e-12)
+        # deselected rows get exactly zero gradient
+        _, grads = loss_and_grads(loss, {"x": tx})
+        assert np.all(grads["x"][mask[0] == 0.0] == 0.0)
+        assert np.all(grads["x"][mask[0] == 1.0] != 0.0)
+
+    @pytest.mark.parametrize("per_feature", [True, False])
+    def test_stacked_distance_empty_selection_is_zero(self, per_feature):
+        tx = Tensor(np.ones((4, 3)), requires_grad=True, name="x")
+        loss = stacked_distance([tx], [np.zeros((2, 4, 3))], np.zeros((2, 4)), per_feature)
+        assert loss.item() == 0.0
+        _, grads = loss_and_grads(loss, {"x": tx})
+        assert np.all(grads["x"] == 0.0)
+
+    def test_stacked_distance_bad_mask_shape(self):
+        x = Tensor(np.ones((4, 3)), name="x")
+        with pytest.raises(GraphError, match="do not fit masks"):
+            stacked_distance([x], [np.zeros((1, 4, 3))], np.ones((1, 3)))
         with pytest.raises(GraphError, match="masks of shape"):
-            stacked_distance([Tensor(s)], [targets], masks[0])
+            stacked_distance([x], [np.zeros((1, 4, 3))], np.ones(4))
 
     def test_train_mode_batch_norm(self):
         rng = np.random.default_rng(3)
@@ -363,7 +345,7 @@ class TestFiniteDifferenceOracle:
                     h = relu(h)
                 logits = add(matmul(h, tw), tb)
                 ce = softmax_cross_entropy(logits, labels)
-                reg = scale(row_sqnorm_mean(logits), 0.01)
+                reg = scale(stacked_distance([logits], [np.zeros((1, n, c))], None, False), 0.01)
                 return add_scalar(ce, reg), {"w": tw, "b": tb, "g": tg, "be": tbe}
 
             def add_scalar(a, b):

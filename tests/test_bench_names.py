@@ -1,0 +1,33 @@
+"""Every name the benchmark's tracer wraps still exists in the package.
+
+``benchmarks/run.py --trace 1`` patches the callables listed in
+``benchmarks/tracer.py`` and stops with ``TraceError`` when one is gone.
+This resolves each of them with the tracer's own lookup, without running
+anything, so a rename or deletion in ``src/`` that would break a traced run
+fails here first.
+"""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TRACER = Path(__file__).resolve().parent.parent / "benchmarks" / "tracer.py"
+
+
+def _load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+tracer = _load_tracer()
+
+
+@pytest.mark.parametrize("target", sorted({t for _, t in tracer.SPANS} | {tracer.TENSOR_INIT}))
+def test_traced_name_resolves(target):
+    holder, attr, raw = tracer._resolve(target)
+    assert callable(getattr(raw, "__func__", raw)), target

@@ -160,6 +160,18 @@ class TestRunVerb:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert not {"steps", "experts", "final_loss"} & set(summary)
 
+    def test_diverging_consolidation_fails_the_step_not_the_run(self, tmp_path):
+        # experts train no epoch, so the first loss to blow up is consolidation's
+        raw = toy_raw(method="bmc", out_dir=str(tmp_path / "out"))
+        raw["training"].update(epochs_per_task=0, lr=1e30)
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(raw))
+        with np.errstate(all="ignore"):
+            assert main(["run", str(cfg_file), "--serial"]) == 3
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["failed_step"] == 0
+        assert summary["n_steps"] == 0
+
     def test_summary_byte_identical_across_reruns(self, tmp_path):
         cfg = parse_config(toy_raw(method="bmc"))
         run_experiment(cfg, tmp_path / "a", workers=1)

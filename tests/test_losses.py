@@ -6,7 +6,13 @@ import dataclasses
 
 import numpy as np
 import pytest
-from helpers import assert_matches_fd, finite_diff_params, float64_twin, jitter_params
+from helpers import (
+    assert_matches_fd,
+    finite_diff_params,
+    float64_twin,
+    jitter_params,
+    stack_passes,
+)
 
 from batchcl.engine import GraphError, Tensor, add, loss_and_grads, scale
 from batchcl.losses import (
@@ -173,7 +179,7 @@ class TestBatchedDistillation:
     def test_expert_identical_to_base_zero(self):
         s = self._taps(self.base)
         t = self._taps(build_model(TOY, seed=0))
-        assert l_bmc(s, [t], [0], np.zeros(6, dtype=int)).item() == 0.0
+        assert l_bmc(s, stack_passes([t]), [0], np.zeros(6, dtype=int)).item() == 0.0
 
     def test_each_expert_scored_on_own_rows_only(self):
         s = self._taps(self.base)
@@ -182,33 +188,33 @@ class TestBatchedDistillation:
             self._masked_oracle(s, t, self.origins == j)
             for j, t in enumerate(teachers)
         )
-        got = l_bmc(s, teachers, [0, 1, 2], self.origins).item()
+        got = l_bmc(s, stack_passes(teachers), [0, 1, 2], self.origins).item()
         assert got == pytest.approx(want, rel=1e-6)
 
     def test_absent_expert_contributes_zero(self):
         s = self._taps(self.base)
         t0, t1 = self._taps(self.experts[0]), self._taps(self.experts[1])
         all_mine = np.zeros(6, dtype=int)
-        with_ghost = l_bmc(s, [t0, t1], [0, 7], all_mine).item()
-        alone = l_bmc(s, [t0], [0], all_mine).item()
+        with_ghost = l_bmc(s, stack_passes([t0, t1]), [0, 7], all_mine).item()
+        alone = l_bmc(s, stack_passes([t0]), [0], all_mine).item()
         assert with_ghost == alone
-        assert l_bmc(s, [t1], [7], all_mine).item() == 0.0
+        assert l_bmc(s, stack_passes([t1]), [7], all_mine).item() == 0.0
 
     def test_memory_rows_excluded(self):
         s = self._taps(self.base)
         t = self._taps(self.experts[0])
         origins = np.array([-1, -1, -1, 0, 0, 0])
-        got = l_bmc(s, [t], [0], origins).item()
+        got = l_bmc(s, stack_passes([t]), [0], origins).item()
         assert got == pytest.approx(self._masked_oracle(s, t, origins == 0), rel=1e-6)
         assert got != pytest.approx(self._masked_oracle(s, t, origins != 9), rel=1e-3)
 
     def test_additive_over_expert_partition(self):
         s = self._taps(self.base)
         teachers = [self._taps(e) for e in self.experts]
-        whole = l_bmc(s, teachers, [0, 1, 2], self.origins).item()
+        whole = l_bmc(s, stack_passes(teachers), [0, 1, 2], self.origins).item()
         parts = (
-            l_bmc(s, teachers[:1], [0], self.origins).item()
-            + l_bmc(s, teachers[1:], [1, 2], self.origins).item()
+            l_bmc(s, stack_passes(teachers[:1]), [0], self.origins).item()
+            + l_bmc(s, stack_passes(teachers[1:]), [1, 2], self.origins).item()
         )
         assert whole == pytest.approx(parts, rel=1e-7)
 
@@ -216,20 +222,24 @@ class TestBatchedDistillation:
         s = self._taps(self.base)
         teachers = [self._taps(e) for e in self.experts]
         with pytest.raises(GraphError, match="origin tags"):
-            l_bmc(s, teachers, [0, 1], self.origins)
+            l_bmc(s, stack_passes(teachers), [0, 1], self.origins)
 
     def test_empty_expert_list_rejected(self):
         s = self._taps(self.base)
+        empty = TapSet(
+            taps=[Tensor(np.zeros((0, *t.shape), np.float32)) for t in s.taps],
+            logits=Tensor(np.zeros((0, *s.logits.shape), np.float32)),
+        )
         with pytest.raises(GraphError, match="at least one"):
-            l_bmc(s, [], [], self.origins)
+            l_bmc(s, empty, [], self.origins)
 
 
 def per_teacher_l_bmc(student, teachers, owners, origins, kind):
-    """The batched term as a sum of per-teacher graphs, in teacher order: the
+    """The batched term as a sum of one-teacher nodes, in teacher order: the
     reference the single batched node must reproduce bit for bit."""
     total = None
     for teacher, owner in zip(teachers, owners):
-        term = alt_distill(kind, teacher, student, row_mask=(origins == owner).astype(np.float64))
+        term = l_bmc(student, stack_passes([teacher]), [owner], origins, kind)
         total = term if total is None else add(total, term, name="expert_sum")
     return total
 
@@ -293,14 +303,6 @@ class TestStackedDistillation:
 
         self._assert_bitwise(self._grads(batched), self._grads(reference))
 
-    def test_list_of_teachers_equals_stack(self):
-        s, _ = self.base.forward_with_taps(self.x)
-        teachers = [e.forward_as_teacher(self.x) for e in self.experts]
-        stacked = self.stack.forward_as_teacher(self.x)
-        for kind in DISTILL_KINDS:
-            assert l_bmc(s, teachers, self.OWNERS, self.origins, kind).item() == \
-                l_bmc(s, stacked, self.OWNERS, self.origins, kind).item()
-
     @pytest.mark.parametrize("kind", DISTILL_KINDS)
     def test_absent_expert_contributes_exact_zero(self, kind):
         absent = stack_vectors(self.CONFIG, [self.experts[3].to_param_vector()])
@@ -325,8 +327,11 @@ class TestStackedDistillation:
                 l_bmc(s, other_rows, self.OWNERS, self.origins, kind)
         with pytest.raises(GraphError, match="do not fit"):
             l_bmc(s, stacked, self.OWNERS, self.origins[:6])
-        with pytest.raises(GraphError, match="tap 0 shape mismatch"):
-            l_bmc(s, [self.experts[0].forward_as_teacher(self.x[:6])], [0], self.origins)
+        narrow = TapSet(taps=[Tensor(t.data[..., :2]) for t in stacked.taps],
+                        logits=Tensor(stacked.logits.data[..., :2]))
+        for kind in DISTILL_KINDS:
+            with pytest.raises(GraphError, match="do not fit"):
+                l_bmc(s, narrow, self.OWNERS, self.origins, kind)
         with pytest.raises(ValueError, match="unknown"):
             l_bmc(s, stacked, self.OWNERS, self.origins, "temperature_kl")
 
@@ -339,10 +344,9 @@ class TestBaseObjective:
         self.origins = np.array([0, 0, 1, -1, -1, 1])
         self.owners = [0, 1]
         self.base = build_model(TOY, seed=0)
-        self.teachers = []
-        for s in (21, 22):
-            ts, _ = build_model(TOY, seed=s).forward_with_taps(self.x)
-            self.teachers.append(ts)
+        self.teachers = stack_passes(
+            [build_model(TOY, seed=s).forward_with_taps(self.x)[0] for s in (21, 22)]
+        )
 
     def _distill(self, s):
         return l_bmc(s, self.teachers, self.owners, self.origins)
@@ -383,8 +387,10 @@ class TestBaseObjective:
             l_base(s, self.teachers, self.y, 1.0, 1.0)
 
     def test_coefficient_validation(self):
-        with pytest.raises(ValueError):
-            LossCoefficients(stability=-1.0)
+        with pytest.raises(ValueError, match="task"):
+            LossCoefficients(task=-1.0)
+        with pytest.raises(ValueError, match="consolidation"):
+            LossCoefficients(consolidation=-1.0)
 
 
 class TestDistillationAlternatives:
@@ -589,12 +595,12 @@ class TestGradientOracles:
         self._check(lambda ts: l_exp(ts, t, self.y, 0.7))
 
     def test_batched_distillation_grad(self):
-        taps = [m.forward_with_taps(self.x)[0] for m in self.teachers]
+        taps = stack_passes([m.forward_with_taps(self.x)[0] for m in self.teachers])
         origins = np.array([0, 1, 0, -1])
         self._check(lambda ts: l_bmc(ts, taps, [0, 1], origins))
 
     def test_base_objective_grad(self):
-        taps = [m.forward_with_taps(self.x)[0] for m in self.teachers]
+        taps = stack_passes([m.forward_with_taps(self.x)[0] for m in self.teachers])
         origins = np.array([0, 1, 0, -1])
         self._check(lambda ts: l_base(ts, taps, self.y, 0.9, 1.3,
                                       teacher_origins=[0, 1], batch_origins=origins))

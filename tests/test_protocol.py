@@ -408,7 +408,7 @@ class TestConsolidate:
         arts = self.setup_artifacts(base, stream)
         out = consolidate(
             base, arts, Memory(40, 6),
-            LossCoefficients(stability=1.0, task=0.0, consolidation=1.0),
+            LossCoefficients(task=0.0, consolidation=1.0),
             rehearsal_epochs=2, batch_size=8, rng=np.random.default_rng(0),
         )
         assert params_bytes(out) == params_bytes(base)
@@ -444,7 +444,7 @@ class TestConsolidate:
         # with the distillation term off the expert snapshots must not leak
         # into the update; swapping them for unrelated weights changes nothing
         base = build_model(TOY, seed=1)
-        coeffs = LossCoefficients(stability=1.0, task=1.0, consolidation=0.0)
+        coeffs = LossCoefficients(task=1.0, consolidation=0.0)
         arts = self.setup_artifacts(base, stream)
         out1 = consolidate(base, arts, Memory(40, 6), coeffs,
                            rehearsal_epochs=2, batch_size=8,
@@ -565,6 +565,31 @@ class TestIncrementalStep:
                 rehearsal_epochs=2,
                 transport=CountingTransport(), executor=SerialExecutor(),
                 lr=0.1, batch_size=8,
+            )
+        assert base.to_param_vector().to_bytes() == base_before
+        assert memory.exemplars.features.tobytes() == memory_before
+        assert len(memory) == 10
+
+
+    def test_diverging_consolidation_rolls_back_base_and_memory(self, stream):
+        master_seed = 5
+        base = build_model(TOY, seed=child_seed(master_seed, "init"))
+        # experts train no epoch, so only the consolidation sees the step size
+        hyper = dataclasses.replace(TINY_HYPER, epochs=0)
+        plans = plan_steps(stream, 2, master_seed, hyper)
+        memory = Memory(40, stream.dim)
+        memory.replace(make_exemplars(10))
+        base_before = base.to_param_vector().to_bytes()
+        memory_before = memory.exemplars.features.tobytes()
+        with np.errstate(all="ignore"), pytest.raises(
+            StepFailure, match="step 1: consolidation: non-finite"
+        ):
+            run_incremental_step(
+                base, plans[1], memory, master_seed,
+                coefficients=LossCoefficients(),
+                rehearsal_epochs=2,
+                transport=CountingTransport(), executor=SerialExecutor(),
+                lr=1e30, batch_size=8,
             )
         assert base.to_param_vector().to_bytes() == base_before
         assert memory.exemplars.features.tobytes() == memory_before
