@@ -119,6 +119,75 @@ class TestFiniteDifferenceOracle:
             numeric = finite_diff(lambda ps: build(ps).item(), params)
             assert_grads_close(analytic, numeric)
 
+    def test_row_norm_means(self):
+        """Unmasked per-row mode against a zero target: the mean squared
+        row norm of x, as a value and as central differences."""
+        rng = np.random.default_rng(2)
+        zero = np.zeros((1, 6, 5))
+        for trial in range(10):
+            params = random_params(rng, {"x": (6, 5)})
+
+            def build(ps):
+                tx = Tensor(ps["x"], requires_grad=True, name="x")
+                return stacked_distance([tx], [zero], None, per_feature=False), tx
+
+            loss, tx = build(params)
+            want = (params["x"] ** 2).sum(axis=1).mean()
+            assert loss.item() == pytest.approx(want, rel=1e-12)
+            _, analytic = loss_and_grads(loss, {"x": tx})
+            numeric = finite_diff(lambda ps: build(ps)[0].item(), params)
+            assert_grads_close(analytic, numeric)
+
+    def test_masked_row_norm_means(self):
+        rng = np.random.default_rng(3)
+        for trial in range(10):
+            params = random_params(rng, {"x": (6, 5)})
+            target = rng.standard_normal((1, 6, 5))
+            mask = (rng.random((1, 6)) < 0.5).astype(np.float64)
+
+            def build(ps):
+                tx = Tensor(ps["x"], requires_grad=True, name="x")
+                return stacked_distance([tx], [target], mask, per_feature=False), tx
+
+            loss, tx = build(params)
+            _, analytic = loss_and_grads(loss, {"x": tx})
+            numeric = finite_diff(lambda ps: build(ps)[0].item(), params)
+            assert_grads_close(analytic, numeric)
+
+    def test_mean_square_grads(self):
+        rng = np.random.default_rng(12)
+        for trial in range(10):
+            params = random_params(rng, {"x": (6, 5)})
+            target = rng.standard_normal((1, 6, 5))
+            mask = (rng.random((1, 6)) < 0.5).astype(np.float64)
+            for m in (None, mask):
+                def build(ps, m=m):
+                    tx = Tensor(ps["x"], requires_grad=True, name="x")
+                    return stacked_distance([tx], [target], m, per_feature=True), tx
+
+                loss, tx = build(params)
+                _, analytic = loss_and_grads(loss, {"x": tx})
+                numeric = finite_diff(lambda ps: build(ps)[0].item(), params)
+                assert_grads_close(analytic, numeric)
+
+    def test_mean_square_values(self):
+        """Per-feature mode against a zero target: the mean square of x."""
+        rng = np.random.default_rng(13)
+        x = rng.standard_normal((5, 3))
+        zero = np.zeros((1, 5, 3))
+        got = stacked_distance([Tensor(x)], [zero], None, per_feature=True).item()
+        assert got == pytest.approx((x ** 2).mean(), rel=1e-12)
+        mask = np.array([[1.0, 0.0, 1.0, 0.0, 0.0]])
+        tx = Tensor(x, requires_grad=True, name="x")
+        loss = stacked_distance([tx], [zero], mask, per_feature=True)
+        assert loss.item() == pytest.approx((x[[0, 2]] ** 2).mean(), rel=1e-12)
+        _, grads = loss_and_grads(loss, {"x": tx})
+        assert np.all(grads["x"][mask[0] == 0.0] == 0.0)
+        empty = stacked_distance([Tensor(x)], [zero], np.zeros((1, 5)), per_feature=True)
+        assert empty.item() == 0.0
+        with pytest.raises(GraphError, match="do not fit masks"):
+            stacked_distance([Tensor(x)], [zero], np.ones((1, 3)), per_feature=True)
+
     @pytest.mark.parametrize("per_feature", [True, False])
     def test_stacked_distance_grads(self, per_feature):
         rng = np.random.default_rng(14)
