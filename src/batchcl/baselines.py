@@ -2,9 +2,10 @@
 
 Three sequential trainers — plain fine-tuning, experience replay, and an
 online weight-consolidation penalty — plus the isolated-per-task upper
-bound. They all use the same model builder, batch iterator, optimizer,
-scheduler, and class-incremental evaluation as the distributed path, so
-differences in the reports come from the methods alone.
+bound. They all use the same model builder, batch iterator, epoch loop
+(``train_epochs``: SGD under the plateau schedule), and class-incremental
+evaluation as the distributed path, so differences in the reports come
+from the methods alone.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import time
 import numpy as np
 
 from .config import BASELINE_METHODS, ExperimentConfig, build_model_config
-from .engine import SGD, PlateauScheduler, add, loss_and_grads, scale
+from .engine import add, loss_and_grads, scale, train_epochs
 from .losses import FisherState, decay_and_anchor, ewc_penalty, task_loss, update_fisher
 from .model import ResidualClassifier, build_model
 from .protocol import RunRecorder, RunReport, child_seed, epoch_batches
@@ -37,25 +38,23 @@ def _train_task_plain(
     penalty setting reproduce it bit-exactly.
     """
     t, penalty_coef = cfg.training, cfg.baseline.penalty_coef
-    opt = SGD(lr=t.lr)
-    sched = PlateauScheduler(opt)
     use_penalty = fisher is not None and penalty_coef > 0
-    for _ in range(t.epochs_per_task):
-        losses = []
-        for idx in epoch_batches(len(y), t.batch_size, rng):
-            tapset, leaves = model.forward_with_taps(x[idx], train=True, rng=rng)
-            loss = task_loss(tapset.logits, y[idx])
-            if use_penalty:
-                loss = add(
-                    loss,
-                    scale(ewc_penalty(leaves, fisher), penalty_coef, name="penalty"),
-                    name="penalized",
-                )
-            value, grads = loss_and_grads(loss, leaves)
-            opt.step(model.params, grads)
-            losses.append(value)
-        if losses:
-            sched.step(float(np.mean(losses)))
+
+    def step(idx):
+        tapset, leaves = model.forward_with_taps(x[idx], train=True, rng=rng)
+        loss = task_loss(tapset.logits, y[idx])
+        if use_penalty:
+            loss = add(
+                loss,
+                scale(ewc_penalty(leaves, fisher), penalty_coef, name="penalty"),
+                name="penalized",
+            )
+        return loss_and_grads(loss, leaves)
+
+    train_epochs(
+        model.params, t.lr, t.epochs_per_task,
+        lambda: epoch_batches(len(y), t.batch_size, rng), step,
+    )
 
 
 def _train_task_replay(
@@ -74,40 +73,39 @@ def _train_task_replay(
     fine-tuning.
     """
     t, replay_coef = cfg.training, cfg.baseline.replay_coef
-    opt = SGD(lr=t.lr)
-    sched = PlateauScheduler(opt)
     half = max(2, t.batch_size // 2)
-    for _ in range(t.epochs_per_task):
-        losses = []
-        for idx in epoch_batches(len(y), t.batch_size, rng):
-            tapset, leaves = model.forward_with_taps(x[idx], train=True, rng=rng)
-            loss = task_loss(tapset.logits, y[idx])
-            mem_leaves = None
-            if len(memory) > 0 and replay_coef > 0:
-                mem_batch = draw_batch(memory.exemplars, half, rng)
-                mem_taps, mem_leaves = model.forward_with_taps(
-                    mem_batch.features, train=True, rng=rng
-                )
-                loss = add(
-                    loss,
-                    scale(
-                        task_loss(mem_taps.logits, mem_batch.labels),
-                        replay_coef,
-                        name="replay",
-                    ),
-                    name="combined",
-                )
-            # one backward over the combined graph; the memory pass has its
-            # own leaf nodes for the same parameters, so fold those in
-            value, grads = loss_and_grads(loss, leaves)
-            if mem_leaves is not None:
-                for name, leaf in mem_leaves.items():
-                    if leaf.grad is not None:
-                        grads[name] = grads[name] + leaf.grad
-            opt.step(model.params, grads)
-            losses.append(value)
-        if losses:
-            sched.step(float(np.mean(losses)))
+
+    def step(idx):
+        tapset, leaves = model.forward_with_taps(x[idx], train=True, rng=rng)
+        loss = task_loss(tapset.logits, y[idx])
+        mem_leaves = None
+        if len(memory) > 0 and replay_coef > 0:
+            mem_batch = draw_batch(memory.exemplars, half, rng)
+            mem_taps, mem_leaves = model.forward_with_taps(
+                mem_batch.features, train=True, rng=rng
+            )
+            loss = add(
+                loss,
+                scale(
+                    task_loss(mem_taps.logits, mem_batch.labels),
+                    replay_coef,
+                    name="replay",
+                ),
+                name="combined",
+            )
+        # one backward over the combined graph; the memory pass has its
+        # own leaf nodes for the same parameters, so fold those in
+        value, grads = loss_and_grads(loss, leaves)
+        if mem_leaves is not None:
+            for name, leaf in mem_leaves.items():
+                if leaf.grad is not None:
+                    grads[name] = grads[name] + leaf.grad
+        return value, grads
+
+    train_epochs(
+        model.params, t.lr, t.epochs_per_task,
+        lambda: epoch_batches(len(y), t.batch_size, rng), step,
+    )
 
 
 def run_baseline(stream: TaskStream, cfg: ExperimentConfig) -> RunReport:

@@ -138,8 +138,15 @@ def _set_path(raw: dict, dotted: str, value) -> None:
     node[parts[-1]] = value
 
 
-def _sample_raw(spec: SweepSpec, index: int) -> tuple[dict, dict]:
-    """One trial's raw config mapping and the values sampled into it."""
+def sample_trial(spec: SweepSpec, index: int) -> tuple[dict, dict]:
+    """Pure function of (spec, trial index): the trial's raw config mapping
+    and the values sampled into it.
+
+    The trial's run seed and its sampling randomness both derive from the
+    sweep master seed and the index alone, so any trial can be reproduced
+    in isolation. The mapping is not yet validated: :func:`parse_config`
+    turns it into the run's config.
+    """
     rng = np.random.default_rng(child_seed(spec.seed, "sample", index))
     sampled: dict = {}
     raw = config_to_dict(spec.base)
@@ -155,17 +162,6 @@ def _sample_raw(spec: SweepSpec, index: int) -> tuple[dict, dict]:
     return raw, sampled
 
 
-def sample_trial(spec: SweepSpec, index: int) -> tuple[ExperimentConfig, dict]:
-    """Pure function of (spec, trial index): the config and its sampled values.
-
-    The trial's run seed and its sampling randomness both derive from the
-    sweep master seed and the index alone, so any trial can be reproduced
-    in isolation.
-    """
-    raw, sampled = _sample_raw(spec, index)
-    return parse_config(raw), sampled
-
-
 def run_sweep(
     spec: SweepSpec, out_dir: str | Path, workers: int | None = None
 ) -> list[dict]:
@@ -178,7 +174,7 @@ def run_sweep(
         for i in range(spec.trials):
             row: dict = {"type": "trial", "trial": i}
             try:
-                raw, sampled = _sample_raw(spec, i)
+                raw, sampled = sample_trial(spec, i)
                 # recorded first, so a trial the schema rejects still shows
                 # the values that made it invalid
                 row.update(seed=raw["seed"], sampled=sampled)

@@ -74,11 +74,6 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     t.grad += g
 
 
-def stop_gradient(x: Tensor, name: str = "stop_gradient") -> Tensor:
-    """Identity forward; the backward pass never crosses this node."""
-    return Tensor(x.data, requires_grad=False, name=name)
-
-
 def matmul(x: Tensor, w: Tensor, name: str = "matmul") -> Tensor:
     if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]:
         raise GraphError(
@@ -103,18 +98,6 @@ def add(x: Tensor, y: Tensor, name: str = "add") -> Tensor:
     def backward(g: np.ndarray) -> None:
         _accumulate(x, g)
         _accumulate(y, g.sum(axis=0) if bias_case else g)
-
-    return _node(out_data, (x, y), backward, name)
-
-
-def sub(x: Tensor, y: Tensor, name: str = "sub") -> Tensor:
-    if x.shape != y.shape:
-        raise GraphError(f"{name}: shape mismatch {x.shape} - {y.shape}")
-    out_data = x.data - y.data
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(x, g)
-        _accumulate(y, -g)
 
     return _node(out_data, (x, y), backward, name)
 
@@ -206,18 +189,17 @@ def dropout(
     return _node(out_data, (x,), backward, name)
 
 
+BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
 
 
-def _normalize(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, mean, var, eps: float):
-    inv_std = (1.0 / np.sqrt(var + eps)).astype(x.dtype)
+def _normalize(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, mean, var):
+    inv_std = (1.0 / np.sqrt(var + BN_EPS)).astype(x.dtype)
     xhat = (x - mean) * inv_std
     return gamma * xhat + beta, xhat, inv_std
 
 
-def batch_norm_values(
-    x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = BN_EPS
-) -> np.ndarray:
+def batch_norm_values(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """Forward value of train-mode :func:`batch_norm` on plain arrays.
 
     No tape node, no running buffers: for passes that are never
@@ -228,7 +210,7 @@ def batch_norm_values(
     """
     mean = x.mean(axis=-2, keepdims=True)
     var = x.var(axis=-2, keepdims=True)
-    return _normalize(x, gamma[..., None, :], beta[..., None, :], mean, var, eps)[0]
+    return _normalize(x, gamma[..., None, :], beta[..., None, :], mean, var)[0]
 
 
 def batch_norm(
@@ -238,16 +220,15 @@ def batch_norm(
     running_mean: np.ndarray,
     running_var: np.ndarray,
     train: bool,
-    momentum: float = 0.1,
-    eps: float = BN_EPS,
     name: str = "batch_norm",
 ) -> Tensor:
     """Per-feature normalization over the batch axis.
 
     Train mode normalizes by batch statistics (needs at least 2 rows) and
-    folds them into the running buffers in place (running variance uses the
-    unbiased estimate). Eval mode is a fixed affine map built from the
-    running buffers.
+    folds them into the running buffers in place with momentum
+    ``BN_MOMENTUM`` (running variance uses the unbiased estimate). Eval
+    mode is a fixed affine map built from the running buffers. Both add
+    ``BN_EPS`` to the variance.
     """
     if x.data.ndim != 2 or x.shape[1] != gamma.shape[0]:
         raise GraphError(f"{name}: input {x.shape} vs width {gamma.shape}")
@@ -257,14 +238,14 @@ def batch_norm(
             raise GraphError(f"{name}: train-mode batch of size {n} (need >= 2)")
         mean = x.data.mean(axis=0)
         var = x.data.var(axis=0)
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mean
-        running_var *= 1.0 - momentum
-        running_var += momentum * var * (n / (n - 1))
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mean
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * var * (n / (n - 1))
     else:
         mean = running_mean
         var = running_var
-    out_data, xhat, inv_std = _normalize(x.data, gamma.data, beta.data, mean, var, eps)
+    out_data, xhat, inv_std = _normalize(x.data, gamma.data, beta.data, mean, var)
 
     def backward(g: np.ndarray) -> None:
         _accumulate(gamma, (g * xhat).sum(axis=0))
@@ -422,8 +403,8 @@ def backward(loss: Tensor) -> None:
 def gradients(loss: Tensor, leaves: Mapping[str, Tensor]) -> dict[str, np.ndarray]:
     """Run backward and collect one gradient per named leaf.
 
-    Leaves the loss never reaches (e.g. everything behind a stop-gradient
-    node) get an exactly-zero entry of matching shape.
+    Leaves the loss never reaches get an exactly-zero entry of matching
+    shape.
     """
     backward(loss)
     out: dict[str, np.ndarray] = {}

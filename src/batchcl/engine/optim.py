@@ -1,12 +1,18 @@
-"""Plain SGD and a reduce-on-plateau learning-rate schedule."""
+"""Plain SGD, a reduce-on-plateau learning-rate schedule, and the one epoch
+loop every trainer runs them in."""
 
 from __future__ import annotations
 
-from typing import Mapping, MutableMapping
+from typing import Callable, Iterable, Mapping, MutableMapping
 
 import numpy as np
 
 from .autodiff import NonFiniteError
+
+PLATEAU_FACTOR = 0.5
+PLATEAU_PATIENCE = 5
+PLATEAU_MIN_DELTA = 1e-4
+MIN_LR = 1e-5
 
 
 class SGD:
@@ -34,42 +40,60 @@ class SGD:
 
 
 class PlateauScheduler:
-    """Multiply the LR by ``factor`` after ``patience`` epochs without improvement.
+    """Multiply the LR by ``PLATEAU_FACTOR`` once more than
+    ``PLATEAU_PATIENCE`` epochs in a row bring no improvement.
 
     An epoch counts as an improvement when its monitored value drops below
-    the best seen so far by more than ``min_delta``. The counter resets on
-    improvement and after each reduction. ``min_lr`` floors the decay.
+    the best seen so far by more than ``PLATEAU_MIN_DELTA``. The counter
+    resets on improvement and after each reduction. ``MIN_LR`` floors the
+    decay.
     """
 
-    def __init__(
-        self,
-        optimizer: SGD,
-        factor: float = 0.5,
-        patience: int = 5,
-        min_delta: float = 1e-4,
-        min_lr: float = 1e-5,
-    ):
-        if not 0.0 < factor < 1.0:
-            raise ValueError(f"factor must be in (0, 1), got {factor}")
-        if patience < 0:
-            raise ValueError(f"patience must be >= 0, got {patience}")
+    def __init__(self, optimizer: SGD):
         self.optimizer = optimizer
-        self.factor = float(factor)
-        self.patience = int(patience)
-        self.min_delta = float(min_delta)
-        self.min_lr = float(min_lr)
         self.best: float | None = None
         self.bad_epochs = 0
 
     def step(self, metric: float) -> float:
         """Record one epoch's monitored value; returns the (possibly new) LR."""
         metric = float(metric)
-        if self.best is None or metric < self.best - self.min_delta:
+        if self.best is None or metric < self.best - PLATEAU_MIN_DELTA:
             self.best = metric
             self.bad_epochs = 0
         else:
             self.bad_epochs += 1
-            if self.bad_epochs > self.patience:
-                self.optimizer.lr = max(self.optimizer.lr * self.factor, self.min_lr)
+            if self.bad_epochs > PLATEAU_PATIENCE:
+                self.optimizer.lr = max(self.optimizer.lr * PLATEAU_FACTOR, MIN_LR)
                 self.bad_epochs = 0
         return self.optimizer.lr
+
+
+def train_epochs(
+    params: MutableMapping[str, np.ndarray],
+    lr: float,
+    epochs: int,
+    batches: Callable[[], Iterable],
+    step: Callable[[object], tuple[float, Mapping[str, np.ndarray]]],
+) -> list[float]:
+    """Train ``params`` in place for ``epochs`` epochs; returns each epoch's mean loss.
+
+    A fresh :class:`SGD` at ``lr`` and a fresh :class:`PlateauScheduler`
+    serve the whole call. Each epoch iterates ``batches()`` and, per batch,
+    takes ``(loss value, grads) = step(batch)`` and applies one SGD update.
+    The scheduler then sees the epoch's mean loss. An epoch without batches
+    adds no mean and leaves the learning rate alone. A non-finite gradient
+    raises :class:`NonFiniteError` from the update.
+    """
+    opt = SGD(lr)
+    sched = PlateauScheduler(opt)
+    means: list[float] = []
+    for _ in range(epochs):
+        losses = []
+        for batch in batches():
+            value, grads = step(batch)
+            opt.step(params, grads)
+            losses.append(value)
+        if losses:
+            means.append(float(np.mean(losses)))
+            sched.step(means[-1])
+    return means

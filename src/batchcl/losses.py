@@ -2,8 +2,9 @@
 
 Everything here is a pure function from live graph nodes (taps, logits)
 to a scalar loss node; differentiation and parameter updates stay with
-the caller. Teacher-side inputs are always shielded by stop-gradient, so
-no objective in this module can move a teacher's parameters.
+the caller. Teacher-side inputs are constant arrays from a tape-free
+teacher pass, with no graph behind them, so no objective in this module
+can move a teacher's parameters.
 
 Objectives:
 

@@ -85,6 +85,15 @@ class TapSet:
     masks: list[np.ndarray] = field(default_factory=list)
 
 
+def _unpack(fmt: str, blob: bytes, off: int, what: str) -> tuple[tuple, int]:
+    """``struct.unpack_from`` at ``off`` plus the offset after it; a short
+    blob raises ValueError naming ``what`` and the byte offset."""
+    end = off + struct.calcsize(fmt)
+    if end > len(blob):
+        raise ValueError(f"truncated {what} at byte {off}")
+    return struct.unpack_from(fmt, blob, off), end
+
+
 @dataclass(frozen=True)
 class ParamVector:
     """Flat snapshot of a model's full inference state.
@@ -123,23 +132,20 @@ class ParamVector:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "ParamVector":
+        """Inverse of :meth:`to_bytes`; malformed input raises ValueError naming the byte."""
         if blob[:4] != PARAM_VECTOR_MAGIC:
             raise ValueError(f"bad magic {blob[:4]!r}, expected {PARAM_VECTOR_MAGIC!r}")
-        version, count = struct.unpack_from("<HI", blob, 4)
+        (version, count), off = _unpack("<HI", blob, 4, "header")
         if version != PARAM_VECTOR_VERSION:
             raise ValueError(f"unsupported version {version}")
-        off = 10
         names: list[str] = []
         shapes: list[tuple[int, ...]] = []
         for _ in range(count):
-            (nlen,) = struct.unpack_from("<H", blob, off)
-            off += 2
-            names.append(blob[off : off + nlen].decode())
-            off += nlen
-            (ndim,) = struct.unpack_from("<B", blob, off)
-            off += 1
-            shape = struct.unpack_from(f"<{ndim}I", blob, off)
-            off += 4 * ndim
+            (nlen,), off = _unpack("<H", blob, off, "entry header")
+            (name,), off = _unpack(f"<{nlen}s", blob, off, "entry name")
+            names.append(name.decode())
+            (ndim,), off = _unpack("<B", blob, off, f"entry header of '{names[-1]}'")
+            shape, off = _unpack(f"<{ndim}I", blob, off, f"entry header of '{names[-1]}'")
             shapes.append(shape)
         arrays = []
         for name, shape in zip(names, shapes):
@@ -153,6 +159,8 @@ class ParamVector:
                 np.frombuffer(blob, dtype="<f4", count=n, offset=off).reshape(shape).copy()
             )
             off = end
+        if off != len(blob):
+            raise ValueError(f"{len(blob) - off} trailing bytes at byte {off}")
         return cls(tuple(names), tuple(arrays))
 
     @property
@@ -163,9 +171,6 @@ class ParamVector:
             for n, a in zip(self.names, self.arrays)
         )
         return header + 4 * sum(a.size for a in self.arrays)
-
-    def same_bytes(self, other: "ParamVector") -> bool:
-        return self.to_bytes() == other.to_bytes()
 
 
 def _dropout(h: Tensor, p: float, rng, train: bool, name: str, masks: list) -> Tensor:
@@ -269,11 +274,6 @@ class ResidualClassifier:
         self.params[f"{prefix}.bn.beta"] = np.zeros(d_out, dtype=np.float32)
         self.stats[f"{prefix}.bn.running_mean"] = np.zeros(d_out, dtype=np.float32)
         self.stats[f"{prefix}.bn.running_var"] = np.ones(d_out, dtype=np.float32)
-
-    @property
-    def param_count(self) -> int:
-        """Learnable scalars only (running statistics excluded)."""
-        return int(sum(a.size for a in self.params.values()))
 
     def _layer(self, h, prefix: str, leaves, train: bool, rng, p_drop: float, masks: list):
         w = leaves[f"{prefix}.W"]

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .config import ExperimentConfig, build_model_config
-from .engine import SGD, NonFiniteError, PlateauScheduler, loss_and_grads
+from .engine import NonFiniteError, loss_and_grads, train_epochs
 from .losses import DISTILL_KINDS, LossCoefficients, l_base, l_bd, l_exp
 from .model import (
     ModelConfig,
@@ -199,6 +199,10 @@ def frame(tag: bytes, payload: bytes) -> bytes:
 
 
 def unframe(blob: bytes) -> tuple[bytes, bytes]:
+    if len(blob) < FRAME_OVERHEAD:
+        raise ProtocolViolation(
+            f"frame truncated: {len(blob)} bytes, header needs {FRAME_OVERHEAD}"
+        )
     tag = blob[:4]
     (length,) = struct.unpack_from("<Q", blob, 4)
     payload = blob[12 : 12 + length]
@@ -278,22 +282,20 @@ def decode_sync(payload: bytes) -> tuple[int, int, ExpertHyper, bytes]:
 
     Returns (expert index, seed, hyper-parameters, base snapshot bytes).
     """
-    (
-        expert_index,
-        seed,
-        epochs,
-        buffer_capacity,
-        lr,
-        stability,
-        batch,
-        sampling_idx,
-        distill_idx,
-    ) = struct.unpack_from("<IQIQddIBB", payload, 0)
-    off = struct.calcsize("<IQIQddIBB") + 8
-    (blob_len,) = struct.unpack_from("<Q", payload, off - 8)
-    blob = payload[off : off + blob_len]
+    if len(payload) < SYNC_FIXED_NBYTES:
+        raise ProtocolViolation(
+            f"sync payload truncated: {len(payload)} bytes, header needs {SYNC_FIXED_NBYTES}"
+        )
+    (expert_index, seed, epochs, buffer_capacity, lr, stability, batch, sampling_idx,
+     distill_idx, blob_len) = struct.unpack_from("<IQIQddIBBQ", payload, 0)
+    blob = payload[SYNC_FIXED_NBYTES : SYNC_FIXED_NBYTES + blob_len]
     if len(blob) != blob_len:
         raise ProtocolViolation("sync payload truncated before base snapshot end")
+    if sampling_idx >= len(SAMPLING_STRATEGIES) or distill_idx >= len(DISTILL_KINDS):
+        raise ProtocolViolation(
+            f"sync payload names sampling {sampling_idx} and distill kind {distill_idx}; "
+            f"known are {len(SAMPLING_STRATEGIES)} and {len(DISTILL_KINDS)}"
+        )
     hyper = ExpertHyper(
         epochs=epochs,
         lr=lr,
@@ -471,31 +473,26 @@ def remote_train(ctx: ExpertContext) -> ExpertArtifact:
     base = model_from_vector(ctx.model_config, ParamVector.from_bytes(ctx.base_blob))
     expert = base.copy()
     h = ctx.hyper
-    opt = SGD(lr=h.lr)
-    sched = PlateauScheduler(opt)
     train_rng = np.random.default_rng(child_seed(ctx.seed, "train"))
     x, y = ctx.task.train_x, ctx.task.train_y
+
+    def step(idx):
+        student, leaves = expert.forward_with_taps(x[idx], train=True, rng=train_rng)
+        teacher = (
+            base.forward_as_teacher(x[idx], student.masks) if h.stability_coef > 0 else None
+        )
+        return loss_and_grads(
+            l_exp(student, teacher, y[idx], h.stability_coef, h.distill_kind), leaves
+        )
+
     t0 = time.perf_counter()
-    last_epoch_loss = float("nan")
-    for _ in range(h.epochs):
-        losses = []
-        for idx in epoch_batches(len(y), h.batch_size, train_rng):
-            student, leaves = expert.forward_with_taps(x[idx], train=True, rng=train_rng)
-            teacher = (
-                base.forward_as_teacher(x[idx], student.masks)
-                if h.stability_coef > 0
-                else None
-            )
-            loss = l_exp(student, teacher, y[idx], h.stability_coef, h.distill_kind)
-            try:
-                value, grads = loss_and_grads(loss, leaves)
-                opt.step(expert.params, grads)
-            except NonFiniteError as e:
-                raise ExpertFailure(f"expert {ctx.expert_index}: {e}") from e
-            losses.append(value)
-        if losses:
-            last_epoch_loss = float(np.mean(losses))
-            sched.step(last_epoch_loss)
+    try:
+        epoch_losses = train_epochs(
+            expert.params, h.lr, h.epochs,
+            lambda: epoch_batches(len(y), h.batch_size, train_rng), step,
+        )
+    except NonFiniteError as e:
+        raise ExpertFailure(f"expert {ctx.expert_index}: {e}") from e
     buffer = sample_buffer(
         x, y, ctx.task.task_id,
         capacity=h.buffer_capacity,
@@ -511,7 +508,7 @@ def remote_train(ctx: ExpertContext) -> ExpertArtifact:
         buffer=buffer,
         stats=ExpertStats(
             epochs=h.epochs,
-            final_loss=last_epoch_loss,
+            final_loss=epoch_losses[-1] if epoch_losses else float("nan"),
             wall_clock_s=time.perf_counter() - t0,
         ),
     )
@@ -574,36 +571,30 @@ def consolidate(
     student = base.copy()
     teachers = stack_vectors(base.config, [a.param_vector for a in ordered])
     teacher_origins = [a.expert_index for a in ordered]
-    opt = SGD(lr=lr)
-    sched = PlateauScheduler(opt)
     batches_per_epoch = max(1, len(pool) // batch_size)
     use_distill = coefficients.consolidation > 0
-    for _ in range(rehearsal_epochs):
-        losses = []
-        for _ in range(batches_per_epoch):
-            batch = draw_batch(pool, batch_size, rng)
-            student_taps, leaves = student.forward_with_taps(
-                batch.features, train=True, rng=rng
-            )
-            teacher_taps = (
-                teachers.forward_as_teacher(batch.features, student_taps.masks)
-                if use_distill
-                else None
-            )
-            loss = l_base(
-                student_taps,
-                teacher_taps,
-                batch.labels,
-                task_coef=coefficients.task,
-                consolidation_coef=coefficients.consolidation,
-                kind=distill_kind,
-                teacher_origins=teacher_origins,
-                batch_origins=batch.origins,
-            )
-            value, grads = loss_and_grads(loss, leaves)
-            opt.step(student.params, grads)
-            losses.append(value)
-        sched.step(float(np.mean(losses)))
+
+    def step(_):
+        batch = draw_batch(pool, batch_size, rng)
+        student_taps, leaves = student.forward_with_taps(batch.features, train=True, rng=rng)
+        teacher_taps = (
+            teachers.forward_as_teacher(batch.features, student_taps.masks)
+            if use_distill
+            else None
+        )
+        loss = l_base(
+            student_taps,
+            teacher_taps,
+            batch.labels,
+            task_coef=coefficients.task,
+            consolidation_coef=coefficients.consolidation,
+            kind=distill_kind,
+            teacher_origins=teacher_origins,
+            batch_origins=batch.origins,
+        )
+        return loss_and_grads(loss, leaves)
+
+    train_epochs(student.params, lr, rehearsal_epochs, lambda: range(batches_per_epoch), step)
     return student
 
 

@@ -234,6 +234,8 @@ def load_feature_stream(path: str) -> TaskStream:
         raise StreamFormatError("truncated header at byte 4") from None
     if version != STREAM_VERSION:
         raise StreamFormatError(f"unsupported version {version}")
+    if n_tasks == 0:
+        raise StreamFormatError("task count 0 at byte 6: a stream needs at least one task")
     off = 10
     raw = []
     dim0: int | None = None
@@ -241,6 +243,8 @@ def load_feature_stream(path: str) -> TaskStream:
         if off + 28 > len(blob):
             raise StreamFormatError(f"truncated task header at byte {off}")
         task_id, n_classes, dim, n_train, n_val = struct.unpack_from("<IIIQQ", blob, off)
+        if n_train + n_val == 0:
+            raise StreamFormatError(f"task {task_id}: no rows (header at byte {off})")
         off += 28
         if dim0 is None:
             dim0 = dim

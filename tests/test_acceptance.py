@@ -38,7 +38,6 @@ from batchcl.engine import (
     softmax_cross_entropy,
     square,
     stacked_distance,
-    sub,
     sum_all,
 )
 from batchcl.losses import (
@@ -130,7 +129,9 @@ def _spearman(xs, ys) -> float:
 # 1. gradient oracle suite
 # ---------------------------------------------------------------------------
 
-_BIN_OPS = {"add": add, "sub": sub, "mul": mul}
+# "sub" is x + (-1)·y: exact in IEEE arithmetic, so the same values as a
+# dedicated subtraction op
+_BIN_OPS = {"add": add, "sub": lambda x, y: add(x, scale(y, -1.0)), "mul": mul}
 _UN_OPS = {"square": square, "relu": relu}
 
 

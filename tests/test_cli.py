@@ -274,16 +274,16 @@ class TestSweep:
 
     def test_trial_seeds_pure_function_of_master_and_index(self):
         spec = self.spec(3, {"training.lr": {"low": 0.05, "high": 0.2}})
-        cfg1, sampled1 = sample_trial(spec, 2)
-        cfg2, sampled2 = sample_trial(spec, 2)
-        assert cfg1 == cfg2 and sampled1 == sampled2
-        assert cfg1.seed == child_seed(5, "trial", 2)
+        raw1, sampled1 = sample_trial(spec, 2)
+        raw2, sampled2 = sample_trial(spec, 2)
+        assert raw1 == raw2 and sampled1 == sampled2
+        assert parse_config(raw1).seed == child_seed(5, "trial", 2)
 
     def test_degenerate_single_choice_equals_direct_run(self, tmp_path):
         spec = self.spec(1, {"training.epochs_per_task": {"choices": [2]}})
         rows = run_sweep(spec, tmp_path / "sweep")
-        cfg, _ = sample_trial(spec, 0)
-        _, direct = run_experiment(cfg, tmp_path / "direct")
+        raw, _ = sample_trial(spec, 0)
+        _, direct = run_experiment(parse_config(raw), tmp_path / "direct")
         assert rows[0]["status"] == "ok"
         assert rows[0]["final_mean_acc"] == direct["final_mean_acc"]
 

@@ -72,7 +72,7 @@ class TestBuild:
             + 128 * c
             + c
         )
-        assert m.param_count == expected
+        assert sum(a.size for a in m.params.values()) == expected
 
     def test_param_count_closed_form_toy(self):
         m = build_model(TOY, seed=1)
@@ -83,17 +83,17 @@ class TestBuild:
             + 5 * 3
             + 3
         )
-        assert m.param_count == expected
+        assert sum(a.size for a in m.params.values()) == expected
 
     def test_same_seed_byte_identical(self):
         a = build_model(TOY, seed=7).to_param_vector()
         b = build_model(TOY, seed=7).to_param_vector()
-        assert a.same_bytes(b)
+        assert a.to_bytes() == b.to_bytes()
 
     def test_different_seed_differs(self):
         a = build_model(TOY, seed=7).to_param_vector()
         b = build_model(TOY, seed=8).to_param_vector()
-        assert not a.same_bytes(b)
+        assert a.to_bytes() != b.to_bytes()
 
     def test_xavier_bounds(self):
         m = build_model(ModelConfig(input_dim=10, total_classes=4), seed=3)
@@ -212,6 +212,18 @@ class TestParamVector:
         with pytest.raises(ValueError, match="truncated"):
             ParamVector.from_bytes(blob[:-8])
 
+    def test_truncated_header_names_byte_offset(self):
+        with pytest.raises(ValueError, match="truncated header at byte 4"):
+            ParamVector.from_bytes(b"CLPV")
+        blob = build_model(TOY, seed=2).to_param_vector().to_bytes()
+        with pytest.raises(ValueError, match=r"truncated entry name at byte 12"):
+            ParamVector.from_bytes(blob[:14])
+
+    def test_trailing_bytes_rejected(self):
+        blob = build_model(TOY, seed=2).to_param_vector().to_bytes()
+        with pytest.raises(ValueError, match=f"3 trailing bytes at byte {len(blob)}"):
+            ParamVector.from_bytes(blob + b"\x00" * 3)
+
     def test_bad_magic_rejected(self):
         blob = build_model(TOY, seed=2).to_param_vector().to_bytes()
         with pytest.raises(ValueError, match="magic"):
@@ -236,9 +248,8 @@ class TestParamVector:
         with pytest.raises(ValueError, match="layout mismatch for 'head.W'"):
             model_from_vector(TOY, wider.to_param_vector())
         m = build_model(TOY, seed=3)
-        assert model_from_vector(TOY, m.to_param_vector()).to_param_vector().same_bytes(
-            m.to_param_vector()
-        )
+        pv = m.to_param_vector()
+        assert model_from_vector(TOY, pv).to_param_vector().to_bytes() == pv.to_bytes()
 
     def test_model_from_vector_draws_no_initialization(self, monkeypatch):
         import batchcl.model as model_mod
@@ -250,7 +261,7 @@ class TestParamVector:
 
         monkeypatch.setattr(model_mod, "xavier_uniform", no_draws)
         m = model_from_vector(TOY, pv)
-        assert m.to_param_vector().same_bytes(pv)
+        assert m.to_param_vector().to_bytes() == pv.to_bytes()
         m.params["head.b"][:] = 123.0  # the model owns copies, not the snapshot's arrays
         assert pv.arrays[pv.names.index("head.b")].max() != 123.0
 

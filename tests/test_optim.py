@@ -1,11 +1,13 @@
-"""SGD update rule and the plateau scheduler against scripted traces."""
+"""SGD update rule, the plateau scheduler against scripted traces, and the
+epoch loop that runs them."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from batchcl.engine import NonFiniteError, SGD, PlateauScheduler
+from batchcl.engine import NonFiniteError, SGD, PlateauScheduler, train_epochs
+from batchcl.engine.optim import PLATEAU_MIN_DELTA
 
 
 class TestSGD:
@@ -43,39 +45,104 @@ class TestSGD:
 
 
 class TestPlateauScheduler:
+    # the fixed schedule: halve after more than 5 bad epochs, improvement
+    # means a drop beyond 1e-4, floor 1e-5
     def test_scripted_trace(self):
-        # factor .5, patience 2: reduce after the 3rd consecutive bad epoch
+        # reduce on the 6th consecutive bad epoch
         opt = SGD(lr=0.1)
-        sched = PlateauScheduler(opt, factor=0.5, patience=2, min_delta=1e-4)
+        sched = PlateauScheduler(opt)
         trace = [
-            (1.0, 0.1),   # first value becomes best
-            (0.9, 0.1),   # improvement
-            (0.9, 0.1),   # bad 1 (within min_delta)
-            (0.95, 0.1),  # bad 2
-            (0.91, 0.05),  # bad 3 -> reduce
+            (1.0, 0.1),    # first value becomes best
+            (0.9, 0.1),    # improvement
+            (0.9, 0.1),    # bad 1 (within min_delta)
+            (0.95, 0.1),   # bad 2
+            (0.91, 0.1),   # bad 3
+            (0.89995, 0.1),  # bad 4 (a drop smaller than min_delta)
+            (0.92, 0.1),   # bad 5
+            (0.91, 0.05),  # bad 6 -> reduce
             (0.905, 0.05),  # bad 1 again (counter was reset)
-            (0.5, 0.05),  # improvement resets
+            (0.5, 0.05),   # improvement resets
             (0.6, 0.05),
             (0.6, 0.05),
-            (0.6, 0.025),  # third bad epoch after reset -> reduce
+            (0.6, 0.05),
+            (0.6, 0.05),
+            (0.6, 0.05),
+            (0.6, 0.025),  # sixth bad epoch after reset -> reduce
         ]
         for metric, expected_lr in trace:
             assert sched.step(metric) == pytest.approx(expected_lr)
 
     def test_min_delta_boundary(self):
-        opt = SGD(lr=1.0)
-        sched = PlateauScheduler(opt, factor=0.5, patience=0, min_delta=0.1)
-        sched.step(1.0)
-        # drop of exactly min_delta is NOT an improvement
-        assert sched.step(0.9) == pytest.approx(0.5)
+        def lr_after(last):
+            sched = PlateauScheduler(SGD(lr=1.0))
+            for metric in [1.0] * 6:  # best, then five bad epochs
+                sched.step(metric)
+            return sched.step(last)
+
+        # a drop of exactly min_delta is NOT an improvement: 6th bad epoch
+        assert lr_after(1.0 - PLATEAU_MIN_DELTA) == pytest.approx(0.5)
         # but a drop strictly greater is
-        sched2 = PlateauScheduler(SGD(lr=1.0), factor=0.5, patience=0, min_delta=0.1)
-        sched2.step(1.0)
-        assert sched2.step(0.89) == pytest.approx(1.0)
+        assert lr_after(1.0 - 1.5 * PLATEAU_MIN_DELTA) == pytest.approx(1.0)
 
     def test_min_lr_floor(self):
         opt = SGD(lr=1e-5)
-        sched = PlateauScheduler(opt, factor=0.5, patience=0, min_lr=1e-5)
-        sched.step(1.0)
-        sched.step(2.0)
+        sched = PlateauScheduler(opt)
+        for metric in [1.0] + [2.0] * 6:
+            sched.step(metric)
+        assert sched.bad_epochs == 0  # the reduction happened
         assert opt.lr == pytest.approx(1e-5)
+
+
+def _unit_grad_run(epoch_losses, lr=0.1):
+    """train_epochs on w = 0 with gradient 1 per batch.
+
+    ``epoch_losses`` lists each epoch's batch losses. Each SGD step moves w
+    by exactly the current LR, so the returned LRs (one per batch, read
+    from successive values of w) trace the schedule.
+    """
+    params = {"w": np.zeros(1)}
+    seen = []
+    epochs = iter(epoch_losses)
+
+    def step(value):
+        seen.append(float(params["w"][0]))
+        return value, {"w": np.ones(1)}
+
+    means = train_epochs(params, lr, len(epoch_losses), lambda: next(epochs), step)
+    seen.append(float(params["w"][0]))
+    return means, [a - b for a, b in zip(seen, seen[1:])]
+
+
+class TestTrainEpochs:
+    def test_per_epoch_means_in_order(self):
+        means, lrs = _unit_grad_run([[1.0, 3.0], [0.5], [4.0, 0.0, 2.0]])
+        assert means == [2.0, 0.5, 2.0]
+        assert lrs == pytest.approx([0.1] * 6)
+
+    def test_epoch_without_batches_records_nothing(self):
+        # were the empty epoch counted as bad, the last batch would run at lr/2
+        flat = [[1.0]] * 6
+        means, lrs = _unit_grad_run(flat[:3] + [[]] + flat[3:] + [[1.0]])
+        assert means == [1.0] * 7
+        assert lrs == pytest.approx([0.1] * 7)
+
+    def test_lr_halves_on_sixth_epoch_without_improvement(self):
+        # epoch 1 sets the best; epochs 2-7 are bad 1-6, so epoch 8 runs at lr/2
+        means, lrs = _unit_grad_run([[1.0]] * 8)
+        assert means == [1.0] * 8
+        assert lrs == pytest.approx([0.1] * 7 + [0.05])
+
+    def test_non_finite_gradient_raises(self):
+        params = {"w": np.zeros(2)}
+        with pytest.raises(NonFiniteError, match="'w'"):
+            train_epochs(
+                params, 0.1, 1, lambda: [0],
+                lambda _: (1.0, {"w": np.array([1.0, np.inf])}),
+            )
+
+    def test_fresh_schedule_per_call(self):
+        params = {"w": np.zeros(1)}
+        for _ in range(2):
+            train_epochs(params, 0.1, 8, lambda: [0], lambda _: (1.0, {"w": np.ones(1)}))
+        # each call runs 7 epochs at 0.1 and one at 0.05
+        assert params["w"][0] == pytest.approx(-2 * (7 * 0.1 + 0.05))

@@ -8,6 +8,7 @@ and isolation rather than accuracy.
 from __future__ import annotations
 
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
@@ -151,6 +152,10 @@ class TestFraming:
         with pytest.raises(ProtocolViolation, match="truncated"):
             unframe(msg[:-2])
 
+    def test_short_header_rejected(self):
+        with pytest.raises(ProtocolViolation, match="header needs 12"):
+            unframe(frame(TAG_SYNC, b"hello")[:7])
+
     def test_bad_tag_length(self):
         with pytest.raises(ValueError):
             frame(b"TOOLONG", b"")
@@ -208,6 +213,19 @@ class TestSyncCodec:
         with pytest.raises(ProtocolViolation, match="truncated"):
             decode_sync(encode_sync(ctx)[:-1])
 
+    def test_short_fixed_part_rejected(self, stream):
+        ctx = make_context(stream.tasks[0])
+        with pytest.raises(ProtocolViolation, match="truncated"):
+            decode_sync(encode_sync(ctx)[: SYNC_FIXED_NBYTES - 9])
+
+    def test_unknown_sampling_index_rejected(self, stream):
+        payload = bytearray(encode_sync(make_context(stream.tasks[0])))
+        sampling_at = struct.calcsize("<IQIQddI")
+        assert payload[sampling_at] == 0  # "random"
+        payload[sampling_at] = 9
+        with pytest.raises(ProtocolViolation, match="sampling 9"):
+            decode_sync(bytes(payload))
+
 
 class TestArtifactCodec:
     def make_artifact(self):
@@ -222,7 +240,7 @@ class TestArtifactCodec:
         a = self.make_artifact()
         back = decode_artifact(encode_artifact(a))
         assert back.expert_index == 1
-        assert back.param_vector.same_bytes(a.param_vector)
+        assert back.param_vector.to_bytes() == a.param_vector.to_bytes()
         assert back.buffer.exemplars.features.tobytes() == a.buffer.exemplars.features.tobytes()
         assert back.stats == a.stats
 
@@ -336,7 +354,7 @@ class TestRemoteTrain:
     def test_deterministic_given_context(self, stream):
         ctx = make_context(stream.tasks[1], seed=21)
         a1, a2 = remote_train(ctx), remote_train(ctx)
-        assert a1.param_vector.same_bytes(a2.param_vector)
+        assert a1.param_vector.to_bytes() == a2.param_vector.to_bytes()
         assert a1.buffer.exemplars.features.tobytes() == a2.buffer.exemplars.features.tobytes()
 
     def test_buffer_tagged_with_owner_and_task(self, stream):

@@ -182,6 +182,21 @@ class TestStreamFile:
         assert s.tasks[1].train_y.min() >= 2
         assert any("re-based" in r.message for r in caplog.records)
 
+    def test_zero_tasks_rejected(self, tmp_path):
+        path = str(tmp_path / "empty.clfs")
+        with open(path, "wb") as f:
+            f.write(b"CLFS" + struct.pack("<HI", 1, 0))
+        with pytest.raises(StreamFormatError, match="task count 0 at byte 6"):
+            load_feature_stream(path)
+
+    def test_task_without_rows_rejected(self, tmp_path):
+        path = str(tmp_path / "rowless.clfs")
+        with open(path, "wb") as f:
+            f.write(b"CLFS" + struct.pack("<HI", 1, 1))
+            f.write(struct.pack("<IIIQQ", 7, 2, 3, 0, 0))
+        with pytest.raises(StreamFormatError, match="task 7: no rows"):
+            load_feature_stream(path)
+
     def test_dim_inconsistency_rejected(self, tmp_path):
         path = str(tmp_path / "dims.clfs")
         with open(path, "wb") as f:
