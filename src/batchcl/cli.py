@@ -4,7 +4,7 @@ Output is line-delimited JSON (one self-describing object per line) so a
 crashed run still leaves every completed record parseable; sweeps emit a
 CSV next to the JSONL for plotting. The summary record contains only
 deterministic fields — wall-clock timings live in a separate record — so
-re-running the same config and seed in serial mode reproduces the summary
+re-running the same config and seed with one worker reproduces the summary
 byte for byte.
 """
 
@@ -270,8 +270,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("config", help="path to a JSON experiment config")
     run.add_argument("--seed", type=int, default=None, help="override the config seed")
     run.add_argument("--out-dir", default=None, help="override the output directory")
-    run.add_argument("--serial", action="store_true",
-                     help="force deterministic single-worker execution")
     run.add_argument("--workers", type=int, default=None)
     run.add_argument("--time-reference", action="store_true",
                      help="also run sequential fine-tuning to report relative time")
@@ -279,7 +277,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="uniform random-search over a config")
     sweep.add_argument("spec", help="path to a JSON sweep spec")
     sweep.add_argument("--out-dir", default=None)
-    sweep.add_argument("--serial", action="store_true")
     sweep.add_argument("--workers", type=int, default=None)
 
     pareto = sub.add_parser("pareto", help="export the cost/accuracy frontier")
@@ -307,10 +304,9 @@ def _cmd_run(args) -> int:
         return 2
     if args.seed is not None:
         cfg = parse_config({**config_to_dict(cfg), "seed": args.seed})
-    workers = 1 if args.serial else args.workers
     out_dir = args.out_dir or cfg.out_dir
     try:
-        code, summary = run_experiment(cfg, out_dir, workers=workers,
+        code, summary = run_experiment(cfg, out_dir, workers=args.workers,
                                        time_reference=args.time_reference)
     except Exception as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
@@ -325,9 +321,8 @@ def _cmd_sweep(args) -> int:
     except (ConfigError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    workers = 1 if args.serial else args.workers
     out_dir = args.out_dir or spec.base.out_dir
-    rows = run_sweep(spec, out_dir, workers=workers)
+    rows = run_sweep(spec, out_dir, workers=args.workers)
     ok = sum(1 for r in rows if r.get("status") == "ok")
     print(f"{ok}/{len(rows)} trials ok; results under {out_dir}")
     return 0

@@ -3,10 +3,11 @@
 One incremental step processes a batch of k disjoint tasks:
 
   1. sync       — the coordinator serializes the base model once and sends
-                  one context message per expert;
-  2. regularize — experts train in parallel, each seeing ONLY its own task
-                  data, the base snapshot, hyper-parameters, and a seed;
-  3. upload     — every expert sends exactly one artifact message (its
+                  each expert one SYNC frame: its index, seed,
+                  hyper-parameters and the base snapshot;
+  2. regularize — experts train in parallel, each decoding its SYNC frame
+                  and training on ONLY its own task;
+  3. upload     — every expert returns exactly one ARTF frame (its
                   parameter snapshot, buffer, and training stats);
   4. consolidate— the coordinator rebuilds the expert teachers locally,
                   trains the base on the pooled memory+buffer data, then
@@ -30,6 +31,12 @@ Wire format (everything little-endian): a message is a 4-byte tag, a u64
 payload length, then the payload. Payload layouts are documented on the
 encode functions; sizes are exact and the counting transport records them,
 which is what makes the cost ledger auditable by arithmetic.
+
+The expert boundary carries only those frames: an executor hands each
+expert exactly the SYNC frame the transport counted and returns exactly
+the ARTF frame the transport counts. Task data lives worker-side: a pool
+worker receives its step's tasks and the model shape once, when it starts,
+and picks its own task by the index in the SYNC frame.
 """
 
 from __future__ import annotations
@@ -152,24 +159,6 @@ class StepPlan:
 
 
 @dataclass(frozen=True)
-class ExpertContext:
-    """The COMPLETE execution context of one expert.
-
-    By construction this is all a worker can touch: its own task, the
-    serialized base model, hyper-parameters, and a seed. There is no field
-    through which the central memory, other tasks, or other experts could
-    be reached; the communication-constraint tests assert exactly that.
-    """
-
-    expert_index: int
-    task: Task
-    base_blob: bytes
-    model_config: ModelConfig
-    hyper: ExpertHyper
-    seed: int
-
-
-@dataclass(frozen=True)
 class ExpertStats:
     epochs: int
     final_loss: float
@@ -198,17 +187,45 @@ def frame(tag: bytes, payload: bytes) -> bytes:
     return tag + struct.pack("<Q", len(payload)) + payload
 
 
+def _take(blob: bytes, off: int, n: int, what: str) -> tuple[bytes, int]:
+    """The ``n`` bytes at ``off`` plus the offset after them; a short blob
+    raises ProtocolViolation naming ``what`` and the byte offset."""
+    if off + n > len(blob):
+        raise ProtocolViolation(
+            f"{what} truncated at byte {off}: needs {n} bytes, {len(blob) - off} present"
+        )
+    return blob[off : off + n], off + n
+
+
+def _unpack(fmt: str, blob: bytes, off: int, what: str) -> tuple[tuple, int]:
+    """``struct.unpack`` of :func:`_take`'s bytes, plus the offset after them."""
+    raw, end = _take(blob, off, struct.calcsize(fmt), what)
+    return struct.unpack(fmt, raw), end
+
+
+def _check_end(blob: bytes, off: int, what: str) -> None:
+    if off != len(blob):
+        raise ProtocolViolation(f"{what}: {len(blob) - off} trailing bytes at byte {off}")
+
+
 def unframe(blob: bytes) -> tuple[bytes, bytes]:
+    """(tag, payload) of exactly one frame."""
     if len(blob) < FRAME_OVERHEAD:
         raise ProtocolViolation(
             f"frame truncated: {len(blob)} bytes, header needs {FRAME_OVERHEAD}"
         )
-    tag = blob[:4]
     (length,) = struct.unpack_from("<Q", blob, 4)
-    payload = blob[12 : 12 + length]
-    if len(payload) != length:
-        raise ProtocolViolation(f"frame truncated: expected {length} payload bytes")
-    return tag, payload
+    payload, end = _take(blob, FRAME_OVERHEAD, length, "frame payload")
+    _check_end(blob, end, "frame")
+    return blob[:4], payload
+
+
+def _unframe_as(tag: bytes, msg: bytes) -> bytes:
+    """The payload of ``msg``, which must be a ``tag`` frame."""
+    got, payload = unframe(msg)
+    if got != tag:
+        raise ProtocolViolation(f"expected a {tag!r} frame, got {got!r} at byte 0")
+    return payload
 
 
 def encode_exemplars(es: ExemplarSet) -> bytes:
@@ -226,9 +243,15 @@ def encode_exemplars(es: ExemplarSet) -> bytes:
 
 
 def decode_exemplars(blob: bytes) -> ExemplarSet:
-    count, dim = struct.unpack_from("<QI", blob, 0)
+    (count, dim), off = _unpack("<QI", blob, 0, "exemplar header")
+    end = exemplar_block_nbytes(count, dim)
+    if len(blob) != end:
+        raise ProtocolViolation(
+            f"exemplar header at byte 0 declares {count} rows of dim {dim}, "
+            f"{end} bytes, but the block ends at byte {len(blob)}"
+        )
     dt = np.dtype([("x", "<f4", (dim,)), ("y", "<u4"), ("t", "<u4"), ("o", "<i4")])
-    rows = np.frombuffer(blob, dtype=dt, count=count, offset=12)
+    rows = np.frombuffer(blob, dtype=dt, count=count, offset=off)
     return ExemplarSet(
         features=rows["x"].copy(),
         labels=rows["y"].astype(np.int64),
@@ -248,21 +271,20 @@ def encode_buffer(buf: Buffer) -> bytes:
 
 
 def decode_buffer(blob: bytes) -> Buffer:
-    owner, capacity = struct.unpack_from("<IQ", blob, 0)
-    return Buffer(exemplars=decode_exemplars(blob[12:]), capacity=capacity, owner=owner)
+    (owner, capacity), off = _unpack("<IQ", blob, 0, "buffer header")
+    return Buffer(exemplars=decode_exemplars(blob[off:]), capacity=capacity, owner=owner)
 
 
-def encode_sync(ctx: ExpertContext) -> bytes:
+def encode_sync(expert_index: int, seed: int, h: ExpertHyper, base_blob: bytes) -> bytes:
     """The coordinator-to-expert message (task data itself lives worker-side).
 
     expert u32 | seed u64 | epochs u32 | buffer capacity u64 | lr f64 |
     stability f64 | batch u32 | sampling u8 | distill u8 | base blob u64+bytes
     """
-    h = ctx.hyper
     fixed = struct.pack(
         "<IQIQddIBB",
-        ctx.expert_index,
-        ctx.seed,
+        expert_index,
+        seed,
         h.epochs,
         h.buffer_capacity,
         h.lr,
@@ -271,26 +293,21 @@ def encode_sync(ctx: ExpertContext) -> bytes:
         SAMPLING_STRATEGIES.index(h.sampling),
         DISTILL_KINDS.index(h.distill_kind),
     )
-    return fixed + struct.pack("<Q", len(ctx.base_blob)) + ctx.base_blob
+    return fixed + struct.pack("<Q", len(base_blob)) + base_blob
 
 
 SYNC_FIXED_NBYTES = 4 + 8 + 4 + 8 + 8 + 8 + 4 + 1 + 1 + 8  # 54
 
 
 def decode_sync(payload: bytes) -> tuple[int, int, ExpertHyper, bytes]:
-    """Inverse of :func:`encode_sync` minus the worker-side-only task data.
+    """Inverse of :func:`encode_sync`.
 
     Returns (expert index, seed, hyper-parameters, base snapshot bytes).
     """
-    if len(payload) < SYNC_FIXED_NBYTES:
-        raise ProtocolViolation(
-            f"sync payload truncated: {len(payload)} bytes, header needs {SYNC_FIXED_NBYTES}"
-        )
     (expert_index, seed, epochs, buffer_capacity, lr, stability, batch, sampling_idx,
-     distill_idx, blob_len) = struct.unpack_from("<IQIQddIBBQ", payload, 0)
-    blob = payload[SYNC_FIXED_NBYTES : SYNC_FIXED_NBYTES + blob_len]
-    if len(blob) != blob_len:
-        raise ProtocolViolation("sync payload truncated before base snapshot end")
+     distill_idx, blob_len), off = _unpack("<IQIQddIBBQ", payload, 0, "sync header")
+    blob, end = _take(payload, off, blob_len, "sync base snapshot")
+    _check_end(payload, end, "sync payload")
     if sampling_idx >= len(SAMPLING_STRATEGIES) or distill_idx >= len(DISTILL_KINDS):
         raise ProtocolViolation(
             f"sync payload names sampling {sampling_idx} and distill kind {distill_idx}; "
@@ -326,19 +343,22 @@ ARTIFACT_FIXED_NBYTES = 4 + 4 + 8 + 8 + 8 + 8  # 40
 
 
 def decode_artifact(payload: bytes) -> ExpertArtifact:
-    expert_index, epochs, final_loss, wall = struct.unpack_from("<IIdd", payload, 0)
-    off = 24
-    (pv_len,) = struct.unpack_from("<Q", payload, off)
-    off += 8
-    pv = ParamVector.from_bytes(payload[off : off + pv_len])
-    off += pv_len
-    (buf_len,) = struct.unpack_from("<Q", payload, off)
-    off += 8
-    buf = decode_buffer(payload[off : off + buf_len])
+    (expert_index, epochs, final_loss, wall, pv_len), off = _unpack(
+        "<IIddQ", payload, 0, "artifact header"
+    )
+    pv_at = off
+    pv_blob, off = _take(payload, off, pv_len, "artifact snapshot")
+    (buf_len,), off = _unpack("<Q", payload, off, "artifact buffer length")
+    buf_blob, off = _take(payload, off, buf_len, "artifact buffer")
+    _check_end(payload, off, "artifact payload")
+    try:
+        pv = ParamVector.from_bytes(pv_blob)
+    except ValueError as e:
+        raise ProtocolViolation(f"artifact snapshot at byte {pv_at}: {e}") from e
     return ExpertArtifact(
         expert_index=expert_index,
         param_vector=pv,
-        buffer=buf,
+        buffer=decode_buffer(buf_blob),
         stats=ExpertStats(epochs=epochs, final_loss=final_loss, wall_clock_s=wall),
     )
 
@@ -351,6 +371,7 @@ def decode_artifact(payload: bytes) -> ExpertArtifact:
 class CountingTransport:
     """In-process channel that records the exact bytes of every message.
 
+    Its messages are the very frames that cross the expert boundary.
     Doubles as the enforcement point for the one-artifact-per-expert rule.
     """
 
@@ -364,21 +385,22 @@ class CountingTransport:
         self._artifact_senders.clear()
         self.artifact_count = 0
 
-    def send_sync(self, ctx: ExpertContext) -> bytes:
-        msg = frame(TAG_SYNC, encode_sync(ctx))
+    def send_sync(self, payload: bytes) -> bytes:
+        """Frame and count one SYNC payload; returns the message for the expert."""
+        msg = frame(TAG_SYNC, payload)
         self.broadcast_bytes += len(msg)
         return msg
 
-    def send_artifact(self, artifact: ExpertArtifact) -> bytes:
-        if artifact.expert_index in self._artifact_senders:
-            raise ProtocolViolation(
-                f"expert {artifact.expert_index} already sent its artifact this step"
-            )
-        self._artifact_senders.add(artifact.expert_index)
-        msg = frame(TAG_ARTIFACT, encode_artifact(artifact))
+    def send_artifact(self, msg: bytes) -> bytes:
+        """Count one ARTF frame from an expert; returns its payload."""
+        payload = _unframe_as(TAG_ARTIFACT, msg)
+        (sender,), _ = _unpack("<I", payload, 0, "artifact header")
+        if sender in self._artifact_senders:
+            raise ProtocolViolation(f"expert {sender} already sent its artifact this step")
+        self._artifact_senders.add(sender)
         self.upload_bytes += len(msg)
         self.artifact_count += 1
-        return msg
+        return payload
 
 
 # ---------------------------------------------------------------------------
@@ -462,19 +484,26 @@ def epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
             yield idx
 
 
-def remote_train(ctx: ExpertContext) -> ExpertArtifact:
+def remote_train(sync: bytes, tasks: tuple[Task, ...], model_config: ModelConfig) -> bytes:
     """The entire worker-side computation for one expert.
 
-    Reconstructs the base from the received snapshot, initializes the
-    expert from it, trains with the stability objective, samples its
-    buffer, and returns the single artifact. Raises ExpertFailure if the
+    Decodes the SYNC frame, reconstructs the base from its snapshot,
+    initializes the expert from it, trains on ``tasks[expert index]`` (and
+    reads no other entry) with the stability objective, samples its
+    buffer, and returns the single ARTF frame. Raises ExpertFailure if the
     loss turns non-finite.
     """
-    base = model_from_vector(ctx.model_config, ParamVector.from_bytes(ctx.base_blob))
+    expert_index, seed, h, base_blob = decode_sync(_unframe_as(TAG_SYNC, sync))
+    if expert_index >= len(tasks):
+        raise ProtocolViolation(
+            f"sync payload names expert {expert_index} at byte 0, "
+            f"but the step has {len(tasks)} tasks"
+        )
+    task = tasks[expert_index]
+    base = model_from_vector(model_config, ParamVector.from_bytes(base_blob))
     expert = base.copy()
-    h = ctx.hyper
-    train_rng = np.random.default_rng(child_seed(ctx.seed, "train"))
-    x, y = ctx.task.train_x, ctx.task.train_y
+    train_rng = np.random.default_rng(child_seed(seed, "train"))
+    x, y = task.train_x, task.train_y
 
     def step(idx):
         student, leaves = expert.forward_with_taps(x[idx], train=True, rng=train_rng)
@@ -492,18 +521,18 @@ def remote_train(ctx: ExpertContext) -> ExpertArtifact:
             lambda: epoch_batches(len(y), h.batch_size, train_rng), step,
         )
     except NonFiniteError as e:
-        raise ExpertFailure(f"expert {ctx.expert_index}: {e}") from e
+        raise ExpertFailure(f"expert {expert_index}: {e}") from e
     buffer = sample_buffer(
-        x, y, ctx.task.task_id,
+        x, y, task.task_id,
         capacity=h.buffer_capacity,
         strategy=h.sampling,
-        seed=child_seed(ctx.seed, "buffer"),
-        owner=ctx.expert_index,
+        seed=child_seed(seed, "buffer"),
+        owner=expert_index,
         base_model=base,
         expert_model=expert,
     )
-    return ExpertArtifact(
-        expert_index=ctx.expert_index,
+    return frame(TAG_ARTIFACT, encode_artifact(ExpertArtifact(
+        expert_index=expert_index,
         param_vector=expert.to_param_vector(),
         buffer=buffer,
         stats=ExpertStats(
@@ -511,28 +540,48 @@ def remote_train(ctx: ExpertContext) -> ExpertArtifact:
             final_loss=epoch_losses[-1] if epoch_losses else float("nan"),
             wall_clock_s=time.perf_counter() - t0,
         ),
-    )
+    )))
 
 
 class SerialExecutor:
     """Deterministic single-worker execution, in launch order."""
 
-    def run(self, contexts: list[ExpertContext]) -> list[ExpertArtifact]:
-        return [remote_train(ctx) for ctx in contexts]
+    def run(self, syncs: list[bytes], tasks: tuple[Task, ...],
+            model_config: ModelConfig) -> list[bytes]:
+        return [remote_train(sync, tasks, model_config) for sync in syncs]
+
+
+# the step's (tasks, model config), set once in each pool worker at start
+_worker_step: tuple = ()
+
+
+def _init_worker(tasks: tuple[Task, ...], model_config: ModelConfig) -> None:
+    global _worker_step
+    _worker_step = (tasks, model_config)
+
+
+def _train_in_worker(sync: bytes) -> bytes:
+    return remote_train(sync, *_worker_step)
 
 
 class ProcessExecutor:
-    """Parallel execution in worker processes; results re-ordered by expert."""
+    """Parallel execution in worker processes; ARTF frames in launch order.
+
+    Each worker gets the step's tasks and model shape once, from the pool
+    initializer (inherited, not pickled, under fork); a call carries one
+    SYNC frame and returns one ARTF frame.
+    """
 
     def __init__(self, workers: int):
         if workers < 1:
             raise ValueError("need at least one worker")
         self.workers = workers
 
-    def run(self, contexts: list[ExpertContext]) -> list[ExpertArtifact]:
-        with ProcessPoolExecutor(max_workers=self.workers) as pool:
-            results = list(pool.map(remote_train, contexts))
-        return sorted(results, key=lambda a: a.expert_index)
+    def run(self, syncs: list[bytes], tasks: tuple[Task, ...],
+            model_config: ModelConfig) -> list[bytes]:
+        with ProcessPoolExecutor(self.workers, initializer=_init_worker,
+                                 initargs=(tasks, model_config)) as pool:
+            return list(pool.map(_train_in_worker, syncs))
 
 
 # ---------------------------------------------------------------------------
@@ -677,32 +726,21 @@ def run_incremental_step(
     broadcast_before = transport.broadcast_bytes
     upload_before = transport.upload_bytes
     base_blob = base.to_param_vector().to_bytes()
-    contexts = [
-        ExpertContext(
-            expert_index=i,
-            task=task,
-            base_blob=base_blob,
-            model_config=base.config,
-            hyper=plan.hyper,
-            seed=seed,
-        )
-        for i, (task, seed) in enumerate(zip(plan.tasks, plan.expert_seeds))
+    syncs = [
+        transport.send_sync(encode_sync(i, seed, plan.hyper, base_blob))
+        for i, seed in enumerate(plan.expert_seeds)
     ]
-    for ctx in contexts:
-        transport.send_sync(ctx)
 
     t0 = time.perf_counter()
     try:
-        artifacts = executor.run(contexts)
+        artifact_msgs = executor.run(syncs, plan.tasks, base.config)
     except ExpertFailure as e:
         raise StepFailure(f"step {plan.step_id}: {e}") from e
     expert_wall = time.perf_counter() - t0
 
-    artifact_msgs = [transport.send_artifact(a) for a in artifacts]
-    # coordinator works from the decoded messages, not the worker objects;
     # sorting makes everything downstream arrival-order independent
     received = sorted(
-        (decode_artifact(unframe(m)[1]) for m in artifact_msgs),
+        (decode_artifact(transport.send_artifact(m)) for m in artifact_msgs),
         key=lambda a: a.expert_index,
     )
     if len(received) != plan.k:

@@ -243,8 +243,11 @@ def load_feature_stream(path: str) -> TaskStream:
         if off + 28 > len(blob):
             raise StreamFormatError(f"truncated task header at byte {off}")
         task_id, n_classes, dim, n_train, n_val = struct.unpack_from("<IIIQQ", blob, off)
-        if n_train + n_val == 0:
-            raise StreamFormatError(f"task {task_id}: no rows (header at byte {off})")
+        for split, count in (("train", n_train), ("validation", n_val)):
+            if count == 0:
+                raise StreamFormatError(
+                    f"task {task_id}: no rows in its {split} split (header at byte {off})"
+                )
         off += 28
         if dim0 is None:
             dim0 = dim

@@ -13,7 +13,6 @@ streams and hyper-parameters are pinned as module constants below.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import time
@@ -54,8 +53,8 @@ from batchcl.model import ModelConfig, TapSet, build_model
 from batchcl.protocol import (
     ARTIFACT_FIXED_NBYTES,
     SYNC_FIXED_NBYTES,
+    TAG_ARTIFACT,
     CountingTransport,
-    ExpertContext,
     ExpertFailure,
     ExpertHyper,
     ProcessExecutor,
@@ -64,7 +63,9 @@ from batchcl.protocol import (
     StepFailure,
     child_seed,
     cost_accuracy,
+    encode_artifact,
     exemplar_block_nbytes,
+    frame,
     plan_steps,
     run_full_stream,
     run_incremental_step,
@@ -713,15 +714,15 @@ def test_08_parallel_time():
 
 class _CapturingExecutor(SerialExecutor):
     def __init__(self):
-        self.contexts: list[ExpertContext] = []
+        self.args: tuple = ()
 
-    def run(self, contexts):
-        self.contexts = list(contexts)
-        return super().run(contexts)
+    def run(self, syncs, tasks, model_config):
+        self.args = (list(syncs), tasks, model_config)
+        return super().run(syncs, tasks, model_config)
 
 
 class _FailingExecutor:
-    def run(self, contexts):
+    def run(self, syncs, tasks, model_config):
         raise ExpertFailure("worker crashed")
 
 
@@ -750,15 +751,17 @@ def test_09_protocol_constraints(tmp_path):
     # (a) exactly k artifact messages, duplicates rejected
     exactly_k = transport.artifact_count == plan.k
     with pytest.raises(ProtocolViolation):
-        transport.send_artifact(result.artifacts[0])
+        transport.send_artifact(frame(TAG_ARTIFACT, encode_artifact(result.artifacts[0])))
 
-    # (b) worker contexts expose nothing beyond task/base/hyper/seed
-    want_fields = {"expert_index", "task", "base_blob", "model_config", "hyper", "seed"}
-    got_fields = {f.name for f in dataclasses.fields(ExpertContext)}
-    no_memory_handle = got_fields == want_fields and not any(
-        isinstance(getattr(ctx, f), Memory)
-        for ctx in capturing.contexts
-        for f in want_fields
+    # (b) experts get their SYNC bytes, the step's tasks and the model shape:
+    # exactly the counted broadcast, and nothing that reaches a memory
+    syncs, tasks, shape = capturing.args
+    no_memory_handle = (
+        all(type(m) is bytes for m in syncs)
+        and sum(len(m) for m in syncs) == result.cost.broadcast_bytes
+        and tasks == plan.tasks
+        and shape == model_cfg
+        and not any(isinstance(v, Memory) for v in (*syncs, *tasks, shape))
     )
 
     # (c) a failed step leaves base and memory byte-identical

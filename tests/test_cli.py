@@ -130,7 +130,7 @@ class TestRunVerb:
     def test_sgd_writes_step_records_and_summary(self, tmp_path):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps(toy_raw(out_dir=str(tmp_path / "out"))))
-        assert main(["run", str(cfg_file), "--serial"]) == 0
+        assert main(["run", str(cfg_file), "--workers", "1"]) == 0
         lines = [json.loads(s) for s in
                  (tmp_path / "out" / "records.jsonl").read_text().splitlines()]
         kinds = [row["type"] for row in lines]
@@ -167,7 +167,7 @@ class TestRunVerb:
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps(raw))
         with np.errstate(all="ignore"):
-            assert main(["run", str(cfg_file), "--serial"]) == 3
+            assert main(["run", str(cfg_file), "--workers", "1"]) == 3
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["failed_step"] == 0
         assert summary["n_steps"] == 0

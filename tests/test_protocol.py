@@ -8,12 +8,14 @@ and isolation rather than accuracy.
 from __future__ import annotations
 
 import dataclasses
+import inspect
 import struct
 
 import numpy as np
 import pytest
 from helpers import experiment
 
+import batchcl.protocol as protocol_mod
 from batchcl.losses import LossCoefficients
 from batchcl.model import ModelConfig, ParamVector, build_model
 from batchcl.protocol import (
@@ -25,7 +27,6 @@ from batchcl.protocol import (
     CostLedger,
     CountingTransport,
     ExpertArtifact,
-    ExpertContext,
     ExpertFailure,
     ExpertHyper,
     ExpertStats,
@@ -98,16 +99,25 @@ def make_exemplars(n, dim=6, seed=0):
     )
 
 
-def make_context(task, seed=5, hyper=None, model_seed=1, config=TOY):
-    base = build_model(config, seed=model_seed)
-    return ExpertContext(
-        expert_index=0,
-        task=task,
-        base_blob=base.to_param_vector().to_bytes(),
-        model_config=config,
-        hyper=hyper or ExpertHyper(epochs=1, batch_size=8, buffer_capacity=10),
-        seed=seed,
-    )
+DEFAULT_HYPER = ExpertHyper(epochs=1, batch_size=8, buffer_capacity=10)
+
+
+def make_sync(seed=5, hyper=None, model_seed=1, config=TOY, expert_index=0):
+    """A framed SYNC message carrying a fresh base; returns (message, base blob)."""
+    blob = build_model(config, seed=model_seed).to_param_vector().to_bytes()
+    payload = encode_sync(expert_index, seed, hyper or DEFAULT_HYPER, blob)
+    return frame(TAG_SYNC, payload), blob
+
+
+def train_one(task, config=TOY, **sync_kw) -> ExpertArtifact:
+    """Expert 0 of a one-task step, decoded from the ARTF frame it returns."""
+    sync, _ = make_sync(config=config, **sync_kw)
+    return decode_artifact(unframe(remote_train(sync, (task,), config))[1])
+
+
+def expert_of(sync: bytes) -> int:
+    """The expert index a SYNC message names."""
+    return decode_sync(unframe(sync)[1])[0]
 
 
 def params_bytes(model) -> bytes:
@@ -156,6 +166,10 @@ class TestFraming:
         with pytest.raises(ProtocolViolation, match="header needs 12"):
             unframe(frame(TAG_SYNC, b"hello")[:7])
 
+    def test_trailing_bytes_rejected(self):
+        with pytest.raises(ProtocolViolation, match="1 trailing bytes at byte 17"):
+            unframe(frame(TAG_SYNC, b"hello") + b"x")
+
     def test_bad_tag_length(self):
         with pytest.raises(ValueError):
             frame(b"TOOLONG", b"")
@@ -188,6 +202,24 @@ class TestExemplarCodec:
         assert back.capacity == 12
         assert back.exemplars.features.tobytes() == buf.exemplars.features.tobytes()
 
+    def test_short_block_rejected(self):
+        with pytest.raises(ProtocolViolation, match="exemplar header truncated at byte 0"):
+            decode_exemplars(b"\0" * 3)
+
+    @pytest.mark.parametrize("declared", [6, 4])
+    def test_misstated_row_count_rejected(self, declared):
+        # 5 rows encoded; a header that over- or understates the count
+        # must not load, neither past the end nor silently short
+        blob = bytearray(encode_exemplars(make_exemplars(5)))
+        struct.pack_into("<Q", blob, 0, declared)
+        with pytest.raises(ProtocolViolation, match=f"declares {declared} rows of dim 6.*"
+                                                    f"ends at byte {len(blob)}"):
+            decode_exemplars(bytes(blob))
+
+    def test_short_buffer_header_rejected(self):
+        with pytest.raises(ProtocolViolation, match="buffer header truncated at byte 0"):
+            decode_buffer(b"\0" * 5)
+
     def test_buffer_size_is_block_plus_header(self):
         buf = Buffer(exemplars=make_exemplars(7), capacity=12, owner=3)
         assert len(encode_buffer(buf)) == 12 + exemplar_block_nbytes(7, 6)
@@ -198,28 +230,28 @@ class TestSyncCodec:
         hyper = ExpertHyper(epochs=3, lr=0.05, stability_coef=0.4, batch_size=16,
                             buffer_capacity=99, sampling="grad_max_base",
                             distill_kind="kd_logits")
-        ctx = make_context(stream.tasks[0], seed=77, hyper=hyper)
-        idx, seed, h, blob = decode_sync(encode_sync(ctx))
+        sync, blob = make_sync(seed=77, hyper=hyper)
+        idx, seed, h, back = decode_sync(unframe(sync)[1])
         assert (idx, seed) == (0, 77)
         assert h == hyper
-        assert blob == ctx.base_blob
+        assert back == blob
 
     def test_fixed_size_arithmetic(self, stream):
-        ctx = make_context(stream.tasks[0])
-        assert len(encode_sync(ctx)) == SYNC_FIXED_NBYTES + len(ctx.base_blob)
+        sync, blob = make_sync()
+        assert len(unframe(sync)[1]) == SYNC_FIXED_NBYTES + len(blob)
 
     def test_truncation_rejected(self, stream):
-        ctx = make_context(stream.tasks[0])
+        payload = unframe(make_sync()[0])[1]
         with pytest.raises(ProtocolViolation, match="truncated"):
-            decode_sync(encode_sync(ctx)[:-1])
+            decode_sync(payload[:-1])
 
     def test_short_fixed_part_rejected(self, stream):
-        ctx = make_context(stream.tasks[0])
+        payload = unframe(make_sync()[0])[1]
         with pytest.raises(ProtocolViolation, match="truncated"):
-            decode_sync(encode_sync(ctx)[: SYNC_FIXED_NBYTES - 9])
+            decode_sync(payload[: SYNC_FIXED_NBYTES - 9])
 
     def test_unknown_sampling_index_rejected(self, stream):
-        payload = bytearray(encode_sync(make_context(stream.tasks[0])))
+        payload = bytearray(unframe(make_sync()[0])[1])
         sampling_at = struct.calcsize("<IQIQddI")
         assert payload[sampling_at] == 0  # "random"
         payload[sampling_at] = 9
@@ -253,15 +285,42 @@ class TestArtifactCodec:
         )
         assert len(encode_artifact(a)) == expected
 
+    def test_short_payload_rejected(self):
+        with pytest.raises(ProtocolViolation, match="artifact header truncated at byte 0"):
+            decode_artifact(b"x" * 10)
+
+    def test_every_strict_prefix_rejected(self):
+        payload = encode_artifact(self.make_artifact())
+        for n in range(len(payload)):
+            with pytest.raises(ProtocolViolation, match="at byte"):
+                decode_artifact(payload[:n])
+
+    def test_malformed_snapshot_rejected(self):
+        payload = bytearray(encode_artifact(self.make_artifact()))
+        payload[ARTIFACT_FIXED_NBYTES - 8] ^= 0xFF  # first byte of the snapshot magic
+        with pytest.raises(ProtocolViolation, match="artifact snapshot at byte 32: bad magic"):
+            decode_artifact(bytes(payload))
+
+    def test_trailing_bytes_rejected(self):
+        payload = encode_artifact(self.make_artifact())
+        with pytest.raises(ProtocolViolation, match=f"2 trailing bytes at byte {len(payload)}"):
+            decode_artifact(payload + b"\0\0")
+
+
+def artifact_frame() -> bytes:
+    return frame(TAG_ARTIFACT, encode_artifact(TestArtifactCodec().make_artifact()))
+
 
 class TestTransport:
     def test_counts_exact_message_lengths(self, stream):
         t = CountingTransport()
         t.begin_step()
-        ctx = make_context(stream.tasks[0])
-        msg1 = t.send_sync(ctx)
-        a = TestArtifactCodec().make_artifact()
-        msg2 = t.send_artifact(a)
+        sync, blob = make_sync()
+        payload = unframe(sync)[1]
+        msg1 = t.send_sync(payload)
+        assert msg1 == sync
+        msg2 = artifact_frame()
+        assert t.send_artifact(msg2) == unframe(msg2)[1]
         assert t.broadcast_bytes == len(msg1)
         assert t.upload_bytes == len(msg2)
         assert t.artifact_count == 1
@@ -269,19 +328,26 @@ class TestTransport:
     def test_duplicate_artifact_rejected(self):
         t = CountingTransport()
         t.begin_step()
-        a = TestArtifactCodec().make_artifact()
-        t.send_artifact(a)
-        with pytest.raises(ProtocolViolation, match="already sent"):
-            t.send_artifact(a)
+        msg = artifact_frame()
+        t.send_artifact(msg)
+        with pytest.raises(ProtocolViolation, match="expert 1 already sent"):
+            t.send_artifact(msg)
 
     def test_next_step_clears_senders(self):
         t = CountingTransport()
-        a = TestArtifactCodec().make_artifact()
+        msg = artifact_frame()
         t.begin_step()
-        t.send_artifact(a)
+        t.send_artifact(msg)
         t.begin_step()
-        t.send_artifact(a)  # fine: new step
+        t.send_artifact(msg)  # fine: new step
         assert t.artifact_count == 1
+
+    def test_sync_frame_is_not_an_upload(self):
+        t = CountingTransport()
+        t.begin_step()
+        with pytest.raises(ProtocolViolation, match="expected a b'ARTF' frame"):
+            t.send_artifact(make_sync()[0])
+        assert t.upload_bytes == 0 and t.artifact_count == 0
 
 
 class TestPlans:
@@ -323,46 +389,81 @@ class TestPlans:
             plan_steps(stream, k=0, master_seed=3, hyper=ExpertHyper())
 
 
+class _PoisonedTask:
+    """A stand-in for another expert's task: touching it fails the test."""
+
+    def __getattribute__(self, name):
+        raise AssertionError(f"expert read {name!r} of a task that is not its own")
+
+
+class _CapturingExecutor(SerialExecutor):
+    def run(self, syncs, tasks, model_config):
+        self.args = (syncs, tasks, model_config)
+        return super().run(syncs, tasks, model_config)
+
+
 class TestExpertIsolation:
-    def test_context_carries_exactly_the_allowed_fields(self):
-        names = {f.name for f in dataclasses.fields(ExpertContext)}
-        assert names == {
-            "expert_index", "task", "base_blob", "model_config", "hyper", "seed"
-        }
+    def test_context_carries_exactly_the_allowed_fields(self, stream):
+        # an expert receives one SYNC frame plus the step's tasks and model
+        # shape; the frame decodes to its index, seed, hyper-params and base
+        assert list(inspect.signature(remote_train).parameters) == [
+            "sync", "tasks", "model_config"
+        ]
+        sync, blob = make_sync(seed=9)
+        assert decode_sync(unframe(sync)[1]) == (0, 9, DEFAULT_HYPER, blob)
 
     def test_context_is_immutable(self, stream):
-        ctx = make_context(stream.tasks[0])
+        sync, _ = make_sync()
+        assert isinstance(sync, bytes)
+        assert isinstance(stream.tasks, tuple)
         with pytest.raises(dataclasses.FrozenInstanceError):
-            ctx.seed = 1
+            stream.tasks[0].task_id = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            TOY.res_dim = 1
 
     def test_no_field_can_reach_a_memory(self, stream):
-        # the context is built purely from value types: bytes, a single task,
-        # a frozen config, frozen hyper-params, an int -- no channel back to
-        # the coordinator's Memory or to other experts exists
-        ctx = make_context(stream.tasks[0])
-        for f in dataclasses.fields(ExpertContext):
-            assert not isinstance(getattr(ctx, f.name), Memory)
+        # what an executor is handed is built purely from value types: bytes,
+        # frozen tasks, a frozen config -- no channel back to the
+        # coordinator's Memory or to other experts exists
+        capturing = _CapturingExecutor()
+        plan = plan_steps(stream, 2, 5, TINY_HYPER)[0]
+        run_incremental_step(
+            build_model(TOY, seed=1), plan, Memory(40, stream.dim), 5,
+            coefficients=LossCoefficients(), rehearsal_epochs=1,
+            transport=CountingTransport(), executor=capturing, lr=0.1, batch_size=8,
+        )
+        syncs, tasks, model_config = capturing.args
+        assert all(type(s) is bytes for s in syncs)
+        assert tasks == plan.tasks and model_config == TOY
+        for value in (*syncs, *tasks, model_config):
+            assert not isinstance(value, Memory)
+
+    def test_expert_reads_only_its_own_task(self, stream):
+        sync, _ = make_sync(expert_index=2, seed=21)
+        tasks = (_PoisonedTask(), _PoisonedTask(), stream.tasks[1], _PoisonedTask())
+        artifact = decode_artifact(unframe(remote_train(sync, tasks, TOY))[1])
+        assert set(artifact.buffer.exemplars.task_ids) == {stream.tasks[1].task_id}
+        alone = train_one(stream.tasks[1], seed=21)
+        assert artifact.param_vector.to_bytes() == alone.param_vector.to_bytes()
 
 
 class TestRemoteTrain:
     def test_zero_epochs_returns_base_bit_exact(self, stream):
         hyper = ExpertHyper(epochs=0, batch_size=8, buffer_capacity=10)
-        ctx = make_context(stream.tasks[0], hyper=hyper)
-        artifact = remote_train(ctx)
-        assert artifact.param_vector.to_bytes() == ctx.base_blob
+        sync, blob = make_sync(hyper=hyper)
+        artifact = decode_artifact(unframe(remote_train(sync, (stream.tasks[0],), TOY))[1])
+        assert artifact.param_vector.to_bytes() == blob
 
     def test_deterministic_given_context(self, stream):
-        ctx = make_context(stream.tasks[1], seed=21)
-        a1, a2 = remote_train(ctx), remote_train(ctx)
+        a1, a2 = train_one(stream.tasks[1], seed=21), train_one(stream.tasks[1], seed=21)
         assert a1.param_vector.to_bytes() == a2.param_vector.to_bytes()
         assert a1.buffer.exemplars.features.tobytes() == a2.buffer.exemplars.features.tobytes()
 
     def test_buffer_tagged_with_owner_and_task(self, stream):
-        ctx = make_context(stream.tasks[1])
-        artifact = remote_train(ctx)
+        artifact = train_one(stream.tasks[1])
         assert artifact.buffer.owner == 0
         assert set(artifact.buffer.exemplars.task_ids) == {stream.tasks[1].task_id}
-        assert len(artifact.buffer.exemplars) <= ctx.hyper.buffer_capacity
+        assert len(artifact.buffer.exemplars) <= DEFAULT_HYPER.buffer_capacity
 
     def test_stability_pull_reduces_feature_drift(self, stream):
         # same data and seeds, only the stability coefficient differs; the
@@ -384,8 +485,8 @@ class TestRemoteTrain:
                 for seed in (5, 6, 7):
                     hyper = ExpertHyper(epochs=2, batch_size=8, buffer_capacity=10,
                                         stability_coef=coef, lr=0.02)
-                    artifact = remote_train(make_context(
-                        stream.tasks[0], seed=seed, hyper=hyper, config=config))
+                    artifact = train_one(stream.tasks[0], config=config, seed=seed,
+                                         hyper=hyper)
                     expert = model_from_vector(config, artifact.param_vector)
                     dists.append(float(l_bd(expert.forward_as_teacher(x),
                                             base.forward_as_teacher(x)).data))
@@ -395,10 +496,19 @@ class TestRemoteTrain:
 
     def test_divergence_reported_as_expert_failure(self, stream):
         hyper = ExpertHyper(epochs=3, batch_size=8, buffer_capacity=10, lr=1e30)
-        ctx = make_context(stream.tasks[0], hyper=hyper)
         with np.errstate(all="ignore"):
-            with pytest.raises(ExpertFailure):
-                remote_train(ctx)
+            with pytest.raises(ExpertFailure, match="expert 0"):
+                train_one(stream.tasks[0], hyper=hyper)
+
+    def test_non_sync_tag_rejected(self, stream):
+        sync, _ = make_sync()
+        with pytest.raises(ProtocolViolation, match="expected a b'SYNC' frame"):
+            remote_train(frame(TAG_ARTIFACT, unframe(sync)[1]), (stream.tasks[0],), TOY)
+
+    def test_expert_index_beyond_tasks_rejected(self, stream):
+        sync, _ = make_sync(expert_index=2)
+        with pytest.raises(ProtocolViolation, match="expert 2 at byte 0.*2 tasks"):
+            remote_train(sync, stream.tasks[:2], TOY)
 
 
 class TestConsolidate:
@@ -558,8 +668,6 @@ class TestIncrementalStep:
         assert transport.broadcast_bytes == costs[0].broadcast_bytes + costs[1].broadcast_bytes
 
     def test_failed_expert_rolls_back_base_and_memory(self, stream, monkeypatch):
-        import batchcl.protocol as protocol_mod
-
         master_seed = 5
         base = build_model(TOY, seed=child_seed(master_seed, "init"))
         plans = plan_steps(stream, 2, master_seed, TINY_HYPER)
@@ -570,10 +678,10 @@ class TestIncrementalStep:
 
         real = protocol_mod.remote_train
 
-        def flaky(ctx):
-            if ctx.expert_index == 1:
+        def flaky(sync, tasks, model_config):
+            if expert_of(sync) == 1:
                 raise ExpertFailure("simulated crash")
-            return real(ctx)
+            return real(sync, tasks, model_config)
 
         monkeypatch.setattr(protocol_mod, "remote_train", flaky)
         with pytest.raises(StepFailure, match="simulated crash"):
@@ -614,6 +722,60 @@ class TestIncrementalStep:
         assert len(memory) == 10
 
 
+class _StandInPool:
+    """In-process stand-in for ProcessPoolExecutor that records its traffic."""
+
+    created: list["_StandInPool"] = []
+
+    def __init__(self, max_workers, initializer, initargs):
+        self.initargs, self.calls = initargs, []
+        _StandInPool.created.append(self)
+        initializer(*initargs)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        for args in zip(*iterables):
+            result = fn(*args)
+            self.calls.append((args, result))
+            yield result
+
+
+class TestProcessBoundary:
+    def test_pool_carries_exactly_the_counted_frames(self, stream, monkeypatch):
+        _StandInPool.created = []
+        monkeypatch.setattr(protocol_mod, "ProcessPoolExecutor", _StandInPool)
+        # the stand-in runs the worker initializer in this process; undo it after
+        monkeypatch.setattr(protocol_mod, "_worker_step", protocol_mod._worker_step)
+        master_seed = 5
+        base = build_model(TOY, seed=child_seed(master_seed, "init"))
+        memory = Memory(40, stream.dim)
+        transport = CountingTransport()
+        for plan in plan_steps(stream, 2, master_seed, TINY_HYPER):
+            result = run_incremental_step(
+                base, plan, memory, master_seed, coefficients=LossCoefficients(),
+                rehearsal_epochs=1, transport=transport, executor=ProcessExecutor(2),
+                lr=0.1, batch_size=8,
+            )
+            base = result.base
+            pool = _StandInPool.created[-1]
+            # the step's tasks and model shape arrive once, at worker start
+            assert pool.initargs == (plan.tasks, TOY)
+            assert len(pool.calls) == plan.k
+            for args, result_msg in pool.calls:
+                assert len(args) == 1 and type(args[0]) is bytes
+                assert unframe(args[0])[0] == TAG_SYNC
+                assert type(result_msg) is bytes and unframe(result_msg)[0] == TAG_ARTIFACT
+            assert [expert_of(args[0]) for args, _ in pool.calls] == list(range(plan.k))
+            assert sum(len(args[0]) for args, _ in pool.calls) == result.cost.broadcast_bytes
+            assert sum(len(msg) for _, msg in pool.calls) == result.cost.upload_bytes
+        assert len(_StandInPool.created) == 2
+
+
 class TestFullStream:
     def strip_times(self, report):
         d = report.to_dict()
@@ -636,9 +798,8 @@ class TestFullStream:
 
     def test_reversed_launch_order_changes_nothing(self, stream):
         class ReversedExecutor:
-            def run(self, contexts):
-                arts = [remote_train(c) for c in reversed(contexts)]
-                return sorted(arts, key=lambda a: a.expert_index)
+            def run(self, syncs, tasks, model_config):
+                return [remote_train(s, tasks, model_config) for s in reversed(syncs)]
 
         forward = run_full_stream(stream, tiny_config(), executor=SerialExecutor())
         backward = run_full_stream(stream, tiny_config(), executor=ReversedExecutor())
@@ -669,14 +830,12 @@ class TestFullStream:
         assert all(e["final_loss"] is None for r in untrained.records for e in r.experts)
 
     def test_mid_stream_failure_reports_partial_history(self, stream, monkeypatch):
-        import batchcl.protocol as protocol_mod
-
         real = protocol_mod.remote_train
 
-        def flaky(ctx):
-            if ctx.task.task_id >= 2:
+        def flaky(sync, tasks, model_config):
+            if tasks[expert_of(sync)].task_id >= 2:
                 raise ExpertFailure("boom")
-            return real(ctx)
+            return real(sync, tasks, model_config)
 
         monkeypatch.setattr(protocol_mod, "remote_train", flaky)
         report = run_full_stream(stream, tiny_config())

@@ -197,6 +197,23 @@ class TestStreamFile:
         with pytest.raises(StreamFormatError, match="task 7: no rows"):
             load_feature_stream(path)
 
+    @pytest.mark.parametrize("n_train, n_val, split", [(0, 6, "train"), (6, 0, "validation")])
+    def test_task_with_empty_split_rejected(self, tmp_path, n_train, n_val, split):
+        # the second task's header starts after the first task's 2 rows
+        path = str(tmp_path / "split.clfs")
+        row = np.zeros(3, dtype="<f4").tobytes()
+        with open(path, "wb") as f:
+            f.write(b"CLFS" + struct.pack("<HI", 1, 2))
+            f.write(struct.pack("<IIIQQ", 0, 1, 3, 1, 1))
+            f.write((row + struct.pack("<I", 0)) * 2)
+            f.write(struct.pack("<IIIQQ", 1, 1, 3, n_train, n_val))
+            f.write((row + struct.pack("<I", 1)) * (n_train + n_val))
+        header_at = 10 + 28 + 2 * 16
+        with pytest.raises(StreamFormatError,
+                           match=f"task 1: no rows in its {split} split "
+                                 rf"\(header at byte {header_at}\)"):
+            load_feature_stream(path)
+
     def test_dim_inconsistency_rejected(self, tmp_path):
         path = str(tmp_path / "dims.clfs")
         with open(path, "wb") as f:
