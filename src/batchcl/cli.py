@@ -74,6 +74,15 @@ def _summary_record(cfg: ExperimentConfig, report: RunReport | None, bound: floa
     return summary
 
 
+def _with_workers(cfg: ExperimentConfig, workers: int | None) -> ExperimentConfig:
+    """``cfg`` with ``bmc.workers`` replaced, through the schema check a
+    config file's value goes through (None keeps the config's value)."""
+    if workers is None:
+        return cfg
+    raw = config_to_dict(cfg)
+    return parse_config({**raw, "bmc": {**raw["bmc"], "workers": workers}})
+
+
 def run_experiment(
     cfg: ExperimentConfig,
     out_dir: str | Path,
@@ -83,8 +92,11 @@ def run_experiment(
     """Execute one configured run and write records.jsonl + summary.json.
 
     Returns (exit code, summary). Exit 0 on success, 3 if a step failed
-    mid-stream (partial records are still flushed).
+    mid-stream (partial records are still flushed). ``workers`` replaces
+    ``bmc.workers`` and is checked like the config file's value: an
+    out-of-range count raises ConfigError before anything runs.
     """
+    cfg = _with_workers(cfg, workers)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     stream = build_stream(cfg.stream)
@@ -98,8 +110,6 @@ def run_experiment(
     bound = None
     report = None
     if cfg.method == "bmc":
-        if workers is not None:
-            cfg = replace(cfg, bmc=replace(cfg.bmc, workers=workers))
         report = run_full_stream(stream, cfg)
     elif cfg.method == "multitask":
         bound = multitask_bound(stream, cfg)
@@ -308,6 +318,9 @@ def _cmd_run(args) -> int:
     try:
         code, summary = run_experiment(cfg, out_dir, workers=args.workers,
                                        time_reference=args.time_reference)
+    except ConfigError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
     except Exception as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
@@ -318,6 +331,7 @@ def _cmd_run(args) -> int:
 def _cmd_sweep(args) -> int:
     try:
         spec = load_sweep(args.spec)
+        _with_workers(spec.base, args.workers)
     except (ConfigError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

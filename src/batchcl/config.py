@@ -170,6 +170,7 @@ CONFIG_SCHEMA = {
                 "stability_coef": _NON_NEGATIVE,
                 "task_coef": _NON_NEGATIVE,
                 "consolidation_coef": _NON_NEGATIVE,
+                "workers": _POSITIVE,
             },
         ),
         _when("er", "baseline", {"memory_capacity": _POSITIVE, "replay_coef": _NON_NEGATIVE}),

@@ -32,7 +32,7 @@ class Tensor:
     during :func:`backward`. Interior nodes are created by the ops below.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "parents", "backward_fn", "name")
+    __slots__ = ("data", "requires_grad", "grad", "parents", "backward_fn", "name", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False, name: str = ""):
         self.data = np.asarray(data)
@@ -193,10 +193,63 @@ BN_MOMENTUM = 0.1
 BN_EPS = 1e-5
 
 
-def _normalize(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, mean, var):
+def _row_mean(x: np.ndarray) -> np.ndarray:
+    """``x.mean(axis=-2, keepdims=True)`` without numpy's Python wrapper.
+
+    The bits are the same: both divide the same sum by the row count, and a
+    float32 quotient rounds the same whether numpy divides in float32 or,
+    as ``mean`` does, in float64.
+    """
+    return np.add.reduce(x, axis=-2, keepdims=True) / x.shape[-2]
+
+
+def batch_norm_arrays(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, running, train: bool):
+    """Batch norm on plain arrays: ``(out, xhat, inv_std)``.
+
+    This is the forward arithmetic of every pass that normalizes: the tape
+    op :func:`batch_norm`, :func:`batch_norm_values` and the model's
+    hand-differentiated layers. ``x`` is ``(..., B, D)``, and ``gamma``,
+    ``beta`` broadcast against it. In train mode the statistics are taken
+    over the rows (axis -2) of each leading index, as ``mean``,
+    ``d = x - mean``, ``var = mean(d * d)``, and ``running``, a
+    ``(mean, var)`` pair of running buffers or None, takes them in place
+    with momentum ``BN_MOMENTUM`` (the variance unbiased). In eval mode
+    ``running`` supplies the statistics. Both add ``BN_EPS`` to the
+    variance.
+    """
+    if train:
+        mean = _row_mean(x)
+        d = x - mean
+        var = _row_mean(d * d)
+        if running is not None:
+            n = x.shape[-2]
+            running_mean, running_var = running
+            running_mean *= 1.0 - BN_MOMENTUM
+            running_mean += BN_MOMENTUM * mean.reshape(running_mean.shape)
+            running_var *= 1.0 - BN_MOMENTUM
+            running_var += BN_MOMENTUM * var.reshape(running_var.shape) * (n / (n - 1))
+    else:
+        mean, var = running
+        d = x - mean
     inv_std = (1.0 / np.sqrt(var + BN_EPS)).astype(x.dtype)
-    xhat = (x - mean) * inv_std
+    xhat = d * inv_std
     return gamma * xhat + beta, xhat, inv_std
+
+
+def batch_norm_grads(g: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray,
+                     gamma: np.ndarray, train: bool):
+    """Backward of :func:`batch_norm_arrays` on ``(B, D)`` arrays:
+    ``(d gamma, d beta, d x)`` for the output gradient ``g``.
+
+    In train mode the batch statistics depend on ``x``, so the gradient
+    also flows through them.
+    """
+    dxhat = g * gamma
+    if train:
+        dx = (dxhat - _row_mean(dxhat) - xhat * _row_mean(dxhat * xhat)) * inv_std
+    else:
+        dx = dxhat * inv_std
+    return (g * xhat).sum(axis=0), g.sum(axis=0), dx
 
 
 def batch_norm_values(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
@@ -208,9 +261,7 @@ def batch_norm_values(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.
     ``beta`` are ``(..., D)``; statistics are taken over the rows (axis -2)
     of each, with the same arithmetic as a single ``(B, D)`` input.
     """
-    mean = x.mean(axis=-2, keepdims=True)
-    var = x.var(axis=-2, keepdims=True)
-    return _normalize(x, gamma[..., None, :], beta[..., None, :], mean, var)[0]
+    return batch_norm_arrays(x, gamma[..., None, :], beta[..., None, :], None, True)[0]
 
 
 def batch_norm(
@@ -233,33 +284,16 @@ def batch_norm(
     if x.data.ndim != 2 or x.shape[1] != gamma.shape[0]:
         raise GraphError(f"{name}: input {x.shape} vs width {gamma.shape}")
     n = x.shape[0]
-    if train:
-        if n < 2:
-            raise GraphError(f"{name}: train-mode batch of size {n} (need >= 2)")
-        mean = x.data.mean(axis=0)
-        var = x.data.var(axis=0)
-        running_mean *= 1.0 - BN_MOMENTUM
-        running_mean += BN_MOMENTUM * mean
-        running_var *= 1.0 - BN_MOMENTUM
-        running_var += BN_MOMENTUM * var * (n / (n - 1))
-    else:
-        mean = running_mean
-        var = running_var
-    out_data, xhat, inv_std = _normalize(x.data, gamma.data, beta.data, mean, var)
+    if train and n < 2:
+        raise GraphError(f"{name}: train-mode batch of size {n} (need >= 2)")
+    out_data, xhat, inv_std = batch_norm_arrays(
+        x.data, gamma.data, beta.data, (running_mean, running_var), train
+    )
 
     def backward(g: np.ndarray) -> None:
-        _accumulate(gamma, (g * xhat).sum(axis=0))
-        _accumulate(beta, g.sum(axis=0))
-        dxhat = g * gamma.data
-        if train:
-            # batch statistics depend on x, so route gradient through them
-            dx = (
-                dxhat
-                - dxhat.mean(axis=0)
-                - xhat * (dxhat * xhat).mean(axis=0)
-            ) * inv_std
-        else:
-            dx = dxhat * inv_std
+        dgamma, dbeta, dx = batch_norm_grads(g, xhat, inv_std, gamma.data, train)
+        _accumulate(gamma, dgamma)
+        _accumulate(beta, dbeta)
         _accumulate(x, dx)
 
     return _node(out_data, (x, gamma, beta), backward, name)

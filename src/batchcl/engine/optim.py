@@ -33,7 +33,7 @@ class SGD:
         grads: Mapping[str, np.ndarray],
     ) -> None:
         for name, g in grads.items():
-            if not np.all(np.isfinite(g)):
+            if not np.isfinite(g).all():
                 raise NonFiniteError(f"non-finite gradient for parameter '{name}'")
             p = params[name]
             p -= np.asarray(self.lr, dtype=p.dtype) * g.astype(p.dtype, copy=False)

@@ -17,6 +17,14 @@ Architecture (all affine layers followed by batch norm, then ReLU):
 Taps are the residual-block outputs plus the penultimate activation
 (``res_blocks + 1`` in total). Logits are deliberately not a tap; the
 logit-space distillation alternative consumes them directly instead.
+
+Every pass runs the same layer arithmetic on plain arrays
+(``ResidualClassifier._values``): the train or eval student pass, the
+teacher pass and ``predict``. The student pass is the only differentiated
+one. It puts one trunk node on the tape, whose hand-written backward covers
+every layer and skip connection, plus one node per tap and one head node
+for the logits; its gradients equal those of a graph with one tape node
+per op, bit for bit.
 """
 
 from __future__ import annotations
@@ -26,17 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import (
-    GraphError,
-    Tensor,
-    add,
-    batch_norm,
-    batch_norm_values,
-    dropout,
-    dropout_mask,
-    matmul,
-    relu,
-)
+from .engine import GraphError, Tensor, batch_norm_arrays, batch_norm_grads, dropout_mask
+from .engine.autodiff import _accumulate, _node
 
 PARAM_VECTOR_MAGIC = b"CLPV"
 PARAM_VECTOR_VERSION = 1
@@ -173,15 +172,6 @@ class ParamVector:
         return header + 4 * sum(a.size for a in self.arrays)
 
 
-def _dropout(h: Tensor, p: float, rng, train: bool, name: str, masks: list) -> Tensor:
-    """Dropout that keeps the mask it drew in ``masks`` (train mode with an RNG)."""
-    mask = None
-    if train and rng is not None:
-        mask = dropout_mask(h.shape, p, rng, h.dtype)
-        masks.append(mask)
-    return dropout(h, p, rng, train, name=name, mask=mask)
-
-
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
     return rng.uniform(-limit, limit, size=shape).astype(np.float32)
@@ -275,26 +265,6 @@ class ResidualClassifier:
         self.stats[f"{prefix}.bn.running_mean"] = np.zeros(d_out, dtype=np.float32)
         self.stats[f"{prefix}.bn.running_var"] = np.ones(d_out, dtype=np.float32)
 
-    def _layer(self, h, prefix: str, leaves, train: bool, rng, p_drop: float, masks: list):
-        w = leaves[f"{prefix}.W"]
-        b = leaves[f"{prefix}.b"]
-        gamma = leaves[f"{prefix}.bn.gamma"]
-        beta = leaves[f"{prefix}.bn.beta"]
-        h = add(matmul(h, w, name=f"{prefix}.W"), b, name=f"{prefix}.b")
-        h = batch_norm(
-            h,
-            gamma,
-            beta,
-            self.stats[f"{prefix}.bn.running_mean"],
-            self.stats[f"{prefix}.bn.running_var"],
-            train=train,
-            name=f"{prefix}.bn",
-        )
-        h = relu(h, name=f"{prefix}.relu")
-        if p_drop > 0:
-            h = _dropout(h, p_drop, rng, train, f"{prefix}.dropout", masks)
-        return h
-
     def forward_with_taps(
         self,
         x: np.ndarray,
@@ -308,36 +278,118 @@ class ResidualClassifier:
         the returned taps/logits. Train mode updates normalization running
         statistics in place and draws dropout masks from ``rng``; the
         TapSet keeps them for :meth:`forward_as_teacher`.
+
+        The pass runs on plain arrays and records three kinds of tape node:
+        one trunk node, whose hand-written backward covers every affine ->
+        BN -> ReLU -> dropout layer and skip connection; one node per tap,
+        which hands the tap's gradient to the trunk; and one head node for
+        the logits, which adds its input gradient into the penultimate tap.
+        Every gradient is the per-op tape's, bit for bit: contributions to a
+        value are added in the order the tape's backward would add them,
+        from the tape's zero start.
         """
         x = self._check_input(x)
+        n = len(x)
+        if train and n < 2:
+            raise GraphError(f"stem.bn: train-mode batch of size {n} (need >= 2)")
+        # graphs run in whatever precision the parameters carry (float32 in
+        # production; tests build float64 twins for derivative oracles)
+        dtype = self.params["stem.W"].dtype
+        masks = self._draw_masks(n, rng, dtype) if train else []
+        layers: list[tuple] = []
+        taps, head_in, logits = self._values(
+            x.astype(dtype, copy=False), "train" if train else "eval", masks, layers
+        )
         leaves = {
             name: Tensor(arr, requires_grad=True, name=name)
             for name, arr in self.params.items()
         }
-        p = self.config.dropout_p
-        masks: list[np.ndarray] = []
-        # graphs run in whatever precision the parameters carry (float32 in
-        # production; tests build float64 twins for derivative oracles)
-        dtype = self.params["stem.W"].dtype
-        h = self._layer(
-            Tensor(x.astype(dtype, copy=False)), "stem", leaves, train, rng, p, masks
+        # the trunk's outputs are the tap nodes; its own value is empty
+        trunk = _node(
+            np.empty(0, dtype),
+            tuple(leaf for name, leaf in leaves.items() if not name.startswith("head.")),
+            _trunk_backward(self.config, leaves, layers, train),
+            "trunk",
         )
-        taps: list[Tensor] = []
+        tap_nodes = [_tap_node(trunk, i, t, len(taps)) for i, t in enumerate(taps)]
+        w, b, pen = leaves["head.W"], leaves["head.b"], tap_nodes[-1]
+        head_mask = masks[-1] if masks else None
+
+        def head_backward(g: np.ndarray) -> None:
+            _give(w, head_in.T @ g + 0.0)
+            _give(b, g.sum(axis=0))
+            d = g @ w.data.T
+            _accumulate(pen, d if head_mask is None else d * head_mask)
+
+        head = _node(logits, (pen, w, b), head_backward, "head")
+        return TapSet(taps=tap_nodes, logits=head, masks=masks), leaves
+
+    def _draw_masks(self, n: int, rng, dtype) -> list[np.ndarray]:
+        """A train pass's dropout multipliers, one ``(n, width)`` array per site.
+
+        One draw covers every site, split in layer order: the same stream,
+        in the same order, as one draw per site.
+        """
+        if self.config.dropout_p == 0.0:
+            return []
+        if rng is None:
+            raise GraphError("stem.dropout: train-mode dropout needs an RNG")
+        c = self.config
+        widths = [c.res_dim] * (1 + c.res_blocks * c.res_layers_per_block) + [c.hidden_dim]
+        flat = dropout_mask((n * sum(widths),), c.dropout_p, rng, dtype)
+        masks, start = [], 0
+        for w in widths:
+            masks.append(flat[start : start + n * w].reshape(n, w))
+            start += n * w
+        return masks
+
+    def _values(self, x: np.ndarray, mode: str, masks, layers: list | None):
+        """The architecture on plain arrays: ``(taps, head input, logits)``.
+
+        This is every pass's arithmetic. ``mode`` picks the normalization
+        statistics: ``"train"`` takes batch statistics and folds them into
+        the running buffers, ``"teacher"`` takes batch statistics and
+        touches nothing, ``"eval"`` uses the running buffers. ``masks`` are
+        the dropout multipliers, one per site in layer order, or empty for
+        none. When ``layers`` is a list, each layer appends what its
+        backward needs: (prefix, input, pre-ReLU value, xhat, inv_std, mask).
+        """
+        params, stats = self.params, self.stats
+        train = mode != "eval"
+        replay = iter(masks)
+
+        def layer(h: np.ndarray, prefix: str, dropped: bool) -> np.ndarray:
+            z = h @ params[f"{prefix}.W"] + params[f"{prefix}.b"][..., None, :]
+            running = (
+                None if mode == "teacher"
+                else (stats[f"{prefix}.bn.running_mean"], stats[f"{prefix}.bn.running_var"])
+            )
+            y, xhat, inv_std = batch_norm_arrays(
+                z,
+                params[f"{prefix}.bn.gamma"][..., None, :],
+                params[f"{prefix}.bn.beta"][..., None, :],
+                running,
+                train,
+            )
+            mask = next(replay) if dropped and masks else None
+            if layers is not None:
+                layers.append((prefix, h, y, xhat, inv_std, mask))
+            out = np.maximum(y, 0)
+            return out if mask is None else out * mask
+
+        h = layer(x, "stem", True)
+        taps: list[np.ndarray] = []
         for bidx in range(self.config.res_blocks):
             r = h
             for lidx in range(self.config.res_layers_per_block):
-                r = self._layer(r, f"block{bidx}.layer{lidx}", leaves, train, rng, p, masks)
-            h = add(h, r, name=f"block{bidx}.skip")
+                r = layer(r, f"block{bidx}.layer{lidx}", True)
+            h = h + r
             taps.append(h)
-        pen = self._layer(h, "penult", leaves, train, rng, 0.0, masks)
+        pen = layer(h, "penult", False)
         taps.append(pen)
-        head_in = _dropout(pen, p, rng, train, "head.dropout", masks) if p > 0 else pen
-        logits = add(
-            matmul(head_in, leaves["head.W"], name="head.W"),
-            leaves["head.b"],
-            name="head.b",
-        )
-        return TapSet(taps=taps, logits=logits, masks=masks), leaves
+        head_in = pen * next(replay) if masks else pen
+        logits = head_in @ params["head.W"] + params["head.b"][..., None, :]
+        return taps, head_in, logits
 
     def forward_as_teacher(self, x: np.ndarray, masks=()) -> TapSet:
         """Distillation-target pass: batch statistics, replayed dropout, no mutation.
@@ -348,9 +400,9 @@ class ResidualClassifier:
         distillation distance would never reach zero. ``masks`` are the
         ``TapSet.masks`` of that student pass; without them no unit is
         dropped. Teacher passes are never differentiated, so this one runs
-        on plain arrays with the student pass's arithmetic and records no
-        tape: its taps and logits are constants. Running buffers are left
-        untouched and no randomness is consumed.
+        the student pass's arithmetic and records no tape: its taps and
+        logits are constants. Running buffers are left untouched and no
+        randomness is consumed.
 
         A model returns taps and logits of shape ``(B, D)``. A stack of k
         models (:func:`stack_vectors`) carries a leading expert axis on
@@ -368,29 +420,9 @@ class ResidualClassifier:
             raise GraphError(
                 f"{len(masks)} dropout masks for {self.dropout_sites} dropout layers"
             )
-        replay = iter(masks)
-        params = self.params
-
-        def layer(h: np.ndarray, prefix: str, drop: bool) -> np.ndarray:
-            h = h @ params[f"{prefix}.W"] + params[f"{prefix}.b"][..., None, :]
-            h = np.maximum(
-                batch_norm_values(h, params[f"{prefix}.bn.gamma"], params[f"{prefix}.bn.beta"]),
-                0,
-            )
-            return h * next(replay) if drop and masks else h
-
-        h = layer(x.astype(params["stem.W"].dtype, copy=False), "stem", True)
-        taps: list[np.ndarray] = []
-        for bidx in range(self.config.res_blocks):
-            r = h
-            for lidx in range(self.config.res_layers_per_block):
-                r = layer(r, f"block{bidx}.layer{lidx}", True)
-            h = h + r
-            taps.append(h)
-        pen = layer(h, "penult", False)
-        taps.append(pen)
-        head_in = pen * next(replay) if masks else pen
-        logits = head_in @ params["head.W"] + params["head.b"][..., None, :]
+        taps, _, logits = self._values(
+            x.astype(self.params["stem.W"].dtype, copy=False), "teacher", masks, None
+        )
         return TapSet(taps=[Tensor(t) for t in taps], logits=Tensor(logits))
 
     @property
@@ -410,8 +442,8 @@ class ResidualClassifier:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Eval-mode argmax over every registered class (ties -> lowest id)."""
-        tapset, _ = self.forward_with_taps(x, train=False)
-        return np.argmax(tapset.logits.data, axis=1)
+        x = self._check_input(x).astype(self.params["stem.W"].dtype, copy=False)
+        return np.argmax(self._values(x, "eval", (), None)[2], axis=1)
 
     def to_param_vector(self) -> ParamVector:
         names = tuple(self.params) + tuple(self.stats)
@@ -432,6 +464,86 @@ class ResidualClassifier:
             {k: v.copy() for k, v in self.params.items()},
             {k: v.copy() for k, v in self.stats.items()},
         )
+
+
+def _give(leaf: Tensor, g: np.ndarray) -> None:
+    """Add ``g`` into a leaf's gradient. ``g`` holds no -0, so the tape's
+    zero start would not change it and is skipped."""
+    leaf.grad = g if leaf.grad is None else leaf.grad + g
+
+
+def _sum(*parts):
+    """Gradient contributions to one value, added in the given order from the
+    tape's zero start (which turns a first -0 into +0); None when there are none."""
+    total = None
+    for g in parts:
+        if g is not None:
+            total = g + 0.0 if total is None else total + g
+    return total
+
+
+def _tap_node(trunk: Tensor, i: int, value: np.ndarray, n_taps: int) -> Tensor:
+    """Output node of tap ``i``: its backward puts the tap's gradient into
+    slot ``i`` of the trunk's gradient, a list of ``n_taps`` slots.
+
+    The trunk never refers to its tap nodes, so a pass forms no reference
+    cycle and is freed as soon as it is dropped.
+    """
+
+    def backward(g: np.ndarray) -> None:
+        if trunk.grad is None:
+            trunk.grad = [None] * n_taps
+        trunk.grad[i] = g
+
+    return _node(value, (trunk,), backward, f"tap{i}")
+
+
+def _layer_backward(leaves: dict, state: tuple, g: np.ndarray, train: bool, need_dx: bool):
+    """Backward of one affine -> BN -> ReLU -> dropout layer, given the
+    gradient of its output; returns the gradient of its input (if needed).
+
+    Each ``+ 0.0`` stands where the tape starts a node's gradient from
+    zeros, which turns a -0 into +0.
+    """
+    prefix, h, y, xhat, inv_std, mask = state
+    if mask is not None:
+        g = g * mask
+    g = g * (y > 0) + 0.0
+    gamma, w = leaves[f"{prefix}.bn.gamma"], leaves[f"{prefix}.W"]
+    dgamma, dbeta, dz = batch_norm_grads(g, xhat, inv_std, gamma.data, train)
+    _give(gamma, dgamma + 0.0)
+    _give(leaves[f"{prefix}.bn.beta"], dbeta)
+    dz += 0.0
+    _give(leaves[f"{prefix}.b"], dz.sum(axis=0))
+    _give(w, h.T @ dz + 0.0)
+    return dz @ w.data.T if need_dx else None
+
+
+def _trunk_backward(config: ModelConfig, leaves: dict, layers: list, train: bool):
+    """Backward of the trunk: the tap gradients in, every trunk leaf's gradient out.
+
+    A block output's gradient adds, in the tape's order, its tap's
+    gradient, the next block's skip pass-through and the next layer's
+    input gradient. A value nothing reached passes no gradient on.
+    """
+    n_layers = config.res_layers_per_block
+
+    def backward(tap_grads: list) -> None:
+        dx = tap_grads[-1]
+        if dx is not None:
+            dx = _layer_backward(leaves, layers[-1], dx, train, True)
+        skip = None
+        for bidx in reversed(range(config.res_blocks)):
+            g = skip = _sum(tap_grads[bidx], skip, dx)
+            for lidx in reversed(range(n_layers)):
+                if g is not None:
+                    g = _layer_backward(leaves, layers[1 + bidx * n_layers + lidx], g, train, True)
+            dx = g
+        g = _sum(skip, dx)
+        if g is not None:
+            _layer_backward(leaves, layers[0], g, train, False)
+
+    return backward
 
 
 def build_model(config: ModelConfig, seed: int) -> ResidualClassifier:

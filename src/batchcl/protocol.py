@@ -13,8 +13,9 @@ One incremental step processes a batch of k disjoint tasks:
                   trains the base on the pooled memory+buffer data, then
                   refreshes the memory and discards the buffers.
 
-A step is atomic: any expert failure leaves the base model and the memory
-byte-identical to before the step.
+A step is atomic: an expert failure, a protocol violation or a diverging
+consolidation leaves the base model and the memory byte-identical to before
+the step.
 
 All randomness is derived from the run's master seed through
 :func:`child_seed` with documented labels, so any phase can be replayed
@@ -717,10 +718,12 @@ def run_incremental_step(
     """Execute sync -> parallel expert training -> consolidate -> memory refresh.
 
     On success returns the NEW base model and records the step's cost; the
-    memory is refreshed in place as the final action. If an expert fails
-    or the consolidation loss or a gradient turns non-finite, raises
-    StepFailure with base and memory untouched (the consolidation trains a
-    copy, and the memory write only happens after success).
+    memory is refreshed in place as the final action. If an expert fails,
+    an expert's message breaks the protocol (a malformed, duplicate or
+    missing ARTF frame), or the consolidation loss or a gradient turns
+    non-finite, raises StepFailure with base and memory untouched (the
+    consolidation trains a copy, and the memory write only happens after
+    success).
     """
     transport.begin_step()
     broadcast_before = transport.broadcast_bytes
@@ -734,19 +737,16 @@ def run_incremental_step(
     t0 = time.perf_counter()
     try:
         artifact_msgs = executor.run(syncs, plan.tasks, base.config)
-    except ExpertFailure as e:
-        raise StepFailure(f"step {plan.step_id}: {e}") from e
-    expert_wall = time.perf_counter() - t0
-
-    # sorting makes everything downstream arrival-order independent
-    received = sorted(
-        (decode_artifact(transport.send_artifact(m)) for m in artifact_msgs),
-        key=lambda a: a.expert_index,
-    )
-    if len(received) != plan.k:
-        raise ProtocolViolation(
-            f"step {plan.step_id}: expected {plan.k} artifacts, got {len(received)}"
+        expert_wall = time.perf_counter() - t0
+        # sorting makes everything downstream arrival-order independent
+        received = sorted(
+            (decode_artifact(transport.send_artifact(m)) for m in artifact_msgs),
+            key=lambda a: a.expert_index,
         )
+        if len(received) != plan.k:
+            raise ProtocolViolation(f"expected {plan.k} artifacts, got {len(received)}")
+    except (ExpertFailure, ProtocolViolation) as e:
+        raise StepFailure(f"step {plan.step_id}: {e}") from e
 
     memory_bytes_at_peak = exemplar_block_nbytes(len(memory), memory.exemplars.dim)
     expert_param_bytes = sum(a.param_vector.nbytes for a in received)

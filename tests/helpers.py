@@ -1,4 +1,4 @@
-"""Shared test utilities: float64 model twins, teacher stacks and finite-difference oracles."""
+"""Shared test utilities: float64 model twins, teacher stacks, finite-difference oracles and the per-op student pass."""
 
 from __future__ import annotations
 
@@ -97,3 +97,49 @@ def assert_matches_fd(analytic, numeric, rel_tol: float = 1e-4):
             a, n, atol=rel_tol * scale, rtol=rel_tol,
             err_msg=f"gradient mismatch for {name}",
         )
+
+
+def per_op_forward(model: ResidualClassifier, x: np.ndarray, train: bool = False,
+                   rng: np.random.Generator | None = None) -> tuple[TapSet, dict[str, Tensor]]:
+    """The student pass as a graph of one tape node per op: the oracle of the fused pass.
+
+    Same contract as ``ResidualClassifier.forward_with_taps``: it updates
+    the running buffers in train mode and draws one dropout mask per site,
+    in layer order. The fused pass must give the same taps, logits, masks,
+    buffers and gradients, bit for bit.
+    """
+    from batchcl.engine import add, batch_norm, dropout, dropout_mask, matmul, relu
+
+    leaves = {name: Tensor(arr, requires_grad=True, name=name)
+              for name, arr in model.params.items()}
+    p = model.config.dropout_p
+    masks: list[np.ndarray] = []
+
+    def drop(h, name):
+        mask = None
+        if train and rng is not None:
+            mask = dropout_mask(h.shape, p, rng, h.dtype)
+            masks.append(mask)
+        return dropout(h, p, rng, train, name=name, mask=mask)
+
+    def layer(h, prefix, p_drop):
+        h = add(matmul(h, leaves[f"{prefix}.W"]), leaves[f"{prefix}.b"])
+        h = batch_norm(h, leaves[f"{prefix}.bn.gamma"], leaves[f"{prefix}.bn.beta"],
+                       model.stats[f"{prefix}.bn.running_mean"],
+                       model.stats[f"{prefix}.bn.running_var"], train=train)
+        h = relu(h)
+        return drop(h, f"{prefix}.dropout") if p_drop > 0 else h
+
+    h = layer(Tensor(x.astype(model.params["stem.W"].dtype, copy=False)), "stem", p)
+    taps = []
+    for b in range(model.config.res_blocks):
+        r = h
+        for l in range(model.config.res_layers_per_block):
+            r = layer(r, f"block{b}.layer{l}", p)
+        h = add(h, r)
+        taps.append(h)
+    pen = layer(h, "penult", 0.0)
+    taps.append(pen)
+    head_in = drop(pen, "head.dropout") if p > 0 else pen
+    logits = add(matmul(head_in, leaves["head.W"]), leaves["head.b"])
+    return TapSet(taps=taps, logits=logits, masks=masks), leaves

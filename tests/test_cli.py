@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import batchcl
+import batchcl.protocol as protocol_mod
 from batchcl.cli import _build_parser, export_pareto, main, run_experiment, run_sweep, sample_trial
 from batchcl.config import (
     ConfigError,
@@ -80,6 +81,7 @@ class TestConfig:
             ("bmc", "bmc", "memory_capacity", 0),
             ("bmc", "bmc", "buffer_capacity", 0),
             ("bmc", "bmc", "experts_per_step", 0),
+            ("bmc", "bmc", "workers", -3),
             ("sgd", "training", "lr", -1.0),
             ("sgd", "model", "dropout_p", 1.5),
             ("sgd", "stream", "n_tasks", 0),
@@ -171,6 +173,27 @@ class TestRunVerb:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["failed_step"] == 0
         assert summary["n_steps"] == 0
+
+    def test_protocol_violation_fails_the_step_not_the_run(self, tmp_path, monkeypatch):
+        # every expert's ARTF frame arrives 3 bytes short
+        serial_run = protocol_mod.SerialExecutor.run
+        monkeypatch.setattr(
+            protocol_mod.SerialExecutor, "run",
+            lambda self, *args: [m[:-3] for m in serial_run(self, *args)],
+        )
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(toy_raw(method="bmc", out_dir=str(tmp_path / "out"))))
+        assert main(["run", str(cfg_file)]) == 3
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["failed_step"] == 0
+        assert (tmp_path / "out" / "records.jsonl").exists()
+
+    def test_workers_flag_is_range_checked(self, tmp_path, capsys):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(toy_raw(method="bmc", out_dir=str(tmp_path / "out"))))
+        assert main(["run", str(cfg_file), "--workers", "-3"]) == 2
+        assert "bmc/workers" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_summary_byte_identical_across_reruns(self, tmp_path):
         cfg = parse_config(toy_raw(method="bmc"))

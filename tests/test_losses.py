@@ -605,6 +605,29 @@ class TestGradientOracles:
         self._check(lambda ts: l_base(ts, taps, self.y, 0.9, 1.3,
                                       teacher_origins=[0, 1], batch_origins=origins))
 
+    def test_train_mode_with_dropout_grad(self):
+        # batch statistics and dropout through two residual blocks; every
+        # call draws the same masks from a fresh fixed-seed RNG
+        config = dataclasses.replace(TOY, dropout_p=0.2)
+        student = float64_twin(build_model(config, seed=0))
+        jitter_params(student, seed=102)
+        teacher = float64_twin(build_model(config, seed=33))
+        jitter_params(teacher, seed=203)
+        rng = np.random.default_rng(14)
+        x, y = rng.standard_normal((6, 4)), rng.integers(0, 3, size=6)
+
+        def forward():
+            return student.forward_with_taps(x, train=True, rng=np.random.default_rng(15))
+
+        ts, leaves = forward()
+        assert ts.masks and not all(m.all() for m in ts.masks)
+        target = teacher.forward_as_teacher(x, ts.masks)
+        _, analytic = loss_and_grads(l_exp(ts, target, y, 0.7), leaves)
+        numeric = finite_diff_params(
+            lambda: l_exp(forward()[0], target, y, 0.7).item(), student.params
+        )
+        assert_matches_fd(analytic, numeric)
+
     def test_ewc_penalty_grad(self):
         rng = np.random.default_rng(12)
         fisher = FisherState(

@@ -1,13 +1,17 @@
-"""Classifier construction, forward oracle, snapshot round-trips."""
+"""Classifier construction, forward oracle, fused student pass, snapshot round-trips."""
 
 from __future__ import annotations
 
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
+from helpers import float64_twin, jitter_params, per_op_forward, stack_passes
 
-from batchcl.engine import GraphError
+from batchcl.engine import GraphError, loss_and_grads
+from batchcl.losses import DISTILL_KINDS, l_base, task_loss
 from batchcl.model import (
     ModelConfig,
     ParamVector,
@@ -183,6 +187,127 @@ class TestForward:
         m.params["head.b"][:] = 0.0
         pred = m.predict(np.ones((4, 4), dtype=np.float32))
         np.testing.assert_array_equal(pred, np.zeros(4, dtype=np.intp))
+
+
+class TestFusedPass:
+    """The hand-differentiated student pass against the per-op graph it replaces.
+
+    ``per_op_forward`` (tests/helpers.py) builds the pass one tape node per
+    op. Both passes must agree bit for bit on every output of a pass and on
+    every gradient, so float32 sums have to be added in the tape's order.
+    With two residual blocks a block tap takes three gradient contributions
+    (its distance terms, the next block's skip and the next layer), and the
+    penultimate tap takes the head's before the distance terms.
+    """
+
+    def _model(self, res_blocks, dropout_p, dtype=np.float32):
+        config = ModelConfig(input_dim=6, total_classes=5, res_blocks=res_blocks,
+                             res_layers_per_block=2, res_dim=8, hidden_dim=7,
+                             dropout_p=dropout_p)
+        m = build_model(config, seed=21)
+        jitter_params(m, seed=22)
+        rng = np.random.default_rng(23)  # running buffers away from their start
+        m.forward_with_taps(rng.standard_normal((12, 6)).astype(np.float32),
+                            train=True, rng=rng)
+        return m if dtype == np.float32 else float64_twin(m)
+
+    def _run(self, forward, model, x, train, loss_of):
+        rng = np.random.default_rng(24)
+        tapset, leaves = forward(model, x, train, rng)
+        value, grads = loss_and_grads(loss_of(tapset), leaves)
+        return {
+            "loss": np.float64(value).tobytes(),
+            "rng": rng.bit_generator.state,
+            "grads": {k: g.tobytes() for k, g in grads.items()},
+            "taps": [t.data.tobytes() for t in tapset.taps],
+            "logits": tapset.logits.data.tobytes(),
+            "masks": [mk.tobytes() for mk in tapset.masks],
+            "stats": {k: v.tobytes() for k, v in model.stats.items()},
+        }
+
+    def _assert_same(self, model, x, train, loss_of):
+        fused = self._run(lambda m, *a: m.forward_with_taps(*a), model.copy(), x, train, loss_of)
+        per_op = self._run(per_op_forward, model.copy(), x, train, loss_of)
+        assert fused.keys() == per_op.keys()
+        for key in fused:
+            assert fused[key] == per_op[key], key
+
+    @pytest.mark.parametrize("kind", DISTILL_KINDS)
+    @pytest.mark.parametrize("train", [True, False])
+    @pytest.mark.parametrize("res_blocks", [1, 2])
+    @pytest.mark.parametrize("dropout_p", [0.0, 0.1])
+    def test_bitwise_equal_to_per_op_graph(self, kind, train, res_blocks, dropout_p):
+        model = self._model(res_blocks, dropout_p)
+        data = np.random.default_rng(25)
+        x = data.standard_normal((9, 6)).astype(np.float32)
+        y = data.integers(0, 5, size=9)
+        origins = np.array([0, 1, 2, 0, -1, 1, 2, 2, -1])
+        teachers = stack_vectors(model.config, [
+            build_model(model.config, seed=30 + j).to_param_vector() for j in range(3)
+        ])
+
+        def loss_of(tapset):
+            return l_base(tapset, teachers.forward_as_teacher(x, tapset.masks), y,
+                          0.9, 1.3, kind, [0, 1, 2], origins)
+
+        self._assert_same(model, x, train, loss_of)
+
+    def test_eval_batch_of_one(self):
+        # the gradient-norm buffer sampling differentiates one row at a time
+        model = self._model(2, 0.1)
+        x = np.random.default_rng(26).standard_normal((1, 6)).astype(np.float32)
+        self._assert_same(model, x, False, lambda t: task_loss(t.logits, np.array([3])))
+
+    def test_float64_twin(self):
+        model = self._model(2, 0.1, np.float64)
+        x = np.random.default_rng(27).standard_normal((9, 6))
+        teacher = model.copy()
+        jitter_params(teacher, seed=28)
+
+        def loss_of(tapset):
+            return l_base(tapset, stack_passes([teacher.forward_as_teacher(x, tapset.masks)]),
+                          np.arange(9) % 5, 1.0, 1.0, "features", [0], np.zeros(9))
+
+        self._assert_same(model, x, True, loss_of)
+
+    def test_predict_is_the_eval_pass_argmax(self):
+        model = self._model(2, 0.1)
+        x = np.random.default_rng(29).standard_normal((11, 6)).astype(np.float32)
+        tapset, _ = per_op_forward(model, x)
+        np.testing.assert_array_equal(model.predict(x), np.argmax(tapset.logits.data, axis=1))
+
+    def test_pass_is_one_trunk_one_node_per_tap_and_a_head(self):
+        model = self._model(2, 0.1)
+        x = np.random.default_rng(30).standard_normal((5, 6)).astype(np.float32)
+        tapset, leaves = model.forward_with_taps(x, train=True, rng=np.random.default_rng(31))
+        trunk = tapset.taps[0].parents[0]
+        assert all(t.parents == (trunk,) for t in tapset.taps)
+        assert tapset.logits.parents == (tapset.taps[-1], leaves["head.W"], leaves["head.b"])
+        assert set(trunk.parents) == {v for k, v in leaves.items() if not k.startswith("head.")}
+
+    def test_dropped_pass_is_freed_without_the_cycle_collector(self):
+        # a reference cycle through the trunk would keep every pass's arrays
+        # alive until a collection, and raise peak memory
+        model = self._model(2, 0.1)
+        x = np.random.default_rng(32).standard_normal((5, 6)).astype(np.float32)
+        gc.disable()
+        try:
+            tapset, leaves = model.forward_with_taps(x, train=True,
+                                                     rng=np.random.default_rng(33))
+            loss_and_grads(task_loss(tapset.logits, np.arange(5)), leaves)
+            trunk = weakref.ref(tapset.taps[0].parents[0])
+            del tapset, leaves
+            assert trunk() is None
+        finally:
+            gc.enable()
+
+    def test_train_mode_checks(self):
+        model = self._model(1, 0.1)
+        with pytest.raises(GraphError, match="size 1"):
+            model.forward_with_taps(np.zeros((1, 6), np.float32), train=True,
+                                    rng=np.random.default_rng(0))
+        with pytest.raises(GraphError, match="RNG"):
+            model.forward_with_taps(np.zeros((4, 6), np.float32), train=True)
 
 
 class TestParamVector:

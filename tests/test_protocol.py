@@ -16,6 +16,7 @@ import pytest
 from helpers import experiment
 
 import batchcl.protocol as protocol_mod
+from batchcl.engine import Tensor
 from batchcl.losses import LossCoefficients
 from batchcl.model import ModelConfig, ParamVector, build_model
 from batchcl.protocol import (
@@ -604,6 +605,41 @@ class TestConsolidate:
                         rng=np.random.default_rng(0))
 
 
+    def test_one_batch_builds_at_most_30_tensors(self, monkeypatch):
+        # pinned16's shape (1 block of 2 layers, k = 4) and exactly one
+        # consolidation batch: the per-op student graph took about 50 nodes
+        config = ModelConfig(input_dim=16, total_classes=64, res_blocks=1,
+                             res_layers_per_block=2, res_dim=32, hidden_dim=16,
+                             dropout_p=0.1)
+        base = build_model(config, seed=1)
+        rng = np.random.default_rng(2)
+        arts = [
+            ExpertArtifact(
+                expert_index=i, param_vector=build_model(config, seed=10 + i).to_param_vector(),
+                buffer=Buffer(
+                    exemplars=ExemplarSet.from_task_data(
+                        rng.standard_normal((8, 16)).astype(np.float32),
+                        rng.integers(4 * i, 4 * i + 4, size=8), task_id=i, origin=i,
+                    ),
+                    capacity=8, owner=i,
+                ),
+                stats=ExpertStats(epochs=1, final_loss=0.5, wall_clock_s=0.0),
+            )
+            for i in range(4)
+        ]
+        built = []
+        init = Tensor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counting_init)
+        consolidate(base, arts, Memory(40, 16), LossCoefficients(),
+                    rehearsal_epochs=1, batch_size=32, rng=np.random.default_rng(3))
+        assert 0 < len(built) <= 30
+
+
 class TestIncrementalStep:
     def run_one(self, stream, plan_idx=0, memory=None, master_seed=5):
         base = build_model(TOY, seed=child_seed(master_seed, "init"))
@@ -720,6 +756,32 @@ class TestIncrementalStep:
         assert base.to_param_vector().to_bytes() == base_before
         assert memory.exemplars.features.tobytes() == memory_before
         assert len(memory) == 10
+
+
+    def test_truncated_artifact_frame_fails_the_step(self, stream):
+        master_seed = 5
+        base = build_model(TOY, seed=child_seed(master_seed, "init"))
+        plans = plan_steps(stream, 2, master_seed, TINY_HYPER)
+        memory = Memory(40, stream.dim)
+        memory.replace(make_exemplars(10))
+        base_before = base.to_param_vector().to_bytes()
+        memory_before = memory.exemplars.features.tobytes()
+        with pytest.raises(StepFailure, match="step 1: frame payload truncated"):
+            run_incremental_step(
+                base, plans[1], memory, master_seed,
+                coefficients=LossCoefficients(), rehearsal_epochs=2,
+                transport=CountingTransport(), executor=_TruncatingExecutor(),
+                lr=0.1, batch_size=8,
+            )
+        assert base.to_param_vector().to_bytes() == base_before
+        assert memory.exemplars.features.tobytes() == memory_before
+
+
+class _TruncatingExecutor(SerialExecutor):
+    """Experts whose ARTF frames lose their last 3 bytes on the way."""
+
+    def run(self, syncs, tasks, model_config):
+        return [m[:-3] for m in super().run(syncs, tasks, model_config)]
 
 
 class _StandInPool:
