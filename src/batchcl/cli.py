@@ -1,8 +1,9 @@
 """Experiment runner: single runs, random-search sweeps, Pareto export.
 
-Output is line-delimited JSON (one self-describing object per line) so a
-crashed run still leaves every completed record parseable; sweeps emit a
-CSV next to the JSONL for plotting. The summary record contains only
+Output is line-delimited JSON (one self-describing object per line),
+written when the run returns: a run whose step fails (exit 3) still writes
+the records of the steps before it, but a run that raises (exit 1) writes
+no records at all. Sweeps emit a CSV next to the JSONL for plotting. The summary record contains only
 deterministic fields — wall-clock timings live in a separate record — so
 re-running the same config and seed with one worker reproduces the summary
 byte for byte.
@@ -309,11 +310,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_run(args) -> int:
     try:
         cfg = load_config(args.config)
+        if args.seed is not None:
+            cfg = parse_config({**config_to_dict(cfg), "seed": args.seed})
     except (ConfigError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        cfg = parse_config({**config_to_dict(cfg), "seed": args.seed})
     out_dir = args.out_dir or cfg.out_dir
     try:
         code, summary = run_experiment(cfg, out_dir, workers=args.workers,

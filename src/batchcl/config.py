@@ -125,7 +125,7 @@ CONFIG_SCHEMA = {
     "additionalProperties": False,
     "properties": {
         "method": {"enum": list(METHODS)},
-        "seed": {"type": "integer"},
+        "seed": {"type": "integer", **_NON_NEGATIVE},
         "out_dir": {"type": "string"},
         "stream": _section(StreamSpec, {"kind": {"enum": list(STREAM_KINDS) + ["file"]}}),
         "model": _section(
@@ -175,7 +175,8 @@ CONFIG_SCHEMA = {
         ),
         _when("er", "baseline", {"memory_capacity": _POSITIVE, "replay_coef": _NON_NEGATIVE}),
         _when("oewc", "baseline", {"penalty_coef": _NON_NEGATIVE, "gamma": _NON_NEGATIVE}),
-        # a file stream ignores the size fields, so they bind generated streams only
+        # a file stream ignores the size fields and the seed, so they bind
+        # generated streams only
         {
             "if": {
                 "properties": {
@@ -184,7 +185,12 @@ CONFIG_SCHEMA = {
             },
             "else": {
                 "properties": {
-                    "stream": {"properties": {key: _POSITIVE for key in _STREAM_SIZE_FIELDS}}
+                    "stream": {
+                        "properties": {
+                            **{key: _POSITIVE for key in _STREAM_SIZE_FIELDS},
+                            "seed": _NON_NEGATIVE,
+                        }
+                    }
                 }
             },
         },
@@ -266,7 +272,7 @@ SWEEP_SCHEMA = {
     "additionalProperties": False,
     "properties": {
         "trials": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer"},
+        "seed": {"type": "integer", **_NON_NEGATIVE},
         "base": CONFIG_SCHEMA,
         "ranges": {
             "type": "object",

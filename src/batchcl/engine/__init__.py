@@ -6,22 +6,14 @@ from .autodiff import (
     Tensor,
     add,
     backward,
-    batch_norm,
     batch_norm_arrays,
     batch_norm_grads,
-    batch_norm_values,
-    dropout,
     dropout_mask,
     gradients,
     loss_and_grads,
-    matmul,
-    mul,
-    relu,
     scale,
     softmax_cross_entropy,
-    square,
     stacked_distance,
-    sum_all,
 )
 from .optim import SGD, PlateauScheduler, train_epochs
 
@@ -31,22 +23,14 @@ __all__ = [
     "Tensor",
     "add",
     "backward",
-    "batch_norm",
     "batch_norm_arrays",
     "batch_norm_grads",
-    "batch_norm_values",
-    "dropout",
     "dropout_mask",
     "gradients",
     "loss_and_grads",
-    "matmul",
-    "mul",
-    "relu",
     "scale",
     "softmax_cross_entropy",
-    "square",
     "stacked_distance",
-    "sum_all",
     "SGD",
     "PlateauScheduler",
     "train_epochs",

@@ -2,8 +2,13 @@
 
 Small define-by-run tape: each operation computes its forward value eagerly
 and records a closure that routes the upstream gradient to its inputs.
-Only the operations needed by a residual MLP classifier are provided --
-there is no general broadcasting, no GPU, no higher-order gradients.
+The tape ops are the ones the objectives build on: ``add``, ``scale``,
+``softmax_cross_entropy`` and ``stacked_distance``. The model's layers are
+not tape ops: its student pass runs them on plain arrays
+(``batch_norm_arrays``, ``dropout_mask``) and adds one hand-differentiated
+node per trunk, tap and head through ``_node``, with ``batch_norm_grads``
+in its backward. There is no general broadcasting, no GPU, no
+higher-order gradients.
 
 Arrays are float32 in production; every op inherits the dtype of its
 inputs, so tests can run the same graphs in float64 against a
@@ -12,7 +17,7 @@ finite-difference oracle.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -74,20 +79,6 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     t.grad += g
 
 
-def matmul(x: Tensor, w: Tensor, name: str = "matmul") -> Tensor:
-    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]:
-        raise GraphError(
-            f"{name}: incompatible shapes {x.shape} @ {w.shape}"
-        )
-    out_data = x.data @ w.data
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(x, g @ w.data.T)
-        _accumulate(w, x.data.T @ g)
-
-    return _node(out_data, (x, w), backward, name)
-
-
 def add(x: Tensor, y: Tensor, name: str = "add") -> Tensor:
     """Elementwise add; also accepts a rank-1 bias added to each row of a matrix."""
     bias_case = x.data.ndim == 2 and y.data.ndim == 1 and x.shape[1] == y.shape[0]
@@ -102,18 +93,6 @@ def add(x: Tensor, y: Tensor, name: str = "add") -> Tensor:
     return _node(out_data, (x, y), backward, name)
 
 
-def mul(x: Tensor, y: Tensor, name: str = "mul") -> Tensor:
-    if x.shape != y.shape:
-        raise GraphError(f"{name}: shape mismatch {x.shape} * {y.shape}")
-    out_data = x.data * y.data
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(x, g * y.data)
-        _accumulate(y, g * x.data)
-
-    return _node(out_data, (x, y), backward, name)
-
-
 def scale(x: Tensor, c: float, name: str = "scale") -> Tensor:
     c = float(c)
     out_data = x.data * np.asarray(c, dtype=x.dtype)
@@ -124,69 +103,12 @@ def scale(x: Tensor, c: float, name: str = "scale") -> Tensor:
     return _node(out_data, (x,), backward, name)
 
 
-def square(x: Tensor, name: str = "square") -> Tensor:
-    out_data = x.data * x.data
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(x, g * 2.0 * x.data)
-
-    return _node(out_data, (x,), backward, name)
-
-
-def relu(x: Tensor, name: str = "relu") -> Tensor:
-    out_data = np.maximum(x.data, 0)
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(x, g * (x.data > 0))
-
-    return _node(out_data, (x,), backward, name)
-
-
-def sum_all(x: Tensor, name: str = "sum") -> Tensor:
-    out_data = x.data.sum()
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(x, np.full_like(x.data, g))
-
-    return _node(out_data, (x,), backward, name)
-
-
 def dropout_mask(
     shape: tuple[int, ...], p: float, rng: np.random.Generator, dtype
 ) -> np.ndarray:
     """Inverted-dropout multiplier: 0 for a dropped unit, 1/(1-p) for a kept one."""
     keep = (rng.random(shape) >= p).astype(dtype)
     return keep * np.asarray(1.0 / (1.0 - p), dtype=dtype)
-
-
-def dropout(
-    x: Tensor,
-    p: float,
-    rng: np.random.Generator | None,
-    train: bool,
-    name: str = "dropout",
-    mask: np.ndarray | None = None,
-) -> Tensor:
-    """Inverted dropout: kept units are scaled by 1/(1-p) at train time.
-
-    Eval mode is the identity and consumes no randomness. A train-mode
-    ``mask`` (from :func:`dropout_mask`) is applied instead of a fresh draw,
-    so the caller can keep the multiplier of the pass.
-    """
-    if not 0.0 <= p < 1.0:
-        raise GraphError(f"{name}: dropout rate {p} outside [0, 1)")
-    if not train or p == 0.0:
-        return _node(x.data, (x,), lambda g: _accumulate(x, g), name)
-    if mask is None:
-        if rng is None:
-            raise GraphError(f"{name}: train-mode dropout needs an RNG")
-        mask = dropout_mask(x.shape, p, rng, x.dtype)
-    out_data = x.data * mask
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(x, g * mask)
-
-    return _node(out_data, (x,), backward, name)
 
 
 BN_MOMENTUM = 0.1
@@ -206,11 +128,10 @@ def _row_mean(x: np.ndarray) -> np.ndarray:
 def batch_norm_arrays(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, running, train: bool):
     """Batch norm on plain arrays: ``(out, xhat, inv_std)``.
 
-    This is the forward arithmetic of every pass that normalizes: the tape
-    op :func:`batch_norm`, :func:`batch_norm_values` and the model's
-    hand-differentiated layers. ``x`` is ``(..., B, D)``, and ``gamma``,
-    ``beta`` broadcast against it. In train mode the statistics are taken
-    over the rows (axis -2) of each leading index, as ``mean``,
+    This is the forward arithmetic of every pass that normalizes: the
+    model's student, teacher and eval passes. ``x`` is ``(..., B, D)``, and
+    ``gamma``, ``beta`` broadcast against it. In train mode the statistics
+    are taken over the rows (axis -2) of each leading index, as ``mean``,
     ``d = x - mean``, ``var = mean(d * d)``, and ``running``, a
     ``(mean, var)`` pair of running buffers or None, takes them in place
     with momentum ``BN_MOMENTUM`` (the variance unbiased). In eval mode
@@ -250,53 +171,6 @@ def batch_norm_grads(g: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray,
     else:
         dx = dxhat * inv_std
     return (g * xhat).sum(axis=0), g.sum(axis=0), dx
-
-
-def batch_norm_values(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """Forward value of train-mode :func:`batch_norm` on plain arrays.
-
-    No tape node, no running buffers: for passes that are never
-    differentiated but must match a train-mode pass bit for bit. Leading
-    axes stack independent layers: ``x`` is ``(..., B, D)`` and ``gamma``,
-    ``beta`` are ``(..., D)``; statistics are taken over the rows (axis -2)
-    of each, with the same arithmetic as a single ``(B, D)`` input.
-    """
-    return batch_norm_arrays(x, gamma[..., None, :], beta[..., None, :], None, True)[0]
-
-
-def batch_norm(
-    x: Tensor,
-    gamma: Tensor,
-    beta: Tensor,
-    running_mean: np.ndarray,
-    running_var: np.ndarray,
-    train: bool,
-    name: str = "batch_norm",
-) -> Tensor:
-    """Per-feature normalization over the batch axis.
-
-    Train mode normalizes by batch statistics (needs at least 2 rows) and
-    folds them into the running buffers in place with momentum
-    ``BN_MOMENTUM`` (running variance uses the unbiased estimate). Eval
-    mode is a fixed affine map built from the running buffers. Both add
-    ``BN_EPS`` to the variance.
-    """
-    if x.data.ndim != 2 or x.shape[1] != gamma.shape[0]:
-        raise GraphError(f"{name}: input {x.shape} vs width {gamma.shape}")
-    n = x.shape[0]
-    if train and n < 2:
-        raise GraphError(f"{name}: train-mode batch of size {n} (need >= 2)")
-    out_data, xhat, inv_std = batch_norm_arrays(
-        x.data, gamma.data, beta.data, (running_mean, running_var), train
-    )
-
-    def backward(g: np.ndarray) -> None:
-        dgamma, dbeta, dx = batch_norm_grads(g, xhat, inv_std, gamma.data, train)
-        _accumulate(gamma, dgamma)
-        _accumulate(beta, dbeta)
-        _accumulate(x, dx)
-
-    return _node(out_data, (x, gamma, beta), backward, name)
 
 
 def softmax_cross_entropy(

@@ -32,10 +32,12 @@ from .engine import (
     GraphError,
     Tensor,
     add,
+    loss_and_grads,
     scale,
     softmax_cross_entropy,
     stacked_distance,
 )
+from .engine.autodiff import _accumulate, _node
 from .model import TapSet
 
 
@@ -247,24 +249,13 @@ def ewc_penalty(param_leaves: dict[str, Tensor], fisher: FisherState) -> Tensor:
         drift = leaf.data - fisher.anchor[k]
         value += float((fisher.importance[k] * drift * drift).sum())
 
-    out = Tensor(
-        np.asarray(value, dtype=next(iter(param_leaves.values())).dtype),
-        name="ewc_penalty",
-    )
-    out.requires_grad = any(l.requires_grad for l in param_leaves.values())
-
     def backward(g: np.ndarray) -> None:
         for k, leaf in param_leaves.items():
-            if leaf.requires_grad:
-                if leaf.grad is None:
-                    leaf.grad = np.zeros_like(leaf.data)
-                drift = leaf.data - fisher.anchor[k]
-                leaf.grad += g * 2.0 * fisher.importance[k] * drift
+            _accumulate(leaf, g * 2.0 * fisher.importance[k] * (leaf.data - fisher.anchor[k]))
 
-    if out.requires_grad:
-        out.parents = tuple(param_leaves.values())
-        out.backward_fn = backward
-    return out
+    dtype = next(iter(param_leaves.values())).dtype
+    return _node(np.asarray(value, dtype=dtype), tuple(param_leaves.values()), backward,
+                 "ewc_penalty")
 
 
 def update_fisher(
@@ -279,8 +270,6 @@ def update_fisher(
     forward: importance estimation should not perturb normalization
     statistics or consume dropout randomness).
     """
-    from .engine import loss_and_grads
-
     tapset, leaves = model.forward_with_taps(x, train=False)
     _, grads = loss_and_grads(task_loss(tapset.logits, labels), leaves)
     fisher.check_layout(model.params)

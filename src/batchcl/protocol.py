@@ -276,14 +276,22 @@ def decode_buffer(blob: bytes) -> Buffer:
     return Buffer(exemplars=decode_exemplars(blob[off:]), capacity=capacity, owner=owner)
 
 
-def encode_sync(expert_index: int, seed: int, h: ExpertHyper, base_blob: bytes) -> bytes:
-    """The coordinator-to-expert message (task data itself lives worker-side).
+# expert u32 | seed u64 | epochs u32 | buffer capacity u64 | lr f64 |
+# stability f64 | batch u32 | sampling u8 | distill u8 | base blob length u64
+_SYNC_HEADER = "<IQIQddIBBQ"
+SYNC_FIXED_NBYTES = struct.calcsize(_SYNC_HEADER)  # 54
 
-    expert u32 | seed u64 | epochs u32 | buffer capacity u64 | lr f64 |
-    stability f64 | batch u32 | sampling u8 | distill u8 | base blob u64+bytes
-    """
-    fixed = struct.pack(
-        "<IQIQddIBB",
+# expert u32 | epochs u32 | final loss f64 | wall clock f64 | snapshot length u64
+_ARTIFACT_HEADER = "<IIddQ"
+_BUFFER_LENGTH = "<Q"  # between the snapshot and the buffer
+ARTIFACT_FIXED_NBYTES = struct.calcsize(_ARTIFACT_HEADER) + struct.calcsize(_BUFFER_LENGTH)  # 40
+
+
+def encode_sync(expert_index: int, seed: int, h: ExpertHyper, base_blob: bytes) -> bytes:
+    """The coordinator-to-expert message (task data itself lives worker-side):
+    the ``_SYNC_HEADER`` fields, then the base snapshot bytes."""
+    return struct.pack(
+        _SYNC_HEADER,
         expert_index,
         seed,
         h.epochs,
@@ -293,11 +301,8 @@ def encode_sync(expert_index: int, seed: int, h: ExpertHyper, base_blob: bytes) 
         h.batch_size,
         SAMPLING_STRATEGIES.index(h.sampling),
         DISTILL_KINDS.index(h.distill_kind),
-    )
-    return fixed + struct.pack("<Q", len(base_blob)) + base_blob
-
-
-SYNC_FIXED_NBYTES = 4 + 8 + 4 + 8 + 8 + 8 + 4 + 1 + 1 + 8  # 54
+        len(base_blob),
+    ) + base_blob
 
 
 def decode_sync(payload: bytes) -> tuple[int, int, ExpertHyper, bytes]:
@@ -306,7 +311,7 @@ def decode_sync(payload: bytes) -> tuple[int, int, ExpertHyper, bytes]:
     Returns (expert index, seed, hyper-parameters, base snapshot bytes).
     """
     (expert_index, seed, epochs, buffer_capacity, lr, stability, batch, sampling_idx,
-     distill_idx, blob_len), off = _unpack("<IQIQddIBBQ", payload, 0, "sync header")
+     distill_idx, blob_len), off = _unpack(_SYNC_HEADER, payload, 0, "sync header")
     blob, end = _take(payload, off, blob_len, "sync base snapshot")
     _check_end(payload, end, "sync payload")
     if sampling_idx >= len(SAMPLING_STRATEGIES) or distill_idx >= len(DISTILL_KINDS):
@@ -327,29 +332,25 @@ def decode_sync(payload: bytes) -> tuple[int, int, ExpertHyper, bytes]:
 
 
 def encode_artifact(a: ExpertArtifact) -> bytes:
-    """expert u32 | epochs u32 | final loss f64 | wall clock f64 |
-    snapshot u64+bytes | buffer u64+bytes
-    """
+    """The ``_ARTIFACT_HEADER`` fields, the snapshot bytes, the buffer length
+    (``_BUFFER_LENGTH``) and the buffer bytes."""
     pv = a.param_vector.to_bytes()
     buf = encode_buffer(a.buffer)
     return (
-        struct.pack("<IIdd", a.expert_index, a.stats.epochs, a.stats.final_loss,
-                    a.stats.wall_clock_s)
-        + struct.pack("<Q", len(pv)) + pv
-        + struct.pack("<Q", len(buf)) + buf
+        struct.pack(_ARTIFACT_HEADER, a.expert_index, a.stats.epochs, a.stats.final_loss,
+                    a.stats.wall_clock_s, len(pv))
+        + pv
+        + struct.pack(_BUFFER_LENGTH, len(buf)) + buf
     )
-
-
-ARTIFACT_FIXED_NBYTES = 4 + 4 + 8 + 8 + 8 + 8  # 40
 
 
 def decode_artifact(payload: bytes) -> ExpertArtifact:
     (expert_index, epochs, final_loss, wall, pv_len), off = _unpack(
-        "<IIddQ", payload, 0, "artifact header"
+        _ARTIFACT_HEADER, payload, 0, "artifact header"
     )
     pv_at = off
     pv_blob, off = _take(payload, off, pv_len, "artifact snapshot")
-    (buf_len,), off = _unpack("<Q", payload, off, "artifact buffer length")
+    (buf_len,), off = _unpack(_BUFFER_LENGTH, payload, off, "artifact buffer length")
     buf_blob, off = _take(payload, off, buf_len, "artifact buffer")
     _check_end(payload, off, "artifact payload")
     try:

@@ -1,4 +1,5 @@
-"""Shared test utilities: float64 model twins, teacher stacks, finite-difference oracles and the per-op student pass."""
+"""Shared test utilities: float64 model twins, teacher stacks, finite-difference
+oracles, and the per-op student pass with its reference ops."""
 
 from __future__ import annotations
 
@@ -12,7 +13,14 @@ from batchcl.config import (
     StreamSpec,
     TrainingSpec,
 )
-from batchcl.engine import Tensor
+from batchcl.engine import GraphError, Tensor, add
+from batchcl.engine.autodiff import (
+    _accumulate,
+    _node,
+    batch_norm_arrays,
+    batch_norm_grads,
+    dropout_mask,
+)
 from batchcl.model import ResidualClassifier, TapSet
 
 
@@ -99,6 +107,140 @@ def assert_matches_fd(analytic, numeric, rel_tol: float = 1e-4):
         )
 
 
+# ---------------------------------------------------------------------------
+# reference ops: one tape node per op, the pieces of the per-op oracle
+# ---------------------------------------------------------------------------
+
+
+def matmul(x: Tensor, w: Tensor, name: str = "matmul") -> Tensor:
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise GraphError(
+            f"{name}: incompatible shapes {x.shape} @ {w.shape}"
+        )
+    out_data = x.data @ w.data
+
+    def backward(g: np.ndarray) -> None:
+        _accumulate(x, g @ w.data.T)
+        _accumulate(w, x.data.T @ g)
+
+    return _node(out_data, (x, w), backward, name)
+
+
+def mul(x: Tensor, y: Tensor, name: str = "mul") -> Tensor:
+    if x.shape != y.shape:
+        raise GraphError(f"{name}: shape mismatch {x.shape} * {y.shape}")
+    out_data = x.data * y.data
+
+    def backward(g: np.ndarray) -> None:
+        _accumulate(x, g * y.data)
+        _accumulate(y, g * x.data)
+
+    return _node(out_data, (x, y), backward, name)
+
+
+def square(x: Tensor, name: str = "square") -> Tensor:
+    out_data = x.data * x.data
+
+    def backward(g: np.ndarray) -> None:
+        _accumulate(x, g * 2.0 * x.data)
+
+    return _node(out_data, (x,), backward, name)
+
+
+def relu(x: Tensor, name: str = "relu") -> Tensor:
+    out_data = np.maximum(x.data, 0)
+
+    def backward(g: np.ndarray) -> None:
+        _accumulate(x, g * (x.data > 0))
+
+    return _node(out_data, (x,), backward, name)
+
+
+def sum_all(x: Tensor, name: str = "sum") -> Tensor:
+    out_data = x.data.sum()
+
+    def backward(g: np.ndarray) -> None:
+        _accumulate(x, np.full_like(x.data, g))
+
+    return _node(out_data, (x,), backward, name)
+
+
+def dropout(
+    x: Tensor,
+    p: float,
+    rng: np.random.Generator | None,
+    train: bool,
+    name: str = "dropout",
+    mask: np.ndarray | None = None,
+) -> Tensor:
+    """Inverted dropout: kept units are scaled by 1/(1-p) at train time.
+
+    Eval mode is the identity and consumes no randomness. A train-mode
+    ``mask`` (from ``dropout_mask``) is applied instead of a fresh draw,
+    so the caller can keep the multiplier of the pass.
+    """
+    if not 0.0 <= p < 1.0:
+        raise GraphError(f"{name}: dropout rate {p} outside [0, 1)")
+    if not train or p == 0.0:
+        return _node(x.data, (x,), lambda g: _accumulate(x, g), name)
+    if mask is None:
+        if rng is None:
+            raise GraphError(f"{name}: train-mode dropout needs an RNG")
+        mask = dropout_mask(x.shape, p, rng, x.dtype)
+    out_data = x.data * mask
+
+    def backward(g: np.ndarray) -> None:
+        _accumulate(x, g * mask)
+
+    return _node(out_data, (x,), backward, name)
+
+
+def batch_norm_values(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Forward value of train-mode :func:`batch_norm` on plain arrays.
+
+    No tape node, no running buffers. Leading axes stack independent
+    layers: ``x`` is ``(..., B, D)`` and ``gamma``, ``beta`` are
+    ``(..., D)``; statistics are taken over the rows (axis -2) of each,
+    with the same arithmetic as a single ``(B, D)`` input.
+    """
+    return batch_norm_arrays(x, gamma[..., None, :], beta[..., None, :], None, True)[0]
+
+
+def batch_norm(
+    x: Tensor,
+    gamma: Tensor,
+    beta: Tensor,
+    running_mean: np.ndarray,
+    running_var: np.ndarray,
+    train: bool,
+    name: str = "batch_norm",
+) -> Tensor:
+    """Per-feature normalization over the batch axis.
+
+    Train mode normalizes by batch statistics (needs at least 2 rows) and
+    folds them into the running buffers in place with momentum
+    ``BN_MOMENTUM`` (running variance uses the unbiased estimate). Eval
+    mode is a fixed affine map built from the running buffers. Both add
+    ``BN_EPS`` to the variance.
+    """
+    if x.data.ndim != 2 or x.shape[1] != gamma.shape[0]:
+        raise GraphError(f"{name}: input {x.shape} vs width {gamma.shape}")
+    n = x.shape[0]
+    if train and n < 2:
+        raise GraphError(f"{name}: train-mode batch of size {n} (need >= 2)")
+    out_data, xhat, inv_std = batch_norm_arrays(
+        x.data, gamma.data, beta.data, (running_mean, running_var), train
+    )
+
+    def backward(g: np.ndarray) -> None:
+        dgamma, dbeta, dx = batch_norm_grads(g, xhat, inv_std, gamma.data, train)
+        _accumulate(gamma, dgamma)
+        _accumulate(beta, dbeta)
+        _accumulate(x, dx)
+
+    return _node(out_data, (x, gamma, beta), backward, name)
+
+
 def per_op_forward(model: ResidualClassifier, x: np.ndarray, train: bool = False,
                    rng: np.random.Generator | None = None) -> tuple[TapSet, dict[str, Tensor]]:
     """The student pass as a graph of one tape node per op: the oracle of the fused pass.
@@ -108,8 +250,6 @@ def per_op_forward(model: ResidualClassifier, x: np.ndarray, train: bool = False
     in layer order. The fused pass must give the same taps, logits, masks,
     buffers and gradients, bit for bit.
     """
-    from batchcl.engine import add, batch_norm, dropout, dropout_mask, matmul, relu
-
     leaves = {name: Tensor(arr, requires_grad=True, name=name)
               for name, arr in model.params.items()}
     p = model.config.dropout_p

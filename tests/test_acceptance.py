@@ -19,7 +19,16 @@ import time
 
 import numpy as np
 import pytest
-from helpers import experiment, finite_diff_params, stack_passes
+from helpers import (
+    experiment,
+    finite_diff_params,
+    matmul,
+    mul,
+    relu,
+    square,
+    stack_passes,
+    sum_all,
+)
 
 from batchcl.baselines import run_baseline
 from batchcl.cli import export_pareto, run_experiment, run_sweep
@@ -30,14 +39,9 @@ from batchcl.engine import (
     Tensor,
     add,
     loss_and_grads,
-    matmul,
-    mul,
-    relu,
     scale,
     softmax_cross_entropy,
-    square,
     stacked_distance,
-    sum_all,
 )
 from batchcl.losses import (
     FisherState,

@@ -2,64 +2,39 @@
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from batchcl.engine import (
-    GraphError,
-    NonFiniteError,
-    SGD,
-    Tensor,
-    add,
-    backward,
+from helpers import (
+    assert_matches_fd,
     batch_norm,
     batch_norm_values,
     dropout,
-    dropout_mask,
-    gradients,
-    loss_and_grads,
+    finite_diff_params,
     matmul,
     mul,
     relu,
-    scale,
-    softmax_cross_entropy,
     square,
-    stacked_distance,
     sum_all,
 )
+
+import batchcl.engine
+from batchcl.engine import (
+    GraphError,
+    NonFiniteError,
+    Tensor,
+    add,
+    backward,
+    dropout_mask,
+    loss_and_grads,
+    scale,
+    softmax_cross_entropy,
+    stacked_distance,
+)
 from batchcl.engine.autodiff import BN_MOMENTUM
-
-H = 1e-4
-REL_TOL = 1e-4
-
-
-def finite_diff(build_loss, params: dict[str, np.ndarray]) -> dict[str, np.ndarray]:
-    """Central differences of build_loss(params) w.r.t. every entry, float64."""
-    out = {}
-    for name, p in params.items():
-        g = np.zeros_like(p)
-        flat = p.reshape(-1)
-        gflat = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + H
-            hi = build_loss(params)
-            flat[i] = orig - H
-            lo = build_loss(params)
-            flat[i] = orig
-            gflat[i] = (hi - lo) / (2 * H)
-        out[name] = g
-    return out
-
-
-def assert_grads_close(analytic, numeric):
-    for name in numeric:
-        a, n = analytic[name], numeric[name]
-        denom = max(np.abs(n).max(), 1.0)
-        np.testing.assert_allclose(
-            a, n, atol=REL_TOL * denom, rtol=REL_TOL,
-            err_msg=f"gradient mismatch for {name}",
-        )
 
 
 def random_params(rng, spec):
@@ -91,8 +66,8 @@ class TestFiniteDifferenceOracle:
             logits = add(matmul(h, t["w2"]), t["b2"])
             loss = softmax_cross_entropy(logits, labels)
             _, analytic = loss_and_grads(loss, t)
-            numeric = finite_diff(lambda ps: build(ps).item(), params)
-            assert_grads_close(analytic, numeric)
+            numeric = finite_diff_params(lambda: build(params).item(), params)
+            assert_matches_fd(analytic, numeric)
 
     def test_elementwise_and_reductions(self):
         rng = np.random.default_rng(1)
@@ -115,8 +90,8 @@ class TestFiniteDifferenceOracle:
             v = add(square(u), scale(mul(ta, tb), 0.5))
             loss = sum_all(v)
             _, analytic = loss_and_grads(loss, {"a": ta, "b": tb})
-            numeric = finite_diff(lambda ps: build(ps).item(), params)
-            assert_grads_close(analytic, numeric)
+            numeric = finite_diff_params(lambda: build(params).item(), params)
+            assert_matches_fd(analytic, numeric)
 
     def test_row_norm_means(self):
         """Unmasked per-row mode against a zero target: the mean squared
@@ -134,8 +109,8 @@ class TestFiniteDifferenceOracle:
             want = (params["x"] ** 2).sum(axis=1).mean()
             assert loss.item() == pytest.approx(want, rel=1e-12)
             _, analytic = loss_and_grads(loss, {"x": tx})
-            numeric = finite_diff(lambda ps: build(ps)[0].item(), params)
-            assert_grads_close(analytic, numeric)
+            numeric = finite_diff_params(lambda: build(params)[0].item(), params)
+            assert_matches_fd(analytic, numeric)
 
     def test_masked_row_norm_means(self):
         rng = np.random.default_rng(3)
@@ -150,8 +125,8 @@ class TestFiniteDifferenceOracle:
 
             loss, tx = build(params)
             _, analytic = loss_and_grads(loss, {"x": tx})
-            numeric = finite_diff(lambda ps: build(ps)[0].item(), params)
-            assert_grads_close(analytic, numeric)
+            numeric = finite_diff_params(lambda: build(params)[0].item(), params)
+            assert_matches_fd(analytic, numeric)
 
     def test_mean_square_grads(self):
         rng = np.random.default_rng(12)
@@ -166,8 +141,8 @@ class TestFiniteDifferenceOracle:
 
                 loss, tx = build(params)
                 _, analytic = loss_and_grads(loss, {"x": tx})
-                numeric = finite_diff(lambda ps: build(ps)[0].item(), params)
-                assert_grads_close(analytic, numeric)
+                numeric = finite_diff_params(lambda: build(params)[0].item(), params)
+                assert_matches_fd(analytic, numeric)
 
     def test_mean_square_values(self):
         """Per-feature mode against a zero target: the mean square of x."""
@@ -203,8 +178,8 @@ class TestFiniteDifferenceOracle:
 
                 loss, students = build(params)
                 _, analytic = loss_and_grads(loss, dict(zip(shapes, students)))
-                numeric = finite_diff(lambda ps: build(ps)[0].item(), params)
-                assert_grads_close(analytic, numeric)
+                numeric = finite_diff_params(lambda: build(params)[0].item(), params)
+                assert_matches_fd(analytic, numeric)
 
     @pytest.mark.parametrize("per_feature", [True, False])
     def test_stacked_distance_is_the_per_term_graph_bitwise(self, per_feature):
@@ -350,8 +325,8 @@ class TestFiniteDifferenceOracle:
 
             loss, leaves = build(params)
             _, analytic = loss_and_grads(loss, leaves)
-            numeric = finite_diff(lambda ps: build(ps)[0].item(), params)
-            assert_grads_close(analytic, numeric)
+            numeric = finite_diff_params(lambda: build(params)[0].item(), params)
+            assert_matches_fd(analytic, numeric)
 
     def test_eval_mode_batch_norm(self):
         rng = np.random.default_rng(4)
@@ -368,8 +343,8 @@ class TestFiniteDifferenceOracle:
 
         loss, leaves = build(params)
         _, analytic = loss_and_grads(loss, leaves)
-        numeric = finite_diff(lambda ps: build(ps)[0].item(), params)
-        assert_grads_close(analytic, numeric)
+        numeric = finite_diff_params(lambda: build(params)[0].item(), params)
+        assert_matches_fd(analytic, numeric)
 
     def test_dropout_fixed_mask(self):
         # differentiate through dropout by replaying the identical RNG state
@@ -384,8 +359,8 @@ class TestFiniteDifferenceOracle:
 
         loss, tx = build(params)
         _, analytic = loss_and_grads(loss, {"x": tx})
-        numeric = finite_diff(lambda ps: build(ps)[0].item(), params)
-        assert_grads_close(analytic, numeric)
+        numeric = finite_diff_params(lambda: build(params)[0].item(), params)
+        assert_matches_fd(analytic, numeric)
 
     def test_many_random_graphs(self):
         # composes ops randomly; >= 50 graphs across the class in total
@@ -421,8 +396,8 @@ class TestFiniteDifferenceOracle:
 
             loss, leaves = build(params)
             _, analytic = loss_and_grads(loss, leaves)
-            numeric = finite_diff(lambda ps: build(ps)[0].item(), params)
-            assert_grads_close(analytic, numeric)
+            numeric = finite_diff_params(lambda: build(params)[0].item(), params)
+            assert_matches_fd(analytic, numeric)
 
 
 class TestTapeSemantics:
@@ -584,3 +559,27 @@ class TestDropout:
         assert out.data.mean() == pytest.approx(1.0, abs=0.02)
         kept = out.data[out.data != 0]
         np.testing.assert_allclose(kept, 1.0 / 0.7)
+
+
+def _code_loads(node: ast.AST, enclosing: tuple[str, ...] = ()):
+    """Names loaded in code under ``node`` (as a Name or an attribute), less
+    those inside the definition of the same name."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        enclosing = (*enclosing, node.name)
+    if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+        name = node.id if isinstance(node, ast.Name) else node.attr
+        if name not in enclosing:
+            yield name
+    for child in ast.iter_child_nodes(node):
+        yield from _code_loads(child, enclosing)
+
+
+def test_every_engine_export_has_a_caller_in_the_package():
+    """Ops only tests call belong in tests/helpers.py, not in the engine.
+    The re-export in engine/__init__.py and docstring mentions do not count."""
+    pkg = Path(batchcl.engine.__file__).parent.parent
+    used = set()
+    for path in pkg.rglob("*.py"):
+        if path != pkg / "engine" / "__init__.py":
+            used.update(_code_loads(ast.parse(path.read_text())))
+    assert sorted(set(batchcl.engine.__all__) - used) == []

@@ -89,6 +89,7 @@ class TestConfig:
             ("sgd", "stream", "dim", 0),
             ("er", "stream", "train_per_task", 0),
             ("bmc", "stream", "val_per_task", 0),
+            ("bmc", "stream", "seed", -5),
         ],
     )
     def test_bad_value_rejected_at_parse_time(self, tmp_path, capsys, method, section,
@@ -111,11 +112,32 @@ class TestConfig:
 
     def test_stream_sizes_bind_generated_streams_only(self):
         raw = toy_raw()
-        raw["stream"].update(kind="file", path="stream.bin", n_tasks=0, dim=0)
+        raw["stream"].update(kind="file", path="stream.bin", n_tasks=0, dim=0, seed=-4)
         assert parse_config(raw).stream.n_tasks == 0
         del raw["stream"]["kind"]  # the default kind is generated
         with pytest.raises(ConfigError, match="stream/"):
             parse_config(raw)
+
+    def test_negative_seed_rejected_at_parse_time(self, tmp_path, capsys):
+        raw = toy_raw(out_dir=str(tmp_path / "out"))
+        with pytest.raises(ConfigError, match="seed"):
+            parse_config({**raw, "seed": -1})
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(raw))
+        assert main(["run", str(cfg_file), "--seed", "-2"]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_sweep_seed_rejected_at_parse_time(self, tmp_path, capsys):
+        raw = {"trials": 2, "seed": -3, "base": toy_raw(out_dir=str(tmp_path / "out")),
+               "ranges": {"training.lr": {"low": 0.05, "high": 0.2}}}
+        with pytest.raises(ConfigError, match="seed"):
+            parse_sweep(raw)
+        spec_file = tmp_path / "sweep.json"
+        spec_file.write_text(json.dumps(raw))
+        assert main(["sweep", str(spec_file)]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_sweep_range_must_target_real_key(self):
         with pytest.raises(ConfigError, match="unknown config key"):

@@ -226,6 +226,12 @@ class TestExemplarCodec:
         assert len(encode_buffer(buf)) == 12 + exemplar_block_nbytes(7, 6)
 
 
+def test_fixed_header_sizes_pinned():
+    """The ledger's layout arithmetic (criterion 7, the benchmark's check)
+    reads these two numbers; a header change must show up here first."""
+    assert (SYNC_FIXED_NBYTES, ARTIFACT_FIXED_NBYTES) == (54, 40)
+
+
 class TestSyncCodec:
     def test_round_trip(self, stream):
         hyper = ExpertHyper(epochs=3, lr=0.05, stability_coef=0.4, batch_size=16,
