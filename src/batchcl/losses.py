@@ -23,7 +23,7 @@ node: a single teacher pass is a stack of one, every row counting, and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np

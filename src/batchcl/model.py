@@ -20,17 +20,20 @@ logit-space distillation alternative consumes them directly instead.
 
 Every pass runs the same layer arithmetic on plain arrays
 (``ResidualClassifier._values``): the train or eval student pass, the
-teacher pass and ``predict``. The student pass is the only differentiated
-one. It puts one trunk node on the tape, whose hand-written backward covers
-every layer and skip connection, plus one node per tap and one head node
-for the logits; its gradients equal those of a graph with one tape node
-per op, bit for bit.
+teacher pass, ``predict`` and the per-example gradient-norm pass. The
+student pass is the only one on the tape. It puts one trunk node there,
+whose hand-written backward covers every layer and skip connection, plus
+one node per tap and one head node for the logits; its gradients equal
+those of a graph with one tape node per op, bit for bit. The norm pass
+walks the trunk backward in the same order (``_walk_trunk``) with a
+per-row step instead of a summed one, and builds no node.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -308,7 +311,7 @@ class ResidualClassifier:
         trunk = _node(
             np.empty(0, dtype),
             tuple(leaf for name, leaf in leaves.items() if not name.startswith("head.")),
-            _trunk_backward(self.config, leaves, layers, train),
+            partial(_walk_trunk, self.config, layers, partial(_layer_backward, leaves, train)),
             "trunk",
         )
         tap_nodes = [_tap_node(trunk, i, t, len(taps)) for i, t in enumerate(taps)]
@@ -445,6 +448,48 @@ class ResidualClassifier:
         x = self._check_input(x).astype(self.params["stem.W"].dtype, copy=False)
         return np.argmax(self._values(x, "eval", (), None)[2], axis=1)
 
+    def per_example_grad_norms(self, x: np.ndarray, labels: np.ndarray) -> np.ndarray:
+        """L2 norm of each row's task-loss gradient over every parameter.
+
+        The gradient is the one row ``i`` would get alone in an eval pass:
+        scoring must not disturb the running statistics, and per-row
+        gradients are ill-defined under batch statistics. In eval mode
+        batch norm is a fixed affine map, so rows are independent, and one
+        batched forward plus one batched backward of per-row deltas give
+        every row's norm without a tape. An affine layer with input ``h``
+        and pre-activation gradient ``dz`` contributes ``|h|^2 |dz|^2``
+        (its weight gradient is the outer product) plus ``|dz|^2`` (its
+        bias); a batch norm with output gradient ``g`` contributes
+        ``|g xhat|^2 + |g|^2`` (gamma and beta). The head's ``dz`` is
+        ``softmax(logits) - onehot(label)``.
+        """
+        x = self._check_input(x)
+        labels = np.asarray(labels)
+        n = len(x)
+        if labels.shape != (n,) or (n and (labels.min() < 0 or labels.max() >= self.classes)):
+            raise GraphError(f"labels {labels.shape} do not index {self.classes} classes "
+                             f"for {n} rows")
+        params = self.params
+        layers: list[tuple] = []
+        _, head_in, logits = self._values(
+            x.astype(params["stem.W"].dtype, copy=False), "eval", (), layers
+        )
+        ez = np.exp(logits - logits.max(axis=1, keepdims=True))
+        delta = ez / ez.sum(axis=1, keepdims=True)
+        delta[np.arange(n), labels] -= 1.0
+        sq = (_row_sq(head_in) + 1.0) * _row_sq(delta)
+
+        def step(state: tuple, g: np.ndarray, need_dx: bool):
+            prefix, h, y, xhat, inv_std, _ = state
+            g = g * (y > 0)
+            dz = g * params[f"{prefix}.bn.gamma"] * inv_std
+            sq[:] += (_row_sq(h) + 1.0) * _row_sq(dz) + _row_sq(g * xhat) + _row_sq(g)
+            return dz @ params[f"{prefix}.W"].T if need_dx else None
+
+        tap_grads = [None] * self.config.res_blocks + [delta @ params["head.W"].T]
+        _walk_trunk(self.config, layers, step, tap_grads)
+        return np.sqrt(sq)
+
     def to_param_vector(self) -> ParamVector:
         names = tuple(self.params) + tuple(self.stats)
         arrays = tuple(a.copy() for a in self.params.values()) + tuple(
@@ -498,7 +543,7 @@ def _tap_node(trunk: Tensor, i: int, value: np.ndarray, n_taps: int) -> Tensor:
     return _node(value, (trunk,), backward, f"tap{i}")
 
 
-def _layer_backward(leaves: dict, state: tuple, g: np.ndarray, train: bool, need_dx: bool):
+def _layer_backward(leaves: dict, train: bool, state: tuple, g: np.ndarray, need_dx: bool):
     """Backward of one affine -> BN -> ReLU -> dropout layer, given the
     gradient of its output; returns the gradient of its input (if needed).
 
@@ -519,31 +564,36 @@ def _layer_backward(leaves: dict, state: tuple, g: np.ndarray, train: bool, need
     return dz @ w.data.T if need_dx else None
 
 
-def _trunk_backward(config: ModelConfig, leaves: dict, layers: list, train: bool):
-    """Backward of the trunk: the tap gradients in, every trunk leaf's gradient out.
+def _walk_trunk(config: ModelConfig, layers: list, step, tap_grads: list) -> None:
+    """Carry the tap gradients back through every trunk layer, last to first.
 
-    A block output's gradient adds, in the tape's order, its tap's
-    gradient, the next block's skip pass-through and the next layer's
-    input gradient. A value nothing reached passes no gradient on.
+    ``step(state, g, need_dx)`` is one layer's backward: it takes the
+    layer's recorded state and output gradient and returns its input
+    gradient when ``need_dx``. With :func:`_layer_backward` as the step this
+    is the trunk node's backward; the per-example norm pass gives a per-row
+    step. A block output's gradient adds, in the tape's order, its tap's
+    gradient, the next block's skip pass-through and the next layer's input
+    gradient. A value nothing reached passes no gradient on.
     """
     n_layers = config.res_layers_per_block
+    dx = tap_grads[-1]
+    if dx is not None:
+        dx = step(layers[-1], dx, True)
+    skip = None
+    for bidx in reversed(range(config.res_blocks)):
+        g = skip = _sum(tap_grads[bidx], skip, dx)
+        for lidx in reversed(range(n_layers)):
+            if g is not None:
+                g = step(layers[1 + bidx * n_layers + lidx], g, True)
+        dx = g
+    g = _sum(skip, dx)
+    if g is not None:
+        step(layers[0], g, False)
 
-    def backward(tap_grads: list) -> None:
-        dx = tap_grads[-1]
-        if dx is not None:
-            dx = _layer_backward(leaves, layers[-1], dx, train, True)
-        skip = None
-        for bidx in reversed(range(config.res_blocks)):
-            g = skip = _sum(tap_grads[bidx], skip, dx)
-            for lidx in reversed(range(n_layers)):
-                if g is not None:
-                    g = _layer_backward(leaves, layers[1 + bidx * n_layers + lidx], g, train, True)
-            dx = g
-        g = _sum(skip, dx)
-        if g is not None:
-            _layer_backward(leaves, layers[0], g, train, False)
 
-    return backward
+def _row_sq(a: np.ndarray) -> np.ndarray:
+    """Squared L2 norm of every row, summed in float64."""
+    return np.einsum("ij,ij->i", a, a, dtype=np.float64)
 
 
 def build_model(config: ModelConfig, seed: int) -> ResidualClassifier:

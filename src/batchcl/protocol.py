@@ -571,7 +571,8 @@ class ProcessExecutor:
 
     Each worker gets the step's tasks and model shape once, from the pool
     initializer (inherited, not pickled, under fork); a call carries one
-    SYNC frame and returns one ARTF frame.
+    SYNC frame and returns one ARTF frame. A step starts no more workers
+    than it has experts.
     """
 
     def __init__(self, workers: int):
@@ -581,7 +582,7 @@ class ProcessExecutor:
 
     def run(self, syncs: list[bytes], tasks: tuple[Task, ...],
             model_config: ModelConfig) -> list[bytes]:
-        with ProcessPoolExecutor(self.workers, initializer=_init_worker,
+        with ProcessPoolExecutor(min(self.workers, len(syncs)), initializer=_init_worker,
                                  initargs=(tasks, model_config)) as pool:
             return list(pool.map(_train_in_worker, syncs))
 

@@ -8,6 +8,10 @@ sliced and concatenated far more often than inspected row by row.
 
 Origin tags record where each pooled exemplar came from in the current
 step: ``ORIGIN_MEMORY`` (-1) or the contributing buffer's expert index.
+
+Buffers are sampled at random or by per-example gradient norm; the norms
+come from the model's one batched eval pass
+(``ResidualClassifier.per_example_grad_norms``), not a graph per row.
 """
 
 from __future__ import annotations
@@ -15,9 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .engine import loss_and_grads
-from .losses import task_loss
 
 ORIGIN_MEMORY = -1
 
@@ -141,20 +142,6 @@ class Memory:
         self._exemplars = exemplars.with_origin(ORIGIN_MEMORY)
 
 
-def _per_example_grad_norms(model, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """L2 norm of the flattened task-loss gradient, one example at a time.
-
-    Eval-mode forwards: scoring must not disturb normalization statistics,
-    and per-example gradients are ill-defined under batch statistics.
-    """
-    norms = np.empty(len(labels))
-    for i in range(len(labels)):
-        tapset, leaves = model.forward_with_taps(features[i : i + 1], train=False)
-        _, grads = loss_and_grads(task_loss(tapset.logits, labels[i : i + 1]), leaves)
-        norms[i] = np.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-    return norms
-
-
 def sample_buffer(
     features: np.ndarray,
     labels: np.ndarray,
@@ -171,7 +158,9 @@ def sample_buffer(
     ``random`` draws uniformly without replacement; ``grad_max_base`` keeps
     the examples with the largest per-example task-loss gradient norm under
     the base model; ``grad_min_expert`` keeps the smallest under the trained
-    expert. If the task fits within capacity, everything is kept.
+    expert. If the task fits within capacity, everything is kept. The
+    norms of all rows come from one batched eval pass of the model, which
+    builds no tape and leaves the model untouched.
     """
     n = len(labels)
     data = ExemplarSet.from_task_data(features, labels, task_id, origin=owner)
@@ -183,14 +172,14 @@ def sample_buffer(
     elif strategy == "grad_max_base":
         if base_model is None:
             raise ValueError("grad_max_base needs the base model")
-        norms = _per_example_grad_norms(base_model, data.features, data.labels)
+        norms = base_model.per_example_grad_norms(data.features, data.labels)
         # stable sort: ties resolve to lower index
         idx = np.argsort(-norms, kind="stable")[:capacity]
         idx.sort()
     elif strategy == "grad_min_expert":
         if expert_model is None:
             raise ValueError("grad_min_expert needs the expert model")
-        norms = _per_example_grad_norms(expert_model, data.features, data.labels)
+        norms = expert_model.per_example_grad_norms(data.features, data.labels)
         idx = np.argsort(norms, kind="stable")[:capacity]
         idx.sort()
     else:

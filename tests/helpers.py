@@ -1,5 +1,6 @@
 """Shared test utilities: float64 model twins, teacher stacks, finite-difference
-oracles, and the per-op student pass with its reference ops."""
+oracles, the per-row gradient-norm oracle, and the per-op student pass with
+its reference ops."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ from batchcl.config import (
     StreamSpec,
     TrainingSpec,
 )
-from batchcl.engine import GraphError, Tensor, add
+from batchcl.engine import GraphError, Tensor, add, loss_and_grads
 from batchcl.engine.autodiff import (
     _accumulate,
     _node,
@@ -21,6 +22,7 @@ from batchcl.engine.autodiff import (
     batch_norm_grads,
     dropout_mask,
 )
+from batchcl.losses import task_loss
 from batchcl.model import ResidualClassifier, TapSet
 
 
@@ -70,6 +72,20 @@ def jitter_params(model: ResidualClassifier, seed: int, scale: float = 0.1) -> N
     rng = np.random.default_rng(seed)
     for v in model.params.values():
         v += (rng.standard_normal(v.shape) * scale).astype(v.dtype)
+
+
+def grad_norms_reference(model: ResidualClassifier, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-example task-loss gradient norms, one eval-mode tape graph per row.
+
+    The oracle of ``ResidualClassifier.per_example_grad_norms``; it uses
+    only public engine calls.
+    """
+    out = []
+    for i in range(len(y)):
+        ts, leaves = model.forward_with_taps(x[i : i + 1], train=False)
+        _, grads = loss_and_grads(task_loss(ts.logits, y[i : i + 1]), leaves)
+        out.append(np.sqrt(sum(float((g ** 2).sum()) for g in grads.values())))
+    return np.array(out)
 
 
 def finite_diff_params(

@@ -18,7 +18,7 @@ from helpers import experiment
 import batchcl.protocol as protocol_mod
 from batchcl.engine import Tensor
 from batchcl.losses import LossCoefficients
-from batchcl.model import ModelConfig, ParamVector, build_model
+from batchcl.model import ModelConfig, build_model
 from batchcl.protocol import (
     ARTIFACT_FIXED_NBYTES,
     FRAME_OVERHEAD,
@@ -796,7 +796,7 @@ class _StandInPool:
     created: list["_StandInPool"] = []
 
     def __init__(self, max_workers, initializer, initargs):
-        self.initargs, self.calls = initargs, []
+        self.max_workers, self.initargs, self.calls = max_workers, initargs, []
         _StandInPool.created.append(self)
         initializer(*initargs)
 
@@ -842,6 +842,20 @@ class TestProcessBoundary:
             assert sum(len(args[0]) for args, _ in pool.calls) == result.cost.broadcast_bytes
             assert sum(len(msg) for _, msg in pool.calls) == result.cost.upload_bytes
         assert len(_StandInPool.created) == 2
+
+
+    def test_pool_starts_no_more_workers_than_experts(self, stream, monkeypatch):
+        _StandInPool.created = []
+        monkeypatch.setattr(protocol_mod, "ProcessPoolExecutor", _StandInPool)
+        monkeypatch.setattr(protocol_mod, "_worker_step", protocol_mod._worker_step)
+        master_seed = 5
+        plan = plan_steps(stream, 2, master_seed, TINY_HYPER)[0]
+        run_incremental_step(
+            build_model(TOY, seed=child_seed(master_seed, "init")), plan, Memory(40, stream.dim),
+            master_seed, coefficients=LossCoefficients(), rehearsal_epochs=1,
+            transport=CountingTransport(), executor=ProcessExecutor(8), lr=0.1, batch_size=8,
+        )
+        assert [pool.max_workers for pool in _StandInPool.created] == [plan.k] == [2]
 
 
 class TestFullStream:

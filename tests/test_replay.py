@@ -1,15 +1,18 @@
-"""Buffer/Memory stores, sampling strategies, quota subsampling, batch draws."""
+"""Buffer/Memory stores, sampling strategies, batched gradient norms, quota
+subsampling, batch draws."""
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from helpers import float64_twin, grad_norms_reference, jitter_params
 
-from batchcl.engine import loss_and_grads
-from batchcl.losses import task_loss
-from batchcl.model import ModelConfig, build_model
+from batchcl.engine import GraphError, Tensor
+from batchcl.model import ModelConfig, build_model, model_from_vector
 from batchcl.replay import (
     ORIGIN_MEMORY,
     Buffer,
@@ -101,15 +104,6 @@ class TestSampleBuffer:
         picked = buf.exemplars.features[:, 0]
         assert len(np.unique(picked)) == 8
 
-    def _grad_norms_reference(self, model, x, y):
-        # exhaustive per-example ranking using only public engine calls
-        out = []
-        for i in range(len(y)):
-            ts, leaves = model.forward_with_taps(x[i : i + 1], train=False)
-            _, grads = loss_and_grads(task_loss(ts.logits, y[i : i + 1]), leaves)
-            out.append(np.sqrt(sum(float((g ** 2).sum()) for g in grads.values())))
-        return np.array(out)
-
     def test_grad_max_base_matches_bruteforce(self):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((10, 4)).astype(np.float32)
@@ -119,7 +113,7 @@ class TestSampleBuffer:
             x, y, 0, capacity=4, strategy="grad_max_base", seed=0, owner=0,
             base_model=base,
         )
-        norms = self._grad_norms_reference(base, x, y)
+        norms = grad_norms_reference(base, x, y)
         expected = set(np.argsort(-norms, kind="stable")[:4].tolist())
         got = {int(np.flatnonzero((x == f).all(axis=1))[0]) for f in buf.exemplars.features}
         assert got == expected
@@ -133,7 +127,7 @@ class TestSampleBuffer:
             x, y, 0, capacity=4, strategy="grad_min_expert", seed=0, owner=0,
             expert_model=expert,
         )
-        norms = self._grad_norms_reference(expert, x, y)
+        norms = grad_norms_reference(expert, x, y)
         expected = set(np.argsort(norms, kind="stable")[:4].tolist())
         got = {int(np.flatnonzero((x == f).all(axis=1))[0]) for f in buf.exemplars.features}
         assert got == expected
@@ -150,6 +144,116 @@ class TestSampleBuffer:
         y = np.zeros(5, dtype=np.int64)
         with pytest.raises(ValueError, match="base model"):
             sample_buffer(x, y, 0, capacity=2, strategy="grad_max_base", seed=0, owner=0)
+
+
+def scoring_model(config: ModelConfig, seed: int):
+    """A model whose batch norms are not the identity: jittered weights,
+    gamma and beta, and running statistics moved off (0, 1)."""
+    model = build_model(config, seed)
+    jitter_params(model, seed + 1)
+    rng = np.random.default_rng(seed + 2)
+    for name, v in model.stats.items():
+        if name.endswith("running_mean"):
+            v += rng.uniform(-0.5, 0.5, v.shape).astype(v.dtype)
+        else:
+            v *= rng.uniform(0.5, 2.0, v.shape).astype(v.dtype)
+    return model
+
+
+DEEP = ModelConfig(
+    input_dim=6, total_classes=5, res_blocks=2, res_layers_per_block=2,
+    res_dim=8, hidden_dim=7, dropout_p=0.3,
+)
+
+
+def task_rows(n, config, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, config.input_dim)).astype(np.float32)
+    return x, rng.integers(0, config.total_classes, size=n)
+
+
+class TestBatchedGradNorms:
+    @pytest.mark.parametrize("blocks,layers,rows", [(2, 2, 40), (3, 2, 40), (2, 3, 40), (2, 2, 1)])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_matches_per_row_oracle(self, blocks, layers, rows, seed):
+        config = ModelConfig(input_dim=6, total_classes=5, res_blocks=blocks,
+                             res_layers_per_block=layers, res_dim=8, hidden_dim=7,
+                             dropout_p=0.3)
+        model = scoring_model(config, seed)
+        x, y = task_rows(rows, config, seed)
+        np.testing.assert_allclose(
+            model.per_example_grad_norms(x, y), grad_norms_reference(model, x, y), rtol=1e-5
+        )
+
+    def test_float64_twin_matches_per_row_oracle(self):
+        model = float64_twin(scoring_model(DEEP, 3))
+        x, y = task_rows(30, DEEP, 3)
+        np.testing.assert_allclose(
+            model.per_example_grad_norms(x, y), grad_norms_reference(model, x, y), rtol=1e-12
+        )
+
+    def test_dropout_rate_does_not_change_the_norms(self):
+        model = scoring_model(DEEP, 4)
+        undropped = model_from_vector(replace(DEEP, dropout_p=0.0), model.to_param_vector())
+        x, y = task_rows(25, DEEP, 4)
+        np.testing.assert_array_equal(
+            model.per_example_grad_norms(x, y), undropped.per_example_grad_norms(x, y)
+        )
+
+    @pytest.mark.parametrize("strategy", ["grad_max_base", "grad_min_expert"])
+    def test_strategies_select_the_oracle_sets(self, strategy):
+        model = scoring_model(DEEP, 6)
+        x, y = task_rows(60, DEEP, 6)
+        buf = sample_buffer(x, y, 0, capacity=20, strategy=strategy, seed=0, owner=0,
+                            base_model=model, expert_model=model)
+        norms = grad_norms_reference(model, x, y)
+        order = np.argsort(-norms if strategy == "grad_max_base" else norms, kind="stable")
+        np.testing.assert_array_equal(buf.exemplars.features, x[np.sort(order[:20])])
+
+    def test_pass_is_pure(self):
+        model = scoring_model(DEEP, 7)
+        params = {k: v.copy() for k, v in model.params.items()}
+        stats = {k: v.copy() for k, v in model.stats.items()}
+        rng = np.random.default_rng(11)
+        rng_state, global_state = rng.bit_generator.state, np.random.get_state()
+        x, y = task_rows(30, DEEP, 7)
+        x_before = x.copy()
+        model.per_example_grad_norms(x, y)
+        sample_buffer(x, y, 0, capacity=10, strategy="grad_min_expert", seed=0, owner=0,
+                      expert_model=model)
+        for name in params:
+            np.testing.assert_array_equal(model.params[name], params[name])
+        for name in stats:
+            np.testing.assert_array_equal(model.stats[name], stats[name])
+        np.testing.assert_array_equal(x, x_before)
+        assert rng.bit_generator.state == rng_state
+        after = np.random.get_state()
+        assert after[1].tobytes() == global_state[1].tobytes() and after[2:] == global_state[2:]
+
+    def test_out_of_range_label_rejected(self):
+        model = scoring_model(DEEP, 8)
+        x, y = task_rows(4, DEEP, 8)
+        y[2] = DEEP.total_classes
+        with pytest.raises(GraphError, match="labels"):
+            model.per_example_grad_norms(x, y)
+
+    @pytest.mark.parametrize("strategy", ["grad_max_base", "grad_min_expert"])
+    def test_grad_sampling_builds_no_tensor(self, strategy, monkeypatch):
+        # a tape graph per row built 32 Tensors per row at this shape
+        model = scoring_model(DEEP, 9)
+        x, y = task_rows(200, DEEP, 9)
+        built = []
+        init = Tensor.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Tensor, "__init__", counting_init)
+        buf = sample_buffer(x, y, 0, capacity=50, strategy=strategy, seed=0, owner=0,
+                            base_model=model, expert_model=model)
+        assert len(buf) == 50
+        assert built == []
 
 
 class TestMergePool:

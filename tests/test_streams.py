@@ -13,7 +13,6 @@ from batchcl.losses import task_loss
 from batchcl.model import ModelConfig, build_model
 from batchcl.streams import (
     StreamFormatError,
-    Task,
     TaskStream,
     backward_transfer,
     evaluate_cil,
