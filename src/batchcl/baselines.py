@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 from .config import BASELINE_METHODS, ExperimentConfig, build_model_config
-from .engine import add, loss_and_grads, scale, train_epochs
+from .engine import loss_and_grads, train_epochs
 from .losses import FisherState, decay_and_anchor, ewc_penalty, task_loss, update_fisher
 from .model import ResidualClassifier, build_model
 from .protocol import RunRecorder, RunReport, child_seed, epoch_batches
@@ -33,23 +33,25 @@ def _train_task_plain(
 ) -> None:
     """Fine-tune on one task; optionally add the consolidation penalty.
 
-    With a zero penalty coefficient the loss graph is identical to plain
-    fine-tuning, batch for batch, which is what makes the degenerate
-    penalty setting reproduce it bit-exactly.
+    With a zero penalty coefficient the step is plain fine-tuning, batch
+    for batch, which is what makes the degenerate penalty setting
+    reproduce it bit-exactly.
     """
     t, penalty_coef = cfg.training, cfg.baseline.penalty_coef
     use_penalty = fisher is not None and penalty_coef > 0
 
     def step(idx):
-        tapset, leaves = model.forward_with_taps(x[idx], train=True, rng=rng)
-        loss = task_loss(tapset.logits, y[idx])
-        if use_penalty:
-            loss = add(
-                loss,
-                scale(ewc_penalty(leaves, fisher), penalty_coef, name="penalty"),
-                name="penalized",
-            )
-        return loss_and_grads(loss, leaves)
+        tapset, record = model.forward_with_taps(x[idx], train=True, rng=rng)
+        loss = task_loss(tapset, y[idx])
+        if not use_penalty:
+            return loss_and_grads(loss.value, lambda: model.backward(record, loss))
+        penalty, penalty_grads = ewc_penalty(model.params, fisher, penalty_coef)
+
+        def backward():
+            grads = model.backward(record, loss)
+            return {k: g + penalty_grads[k] for k, g in grads.items()}
+
+        return loss_and_grads(loss.value + penalty, backward)
 
     train_epochs(
         model.params, t.lr, t.epochs_per_task,
@@ -69,38 +71,27 @@ def _train_task_replay(
 
     The two halves are forwarded separately (each half normalizes over its
     own rows) and the memory half's objective is weighted by the replay
-    coefficient. Before anything is stored the loop degenerates to plain
-    fine-tuning.
+    coefficient; the step's gradient is the sum of the two passes'.
+    Before anything is stored the loop degenerates to plain fine-tuning.
     """
     t, replay_coef = cfg.training, cfg.baseline.replay_coef
     half = max(2, t.batch_size // 2)
 
     def step(idx):
-        tapset, leaves = model.forward_with_taps(x[idx], train=True, rng=rng)
-        loss = task_loss(tapset.logits, y[idx])
-        mem_leaves = None
-        if len(memory) > 0 and replay_coef > 0:
-            mem_batch = draw_batch(memory.exemplars, half, rng)
-            mem_taps, mem_leaves = model.forward_with_taps(
-                mem_batch.features, train=True, rng=rng
-            )
-            loss = add(
-                loss,
-                scale(
-                    task_loss(mem_taps.logits, mem_batch.labels),
-                    replay_coef,
-                    name="replay",
-                ),
-                name="combined",
-            )
-        # one backward over the combined graph; the memory pass has its
-        # own leaf nodes for the same parameters, so fold those in
-        value, grads = loss_and_grads(loss, leaves)
-        if mem_leaves is not None:
-            for name, leaf in mem_leaves.items():
-                if leaf.grad is not None:
-                    grads[name] = grads[name] + leaf.grad
-        return value, grads
+        tapset, record = model.forward_with_taps(x[idx], train=True, rng=rng)
+        loss = task_loss(tapset, y[idx])
+        if len(memory) == 0 or replay_coef == 0:
+            return loss_and_grads(loss.value, lambda: model.backward(record, loss))
+        mem_batch = draw_batch(memory.exemplars, half, rng)
+        mem_taps, mem_record = model.forward_with_taps(mem_batch.features, train=True, rng=rng)
+        mem_loss = task_loss(mem_taps, mem_batch.labels, replay_coef)
+
+        def backward():
+            grads = model.backward(record, loss)
+            mem_grads = model.backward(mem_record, mem_loss)
+            return {k: g + mem_grads[k] for k, g in grads.items()}
+
+        return loss_and_grads(loss.value + mem_loss.value, backward)
 
     train_epochs(
         model.params, t.lr, t.epochs_per_task,

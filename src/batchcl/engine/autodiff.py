@@ -1,17 +1,21 @@
-"""Reverse-mode differentiation on numpy arrays.
+"""Array-level arithmetic of the train step, and the tape the tests check it on.
 
-Small define-by-run tape: each operation computes its forward value eagerly
-and records a closure that routes the upstream gradient to its inputs.
-The tape ops are the ones the objectives build on: ``add``, ``scale``,
-``softmax_cross_entropy`` and ``stacked_distance``. The model's layers are
-not tape ops: its student pass runs them on plain arrays
-(``batch_norm_arrays``, ``dropout_mask``) and adds one hand-differentiated
-node per trunk, tap and head through ``_node``, with ``batch_norm_grads``
-in its backward. There is no general broadcasting, no GPU, no
-higher-order gradients.
+Nothing in a training run builds a graph. The objectives' two ops,
+``softmax_cross_entropy`` and ``stacked_distance``, take plain arrays and
+return their value together with the gradients of their inputs. The
+model's passes share ``batch_norm_arrays``, ``batch_norm_grads`` and
+``dropout_mask``, and its hand-written backward carries the objectives'
+gradients to the parameters. ``loss_and_grads`` is where every step checks
+that its loss is finite before it runs that backward.
+
+The define-by-run tape below (``Tensor``, ``_node``, ``_accumulate``,
+``backward``, ``gradients``) is kept only as the engine of the per-op
+oracle in the tests: each op computes its forward value eagerly and
+records a closure that routes the upstream gradient to its inputs. There
+is no general broadcasting, no GPU, no higher-order gradients.
 
 Arrays are float32 in production; every op inherits the dtype of its
-inputs, so tests can run the same graphs in float64 against a
+inputs, so tests can run the same arithmetic in float64 against a
 finite-difference oracle.
 """
 
@@ -27,80 +31,7 @@ class GraphError(Exception):
 
 
 class NonFiniteError(GraphError):
-    """A forward value or gradient turned non-finite (names the node)."""
-
-
-class Tensor:
-    """A node in the tape: a value plus optional backward plumbing.
-
-    Leaves created with ``requires_grad=True`` accumulate into ``.grad``
-    during :func:`backward`. Interior nodes are created by the ops below.
-    """
-
-    __slots__ = ("data", "requires_grad", "grad", "parents", "backward_fn", "name", "__weakref__")
-
-    def __init__(self, data, requires_grad: bool = False, name: str = ""):
-        self.data = np.asarray(data)
-        self.requires_grad = requires_grad
-        self.grad: np.ndarray | None = None
-        self.parents: tuple[Tensor, ...] = ()
-        self.backward_fn: Callable[[np.ndarray], None] | None = None
-        self.name = name
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    def item(self) -> float:
-        return float(self.data)
-
-    def __repr__(self) -> str:
-        tag = self.name or "tensor"
-        return f"Tensor({tag}, shape={self.shape}, grad={self.requires_grad})"
-
-
-def _node(data, parents: tuple[Tensor, ...], backward_fn, name: str) -> Tensor:
-    out = Tensor(data, requires_grad=any(p.requires_grad for p in parents), name=name)
-    if out.requires_grad:
-        out.parents = parents
-        out.backward_fn = backward_fn
-    return out
-
-
-def _accumulate(t: Tensor, g: np.ndarray) -> None:
-    if not t.requires_grad:
-        return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
-
-
-def add(x: Tensor, y: Tensor, name: str = "add") -> Tensor:
-    """Elementwise add; also accepts a rank-1 bias added to each row of a matrix."""
-    bias_case = x.data.ndim == 2 and y.data.ndim == 1 and x.shape[1] == y.shape[0]
-    if not bias_case and x.shape != y.shape:
-        raise GraphError(f"{name}: shape mismatch {x.shape} + {y.shape}")
-    out_data = x.data + y.data
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(x, g)
-        _accumulate(y, g.sum(axis=0) if bias_case else g)
-
-    return _node(out_data, (x, y), backward, name)
-
-
-def scale(x: Tensor, c: float, name: str = "scale") -> Tensor:
-    c = float(c)
-    out_data = x.data * np.asarray(c, dtype=x.dtype)
-
-    def backward(g: np.ndarray) -> None:
-        _accumulate(x, g * np.asarray(c, dtype=x.dtype))
-
-    return _node(out_data, (x,), backward, name)
+    """A loss value or a gradient turned non-finite."""
 
 
 def dropout_mask(
@@ -174,46 +105,44 @@ def batch_norm_grads(g: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray,
 
 
 def softmax_cross_entropy(
-    logits: Tensor, labels: np.ndarray, name: str = "cross_entropy"
-) -> Tensor:
-    """Mean cross-entropy of softmax(logits) at integer labels."""
+    logits: np.ndarray, labels: np.ndarray, weight=1.0, name: str = "cross_entropy"
+):
+    """Mean cross-entropy of softmax(logits) at integer labels, times ``weight``:
+    ``(value, gradient with respect to the logits)``."""
     labels = np.asarray(labels)
-    if logits.data.ndim != 2 or labels.ndim != 1 or labels.shape[0] != logits.shape[0]:
+    if logits.ndim != 2 or labels.ndim != 1 or labels.shape[0] != logits.shape[0]:
         raise GraphError(f"{name}: logits {logits.shape} vs labels {labels.shape}")
     n, c = logits.shape
     if labels.min() < 0 or labels.max() >= c:
         raise GraphError(
             f"{name}: label out of range [0, {c}) (got {int(labels.min())}..{int(labels.max())})"
         )
-    z = logits.data
-    zmax = z.max(axis=1, keepdims=True)
-    ez = np.exp(z - zmax)
+    g = np.asarray(weight, dtype=logits.dtype)
+    zmax = logits.max(axis=1, keepdims=True)
+    ez = np.exp(logits - zmax)
     sez = ez.sum(axis=1, keepdims=True)
-    log_probs = (z - zmax) - np.log(sez)
-    out_data = np.asarray(-log_probs[np.arange(n), labels].mean(), dtype=z.dtype)
-
-    def backward(g: np.ndarray) -> None:
-        probs = ez / sez
-        probs[np.arange(n), labels] -= 1.0
-        _accumulate(logits, (g / n) * probs.astype(z.dtype))
-
-    return _node(out_data, (logits,), backward, name)
+    log_probs = (logits - zmax) - np.log(sez)
+    value = np.asarray(-log_probs[np.arange(n), labels].mean(), dtype=logits.dtype) * g
+    probs = ez / sez
+    probs[np.arange(n), labels] -= 1.0
+    return value, (g / n) * probs.astype(logits.dtype)
 
 
 def stacked_distance(
-    students: Sequence[Tensor],
+    students: Sequence[np.ndarray],
     targets: Sequence[np.ndarray],
     masks: np.ndarray | None = None,
     per_feature: bool = True,
+    weight=1.0,
     name: str = "stacked_distance",
-) -> Tensor:
-    """Squared distances of students to k teachers' targets, summed.
+):
+    """Squared distances of students to k teachers' targets, summed, times ``weight``.
 
     This is the one distance op of the engine: every distillation term is
-    one node of it. ``students[i]`` is a ``(B, D_i)`` node and
-    ``targets[i]`` the constant ``(k, B, D_i)`` stack of what k teachers put
-    in its place (no gradient path). Term (j, i) is the squared difference
-    of target j and student i, averaged over rows and, when
+    one call of it. ``students[i]`` is a ``(B, D_i)`` array and
+    ``targets[i]`` the ``(k, B, D_i)`` stack of what k teachers put in its
+    place (a constant: it gets no gradient). Term (j, i) is the squared
+    difference of target j and student i, averaged over rows and, when
     ``per_feature``, over the D_i features too, else summed over them.
 
     ``masks``, when given, is the constant ``(k, B)`` 0/1 row selector of
@@ -223,14 +152,17 @@ def stacked_distance(
     (and features), not a row sum divided by the count: the two round
     differently in float32, so an all-ones mask is not the same number.
 
-    The value adds the terms of one teacher in student order, then the
-    teachers in order; the backward adds teacher j's gradient into each
-    student in order j = 0..k-1. A sum of k=1 nodes, one per teacher,
-    joined with ``add`` in teacher order, gives the same bits.
+    Returns ``(value, grads)``. The value adds the terms of one teacher in
+    student order, then the teachers in order. ``grads[i]`` is the
+    ``(k, B, D_i)`` stack of the teachers' contributions to the gradient of
+    student i: that gradient is their sum from zero in teacher order
+    j = 0..k-1, which is also the order a sum of k one-teacher distances
+    would add them in.
     """
     if not students or len(students) != len(targets):
         raise GraphError(f"{name}: {len(students)} students for {len(targets)} target stacks")
-    m = None if masks is None else np.asarray(masks, dtype=students[0].dtype)
+    dtype = students[0].dtype
+    m = None if masks is None else np.asarray(masks, dtype=dtype)
     if m is not None and m.ndim != 2:
         raise GraphError(f"{name}: masks of shape {m.shape}, expected (teachers, rows)")
     k, rows = (len(targets[0]), students[0].shape[0]) if m is None else m.shape
@@ -238,14 +170,14 @@ def stacked_distance(
         raise GraphError(f"{name}: needs at least one teacher")
     fit = f"{k} teachers of {rows} rows" if m is None else f"masks of shape {m.shape}"
     for i, (s, t) in enumerate(zip(students, targets)):
-        if s.data.ndim != 2 or s.shape[0] != rows or t.shape != (k, *s.shape):
+        if s.ndim != 2 or s.shape[0] != rows or t.shape != (k, *s.shape):
             raise GraphError(
                 f"{name}: student {i} of shape {s.shape} and target stack of shape "
                 f"{t.shape} do not fit {fit}"
             )
-    diffs = [t - s.data for s, t in zip(students, targets)]
+    diffs = [t - s for s, t in zip(students, targets)]
     if m is None:
-        denoms = [s.data.size if per_feature else rows for s in students]
+        denoms = [s.size if per_feature else rows for s in students]
         terms = [
             (d * d).mean(axis=(-2, -1)) if per_feature else (d * d).sum(axis=-1).mean(axis=-1)
             for d in diffs
@@ -260,20 +192,82 @@ def stacked_distance(
     total = per_teacher[0]
     for term in per_teacher[1:]:
         total = total + term
-    out_data = np.asarray(total, dtype=students[0].dtype)
+    g = np.asarray(weight, dtype=dtype)
+    grads = []
+    for d, den in zip(diffs, denoms):
+        if m is None:
+            grad = (g * 2.0 / den) * d
+        elif per_feature:
+            grad = ((g * 2.0 / den)[:, None, None] * m[:, :, None]) * d
+        else:
+            grad = ((g * 2.0) * (m / den[:, None])[:, :, None]) * d
+        grads.append(-grad)
+    return np.asarray(total, dtype=dtype) * g, grads
 
-    def backward(g: np.ndarray) -> None:
-        for s, d, den in zip(students, diffs, denoms):
-            if m is None:
-                grad = (g * 2.0 / den) * d
-            elif per_feature:
-                grad = ((g * 2.0 / den)[:, None, None] * m[:, :, None]) * d
-            else:
-                grad = ((g * 2.0) * (m / den[:, None])[:, :, None]) * d
-            for j in range(k):
-                _accumulate(s, -grad[j])
 
-    return _node(out_data, tuple(students), backward, name)
+def loss_and_grads(
+    value, backward: Callable[[], dict[str, np.ndarray]]
+) -> tuple[float, dict[str, np.ndarray]]:
+    """A train step's loss value and the parameter gradients ``backward()`` returns.
+
+    Raises :class:`NonFiniteError` if the value is not finite, before any
+    backward work happens.
+    """
+    value = float(value)
+    if not np.isfinite(value):
+        raise NonFiniteError(f"non-finite loss {value}")
+    return value, backward()
+
+
+# ---------------------------------------------------------------------------
+# the tape of the per-op test oracle
+# ---------------------------------------------------------------------------
+
+
+class Tensor:
+    """A node in the tape: a value plus optional backward plumbing.
+
+    Leaves created with ``requires_grad=True`` accumulate into ``.grad``
+    during :func:`backward`. Interior nodes are made by :func:`_node`, which
+    the reference ops of the tests call.
+    """
+
+    __slots__ = ("data", "requires_grad", "grad", "parents", "backward_fn", "name")
+
+    def __init__(self, data, requires_grad: bool = False, name: str = ""):
+        self.data = np.asarray(data)
+        self.requires_grad = requires_grad
+        self.grad: np.ndarray | None = None
+        self.parents: tuple[Tensor, ...] = ()
+        self.backward_fn: Callable[[np.ndarray], None] | None = None
+        self.name = name
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self.data.shape
+
+    @property
+    def dtype(self):
+        return self.data.dtype
+
+    def item(self) -> float:
+        return float(self.data)
+
+
+def _node(data, parents: tuple[Tensor, ...], backward_fn, name: str) -> Tensor:
+    out = Tensor(data, requires_grad=any(p.requires_grad for p in parents), name=name)
+    if out.requires_grad:
+        out.parents = parents
+        out.backward_fn = backward_fn
+    return out
+
+
+def _accumulate(t: Tensor, g: np.ndarray) -> None:
+    if not t.requires_grad:
+        return
+    if t.grad is None:
+        t.grad = np.zeros_like(t.data)
+    t.grad += g
 
 
 def _toposort(root: Tensor) -> list[Tensor]:
@@ -319,17 +313,3 @@ def gradients(loss: Tensor, leaves: Mapping[str, Tensor]) -> dict[str, np.ndarra
     for name, leaf in leaves.items():
         out[name] = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
     return out
-
-
-def loss_and_grads(
-    loss: Tensor, leaves: Mapping[str, Tensor]
-) -> tuple[float, dict[str, np.ndarray]]:
-    """Evaluate a built loss node and differentiate it.
-
-    Raises :class:`NonFiniteError` if the loss value is not finite, before
-    any backward work happens.
-    """
-    value = float(loss.data)
-    if not np.isfinite(value):
-        raise NonFiniteError(f"non-finite loss at node '{loss.name or 'loss'}'")
-    return value, gradients(loss, leaves)

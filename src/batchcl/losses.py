@@ -1,10 +1,13 @@
 """Training objectives.
 
-Everything here is a pure function from live graph nodes (taps, logits)
-to a scalar loss node; differentiation and parameter updates stay with
-the caller. Teacher-side inputs are constant arrays from a tape-free
-teacher pass, with no graph behind them, so no objective in this module
-can move a teacher's parameters.
+Every objective is a pure function of a student pass's arrays (taps,
+logits) that returns an :class:`Objective`: the loss value and its
+gradients with respect to those taps and logits, already weighted by its
+coefficients. Carrying them to the parameters
+(:meth:`~batchcl.model.ResidualClassifier.backward`) and updating them
+stays with the caller. Teacher-side inputs are constant arrays from a
+teacher pass, so no objective in this module can move a teacher's
+parameters.
 
 Objectives:
 
@@ -14,10 +17,10 @@ Objectives:
 - ``l_exp``                expert objective: task + stability (``alt_distill`` to the base)
 - ``l_bmc``                batched distillation over a stack of expert teachers
 - ``l_base``               consolidation objective: replay task loss + l_bmc
-- ``ewc_penalty``          quadratic parameter-importance penalty
+- ``ewc_penalty``          quadratic parameter-importance penalty (on the parameters)
 
 Every distillation distance is one :func:`~batchcl.engine.stacked_distance`
-node: a single teacher pass is a stack of one, every row counting, and
+call: a single teacher pass is a stack of one, every row counting, and
 ``l_bmc`` masks each expert of its stack to the rows its buffer contributed.
 """
 
@@ -28,17 +31,35 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import (
-    GraphError,
-    Tensor,
-    add,
-    loss_and_grads,
-    scale,
-    softmax_cross_entropy,
-    stacked_distance,
-)
-from .engine.autodiff import _accumulate, _node
+from .engine import GraphError, loss_and_grads, softmax_cross_entropy, stacked_distance
 from .model import TapSet
+
+
+@dataclass
+class Objective:
+    """A loss on one student pass: its value and its gradients with respect
+    to the pass's taps and logits.
+
+    ``taps[i]`` and ``logits`` each list the contributions to one gradient,
+    in the order they are summed; an empty list means the loss does not
+    reach that output. The order is the one a per-op tape adds them in,
+    which :meth:`~batchcl.model.ResidualClassifier.backward` keeps.
+    """
+
+    value: np.ndarray
+    taps: list[list[np.ndarray]]
+    logits: list[np.ndarray]
+
+
+def _joined(terms: list[Objective]) -> Objective:
+    """The sum of objectives on one pass; each term's contributions follow
+    those of the terms before it."""
+    out = terms[0]
+    for t in terms[1:]:
+        out = Objective(
+            out.value + t.value, [a + b for a, b in zip(out.taps, t.taps)], out.logits + t.logits
+        )
+    return out
 
 
 @dataclass(frozen=True)
@@ -59,12 +80,13 @@ class LossCoefficients:
                 raise ValueError(f"{name} coefficient must be >= 0")
 
 
-def task_loss(logits: Tensor, labels: np.ndarray) -> Tensor:
+def task_loss(student: TapSet, labels: np.ndarray, weight: float = 1.0) -> Objective:
     """Mean cross-entropy over the batch, labels in global class-id space."""
-    return softmax_cross_entropy(logits, labels, name="task_loss")
+    value, grad = softmax_cross_entropy(student.logits, labels, weight, name="task_loss")
+    return Objective(value, [[] for _ in student.taps], [grad])
 
 
-def l_bd(teacher: TapSet, student: TapSet) -> Tensor:
+def l_bd(teacher: TapSet, student: TapSet) -> Objective:
     """Feature distillation: sum over depths of the mean squared tap difference.
 
     Each tap contributes the mean over rows and features of the squared
@@ -84,20 +106,17 @@ def l_exp(
     labels: np.ndarray,
     stability_coef: float,
     kind: str = "features",
-) -> Tensor:
+) -> Objective:
     """Expert objective: cross-entropy plus stability pull toward the base.
 
     With coefficient 0 the distillation branch is skipped entirely, making
-    the objective (and its RNG/graph footprint) literally plain task loss.
+    the objective (and its RNG footprint) literally plain task loss.
     ``kind`` selects the distillation variant (ablation hook).
     """
-    ce = task_loss(student.logits, labels)
+    ce = task_loss(student, labels)
     if stability_coef == 0.0:
         return ce
-    return add(
-        ce, scale(alt_distill(kind, base_teacher, student), stability_coef),
-        name="expert_loss",
-    )
+    return _joined([ce, alt_distill(kind, base_teacher, student, stability_coef)])
 
 
 def l_bmc(
@@ -106,8 +125,9 @@ def l_bmc(
     teacher_origins: Sequence[int],
     batch_origins: np.ndarray,
     kind: str = "features",
-) -> Tensor:
-    """Batched distillation: per-expert distances, summed over experts, as one node.
+    weight: float = 1.0,
+) -> Objective:
+    """Batched distillation: per-expert distances, summed over experts, in one op.
 
     ``expert_teachers`` is the pass of a stack of k expert teachers: a
     TapSet whose taps and logits carry a leading expert axis, ``(k, B, D)``,
@@ -122,18 +142,17 @@ def l_bmc(
     locally from transmitted parameter snapshots; features themselves never
     cross a worker boundary.
 
-    Every ``kind`` is one :func:`~batchcl.engine.stacked_distance` node over
-    the (k, B) origin masks. It adds expert j's gradient into the student in
+    Every ``kind`` is one :func:`~batchcl.engine.stacked_distance` call over
+    the (k, B) origin masks. Its gradients list expert j's contribution in
     expert order j = 0..k-1, so the loss and every gradient are
-    bit-identical to a sum of k single-expert nodes.
+    bit-identical to a sum of k single-expert distances.
     """
     k = expert_teachers.logits.shape[0]
     if len(teacher_origins) != k:
         raise GraphError(f"{k} teachers but {len(teacher_origins)} origin tags")
     origins = np.asarray(batch_origins)
     masks = origins[None, :] == np.asarray(teacher_origins)[:, None]
-    students, targets, per_feature = _distilled(kind, expert_teachers, student)
-    return stacked_distance(students, targets, masks, per_feature, name="expert_distance")
+    return _distance(kind, expert_teachers, student, masks, weight, "expert_distance")
 
 
 def l_base(
@@ -145,58 +164,60 @@ def l_base(
     kind: str = "features",
     teacher_origins: Sequence[int] | None = None,
     batch_origins: np.ndarray | None = None,
-) -> Tensor:
+) -> Objective:
     """Consolidation objective: weighted replay cross-entropy + batched distillation.
 
     A zero coefficient skips its branch entirely (degenerate modes reduce
-    to pure replay or pure distillation with no leftover graph work). The
+    to pure replay or pure distillation with no leftover work). The
     origin arguments route each batch row to the expert whose buffer
     contributed it; they are required whenever the distillation branch is
     active.
     """
-    terms: list[Tensor] = []
+    terms: list[Objective] = []
     if task_coef != 0.0:
-        terms.append(scale(task_loss(student.logits, labels), task_coef))
+        terms.append(task_loss(student, labels, task_coef))
     if consolidation_coef != 0.0:
         if teacher_origins is None or batch_origins is None:
             raise GraphError("batched distillation needs origin tags for the batch")
         terms.append(
-            scale(
-                l_bmc(student, expert_teachers, teacher_origins, batch_origins, kind),
-                consolidation_coef,
-            )
+            l_bmc(student, expert_teachers, teacher_origins, batch_origins, kind,
+                  consolidation_coef)
         )
     if not terms:
         raise GraphError("both coefficients zero: nothing to optimize")
-    out = terms[0]
-    for t in terms[1:]:
-        out = add(out, t, name="base_loss")
-    return out
+    return _joined(terms)
 
 
 DISTILL_KINDS = ("features", "kd_logits", "phi_penultimate")
 
 
-def _distilled(kind: str, teacher: TapSet, student: TapSet):
-    """What ``kind`` compares: (student nodes, teacher arrays, per-feature mean).
-
-    Every tap, the last tap only, or the logits with the per-row squared
-    norm. Teacher arrays may carry a leading expert axis.
-    """
-    if len(teacher.taps) != len(student.taps):
-        raise GraphError(
-            f"tap count mismatch: teacher {len(teacher.taps)} vs student {len(student.taps)}"
-        )
+def _distance(kind: str, teacher: TapSet, student: TapSet, masks, weight: float,
+              name: str) -> Objective:
+    """The ``kind`` distance of the student to a teacher stack, as one
+    :func:`~batchcl.engine.stacked_distance` call: every tap, the last tap
+    only, or the logits with the per-row squared norm."""
+    n = len(student.taps)
+    if len(teacher.taps) != n:
+        raise GraphError(f"tap count mismatch: teacher {len(teacher.taps)} vs student {n}")
     if kind == "features":
-        return student.taps, [t.data for t in teacher.taps], True
-    if kind == "phi_penultimate":
-        return student.taps[-1:], [teacher.taps[-1].data], True
-    if kind == "kd_logits":
-        return [student.logits], [teacher.logits.data], False
-    raise ValueError(f"unknown distillation kind {kind!r}; expected one of {DISTILL_KINDS}")
+        which, targets, per_feature = range(n), teacher.taps, True
+    elif kind == "phi_penultimate":
+        which, targets, per_feature = [n - 1], teacher.taps[-1:], True
+    elif kind == "kd_logits":
+        which, targets, per_feature = [n], [teacher.logits], False
+    else:
+        raise ValueError(f"unknown distillation kind {kind!r}; expected one of {DISTILL_KINDS}")
+    outputs = [*student.taps, student.logits]
+    value, grads = stacked_distance(
+        [outputs[i] for i in which], targets, masks, per_feature, weight, name=name
+    )
+    parts: list[list[np.ndarray]] = [[] for _ in outputs]
+    for i, stack in zip(which, grads):
+        parts[i] = list(stack)
+    return Objective(value, parts[:-1], parts[-1])
 
 
-def alt_distill(kind: str, teacher: TapSet, student: TapSet) -> Tensor:
+def alt_distill(kind: str, teacher: TapSet, student: TapSet, weight: float = 1.0) -> Objective:
     """Distillation to one teacher pass, in each of the loss-ablation variants.
 
     ``features`` is :func:`l_bd`; ``kd_logits`` is the per-row squared L2
@@ -206,10 +227,8 @@ def alt_distill(kind: str, teacher: TapSet, student: TapSet) -> Tensor:
     student's dropout masks when the model drops units. The teacher pass
     is a stack of one (a view, no copy) in which every row counts.
     """
-    students, targets, per_feature = _distilled(kind, teacher, student)
-    return stacked_distance(
-        students, [t[None] for t in targets], None, per_feature, name="teacher_distance"
-    )
+    stacked = TapSet(taps=[t[None] for t in teacher.taps], logits=teacher.logits[None])
+    return _distance(kind, stacked, student, None, weight, "teacher_distance")
 
 
 @dataclass
@@ -236,26 +255,22 @@ class FisherState:
                 raise ValueError(f"importance shape mismatch for '{k}'")
 
 
-def ewc_penalty(param_leaves: dict[str, Tensor], fisher: FisherState) -> Tensor:
-    """Sum over parameters of importance-weighted squared drift from the anchor.
+def ewc_penalty(
+    params: dict[str, np.ndarray], fisher: FisherState, weight: float = 1.0
+) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """Sum over parameters of importance-weighted squared drift from the
+    anchor, times ``weight``: ``(value, gradient of every parameter)``.
 
-    Computed directly on the data arrays with a hand-wired gradient (the
-    penalty is elementwise, so its derivative is analytic); returned as a
-    graph node so it composes with task_loss via ``add``.
+    The penalty is elementwise, so its derivative is analytic.
     """
-    fisher.check_layout({k: v.data for k, v in param_leaves.items()})
-    value = 0.0
-    for k, leaf in param_leaves.items():
-        drift = leaf.data - fisher.anchor[k]
+    fisher.check_layout(params)
+    g = np.asarray(weight, dtype=next(iter(params.values())).dtype)
+    value, grads = 0.0, {}
+    for k, p in params.items():
+        drift = p - fisher.anchor[k]
         value += float((fisher.importance[k] * drift * drift).sum())
-
-    def backward(g: np.ndarray) -> None:
-        for k, leaf in param_leaves.items():
-            _accumulate(leaf, g * 2.0 * fisher.importance[k] * (leaf.data - fisher.anchor[k]))
-
-    dtype = next(iter(param_leaves.values())).dtype
-    return _node(np.asarray(value, dtype=dtype), tuple(param_leaves.values()), backward,
-                 "ewc_penalty")
+        grads[k] = g * 2.0 * fisher.importance[k] * drift
+    return np.asarray(value, dtype=g.dtype) * g, grads
 
 
 def update_fisher(
@@ -267,11 +282,12 @@ def update_fisher(
     """Accumulate empirical curvature from one batch into the running importance.
 
     Squared task-loss gradients at the ground-truth labels (eval-mode
-    forward: importance estimation should not perturb normalization
-    statistics or consume dropout randomness).
+    forward and backward: importance estimation should not perturb
+    normalization statistics or consume dropout randomness).
     """
-    tapset, leaves = model.forward_with_taps(x, train=False)
-    _, grads = loss_and_grads(task_loss(tapset.logits, labels), leaves)
+    tapset, record = model.forward_with_taps(x, train=False)
+    loss = task_loss(tapset, labels)
+    _, grads = loss_and_grads(loss.value, lambda: model.backward(record, loss))
     fisher.check_layout(model.params)
     for k, g in grads.items():
         fisher.importance[k] += g.astype(np.float32) ** 2

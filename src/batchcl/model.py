@@ -20,13 +20,14 @@ logit-space distillation alternative consumes them directly instead.
 
 Every pass runs the same layer arithmetic on plain arrays
 (``ResidualClassifier._values``): the train or eval student pass, the
-teacher pass, ``predict`` and the per-example gradient-norm pass. The
-student pass is the only one on the tape. It puts one trunk node there,
-whose hand-written backward covers every layer and skip connection, plus
-one node per tap and one head node for the logits; its gradients equal
-those of a graph with one tape node per op, bit for bit. The norm pass
+teacher pass, ``predict`` and the per-example gradient-norm pass. No pass
+builds a graph. The student pass returns its taps and logits with a
+record of its layers, and ``ResidualClassifier.backward`` carries an
+objective's gradients with respect to them through the head and every
+trunk layer and skip connection to the parameters. Those gradients equal
+the ones a tape with one node per op gives, bit for bit. The norm pass
 walks the trunk backward in the same order (``_walk_trunk``) with a
-per-row step instead of a summed one, and builds no node.
+per-row step instead of a summed one.
 """
 
 from __future__ import annotations
@@ -34,11 +35,11 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field
 from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
-from .engine import GraphError, Tensor, batch_norm_arrays, batch_norm_grads, dropout_mask
-from .engine.autodiff import _accumulate, _node
+from .engine import GraphError, batch_norm_arrays, batch_norm_grads, dropout_mask
 
 PARAM_VECTOR_MAGIC = b"CLPV"
 PARAM_VECTOR_VERSION = 1
@@ -76,15 +77,26 @@ class ModelConfig:
 class TapSet:
     """One forward pass: intermediate representations plus logits.
 
-    ``taps`` are graph nodes in depth order (constants for a teacher pass);
-    ``logits`` covers every class registered so far. ``masks`` are the dropout multipliers a
-    train-mode pass drew, in layer order (empty when nothing was dropped);
-    a teacher pass replays them to see exactly the units the student saw.
+    ``taps`` are arrays in depth order; ``logits`` covers every class
+    registered so far. ``masks`` are the dropout multipliers a train-mode
+    pass drew, in layer order (empty when nothing was dropped); a teacher
+    pass replays them to see exactly the units the student saw.
     """
 
-    taps: list[Tensor]
-    logits: Tensor
+    taps: list[np.ndarray]
+    logits: np.ndarray
     masks: list[np.ndarray] = field(default_factory=list)
+
+
+class PassRecord(NamedTuple):
+    """What a student pass keeps for :meth:`ResidualClassifier.backward`: each
+    layer's state as ``_values`` records it, the head's input and the dropout
+    mask that made it (or None), and whether batch statistics normalized."""
+
+    layers: list[tuple]
+    head_in: np.ndarray
+    head_mask: np.ndarray | None
+    train: bool
 
 
 def _unpack(fmt: str, blob: bytes, off: int, what: str) -> tuple[tuple, int]:
@@ -273,29 +285,19 @@ class ResidualClassifier:
         x: np.ndarray,
         train: bool = False,
         rng: np.random.Generator | None = None,
-    ) -> tuple[TapSet, dict[str, Tensor]]:
-        """Run the network, returning the TapSet and the parameter leaves.
+    ) -> tuple[TapSet, PassRecord]:
+        """Run the network, returning the TapSet and the record of the pass.
 
-        The leaves map parameter names to the graph nodes of this pass;
-        hand it to ``loss_and_grads`` to differentiate any loss built on
-        the returned taps/logits. Train mode updates normalization running
-        statistics in place and draws dropout masks from ``rng``; the
-        TapSet keeps them for :meth:`forward_as_teacher`.
-
-        The pass runs on plain arrays and records three kinds of tape node:
-        one trunk node, whose hand-written backward covers every affine ->
-        BN -> ReLU -> dropout layer and skip connection; one node per tap,
-        which hands the tap's gradient to the trunk; and one head node for
-        the logits, which adds its input gradient into the penultimate tap.
-        Every gradient is the per-op tape's, bit for bit: contributions to a
-        value are added in the order the tape's backward would add them,
-        from the tape's zero start.
+        Hand the record to :meth:`backward` with an objective's gradients
+        with respect to the returned taps and logits. Train mode updates
+        normalization running statistics in place and draws dropout masks
+        from ``rng``; the TapSet keeps them for :meth:`forward_as_teacher`.
         """
         x = self._check_input(x)
         n = len(x)
         if train and n < 2:
             raise GraphError(f"stem.bn: train-mode batch of size {n} (need >= 2)")
-        # graphs run in whatever precision the parameters carry (float32 in
+        # passes run in whatever precision the parameters carry (float32 in
         # production; tests build float64 twins for derivative oracles)
         dtype = self.params["stem.W"].dtype
         masks = self._draw_masks(n, rng, dtype) if train else []
@@ -303,29 +305,34 @@ class ResidualClassifier:
         taps, head_in, logits = self._values(
             x.astype(dtype, copy=False), "train" if train else "eval", masks, layers
         )
-        leaves = {
-            name: Tensor(arr, requires_grad=True, name=name)
-            for name, arr in self.params.items()
-        }
-        # the trunk's outputs are the tap nodes; its own value is empty
-        trunk = _node(
-            np.empty(0, dtype),
-            tuple(leaf for name, leaf in leaves.items() if not name.startswith("head.")),
-            partial(_walk_trunk, self.config, layers, partial(_layer_backward, leaves, train)),
-            "trunk",
-        )
-        tap_nodes = [_tap_node(trunk, i, t, len(taps)) for i, t in enumerate(taps)]
-        w, b, pen = leaves["head.W"], leaves["head.b"], tap_nodes[-1]
-        head_mask = masks[-1] if masks else None
+        record = PassRecord(layers, head_in, masks[-1] if masks else None, train)
+        return TapSet(taps=taps, logits=logits, masks=masks), record
 
-        def head_backward(g: np.ndarray) -> None:
-            _give(w, head_in.T @ g + 0.0)
-            _give(b, g.sum(axis=0))
-            d = g @ w.data.T
-            _accumulate(pen, d if head_mask is None else d * head_mask)
+    def backward(self, record: PassRecord, objective) -> dict[str, np.ndarray]:
+        """Gradients of every parameter for an objective on the pass ``record``
+        describes (a :class:`~batchcl.losses.Objective`).
 
-        head = _node(logits, (pen, w, b), head_backward, "head")
-        return TapSet(taps=tap_nodes, logits=head, masks=masks), leaves
+        The objective lists the contributions to its gradient with respect to
+        each tap and the logits; the head's contribution to the last tap
+        comes before them. Contributions to every value are added in the
+        order a tape with one node per op adds them, from its zero start, so
+        the gradients are that tape's, bit for bit. A parameter nothing
+        reaches gets an exact zero.
+        """
+        params = self.params
+        grads: dict[str, np.ndarray] = {}
+        taps = [_sum(*parts) for parts in objective.taps]
+        g = _sum(*objective.logits)
+        if g is not None:
+            grads["head.W"] = record.head_in.T @ g + 0.0
+            grads["head.b"] = g.sum(axis=0)
+            d = g @ params["head.W"].T
+            taps[-1] = _sum(d if record.head_mask is None else d * record.head_mask,
+                            *objective.taps[-1])
+        step = partial(_layer_backward, params, grads, record.train)
+        _walk_trunk(self.config, record.layers, step, taps)
+        return {name: grads[name] if name in grads else np.zeros_like(p)
+                for name, p in params.items()}
 
     def _draw_masks(self, n: int, rng, dtype) -> list[np.ndarray]:
         """A train pass's dropout multipliers, one ``(n, width)`` array per site.
@@ -403,9 +410,8 @@ class ResidualClassifier:
         distillation distance would never reach zero. ``masks`` are the
         ``TapSet.masks`` of that student pass; without them no unit is
         dropped. Teacher passes are never differentiated, so this one runs
-        the student pass's arithmetic and records no tape: its taps and
-        logits are constants. Running buffers are left untouched and no
-        randomness is consumed.
+        the student pass's arithmetic and records nothing for a backward.
+        Running buffers are left untouched and no randomness is consumed.
 
         A model returns taps and logits of shape ``(B, D)``. A stack of k
         models (:func:`stack_vectors`) carries a leading expert axis on
@@ -426,7 +432,7 @@ class ResidualClassifier:
         taps, _, logits = self._values(
             x.astype(self.params["stem.W"].dtype, copy=False), "teacher", masks, None
         )
-        return TapSet(taps=[Tensor(t) for t in taps], logits=Tensor(logits))
+        return TapSet(taps=taps, logits=logits)
 
     @property
     def dropout_sites(self) -> int:
@@ -456,7 +462,7 @@ class ResidualClassifier:
         gradients are ill-defined under batch statistics. In eval mode
         batch norm is a fixed affine map, so rows are independent, and one
         batched forward plus one batched backward of per-row deltas give
-        every row's norm without a tape. An affine layer with input ``h``
+        every row's norm. An affine layer with input ``h``
         and pre-activation gradient ``dz`` contributes ``|h|^2 |dz|^2``
         (its weight gradient is the outer product) plus ``|dz|^2`` (its
         bias); a batch norm with output gradient ``g`` contributes
@@ -511,15 +517,10 @@ class ResidualClassifier:
         )
 
 
-def _give(leaf: Tensor, g: np.ndarray) -> None:
-    """Add ``g`` into a leaf's gradient. ``g`` holds no -0, so the tape's
-    zero start would not change it and is skipped."""
-    leaf.grad = g if leaf.grad is None else leaf.grad + g
-
-
 def _sum(*parts):
-    """Gradient contributions to one value, added in the given order from the
-    tape's zero start (which turns a first -0 into +0); None when there are none."""
+    """Gradient contributions to one value, added in the given order from a
+    per-op tape's zero start (which turns a first -0 into +0); None when
+    there are none."""
     total = None
     for g in parts:
         if g is not None:
@@ -527,41 +528,27 @@ def _sum(*parts):
     return total
 
 
-def _tap_node(trunk: Tensor, i: int, value: np.ndarray, n_taps: int) -> Tensor:
-    """Output node of tap ``i``: its backward puts the tap's gradient into
-    slot ``i`` of the trunk's gradient, a list of ``n_taps`` slots.
-
-    The trunk never refers to its tap nodes, so a pass forms no reference
-    cycle and is freed as soon as it is dropped.
-    """
-
-    def backward(g: np.ndarray) -> None:
-        if trunk.grad is None:
-            trunk.grad = [None] * n_taps
-        trunk.grad[i] = g
-
-    return _node(value, (trunk,), backward, f"tap{i}")
-
-
-def _layer_backward(leaves: dict, train: bool, state: tuple, g: np.ndarray, need_dx: bool):
+def _layer_backward(params: dict, grads: dict, train: bool, state: tuple, g: np.ndarray,
+                    need_dx: bool):
     """Backward of one affine -> BN -> ReLU -> dropout layer, given the
-    gradient of its output; returns the gradient of its input (if needed).
+    gradient of its output: writes the layer's parameter gradients into
+    ``grads`` and returns the gradient of its input (if needed).
 
-    Each ``+ 0.0`` stands where the tape starts a node's gradient from
-    zeros, which turns a -0 into +0.
+    Each ``+ 0.0`` stands where a per-op tape starts a value's gradient
+    from zeros, which turns a -0 into +0.
     """
     prefix, h, y, xhat, inv_std, mask = state
     if mask is not None:
         g = g * mask
     g = g * (y > 0) + 0.0
-    gamma, w = leaves[f"{prefix}.bn.gamma"], leaves[f"{prefix}.W"]
-    dgamma, dbeta, dz = batch_norm_grads(g, xhat, inv_std, gamma.data, train)
-    _give(gamma, dgamma + 0.0)
-    _give(leaves[f"{prefix}.bn.beta"], dbeta)
+    w = params[f"{prefix}.W"]
+    dgamma, dbeta, dz = batch_norm_grads(g, xhat, inv_std, params[f"{prefix}.bn.gamma"], train)
+    grads[f"{prefix}.bn.gamma"] = dgamma + 0.0
+    grads[f"{prefix}.bn.beta"] = dbeta
     dz += 0.0
-    _give(leaves[f"{prefix}.b"], dz.sum(axis=0))
-    _give(w, h.T @ dz + 0.0)
-    return dz @ w.data.T if need_dx else None
+    grads[f"{prefix}.b"] = dz.sum(axis=0)
+    grads[f"{prefix}.W"] = h.T @ dz + 0.0
+    return dz @ w.T if need_dx else None
 
 
 def _walk_trunk(config: ModelConfig, layers: list, step, tap_grads: list) -> None:
@@ -570,10 +557,11 @@ def _walk_trunk(config: ModelConfig, layers: list, step, tap_grads: list) -> Non
     ``step(state, g, need_dx)`` is one layer's backward: it takes the
     layer's recorded state and output gradient and returns its input
     gradient when ``need_dx``. With :func:`_layer_backward` as the step this
-    is the trunk node's backward; the per-example norm pass gives a per-row
-    step. A block output's gradient adds, in the tape's order, its tap's
-    gradient, the next block's skip pass-through and the next layer's input
-    gradient. A value nothing reached passes no gradient on.
+    is the trunk's part of :meth:`ResidualClassifier.backward`; the
+    per-example norm pass gives a per-row step. A block output's gradient
+    adds, in a per-op tape's order, its tap's gradient, the next block's
+    skip pass-through and the next layer's input gradient. A value nothing
+    reached passes no gradient on.
     """
     n_layers = config.res_layers_per_block
     dx = tap_grads[-1]

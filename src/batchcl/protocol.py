@@ -319,15 +319,18 @@ def decode_sync(payload: bytes) -> tuple[int, int, ExpertHyper, bytes]:
             f"sync payload names sampling {sampling_idx} and distill kind {distill_idx}; "
             f"known are {len(SAMPLING_STRATEGIES)} and {len(DISTILL_KINDS)}"
         )
-    hyper = ExpertHyper(
-        epochs=epochs,
-        lr=lr,
-        stability_coef=stability,
-        batch_size=batch,
-        buffer_capacity=buffer_capacity,
-        sampling=SAMPLING_STRATEGIES[sampling_idx],
-        distill_kind=DISTILL_KINDS[distill_idx],
-    )
+    try:
+        hyper = ExpertHyper(
+            epochs=epochs,
+            lr=lr,
+            stability_coef=stability,
+            batch_size=batch,
+            buffer_capacity=buffer_capacity,
+            sampling=SAMPLING_STRATEGIES[sampling_idx],
+            distill_kind=DISTILL_KINDS[distill_idx],
+        )
+    except ValueError as e:
+        raise ProtocolViolation(f"sync header at byte 0: {e}") from e
     return expert_index, seed, hyper, blob
 
 
@@ -502,19 +505,21 @@ def remote_train(sync: bytes, tasks: tuple[Task, ...], model_config: ModelConfig
             f"but the step has {len(tasks)} tasks"
         )
     task = tasks[expert_index]
-    base = model_from_vector(model_config, ParamVector.from_bytes(base_blob))
+    try:
+        base = model_from_vector(model_config, ParamVector.from_bytes(base_blob))
+    except ValueError as e:
+        raise ProtocolViolation(f"sync base snapshot at byte {SYNC_FIXED_NBYTES}: {e}") from e
     expert = base.copy()
     train_rng = np.random.default_rng(child_seed(seed, "train"))
     x, y = task.train_x, task.train_y
 
     def step(idx):
-        student, leaves = expert.forward_with_taps(x[idx], train=True, rng=train_rng)
+        student, record = expert.forward_with_taps(x[idx], train=True, rng=train_rng)
         teacher = (
             base.forward_as_teacher(x[idx], student.masks) if h.stability_coef > 0 else None
         )
-        return loss_and_grads(
-            l_exp(student, teacher, y[idx], h.stability_coef, h.distill_kind), leaves
-        )
+        loss = l_exp(student, teacher, y[idx], h.stability_coef, h.distill_kind)
+        return loss_and_grads(loss.value, lambda: expert.backward(record, loss))
 
     t0 = time.perf_counter()
     try:
@@ -609,7 +614,7 @@ def consolidate(
     caller never reuses this phase's optimizer afterwards. The expert
     teachers are rebuilt from their transmitted snapshots as one stack, in
     expert-index order so the summation is deterministic: each batch takes
-    one teacher pass for all k experts and one batched distillation node.
+    one teacher pass for all k experts and one batched distillation.
     Returns the updated copy; the input base is untouched.
     """
     if not artifacts:
@@ -628,7 +633,7 @@ def consolidate(
 
     def step(_):
         batch = draw_batch(pool, batch_size, rng)
-        student_taps, leaves = student.forward_with_taps(batch.features, train=True, rng=rng)
+        student_taps, record = student.forward_with_taps(batch.features, train=True, rng=rng)
         teacher_taps = (
             teachers.forward_as_teacher(batch.features, student_taps.masks)
             if use_distill
@@ -644,7 +649,7 @@ def consolidate(
             teacher_origins=teacher_origins,
             batch_origins=batch.origins,
         )
-        return loss_and_grads(loss, leaves)
+        return loss_and_grads(loss.value, lambda: student.backward(record, loss))
 
     train_epochs(student.params, lr, rehearsal_epochs, lambda: range(batches_per_epoch), step)
     return student
@@ -681,10 +686,10 @@ def expert_distances(
         else:
             expert = model_from_vector(base.config, a.param_vector).forward_as_teacher(x)
             row.update(
-                expert_base_distance=l_bd(base.forward_as_teacher(x), expert).item(),
-                consolidated_expert_distance=l_bd(
-                    expert, new_base.forward_as_teacher(x)
-                ).item(),
+                expert_base_distance=float(l_bd(base.forward_as_teacher(x), expert).value),
+                consolidated_expert_distance=float(
+                    l_bd(expert, new_base.forward_as_teacher(x)).value
+                ),
             )
         out.append(row)
     return out

@@ -1,6 +1,7 @@
 """Shared test utilities: float64 model twins, teacher stacks, finite-difference
-oracles, the per-row gradient-norm oracle, and the per-op student pass with
-its reference ops."""
+oracles, the per-row gradient-norm oracle, and the per-op oracle of the
+train step: the student pass and the objectives as a tape with one node
+per op, built from the reference ops below."""
 
 from __future__ import annotations
 
@@ -14,15 +15,16 @@ from batchcl.config import (
     StreamSpec,
     TrainingSpec,
 )
-from batchcl.engine import GraphError, Tensor, add, loss_and_grads
-from batchcl.engine.autodiff import (
-    _accumulate,
-    _node,
+from batchcl.engine import (
+    GraphError,
     batch_norm_arrays,
     batch_norm_grads,
     dropout_mask,
+    loss_and_grads,
+    softmax_cross_entropy,
+    stacked_distance,
 )
-from batchcl.losses import task_loss
+from batchcl.engine.autodiff import Tensor, _accumulate, _node, gradients
 from batchcl.model import ResidualClassifier, TapSet
 
 
@@ -48,9 +50,8 @@ def experiment(method: str = "bmc", seed: int = 0, *, model: dict | None = None,
 def stack_passes(passes: list[TapSet]) -> TapSet:
     """Single-teacher passes as one stacked pass, taps and logits ``(k, B, D)``."""
     return TapSet(
-        taps=[Tensor(np.stack([p.taps[i].data for p in passes]))
-              for i in range(len(passes[0].taps))],
-        logits=Tensor(np.stack([p.logits.data for p in passes])),
+        taps=[np.stack([p.taps[i] for p in passes]) for i in range(len(passes[0].taps))],
+        logits=np.stack([p.logits for p in passes]),
     )
 
 
@@ -74,16 +75,34 @@ def jitter_params(model: ResidualClassifier, seed: int, scale: float = 0.1) -> N
         v += (rng.standard_normal(v.shape) * scale).astype(v.dtype)
 
 
-def grad_norms_reference(model: ResidualClassifier, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-example task-loss gradient norms, one eval-mode tape graph per row.
+def count_tensors(monkeypatch) -> list:
+    """Patch ``Tensor`` construction to append to the returned list."""
+    built: list = []
+    init = Tensor.__init__
 
-    The oracle of ``ResidualClassifier.per_example_grad_norms``; it uses
-    only public engine calls.
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Tensor, "__init__", counting_init)
+    return built
+
+
+def step_grads(model: ResidualClassifier, record, loss) -> tuple[float, dict[str, np.ndarray]]:
+    """The production train step's (loss value, parameter gradients) for an
+    objective on the pass ``record`` describes."""
+    return loss_and_grads(loss.value, lambda: model.backward(record, loss))
+
+
+def grad_norms_reference(model: ResidualClassifier, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-example task-loss gradient norms, one eval-mode per-op graph per row.
+
+    The oracle of ``ResidualClassifier.per_example_grad_norms``.
     """
     out = []
     for i in range(len(y)):
-        ts, leaves = model.forward_with_taps(x[i : i + 1], train=False)
-        _, grads = loss_and_grads(task_loss(ts.logits, y[i : i + 1]), leaves)
+        ts, leaves = per_op_forward(model, x[i : i + 1])
+        _, grads = tape_grads(cross_entropy(ts.logits, y[i : i + 1]), leaves)
         out.append(np.sqrt(sum(float((g ** 2).sum()) for g in grads.values())))
     return np.array(out)
 
@@ -126,6 +145,89 @@ def assert_matches_fd(analytic, numeric, rel_tol: float = 1e-4):
 # ---------------------------------------------------------------------------
 # reference ops: one tape node per op, the pieces of the per-op oracle
 # ---------------------------------------------------------------------------
+
+
+def tape_grads(loss: Tensor, leaves: dict[str, Tensor]) -> tuple[float, dict[str, np.ndarray]]:
+    """A tape's train step: the loss value (checked finite) and the
+    gradient of every leaf, zero for a leaf the loss does not reach."""
+    return loss_and_grads(loss.data, lambda: gradients(loss, leaves))
+
+
+def add(x: Tensor, y: Tensor, name: str = "add") -> Tensor:
+    """Elementwise add; also accepts a rank-1 bias added to each row of a matrix."""
+    bias_case = x.data.ndim == 2 and y.data.ndim == 1 and x.shape[1] == y.shape[0]
+    if not bias_case and x.shape != y.shape:
+        raise GraphError(f"{name}: shape mismatch {x.shape} + {y.shape}")
+    out_data = x.data + y.data
+
+    def backward(g: np.ndarray) -> None:
+        _accumulate(x, g)
+        _accumulate(y, g.sum(axis=0) if bias_case else g)
+
+    return _node(out_data, (x, y), backward, name)
+
+
+def scale(x: Tensor, c: float, name: str = "scale") -> Tensor:
+    c = float(c)
+    out_data = x.data * np.asarray(c, dtype=x.dtype)
+
+    def backward(g: np.ndarray) -> None:
+        _accumulate(x, g * np.asarray(c, dtype=x.dtype))
+
+    return _node(out_data, (x,), backward, name)
+
+
+def cross_entropy(logits: Tensor, labels: np.ndarray, name: str = "cross_entropy") -> Tensor:
+    """``softmax_cross_entropy`` as one node; its backward takes the upstream
+    gradient as the op's weight."""
+    value, _ = softmax_cross_entropy(logits.data, labels, name=name)
+
+    def backward(g: np.ndarray) -> None:
+        _accumulate(logits, softmax_cross_entropy(logits.data, labels, g, name=name)[1])
+
+    return _node(value, (logits,), backward, name)
+
+
+def distance(students: list[Tensor], targets, masks=None, per_feature: bool = True,
+             name: str = "stacked_distance") -> Tensor:
+    """``stacked_distance`` as one node; its backward adds teacher j's
+    contribution into each student in order j = 0..k-1."""
+    arrays = [s.data for s in students]
+    value, _ = stacked_distance(arrays, targets, masks, per_feature, name=name)
+
+    def backward(g: np.ndarray) -> None:
+        _, grads = stacked_distance(arrays, targets, masks, per_feature, g, name=name)
+        for s, stack in zip(students, grads):
+            for contribution in stack:
+                _accumulate(s, contribution)
+
+    return _node(value, tuple(students), backward, name)
+
+
+def tape_objective(student: TapSet, labels: np.ndarray, task_coef: float,
+                   teacher: TapSet | None = None, distill_coef: float = 0.0,
+                   kind: str = "features", masks=None) -> Tensor:
+    """``l_exp`` and ``l_base`` on a per-op pass (a TapSet of nodes), as the
+    tape builds them: ``task_coef`` times the cross-entropy plus
+    ``distill_coef`` times the ``kind`` distance to the ``(k, B, D)``
+    teacher stack, a zero coefficient leaving its term out. Without
+    ``masks`` every row counts for every teacher."""
+    terms = []
+    if task_coef != 0.0:
+        terms.append(scale(cross_entropy(student.logits, labels), task_coef))
+    if distill_coef != 0.0:
+        n = len(student.taps)
+        which = {"features": range(n), "phi_penultimate": [n - 1], "kd_logits": [n]}[kind]
+        outputs, targets = [*student.taps, student.logits], [*teacher.taps, teacher.logits]
+        terms.append(scale(
+            distance([outputs[i] for i in which], [targets[i] for i in which], masks,
+                     per_feature=kind != "kd_logits"),
+            distill_coef,
+        ))
+    out = terms[0]
+    for t in terms[1:]:
+        out = add(out, t)
+    return out
 
 
 def matmul(x: Tensor, w: Tensor, name: str = "matmul") -> Tensor:

@@ -20,29 +20,27 @@ import time
 import numpy as np
 import pytest
 from helpers import (
+    add,
+    cross_entropy,
+    distance,
     experiment,
     finite_diff_params,
     matmul,
     mul,
+    per_op_forward,
     relu,
+    scale,
     square,
     stack_passes,
     sum_all,
+    tape_grads,
 )
 
 from batchcl.baselines import run_baseline
 from batchcl.cli import export_pareto, run_experiment, run_sweep
 from batchcl.config import build_model_config, parse_config, parse_sweep
-from batchcl.engine import (
-    SGD,
-    PlateauScheduler,
-    Tensor,
-    add,
-    loss_and_grads,
-    scale,
-    softmax_cross_entropy,
-    stacked_distance,
-)
+from batchcl.engine import SGD, PlateauScheduler
+from batchcl.engine.autodiff import Tensor
 from batchcl.losses import (
     FisherState,
     LossCoefficients,
@@ -221,10 +219,10 @@ def _run_program(leaves, instrs, terminal):
     if term == "sum_all":
         out = sum_all(x)
     elif term == "ce":
-        out = softmax_cross_entropy(x, labels)
+        out = cross_entropy(x, labels)
     else:
         masks = mask[None] if term.startswith("masked") else None
-        out = stacked_distance([x], [target], masks, per_feature=term.endswith("features"))
+        out = distance([x], [target], masks, per_feature=term.endswith("features"))
     return out, tensors, nodes
 
 
@@ -255,20 +253,28 @@ def _max_rel_err(analytic: dict, numeric: dict) -> float:
 
 
 def _loss_fd_cases():
-    """The composite objectives as (name, leaf arrays, build closure).
+    """The composite objectives as (name, leaf arrays, evaluate closure).
 
     Each closure reads the (possibly perturbed) arrays afresh and returns
-    the loss node together with the live leaf tensors it built, so one
-    closure serves both the analytic gradients and the differencing oracle.
+    the loss value together with its gradient with respect to every leaf
+    array, so one closure serves both the analytic gradients and the
+    differencing oracle.
     """
     rng = np.random.default_rng(99)
     n, d, classes = 5, 4, 6
 
-    def leaf_taps(arrs, reg):
-        ts = [Tensor(arrs[k], requires_grad=True, name=k) for k in ("s0", "s1")]
-        lg = Tensor(arrs["slog"], requires_grad=True, name="slog")
-        reg.update({t.name: t for t in ts}, slog=lg)
-        return TapSet(taps=ts, logits=lg)
+    def student(arrs):
+        return TapSet(taps=[arrs["s0"], arrs["s1"]], logits=arrs["slog"])
+
+    def summed(parts, like):
+        total = np.zeros_like(like)
+        for g in parts:
+            total += g
+        return total
+
+    def on_student(objective, a):
+        grads = {k: summed(parts, a[k]) for k, parts in zip(("s0", "s1"), objective.taps)}
+        return objective.value, {**grads, "slog": summed(objective.logits, a["slog"])}
 
     student_arrs = {
         "s0": rng.standard_normal((n, d)),
@@ -276,12 +282,12 @@ def _loss_fd_cases():
         "slog": rng.standard_normal((n, classes)),
     }
     teacher = TapSet(
-        taps=[Tensor(rng.standard_normal((n, d))) for _ in range(2)],
-        logits=Tensor(rng.standard_normal((n, classes))),
+        taps=[rng.standard_normal((n, d)) for _ in range(2)],
+        logits=rng.standard_normal((n, classes)),
     )
     teacher_b = TapSet(
-        taps=[Tensor(rng.standard_normal((n, d))) for _ in range(2)],
-        logits=Tensor(rng.standard_normal((n, classes))),
+        taps=[rng.standard_normal((n, d)) for _ in range(2)],
+        logits=rng.standard_normal((n, classes)),
     )
     labels = rng.integers(0, classes, size=n)
     origins = np.array([0, 1, 0, -1, 1])
@@ -289,30 +295,23 @@ def _loss_fd_cases():
     teachers = stack_passes([teacher, teacher_b])
 
     def case_task(a):
-        reg: dict[str, Tensor] = {}
-        lg = Tensor(a["slog"], requires_grad=True, name="slog")
-        reg["slog"] = lg
-        return task_loss(lg, labels), reg
+        loss = task_loss(TapSet(taps=[], logits=a["slog"]), labels)
+        return loss.value, {"slog": summed(loss.logits, a["slog"])}
 
     def case_stability(a):
-        reg: dict[str, Tensor] = {}
-        return l_bd(teacher, leaf_taps(a, reg)), reg
+        return on_student(l_bd(teacher, student(a)), a)
 
     def case_expert(a):
-        reg: dict[str, Tensor] = {}
-        return l_exp(leaf_taps(a, reg), teacher, labels, 0.7), reg
+        return on_student(l_exp(student(a), teacher, labels, 0.7), a)
 
     def case_batched(a):
-        reg: dict[str, Tensor] = {}
-        return l_bmc(leaf_taps(a, reg), teachers, [0, 1], origins), reg
+        return on_student(l_bmc(student(a), teachers, [0, 1], origins), a)
 
     def case_consolidation(a):
-        reg: dict[str, Tensor] = {}
-        return (
-            l_base(leaf_taps(a, reg), teachers, labels,
-                   task_coef=0.6, consolidation_coef=1.3,
+        return on_student(
+            l_base(student(a), teachers, labels, task_coef=0.6, consolidation_coef=1.3,
                    teacher_origins=[0, 1], batch_origins=origins),
-            reg,
+            a,
         )
 
     fisher = FisherState(
@@ -322,8 +321,7 @@ def _loss_fd_cases():
     ewc_arrs = {"w": rng.standard_normal((3, 2)), "b": rng.standard_normal(4)}
 
     def case_ewc(a):
-        reg = {k: Tensor(v, requires_grad=True, name=k) for k, v in a.items()}
-        return ewc_penalty(reg, fisher), reg
+        return ewc_penalty(a, fisher)
 
     return [
         ("task_loss", {"slog": student_arrs["slog"]}, case_task),
@@ -343,17 +341,16 @@ def test_01_gradient_oracles():
         leaves, instrs, terminal = _gen_program(1000 + i)
         _resolve_kinks(leaves, instrs, terminal)
         out, tensors, _ = _run_program(leaves, instrs, terminal)
-        _, analytic = loss_and_grads(out, tensors)
+        _, analytic = tape_grads(out, tensors)
         numeric = finite_diff_params(
             lambda: float(_run_program(leaves, instrs, terminal)[0].data),
             leaves, h=1e-5,
         )
         worst = max(worst, _max_rel_err(analytic, numeric))
 
-    for _name, arrs, build in _loss_fd_cases():
-        loss, leaf_tensors = build(arrs)
-        _, analytic = loss_and_grads(loss, leaf_tensors)
-        numeric = finite_diff_params(lambda: float(build(arrs)[0].data), arrs, h=1e-5)
+    for _name, arrs, evaluate in _loss_fd_cases():
+        _, analytic = evaluate(arrs)
+        numeric = finite_diff_params(lambda: float(evaluate(arrs)[0]), arrs, h=1e-5)
         worst = max(worst, _max_rel_err(analytic, numeric))
     elapsed = time.time() - t0
     ok = worst <= 1e-4 and elapsed < 60.0
@@ -391,6 +388,7 @@ def test_02_degenerate_reduction():
 
     # reference: sequential rehearsal — sample a buffer, train the running
     # model on memory+buffer with plain cross-entropy, refresh the memory.
+    # Each step runs on the per-op tape oracle, not the production pass.
     # With the consolidation coefficient at zero the expert snapshots are
     # inert, and random buffer sampling reads nothing but (data, seed), so
     # the distributed path must land on bit-identical parameters.
@@ -412,12 +410,8 @@ def test_02_degenerate_reduction():
             losses = []
             for _ in range(max(1, len(pool) // batch)):
                 batch_set = draw_batch(pool, batch, rng)
-                taps, leaves = student.forward_with_taps(
-                    batch_set.features, train=True, rng=rng
-                )
-                value, grads = loss_and_grads(
-                    task_loss(taps.logits, batch_set.labels), leaves
-                )
+                taps, leaves = per_op_forward(student, batch_set.features, train=True, rng=rng)
+                value, grads = tape_grads(cross_entropy(taps.logits, batch_set.labels), leaves)
                 opt.step(student.params, grads)
                 losses.append(value)
             sched.step(float(np.mean(losses)))

@@ -1,4 +1,5 @@
-"""Engine gradients against a central-difference oracle, plus tape semantics."""
+"""Engine gradients against a central-difference oracle, plus the semantics of
+the tape the per-op oracle runs on."""
 
 from __future__ import annotations
 
@@ -9,32 +10,33 @@ import numpy as np
 import pytest
 
 from helpers import (
+    add,
     assert_matches_fd,
     batch_norm,
     batch_norm_values,
+    cross_entropy,
+    distance,
     dropout,
     finite_diff_params,
     matmul,
     mul,
     relu,
+    scale,
     square,
     sum_all,
+    tape_grads,
 )
 
 import batchcl.engine
 from batchcl.engine import (
     GraphError,
     NonFiniteError,
-    Tensor,
-    add,
-    backward,
     dropout_mask,
     loss_and_grads,
-    scale,
     softmax_cross_entropy,
     stacked_distance,
 )
-from batchcl.engine.autodiff import BN_MOMENTUM
+from batchcl.engine.autodiff import BN_MOMENTUM, Tensor, backward
 
 
 def random_params(rng, spec):
@@ -55,19 +57,31 @@ class TestFiniteDifferenceOracle:
                 t = {k: Tensor(v, requires_grad=True, name=k) for k, v in ps.items()}
                 h = relu(add(matmul(Tensor(x), t["w1"]), t["b1"]))
                 logits = add(matmul(h, t["w2"]), t["b2"])
-                return softmax_cross_entropy(logits, labels)
+                return cross_entropy(logits, labels)
 
             loss = build(params)
-            _, analytic = loss_and_grads(
+            _, analytic = tape_grads(
                 loss, {}
             )  # smoke: no leaves requested is fine
             t = {k: Tensor(v, requires_grad=True, name=k) for k, v in params.items()}
             h = relu(add(matmul(Tensor(x), t["w1"]), t["b1"]))
             logits = add(matmul(h, t["w2"]), t["b2"])
-            loss = softmax_cross_entropy(logits, labels)
-            _, analytic = loss_and_grads(loss, t)
+            loss = cross_entropy(logits, labels)
+            _, analytic = tape_grads(loss, t)
             numeric = finite_diff_params(lambda: build(params).item(), params)
             assert_matches_fd(analytic, numeric)
+
+    def test_cross_entropy_value_and_weighted_grad(self):
+        rng = np.random.default_rng(18)
+        for trial in range(5):
+            params = random_params(rng, {"z": (5, 4)})
+            labels = rng.integers(0, 4, size=5)
+            value, grad = softmax_cross_entropy(params["z"], labels, 0.7)
+            numeric = finite_diff_params(
+                lambda: float(softmax_cross_entropy(params["z"], labels, 0.7)[0]), params
+            )
+            assert_matches_fd({"z": grad}, numeric)
+            assert value == softmax_cross_entropy(params["z"], labels)[0] * 0.7
 
     def test_elementwise_and_reductions(self):
         rng = np.random.default_rng(1)
@@ -89,7 +103,7 @@ class TestFiniteDifferenceOracle:
             u = mul(add(ta, scale(tb, -1.0)), add(ta, tb))
             v = add(square(u), scale(mul(ta, tb), 0.5))
             loss = sum_all(v)
-            _, analytic = loss_and_grads(loss, {"a": ta, "b": tb})
+            _, analytic = tape_grads(loss, {"a": ta, "b": tb})
             numeric = finite_diff_params(lambda: build(params).item(), params)
             assert_matches_fd(analytic, numeric)
 
@@ -103,12 +117,12 @@ class TestFiniteDifferenceOracle:
 
             def build(ps):
                 tx = Tensor(ps["x"], requires_grad=True, name="x")
-                return stacked_distance([tx], [zero], None, per_feature=False), tx
+                return distance([tx], [zero], None, per_feature=False), tx
 
             loss, tx = build(params)
             want = (params["x"] ** 2).sum(axis=1).mean()
             assert loss.item() == pytest.approx(want, rel=1e-12)
-            _, analytic = loss_and_grads(loss, {"x": tx})
+            _, analytic = tape_grads(loss, {"x": tx})
             numeric = finite_diff_params(lambda: build(params)[0].item(), params)
             assert_matches_fd(analytic, numeric)
 
@@ -121,10 +135,10 @@ class TestFiniteDifferenceOracle:
 
             def build(ps):
                 tx = Tensor(ps["x"], requires_grad=True, name="x")
-                return stacked_distance([tx], [target], mask, per_feature=False), tx
+                return distance([tx], [target], mask, per_feature=False), tx
 
             loss, tx = build(params)
-            _, analytic = loss_and_grads(loss, {"x": tx})
+            _, analytic = tape_grads(loss, {"x": tx})
             numeric = finite_diff_params(lambda: build(params)[0].item(), params)
             assert_matches_fd(analytic, numeric)
 
@@ -137,10 +151,10 @@ class TestFiniteDifferenceOracle:
             for m in (None, mask):
                 def build(ps, m=m):
                     tx = Tensor(ps["x"], requires_grad=True, name="x")
-                    return stacked_distance([tx], [target], m, per_feature=True), tx
+                    return distance([tx], [target], m, per_feature=True), tx
 
                 loss, tx = build(params)
-                _, analytic = loss_and_grads(loss, {"x": tx})
+                _, analytic = tape_grads(loss, {"x": tx})
                 numeric = finite_diff_params(lambda: build(params)[0].item(), params)
                 assert_matches_fd(analytic, numeric)
 
@@ -149,18 +163,18 @@ class TestFiniteDifferenceOracle:
         rng = np.random.default_rng(13)
         x = rng.standard_normal((5, 3))
         zero = np.zeros((1, 5, 3))
-        got = stacked_distance([Tensor(x)], [zero], None, per_feature=True).item()
+        got = distance([Tensor(x)], [zero], None, per_feature=True).item()
         assert got == pytest.approx((x ** 2).mean(), rel=1e-12)
         mask = np.array([[1.0, 0.0, 1.0, 0.0, 0.0]])
         tx = Tensor(x, requires_grad=True, name="x")
-        loss = stacked_distance([tx], [zero], mask, per_feature=True)
+        loss = distance([tx], [zero], mask, per_feature=True)
         assert loss.item() == pytest.approx((x[[0, 2]] ** 2).mean(), rel=1e-12)
-        _, grads = loss_and_grads(loss, {"x": tx})
+        _, grads = tape_grads(loss, {"x": tx})
         assert np.all(grads["x"][mask[0] == 0.0] == 0.0)
-        empty = stacked_distance([Tensor(x)], [zero], np.zeros((1, 5)), per_feature=True)
+        empty = distance([Tensor(x)], [zero], np.zeros((1, 5)), per_feature=True)
         assert empty.item() == 0.0
         with pytest.raises(GraphError, match="do not fit masks"):
-            stacked_distance([Tensor(x)], [zero], np.ones((1, 3)), per_feature=True)
+            distance([Tensor(x)], [zero], np.ones((1, 3)), per_feature=True)
 
     @pytest.mark.parametrize("per_feature", [True, False])
     def test_stacked_distance_grads(self, per_feature):
@@ -174,10 +188,10 @@ class TestFiniteDifferenceOracle:
             for m in (masks, None):
                 def build(ps, m=m):
                     students = [Tensor(ps[k], requires_grad=True, name=k) for k in shapes]
-                    return stacked_distance(students, targets, m, per_feature), students
+                    return distance(students, targets, m, per_feature), students
 
                 loss, students = build(params)
-                _, analytic = loss_and_grads(loss, dict(zip(shapes, students)))
+                _, analytic = tape_grads(loss, dict(zip(shapes, students)))
                 numeric = finite_diff_params(lambda: build(params)[0].item(), params)
                 assert_matches_fd(analytic, numeric)
 
@@ -197,18 +211,18 @@ class TestFiniteDifferenceOracle:
             students = [relu(leaf), square(leaf)]
             other = add(sum_all(students[0]), sum_all(students[1]))
             loss = add(other, scale(distance(students), 0.3))
-            return loss_and_grads(loss, {"x": leaf})
+            return tape_grads(loss, {"x": leaf})
 
         def per_teacher_graph(students):
             total = None
             for j in range(4):
-                term = stacked_distance(
+                term = distance(
                     students, [t[j : j + 1] for t in targets], masks[j : j + 1], per_feature
                 )
                 total = term if total is None else add(total, term)
             return total
 
-        got = run(lambda ss: stacked_distance(ss, targets, masks, per_feature))
+        got = run(lambda ss: distance(ss, targets, masks, per_feature))
         want = run(per_teacher_graph)
         assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
         assert got[1]["x"].tobytes() == want[1]["x"].tobytes()
@@ -226,9 +240,7 @@ class TestFiniteDifferenceOracle:
             widths = [int(rng.integers(1, 40)) for _ in range(int(rng.integers(1, 4)))]
             xs = [rng.standard_normal((rows, w)).astype(np.float32) for w in widths]
             targets = [rng.standard_normal((k, rows, w)).astype(np.float32) for w in widths]
-            students = [Tensor(a, requires_grad=True, name=f"s{i}") for i, a in enumerate(xs)]
-            loss = scale(stacked_distance(students, targets, None, per_feature), 0.3)
-            value, grads = loss_and_grads(loss, {s.name: s for s in students})
+            value, grads = stacked_distance(xs, targets, None, per_feature, 0.3)
 
             def distance(d):
                 return (d * d).mean() if per_feature else (d * d).sum(axis=1).mean()
@@ -245,10 +257,10 @@ class TestFiniteDifferenceOracle:
             g = np.float32(0.3)
             for i, (a, t) in enumerate(zip(xs, targets)):
                 size = a.size if per_feature else rows
-                acc = np.zeros_like(a)
+                assert grads[i].shape == (k, *a.shape)
                 for j in range(k):
-                    acc += -((g * 2.0 / size) * (t[j] - a))
-                assert grads[f"s{i}"].tobytes() == acc.tobytes(), (trial, i)
+                    want_j = -((g * 2.0 / size) * (t[j] - a))
+                    assert grads[i][j].tobytes() == want_j.tobytes(), (trial, i, j)
 
     @pytest.mark.parametrize("per_feature", [True, False])
     def test_stacked_distance_values(self, per_feature):
@@ -256,26 +268,26 @@ class TestFiniteDifferenceOracle:
         s = rng.standard_normal((4, 3))
         targets = rng.standard_normal((2, 4, 3))
         masks = np.array([[1, 0, 1, 1], [0, 0, 0, 0]], dtype=bool)
-        got = stacked_distance([Tensor(s)], [targets], masks, per_feature).item()
+        got = distance([Tensor(s)], [targets], masks, per_feature).item()
         sq = ((targets[0] - s) ** 2)[masks[0]]
         want = sq.mean() if per_feature else sq.sum(axis=1).mean()
         assert got == pytest.approx(want, rel=1e-12)
-        got = stacked_distance([Tensor(s)], [targets], None, per_feature).item()
+        got = distance([Tensor(s)], [targets], None, per_feature).item()
         sq = (targets - s) ** 2
         want = sum(sq[j].mean() if per_feature else sq[j].sum(axis=1).mean() for j in range(2))
         assert got == pytest.approx(want, rel=1e-12)
         with pytest.raises(GraphError, match="target stack"):
-            stacked_distance([Tensor(s)], [targets[:, :3]], masks)
+            distance([Tensor(s)], [targets[:, :3]], masks)
         with pytest.raises(GraphError, match="do not fit masks"):
-            stacked_distance([Tensor(s)], [targets], masks[:, :1])
+            distance([Tensor(s)], [targets], masks[:, :1])
         with pytest.raises(GraphError, match="do not fit 2 teachers"):
-            stacked_distance([Tensor(s), Tensor(s)], [targets, targets[:1]])
+            distance([Tensor(s), Tensor(s)], [targets, targets[:1]])
         with pytest.raises(GraphError, match="students"):
-            stacked_distance([Tensor(s)], [], masks)
+            distance([Tensor(s)], [], masks)
         with pytest.raises(GraphError, match="at least one teacher"):
-            stacked_distance([Tensor(s)], [targets[:0]], masks[:0])
+            distance([Tensor(s)], [targets[:0]], masks[:0])
         with pytest.raises(GraphError, match="at least one teacher"):
-            stacked_distance([Tensor(s)], [targets[:0]])
+            distance([Tensor(s)], [targets[:0]])
 
     @pytest.mark.parametrize("per_feature", [True, False])
     def test_stacked_distance_selected_rows_only(self, per_feature):
@@ -284,29 +296,29 @@ class TestFiniteDifferenceOracle:
         target = rng.standard_normal((1, 5, 3))
         mask = np.array([[1.0, 0.0, 1.0, 0.0, 0.0]])
         tx = Tensor(x, requires_grad=True, name="x")
-        loss = stacked_distance([tx], [target], mask, per_feature)
+        loss = distance([tx], [target], mask, per_feature)
         sq = ((target[0] - x) ** 2)[[0, 2]]
         want = sq.mean() if per_feature else sq.sum(axis=1).mean()
         assert loss.item() == pytest.approx(want, rel=1e-12)
         # deselected rows get exactly zero gradient
-        _, grads = loss_and_grads(loss, {"x": tx})
+        _, grads = tape_grads(loss, {"x": tx})
         assert np.all(grads["x"][mask[0] == 0.0] == 0.0)
         assert np.all(grads["x"][mask[0] == 1.0] != 0.0)
 
     @pytest.mark.parametrize("per_feature", [True, False])
     def test_stacked_distance_empty_selection_is_zero(self, per_feature):
         tx = Tensor(np.ones((4, 3)), requires_grad=True, name="x")
-        loss = stacked_distance([tx], [np.zeros((2, 4, 3))], np.zeros((2, 4)), per_feature)
+        loss = distance([tx], [np.zeros((2, 4, 3))], np.zeros((2, 4)), per_feature)
         assert loss.item() == 0.0
-        _, grads = loss_and_grads(loss, {"x": tx})
+        _, grads = tape_grads(loss, {"x": tx})
         assert np.all(grads["x"] == 0.0)
 
     def test_stacked_distance_bad_mask_shape(self):
         x = Tensor(np.ones((4, 3)), name="x")
         with pytest.raises(GraphError, match="do not fit masks"):
-            stacked_distance([x], [np.zeros((1, 4, 3))], np.ones((1, 3)))
+            distance([x], [np.zeros((1, 4, 3))], np.ones((1, 3)))
         with pytest.raises(GraphError, match="masks of shape"):
-            stacked_distance([x], [np.zeros((1, 4, 3))], np.ones(4))
+            distance([x], [np.zeros((1, 4, 3))], np.ones(4))
 
     def test_train_mode_batch_norm(self):
         rng = np.random.default_rng(3)
@@ -321,10 +333,10 @@ class TestFiniteDifferenceOracle:
                 y = batch_norm(
                     tx, tg, tb, np.zeros(4), np.ones(4), train=True
                 )
-                return softmax_cross_entropy(y, labels), {"x": tx, "gamma": tg, "beta": tb}
+                return cross_entropy(y, labels), {"x": tx, "gamma": tg, "beta": tb}
 
             loss, leaves = build(params)
-            _, analytic = loss_and_grads(loss, leaves)
+            _, analytic = tape_grads(loss, leaves)
             numeric = finite_diff_params(lambda: build(params)[0].item(), params)
             assert_matches_fd(analytic, numeric)
 
@@ -342,7 +354,7 @@ class TestFiniteDifferenceOracle:
             return sum_all(square(y)), {"x": tx, "gamma": tg, "beta": tb}
 
         loss, leaves = build(params)
-        _, analytic = loss_and_grads(loss, leaves)
+        _, analytic = tape_grads(loss, leaves)
         numeric = finite_diff_params(lambda: build(params)[0].item(), params)
         assert_matches_fd(analytic, numeric)
 
@@ -358,7 +370,7 @@ class TestFiniteDifferenceOracle:
             return sum_all(square(y)), tx
 
         loss, tx = build(params)
-        _, analytic = loss_and_grads(loss, {"x": tx})
+        _, analytic = tape_grads(loss, {"x": tx})
         numeric = finite_diff_params(lambda: build(params)[0].item(), params)
         assert_matches_fd(analytic, numeric)
 
@@ -387,15 +399,15 @@ class TestFiniteDifferenceOracle:
                 if use_relu:
                     h = relu(h)
                 logits = add(matmul(h, tw), tb)
-                ce = softmax_cross_entropy(logits, labels)
-                reg = scale(stacked_distance([logits], [np.zeros((1, n, c))], None, False), 0.01)
+                ce = cross_entropy(logits, labels)
+                reg = scale(distance([logits], [np.zeros((1, n, c))], None, False), 0.01)
                 return add_scalar(ce, reg), {"w": tw, "b": tb, "g": tg, "be": tbe}
 
             def add_scalar(a, b):
                 return add(a, b)
 
             loss, leaves = build(params)
-            _, analytic = loss_and_grads(loss, leaves)
+            _, analytic = tape_grads(loss, leaves)
             numeric = finite_diff_params(lambda: build(params)[0].item(), params)
             assert_matches_fd(analytic, numeric)
 
@@ -405,7 +417,7 @@ class TestTapeSemantics:
         # loss = sum(x*x) built by reusing the same node twice
         x = Tensor(np.array([[2.0, 3.0]]), requires_grad=True, name="x")
         loss = sum_all(mul(x, x))
-        _, grads = loss_and_grads(loss, {"x": x})
+        _, grads = tape_grads(loss, {"x": x})
         np.testing.assert_allclose(grads["x"], np.array([[4.0, 6.0]]))
 
     def test_diamond_graph(self):
@@ -413,14 +425,14 @@ class TestTapeSemantics:
         a = scale(x, 2.0)
         b = scale(x, 3.0)
         loss = sum_all(mul(a, b))  # 6 x^2 -> grad 12 x
-        _, grads = loss_and_grads(loss, {"x": x})
+        _, grads = tape_grads(loss, {"x": x})
         np.testing.assert_allclose(grads["x"], np.array([[18.0, -6.0]]))
 
     def test_unreached_leaf_gets_zero(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True, name="x")
         y = Tensor(np.ones((2, 2)), requires_grad=True, name="y")
         loss = sum_all(square(x))
-        _, grads = loss_and_grads(loss, {"x": x, "y": y})
+        _, grads = tape_grads(loss, {"x": x, "y": y})
         np.testing.assert_array_equal(grads["y"], np.zeros((2, 2)))
 
     def test_determinism_bitwise(self):
@@ -436,8 +448,8 @@ class TestTapeSemantics:
                 name="w",
             )
             labels = rng.integers(0, 3, size=8)
-            loss = softmax_cross_entropy(matmul(x, w), labels)
-            v, g = loss_and_grads(loss, {"w": w})
+            loss = cross_entropy(matmul(x, w), labels)
+            v, g = tape_grads(loss, {"w": w})
             return v, g["w"]
 
         v1, g1 = run()
@@ -450,8 +462,8 @@ class TestTapeSemantics:
         w = Tensor(
             np.ones((3, 2), dtype=np.float32), requires_grad=True, name="w"
         )
-        loss = softmax_cross_entropy(matmul(x, w), np.zeros(4, dtype=np.int64))
-        _, grads = loss_and_grads(loss, {"w": w})
+        loss = cross_entropy(matmul(x, w), np.zeros(4, dtype=np.int64))
+        _, grads = tape_grads(loss, {"w": w})
         assert grads["w"].dtype == np.float32
 
 
@@ -465,13 +477,15 @@ class TestErrors:
     def test_label_out_of_range(self):
         logits = Tensor(np.zeros((2, 3)), requires_grad=True)
         with pytest.raises(GraphError, match="label"):
-            softmax_cross_entropy(logits, np.array([0, 3]))
+            cross_entropy(logits, np.array([0, 3]))
 
     def test_non_finite_loss_raises(self):
-        x = Tensor(np.array([[np.inf, 1.0]]), requires_grad=True, name="x")
-        loss = sum_all(x, name="bad_sum")
-        with pytest.raises(NonFiniteError, match="bad_sum"):
-            loss_and_grads(loss, {"x": x})
+        ran = []
+        for bad in (np.float32(np.inf), np.float32(np.nan)):
+            with pytest.raises(NonFiniteError, match="non-finite loss"):
+                loss_and_grads(bad, lambda: ran.append(1))
+        assert ran == []
+        assert loss_and_grads(np.float32(0.5), lambda: {"w": 1}) == (0.5, {"w": 1})
 
     def test_backward_needs_scalar(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)
@@ -583,3 +597,21 @@ def test_every_engine_export_has_a_caller_in_the_package():
         if path != pkg / "engine" / "__init__.py":
             used.update(_code_loads(ast.parse(path.read_text())))
     assert sorted(set(batchcl.engine.__all__) - used) == []
+
+
+TAPE_CORE = {"Tensor", "_node", "_accumulate"}
+
+
+def test_no_module_but_the_engine_loads_the_tape():
+    """The tape is the per-op oracle's engine: no production path may build it."""
+    pkg = Path(batchcl.engine.__file__).parent.parent
+    for path in pkg.rglob("*.py"):
+        if path == pkg / "engine" / "autodiff.py":
+            continue
+        tree = ast.parse(path.read_text())
+        loads = set(_code_loads(tree)) | {
+            alias.name
+            for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        assert not loads & TAPE_CORE, path

@@ -2,15 +2,21 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
-from helpers import experiment
+from helpers import count_tensors, experiment
 
 from batchcl.baselines import (
+    _train_task_plain,
+    _train_task_replay,
     isolated_task_accuracies,
     multitask_bound,
     run_baseline,
 )
-from batchcl.config import ConfigError, parse_config
+from batchcl.config import ConfigError, build_model_config, parse_config
+from batchcl.losses import FisherState, update_fisher
+from batchcl.model import build_model
+from batchcl.replay import ExemplarSet, Memory
 from batchcl.streams import Task, TaskStream, generate_stream
 
 MODEL = dict(res_blocks=1, res_layers_per_block=1, res_dim=10, hidden_dim=8, dropout_p=0.0)
@@ -125,6 +131,52 @@ class TestOewc:
         sgd = run_baseline(two_task_stream, cfg("sgd", 7))
         oewc = run_baseline(two_task_stream, cfg("oewc", 7, penalty_coef=50.0))
         assert [r.per_task_acc for r in oewc.records] != [r.per_task_acc for r in sgd.records]
+
+
+class TestNoTensorBuilt:
+    """One batch of each baseline step, and a curvature update, build no tape."""
+
+    def setup_method(self):
+        self.stream = generate_stream(
+            "permuted", n_tasks=2, classes_per_task=4, dim=8,
+            train_per_task=16, val_per_task=8, seed=4,
+        )
+        self.cfg = experiment(
+            "er", 0, model=dict(MODEL, dropout_p=0.2),
+            training=dict(TRAINING, epochs_per_task=1, batch_size=16),
+            baseline=dict(memory_capacity=20, penalty_coef=0.7),
+        )
+        self.model = build_model(build_model_config(self.cfg.model, self.stream), seed=0)
+        self.before = {k: v.copy() for k, v in self.model.params.items()}
+        self.task = self.stream.tasks[1]
+
+    def _trained(self) -> bool:
+        return any((self.model.params[k] != v).any() for k, v in self.before.items())
+
+    def test_er_batch_with_memory(self, monkeypatch):
+        first = self.stream.tasks[0]
+        memory = Memory(20, self.stream.dim)
+        memory.replace(ExemplarSet.from_task_data(first.train_x, first.train_y, task_id=0,
+                                                  origin=0))
+        built = count_tensors(monkeypatch)
+        _train_task_replay(self.model, self.task.train_x, self.task.train_y, self.cfg,
+                           np.random.default_rng(1), memory)
+        assert built == [] and self._trained()
+
+    def test_oewc_batch_with_penalty(self, monkeypatch):
+        fisher = FisherState.zeros_like(self.model.params)
+        fisher.importance = {k: np.ones_like(v) for k, v in fisher.importance.items()}
+        built = count_tensors(monkeypatch)
+        _train_task_plain(self.model, self.task.train_x, self.task.train_y, self.cfg,
+                          np.random.default_rng(1), fisher)
+        assert built == [] and self._trained()
+
+    def test_update_fisher(self, monkeypatch):
+        fisher = FisherState.zeros_like(self.model.params)
+        built = count_tensors(monkeypatch)
+        update_fisher(self.model, self.task.train_x, self.task.train_y, fisher)
+        assert built == []
+        assert all(v.any() for v in fisher.importance.values())
 
 
 class TestMultitaskBound:

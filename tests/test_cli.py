@@ -6,6 +6,7 @@ import json
 import os
 import re
 import shlex
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -22,7 +23,7 @@ from batchcl.config import (
     parse_config,
     parse_sweep,
 )
-from batchcl.protocol import child_seed
+from batchcl.protocol import FRAME_OVERHEAD, SYNC_FIXED_NBYTES, child_seed
 from batchcl.streams import load_feature_stream
 
 
@@ -202,6 +203,28 @@ class TestRunVerb:
         monkeypatch.setattr(
             protocol_mod.SerialExecutor, "run",
             lambda self, *args: [m[:-3] for m in serial_run(self, *args)],
+        )
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(toy_raw(method="bmc", out_dir=str(tmp_path / "out"))))
+        assert main(["run", str(cfg_file)]) == 3
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["failed_step"] == 0
+        assert (tmp_path / "out" / "records.jsonl").exists()
+
+    @pytest.mark.parametrize("field", ["batch_size", "base_snapshot"])
+    def test_malformed_sync_fails_the_step_not_the_run(self, tmp_path, monkeypatch, field):
+        # every expert's SYNC frame carries a batch size of 1, or a base
+        # snapshot with a bad magic
+        at = FRAME_OVERHEAD + (
+            struct.calcsize("<IQIQdd") if field == "batch_size" else SYNC_FIXED_NBYTES
+        )
+        patch = struct.pack("<I", 1) if field == "batch_size" else b"XXXX"
+        serial_run = protocol_mod.SerialExecutor.run
+        monkeypatch.setattr(
+            protocol_mod.SerialExecutor, "run",
+            lambda self, syncs, *args: serial_run(
+                self, [m[:at] + patch + m[at + 4:] for m in syncs], *args
+            ),
         )
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps(toy_raw(method="bmc", out_dir=str(tmp_path / "out"))))

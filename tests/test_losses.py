@@ -12,13 +12,16 @@ from helpers import (
     float64_twin,
     jitter_params,
     stack_passes,
+    step_grads,
 )
 
-from batchcl.engine import GraphError, Tensor, add, loss_and_grads, scale
+from batchcl.engine import GraphError
 from batchcl.losses import (
     DISTILL_KINDS,
     FisherState,
     LossCoefficients,
+    Objective,
+    _joined,
     alt_distill,
     decay_and_anchor,
     ewc_penalty,
@@ -38,40 +41,39 @@ TOY = ModelConfig(
 
 
 def tapset_from(arrays: list[np.ndarray], logits: np.ndarray | None = None) -> TapSet:
-    taps = [Tensor(a, requires_grad=True, name=f"tap{i}") for i, a in enumerate(arrays)]
-    lg = Tensor(
-        logits if logits is not None else np.zeros((arrays[0].shape[0], 2)),
-        requires_grad=True,
-        name="logits",
+    return TapSet(
+        taps=list(arrays),
+        logits=logits if logits is not None else np.zeros((arrays[0].shape[0], 2)),
     )
-    return TapSet(taps=taps, logits=lg)
+
+
+def logits_only(z: np.ndarray) -> TapSet:
+    return TapSet(taps=[], logits=z)
 
 
 class TestTaskLoss:
     def test_uniform_logits(self):
-        loss = task_loss(Tensor(np.zeros((1, 2)), requires_grad=True), np.array([0]))
-        assert loss.item() == pytest.approx(np.log(2), abs=1e-12)
+        loss = task_loss(logits_only(np.zeros((1, 2))), np.array([0]))
+        assert float(loss.value) == pytest.approx(np.log(2), abs=1e-12)
 
     def test_confident_correct(self):
-        loss = task_loss(
-            Tensor(np.array([[10.0, -10.0]]), requires_grad=True), np.array([0])
-        )
-        assert loss.item() == pytest.approx(0.0, abs=1e-8)
+        loss = task_loss(logits_only(np.array([[10.0, -10.0]])), np.array([0]))
+        assert float(loss.value) == pytest.approx(0.0, abs=1e-8)
 
     def test_against_log_sum_exp_reference(self):
         rng = np.random.default_rng(0)
         z = rng.standard_normal((16, 7))
         y = rng.integers(0, 7, size=16)
-        loss = task_loss(Tensor(z, requires_grad=True), y)
+        loss = task_loss(logits_only(z), y)
         # independent reference built on scipy's logsumexp
         from scipy.special import logsumexp
 
         ref = float(np.mean(logsumexp(z, axis=1) - z[np.arange(16), y]))
-        assert abs(loss.item() - ref) < 1e-6
+        assert abs(float(loss.value) - ref) < 1e-6
 
     def test_label_out_of_range(self):
         with pytest.raises(GraphError, match="label"):
-            task_loss(Tensor(np.zeros((2, 3)), requires_grad=True), np.array([0, 3]))
+            task_loss(logits_only(np.zeros((2, 3))), np.array([0, 3]))
 
 
 class TestFeatureDistillation:
@@ -80,31 +82,33 @@ class TestFeatureDistillation:
         x = np.random.default_rng(1).standard_normal((6, 4)).astype(np.float32)
         t, _ = m.forward_with_taps(x)
         s, _ = m.forward_with_taps(x)
-        assert l_bd(t, s).item() == 0.0
+        assert float(l_bd(t, s).value) == 0.0
 
     def test_unit_distance_single_tap(self):
         # one row, two features: (1^2 + 0^2) / 2
         teacher = tapset_from([np.array([[1.0, 0.0]])])
         student = tapset_from([np.array([[0.0, 0.0]])])
-        assert l_bd(teacher, student).item() == pytest.approx(0.5)
+        assert float(l_bd(teacher, student).value) == pytest.approx(0.5)
 
     def test_teacher_gradients_exactly_zero(self):
         rng = np.random.default_rng(2)
         teacher = tapset_from([rng.standard_normal((3, 4)), rng.standard_normal((3, 5))])
         student = tapset_from([rng.standard_normal((3, 4)), rng.standard_normal((3, 5))])
+        before = [t.copy() for t in teacher.taps]
         loss = l_bd(teacher, student)
-        t_leaves = {f"t{i}": tap for i, tap in enumerate(teacher.taps)}
-        s_leaves = {f"s{i}": tap for i, tap in enumerate(student.taps)}
-        _, grads = loss_and_grads(loss, {**t_leaves, **s_leaves})
+        # the teacher's taps are inputs with no gradient: every gradient the
+        # objective returns is the student's, and the teacher is untouched
+        assert loss.logits == []
         for i in range(2):
-            np.testing.assert_array_equal(grads[f"t{i}"], 0.0)
-            assert np.abs(grads[f"s{i}"]).max() > 0
+            assert len(loss.taps[i]) == 1 and loss.taps[i][0].shape == student.taps[i].shape
+            assert np.abs(loss.taps[i][0]).max() > 0
+            np.testing.assert_array_equal(teacher.taps[i], before[i])
 
     def test_strictly_positive_when_any_tap_differs(self):
         rng = np.random.default_rng(3)
         a = [rng.standard_normal((2, 3)), rng.standard_normal((2, 3))]
         b = [a[0].copy(), a[1] + 0.5]
-        assert l_bd(tapset_from(a), tapset_from(b)).item() > 0
+        assert float(l_bd(tapset_from(a), tapset_from(b)).value) > 0
 
     def test_tap_mismatch_rejected(self):
         t = tapset_from([np.zeros((2, 3))])
@@ -116,7 +120,7 @@ class TestFeatureDistillation:
         # two rows of two features, squares 9, 0, 0, 16 -> mean 25 / 4
         teacher = tapset_from([np.array([[3.0, 0.0], [0.0, 4.0]])])
         student = tapset_from([np.zeros((2, 2))])
-        assert l_bd(teacher, student).item() == pytest.approx(6.25)
+        assert float(l_bd(teacher, student).value) == pytest.approx(6.25)
 
 
 class TestExpertObjective:
@@ -130,28 +134,28 @@ class TestExpertObjective:
     def test_zero_coefficient_is_task_loss(self):
         s, _ = self.expert.forward_with_taps(self.x)
         t, _ = self.base.forward_with_taps(self.x)
-        assert l_exp(s, t, self.y, 0.0).item() == task_loss(s.logits, self.y).item()
+        assert float(l_exp(s, t, self.y, 0.0).value) == float(task_loss(s, self.y).value)
 
     def test_expert_at_base_reduces_to_task_loss(self):
         clone = build_model(TOY, seed=0)
         s, _ = clone.forward_with_taps(self.x)
         t, _ = self.base.forward_with_taps(self.x)
         total = l_exp(s, t, self.y, 1.0)
-        assert total.item() == pytest.approx(task_loss(s.logits, self.y).item(), abs=1e-7)
+        assert float(total.value) == pytest.approx(float(task_loss(s, self.y).value), abs=1e-7)
 
     def test_default_coefficient_additivity(self):
         s, _ = self.expert.forward_with_taps(self.x)
         t, _ = self.base.forward_with_taps(self.x)
-        combined = l_exp(s, t, self.y, 1.0).item()
-        parts = task_loss(s.logits, self.y).item() + l_bd(t, s).item()
+        combined = float(l_exp(s, t, self.y, 1.0).value)
+        parts = float(task_loss(s, self.y).value) + float(l_bd(t, s).value)
         assert abs(combined - parts) < 1e-6
 
     def test_linear_in_stability_coefficient(self):
         s, _ = self.expert.forward_with_taps(self.x)
         t, _ = self.base.forward_with_taps(self.x)
-        ce = task_loss(s.logits, self.y).item()
-        one = l_exp(s, t, self.y, 1.0).item() - ce
-        two = l_exp(s, t, self.y, 2.0).item() - ce
+        ce = float(task_loss(s, self.y).value)
+        one = float(l_exp(s, t, self.y, 1.0).value) - ce
+        two = float(l_exp(s, t, self.y, 2.0).value) - ce
         assert two == pytest.approx(2 * one, rel=1e-6)
 
 
@@ -172,14 +176,14 @@ class TestBatchedDistillation:
         """Numpy recomputation: per-tap mean square over selected rows and all features."""
         total = 0.0
         for t, s in zip(teacher.taps, student.taps):
-            diff = t.data[rows] - s.data[rows]
+            diff = t[rows] - s[rows]
             total += float((diff * diff).mean())
         return total
 
     def test_expert_identical_to_base_zero(self):
         s = self._taps(self.base)
         t = self._taps(build_model(TOY, seed=0))
-        assert l_bmc(s, stack_passes([t]), [0], np.zeros(6, dtype=int)).item() == 0.0
+        assert float(l_bmc(s, stack_passes([t]), [0], np.zeros(6, dtype=int)).value) == 0.0
 
     def test_each_expert_scored_on_own_rows_only(self):
         s = self._taps(self.base)
@@ -188,33 +192,33 @@ class TestBatchedDistillation:
             self._masked_oracle(s, t, self.origins == j)
             for j, t in enumerate(teachers)
         )
-        got = l_bmc(s, stack_passes(teachers), [0, 1, 2], self.origins).item()
+        got = float(l_bmc(s, stack_passes(teachers), [0, 1, 2], self.origins).value)
         assert got == pytest.approx(want, rel=1e-6)
 
     def test_absent_expert_contributes_zero(self):
         s = self._taps(self.base)
         t0, t1 = self._taps(self.experts[0]), self._taps(self.experts[1])
         all_mine = np.zeros(6, dtype=int)
-        with_ghost = l_bmc(s, stack_passes([t0, t1]), [0, 7], all_mine).item()
-        alone = l_bmc(s, stack_passes([t0]), [0], all_mine).item()
+        with_ghost = float(l_bmc(s, stack_passes([t0, t1]), [0, 7], all_mine).value)
+        alone = float(l_bmc(s, stack_passes([t0]), [0], all_mine).value)
         assert with_ghost == alone
-        assert l_bmc(s, stack_passes([t1]), [7], all_mine).item() == 0.0
+        assert float(l_bmc(s, stack_passes([t1]), [7], all_mine).value) == 0.0
 
     def test_memory_rows_excluded(self):
         s = self._taps(self.base)
         t = self._taps(self.experts[0])
         origins = np.array([-1, -1, -1, 0, 0, 0])
-        got = l_bmc(s, stack_passes([t]), [0], origins).item()
+        got = float(l_bmc(s, stack_passes([t]), [0], origins).value)
         assert got == pytest.approx(self._masked_oracle(s, t, origins == 0), rel=1e-6)
         assert got != pytest.approx(self._masked_oracle(s, t, origins != 9), rel=1e-3)
 
     def test_additive_over_expert_partition(self):
         s = self._taps(self.base)
         teachers = [self._taps(e) for e in self.experts]
-        whole = l_bmc(s, stack_passes(teachers), [0, 1, 2], self.origins).item()
+        whole = float(l_bmc(s, stack_passes(teachers), [0, 1, 2], self.origins).value)
         parts = (
-            l_bmc(s, stack_passes(teachers[:1]), [0], self.origins).item()
-            + l_bmc(s, stack_passes(teachers[1:]), [1, 2], self.origins).item()
+            float(l_bmc(s, stack_passes(teachers[:1]), [0], self.origins).value)
+            + float(l_bmc(s, stack_passes(teachers[1:]), [1, 2], self.origins).value)
         )
         assert whole == pytest.approx(parts, rel=1e-7)
 
@@ -227,25 +231,24 @@ class TestBatchedDistillation:
     def test_empty_expert_list_rejected(self):
         s = self._taps(self.base)
         empty = TapSet(
-            taps=[Tensor(np.zeros((0, *t.shape), np.float32)) for t in s.taps],
-            logits=Tensor(np.zeros((0, *s.logits.shape), np.float32)),
+            taps=[np.zeros((0, *t.shape), np.float32) for t in s.taps],
+            logits=np.zeros((0, *s.logits.shape), np.float32),
         )
         with pytest.raises(GraphError, match="at least one"):
             l_bmc(s, empty, [], self.origins)
 
 
-def per_teacher_l_bmc(student, teachers, owners, origins, kind):
-    """The batched term as a sum of one-teacher nodes, in teacher order: the
-    reference the single batched node must reproduce bit for bit."""
-    total = None
-    for teacher, owner in zip(teachers, owners):
-        term = l_bmc(student, stack_passes([teacher]), [owner], origins, kind)
-        total = term if total is None else add(total, term, name="expert_sum")
-    return total
+def per_teacher_l_bmc(student, teachers, owners, origins, kind, weight=1.0):
+    """The batched term as a sum of one-teacher distances, in teacher order:
+    the reference the single batched call must reproduce bit for bit."""
+    return _joined([
+        l_bmc(student, stack_passes([teacher]), [owner], origins, kind, weight)
+        for teacher, owner in zip(teachers, owners)
+    ])
 
 
 class TestStackedDistillation:
-    """One node over a teacher stack equals the per-teacher composition bitwise."""
+    """One call over a teacher stack equals the per-teacher composition bitwise."""
 
     CONFIG = dataclasses.replace(TOY, res_blocks=2, dropout_p=0.1)
     OWNERS = [0, 1, 2, 3]
@@ -263,10 +266,10 @@ class TestStackedDistillation:
     def _grads(self, build):
         """Loss value and parameter gradients of one train-mode student pass."""
         student = self.base.copy()
-        taps, leaves = student.forward_with_taps(
+        taps, record = student.forward_with_taps(
             self.x, train=True, rng=np.random.default_rng(16)
         )
-        return loss_and_grads(build(taps), leaves)
+        return step_grads(student, record, build(taps))
 
     def _assert_bitwise(self, got, want):
         assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
@@ -296,10 +299,13 @@ class TestStackedDistillation:
 
         def reference(s):
             teachers = [e.forward_as_teacher(self.x, s.masks) for e in self.experts]
-            return add(
-                scale(task_loss(s.logits, self.y), 0.7),
-                scale(per_teacher_l_bmc(s, teachers, self.OWNERS, self.origins, kind), 1.3),
-            )
+            ce = task_loss(s, self.y, 0.7)
+            # the weight scales the sum of the expert terms, and each term's gradient
+            unit = per_teacher_l_bmc(s, teachers, self.OWNERS, self.origins, kind)
+            weighted = per_teacher_l_bmc(s, teachers, self.OWNERS, self.origins, kind, 1.3)
+            return Objective(ce.value + unit.value * np.float32(1.3),
+                             [a + b for a, b in zip(ce.taps, weighted.taps)],
+                             ce.logits + weighted.logits)
 
         self._assert_bitwise(self._grads(batched), self._grads(reference))
 
@@ -327,8 +333,8 @@ class TestStackedDistillation:
                 l_bmc(s, other_rows, self.OWNERS, self.origins, kind)
         with pytest.raises(GraphError, match="do not fit"):
             l_bmc(s, stacked, self.OWNERS, self.origins[:6])
-        narrow = TapSet(taps=[Tensor(t.data[..., :2]) for t in stacked.taps],
-                        logits=Tensor(stacked.logits.data[..., :2]))
+        narrow = TapSet(taps=[t[..., :2] for t in stacked.taps],
+                        logits=stacked.logits[..., :2])
         for kind in DISTILL_KINDS:
             with pytest.raises(GraphError, match="do not fit"):
                 l_bmc(s, narrow, self.OWNERS, self.origins, kind)
@@ -354,7 +360,7 @@ class TestBaseObjective:
     def test_pure_replay_needs_no_origins(self):
         s, _ = self.base.forward_with_taps(self.x)
         got = l_base(s, self.teachers, self.y, task_coef=1.0, consolidation_coef=0.0)
-        assert got.item() == task_loss(s.logits, self.y).item()
+        assert float(got.value) == float(task_loss(s, self.y).value)
 
     def test_pure_distillation(self):
         s, _ = self.base.forward_with_taps(self.x)
@@ -362,23 +368,23 @@ class TestBaseObjective:
             s, self.teachers, self.y, task_coef=0.0, consolidation_coef=1.0,
             teacher_origins=self.owners, batch_origins=self.origins,
         )
-        assert got.item() == self._distill(s).item()
+        assert float(got.value) == float(self._distill(s).value)
 
     def test_default_coefficients_sum(self):
         s, _ = self.base.forward_with_taps(self.x)
-        whole = l_base(
+        whole = float(l_base(
             s, self.teachers, self.y, 1.0, 1.0,
             teacher_origins=self.owners, batch_origins=self.origins,
-        ).item()
-        parts = task_loss(s.logits, self.y).item() + self._distill(s).item()
+        ).value)
+        parts = float(task_loss(s, self.y).value) + float(self._distill(s).value)
         assert abs(whole - parts) < 1e-6
 
     def test_linear_in_consolidation_coefficient(self):
         s, _ = self.base.forward_with_taps(self.x)
-        ce = task_loss(s.logits, self.y).item()
+        ce = float(task_loss(s, self.y).value)
         kw = dict(teacher_origins=self.owners, batch_origins=self.origins)
-        one = l_base(s, self.teachers, self.y, 1.0, 1.0, **kw).item() - ce
-        two = l_base(s, self.teachers, self.y, 1.0, 2.0, **kw).item() - ce
+        one = float(l_base(s, self.teachers, self.y, 1.0, 1.0, **kw).value) - ce
+        two = float(l_base(s, self.teachers, self.y, 1.0, 2.0, **kw).value) - ce
         assert two == pytest.approx(2 * one, rel=1e-6)
 
     def test_active_distillation_requires_origins(self):
@@ -403,21 +409,21 @@ class TestDistillationAlternatives:
         t, _ = m.forward_with_taps(self.x)
         s, _ = m.forward_with_taps(self.x)
         for kind in ("features", "kd_logits", "phi_penultimate"):
-            assert alt_distill(kind, t, s).item() == 0.0
+            assert float(alt_distill(kind, t, s).value) == 0.0
 
     def test_penultimate_equals_last_tap_distance(self):
         t, _ = build_model(TOY, seed=1).forward_with_taps(self.x)
         s, _ = build_model(TOY, seed=2).forward_with_taps(self.x)
         only_last_t = TapSet(taps=[t.taps[-1]], logits=t.logits)
         only_last_s = TapSet(taps=[s.taps[-1]], logits=s.logits)
-        assert alt_distill("phi_penultimate", t, s).item() == pytest.approx(
-            l_bd(only_last_t, only_last_s).item()
+        assert float(alt_distill("phi_penultimate", t, s).value) == pytest.approx(
+            float(l_bd(only_last_t, only_last_s).value)
         )
 
     def test_kd_logits_squared_convention(self):
         teacher = tapset_from([np.zeros((1, 2))], logits=np.array([[1.0, 0.0]]))
         student = tapset_from([np.zeros((1, 2))], logits=np.array([[0.0, 0.0]]))
-        assert alt_distill("kd_logits", teacher, student).item() == pytest.approx(1.0)
+        assert float(alt_distill("kd_logits", teacher, student).value) == pytest.approx(1.0)
 
     def test_teacher_shielded_for_all_kinds(self):
         rng = np.random.default_rng(8)
@@ -428,11 +434,14 @@ class TestDistillationAlternatives:
             student = tapset_from(
                 [rng.standard_normal((3, 4))], logits=rng.standard_normal((3, 2))
             )
+            before = (teacher.taps[0].copy(), teacher.logits.copy())
             loss = alt_distill(kind, teacher, student)
-            leaves = {"t_tap": teacher.taps[0], "t_logits": teacher.logits}
-            _, grads = loss_and_grads(loss, leaves)
-            np.testing.assert_array_equal(grads["t_tap"], 0.0)
-            np.testing.assert_array_equal(grads["t_logits"], 0.0)
+            # gradients come only in the student's shapes; the teacher is untouched
+            for got, out in zip([*loss.taps, loss.logits], [*student.taps, student.logits]):
+                assert all(g.shape == out.shape for g in got)
+            assert sum(len(g) for g in [*loss.taps, loss.logits]) == 1
+            np.testing.assert_array_equal(teacher.taps[0], before[0])
+            np.testing.assert_array_equal(teacher.logits, before[1])
 
     def test_unknown_kind_rejected(self):
         t = tapset_from([np.zeros((1, 2))])
@@ -465,31 +474,30 @@ class TestMaskReplay:
         assert len(student.masks) == base.dropout_sites > 0
         teacher = base.forward_as_teacher(self.x, student.masks)
         for t, s in zip(teacher.taps, student.taps):
-            np.testing.assert_array_equal(t.data, s.data)
-        np.testing.assert_array_equal(teacher.logits.data, student.logits.data)
+            np.testing.assert_array_equal(t, s)
+        np.testing.assert_array_equal(teacher.logits, student.logits)
 
     def test_all_kinds_exactly_zero(self, dropout_p):
         base, student = self._pair(dropout_p)
         teacher = base.forward_as_teacher(self.x, student.masks)
         for kind in DISTILL_KINDS:
-            assert alt_distill(kind, teacher, student).item() == 0.0
+            assert float(alt_distill(kind, teacher, student).value) == 0.0
 
     def test_expert_at_base_reduces_to_task_loss(self, dropout_p):
         base, student = self._pair(dropout_p)
         teacher = base.forward_as_teacher(self.x, student.masks)
-        assert l_exp(student, teacher, self.y, 1.0).item() == \
-            task_loss(student.logits, self.y).item()
+        assert float(l_exp(student, teacher, self.y, 1.0).value) == \
+            float(task_loss(student, self.y).value)
 
     def test_unreplayed_teacher_is_not_at_zero(self, dropout_p):
         base, student = self._pair(dropout_p)
-        assert l_bd(base.forward_as_teacher(self.x), student).item() > 0.0
+        assert float(l_bd(base.forward_as_teacher(self.x), student).value) > 0.0
 
     def test_teacher_pass_is_pure(self, dropout_p):
         base, student = self._pair(dropout_p)
         before = base.to_param_vector().to_bytes()
         teacher = base.forward_as_teacher(self.x, student.masks)
         assert base.to_param_vector().to_bytes() == before
-        assert not any(t.requires_grad for t in teacher.taps)
 
     def test_wrong_mask_count_rejected(self, dropout_p):
         base, student = self._pair(dropout_p)
@@ -502,15 +510,15 @@ class TestEwc:
         m = build_model(TOY, seed=0)
         fisher = FisherState.zeros_like(m.params)
         fisher.importance = {k: np.ones_like(v) for k, v in m.params.items()}
-        _, leaves = m.forward_with_taps(np.zeros((2, 4), dtype=np.float32))
-        assert ewc_penalty(leaves, fisher).item() == 0.0
+        value, grads = ewc_penalty(m.params, fisher)
+        assert value == 0.0
+        assert all(not g.any() for g in grads.values())
 
     def test_penalty_zero_with_zero_importance(self):
         m = build_model(TOY, seed=0)
         fisher = FisherState.zeros_like(m.params)
         m.params["head.b"] += 100.0
-        _, leaves = m.forward_with_taps(np.zeros((2, 4), dtype=np.float32))
-        assert ewc_penalty(leaves, fisher).item() == 0.0
+        assert ewc_penalty(m.params, fisher)[0] == 0.0
 
     def test_hand_computed_two_parameter_case(self):
         params = {"p": np.array([1.0, 2.0], dtype=np.float32)}
@@ -518,16 +526,15 @@ class TestEwc:
             importance={"p": np.array([1.0, 2.0], dtype=np.float32)},
             anchor={"p": np.array([0.9, 1.9], dtype=np.float32)},
         )
-        leaf = Tensor(params["p"], requires_grad=True, name="p")
         # 1*(0.1)^2 + 2*(0.1)^2 = 0.03
-        assert ewc_penalty({"p": leaf}, fisher).item() == pytest.approx(0.03, rel=1e-4)
+        assert ewc_penalty(params, fisher)[0] == pytest.approx(0.03, rel=1e-4)
+        assert ewc_penalty(params, fisher, 0.5)[0] == pytest.approx(0.015, rel=1e-4)
 
     def test_layout_mismatch_rejected(self):
         m = build_model(TOY, seed=0)
         fisher = FisherState.zeros_like({"only": np.zeros(3, dtype=np.float32)})
-        _, leaves = m.forward_with_taps(np.zeros((2, 4), dtype=np.float32))
         with pytest.raises(ValueError, match="layout"):
-            ewc_penalty(leaves, fisher)
+            ewc_penalty(m.params, fisher)
 
     def test_update_accumulates_squared_gradients(self):
         rng = np.random.default_rng(9)
@@ -536,8 +543,8 @@ class TestEwc:
         y = rng.integers(0, 3, size=6)
         fisher = FisherState.zeros_like(m.params)
         update_fisher(m, x, y, fisher)
-        ts, leaves = m.forward_with_taps(x)
-        _, grads = loss_and_grads(task_loss(ts.logits, y), leaves)
+        ts, record = m.forward_with_taps(x)
+        _, grads = step_grads(m, record, task_loss(ts, y))
         for k in m.params:
             np.testing.assert_allclose(fisher.importance[k], grads[k] ** 2, rtol=1e-6)
 
@@ -556,9 +563,8 @@ class TestEwc:
         anchor = rng.standard_normal(5).astype(np.float32)
         imp = rng.random(5).astype(np.float32)
         fisher = FisherState(importance={"p": imp}, anchor={"p": anchor})
-        leaf = Tensor(p, requires_grad=True, name="p")
-        _, grads = loss_and_grads(ewc_penalty({"p": leaf}, fisher), {"p": leaf})
-        np.testing.assert_allclose(grads["p"], 2 * imp * (p - anchor), rtol=1e-6)
+        _, grads = ewc_penalty({"p": p}, fisher, 0.7)
+        np.testing.assert_allclose(grads["p"], 0.7 * 2 * imp * (p - anchor), rtol=1e-6)
 
 
 class TestGradientOracles:
@@ -575,16 +581,16 @@ class TestGradientOracles:
             jitter_params(t, seed=200 + i)
 
     def _check(self, build_loss):
-        ts, leaves = self.student.forward_with_taps(self.x)
-        _, analytic = loss_and_grads(build_loss(ts), leaves)
+        ts, record = self.student.forward_with_taps(self.x)
+        _, analytic = step_grads(self.student, record, build_loss(ts))
         numeric = finite_diff_params(
-            lambda: build_loss(self.student.forward_with_taps(self.x)[0]).item(),
+            lambda: float(build_loss(self.student.forward_with_taps(self.x)[0]).value),
             self.student.params,
         )
         assert_matches_fd(analytic, numeric)
 
     def test_task_loss_grad(self):
-        self._check(lambda ts: task_loss(ts.logits, self.y))
+        self._check(lambda ts: task_loss(ts, self.y))
 
     def test_feature_distillation_grad(self):
         t, _ = self.teachers[0].forward_with_taps(self.x)
@@ -619,12 +625,12 @@ class TestGradientOracles:
         def forward():
             return student.forward_with_taps(x, train=True, rng=np.random.default_rng(15))
 
-        ts, leaves = forward()
+        ts, record = forward()
         assert ts.masks and not all(m.all() for m in ts.masks)
         target = teacher.forward_as_teacher(x, ts.masks)
-        _, analytic = loss_and_grads(l_exp(ts, target, y, 0.7), leaves)
+        _, analytic = step_grads(student, record, l_exp(ts, target, y, 0.7))
         numeric = finite_diff_params(
-            lambda: l_exp(forward()[0], target, y, 0.7).item(), student.params
+            lambda: float(l_exp(forward()[0], target, y, 0.7).value), student.params
         )
         assert_matches_fd(analytic, numeric)
 
@@ -636,14 +642,14 @@ class TestGradientOracles:
                     for k, v in self.student.params.items()},
         )
 
-        def build():
-            ts, leaves = self.student.forward_with_taps(self.x)
-            from batchcl.engine import add, scale
+        def value():
+            ts, _ = self.student.forward_with_taps(self.x)
+            return float(task_loss(ts, self.y).value + ewc_penalty(self.student.params, fisher,
+                                                                   0.7)[0])
 
-            return add(task_loss(ts.logits, self.y),
-                       scale(ewc_penalty(leaves, fisher), 0.7)), leaves
-
-        loss, leaves = build()
-        _, analytic = loss_and_grads(loss, leaves)
-        numeric = finite_diff_params(lambda: build()[0].item(), self.student.params)
+        ts, record = self.student.forward_with_taps(self.x)
+        _, analytic = step_grads(self.student, record, task_loss(ts, self.y))
+        penalty_grads = ewc_penalty(self.student.params, fisher, 0.7)[1]
+        analytic = {k: g + penalty_grads[k] for k, g in analytic.items()}
+        numeric = finite_diff_params(value, self.student.params)
         assert_matches_fd(analytic, numeric)

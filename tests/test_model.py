@@ -8,14 +8,24 @@ import weakref
 
 import numpy as np
 import pytest
-from helpers import float64_twin, jitter_params, per_op_forward, stack_passes
+from helpers import (
+    cross_entropy,
+    float64_twin,
+    jitter_params,
+    per_op_forward,
+    stack_passes,
+    step_grads,
+    tape_grads,
+    tape_objective,
+)
 
-from batchcl.engine import GraphError, loss_and_grads
-from batchcl.losses import DISTILL_KINDS, l_base, task_loss
+from batchcl.engine import GraphError
+from batchcl.losses import DISTILL_KINDS, l_base, l_exp, task_loss
 from batchcl.model import (
     ModelConfig,
     ParamVector,
     ResidualClassifier,
+    TapSet,
     build_model,
     model_from_vector,
     stack_vectors,
@@ -151,9 +161,9 @@ class TestForward:
         x = rng.standard_normal((5, 4)).astype(np.float32)
         a, _ = m.forward_with_taps(x)
         b, _ = m.forward_with_taps(x)
-        np.testing.assert_array_equal(a.logits.data, b.logits.data)
+        np.testing.assert_array_equal(a.logits, b.logits)
         for ta, tb in zip(a.taps, b.taps):
-            np.testing.assert_array_equal(ta.data, tb.data)
+            np.testing.assert_array_equal(ta, tb)
 
     def test_matches_hand_rolled_reference(self):
         rng = np.random.default_rng(2)
@@ -166,9 +176,9 @@ class TestForward:
         x = rng.standard_normal((7, 4)).astype(np.float32)
         tapset, _ = m.forward_with_taps(x)
         ref_taps, ref_logits = reference_forward(m, x)
-        assert np.abs(tapset.logits.data - ref_logits).max() < 1e-5
+        assert np.abs(tapset.logits - ref_logits).max() < 1e-5
         for got, want in zip(tapset.taps, ref_taps):
-            assert np.abs(got.data - want).max() < 1e-5
+            assert np.abs(got - want).max() < 1e-5
 
     def test_dimension_mismatch_rejected(self):
         m = build_model(TOY, seed=0)
@@ -190,14 +200,17 @@ class TestForward:
 
 
 class TestFusedPass:
-    """The hand-differentiated student pass against the per-op graph it replaces.
+    """The hand-differentiated train step against the per-op graph it replaces.
 
-    ``per_op_forward`` (tests/helpers.py) builds the pass one tape node per
-    op. Both passes must agree bit for bit on every output of a pass and on
-    every gradient, so float32 sums have to be added in the tape's order.
-    With two residual blocks a block tap takes three gradient contributions
-    (its distance terms, the next block's skip and the next layer), and the
-    penultimate tap takes the head's before the distance terms.
+    ``per_op_forward`` and ``tape_objective`` (tests/helpers.py) build the
+    pass and the objective one tape node per op. The production step (the
+    pass, an objective's tap and logit gradients, and
+    ``ResidualClassifier.backward``) must agree with that graph bit for bit
+    on every output of a pass and on every gradient, so float32 sums have to
+    be added in the tape's order. With two residual blocks a block tap takes
+    three gradient contributions (its distance terms, the next block's skip
+    and the next layer), and the penultimate tap takes the head's before
+    the distance terms.
     """
 
     def _model(self, res_blocks, dropout_p, dtype=np.float32):
@@ -211,62 +224,111 @@ class TestFusedPass:
                             train=True, rng=rng)
         return m if dtype == np.float32 else float64_twin(m)
 
-    def _run(self, forward, model, x, train, loss_of):
+    def _run(self, model, x, train, loss_of, per_op):
+        """One step's outputs as bytes; ``loss_of(tapset, per_op)`` builds the
+        objective (a tape node for the per-op pass)."""
         rng = np.random.default_rng(24)
-        tapset, leaves = forward(model, x, train, rng)
-        value, grads = loss_and_grads(loss_of(tapset), leaves)
+        if per_op:
+            tapset, leaves = per_op_forward(model, x, train, rng)
+            value, grads = tape_grads(loss_of(tapset, True), leaves)
+            taps, logits = [t.data for t in tapset.taps], tapset.logits.data
+        else:
+            tapset, record = model.forward_with_taps(x, train, rng)
+            value, grads = step_grads(model, record, loss_of(tapset, False))
+            taps, logits = tapset.taps, tapset.logits
         return {
             "loss": np.float64(value).tobytes(),
             "rng": rng.bit_generator.state,
             "grads": {k: g.tobytes() for k, g in grads.items()},
-            "taps": [t.data.tobytes() for t in tapset.taps],
-            "logits": tapset.logits.data.tobytes(),
+            "taps": [t.tobytes() for t in taps],
+            "logits": logits.tobytes(),
             "masks": [mk.tobytes() for mk in tapset.masks],
             "stats": {k: v.tobytes() for k, v in model.stats.items()},
         }
 
     def _assert_same(self, model, x, train, loss_of):
-        fused = self._run(lambda m, *a: m.forward_with_taps(*a), model.copy(), x, train, loss_of)
-        per_op = self._run(per_op_forward, model.copy(), x, train, loss_of)
+        fused = self._run(model.copy(), x, train, loss_of, per_op=False)
+        per_op = self._run(model.copy(), x, train, loss_of, per_op=True)
         assert fused.keys() == per_op.keys()
         for key in fused:
             assert fused[key] == per_op[key], key
+
+    def _data(self, model, k):
+        data = np.random.default_rng(25)
+        x = data.standard_normal((9, 6)).astype(np.float32)
+        y = data.integers(0, 5, size=9)
+        teachers = stack_vectors(model.config, [
+            build_model(model.config, seed=30 + j).to_param_vector() for j in range(k)
+        ])
+        return x, y, teachers
 
     @pytest.mark.parametrize("kind", DISTILL_KINDS)
     @pytest.mark.parametrize("train", [True, False])
     @pytest.mark.parametrize("res_blocks", [1, 2])
     @pytest.mark.parametrize("dropout_p", [0.0, 0.1])
     def test_bitwise_equal_to_per_op_graph(self, kind, train, res_blocks, dropout_p):
-        model = self._model(res_blocks, dropout_p)
-        data = np.random.default_rng(25)
-        x = data.standard_normal((9, 6)).astype(np.float32)
-        y = data.integers(0, 5, size=9)
-        origins = np.array([0, 1, 2, 0, -1, 1, 2, 2, -1])
-        teachers = stack_vectors(model.config, [
-            build_model(model.config, seed=30 + j).to_param_vector() for j in range(3)
-        ])
+        self._assert_l_base_same(kind, train, res_blocks, dropout_p, [0, 1, 2])
 
-        def loss_of(tapset):
-            return l_base(tapset, teachers.forward_as_teacher(x, tapset.masks), y,
-                          0.9, 1.3, kind, [0, 1, 2], origins)
+    @pytest.mark.parametrize("kind", DISTILL_KINDS)
+    def test_shared_rows_keep_the_tape_order(self, kind):
+        # two teachers owning the same rows put two nonzero terms into one
+        # gradient entry, so the order they and the head's term are added
+        # in shows in the bits
+        self._assert_l_base_same(kind, True, 2, 0.1, [0, 0, 1])
+
+    def _assert_l_base_same(self, kind, train, res_blocks, dropout_p, owners):
+        model = self._model(res_blocks, dropout_p)
+        x, y, teachers = self._data(model, 3)
+        owners = np.array(owners)
+        origins = np.array([0, 1, 2, 0, -1, 1, 2, 2, -1])
+
+        def loss_of(tapset, per_op):
+            stack = teachers.forward_as_teacher(x, tapset.masks)
+            if per_op:
+                return tape_objective(tapset, y, 0.9, stack, 1.3, kind,
+                                      origins[None, :] == owners[:, None])
+            return l_base(tapset, stack, y, 0.9, 1.3, kind, owners, origins)
 
         self._assert_same(model, x, train, loss_of)
+
+    @pytest.mark.parametrize("kind", DISTILL_KINDS)
+    @pytest.mark.parametrize("dropout_p", [0.0, 0.1])
+    def test_expert_step_bitwise_equal_to_per_op_graph(self, kind, dropout_p):
+        model = self._model(2, dropout_p)
+        x, y, teacher = self._data(model, 1)
+
+        def loss_of(tapset, per_op):
+            stack = teacher.forward_as_teacher(x, tapset.masks)
+            if per_op:
+                return tape_objective(tapset, y, 1.0, stack, 0.7, kind)
+            single = TapSet(taps=[t[0] for t in stack.taps], logits=stack.logits[0])
+            return l_exp(tapset, single, y, 0.7, kind)
+
+        self._assert_same(model, x, True, loss_of)
 
     def test_eval_batch_of_one(self):
         # the gradient-norm buffer sampling differentiates one row at a time
         model = self._model(2, 0.1)
         x = np.random.default_rng(26).standard_normal((1, 6)).astype(np.float32)
-        self._assert_same(model, x, False, lambda t: task_loss(t.logits, np.array([3])))
+
+        def loss_of(tapset, per_op):
+            label = np.array([3])
+            return cross_entropy(tapset.logits, label) if per_op else task_loss(tapset, label)
+
+        self._assert_same(model, x, False, loss_of)
 
     def test_float64_twin(self):
         model = self._model(2, 0.1, np.float64)
         x = np.random.default_rng(27).standard_normal((9, 6))
         teacher = model.copy()
         jitter_params(teacher, seed=28)
+        y = np.arange(9) % 5
 
-        def loss_of(tapset):
-            return l_base(tapset, stack_passes([teacher.forward_as_teacher(x, tapset.masks)]),
-                          np.arange(9) % 5, 1.0, 1.0, "features", [0], np.zeros(9))
+        def loss_of(tapset, per_op):
+            stack = stack_passes([teacher.forward_as_teacher(x, tapset.masks)])
+            if per_op:
+                return tape_objective(tapset, y, 1.0, stack, 1.0, "features", np.ones((1, 9)))
+            return l_base(tapset, stack, y, 1.0, 1.0, "features", [0], np.zeros(9))
 
         self._assert_same(model, x, True, loss_of)
 
@@ -276,28 +338,20 @@ class TestFusedPass:
         tapset, _ = per_op_forward(model, x)
         np.testing.assert_array_equal(model.predict(x), np.argmax(tapset.logits.data, axis=1))
 
-    def test_pass_is_one_trunk_one_node_per_tap_and_a_head(self):
-        model = self._model(2, 0.1)
-        x = np.random.default_rng(30).standard_normal((5, 6)).astype(np.float32)
-        tapset, leaves = model.forward_with_taps(x, train=True, rng=np.random.default_rng(31))
-        trunk = tapset.taps[0].parents[0]
-        assert all(t.parents == (trunk,) for t in tapset.taps)
-        assert tapset.logits.parents == (tapset.taps[-1], leaves["head.W"], leaves["head.b"])
-        assert set(trunk.parents) == {v for k, v in leaves.items() if not k.startswith("head.")}
-
     def test_dropped_pass_is_freed_without_the_cycle_collector(self):
-        # a reference cycle through the trunk would keep every pass's arrays
-        # alive until a collection, and raise peak memory
+        # a reference cycle through the pass's record would keep every
+        # pass's arrays alive until a collection, and raise peak memory
         model = self._model(2, 0.1)
         x = np.random.default_rng(32).standard_normal((5, 6)).astype(np.float32)
         gc.disable()
         try:
-            tapset, leaves = model.forward_with_taps(x, train=True,
+            tapset, record = model.forward_with_taps(x, train=True,
                                                      rng=np.random.default_rng(33))
-            loss_and_grads(task_loss(tapset.logits, np.arange(5)), leaves)
-            trunk = weakref.ref(tapset.taps[0].parents[0])
-            del tapset, leaves
-            assert trunk() is None
+            loss = task_loss(tapset, np.arange(5))
+            step_grads(model, record, loss)
+            head_in = weakref.ref(record.head_in)
+            del tapset, record, loss
+            assert head_in() is None
         finally:
             gc.enable()
 
@@ -438,8 +492,8 @@ class TestStackedTeacher:
             assert single.logits.shape == (9, 3)
             for got, want in zip(stacked.taps, single.taps):
                 assert got.shape == (k, *want.shape)
-                assert got.data[j].tobytes() == want.data.tobytes()
-            assert stacked.logits.data[j].tobytes() == single.logits.data.tobytes()
+                assert got[j].tobytes() == want.tobytes()
+            assert stacked.logits[j].tobytes() == single.logits.tobytes()
 
     def test_stack_keeps_snapshot_order_and_layout(self):
         config, models = self._models(2, 0.0)
@@ -474,7 +528,6 @@ class TestStackedTeacher:
         stack = stack_vectors(config, [m.to_param_vector() for m in models])
         before = [a.tobytes() for a in (*stack.params.values(), *stack.stats.values())]
         x = np.random.default_rng(45).standard_normal((5, 4)).astype(np.float32)
-        teacher = stack.forward_as_teacher(x)
+        stack.forward_as_teacher(x)
         after = [a.tobytes() for a in (*stack.params.values(), *stack.stats.values())]
         assert before == after
-        assert not any(t.requires_grad for t in teacher.taps)

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from helpers import float64_twin, grad_norms_reference, jitter_params
+from helpers import count_tensors, float64_twin, grad_norms_reference, jitter_params
 
-from batchcl.engine import GraphError, Tensor
+from batchcl.engine import GraphError
 from batchcl.model import ModelConfig, build_model, model_from_vector
 from batchcl.replay import (
     ORIGIN_MEMORY,
@@ -242,14 +242,7 @@ class TestBatchedGradNorms:
         # a tape graph per row built 32 Tensors per row at this shape
         model = scoring_model(DEEP, 9)
         x, y = task_rows(200, DEEP, 9)
-        built = []
-        init = Tensor.__init__
-
-        def counting_init(self, *args, **kwargs):
-            built.append(1)
-            init(self, *args, **kwargs)
-
-        monkeypatch.setattr(Tensor, "__init__", counting_init)
+        built = count_tensors(monkeypatch)
         buf = sample_buffer(x, y, 0, capacity=50, strategy=strategy, seed=0, owner=0,
                             base_model=model, expert_model=model)
         assert len(buf) == 50

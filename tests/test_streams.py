@@ -7,8 +7,9 @@ import struct
 
 import numpy as np
 import pytest
+from helpers import step_grads
 
-from batchcl.engine import SGD, loss_and_grads
+from batchcl.engine import SGD
 from batchcl.losses import task_loss
 from batchcl.model import ModelConfig, build_model
 from batchcl.streams import (
@@ -283,8 +284,8 @@ class TestEvaluateCil:
                 idx = order[i : i + 32]
                 if len(idx) < 2:
                     continue
-                ts, leaves = m.forward_with_taps(t.train_x[idx], train=True, rng=rng)
-                _, grads = loss_and_grads(task_loss(ts.logits, t.train_y[idx]), leaves)
+                ts, record = m.forward_with_taps(t.train_x[idx], train=True, rng=rng)
+                _, grads = step_grads(m, record, task_loss(ts, t.train_y[idx]))
                 opt.step(m.params, grads)
         accs = evaluate_cil(m, [t])
         assert accs[0] > 0.95
