@@ -65,9 +65,11 @@ def batch_norm_arrays(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, runnin
     are taken over the rows (axis -2) of each leading index, as ``mean``,
     ``d = x - mean``, ``var = mean(d * d)``, and ``running``, a
     ``(mean, var)`` pair of running buffers or None, takes them in place
-    with momentum ``BN_MOMENTUM`` (the variance unbiased). In eval mode
-    ``running`` supplies the statistics. Both add ``BN_EPS`` to the
-    variance.
+    with momentum ``BN_MOMENTUM`` (the variance unbiased). A stack's
+    buffers carry the same leading axis as ``x``, and only slice 0's
+    statistics go into slice 0's buffers: the student of a stack is slice
+    0, and its teachers keep theirs. In eval mode ``running`` supplies the
+    statistics. Both add ``BN_EPS`` to the variance.
     """
     if train:
         mean = _row_mean(x)
@@ -75,11 +77,12 @@ def batch_norm_arrays(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, runnin
         var = _row_mean(d * d)
         if running is not None:
             n = x.shape[-2]
-            running_mean, running_var = running
+            first = (0,) * (x.ndim - 2)  # slice 0 of a stack; () for one model
+            running_mean, running_var = (r[first] for r in running)
             running_mean *= 1.0 - BN_MOMENTUM
-            running_mean += BN_MOMENTUM * mean.reshape(running_mean.shape)
+            running_mean += BN_MOMENTUM * mean[first + (0,)]
             running_var *= 1.0 - BN_MOMENTUM
-            running_var += BN_MOMENTUM * var.reshape(running_var.shape) * (n / (n - 1))
+            running_var += BN_MOMENTUM * var[first + (0,)] * (n / (n - 1))
     else:
         mean, var = running
         d = x - mean
@@ -146,18 +149,23 @@ def stacked_distance(
     ``per_feature``, over the D_i features too, else summed over them.
 
     ``masks``, when given, is the constant ``(k, B)`` 0/1 row selector of
-    each teacher: term (j, i) averages over teacher j's rows only, and an
-    empty selection contributes exactly 0. Without ``masks`` every row
-    counts for every teacher. That mode takes numpy's mean over the rows
-    (and features), not a row sum divided by the count: the two round
-    differently in float32, so an all-ones mask is not the same number.
+    each teacher, and a row may belong to one teacher at most (GraphError
+    otherwise): term (j, i) averages over teacher j's rows only, and an
+    empty selection contributes exactly 0. Each row's own teacher is
+    gathered once, so a student's gradient is one ``(B, D_i)`` contribution
+    whatever k is, and a row no teacher selects gets an exact +0. Without
+    ``masks`` every row counts for every teacher. That mode takes numpy's
+    mean over the rows (and features), not a row sum divided by the count:
+    the two round differently in float32, so an all-ones mask is not the
+    same number.
 
     Returns ``(value, grads)``. The value adds the terms of one teacher in
-    student order, then the teachers in order. ``grads[i]`` is the
-    ``(k, B, D_i)`` stack of the teachers' contributions to the gradient of
-    student i: that gradient is their sum from zero in teacher order
-    j = 0..k-1, which is also the order a sum of k one-teacher distances
-    would add them in.
+    student order, then the teachers in order. ``grads[i]`` is the stack of
+    contributions to the gradient of student i, summed from zero in stack
+    order: without masks the ``(k, B, D_i)`` teachers' contributions in
+    teacher order j = 0..k-1, the order a sum of k one-teacher distances
+    adds them in; with masks the ``(1, B, D_i)`` gathered one, which adds
+    to the same bits since every other teacher's share of a row is zero.
     """
     if not students or len(students) != len(targets):
         raise GraphError(f"{name}: {len(students)} students for {len(targets)} target stacks")
@@ -175,14 +183,21 @@ def stacked_distance(
                 f"{name}: student {i} of shape {s.shape} and target stack of shape "
                 f"{t.shape} do not fit {fit}"
             )
-    diffs = [t - s for s, t in zip(students, targets)]
+    g = np.asarray(weight, dtype=dtype)
     if m is None:
+        diffs = [t - s for s, t in zip(students, targets)]
         denoms = [s.size if per_feature else rows for s in students]
         terms = [
             (d * d).mean(axis=(-2, -1)) if per_feature else (d * d).sum(axis=-1).mean(axis=-1)
             for d in diffs
         ]
     else:
+        owned = m.sum(axis=0)
+        if owned.max() > 1:
+            raise GraphError(f"{name}: row {int(owned.argmax())} selected by more than one "
+                             "teacher")
+        owner, every_row = m.argmax(axis=0), np.arange(rows)
+        diffs = [t[owner, every_row] - s for s, t in zip(students, targets)]
         counts = np.maximum(m.sum(axis=1), 1)
         denoms = [counts * s.shape[1] if per_feature else counts for s in students]
         terms = [(m * (d * d).sum(axis=-1)).sum(axis=-1) / den for d, den in zip(diffs, denoms)]
@@ -192,16 +207,17 @@ def stacked_distance(
     total = per_teacher[0]
     for term in per_teacher[1:]:
         total = total + term
-    g = np.asarray(weight, dtype=dtype)
     grads = []
     for d, den in zip(diffs, denoms):
         if m is None:
-            grad = (g * 2.0 / den) * d
-        elif per_feature:
-            grad = ((g * 2.0 / den)[:, None, None] * m[:, :, None]) * d
+            grad = -((g * 2.0 / den) * d)
         else:
-            grad = ((g * 2.0) * (m / den[:, None])[:, :, None]) * d
-        grads.append(-grad)
+            # each row's coefficient is its own teacher's, or 0 for a row of
+            # none; 0.0 - x turns that row's -0 into +0
+            coef = ((g * 2.0 / den)[owner] * owned if per_feature
+                    else (g * 2.0) * (owned / den[owner]))
+            grad = (0.0 - coef[:, None] * d)[None]
+        grads.append(grad)
     return np.asarray(total, dtype=dtype) * g, grads
 
 

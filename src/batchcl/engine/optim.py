@@ -19,7 +19,9 @@ class SGD:
     """Vanilla stochastic gradient descent (no momentum, no weight decay).
 
     Holds a mutable learning rate so a scheduler can adjust it between
-    epochs. Updates are applied in place to the parameter arrays.
+    epochs. Updates are applied in place to the parameter arrays, and only
+    once every gradient is finite: a non-finite one raises
+    :class:`NonFiniteError` naming its parameter before any array moves.
     """
 
     def __init__(self, lr: float):
@@ -32,9 +34,14 @@ class SGD:
         params: MutableMapping[str, np.ndarray],
         grads: Mapping[str, np.ndarray],
     ) -> None:
+        # one check per step: an inf or nan entry makes the sum of all
+        # entries non-finite, and only then is each gradient scanned (a sum
+        # of finite entries that merely overflowed passes the scan)
+        if not np.isfinite(sum([np.add.reduce(g, axis=None) for g in grads.values()])):
+            for name, g in grads.items():
+                if not np.isfinite(g).all():
+                    raise NonFiniteError(f"non-finite gradient for parameter '{name}'")
         for name, g in grads.items():
-            if not np.isfinite(g).all():
-                raise NonFiniteError(f"non-finite gradient for parameter '{name}'")
             p = params[name]
             p -= np.asarray(self.lr, dtype=p.dtype) * g.astype(p.dtype, copy=False)
 

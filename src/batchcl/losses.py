@@ -21,7 +21,8 @@ Objectives:
 
 Every distillation distance is one :func:`~batchcl.engine.stacked_distance`
 call: a single teacher pass is a stack of one, every row counting, and
-``l_bmc`` masks each expert of its stack to the rows its buffer contributed.
+``l_bmc`` masks each expert of its stack to the rows its buffer contributed,
+one expert per row.
 """
 
 from __future__ import annotations
@@ -131,25 +132,33 @@ def l_bmc(
 
     ``expert_teachers`` is the pass of a stack of k expert teachers: a
     TapSet whose taps and logits carry a leading expert axis, ``(k, B, D)``,
-    as :meth:`~batchcl.model.ResidualClassifier.forward_as_teacher` returns
-    for a stack.
+    such as ``TapSet.teachers`` of the stacked student pass that computed
+    ``student`` (:meth:`~batchcl.model.ResidualClassifier.forward_with_taps`).
 
     Each expert is authoritative only for the exemplars its own buffer
     contributed, so its distance is averaged over the batch rows whose
     origin tag matches ``teacher_origins[j]``; rows from other buffers or
     from memory contribute nothing to that expert's term. An expert absent
-    from the batch contributes an exact zero. Teacher taps are recomputed
-    locally from transmitted parameter snapshots; features themselves never
-    cross a worker boundary.
+    from the batch contributes an exact zero. The origins must be distinct
+    (GraphError names a repeated one), so each row has one teacher at most.
+    Teacher taps are recomputed locally from transmitted parameter
+    snapshots; features themselves never cross a worker boundary.
 
     Every ``kind`` is one :func:`~batchcl.engine.stacked_distance` call over
-    the (k, B) origin masks. Its gradients list expert j's contribution in
-    expert order j = 0..k-1, so the loss and every gradient are
-    bit-identical to a sum of k single-expert distances.
+    the (k, B) origin masks. The value adds the experts' terms in expert
+    order, bit-identical to a sum of k single-expert distances. Each row's
+    own expert is gathered once, so every tap's gradient is one ``(B, D)``
+    contribution; a row of memory gets an exact zero. Every other expert's
+    share of a row is zero, so the gradients are those of the sum of k
+    single-expert distances too.
     """
     k = expert_teachers.logits.shape[0]
     if len(teacher_origins) != k:
         raise GraphError(f"{k} teachers but {len(teacher_origins)} origin tags")
+    if len(set(teacher_origins)) != k:
+        tags = list(teacher_origins)
+        repeated = next(t for i, t in enumerate(tags) if t in tags[:i])
+        raise GraphError(f"teacher origin {repeated} repeated: a row has one teacher at most")
     origins = np.asarray(batch_origins)
     masks = origins[None, :] == np.asarray(teacher_origins)[:, None]
     return _distance(kind, expert_teachers, student, masks, weight, "expert_distance")

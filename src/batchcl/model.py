@@ -28,6 +28,11 @@ trunk layer and skip connection to the parameters. Those gradients equal
 the ones a tape with one node per op gives, bit for bit. The norm pass
 walks the trunk backward in the same order (``_walk_trunk``) with a
 per-row step instead of a summed one.
+
+A student and the teachers it learns from run as one stack
+(:func:`stack_vectors`), student in slice 0: one train pass computes
+every slice's taps on the shared batch and dropout masks, and the student
+trains through views of slice 0 (:meth:`ResidualClassifier.slice`).
 """
 
 from __future__ import annotations
@@ -81,11 +86,19 @@ class TapSet:
     registered so far. ``masks`` are the dropout multipliers a train-mode
     pass drew, in layer order (empty when nothing was dropped); a teacher
     pass replays them to see exactly the units the student saw.
+    ``teachers`` is the pass of the teachers that rode a stack's student
+    pass (slices 1..k, arrays ``(k, B, D)``), or None.
+
+    Indexing a pass of a stack gives the pass of those slices.
     """
 
     taps: list[np.ndarray]
     logits: np.ndarray
     masks: list[np.ndarray] = field(default_factory=list)
+    teachers: TapSet | None = None
+
+    def __getitem__(self, j) -> TapSet:
+        return TapSet(taps=[t[j] for t in self.taps], logits=self.logits[j])
 
 
 class PassRecord(NamedTuple):
@@ -292,11 +305,24 @@ class ResidualClassifier:
         with respect to the returned taps and logits. Train mode updates
         normalization running statistics in place and draws dropout masks
         from ``rng``; the TapSet keeps them for :meth:`forward_as_teacher`.
+
+        On a stack (:func:`stack_vectors`) this is the train pass of a
+        student in slice 0 with its teachers in slices 1..k, in one call of
+        the layer arithmetic: the ``(B, D)`` dropout masks, drawn once,
+        broadcast over the stack axis, and each slice takes batch
+        statistics over its own rows. The TapSet and the record are slice
+        0's, equal bit for bit to a pass of slice 0 alone, and only slice
+        0's running buffers take its statistics. ``TapSet.teachers`` is the
+        pass of slices 1..k, equal bit for bit to their
+        :meth:`forward_as_teacher` given these masks.
         """
         x = self._check_input(x)
         n = len(x)
         if train and n < 2:
             raise GraphError(f"stem.bn: train-mode batch of size {n} (need >= 2)")
+        stacked = self.params["stem.W"].ndim == 3
+        if stacked and not train:
+            raise GraphError("a stack runs its student pass in train mode only")
         # passes run in whatever precision the parameters carry (float32 in
         # production; tests build float64 twins for derivative oracles)
         dtype = self.params["stem.W"].dtype
@@ -305,8 +331,12 @@ class ResidualClassifier:
         taps, head_in, logits = self._values(
             x.astype(dtype, copy=False), "train" if train else "eval", masks, layers
         )
+        teachers = None
+        if stacked:
+            teachers = TapSet(taps, logits)[1:]
+            taps, head_in, logits = [t[0] for t in taps], head_in[0], logits[0]
         record = PassRecord(layers, head_in, masks[-1] if masks else None, train)
-        return TapSet(taps=taps, logits=logits, masks=masks), record
+        return TapSet(taps=taps, logits=logits, masks=masks, teachers=teachers), record
 
     def backward(self, record: PassRecord, objective) -> dict[str, np.ndarray]:
         """Gradients of every parameter for an objective on the pass ``record``
@@ -358,11 +388,13 @@ class ResidualClassifier:
 
         This is every pass's arithmetic. ``mode`` picks the normalization
         statistics: ``"train"`` takes batch statistics and folds them into
-        the running buffers, ``"teacher"`` takes batch statistics and
-        touches nothing, ``"eval"`` uses the running buffers. ``masks`` are
-        the dropout multipliers, one per site in layer order, or empty for
-        none. When ``layers`` is a list, each layer appends what its
-        backward needs: (prefix, input, pre-ReLU value, xhat, inv_std, mask).
+        the running buffers (a stack's slice 0 only), ``"teacher"`` takes
+        batch statistics and touches nothing, ``"eval"`` uses the running
+        buffers. ``masks`` are the dropout multipliers, one per site in
+        layer order, or empty for none. When ``layers`` is a list, each
+        layer appends what its backward needs: (prefix, input, pre-ReLU
+        value, xhat, inv_std, mask). A stack's layers append copies of
+        slice 0's, so the teachers' states are freed as the pass goes on.
         """
         params, stats = self.params, self.stats
         train = mode != "eval"
@@ -383,7 +415,9 @@ class ResidualClassifier:
             )
             mask = next(replay) if dropped and masks else None
             if layers is not None:
-                layers.append((prefix, h, y, xhat, inv_std, mask))
+                state = (h, y, xhat, inv_std) if y.ndim == 2 else (
+                    h if h.ndim == 2 else h[0].copy(), y[0].copy(), xhat[0].copy(), inv_std[0])
+                layers.append((prefix, *state, mask))
             out = np.maximum(y, 0)
             return out if mask is None else out * mask
 
@@ -420,7 +454,8 @@ class ResidualClassifier:
         ``(k, d, D)`` weights, biases and normalization scales broadcast as
         ``[..., None, :]``, and batch statistics reduce over the row axis
         (-2) of each expert. Every expert's slice thus goes through the same
-        float operations as a single pass, and equals it bit for bit.
+        float operations as a single pass, and equals it bit for bit. Here
+        every slice is a teacher; :meth:`forward_with_taps` trains slice 0.
         """
         x = self._check_input(x)
         if len(x) < 2:
@@ -516,6 +551,15 @@ class ResidualClassifier:
             {k: v.copy() for k, v in self.stats.items()},
         )
 
+    def slice(self, j: int) -> "ResidualClassifier":
+        """Slice ``j`` of a stack as a model whose arrays are views of the
+        stack's: an in-place update of either shows in the other."""
+        return ResidualClassifier._from_state(
+            self.config,
+            {k: v[j] for k, v in self.params.items()},
+            {k: v[j] for k, v in self.stats.items()},
+        )
+
 
 def _sum(*parts):
     """Gradient contributions to one value, added in the given order from a
@@ -600,17 +644,40 @@ def model_from_vector(config: ModelConfig, pv: ParamVector) -> ResidualClassifie
     return m
 
 
-def stack_vectors(config: ModelConfig, pvs) -> ResidualClassifier:
-    """k snapshots of one layout as one teacher whose arrays lead with the expert axis.
+def stack_vectors(config: ModelConfig, sources) -> ResidualClassifier:
+    """Snapshots or models of one layout as one model whose arrays lead with the stack axis.
 
-    Each entry is the ``(k, ...)`` stack of the snapshots' arrays, in the
-    given order, so expert j is slice j of every tap and logit of
-    :meth:`ResidualClassifier.forward_as_teacher`. That pass is the only
-    one a stack runs.
+    Each entry is the ``(k, ...)`` stack of the sources' arrays, in the
+    given order, so source j is slice j of every tap and logit of the
+    stack's passes. A model source is stacked from its own arrays, without
+    a snapshot in between. :meth:`ResidualClassifier.forward_as_teacher`
+    runs every slice as a teacher; :meth:`ResidualClassifier.forward_with_taps`
+    runs slice 0 as the student its slices 1..k teach, which trains through
+    ``stack.slice(0)``. Those two passes are the only ones a stack runs.
     """
-    states = [_state_from_vector(config, pv) for pv in pvs]
-    if not states:
-        raise ValueError("a teacher stack needs at least one snapshot")
+    if not sources:
+        raise ValueError("a stack needs at least one snapshot or model")
+    states = []
+    for src in sources:
+        if not isinstance(src, ResidualClassifier):
+            states.append(_state_from_vector(config, src))
+        elif src.config != config:
+            raise ValueError(f"layout mismatch: a model of {src.config} in a stack of {config}")
+        else:
+            states.append((src.params, src.stats))
     params = {name: np.stack([p[name] for p, _ in states]) for name in states[0][0]}
     stats = {name: np.stack([s[name] for _, s in states]) for name in states[0][1]}
     return ResidualClassifier._from_state(config, params, stats)
+
+
+def unstack(stack: ResidualClassifier, student: ResidualClassifier) -> None:
+    """Give ``student``, a view of slice 0 of ``stack``, arrays of its own, and empty the stack.
+
+    Each stacked array is freed as soon as its slice is copied, so the
+    handover never holds a second copy of the student.
+    """
+    stack.params.clear()
+    stack.stats.clear()
+    for part in (student.params, student.stats):
+        for name in part:
+            part[name] = part[name].copy()

@@ -60,6 +60,7 @@ from .model import (
     build_model,
     model_from_vector,
     stack_vectors,
+    unstack,
 )
 from .replay import (
     SAMPLING_STRATEGIES,
@@ -496,7 +497,8 @@ def remote_train(sync: bytes, tasks: tuple[Task, ...], model_config: ModelConfig
     initializes the expert from it, trains on ``tasks[expert index]`` (and
     reads no other entry) with the stability objective, samples its
     buffer, and returns the single ARTF frame. Raises ExpertFailure if the
-    loss turns non-finite.
+    loss turns non-finite. With a stability term the expert and its base
+    are slices 0 and 1 of one stack, so each batch takes one pass for both.
     """
     expert_index, seed, h, base_blob = decode_sync(_unframe_as(TAG_SYNC, sync))
     if expert_index >= len(tasks):
@@ -509,15 +511,17 @@ def remote_train(sync: bytes, tasks: tuple[Task, ...], model_config: ModelConfig
         base = model_from_vector(model_config, ParamVector.from_bytes(base_blob))
     except ValueError as e:
         raise ProtocolViolation(f"sync base snapshot at byte {SYNC_FIXED_NBYTES}: {e}") from e
-    expert = base.copy()
+    if h.stability_coef > 0:
+        stack = stack_vectors(model_config, [base, base])
+        expert, base = stack.slice(0), stack.slice(1)
+    else:
+        stack = expert = base.copy()
     train_rng = np.random.default_rng(child_seed(seed, "train"))
     x, y = task.train_x, task.train_y
 
     def step(idx):
-        student, record = expert.forward_with_taps(x[idx], train=True, rng=train_rng)
-        teacher = (
-            base.forward_as_teacher(x[idx], student.masks) if h.stability_coef > 0 else None
-        )
+        student, record = stack.forward_with_taps(x[idx], train=True, rng=train_rng)
+        teacher = None if student.teachers is None else student.teachers[0]
         loss = l_exp(student, teacher, y[idx], h.stability_coef, h.distill_kind)
         return loss_and_grads(loss.value, lambda: expert.backward(record, loss))
 
@@ -611,11 +615,12 @@ def consolidate(
     """Distill all experts into a fresh copy of the base on the pooled data.
 
     The learning rate is reset going in (fresh optimizer/scheduler) and the
-    caller never reuses this phase's optimizer afterwards. The expert
-    teachers are rebuilt from their transmitted snapshots as one stack, in
-    expert-index order so the summation is deterministic: each batch takes
-    one teacher pass for all k experts and one batched distillation.
-    Returns the updated copy; the input base is untouched.
+    caller never reuses this phase's optimizer afterwards. The student and
+    its expert teachers are one stack: slice 0 is a copy of the base, and
+    slices 1..k are the transmitted snapshots in expert-index order, so the
+    summation is deterministic. Each batch takes one pass for the student
+    and all k experts and one batched distillation. Returns the updated
+    copy; the input base is untouched.
     """
     if not artifacts:
         raise ValueError("consolidation needs at least one expert artifact")
@@ -625,23 +630,20 @@ def consolidate(
     pool = merge_pool(memory, [a.buffer for a in ordered])
     if len(pool) == 0:
         raise ValueError("consolidation pool is empty (no memory, empty buffers)")
-    student = base.copy()
-    teachers = stack_vectors(base.config, [a.param_vector for a in ordered])
+    if coefficients.consolidation > 0:
+        stack = stack_vectors(base.config, [base, *(a.param_vector for a in ordered)])
+        student = stack.slice(0)
+    else:
+        stack = student = base.copy()
     teacher_origins = [a.expert_index for a in ordered]
     batches_per_epoch = max(1, len(pool) // batch_size)
-    use_distill = coefficients.consolidation > 0
 
     def step(_):
         batch = draw_batch(pool, batch_size, rng)
-        student_taps, record = student.forward_with_taps(batch.features, train=True, rng=rng)
-        teacher_taps = (
-            teachers.forward_as_teacher(batch.features, student_taps.masks)
-            if use_distill
-            else None
-        )
+        student_taps, record = stack.forward_with_taps(batch.features, train=True, rng=rng)
         loss = l_base(
             student_taps,
-            teacher_taps,
+            student_taps.teachers,
             batch.labels,
             task_coef=coefficients.task,
             consolidation_coef=coefficients.consolidation,
@@ -652,6 +654,8 @@ def consolidate(
         return loss_and_grads(loss.value, lambda: student.backward(record, loss))
 
     train_epochs(student.params, lr, rehearsal_epochs, lambda: range(batches_per_epoch), step)
+    if stack is not student:
+        unstack(stack, student)
     return student
 
 
@@ -671,7 +675,8 @@ def expert_distances(
     from the expert, the distance the consolidation coefficient pulls in.
     Both are :func:`l_bd` between dropout-free teacher passes, computed on
     the coordinator from the received artifacts, so nothing extra crosses
-    the wire. A buffer of fewer than 2 rows (no batch statistics) gives None.
+    the wire: one pass of the stack (base, expert, new base) per expert. A
+    buffer of fewer than 2 rows (no batch statistics) gives None.
     """
     out = []
     for a in artifacts:
@@ -684,13 +689,14 @@ def expert_distances(
         if len(x) < 2:
             row.update(expert_base_distance=None, consolidated_expert_distance=None)
         else:
-            expert = model_from_vector(base.config, a.param_vector).forward_as_teacher(x)
+            passes = stack_vectors(
+                base.config, [base, a.param_vector, new_base]
+            ).forward_as_teacher(x)
             row.update(
-                expert_base_distance=float(l_bd(base.forward_as_teacher(x), expert).value),
-                consolidated_expert_distance=float(
-                    l_bd(expert, new_base.forward_as_teacher(x)).value
-                ),
+                expert_base_distance=float(l_bd(passes[0], passes[1]).value),
+                consolidated_expert_distance=float(l_bd(passes[1], passes[2]).value),
             )
+            del passes  # before the next expert's stack runs: 3 slices of activations
         out.append(row)
     return out
 

@@ -183,8 +183,8 @@ class TestFiniteDifferenceOracle:
         for trial in range(5):
             params = random_params(rng, shapes)
             targets = [rng.standard_normal((3, *shape)) for shape in shapes.values()]
-            masks = rng.random((3, 6)) < 0.5
-            masks[2] = False  # a teacher with no rows in the batch
+            # each row has one teacher at most; teacher 2 has no rows in the batch
+            masks = rng.integers(-1, 2, size=6) == np.arange(3)[:, None]
             for m in (masks, None):
                 def build(ps, m=m):
                     students = [Tensor(ps[k], requires_grad=True, name=k) for k in shapes]
@@ -198,12 +198,14 @@ class TestFiniteDifferenceOracle:
     @pytest.mark.parametrize("per_feature", [True, False])
     def test_stacked_distance_is_the_per_term_graph_bitwise(self, per_feature):
         """Against a sum of one-teacher nodes, joined with add in teacher
-        order. Overlapping masks and a second consumer of each student, so
-        the order in which gradients are accumulated shows in the bits."""
+        order. Each row has one teacher at most, so the stacked node's
+        gathered term per row must add to the same bits as the k terms of
+        which all but one are zero; a second consumer of each student makes
+        the order in which gradients are accumulated show in the bits."""
         rng = np.random.default_rng(16)
         x = rng.standard_normal((7, 5)).astype(np.float32)
         targets = [rng.standard_normal((4, 7, 5)).astype(np.float32) for _ in range(2)]
-        masks = rng.random((4, 7)) < 0.6
+        masks = rng.integers(-1, 4, size=7) == np.arange(4)[:, None]
         masks[1] = False
 
         def run(distance):
@@ -312,6 +314,24 @@ class TestFiniteDifferenceOracle:
         assert loss.item() == 0.0
         _, grads = tape_grads(loss, {"x": tx})
         assert np.all(grads["x"] == 0.0)
+
+    @pytest.mark.parametrize("per_feature", [True, False])
+    def test_stacked_distance_gathers_each_rows_teacher(self, per_feature):
+        """With masks every student gets one (B, D) contribution, whatever k
+        is; a row of no teacher gets an exact +0, and a row of two teachers
+        is rejected."""
+        rng = np.random.default_rng(18)
+        s = rng.standard_normal((5, 3)).astype(np.float32)
+        targets = rng.standard_normal((4, 5, 3)).astype(np.float32)
+        masks = np.array([-1, 2, 0, 2, -1]) == np.arange(4)[:, None]
+        _, (grad,) = stacked_distance([s], [targets], masks, per_feature, 0.5)
+        assert grad.shape == (1, 5, 3)
+        assert np.signbit(grad[0, [0, 4]]).sum() == 0 and not grad[0, [0, 4]].any()
+        _, (stack,) = stacked_distance([s], [targets], None, per_feature, 0.5)
+        assert stack.shape == (4, 5, 3)
+        masks[1, 1] = True
+        with pytest.raises(GraphError, match="row 1 selected by more than one teacher"):
+            stacked_distance([s], [targets], masks, per_feature)
 
     def test_stacked_distance_bad_mask_shape(self):
         x = Tensor(np.ones((4, 3)), name="x")

@@ -19,7 +19,7 @@ from helpers import (
     tape_objective,
 )
 
-from batchcl.engine import GraphError
+from batchcl.engine import SGD, GraphError
 from batchcl.losses import DISTILL_KINDS, l_base, l_exp, task_loss
 from batchcl.model import (
     ModelConfig,
@@ -29,6 +29,7 @@ from batchcl.model import (
     build_model,
     model_from_vector,
     stack_vectors,
+    unstack,
 )
 
 TOY = ModelConfig(
@@ -270,11 +271,16 @@ class TestFusedPass:
         self._assert_l_base_same(kind, train, res_blocks, dropout_p, [0, 1, 2])
 
     @pytest.mark.parametrize("kind", DISTILL_KINDS)
-    def test_shared_rows_keep_the_tape_order(self, kind):
-        # two teachers owning the same rows put two nonzero terms into one
-        # gradient entry, so the order they and the head's term are added
-        # in shows in the bits
-        self._assert_l_base_same(kind, True, 2, 0.1, [0, 0, 1])
+    def test_shared_rows_are_rejected(self, kind):
+        # a row takes one teacher's term at most: two teachers of one origin
+        # would own the same rows
+        model = self._model(2, 0.1)
+        x, y, teachers = self._data(model, 3)
+        tapset, _ = model.forward_with_taps(x, True, np.random.default_rng(24))
+        stack = teachers.forward_as_teacher(x, tapset.masks)
+        origins = np.array([0, 1, 2, 0, -1, 1, 2, 2, -1])
+        with pytest.raises(GraphError, match="teacher origin 0 repeated"):
+            l_base(tapset, stack, y, 0.9, 1.3, kind, [0, 0, 1], origins)
 
     def _assert_l_base_same(self, kind, train, res_blocks, dropout_p, owners):
         model = self._model(res_blocks, dropout_p)
@@ -531,3 +537,126 @@ class TestStackedTeacher:
         stack.forward_as_teacher(x)
         after = [a.tobytes() for a in (*stack.params.values(), *stack.stats.values())]
         assert before == after
+
+
+class TestStackedStudent:
+    """A stack's train pass is the student pass of slice 0, with slices 1..k
+    riding it as teachers: every output, the running-buffer update, the
+    record and the gradients equal a plain student pass plus a teacher pass
+    of the other slices, bit for bit."""
+
+    def _models(self, k, dropout_p, res_blocks, dtype=np.float32):
+        config = ModelConfig(input_dim=6, total_classes=5, res_blocks=res_blocks,
+                             res_layers_per_block=2, res_dim=8, hidden_dim=7,
+                             dropout_p=dropout_p)
+        rng = np.random.default_rng(70)
+        models = [build_model(config, seed=71 + j) for j in range(k + 1)]
+        for m in models:  # distinct running buffers
+            jitter_params(m, seed=int(rng.integers(1000)))
+            m.forward_with_taps(rng.standard_normal((12, 6)).astype(np.float32),
+                                train=True, rng=rng)
+        if dtype == np.float64:
+            models = [float64_twin(m) for m in models]
+        return config, models[0], models[1:]
+
+    @staticmethod
+    def _bytes(arrays) -> list:
+        return [None if a is None else (a.shape, a.tobytes()) for a in arrays]
+
+    def _assert_stack_is_plain_passes(self, config, student, teachers, kind="features"):
+        data = np.random.default_rng(73)
+        x = data.standard_normal((9, 6)).astype(student.params["stem.W"].dtype)
+        y = data.integers(0, 5, size=9)
+        k = len(teachers)
+        owners = list(range(10, 10 + k))
+        origins = data.choice([-1, *owners], size=9)
+        plain = student.copy()
+        want, want_record = plain.forward_with_taps(x, True, np.random.default_rng(74))
+        want_teachers = stack_vectors(config, teachers).forward_as_teacher(x, want.masks)
+        stack = stack_vectors(config, [student, *teachers])
+        got, got_record = stack.forward_with_taps(x, True, np.random.default_rng(74))
+
+        assert self._bytes(got.taps) == self._bytes(want.taps)
+        assert self._bytes([got.logits]) == self._bytes([want.logits])
+        assert self._bytes(got.masks) == self._bytes(want.masks)
+        assert got.teachers.logits.shape == (k, 9, 5)
+        assert self._bytes(got.teachers.taps) == self._bytes(want_teachers.taps)
+        assert self._bytes([got.teachers.logits]) == self._bytes([want_teachers.logits])
+
+        view = stack.slice(0)
+        for name, buf in plain.stats.items():  # slice 0 took the batch statistics
+            assert view.stats[name].tobytes() == buf.tobytes(), name
+            for j, t in enumerate(teachers):  # the teachers kept theirs
+                assert stack.stats[name][1 + j].tobytes() == t.stats[name].tobytes(), name
+
+        assert len(got_record.layers) == len(want_record.layers)
+        for g, w in zip(got_record.layers, want_record.layers):
+            assert g[0] == w[0]
+            assert self._bytes(g[1:]) == self._bytes(w[1:]), g[0]
+        assert self._bytes([got_record.head_in, got_record.head_mask]) == self._bytes(
+            [want_record.head_in, want_record.head_mask])
+        assert got_record.train == want_record.train
+
+        want_value, want_grads = step_grads(
+            plain, want_record, l_base(want, want_teachers, y, 0.9, 1.3, kind, owners, origins))
+        got_value, got_grads = step_grads(
+            view, got_record, l_base(got, got.teachers, y, 0.9, 1.3, kind, owners, origins))
+        assert np.float64(got_value).tobytes() == np.float64(want_value).tobytes()
+        assert list(got_grads) == list(want_grads)
+        for name in want_grads:
+            assert got_grads[name].tobytes() == want_grads[name].tobytes(), name
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("dropout_p", [0.0, 0.1, 0.3])
+    @pytest.mark.parametrize("res_blocks", [2, 3])
+    def test_stack_equals_plain_passes_bitwise(self, k, dropout_p, res_blocks):
+        config, student, teachers = self._models(k, dropout_p, res_blocks)
+        self._assert_stack_is_plain_passes(config, student, teachers)
+
+    @pytest.mark.parametrize("kind", DISTILL_KINDS)
+    def test_every_distill_kind(self, kind):
+        config, student, teachers = self._models(3, 0.1, 2)
+        self._assert_stack_is_plain_passes(config, student, teachers, kind)
+
+    def test_float64_twin(self):
+        config, student, teachers = self._models(2, 0.1, 2, np.float64)
+        self._assert_stack_is_plain_passes(config, student, teachers)
+
+    def test_sgd_on_the_student_moves_slice_0_only(self):
+        config, student, teachers = self._models(2, 0.1, 2)
+        stack = stack_vectors(config, [student, *teachers])
+        view = stack.slice(0)
+        before = {name: p.copy() for name, p in stack.params.items()}
+        x = np.random.default_rng(75).standard_normal((9, 6)).astype(np.float32)
+        tapset, record = stack.forward_with_taps(x, True, np.random.default_rng(76))
+        _, grads = step_grads(view, record, task_loss(tapset, np.arange(9) % 5))
+        SGD(lr=0.1).step(view.params, grads)
+        for name, p in stack.params.items():
+            assert p[1:].tobytes() == before[name][1:].tobytes(), name
+            want = before[name][0] - np.float32(0.1) * grads[name]
+            assert p[0].tobytes() == want.tobytes(), name
+        assert np.any(stack.params["head.W"][0] != before["head.W"][0])
+
+    def test_unstack_hands_the_student_its_own_arrays(self):
+        config, student, teachers = self._models(2, 0.1, 2)
+        stack = stack_vectors(config, [student, *teachers])
+        view = stack.slice(0)
+        want = view.to_param_vector().to_bytes()
+        head = weakref.ref(stack.params["head.W"])
+        unstack(stack, view)
+        assert stack.params == {} and stack.stats == {}
+        assert head() is None  # the stacked array went with its slice
+        assert view.to_param_vector().to_bytes() == want
+        assert all(a.base is None for a in (*view.params.values(), *view.stats.values()))
+
+    def test_stack_checks(self):
+        config, student, teachers = self._models(1, 0.1, 2)
+        stack = stack_vectors(config, [student, *teachers])
+        x = np.zeros((4, 6), np.float32)
+        with pytest.raises(GraphError, match="train mode only"):
+            stack.forward_with_taps(x)
+        with pytest.raises(GraphError, match="size 1"):
+            stack.forward_with_taps(x[:1], True, np.random.default_rng(0))
+        other = build_model(dataclasses.replace(config, total_classes=7), seed=3)
+        with pytest.raises(ValueError, match="layout mismatch"):
+            stack_vectors(config, [student, other])

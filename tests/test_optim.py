@@ -28,6 +28,16 @@ class TestSGD:
         with pytest.raises(NonFiniteError, match="'w'"):
             SGD(lr=0.1).step(params, {"w": np.array([1.0, np.nan])})
 
+    def test_non_finite_last_gradient_moves_nothing(self):
+        # the whole step is checked before any parameter moves
+        params = {name: np.ones(3, dtype=np.float32) for name in ("a", "b", "c")}
+        grads = {name: np.full(3, 0.5, dtype=np.float32) for name in params}
+        grads["c"][1] = np.inf
+        with pytest.raises(NonFiniteError, match="parameter 'c'"):
+            SGD(lr=0.1).step(params, grads)
+        for p in params.values():
+            np.testing.assert_array_equal(p, np.ones(3))
+
     def test_rejects_bad_lr(self):
         with pytest.raises(ValueError):
             SGD(lr=0.0)

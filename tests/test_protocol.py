@@ -17,7 +17,7 @@ from helpers import count_tensors, experiment
 
 import batchcl.protocol as protocol_mod
 from batchcl.losses import LossCoefficients
-from batchcl.model import ModelConfig, build_model
+from batchcl.model import ModelConfig, ResidualClassifier, build_model
 from batchcl.protocol import (
     ARTIFACT_FIXED_NBYTES,
     FRAME_OVERHEAD,
@@ -118,6 +118,19 @@ def train_one(task, config=TOY, **sync_kw) -> ExpertArtifact:
 def expert_of(sync: bytes) -> int:
     """The expert index a SYNC message names."""
     return decode_sync(unframe(sync)[1])[0]
+
+
+def count_passes(monkeypatch) -> list:
+    """Patch the layer arithmetic every pass runs to append to the returned list."""
+    calls: list = []
+    values = ResidualClassifier._values
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return values(self, *args, **kwargs)
+
+    monkeypatch.setattr(ResidualClassifier, "_values", counting)
+    return calls
 
 
 def params_bytes(model) -> bytes:
@@ -541,6 +554,16 @@ class TestRemoteTrain:
         assert built == []
         assert artifact.param_vector.to_bytes() != base
 
+    @pytest.mark.parametrize("stability_coef", [0.0, 1.0])
+    def test_one_pass_per_batch(self, stream, monkeypatch, stability_coef):
+        # with a stability term the expert and its base teacher share a pass
+        task = stream.tasks[0]
+        hyper = ExpertHyper(epochs=2, batch_size=8, buffer_capacity=10,
+                            stability_coef=stability_coef)
+        calls = count_passes(monkeypatch)
+        train_one(task, hyper=hyper)
+        assert len(calls) == 2 * (len(task.train_y) // 8)
+
     def test_expert_index_beyond_tasks_rejected(self, stream):
         sync, _ = make_sync(expert_index=2)
         with pytest.raises(ProtocolViolation, match="expert 2 at byte 0.*2 tasks"):
@@ -631,6 +654,25 @@ class TestConsolidate:
             consolidate(base, empty, Memory(40, 6), LossCoefficients(),
                         rehearsal_epochs=1, batch_size=8,
                         rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("consolidation", [0.0, 1.0])
+    def test_one_pass_per_batch(self, stream, monkeypatch, consolidation):
+        # the student and its k teachers share one pass
+        base = build_model(TOY, seed=1)
+        arts = self.setup_artifacts(base, stream, n=3)
+        calls = count_passes(monkeypatch)
+        consolidate(base, arts, Memory(40, 6), LossCoefficients(1.0, consolidation),
+                    rehearsal_epochs=2, batch_size=8, rng=np.random.default_rng(0))
+        assert len(calls) == 2 * (30 // 8)
+
+    def test_returned_model_owns_its_arrays(self, stream):
+        base = build_model(TOY, seed=1)
+        out = consolidate(base, self.setup_artifacts(base, stream), Memory(40, 6),
+                          LossCoefficients(), rehearsal_epochs=1, batch_size=8,
+                          rng=np.random.default_rng(0))
+        for part, like in ((out.params, base.params), (out.stats, base.stats)):
+            for name, a in part.items():
+                assert a.base is None and a.shape == like[name].shape, name
 
     def test_no_artifacts_rejected(self):
         base = build_model(TOY, seed=1)
