@@ -45,16 +45,13 @@ def _train_task_plain(
         loss = task_loss(tapset, y[idx])
         if not use_penalty:
             return loss_and_grads(loss.value, lambda: model.backward(record, loss))
-        penalty, penalty_grads = ewc_penalty(model.params, fisher, penalty_coef)
-
-        def backward():
-            grads = model.backward(record, loss)
-            return {k: g + penalty_grads[k] for k, g in grads.items()}
-
-        return loss_and_grads(loss.value + penalty, backward)
+        penalty, penalty_grads = ewc_penalty(
+            model.flat_params, model.layout.param_slices, fisher, penalty_coef)
+        return loss_and_grads(loss.value + penalty,
+                              lambda: model.backward(record, loss) + penalty_grads)
 
     train_epochs(
-        model.params, t.lr, t.epochs_per_task,
+        model.flat_params, model.layout.param_slices, t.lr, t.epochs_per_task,
         lambda: epoch_batches(len(y), t.batch_size, rng), step,
     )
 
@@ -86,15 +83,13 @@ def _train_task_replay(
         mem_taps, mem_record = model.forward_with_taps(mem_batch.features, train=True, rng=rng)
         mem_loss = task_loss(mem_taps, mem_batch.labels, replay_coef)
 
-        def backward():
-            grads = model.backward(record, loss)
-            mem_grads = model.backward(mem_record, mem_loss)
-            return {k: g + mem_grads[k] for k, g in grads.items()}
-
-        return loss_and_grads(loss.value + mem_loss.value, backward)
+        return loss_and_grads(
+            loss.value + mem_loss.value,
+            lambda: model.backward(record, loss) + model.backward(mem_record, mem_loss),
+        )
 
     train_epochs(
-        model.params, t.lr, t.epochs_per_task,
+        model.flat_params, model.layout.param_slices, t.lr, t.epochs_per_task,
         lambda: epoch_batches(len(y), t.batch_size, rng), step,
     )
 
@@ -114,7 +109,7 @@ def run_baseline(stream: TaskStream, cfg: ExperimentConfig) -> RunReport:
     model = build_model(build_model_config(cfg.model, stream), seed=child_seed(seed, "init"))
     memory = Memory(cfg.baseline.memory_capacity, stream.dim) if method == "er" else None
     fisher = (
-        FisherState.zeros_like(model.params, gamma=cfg.baseline.gamma)
+        FisherState.zeros_like(model.flat_params, gamma=cfg.baseline.gamma)
         if method == "oewc"
         else None
     )
@@ -134,7 +129,7 @@ def run_baseline(stream: TaskStream, cfg: ExperimentConfig) -> RunReport:
             _train_task_plain(model, task.train_x, task.train_y, cfg, rng, fisher)
             if cfg.baseline.penalty_coef > 0:
                 update_fisher(model, task.train_x, task.train_y, fisher)
-                decay_and_anchor(fisher, model.params)
+                decay_and_anchor(fisher, model.flat_params)
         else:
             _train_task_plain(model, task.train_x, task.train_y, cfg, rng)
         recorder.record(t, model, [task], step_t0)

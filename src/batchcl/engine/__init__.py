@@ -6,6 +6,7 @@ from .autodiff import (
     batch_norm_arrays,
     batch_norm_grads,
     dropout_mask,
+    fold_batch_stats,
     loss_and_grads,
     softmax_cross_entropy,
     stacked_distance,
@@ -18,6 +19,7 @@ __all__ = [
     "batch_norm_arrays",
     "batch_norm_grads",
     "dropout_mask",
+    "fold_batch_stats",
     "loss_and_grads",
     "softmax_cross_entropy",
     "stacked_distance",

@@ -56,39 +56,47 @@ def _row_mean(x: np.ndarray) -> np.ndarray:
     return np.add.reduce(x, axis=-2, keepdims=True) / x.shape[-2]
 
 
-def batch_norm_arrays(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, running, train: bool):
+def batch_norm_arrays(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, stats, train: bool):
     """Batch norm on plain arrays: ``(out, xhat, inv_std)``.
 
     This is the forward arithmetic of every pass that normalizes: the
     model's student, teacher and eval passes. ``x`` is ``(..., B, D)``, and
     ``gamma``, ``beta`` broadcast against it. In train mode the statistics
     are taken over the rows (axis -2) of each leading index, as ``mean``,
-    ``d = x - mean``, ``var = mean(d * d)``, and ``running``, a
-    ``(mean, var)`` pair of running buffers or None, takes them in place
-    with momentum ``BN_MOMENTUM`` (the variance unbiased). A stack's
-    buffers carry the same leading axis as ``x``, and only slice 0's
-    statistics go into slice 0's buffers: the student of a stack is slice
-    0, and its teachers keep theirs. In eval mode ``running`` supplies the
-    statistics. Both add ``BN_EPS`` to the variance.
+    ``d = x - mean``, ``var = mean(d * d)``, and ``stats``, a list or None,
+    gets slice 0's ``(D,)`` mean and (biased) variance appended: the
+    student of a stack is slice 0, and its teachers keep their buffers. The
+    caller folds what a pass gathered into the running buffers with
+    :func:`fold_batch_stats`. In eval mode ``stats`` is the ``(mean, var)``
+    pair of running buffers that supplies the statistics. Both add
+    ``BN_EPS`` to the variance.
     """
     if train:
         mean = _row_mean(x)
         d = x - mean
         var = _row_mean(d * d)
-        if running is not None:
-            n = x.shape[-2]
-            first = (0,) * (x.ndim - 2)  # slice 0 of a stack; () for one model
-            running_mean, running_var = (r[first] for r in running)
-            running_mean *= 1.0 - BN_MOMENTUM
-            running_mean += BN_MOMENTUM * mean[first + (0,)]
-            running_var *= 1.0 - BN_MOMENTUM
-            running_var += BN_MOMENTUM * var[first + (0,)] * (n / (n - 1))
+        if stats is not None:
+            first = (0,) * (x.ndim - 1)  # row 0 of slice 0 of a stack; (0,) for one model
+            stats.extend((mean[first], var[first]))
     else:
-        mean, var = running
+        mean, var = stats
         d = x - mean
     inv_std = (1.0 / np.sqrt(var + BN_EPS)).astype(x.dtype)
     xhat = d * inv_std
     return gamma * xhat + beta, xhat, inv_std
+
+
+def fold_batch_stats(running: np.ndarray, batch: np.ndarray, unbias: np.ndarray) -> None:
+    """Fold a train pass's batch statistics into running buffers, in place.
+
+    ``running``, ``batch`` and ``unbias`` share one layout of mean and
+    variance slots; ``unbias`` is 1 on a mean slot and ``n / (n - 1)`` on
+    a variance slot, which makes the variance unbiased. Each slot moves by
+    momentum ``BN_MOMENTUM``. Multiplying a mean by 1 is exact, so each
+    slot takes the products of a per-buffer update in the same order.
+    """
+    running *= 1.0 - BN_MOMENTUM
+    running += (BN_MOMENTUM * batch) * unbias
 
 
 def batch_norm_grads(g: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray,
@@ -104,7 +112,7 @@ def batch_norm_grads(g: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray,
         dx = (dxhat - _row_mean(dxhat) - xhat * _row_mean(dxhat * xhat)) * inv_std
     else:
         dx = dxhat * inv_std
-    return (g * xhat).sum(axis=0), g.sum(axis=0), dx
+    return np.add.reduce(g * xhat, axis=0), np.add.reduce(g, axis=0), dx
 
 
 def softmax_cross_entropy(

@@ -3,7 +3,7 @@ loop every trainer runs them in."""
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, MutableMapping
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -19,9 +19,12 @@ class SGD:
     """Vanilla stochastic gradient descent (no momentum, no weight decay).
 
     Holds a mutable learning rate so a scheduler can adjust it between
-    epochs. Updates are applied in place to the parameter arrays, and only
-    once every gradient is finite: a non-finite one raises
-    :class:`NonFiniteError` naming its parameter before any array moves.
+    epochs. A step updates one flat parameter array in place from one flat
+    gradient of the same layout, and only once every entry is finite: a
+    non-finite one raises :class:`NonFiniteError` naming the parameter
+    whose slice holds it before anything moves. The step spends the
+    gradient: it scales it by the learning rate in place, so no temporary
+    the size of the model is made.
     """
 
     def __init__(self, lr: float):
@@ -29,21 +32,20 @@ class SGD:
             raise ValueError(f"lr must be positive, got {lr}")
         self.lr = float(lr)
 
-    def step(
-        self,
-        params: MutableMapping[str, np.ndarray],
-        grads: Mapping[str, np.ndarray],
-    ) -> None:
+    def step(self, params: np.ndarray, grads: np.ndarray, slices: Mapping[str, slice]) -> None:
+        """``params -= lr * grads``, scaling ``grads`` in place; ``slices``
+        names each parameter's slice."""
         # one check per step: an inf or nan entry makes the sum of all
-        # entries non-finite, and only then is each gradient scanned (a sum
+        # entries non-finite, and only then is the gradient scanned (a sum
         # of finite entries that merely overflowed passes the scan)
-        if not np.isfinite(sum([np.add.reduce(g, axis=None) for g in grads.values()])):
-            for name, g in grads.items():
-                if not np.isfinite(g).all():
-                    raise NonFiniteError(f"non-finite gradient for parameter '{name}'")
-        for name, g in grads.items():
-            p = params[name]
-            p -= np.asarray(self.lr, dtype=p.dtype) * g.astype(p.dtype, copy=False)
+        if not np.isfinite(np.add.reduce(grads, axis=None)):
+            bad = np.flatnonzero(~np.isfinite(grads))
+            if bad.size:
+                name = next(n for n, sl in slices.items() if sl.start <= bad[0] < sl.stop)
+                raise NonFiniteError(f"non-finite gradient for parameter '{name}'")
+        step = grads.astype(params.dtype, copy=False)
+        step *= np.asarray(self.lr, dtype=params.dtype)
+        params -= step
 
 
 class PlateauScheduler:
@@ -76,20 +78,26 @@ class PlateauScheduler:
 
 
 def train_epochs(
-    params: MutableMapping[str, np.ndarray],
+    params: np.ndarray,
+    slices: Mapping[str, slice],
     lr: float,
     epochs: int,
     batches: Callable[[], Iterable],
-    step: Callable[[object], tuple[float, Mapping[str, np.ndarray]]],
+    step: Callable[[object], tuple[float, np.ndarray]],
 ) -> list[float]:
-    """Train ``params`` in place for ``epochs`` epochs; returns each epoch's mean loss.
+    """Train the flat parameter array ``params`` in place for ``epochs``
+    epochs; returns each epoch's mean loss.
 
-    A fresh :class:`SGD` at ``lr`` and a fresh :class:`PlateauScheduler`
-    serve the whole call. Each epoch iterates ``batches()`` and, per batch,
-    takes ``(loss value, grads) = step(batch)`` and applies one SGD update.
-    The scheduler then sees the epoch's mean loss. An epoch without batches
-    adds no mean and leaves the learning rate alone. A non-finite gradient
-    raises :class:`NonFiniteError` from the update.
+    ``params`` is a model's ``flat_params``, the parameter region of its
+    arena (a stack's slice 0 when a student trains in a stack), and
+    ``slices`` names each parameter's slice of it. A fresh :class:`SGD` at
+    ``lr`` and a fresh :class:`PlateauScheduler` serve the whole call. Each
+    epoch iterates ``batches()`` and, per batch, takes ``(loss value,
+    grads) = step(batch)``, a flat gradient laid out like ``params``, and
+    applies one SGD update. The scheduler then sees the epoch's mean loss.
+    An epoch without batches adds no mean and leaves the learning rate
+    alone. A non-finite gradient raises :class:`NonFiniteError` from the
+    update.
     """
     opt = SGD(lr)
     sched = PlateauScheduler(opt)
@@ -98,7 +106,7 @@ def train_epochs(
         losses = []
         for batch in batches():
             value, grads = step(batch)
-            opt.step(params, grads)
+            opt.step(params, grads, slices)
             losses.append(value)
         if losses:
             means.append(float(np.mean(losses)))

@@ -28,7 +28,7 @@ one expert per row.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -242,44 +242,43 @@ def alt_distill(kind: str, teacher: TapSet, student: TapSet, weight: float = 1.0
 
 @dataclass
 class FisherState:
-    """Diagonal parameter-importance estimate plus the anchor it penalizes drift from."""
+    """Diagonal parameter-importance estimate plus the anchor it penalizes
+    drift from, both flat arrays laid out like the model's ``flat_params``."""
 
-    importance: dict[str, np.ndarray]
-    anchor: dict[str, np.ndarray]
+    importance: np.ndarray
+    anchor: np.ndarray
     gamma: float = 1.0
 
     @classmethod
-    def zeros_like(cls, params: dict[str, np.ndarray], gamma: float = 1.0) -> "FisherState":
-        return cls(
-            importance={k: np.zeros_like(v) for k, v in params.items()},
-            anchor={k: v.copy() for k, v in params.items()},
-            gamma=gamma,
-        )
+    def zeros_like(cls, params: np.ndarray, gamma: float = 1.0) -> "FisherState":
+        return cls(importance=np.zeros_like(params), anchor=params.copy(), gamma=gamma)
 
-    def check_layout(self, params: dict[str, np.ndarray]) -> None:
-        if set(self.importance) != set(params):
-            raise ValueError("importance layout does not match model parameters")
-        for k, v in params.items():
-            if self.importance[k].shape != v.shape:
-                raise ValueError(f"importance shape mismatch for '{k}'")
+    def check_layout(self, params: np.ndarray) -> None:
+        if self.importance.shape != params.shape:
+            raise ValueError(
+                f"importance layout {self.importance.shape} does not match "
+                f"model parameters {params.shape}"
+            )
 
 
 def ewc_penalty(
-    params: dict[str, np.ndarray], fisher: FisherState, weight: float = 1.0
-) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    params: np.ndarray, slices: Mapping[str, slice], fisher: FisherState, weight: float = 1.0
+) -> tuple[np.ndarray, np.ndarray]:
     """Sum over parameters of importance-weighted squared drift from the
-    anchor, times ``weight``: ``(value, gradient of every parameter)``.
+    anchor, times ``weight``: ``(value, flat gradient)``.
 
-    The penalty is elementwise, so its derivative is analytic.
+    ``params`` is a model's ``flat_params`` and ``slices`` names each
+    parameter's slice of it; the value adds one float per parameter, in
+    that order. The penalty is elementwise, so its derivative is analytic.
     """
     fisher.check_layout(params)
-    g = np.asarray(weight, dtype=next(iter(params.values())).dtype)
-    value, grads = 0.0, {}
-    for k, p in params.items():
-        drift = p - fisher.anchor[k]
-        value += float((fisher.importance[k] * drift * drift).sum())
-        grads[k] = g * 2.0 * fisher.importance[k] * drift
-    return np.asarray(value, dtype=g.dtype) * g, grads
+    g = np.asarray(weight, dtype=params.dtype)
+    drift = params - fisher.anchor
+    terms = fisher.importance * drift * drift
+    value = 0.0
+    for sl in slices.values():
+        value += float(terms[sl].sum())
+    return np.asarray(value, dtype=g.dtype) * g, g * 2.0 * fisher.importance * drift
 
 
 def update_fisher(
@@ -297,13 +296,11 @@ def update_fisher(
     tapset, record = model.forward_with_taps(x, train=False)
     loss = task_loss(tapset, labels)
     _, grads = loss_and_grads(loss.value, lambda: model.backward(record, loss))
-    fisher.check_layout(model.params)
-    for k, g in grads.items():
-        fisher.importance[k] += g.astype(np.float32) ** 2
+    fisher.check_layout(model.flat_params)
+    fisher.importance += grads.astype(np.float32) ** 2
 
 
-def decay_and_anchor(fisher: FisherState, params: dict[str, np.ndarray]) -> None:
+def decay_and_anchor(fisher: FisherState, params: np.ndarray) -> None:
     """Task-boundary bookkeeping: decay old importance by gamma, re-anchor here."""
-    for k in fisher.importance:
-        fisher.importance[k] *= fisher.gamma
-    fisher.anchor = {k: v.copy() for k, v in params.items()}
+    fisher.importance *= fisher.gamma
+    fisher.anchor = params.copy()

@@ -24,27 +24,40 @@ teacher pass, ``predict`` and the per-example gradient-norm pass. No pass
 builds a graph. The student pass returns its taps and logits with a
 record of its layers, and ``ResidualClassifier.backward`` carries an
 objective's gradients with respect to them through the head and every
-trunk layer and skip connection to the parameters. Those gradients equal
-the ones a tape with one node per op gives, bit for bit. The norm pass
-walks the trunk backward in the same order (``_walk_trunk``) with a
-per-row step instead of a summed one.
+trunk layer and skip connection to the parameters, written into one flat
+gradient. Those gradients equal the ones a tape with one node per op
+gives, bit for bit. The norm pass walks the trunk backward in the same
+order (``_walk_trunk``) with a per-row step instead of a summed one.
 
-A student and the teachers it learns from run as one stack
-(:func:`stack_vectors`), student in slice 0: one train pass computes
-every slice's taps on the shared batch and dropout masks, and the student
-trains through views of slice 0 (:meth:`ResidualClassifier.slice`).
+A model's whole state is one contiguous buffer, its arena
+(:class:`ArenaLayout`): the parameters in build order, then the running
+statistics, which is also a snapshot's payload order. ``params`` and
+``stats`` are views of it, so a snapshot, a copy or a load is one copy of
+the arena, a gradient is one flat array in the parameters' layout, and an
+SGD step is one array op. A student and the teachers it learns from run
+as one stack (:func:`stack_vectors`) whose arena is ``(k+1, size)``,
+student in row 0: one train pass computes every slice's taps on the
+shared batch and dropout masks, and the student trains through views of
+row 0 (:meth:`ResidualClassifier.slice`).
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 import numpy as np
 
-from .engine import GraphError, batch_norm_arrays, batch_norm_grads, dropout_mask
+from .engine import (
+    GraphError,
+    batch_norm_arrays,
+    batch_norm_grads,
+    dropout_mask,
+    fold_batch_stats,
+)
 
 PARAM_VECTOR_MAGIC = b"CLPV"
 PARAM_VECTOR_VERSION = 1
@@ -128,16 +141,18 @@ class ParamVector:
     Entries keep a stable order (build order) and include normalization
     running statistics, so loading a ParamVector reproduces the source
     model's eval-mode behavior exactly. This is the only format in which
-    parameters are serialized, broadcast, or uploaded.
+    parameters are serialized, broadcast, or uploaded. ``payload`` is
+    every entry's float32 values concatenated in entry order, the layout of
+    a model's arena.
     """
 
     names: tuple[str, ...]
-    arrays: tuple[np.ndarray, ...] = field(repr=False)
+    shapes: tuple[tuple[int, ...], ...]
+    payload: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        for name, a in zip(self.names, self.arrays):
-            if a.dtype != np.float32:
-                raise ValueError(f"entry '{name}' is {a.dtype}, expected float32")
+        if self.payload.dtype != np.float32:
+            raise ValueError(f"payload is {self.payload.dtype}, expected float32")
 
     def to_bytes(self) -> bytes:
         """Little-endian binary form.
@@ -147,14 +162,13 @@ class ParamVector:
         Payload: the float32 arrays concatenated in entry order.
         """
         out = [PARAM_VECTOR_MAGIC, struct.pack("<HI", PARAM_VECTOR_VERSION, len(self.names))]
-        for name, a in zip(self.names, self.arrays):
+        for name, shape in zip(self.names, self.shapes):
             nb = name.encode()
             out.append(struct.pack("<H", len(nb)))
             out.append(nb)
-            out.append(struct.pack("<B", a.ndim))
-            out.append(struct.pack(f"<{a.ndim}I", *a.shape))
-        for a in self.arrays:
-            out.append(np.ascontiguousarray(a, dtype="<f4").tobytes())
+            out.append(struct.pack("<B", len(shape)))
+            out.append(struct.pack(f"<{len(shape)}I", *shape))
+        out.append(np.ascontiguousarray(self.payload, dtype="<f4").tobytes())
         return b"".join(out)
 
     @classmethod
@@ -174,30 +188,24 @@ class ParamVector:
             (ndim,), off = _unpack("<B", blob, off, f"entry header of '{names[-1]}'")
             shape, off = _unpack(f"<{ndim}I", blob, off, f"entry header of '{names[-1]}'")
             shapes.append(shape)
-        arrays = []
+        start = end = off
         for name, shape in zip(names, shapes):
-            n = int(np.prod(shape)) if shape else 1
-            end = off + 4 * n
-            if end > len(blob):
-                raise ValueError(
-                    f"truncated payload for entry '{name}' at byte {off}"
-                )
-            arrays.append(
-                np.frombuffer(blob, dtype="<f4", count=n, offset=off).reshape(shape).copy()
-            )
-            off = end
-        if off != len(blob):
-            raise ValueError(f"{len(blob) - off} trailing bytes at byte {off}")
-        return cls(tuple(names), tuple(arrays))
+            if end + 4 * math.prod(shape) > len(blob):
+                raise ValueError(f"truncated payload for entry '{name}' at byte {end}")
+            end += 4 * math.prod(shape)
+        if end != len(blob):
+            raise ValueError(f"{len(blob) - end} trailing bytes at byte {end}")
+        payload = np.frombuffer(blob, dtype="<f4", count=(end - start) // 4, offset=start)
+        return cls(tuple(names), tuple(shapes), payload.astype(np.float32))
 
     @property
     def nbytes(self) -> int:
         """Exact serialized size; the quantity the cost ledger charges for."""
         header = 10 + sum(
-            2 + len(n.encode()) + 1 + 4 * a.ndim
-            for n, a in zip(self.names, self.arrays)
+            2 + len(n.encode()) + 1 + 4 * len(shape)
+            for n, shape in zip(self.names, self.shapes)
         )
-        return header + 4 * sum(a.size for a in self.arrays)
+        return header + 4 * self.payload.size
 
 
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
@@ -214,84 +222,136 @@ def _affine_layers(config: ModelConfig):
     yield "penult", config.res_dim, config.hidden_dim
 
 
-def _state_shapes(config: ModelConfig) -> tuple[dict, dict]:
-    """Shape of every parameter and running buffer, in snapshot order."""
-    params: dict[str, tuple[int, ...]] = {}
-    stats: dict[str, tuple[int, ...]] = {}
-    for prefix, d_in, d_out in _affine_layers(config):
-        params[f"{prefix}.W"] = (d_in, d_out)
-        for name in ("b", "bn.gamma", "bn.beta"):
-            params[f"{prefix}.{name}"] = (d_out,)
-        for name in ("bn.running_mean", "bn.running_var"):
-            stats[f"{prefix}.{name}"] = (d_out,)
-    params["head.W"] = (config.hidden_dim, config.total_classes)
-    params["head.b"] = (config.total_classes,)
-    return params, stats
+class ArenaLayout:
+    """Where each entry of a model's state sits in its arena.
 
-
-def _state_from_vector(config: ModelConfig, pv: ParamVector) -> tuple[dict, dict]:
-    """A snapshot's arrays as (params, stats), checked against the shapes of ``config``.
-
-    The arrays are the snapshot's own, not copies.
+    The arena is one contiguous float buffer: the parameters in build
+    order, then the running statistics, which is the snapshot's entry and
+    payload order. ``param_slices`` index the parameter region (the first
+    ``n_params`` floats), ``stat_slices`` the statistics region after it.
+    One layout serves every model of a shape (:func:`arena_layout`).
     """
-    incoming = dict(zip(pv.names, pv.arrays))
-    shapes = _state_shapes(config)
-    expected = set(shapes[0]) | set(shapes[1])
-    if set(incoming) != expected:
-        missing = expected - set(incoming)
-        extra = set(incoming) - expected
+
+    def __init__(self, config: ModelConfig):
+        params: dict[str, tuple[int, ...]] = {}
+        stats: dict[str, tuple[int, ...]] = {}
+        for prefix, d_in, d_out in _affine_layers(config):
+            params[f"{prefix}.W"] = (d_in, d_out)
+            for name in ("b", "bn.gamma", "bn.beta"):
+                params[f"{prefix}.{name}"] = (d_out,)
+            for name in ("bn.running_mean", "bn.running_var"):
+                stats[f"{prefix}.{name}"] = (d_out,)
+        params["head.W"] = (config.hidden_dim, config.total_classes)
+        params["head.b"] = (config.total_classes,)
+        self.shapes = {**params, **stats}
+        self.names = tuple(self.shapes)
+        self.param_slices, self.n_params = _slices(params)
+        self.stat_slices, n_stats = _slices(stats)
+        self.size = self.n_params + n_stats
+        self._var_slots = np.zeros(n_stats, dtype=bool)
+        for name, sl in self.stat_slices.items():
+            self._var_slots[sl] = name.endswith("running_var")
+        self._unbias: dict[tuple, np.ndarray] = {}
+
+    def param_views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Each parameter as a view of ``flat``, a ``(..., n_params)`` region."""
+        return _views(flat, self.param_slices, self.shapes)
+
+    def stat_views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
+        """Each running buffer as a view of ``flat``, a statistics region."""
+        return _views(flat, self.stat_slices, self.shapes)
+
+    def unbias(self, n: int, dtype) -> np.ndarray:
+        """The factor a train pass of ``n`` rows folds its batch statistics
+        in with: 1 on a mean slot and ``n / (n - 1)`` on a variance slot, in
+        ``dtype``, the statistics region's layout."""
+        key = (n, np.dtype(dtype))
+        if key not in self._unbias:
+            factor = np.where(self._var_slots, np.asarray(n / (n - 1), dtype),
+                              np.asarray(1, dtype))
+            factor.flags.writeable = False  # one cached array serves every pass
+            self._unbias[key] = factor
+        return self._unbias[key]
+
+
+def _slices(shapes: dict) -> tuple[dict[str, slice], int]:
+    """Consecutive flat slices for ``shapes`` in order, and their total size."""
+    slices, start = {}, 0
+    for name, shape in shapes.items():
+        slices[name] = slice(start, start + math.prod(shape))
+        start = slices[name].stop
+    return slices, start
+
+
+def _views(flat: np.ndarray, slices: dict, shapes: dict) -> dict[str, np.ndarray]:
+    lead = flat.shape[:-1]
+    return {name: flat[..., sl].reshape(lead + shapes[name]) for name, sl in slices.items()}
+
+
+@lru_cache(maxsize=64)
+def arena_layout(config: ModelConfig) -> ArenaLayout:
+    """The arena layout of every model of shape ``config``."""
+    return ArenaLayout(config)
+
+
+def _payload(config: ModelConfig, pv: ParamVector) -> np.ndarray:
+    """A snapshot's payload, checked against the layout of ``config``: the
+    snapshot's own array, not a copy."""
+    layout = arena_layout(config)
+    incoming = dict(zip(pv.names, pv.shapes))
+    if set(incoming) != set(layout.shapes):
+        missing = set(layout.shapes) - set(incoming)
+        extra = set(incoming) - set(layout.shapes)
         raise ValueError(
             f"layout mismatch: missing={sorted(missing)} unexpected={sorted(extra)}"
         )
-    state: tuple[dict, dict] = ({}, {})
-    for part, part_shapes in zip(state, shapes):
-        for name, shape in part_shapes.items():
-            if incoming[name].shape != shape:
-                raise ValueError(
-                    f"layout mismatch for '{name}': {incoming[name].shape}, expected {shape}"
-                )
-            part[name] = incoming[name]
-    return state
+    for name, shape in layout.shapes.items():
+        if incoming[name] != shape:
+            raise ValueError(
+                f"layout mismatch for '{name}': {incoming[name]}, expected {shape}"
+            )
+    if pv.names != layout.names:
+        raise ValueError("layout mismatch: entries out of snapshot order")
+    return pv.payload
 
 
 class ResidualClassifier:
     """The shared backbone. Single-owner: never share an instance across workers.
 
-    ``params`` holds the learnable arrays, ``stats`` the normalization
-    running buffers; both are snapshotted together by
-    :meth:`to_param_vector`.
+    ``arena`` is the model's whole state in one buffer laid out by
+    :func:`arena_layout`; a stack's is ``(k, size)``, one row per slice.
+    ``params`` (the learnable arrays) and ``stats`` (the normalization
+    running buffers) are views of it, so an update of either shows in the
+    other, and :meth:`to_param_vector` snapshots both in one copy.
+    ``flat_params`` is the arena's parameter region, the array SGD steps.
     """
 
     def __init__(self, config: ModelConfig, seed: int):
-        self.config = config
-        self.classes = config.total_classes
-        self.params: dict[str, np.ndarray] = {}
-        self.stats: dict[str, np.ndarray] = {}
+        self._bind(config, np.zeros(arena_layout(config).size, dtype=np.float32))
         rng = np.random.default_rng(seed)
         for prefix, d_in, d_out in _affine_layers(config):
-            self._add_affine_bn(rng, prefix, d_in, d_out)
-        self.params["head.W"] = xavier_uniform(
+            self.params[f"{prefix}.W"][...] = xavier_uniform(rng, d_in, d_out, (d_in, d_out))
+            self.params[f"{prefix}.bn.gamma"][...] = 1.0
+            self.stats[f"{prefix}.bn.running_var"][...] = 1.0
+        self.params["head.W"][...] = xavier_uniform(
             rng, config.hidden_dim, self.classes, (config.hidden_dim, self.classes)
         )
-        self.params["head.b"] = np.zeros(self.classes, dtype=np.float32)
 
     @classmethod
-    def _from_state(cls, config: ModelConfig, params: dict, stats: dict) -> "ResidualClassifier":
-        """A model that owns the given arrays, with no initialization drawn."""
+    def _from_arena(cls, config: ModelConfig, arena: np.ndarray) -> "ResidualClassifier":
+        """A model whose state is ``arena`` (not a copy), with no initialization drawn."""
         m = cls.__new__(cls)
-        m.config = config
-        m.classes = config.total_classes
-        m.params = params
-        m.stats = stats
+        m._bind(config, arena)
         return m
 
-    def _add_affine_bn(self, rng, prefix: str, d_in: int, d_out: int) -> None:
-        self.params[f"{prefix}.W"] = xavier_uniform(rng, d_in, d_out, (d_in, d_out))
-        self.params[f"{prefix}.b"] = np.zeros(d_out, dtype=np.float32)
-        self.params[f"{prefix}.bn.gamma"] = np.ones(d_out, dtype=np.float32)
-        self.params[f"{prefix}.bn.beta"] = np.zeros(d_out, dtype=np.float32)
-        self.stats[f"{prefix}.bn.running_mean"] = np.zeros(d_out, dtype=np.float32)
-        self.stats[f"{prefix}.bn.running_var"] = np.ones(d_out, dtype=np.float32)
+    def _bind(self, config: ModelConfig, arena: np.ndarray) -> None:
+        layout = self.layout = arena_layout(config)
+        self.config = config
+        self.classes = config.total_classes
+        self.arena = arena
+        self.flat_params = arena[..., : layout.n_params]
+        self.params = layout.param_views(self.flat_params)
+        self.stats = layout.stat_views(arena[..., layout.n_params :])
 
     def forward_with_taps(
         self,
@@ -338,31 +398,34 @@ class ResidualClassifier:
         record = PassRecord(layers, head_in, masks[-1] if masks else None, train)
         return TapSet(taps=taps, logits=logits, masks=masks, teachers=teachers), record
 
-    def backward(self, record: PassRecord, objective) -> dict[str, np.ndarray]:
+    def backward(self, record: PassRecord, objective) -> np.ndarray:
         """Gradients of every parameter for an objective on the pass ``record``
-        describes (a :class:`~batchcl.losses.Objective`).
+        describes (a :class:`~batchcl.losses.Objective`), as one fresh flat
+        array laid out like ``flat_params``.
 
         The objective lists the contributions to its gradient with respect to
         each tap and the logits; the head's contribution to the last tap
         comes before them. Contributions to every value are added in the
         order a tape with one node per op adds them, from its zero start, so
         the gradients are that tape's, bit for bit. A parameter nothing
-        reaches gets an exact zero.
+        reaches keeps an exact zero.
         """
-        params = self.params
-        grads: dict[str, np.ndarray] = {}
+        params, slices = self.params, self.layout.param_slices
+        flat = np.zeros(self.layout.n_params, dtype=self.arena.dtype)
         taps = [_sum(*parts) for parts in objective.taps]
         g = _sum(*objective.logits)
         if g is not None:
-            grads["head.W"] = record.head_in.T @ g + 0.0
-            grads["head.b"] = g.sum(axis=0)
-            d = g @ params["head.W"].T
+            w = params["head.W"]
+            dw = flat[slices["head.W"]].reshape(w.shape)
+            np.matmul(record.head_in.T, g, out=dw)
+            dw += 0.0
+            np.add.reduce(g, axis=0, out=flat[slices["head.b"]])
+            d = g @ w.T
             taps[-1] = _sum(d if record.head_mask is None else d * record.head_mask,
                             *objective.taps[-1])
-        step = partial(_layer_backward, params, grads, record.train)
+        step = partial(_layer_backward, params, flat, slices, record.train)
         _walk_trunk(self.config, record.layers, step, taps)
-        return {name: grads[name] if name in grads else np.zeros_like(p)
-                for name, p in params.items()}
+        return flat
 
     def _draw_masks(self, n: int, rng, dtype) -> list[np.ndarray]:
         """A train pass's dropout multipliers, one ``(n, width)`` array per site.
@@ -390,27 +453,29 @@ class ResidualClassifier:
         statistics: ``"train"`` takes batch statistics and folds them into
         the running buffers (a stack's slice 0 only), ``"teacher"`` takes
         batch statistics and touches nothing, ``"eval"`` uses the running
-        buffers. ``masks`` are the dropout multipliers, one per site in
-        layer order, or empty for none. When ``layers`` is a list, each
-        layer appends what its backward needs: (prefix, input, pre-ReLU
-        value, xhat, inv_std, mask). A stack's layers append copies of
-        slice 0's, so the teachers' states are freed as the pass goes on.
+        buffers. A train pass gathers slice 0's batch statistics layer by
+        layer and, at its end, concatenates them into one buffer laid out
+        like the statistics region and folds that in with one
+        :func:`fold_batch_stats`; no pass reads the running buffers before
+        then. ``masks`` are the dropout multipliers, one per site in layer
+        order, or empty for none. When ``layers`` is a list, each layer
+        appends what its backward needs: (prefix, input, pre-ReLU value,
+        xhat, inv_std, mask). A stack's layers append copies of slice 0's,
+        so the teachers' states are freed as the pass goes on.
         """
         params, stats = self.params, self.stats
         train = mode != "eval"
         replay = iter(masks)
+        batch: list[np.ndarray] = []  # slice 0's batch statistics, in layout order
 
         def layer(h: np.ndarray, prefix: str, dropped: bool) -> np.ndarray:
             z = h @ params[f"{prefix}.W"] + params[f"{prefix}.b"][..., None, :]
-            running = (
-                None if mode == "teacher"
-                else (stats[f"{prefix}.bn.running_mean"], stats[f"{prefix}.bn.running_var"])
-            )
             y, xhat, inv_std = batch_norm_arrays(
                 z,
                 params[f"{prefix}.bn.gamma"][..., None, :],
                 params[f"{prefix}.bn.beta"][..., None, :],
-                running,
+                batch if mode == "train" else None if mode == "teacher"
+                else (stats[f"{prefix}.bn.running_mean"], stats[f"{prefix}.bn.running_var"]),
                 train,
             )
             mask = next(replay) if dropped and masks else None
@@ -433,6 +498,11 @@ class ResidualClassifier:
         taps.append(pen)
         head_in = pen * next(replay) if masks else pen
         logits = head_in @ params["head.W"] + params["head.b"][..., None, :]
+        if mode == "train":
+            layout = self.layout
+            student = self.arena.reshape(-1, layout.size)[0]
+            fold_batch_stats(student[layout.n_params :], np.concatenate(batch),
+                             layout.unbias(len(x), x.dtype))
         return taps, head_in, logits
 
     def forward_as_teacher(self, x: np.ndarray, masks=()) -> TapSet:
@@ -532,33 +602,20 @@ class ResidualClassifier:
         return np.sqrt(sq)
 
     def to_param_vector(self) -> ParamVector:
-        names = tuple(self.params) + tuple(self.stats)
-        arrays = tuple(a.copy() for a in self.params.values()) + tuple(
-            a.copy() for a in self.stats.values()
-        )
-        return ParamVector(names, arrays)
+        layout = self.layout
+        return ParamVector(layout.names, tuple(layout.shapes.values()), self.arena.copy())
 
     def load_param_vector(self, pv: ParamVector) -> None:
         """Overwrite all state from a snapshot (shapes must match exactly)."""
-        params, stats = _state_from_vector(self.config, pv)
-        self.params = {k: v.copy() for k, v in params.items()}
-        self.stats = {k: v.copy() for k, v in stats.items()}
+        self._bind(self.config, _payload(self.config, pv).copy())
 
     def copy(self) -> "ResidualClassifier":
-        return ResidualClassifier._from_state(
-            self.config,
-            {k: v.copy() for k, v in self.params.items()},
-            {k: v.copy() for k, v in self.stats.items()},
-        )
+        return ResidualClassifier._from_arena(self.config, self.arena.copy())
 
     def slice(self, j: int) -> "ResidualClassifier":
-        """Slice ``j`` of a stack as a model whose arrays are views of the
+        """Slice ``j`` of a stack as a model whose arena is row ``j`` of the
         stack's: an in-place update of either shows in the other."""
-        return ResidualClassifier._from_state(
-            self.config,
-            {k: v[j] for k, v in self.params.items()},
-            {k: v[j] for k, v in self.stats.items()},
-        )
+        return ResidualClassifier._from_arena(self.config, self.arena[j])
 
 
 def _sum(*parts):
@@ -572,11 +629,12 @@ def _sum(*parts):
     return total
 
 
-def _layer_backward(params: dict, grads: dict, train: bool, state: tuple, g: np.ndarray,
-                    need_dx: bool):
+def _layer_backward(params: dict, flat: np.ndarray, slices: dict, train: bool, state: tuple,
+                    g: np.ndarray, need_dx: bool):
     """Backward of one affine -> BN -> ReLU -> dropout layer, given the
     gradient of its output: writes the layer's parameter gradients into
-    ``grads`` and returns the gradient of its input (if needed).
+    their ``slices`` of the flat gradient and returns the gradient of its
+    input (if needed).
 
     Each ``+ 0.0`` stands where a per-op tape starts a value's gradient
     from zeros, which turns a -0 into +0.
@@ -587,11 +645,13 @@ def _layer_backward(params: dict, grads: dict, train: bool, state: tuple, g: np.
     g = g * (y > 0) + 0.0
     w = params[f"{prefix}.W"]
     dgamma, dbeta, dz = batch_norm_grads(g, xhat, inv_std, params[f"{prefix}.bn.gamma"], train)
-    grads[f"{prefix}.bn.gamma"] = dgamma + 0.0
-    grads[f"{prefix}.bn.beta"] = dbeta
+    np.add(dgamma, 0.0, out=flat[slices[f"{prefix}.bn.gamma"]])
+    flat[slices[f"{prefix}.bn.beta"]] = dbeta
     dz += 0.0
-    grads[f"{prefix}.b"] = dz.sum(axis=0)
-    grads[f"{prefix}.W"] = h.T @ dz + 0.0
+    np.add.reduce(dz, axis=0, out=flat[slices[f"{prefix}.b"]])
+    dw = flat[slices[f"{prefix}.W"]].reshape(w.shape)
+    np.matmul(h.T, dz, out=dw)
+    dw += 0.0
     return dz @ w.T if need_dx else None
 
 
@@ -637,47 +697,44 @@ def model_from_vector(config: ModelConfig, pv: ParamVector) -> ResidualClassifie
     """Materialize a model of shape ``config`` from a snapshot of that layout.
 
     This is how a worker reconstructs the base model it was sent. The
-    arrays are copied from the snapshot; no initialization is drawn.
+    arena is a copy of the snapshot's payload; no initialization is drawn.
     """
-    m = ResidualClassifier._from_state(config, {}, {})
-    m.load_param_vector(pv)
-    return m
+    return ResidualClassifier._from_arena(config, _payload(config, pv).copy())
 
 
 def stack_vectors(config: ModelConfig, sources) -> ResidualClassifier:
-    """Snapshots or models of one layout as one model whose arrays lead with the stack axis.
+    """Snapshots or models of one layout as one model whose arena is the
+    ``(k, size)`` stack of theirs, so every array leads with the stack axis.
 
-    Each entry is the ``(k, ...)`` stack of the sources' arrays, in the
-    given order, so source j is slice j of every tap and logit of the
-    stack's passes. A model source is stacked from its own arrays, without
-    a snapshot in between. :meth:`ResidualClassifier.forward_as_teacher`
-    runs every slice as a teacher; :meth:`ResidualClassifier.forward_with_taps`
-    runs slice 0 as the student its slices 1..k teach, which trains through
+    Row j is source j's arena or payload, in the given order, so source j
+    is slice j of every tap and logit of the stack's passes. A model source
+    is stacked from its own arena, without a snapshot in between.
+    :meth:`ResidualClassifier.forward_as_teacher` runs every slice as a
+    teacher; :meth:`ResidualClassifier.forward_with_taps` runs slice 0 as
+    the student its slices 1..k teach, which trains through
     ``stack.slice(0)``. Those two passes are the only ones a stack runs.
     """
     if not sources:
         raise ValueError("a stack needs at least one snapshot or model")
-    states = []
+    rows = []
     for src in sources:
         if not isinstance(src, ResidualClassifier):
-            states.append(_state_from_vector(config, src))
+            rows.append(_payload(config, src))
         elif src.config != config:
             raise ValueError(f"layout mismatch: a model of {src.config} in a stack of {config}")
         else:
-            states.append((src.params, src.stats))
-    params = {name: np.stack([p[name] for p, _ in states]) for name in states[0][0]}
-    stats = {name: np.stack([s[name] for _, s in states]) for name in states[0][1]}
-    return ResidualClassifier._from_state(config, params, stats)
+            rows.append(src.arena)
+    return ResidualClassifier._from_arena(config, np.stack(rows))
 
 
 def unstack(stack: ResidualClassifier, student: ResidualClassifier) -> None:
-    """Give ``student``, a view of slice 0 of ``stack``, arrays of its own, and empty the stack.
+    """Give ``student``, a view of slice 0 of ``stack``, an arena of its own,
+    and drop the stack's.
 
-    Each stacked array is freed as soon as its slice is copied, so the
-    handover never holds a second copy of the student.
+    The student's row is copied first; the stack's arena is freed when the
+    last view of it goes with the rebinding.
     """
-    stack.params.clear()
-    stack.stats.clear()
-    for part in (student.params, student.stats):
-        for name in part:
-            part[name] = part[name].copy()
+    arena = student.arena.copy()
+    stack.arena = stack.flat_params = None
+    stack.params, stack.stats = {}, {}
+    student._bind(student.config, arena)

@@ -508,14 +508,17 @@ def remote_train(sync: bytes, tasks: tuple[Task, ...], model_config: ModelConfig
         )
     task = tasks[expert_index]
     try:
-        base = model_from_vector(model_config, ParamVector.from_bytes(base_blob))
+        snapshot = ParamVector.from_bytes(base_blob)
+        if h.stability_coef > 0:
+            # stacked straight from the snapshot: no base arena of its own
+            stack = stack_vectors(model_config, [snapshot, snapshot])
+            expert, base = stack.slice(0), stack.slice(1)
+        else:
+            base = model_from_vector(model_config, snapshot)
+            stack = expert = base.copy()
     except ValueError as e:
         raise ProtocolViolation(f"sync base snapshot at byte {SYNC_FIXED_NBYTES}: {e}") from e
-    if h.stability_coef > 0:
-        stack = stack_vectors(model_config, [base, base])
-        expert, base = stack.slice(0), stack.slice(1)
-    else:
-        stack = expert = base.copy()
+    del snapshot  # the model arenas hold copies
     train_rng = np.random.default_rng(child_seed(seed, "train"))
     x, y = task.train_x, task.train_y
 
@@ -528,7 +531,7 @@ def remote_train(sync: bytes, tasks: tuple[Task, ...], model_config: ModelConfig
     t0 = time.perf_counter()
     try:
         epoch_losses = train_epochs(
-            expert.params, h.lr, h.epochs,
+            expert.flat_params, expert.layout.param_slices, h.lr, h.epochs,
             lambda: epoch_batches(len(y), h.batch_size, train_rng), step,
         )
     except NonFiniteError as e:
@@ -653,7 +656,8 @@ def consolidate(
         )
         return loss_and_grads(loss.value, lambda: student.backward(record, loss))
 
-    train_epochs(student.params, lr, rehearsal_epochs, lambda: range(batches_per_epoch), step)
+    train_epochs(student.flat_params, student.layout.param_slices, lr, rehearsal_epochs,
+                 lambda: range(batches_per_epoch), step)
     if stack is not student:
         unstack(stack, student)
     return student

@@ -24,7 +24,7 @@ from batchcl.engine import (
     softmax_cross_entropy,
     stacked_distance,
 )
-from batchcl.engine.autodiff import Tensor, _accumulate, _node, gradients
+from batchcl.engine.autodiff import BN_MOMENTUM, Tensor, _accumulate, _node, gradients
 from batchcl.model import ResidualClassifier, TapSet
 
 
@@ -56,11 +56,44 @@ def stack_passes(passes: list[TapSet]) -> TapSet:
 
 
 def float64_twin(model: ResidualClassifier) -> ResidualClassifier:
-    """Copy of a model with all state promoted to float64 (for derivative checks)."""
-    m = model.copy()
-    m.params = {k: v.astype(np.float64) for k, v in m.params.items()}
-    m.stats = {k: v.astype(np.float64) for k, v in m.stats.items()}
-    return m
+    """Copy of a model with its arena promoted to float64 (for derivative checks)."""
+    return ResidualClassifier._from_arena(model.config, model.arena.astype(np.float64))
+
+
+def assert_views_of_arena(model: ResidualClassifier) -> None:
+    """Every entry of ``params`` and ``stats`` is a view of ``model.arena``
+    at its layout slice, and ``flat_params`` is the arena's parameter region."""
+    layout, arena = model.layout, model.arena
+    assert arena.shape[-1] == layout.size
+    n = layout.n_params
+    assert model.flat_params.shape == arena.shape[:-1] + (n,)
+    assert np.shares_memory(model.flat_params, arena[..., :n])
+    for part, region, slices in ((model.params, arena[..., :n], layout.param_slices),
+                                 (model.stats, arena[..., n:], layout.stat_slices)):
+        assert list(part) == list(slices)
+        for name, a in part.items():
+            assert a.shape == arena.shape[:-1] + layout.shapes[name], name
+            want = region[..., slices[name]].reshape(a.shape)
+            assert np.shares_memory(want, arena), name
+            # same address, strides and shape: the very view of its slice
+            assert a.__array_interface__ == want.__array_interface__, name
+
+
+def assert_views_of_own_arena(model: ResidualClassifier) -> None:
+    """:func:`assert_views_of_arena`, for an arena that owns its memory."""
+    assert model.arena.base is None and model.arena.flags.owndata
+    assert_views_of_arena(model)
+
+
+def snapshot_entries(pv) -> dict[str, np.ndarray]:
+    """A snapshot's entries by name, cut from its payload in entry order."""
+    entries, start = {}, 0
+    for name, shape in zip(pv.names, pv.shapes):
+        n = int(np.prod(shape))
+        entries[name] = pv.payload[start : start + n].reshape(shape)
+        start += n
+    assert start == pv.payload.size
+    return entries
 
 
 def jitter_params(model: ResidualClassifier, seed: int, scale: float = 0.1) -> None:
@@ -90,8 +123,25 @@ def count_tensors(monkeypatch) -> list:
 
 def step_grads(model: ResidualClassifier, record, loss) -> tuple[float, dict[str, np.ndarray]]:
     """The production train step's (loss value, parameter gradients) for an
-    objective on the pass ``record`` describes."""
-    return loss_and_grads(loss.value, lambda: model.backward(record, loss))
+    objective on the pass ``record`` describes; the gradients are named
+    views of the flat array ``backward`` returns."""
+    value, flat = loss_and_grads(loss.value, lambda: model.backward(record, loss))
+    return value, model.layout.param_views(flat)
+
+
+def flat_grads(model: ResidualClassifier, grads: dict[str, np.ndarray]) -> np.ndarray:
+    """Per-parameter gradients as one flat array laid out like ``model.flat_params``."""
+    return np.concatenate([grads[name].ravel() for name in model.layout.param_slices])
+
+
+def running_update_reference(running_mean: np.ndarray, running_var: np.ndarray,
+                             mean: np.ndarray, var: np.ndarray, n: int) -> None:
+    """One layer's running-buffer update, buffer by buffer: the oracle of
+    ``fold_batch_stats``. ``var`` is the biased batch variance of ``n`` rows."""
+    running_mean *= 1.0 - BN_MOMENTUM
+    running_mean += BN_MOMENTUM * mean
+    running_var *= 1.0 - BN_MOMENTUM
+    running_var += BN_MOMENTUM * var * (n / (n - 1))
 
 
 def grad_norms_reference(model: ResidualClassifier, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -337,7 +387,8 @@ def batch_norm(
 
     Train mode normalizes by batch statistics (needs at least 2 rows) and
     folds them into the running buffers in place with momentum
-    ``BN_MOMENTUM`` (running variance uses the unbiased estimate). Eval
+    ``BN_MOMENTUM`` (running variance uses the unbiased estimate), buffer
+    by buffer as :func:`running_update_reference` does. Eval
     mode is a fixed affine map built from the running buffers. Both add
     ``BN_EPS`` to the variance.
     """
@@ -346,9 +397,14 @@ def batch_norm(
     n = x.shape[0]
     if train and n < 2:
         raise GraphError(f"{name}: train-mode batch of size {n} (need >= 2)")
-    out_data, xhat, inv_std = batch_norm_arrays(
-        x.data, gamma.data, beta.data, (running_mean, running_var), train
-    )
+    if train:
+        batch: list[np.ndarray] = []
+        out_data, xhat, inv_std = batch_norm_arrays(x.data, gamma.data, beta.data, batch, True)
+        running_update_reference(running_mean, running_var, *batch, n)
+    else:
+        out_data, xhat, inv_std = batch_norm_arrays(
+            x.data, gamma.data, beta.data, (running_mean, running_var), False
+        )
 
     def backward(g: np.ndarray) -> None:
         dgamma, dbeta, dx = batch_norm_grads(g, xhat, inv_std, gamma.data, train)

@@ -25,6 +25,7 @@ from helpers import (
     distance,
     experiment,
     finite_diff_params,
+    flat_grads,
     matmul,
     mul,
     per_op_forward,
@@ -314,14 +315,14 @@ def _loss_fd_cases():
             a,
         )
 
-    fisher = FisherState(
-        importance={"w": rng.uniform(0.1, 1.0, (3, 2)), "b": rng.uniform(0.1, 1.0, 4)},
-        anchor={"w": rng.standard_normal((3, 2)), "b": rng.standard_normal(4)},
-    )
-    ewc_arrs = {"w": rng.standard_normal((3, 2)), "b": rng.standard_normal(4)}
+    # a (3, 2) weight and a (4,) bias, flat in one parameter array
+    ewc_slices = {"w": slice(0, 6), "b": slice(6, 10)}
+    fisher = FisherState(importance=rng.uniform(0.1, 1.0, 10), anchor=rng.standard_normal(10))
+    ewc_arrs = {"params": rng.standard_normal(10)}
 
     def case_ewc(a):
-        return ewc_penalty(a, fisher)
+        value, grads = ewc_penalty(a["params"], ewc_slices, fisher)
+        return value, {"params": grads}
 
     return [
         ("task_loss", {"slog": student_arrs["slog"]}, case_task),
@@ -412,7 +413,8 @@ def test_02_degenerate_reduction():
                 batch_set = draw_batch(pool, batch, rng)
                 taps, leaves = per_op_forward(student, batch_set.features, train=True, rng=rng)
                 value, grads = tape_grads(cross_entropy(taps.logits, batch_set.labels), leaves)
-                opt.step(student.params, grads)
+                opt.step(student.flat_params, flat_grads(student, grads),
+                         student.layout.param_slices)
                 losses.append(value)
             sched.step(float(np.mean(losses)))
         model = student

@@ -164,19 +164,19 @@ class TestNoTensorBuilt:
         assert built == [] and self._trained()
 
     def test_oewc_batch_with_penalty(self, monkeypatch):
-        fisher = FisherState.zeros_like(self.model.params)
-        fisher.importance = {k: np.ones_like(v) for k, v in fisher.importance.items()}
+        fisher = FisherState.zeros_like(self.model.flat_params)
+        fisher.importance[:] = 1.0
         built = count_tensors(monkeypatch)
         _train_task_plain(self.model, self.task.train_x, self.task.train_y, self.cfg,
                           np.random.default_rng(1), fisher)
         assert built == [] and self._trained()
 
     def test_update_fisher(self, monkeypatch):
-        fisher = FisherState.zeros_like(self.model.params)
+        fisher = FisherState.zeros_like(self.model.flat_params)
         built = count_tensors(monkeypatch)
         update_fisher(self.model, self.task.train_x, self.task.train_y, fisher)
         assert built == []
-        assert all(v.any() for v in fisher.importance.values())
+        assert all(v.any() for v in self.model.layout.param_views(fisher.importance).values())
 
 
 class TestMultitaskBound:

@@ -508,63 +508,81 @@ class TestMaskReplay:
 class TestEwc:
     def test_penalty_zero_at_anchor(self):
         m = build_model(TOY, seed=0)
-        fisher = FisherState.zeros_like(m.params)
-        fisher.importance = {k: np.ones_like(v) for k, v in m.params.items()}
-        value, grads = ewc_penalty(m.params, fisher)
+        fisher = FisherState.zeros_like(m.flat_params)
+        fisher.importance[:] = 1.0
+        value, grads = ewc_penalty(m.flat_params, m.layout.param_slices, fisher)
         assert value == 0.0
-        assert all(not g.any() for g in grads.values())
+        assert not grads.any()
 
     def test_penalty_zero_with_zero_importance(self):
         m = build_model(TOY, seed=0)
-        fisher = FisherState.zeros_like(m.params)
+        fisher = FisherState.zeros_like(m.flat_params)
         m.params["head.b"] += 100.0
-        assert ewc_penalty(m.params, fisher)[0] == 0.0
+        assert ewc_penalty(m.flat_params, m.layout.param_slices, fisher)[0] == 0.0
 
     def test_hand_computed_two_parameter_case(self):
-        params = {"p": np.array([1.0, 2.0], dtype=np.float32)}
+        params = np.array([1.0, 2.0], dtype=np.float32)
         fisher = FisherState(
-            importance={"p": np.array([1.0, 2.0], dtype=np.float32)},
-            anchor={"p": np.array([0.9, 1.9], dtype=np.float32)},
+            importance=np.array([1.0, 2.0], dtype=np.float32),
+            anchor=np.array([0.9, 1.9], dtype=np.float32),
         )
         # 1*(0.1)^2 + 2*(0.1)^2 = 0.03
-        assert ewc_penalty(params, fisher)[0] == pytest.approx(0.03, rel=1e-4)
-        assert ewc_penalty(params, fisher, 0.5)[0] == pytest.approx(0.015, rel=1e-4)
+        p = {"p": slice(0, 2)}
+        assert ewc_penalty(params, p, fisher)[0] == pytest.approx(0.03, rel=1e-4)
+        assert ewc_penalty(params, p, fisher, 0.5)[0] == pytest.approx(0.015, rel=1e-4)
+
+    def test_value_adds_one_float_per_parameter(self):
+        # the per-parameter float accumulation of the value, in slice order
+        rng = np.random.default_rng(16)
+        m = build_model(TOY, seed=0)
+        fisher = FisherState(importance=rng.random(m.flat_params.shape).astype(np.float32),
+                             anchor=m.flat_params + np.float32(0.1))
+        want = 0.0
+        for name, p in m.params.items():
+            imp = m.layout.param_views(fisher.importance)[name]
+            drift = p - m.layout.param_views(fisher.anchor)[name]
+            want += float((imp * drift * drift).sum())
+        value, _ = ewc_penalty(m.flat_params, m.layout.param_slices, fisher)
+        assert value.tobytes() == np.float32(want).tobytes()
 
     def test_layout_mismatch_rejected(self):
         m = build_model(TOY, seed=0)
-        fisher = FisherState.zeros_like({"only": np.zeros(3, dtype=np.float32)})
+        fisher = FisherState.zeros_like(np.zeros(3, dtype=np.float32))
         with pytest.raises(ValueError, match="layout"):
-            ewc_penalty(m.params, fisher)
+            ewc_penalty(m.flat_params, m.layout.param_slices, fisher)
 
     def test_update_accumulates_squared_gradients(self):
         rng = np.random.default_rng(9)
         m = build_model(TOY, seed=0)
         x = rng.standard_normal((6, 4)).astype(np.float32)
         y = rng.integers(0, 3, size=6)
-        fisher = FisherState.zeros_like(m.params)
+        fisher = FisherState.zeros_like(m.flat_params)
         update_fisher(m, x, y, fisher)
         ts, record = m.forward_with_taps(x)
         _, grads = step_grads(m, record, task_loss(ts, y))
+        importance = m.layout.param_views(fisher.importance)
         for k in m.params:
-            np.testing.assert_allclose(fisher.importance[k], grads[k] ** 2, rtol=1e-6)
+            np.testing.assert_allclose(importance[k], grads[k] ** 2, rtol=1e-6)
 
     def test_decay_and_anchor(self):
         m = build_model(TOY, seed=0)
-        fisher = FisherState.zeros_like(m.params, gamma=0.5)
-        fisher.importance["head.b"][:] = 4.0
+        fisher = FisherState.zeros_like(m.flat_params, gamma=0.5)
+        m.layout.param_views(fisher.importance)["head.b"][:] = 4.0
         m.params["head.b"][:] = 7.0
-        decay_and_anchor(fisher, m.params)
-        np.testing.assert_array_equal(fisher.importance["head.b"], 2.0)
-        np.testing.assert_array_equal(fisher.anchor["head.b"], 7.0)
+        decay_and_anchor(fisher, m.flat_params)
+        np.testing.assert_array_equal(m.layout.param_views(fisher.importance)["head.b"], 2.0)
+        np.testing.assert_array_equal(m.layout.param_views(fisher.anchor)["head.b"], 7.0)
+        m.params["head.b"][:] = 8.0  # the anchor is a copy
+        np.testing.assert_array_equal(m.layout.param_views(fisher.anchor)["head.b"], 7.0)
 
     def test_gradient_matches_analytic_form(self):
         rng = np.random.default_rng(10)
         p = rng.standard_normal(5).astype(np.float32)
         anchor = rng.standard_normal(5).astype(np.float32)
         imp = rng.random(5).astype(np.float32)
-        fisher = FisherState(importance={"p": imp}, anchor={"p": anchor})
-        _, grads = ewc_penalty({"p": p}, fisher, 0.7)
-        np.testing.assert_allclose(grads["p"], 0.7 * 2 * imp * (p - anchor), rtol=1e-6)
+        fisher = FisherState(importance=imp, anchor=anchor)
+        _, grads = ewc_penalty(p, {"p": slice(0, 5)}, fisher, 0.7)
+        np.testing.assert_allclose(grads, 0.7 * 2 * imp * (p - anchor), rtol=1e-6)
 
 
 class TestGradientOracles:
@@ -636,20 +654,17 @@ class TestGradientOracles:
 
     def test_ewc_penalty_grad(self):
         rng = np.random.default_rng(12)
-        fisher = FisherState(
-            importance={k: rng.random(v.shape) for k, v in self.student.params.items()},
-            anchor={k: v + rng.standard_normal(v.shape) * 0.1
-                    for k, v in self.student.params.items()},
-        )
+        flat, slices = self.student.flat_params, self.student.layout.param_slices
+        fisher = FisherState(importance=rng.random(flat.shape),
+                             anchor=flat + rng.standard_normal(flat.shape) * 0.1)
 
         def value():
             ts, _ = self.student.forward_with_taps(self.x)
-            return float(task_loss(ts, self.y).value + ewc_penalty(self.student.params, fisher,
-                                                                   0.7)[0])
+            return float(task_loss(ts, self.y).value + ewc_penalty(flat, slices, fisher, 0.7)[0])
 
         ts, record = self.student.forward_with_taps(self.x)
         _, analytic = step_grads(self.student, record, task_loss(ts, self.y))
-        penalty_grads = ewc_penalty(self.student.params, fisher, 0.7)[1]
+        penalty_grads = self.student.layout.param_views(ewc_penalty(flat, slices, fisher, 0.7)[1])
         analytic = {k: g + penalty_grads[k] for k, g in analytic.items()}
         numeric = finite_diff_params(value, self.student.params)
         assert_matches_fd(analytic, numeric)

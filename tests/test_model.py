@@ -4,15 +4,19 @@ from __future__ import annotations
 
 import dataclasses
 import gc
+import hashlib
 import weakref
 
 import numpy as np
 import pytest
 from helpers import (
+    assert_views_of_arena,
+    assert_views_of_own_arena,
     cross_entropy,
     float64_twin,
     jitter_params,
     per_op_forward,
+    snapshot_entries,
     stack_passes,
     step_grads,
     tape_grads,
@@ -20,7 +24,7 @@ from helpers import (
 )
 
 from batchcl.engine import SGD, GraphError
-from batchcl.losses import DISTILL_KINDS, l_base, l_exp, task_loss
+from batchcl.losses import DISTILL_KINDS, l_base, l_bd, l_exp, task_loss
 from batchcl.model import (
     ModelConfig,
     ParamVector,
@@ -378,8 +382,8 @@ class TestParamVector:
         back = ParamVector.from_bytes(blob)
         assert back.to_bytes() == blob
         assert back.names == pv.names
-        for a, b in zip(back.arrays, pv.arrays):
-            np.testing.assert_array_equal(a, b)
+        assert back.shapes == pv.shapes
+        assert back.payload.tobytes() == pv.payload.tobytes()
 
     def test_nbytes_matches_serialized_length(self):
         pv = build_model(TOY, seed=2).to_param_vector()
@@ -448,7 +452,7 @@ class TestParamVector:
         m = model_from_vector(TOY, pv)
         assert m.to_param_vector().to_bytes() == pv.to_bytes()
         m.params["head.b"][:] = 123.0  # the model owns copies, not the snapshot's arrays
-        assert pv.arrays[pv.names.index("head.b")].max() != 123.0
+        assert snapshot_entries(pv)["head.b"].max() != 123.0
 
     def test_layout_mismatch_rejected(self):
         m = build_model(TOY, seed=3)
@@ -458,6 +462,15 @@ class TestParamVector:
         )
         with pytest.raises(ValueError, match="layout"):
             m.load_param_vector(other.to_param_vector())
+
+    def test_entries_out_of_snapshot_order_rejected(self):
+        pv = build_model(TOY, seed=3).to_param_vector()
+        swapped = ParamVector((pv.names[1], pv.names[0], *pv.names[2:]),
+                              (pv.shapes[1], pv.shapes[0], *pv.shapes[2:]), pv.payload)
+        with pytest.raises(ValueError, match="out of snapshot order"):
+            model_from_vector(TOY, swapped)
+        with pytest.raises(ValueError, match="out of snapshot order"):
+            stack_vectors(TOY, [pv, swapped])
 
     def test_copy_is_independent(self):
         m = build_model(TOY, seed=4)
@@ -506,7 +519,7 @@ class TestStackedTeacher:
         pvs = [m.to_param_vector() for m in models]
         stack = stack_vectors(config, pvs)
         for j, pv in enumerate(pvs):
-            for name, arr in zip(pv.names, pv.arrays):
+            for name, arr in snapshot_entries(pv).items():
                 state = stack.params if name in stack.params else stack.stats
                 np.testing.assert_array_equal(state[name][j], arr)
         wider = build_model(dataclasses.replace(config, total_classes=7), seed=3)
@@ -629,8 +642,9 @@ class TestStackedStudent:
         before = {name: p.copy() for name, p in stack.params.items()}
         x = np.random.default_rng(75).standard_normal((9, 6)).astype(np.float32)
         tapset, record = stack.forward_with_taps(x, True, np.random.default_rng(76))
-        _, grads = step_grads(view, record, task_loss(tapset, np.arange(9) % 5))
-        SGD(lr=0.1).step(view.params, grads)
+        flat = view.backward(record, task_loss(tapset, np.arange(9) % 5))
+        grads = view.layout.param_views(flat.copy())  # the step spends its gradient
+        SGD(lr=0.1).step(view.flat_params, flat, view.layout.param_slices)
         for name, p in stack.params.items():
             assert p[1:].tobytes() == before[name][1:].tobytes(), name
             want = before[name][0] - np.float32(0.1) * grads[name]
@@ -642,12 +656,12 @@ class TestStackedStudent:
         stack = stack_vectors(config, [student, *teachers])
         view = stack.slice(0)
         want = view.to_param_vector().to_bytes()
-        head = weakref.ref(stack.params["head.W"])
+        arena = weakref.ref(stack.arena)
         unstack(stack, view)
-        assert stack.params == {} and stack.stats == {}
-        assert head() is None  # the stacked array went with its slice
+        assert stack.params == {} and stack.stats == {} and stack.arena is None
+        assert arena() is None  # the stacked arena went with its slice
         assert view.to_param_vector().to_bytes() == want
-        assert all(a.base is None for a in (*view.params.values(), *view.stats.values()))
+        assert_views_of_own_arena(view)
 
     def test_stack_checks(self):
         config, student, teachers = self._models(1, 0.1, 2)
@@ -660,3 +674,118 @@ class TestStackedStudent:
         other = build_model(dataclasses.replace(config, total_classes=7), seed=3)
         with pytest.raises(ValueError, match="layout mismatch"):
             stack_vectors(config, [student, other])
+
+
+class TestArena:
+    """One contiguous buffer per model; every array is a view of it."""
+
+    CONFIG = dataclasses.replace(TOY, dropout_p=0.2)
+
+    def _trained(self, seed: int, dtype=np.float32) -> ResidualClassifier:
+        m = build_model(self.CONFIG, seed=seed)
+        jitter_params(m, seed=seed + 1)
+        rng = np.random.default_rng(seed + 2)
+        m.forward_with_taps(rng.standard_normal((7, 4)).astype(np.float32), True, rng)
+        return m if dtype == np.float32 else float64_twin(m)
+
+    def test_layout_is_snapshot_order(self):
+        m = self._trained(0)
+        pv = m.to_param_vector()
+        assert m.layout.names == pv.names
+        assert pv.payload.tobytes() == m.arena.tobytes()
+        assert list(m.params) + list(m.stats) == list(pv.names)
+        assert m.layout.size == m.arena.size == m.layout.n_params + sum(
+            a.size for a in m.stats.values())
+
+    def test_every_array_is_a_view_of_the_arena(self):
+        m = self._trained(0)
+        assert_views_of_own_arena(m)
+        assert_views_of_own_arena(m.copy())
+        pv = self._trained(1).to_param_vector()
+        assert_views_of_own_arena(model_from_vector(self.CONFIG, pv))
+        m.load_param_vector(pv)
+        assert_views_of_own_arena(m)
+        assert not np.shares_memory(m.arena, pv.payload)
+        stack = stack_vectors(self.CONFIG, [m, pv, self._trained(2)])
+        assert_views_of_own_arena(stack)
+        assert stack.arena.shape == (3, m.layout.size)
+        for j in range(3):
+            view = stack.slice(j)
+            assert_views_of_arena(view)
+            assert view.arena.base is stack.arena
+            assert view.arena.__array_interface__ == stack.arena[j].__array_interface__
+        student = stack.slice(0)
+        unstack(stack, student)
+        assert_views_of_own_arena(student)
+
+    def test_float64_twin_shares_its_own_arena(self):
+        m = self._trained(0)
+        twin = float64_twin(m)
+        assert twin.arena.dtype == np.float64
+        assert not np.shares_memory(twin.arena, m.arena)
+        assert_views_of_own_arena(twin)
+        assert all(a.dtype == np.float64 for a in (*twin.params.values(), *twin.stats.values()))
+        twin.params["head.b"][:] = 5.0
+        assert np.all(twin.arena[twin.layout.param_slices["head.b"]] == 5.0)
+
+    @pytest.mark.parametrize("n", [2, 3, 32])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fused_running_update_equals_per_layer_oracle(self, n, dtype):
+        m = self._trained(0, dtype)
+        want = m.copy()
+        x = np.random.default_rng(3).standard_normal((n, 4)).astype(np.float32)
+        m.forward_with_taps(x, True, np.random.default_rng(4))
+        per_op_forward(want, x, train=True, rng=np.random.default_rng(4))
+        for name, a in m.stats.items():
+            assert a.tobytes() == want.stats[name].tobytes(), name
+        assert m.arena.tobytes() == want.arena.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 32])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fused_running_update_on_a_stack_moves_slice_0_only(self, n, dtype):
+        models = [self._trained(10 * j, dtype) for j in range(5)]
+        stack = stack_vectors(self.CONFIG, models)
+        want = models[0].copy()
+        x = np.random.default_rng(5).standard_normal((n, 4)).astype(np.float32)
+        stack.forward_with_taps(x, True, np.random.default_rng(6))
+        per_op_forward(want, x, train=True, rng=np.random.default_rng(6))
+        for name, a in stack.stats.items():
+            assert a[0].tobytes() == want.stats[name].tobytes(), name
+            for j, t in enumerate(models[1:], start=1):
+                assert a[j].tobytes() == t.stats[name].tobytes(), (name, j)
+        assert stack.flat_params.tobytes() == np.stack([t.flat_params for t in models]).tobytes()
+
+    def test_backward_is_one_fresh_flat_array(self):
+        m = self._trained(0)
+        x = np.random.default_rng(7).standard_normal((6, 4)).astype(np.float32)
+        tapset, record = m.forward_with_taps(x, True, np.random.default_rng(8))
+        loss = task_loss(tapset, np.arange(6) % 3)
+        first, second = m.backward(record, loss), m.backward(record, loss)
+        assert first.shape == (m.layout.n_params,) and first.dtype == m.arena.dtype
+        assert first.base is None and not np.shares_memory(first, second)
+        assert first.tobytes() == second.tobytes()
+
+    def test_unreached_parameter_gradient_is_exact_positive_zero(self):
+        # feature distillation reads the taps only, so nothing reaches the head
+        m = self._trained(0)
+        x = np.random.default_rng(9).standard_normal((6, 4)).astype(np.float32)
+        tapset, record = m.forward_with_taps(x, True, np.random.default_rng(10))
+        target = TapSet(taps=[t + 1.0 for t in tapset.taps], logits=tapset.logits)
+        grads = m.layout.param_views(m.backward(record, l_bd(target, tapset)))
+        for name in ("head.W", "head.b"):
+            assert grads[name].tobytes() == np.zeros_like(grads[name]).tobytes(), name
+        assert grads["stem.W"].any()
+
+    @pytest.mark.parametrize("name, dims, want", [
+        ("pinned16", (16, 64, dict(res_blocks=1, res_layers_per_block=2, res_dim=32,
+                                   hidden_dim=16, dropout_p=0.1)),
+         "e4d9583445b11b2c0521a0717573b7b781a72405b86f2ca165ecad006d8156f7"),
+        ("wide", (32, 64, dict(res_blocks=2, res_layers_per_block=3, res_dim=256,
+                               hidden_dim=128, dropout_p=0.3)),
+         "65763ed9663f6c1a07707426698fab16a07b4899a2db48fc8528e47375ec3df3"),
+    ])
+    def test_initial_snapshot_bytes_are_pinned(self, name, dims, want):
+        d, c, model = dims
+        blob = build_model(ModelConfig(input_dim=d, total_classes=c, **model),
+                           0).to_param_vector().to_bytes()
+        assert hashlib.sha256(blob).hexdigest() == want, name

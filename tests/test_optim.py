@@ -10,33 +10,59 @@ from batchcl.engine import NonFiniteError, SGD, PlateauScheduler, train_epochs
 from batchcl.engine.optim import PLATEAU_MIN_DELTA
 
 
+W = {"w": slice(0, 2)}
+ONE = {"w": slice(0, 1)}
+
+
 class TestSGD:
     def test_update_rule(self):
-        params = {"w": np.array([1.0, 2.0], dtype=np.float32)}
-        grads = {"w": np.array([0.5, -1.0], dtype=np.float32)}
-        SGD(lr=0.1).step(params, grads)
-        np.testing.assert_allclose(params["w"], [0.95, 2.1], rtol=1e-6)
+        params = np.array([1.0, 2.0], dtype=np.float32)
+        grads = np.array([0.5, -1.0], dtype=np.float32)
+        want = params - np.float32(0.1) * grads
+        SGD(lr=0.1).step(params, grads, W)
+        assert params.tobytes() == want.tobytes()
+        np.testing.assert_allclose(params, [0.95, 2.1], rtol=1e-6)
+        # the step spends its gradient: scaled by the learning rate in place
+        np.testing.assert_array_equal(grads, np.float32(0.1) * np.array([0.5, -1.0], np.float32))
 
     def test_in_place(self):
         w = np.ones(3, dtype=np.float32)
-        params = {"w": w}
-        SGD(lr=1.0).step(params, {"w": np.ones(3, dtype=np.float32)})
+        params = w[:]
+        SGD(lr=1.0).step(params, np.ones(3, dtype=np.float32), {"w": slice(0, 3)})
         np.testing.assert_array_equal(w, np.zeros(3))
 
     def test_rejects_non_finite_grad(self):
-        params = {"w": np.ones(2)}
+        params = np.ones(2)
         with pytest.raises(NonFiniteError, match="'w'"):
-            SGD(lr=0.1).step(params, {"w": np.array([1.0, np.nan])})
+            SGD(lr=0.1).step(params, np.array([1.0, np.nan]), W)
 
     def test_non_finite_last_gradient_moves_nothing(self):
-        # the whole step is checked before any parameter moves
-        params = {name: np.ones(3, dtype=np.float32) for name in ("a", "b", "c")}
-        grads = {name: np.full(3, 0.5, dtype=np.float32) for name in params}
-        grads["c"][1] = np.inf
+        # the whole step is checked before any parameter moves; an inf in
+        # the last parameter's slice names that parameter
+        slices = {name: slice(3 * i, 3 * i + 3) for i, name in enumerate("abc")}
+        params = np.ones(9, dtype=np.float32)
+        grads = np.full(9, 0.5, dtype=np.float32)
+        grads[7] = np.inf
         with pytest.raises(NonFiniteError, match="parameter 'c'"):
-            SGD(lr=0.1).step(params, grads)
-        for p in params.values():
-            np.testing.assert_array_equal(p, np.ones(3))
+            SGD(lr=0.1).step(params, grads, slices)
+        np.testing.assert_array_equal(params, np.ones(9))
+
+    def test_first_non_finite_slice_is_named(self):
+        slices = {name: slice(3 * i, 3 * i + 3) for i, name in enumerate("abc")}
+        grads = np.zeros(9, dtype=np.float32)
+        grads[[4, 8]] = np.nan
+        with pytest.raises(NonFiniteError, match="parameter 'b'"):
+            SGD(lr=0.1).step(np.ones(9, dtype=np.float32), grads, slices)
+
+    def test_finite_sum_overflow_passes_the_scan(self):
+        # every entry is finite, but their float32 sum overflows to inf
+        params = np.zeros(4, dtype=np.float32)
+        grads = np.full(4, 3e38, dtype=np.float32)
+        want = -(np.float32(1e-38) * grads)
+        with np.errstate(over="ignore"):
+            assert not np.isfinite(np.add.reduce(grads))
+            SGD(lr=1e-38).step(params, grads, {"w": slice(0, 4)})
+        np.testing.assert_array_equal(params, want)
 
     def test_rejects_bad_lr(self):
         with pytest.raises(ValueError):
@@ -45,12 +71,12 @@ class TestSGD:
     def test_descends_convex_quadratic(self):
         # f(w) = 0.5 w' A w with A diag(1..5); lr below 2/L keeps it monotone
         a = np.arange(1.0, 6.0)
-        params = {"w": np.full(5, 3.0)}
+        params = np.full(5, 3.0)
         opt = SGD(lr=0.1)
         losses = []
         for _ in range(100):
-            losses.append(0.5 * float(a @ (params["w"] ** 2)))
-            opt.step(params, {"w": a * params["w"]})
+            losses.append(0.5 * float(a @ (params ** 2)))
+            opt.step(params, a * params, {"w": slice(0, 5)})
         assert all(l2 < l1 for l1, l2 in zip(losses, losses[1:]))
 
 
@@ -110,16 +136,16 @@ def _unit_grad_run(epoch_losses, lr=0.1):
     by exactly the current LR, so the returned LRs (one per batch, read
     from successive values of w) trace the schedule.
     """
-    params = {"w": np.zeros(1)}
+    params = np.zeros(1)
     seen = []
     epochs = iter(epoch_losses)
 
     def step(value):
-        seen.append(float(params["w"][0]))
-        return value, {"w": np.ones(1)}
+        seen.append(float(params[0]))
+        return value, np.ones(1)
 
-    means = train_epochs(params, lr, len(epoch_losses), lambda: next(epochs), step)
-    seen.append(float(params["w"][0]))
+    means = train_epochs(params, ONE, lr, len(epoch_losses), lambda: next(epochs), step)
+    seen.append(float(params[0]))
     return means, [a - b for a, b in zip(seen, seen[1:])]
 
 
@@ -143,16 +169,16 @@ class TestTrainEpochs:
         assert lrs == pytest.approx([0.1] * 7 + [0.05])
 
     def test_non_finite_gradient_raises(self):
-        params = {"w": np.zeros(2)}
+        params = np.zeros(2)
         with pytest.raises(NonFiniteError, match="'w'"):
             train_epochs(
-                params, 0.1, 1, lambda: [0],
-                lambda _: (1.0, {"w": np.array([1.0, np.inf])}),
+                params, W, 0.1, 1, lambda: [0],
+                lambda _: (1.0, np.array([1.0, np.inf])),
             )
 
     def test_fresh_schedule_per_call(self):
-        params = {"w": np.zeros(1)}
+        params = np.zeros(1)
         for _ in range(2):
-            train_epochs(params, 0.1, 8, lambda: [0], lambda _: (1.0, {"w": np.ones(1)}))
+            train_epochs(params, ONE, 0.1, 8, lambda: [0], lambda _: (1.0, np.ones(1)))
         # each call runs 7 epochs at 0.1 and one at 0.05
-        assert params["w"][0] == pytest.approx(-2 * (7 * 0.1 + 0.05))
+        assert params[0] == pytest.approx(-2 * (7 * 0.1 + 0.05))

@@ -13,7 +13,7 @@ import struct
 
 import numpy as np
 import pytest
-from helpers import count_tensors, experiment
+from helpers import assert_views_of_own_arena, count_tensors, experiment
 
 import batchcl.protocol as protocol_mod
 from batchcl.losses import LossCoefficients
@@ -543,6 +543,12 @@ class TestRemoteTrain:
         with pytest.raises(ProtocolViolation,
                            match=f"sync base snapshot at byte {SYNC_FIXED_NBYTES}: layout"):
             remote_train(sync, (stream.tasks[0],), TOY)
+        # without a stability term the base is no stack, and is checked the same
+        sync, _ = make_sync(config=wider, hyper=dataclasses.replace(DEFAULT_HYPER,
+                                                                    stability_coef=0.0))
+        with pytest.raises(ProtocolViolation,
+                           match=f"sync base snapshot at byte {SYNC_FIXED_NBYTES}: layout"):
+            remote_train(sync, (stream.tasks[0],), TOY)
 
     def test_one_expert_batch_builds_no_tensor(self, stream, monkeypatch):
         task = stream.tasks[0]
@@ -666,13 +672,14 @@ class TestConsolidate:
         assert len(calls) == 2 * (30 // 8)
 
     def test_returned_model_owns_its_arrays(self, stream):
+        # the student trained as slice 0 of a stack; it leaves with an arena
+        # of its own, and its arrays are views of that arena
         base = build_model(TOY, seed=1)
         out = consolidate(base, self.setup_artifacts(base, stream), Memory(40, 6),
                           LossCoefficients(), rehearsal_epochs=1, batch_size=8,
                           rng=np.random.default_rng(0))
-        for part, like in ((out.params, base.params), (out.stats, base.stats)):
-            for name, a in part.items():
-                assert a.base is None and a.shape == like[name].shape, name
+        assert out.arena.shape == base.arena.shape
+        assert_views_of_own_arena(out)
 
     def test_no_artifacts_rejected(self):
         base = build_model(TOY, seed=1)

@@ -7,9 +7,8 @@ import struct
 
 import numpy as np
 import pytest
-from helpers import step_grads
 
-from batchcl.engine import SGD
+from batchcl.engine import SGD, loss_and_grads
 from batchcl.losses import task_loss
 from batchcl.model import ModelConfig, build_model
 from batchcl.streams import (
@@ -285,8 +284,9 @@ class TestEvaluateCil:
                 if len(idx) < 2:
                     continue
                 ts, record = m.forward_with_taps(t.train_x[idx], train=True, rng=rng)
-                _, grads = step_grads(m, record, task_loss(ts, t.train_y[idx]))
-                opt.step(m.params, grads)
+                loss = task_loss(ts, t.train_y[idx])
+                _, grads = loss_and_grads(loss.value, lambda: m.backward(record, loss))
+                opt.step(m.flat_params, grads, m.layout.param_slices)
         accs = evaluate_cil(m, [t])
         assert accs[0] > 0.95
 
