@@ -81,7 +81,7 @@ def batch_norm_arrays(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, stats,
     else:
         mean, var = stats
         d = x - mean
-    inv_std = (1.0 / np.sqrt(var + BN_EPS)).astype(x.dtype)
+    inv_std = (1.0 / np.sqrt(var + BN_EPS)).astype(x.dtype, copy=False)
     xhat = d * inv_std
     return gamma * xhat + beta, xhat, inv_std
 
@@ -119,30 +119,37 @@ def softmax_cross_entropy(
     logits: np.ndarray, labels: np.ndarray, weight=1.0, name: str = "cross_entropy"
 ):
     """Mean cross-entropy of softmax(logits) at integer labels, times ``weight``:
-    ``(value, gradient with respect to the logits)``."""
+    ``(value, gradient with respect to the logits)``.
+
+    The reductions are ufunc reduces, not ``ndarray`` methods, with the same
+    bits: the mean is the same sum divided by the row count (see
+    :func:`_row_mean`).
+    """
     labels = np.asarray(labels)
     if logits.ndim != 2 or labels.ndim != 1 or labels.shape[0] != logits.shape[0]:
         raise GraphError(f"{name}: logits {logits.shape} vs labels {labels.shape}")
     n, c = logits.shape
-    if labels.min() < 0 or labels.max() >= c:
+    if np.minimum.reduce(labels, initial=0) < 0 or np.maximum.reduce(labels, initial=0) >= c:
         raise GraphError(
             f"{name}: label out of range [0, {c}) (got {int(labels.min())}..{int(labels.max())})"
         )
     g = np.asarray(weight, dtype=logits.dtype)
-    zmax = logits.max(axis=1, keepdims=True)
-    ez = np.exp(logits - zmax)
-    sez = ez.sum(axis=1, keepdims=True)
-    log_probs = (logits - zmax) - np.log(sez)
-    value = np.asarray(-log_probs[np.arange(n), labels].mean(), dtype=logits.dtype) * g
+    shifted = logits - np.maximum.reduce(logits, axis=1, keepdims=True)
+    ez = np.exp(shifted)
+    sez = np.add.reduce(ez, axis=1, keepdims=True)
+    log_probs = shifted - np.log(sez)
+    every_row = np.arange(n)
+    value = np.asarray(-(np.add.reduce(log_probs[every_row, labels]) / n),
+                       dtype=logits.dtype) * g
     probs = ez / sez
-    probs[np.arange(n), labels] -= 1.0
+    probs[every_row, labels] -= 1.0
     return value, (g / n) * probs.astype(logits.dtype)
 
 
 def stacked_distance(
     students: Sequence[np.ndarray],
     targets: Sequence[np.ndarray],
-    masks: np.ndarray | None = None,
+    owner: np.ndarray | None = None,
     per_feature: bool = True,
     weight=1.0,
     name: str = "stacked_distance",
@@ -156,59 +163,64 @@ def stacked_distance(
     difference of target j and student i, averaged over rows and, when
     ``per_feature``, over the D_i features too, else summed over them.
 
-    ``masks``, when given, is the constant ``(k, B)`` 0/1 row selector of
-    each teacher, and a row may belong to one teacher at most (GraphError
-    otherwise): term (j, i) averages over teacher j's rows only, and an
-    empty selection contributes exactly 0. Each row's own teacher is
-    gathered once, so a student's gradient is one ``(B, D_i)`` contribution
-    whatever k is, and a row no teacher selects gets an exact +0. Without
-    ``masks`` every row counts for every teacher. That mode takes numpy's
-    mean over the rows (and features), not a row sum divided by the count:
-    the two round differently in float32, so an all-ones mask is not the
-    same number.
+    ``owner``, when given, is the constant ``(B,)`` integer array that
+    routes each row to one teacher: ``owner[r] = j`` makes row r teacher
+    j's, and a negative entry (-1, a memory row) makes it no teacher's. An
+    entry of k or more names no teacher of the stack (GraphError). Term
+    (j, i) averages over teacher j's rows only, and a teacher owning no row
+    contributes exactly 0. Each row's own teacher is gathered once, so a
+    student's gradient is one ``(B, D_i)`` contribution whatever k is, and
+    a row of no teacher gets an exact +0. Without ``owner`` every row
+    counts for every teacher. That mode takes the mean over the rows (and
+    features) as numpy's ``mean`` rounds it, not a row sum divided by the
+    count of a routed mode: the two round differently in float32, so
+    routing every row to a teacher is not the same number.
 
     Returns ``(value, grads)``. The value adds the terms of one teacher in
     student order, then the teachers in order. ``grads[i]`` is the stack of
     contributions to the gradient of student i, summed from zero in stack
-    order: without masks the ``(k, B, D_i)`` teachers' contributions in
-    teacher order j = 0..k-1, the order a sum of k one-teacher distances
-    adds them in; with masks the ``(1, B, D_i)`` gathered one, which adds
-    to the same bits since every other teacher's share of a row is zero.
+    order: without ``owner`` the ``(k, B, D_i)`` teachers' contributions
+    in teacher order j = 0..k-1, the order a sum of k one-teacher
+    distances adds them in; with ``owner`` the ``(1, B, D_i)`` gathered
+    one, which adds to the same bits since every other teacher's share of
+    a row is zero.
     """
     if not students or len(students) != len(targets):
         raise GraphError(f"{name}: {len(students)} students for {len(targets)} target stacks")
     dtype = students[0].dtype
-    m = None if masks is None else np.asarray(masks, dtype=dtype)
-    if m is not None and m.ndim != 2:
-        raise GraphError(f"{name}: masks of shape {m.shape}, expected (teachers, rows)")
-    k, rows = (len(targets[0]), students[0].shape[0]) if m is None else m.shape
+    k, rows = len(targets[0]), students[0].shape[0]
     if k == 0:
         raise GraphError(f"{name}: needs at least one teacher")
-    fit = f"{k} teachers of {rows} rows" if m is None else f"masks of shape {m.shape}"
     for i, (s, t) in enumerate(zip(students, targets)):
         if s.ndim != 2 or s.shape[0] != rows or t.shape != (k, *s.shape):
             raise GraphError(
                 f"{name}: student {i} of shape {s.shape} and target stack of shape "
-                f"{t.shape} do not fit {fit}"
+                f"{t.shape} do not fit {k} teachers of {rows} rows"
             )
     g = np.asarray(weight, dtype=dtype)
-    if m is None:
+    if owner is None:
         diffs = [t - s for s, t in zip(students, targets)]
         denoms = [s.size if per_feature else rows for s in students]
         terms = [
-            (d * d).mean(axis=(-2, -1)) if per_feature else (d * d).sum(axis=-1).mean(axis=-1)
-            for d in diffs
+            np.add.reduce(d * d, axis=(-2, -1)) / den if per_feature
+            else np.add.reduce(np.add.reduce(d * d, axis=-1), axis=-1) / den
+            for d, den in zip(diffs, denoms)
         ]
     else:
-        owned = m.sum(axis=0)
-        if owned.max() > 1:
-            raise GraphError(f"{name}: row {int(owned.argmax())} selected by more than one "
-                             "teacher")
-        owner, every_row = m.argmax(axis=0), np.arange(rows)
-        diffs = [t[owner, every_row] - s for s, t in zip(students, targets)]
-        counts = np.maximum(m.sum(axis=1), 1)
+        if owner.shape != (rows,):
+            raise GraphError(f"{name}: owners of shape {owner.shape} do not fit {rows} rows")
+        if np.maximum.reduce(owner, initial=-1) >= k:
+            r = int(np.argmax(owner >= k))
+            raise GraphError(f"{name}: row {r} routed to teacher {int(owner[r])} of {k}")
+        m = (owner == np.arange(k)[:, None]).astype(dtype)
+        # a row of no teacher reads teacher 0's target, at weight 0
+        sel, owned = np.maximum(owner, 0), (owner >= 0).astype(dtype)
+        every_row = np.arange(rows)
+        diffs = [t[sel, every_row] - s for s, t in zip(students, targets)]
+        counts = np.maximum(np.add.reduce(m, axis=1), 1)
         denoms = [counts * s.shape[1] if per_feature else counts for s in students]
-        terms = [(m * (d * d).sum(axis=-1)).sum(axis=-1) / den for d, den in zip(diffs, denoms)]
+        terms = [np.add.reduce(m * np.add.reduce(d * d, axis=-1), axis=-1) / den
+                 for d, den in zip(diffs, denoms)]
     per_teacher = terms[0]
     for term in terms[1:]:
         per_teacher = per_teacher + term
@@ -217,13 +229,13 @@ def stacked_distance(
         total = total + term
     grads = []
     for d, den in zip(diffs, denoms):
-        if m is None:
+        if owner is None:
             grad = -((g * 2.0 / den) * d)
         else:
             # each row's coefficient is its own teacher's, or 0 for a row of
             # none; 0.0 - x turns that row's -0 into +0
-            coef = ((g * 2.0 / den)[owner] * owned if per_feature
-                    else (g * 2.0) * (owned / den[owner]))
+            coef = ((g * 2.0 / den)[sel] * owned if per_feature
+                    else (g * 2.0) * (owned / den[sel]))
             grad = (0.0 - coef[:, None] * d)[None]
         grads.append(grad)
     return np.asarray(total, dtype=dtype) * g, grads

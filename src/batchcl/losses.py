@@ -21,14 +21,17 @@ Objectives:
 
 Every distillation distance is one :func:`~batchcl.engine.stacked_distance`
 call: a single teacher pass is a stack of one, every row counting, and
-``l_bmc`` masks each expert of its stack to the rows its buffer contributed,
-one expert per row.
+``l_bmc`` routes each row to one expert of its stack by the row's origin
+tag. A row's origin is the index of the expert whose buffer contributed
+it, which is that expert's slice of the teacher stack, and memory rows
+(origin -1) go to no expert; so the routing is the origin column itself,
+fixed for a whole consolidation, with nothing to work out per batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -123,7 +126,6 @@ def l_exp(
 def l_bmc(
     student: TapSet,
     expert_teachers: TapSet,
-    teacher_origins: Sequence[int],
     batch_origins: np.ndarray,
     kind: str = "features",
     weight: float = 1.0,
@@ -136,32 +138,25 @@ def l_bmc(
     ``student`` (:meth:`~batchcl.model.ResidualClassifier.forward_with_taps`).
 
     Each expert is authoritative only for the exemplars its own buffer
-    contributed, so its distance is averaged over the batch rows whose
-    origin tag matches ``teacher_origins[j]``; rows from other buffers or
-    from memory contribute nothing to that expert's term. An expert absent
-    from the batch contributes an exact zero. The origins must be distinct
-    (GraphError names a repeated one), so each row has one teacher at most.
-    Teacher taps are recomputed locally from transmitted parameter
-    snapshots; features themselves never cross a worker boundary.
+    contributed. ``batch_origins`` is the ``(B,)`` origin tag of every row,
+    and a row's origin is its teacher's slice of the stack: origin j routes
+    the row to expert j, and ``ORIGIN_MEMORY`` (-1) to no expert. Each
+    expert's distance is averaged over its own rows; rows from other
+    buffers or from memory contribute nothing to its term, and an expert
+    absent from the batch contributes an exact zero. An origin of k or more
+    names no expert of the stack (GraphError). Teacher taps are recomputed
+    locally from transmitted parameter snapshots; features themselves never
+    cross a worker boundary.
 
-    Every ``kind`` is one :func:`~batchcl.engine.stacked_distance` call over
-    the (k, B) origin masks. The value adds the experts' terms in expert
+    Every ``kind`` is one :func:`~batchcl.engine.stacked_distance` call
+    routed by the origins. The value adds the experts' terms in expert
     order, bit-identical to a sum of k single-expert distances. Each row's
     own expert is gathered once, so every tap's gradient is one ``(B, D)``
     contribution; a row of memory gets an exact zero. Every other expert's
     share of a row is zero, so the gradients are those of the sum of k
     single-expert distances too.
     """
-    k = expert_teachers.logits.shape[0]
-    if len(teacher_origins) != k:
-        raise GraphError(f"{k} teachers but {len(teacher_origins)} origin tags")
-    if len(set(teacher_origins)) != k:
-        tags = list(teacher_origins)
-        repeated = next(t for i, t in enumerate(tags) if t in tags[:i])
-        raise GraphError(f"teacher origin {repeated} repeated: a row has one teacher at most")
-    origins = np.asarray(batch_origins)
-    masks = origins[None, :] == np.asarray(teacher_origins)[:, None]
-    return _distance(kind, expert_teachers, student, masks, weight, "expert_distance")
+    return _distance(kind, expert_teachers, student, batch_origins, weight, "expert_distance")
 
 
 def l_base(
@@ -171,27 +166,23 @@ def l_base(
     task_coef: float,
     consolidation_coef: float,
     kind: str = "features",
-    teacher_origins: Sequence[int] | None = None,
     batch_origins: np.ndarray | None = None,
 ) -> Objective:
     """Consolidation objective: weighted replay cross-entropy + batched distillation.
 
     A zero coefficient skips its branch entirely (degenerate modes reduce
-    to pure replay or pure distillation with no leftover work). The
-    origin arguments route each batch row to the expert whose buffer
-    contributed it; they are required whenever the distillation branch is
+    to pure replay or pure distillation with no leftover work). The batch's
+    origin tags route each row to the expert whose buffer contributed it
+    (:func:`l_bmc`); they are required whenever the distillation branch is
     active.
     """
     terms: list[Objective] = []
     if task_coef != 0.0:
         terms.append(task_loss(student, labels, task_coef))
     if consolidation_coef != 0.0:
-        if teacher_origins is None or batch_origins is None:
+        if batch_origins is None:
             raise GraphError("batched distillation needs origin tags for the batch")
-        terms.append(
-            l_bmc(student, expert_teachers, teacher_origins, batch_origins, kind,
-                  consolidation_coef)
-        )
+        terms.append(l_bmc(student, expert_teachers, batch_origins, kind, consolidation_coef))
     if not terms:
         raise GraphError("both coefficients zero: nothing to optimize")
     return _joined(terms)
@@ -200,7 +191,7 @@ def l_base(
 DISTILL_KINDS = ("features", "kd_logits", "phi_penultimate")
 
 
-def _distance(kind: str, teacher: TapSet, student: TapSet, masks, weight: float,
+def _distance(kind: str, teacher: TapSet, student: TapSet, owner, weight: float,
               name: str) -> Objective:
     """The ``kind`` distance of the student to a teacher stack, as one
     :func:`~batchcl.engine.stacked_distance` call: every tap, the last tap
@@ -218,7 +209,7 @@ def _distance(kind: str, teacher: TapSet, student: TapSet, masks, weight: float,
         raise ValueError(f"unknown distillation kind {kind!r}; expected one of {DISTILL_KINDS}")
     outputs = [*student.taps, student.logits]
     value, grads = stacked_distance(
-        [outputs[i] for i in which], targets, masks, per_feature, weight, name=name
+        [outputs[i] for i in which], targets, owner, per_feature, weight, name=name
     )
     parts: list[list[np.ndarray]] = [[] for _ in outputs]
     for i, stack in zip(which, grads):

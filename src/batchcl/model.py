@@ -350,8 +350,19 @@ class ResidualClassifier:
         self.classes = config.total_classes
         self.arena = arena
         self.flat_params = arena[..., : layout.n_params]
-        self.params = layout.param_views(self.flat_params)
-        self.stats = layout.stat_views(arena[..., layout.n_params :])
+        params = self.params = layout.param_views(self.flat_params)
+        stats = self.stats = layout.stat_views(arena[..., layout.n_params :])
+        # what a pass reads of each layer, in build order, and of the head,
+        # resolved once per binding so that no pass looks a name up: the
+        # weight, the bias and normalization scales broadcast over the rows,
+        # and the running buffers
+        self._head_views = (params["head.W"], params["head.b"][..., None, :])
+        self._layer_views = [
+            (prefix, params[f"{prefix}.W"], params[f"{prefix}.b"][..., None, :],
+             params[f"{prefix}.bn.gamma"][..., None, :], params[f"{prefix}.bn.beta"][..., None, :],
+             (stats[f"{prefix}.bn.running_mean"], stats[f"{prefix}.bn.running_var"]))
+            for prefix, _, _ in _affine_layers(config)
+        ]
 
     def forward_with_taps(
         self,
@@ -463,19 +474,15 @@ class ResidualClassifier:
         xhat, inv_std, mask). A stack's layers append copies of slice 0's,
         so the teachers' states are freed as the pass goes on.
         """
-        params, stats = self.params, self.stats
         train = mode != "eval"
         replay = iter(masks)
         batch: list[np.ndarray] = []  # slice 0's batch statistics, in layout order
 
-        def layer(h: np.ndarray, prefix: str, dropped: bool) -> np.ndarray:
-            z = h @ params[f"{prefix}.W"] + params[f"{prefix}.b"][..., None, :]
+        def layer(h: np.ndarray, views: tuple, dropped: bool) -> np.ndarray:
+            prefix, w, b, gamma, beta, running = views
             y, xhat, inv_std = batch_norm_arrays(
-                z,
-                params[f"{prefix}.bn.gamma"][..., None, :],
-                params[f"{prefix}.bn.beta"][..., None, :],
-                batch if mode == "train" else None if mode == "teacher"
-                else (stats[f"{prefix}.bn.running_mean"], stats[f"{prefix}.bn.running_var"]),
+                h @ w + b, gamma, beta,
+                batch if mode == "train" else None if mode == "teacher" else running,
                 train,
             )
             mask = next(replay) if dropped and masks else None
@@ -486,18 +493,20 @@ class ResidualClassifier:
             out = np.maximum(y, 0)
             return out if mask is None else out * mask
 
-        h = layer(x, "stem", True)
+        views = iter(self._layer_views)
+        h = layer(x, next(views), True)
         taps: list[np.ndarray] = []
-        for bidx in range(self.config.res_blocks):
+        for _ in range(self.config.res_blocks):
             r = h
-            for lidx in range(self.config.res_layers_per_block):
-                r = layer(r, f"block{bidx}.layer{lidx}", True)
+            for _ in range(self.config.res_layers_per_block):
+                r = layer(r, next(views), True)
             h = h + r
             taps.append(h)
-        pen = layer(h, "penult", False)
+        pen = layer(h, next(views), False)
         taps.append(pen)
         head_in = pen * next(replay) if masks else pen
-        logits = head_in @ params["head.W"] + params["head.b"][..., None, :]
+        head_w, head_b = self._head_views
+        logits = head_in @ head_w + head_b
         if mode == "train":
             layout = self.layout
             student = self.arena.reshape(-1, layout.size)[0]
@@ -737,4 +746,5 @@ def unstack(stack: ResidualClassifier, student: ResidualClassifier) -> None:
     arena = student.arena.copy()
     stack.arena = stack.flat_params = None
     stack.params, stack.stats = {}, {}
+    stack._layer_views, stack._head_views = [], ()
     student._bind(student.config, arena)

@@ -67,7 +67,6 @@ from .replay import (
     Buffer,
     ExemplarSet,
     Memory,
-    draw_batch,
     merge_pool,
     sample_buffer,
     subsample_memory,
@@ -621,9 +620,16 @@ def consolidate(
     caller never reuses this phase's optimizer afterwards. The student and
     its expert teachers are one stack: slice 0 is a copy of the base, and
     slices 1..k are the transmitted snapshots in expert-index order, so the
-    summation is deterministic. Each batch takes one pass for the student
-    and all k experts and one batched distillation. Returns the updated
-    copy; the input base is untouched.
+    summation is deterministic. ``artifacts`` are those of experts 0..k-1,
+    each buffer holding its own expert's rows (:func:`check_artifacts`), so
+    a pool row's origin tag is the index of its teacher in the stack's
+    teacher pass and memory rows (-1) have none: the pool's origin column
+    is the routing of the batched term for the whole call. Each batch
+    draws its rows as :func:`~batchcl.replay.draw_batch` does, with one
+    ``rng.integers`` call, and gathers only the features, labels and
+    origins it reads; then it takes one pass for the student and all k
+    experts and one batched distillation. Returns the updated copy; the
+    input base is untouched.
     """
     if not artifacts:
         raise ValueError("consolidation needs at least one expert artifact")
@@ -638,21 +644,21 @@ def consolidate(
         student = stack.slice(0)
     else:
         stack = student = base.copy()
-    teacher_origins = [a.expert_index for a in ordered]
-    batches_per_epoch = max(1, len(pool) // batch_size)
+    features, labels, origins = pool.features, pool.labels, pool.origins
+    n = len(pool)
+    batches_per_epoch = max(1, n // batch_size)
 
     def step(_):
-        batch = draw_batch(pool, batch_size, rng)
-        student_taps, record = stack.forward_with_taps(batch.features, train=True, rng=rng)
+        idx = rng.integers(0, n, size=batch_size)
+        student_taps, record = stack.forward_with_taps(features[idx], train=True, rng=rng)
         loss = l_base(
             student_taps,
             student_taps.teachers,
-            batch.labels,
+            labels[idx],
             task_coef=coefficients.task,
             consolidation_coef=coefficients.consolidation,
             kind=distill_kind,
-            teacher_origins=teacher_origins,
-            batch_origins=batch.origins,
+            batch_origins=origins[idx],
         )
         return loss_and_grads(loss.value, lambda: student.backward(record, loss))
 
@@ -661,6 +667,27 @@ def consolidate(
     if stack is not student:
         unstack(stack, student)
     return student
+
+
+def check_artifacts(artifacts: list[ExpertArtifact], k: int) -> None:
+    """Check that every artifact is one of a k-expert step's and carries
+    only its own expert's rows.
+
+    An artifact's expert index must be in 0..k-1, and its buffer's owner
+    and every row's origin tag must equal that index; anything else raises
+    ProtocolViolation. :func:`consolidate` routes each pool row to the
+    teacher its origin names, so a buffer tagged with another expert would
+    distill its rows toward that expert.
+    """
+    for a in artifacts:
+        j = a.expert_index
+        if not 0 <= j < k:
+            raise ProtocolViolation(f"artifact names expert {j}, but the step has {k} experts")
+        others = {a.buffer.owner, *np.unique(a.buffer.exemplars.origins).tolist()} - {j}
+        if others:
+            raise ProtocolViolation(
+                f"artifact of expert {j} carries a buffer tagged with expert {min(others)}"
+            )
 
 
 def expert_distances(
@@ -737,7 +764,8 @@ def run_incremental_step(
     On success returns the NEW base model and records the step's cost; the
     memory is refreshed in place as the final action. If an expert fails,
     an expert's message breaks the protocol (a malformed, duplicate or
-    missing ARTF frame), or the consolidation loss or a gradient turns
+    missing ARTF frame, or one of an expert outside the step or with rows
+    tagged for another expert), or the consolidation loss or a gradient turns
     non-finite, raises StepFailure with base and memory untouched (the
     consolidation trains a copy, and the memory write only happens after
     success).
@@ -762,6 +790,7 @@ def run_incremental_step(
         )
         if len(received) != plan.k:
             raise ProtocolViolation(f"expected {plan.k} artifacts, got {len(received)}")
+        check_artifacts(received, plan.k)
     except (ExpertFailure, ProtocolViolation) as e:
         raise StepFailure(f"step {plan.step_id}: {e}") from e
 

@@ -24,8 +24,12 @@ from batchcl.engine import (
     softmax_cross_entropy,
     stacked_distance,
 )
+from batchcl.engine import SGD, PlateauScheduler
 from batchcl.engine.autodiff import BN_MOMENTUM, Tensor, _accumulate, _node, gradients
-from batchcl.model import ResidualClassifier, TapSet
+from batchcl.losses import Objective, _joined, l_bmc, task_loss
+from batchcl.model import ResidualClassifier, TapSet, stack_vectors, unstack
+from batchcl.protocol import TAG_ARTIFACT, decode_artifact, encode_artifact, frame, unframe
+from batchcl.replay import draw_batch, merge_pool
 
 
 def experiment(method: str = "bmc", seed: int = 0, *, model: dict | None = None,
@@ -53,6 +57,72 @@ def stack_passes(passes: list[TapSet]) -> TapSet:
         taps=[np.stack([p.taps[i] for p in passes]) for i in range(len(passes[0].taps))],
         logits=np.stack([p.logits for p in passes]),
     )
+
+
+def per_teacher_l_bmc(student: TapSet, teachers: list[TapSet], origins: np.ndarray, kind: str,
+                      weight: float = 1.0) -> Objective:
+    """The batched term as a sum of one-teacher distances, in teacher order:
+    the reference the single batched call must reproduce bit for bit.
+    Teacher j is a stack of one that owns the rows of origin j."""
+    return _joined([
+        l_bmc(student, stack_passes([teacher]), np.where(origins == j, 0, -1), kind, weight)
+        for j, teacher in enumerate(teachers)
+    ])
+
+
+def per_teacher_l_base(student: TapSet, teachers: list[TapSet], labels: np.ndarray,
+                       origins: np.ndarray, task_coef: float, consolidation_coef: float,
+                       kind: str) -> Objective:
+    """``l_base`` with both terms on, from the task loss and
+    :func:`per_teacher_l_bmc`: the coefficient scales the sum of the
+    teachers' terms, and each term's gradient."""
+    ce = task_loss(student, labels, task_coef)
+    unit = per_teacher_l_bmc(student, teachers, origins, kind)
+    weighted = per_teacher_l_bmc(student, teachers, origins, kind, consolidation_coef)
+    return Objective(ce.value + unit.value * np.float32(consolidation_coef),
+                     [a + b for a, b in zip(ce.taps, weighted.taps)],
+                     ce.logits + weighted.logits)
+
+
+def consolidate_reference(base: ResidualClassifier, artifacts, memory, coefficients,
+                          rehearsal_epochs: int, batch_size: int, rng: np.random.Generator,
+                          lr: float = 0.1, distill_kind: str = "features") -> ResidualClassifier:
+    """``protocol.consolidate`` with both coefficients on, as a plain loop:
+    each batch is a ``draw_batch`` of the pool, one stacked pass of the
+    student and its teachers, the per-teacher consolidation objective
+    (:func:`per_teacher_l_base`, every teacher routed to its rows by
+    comparing origin tags with its expert index), the student's backward
+    and an SGD step; a plateau schedule sees each epoch's mean loss."""
+    ordered = sorted(artifacts, key=lambda a: a.expert_index)
+    pool = merge_pool(memory, [a.buffer for a in ordered])
+    stack = stack_vectors(base.config, [base, *(a.param_vector for a in ordered)])
+    student = stack.slice(0)
+    opt = SGD(lr)
+    schedule = PlateauScheduler(opt)
+    for _ in range(rehearsal_epochs):
+        losses = []
+        for _ in range(max(1, len(pool) // batch_size)):
+            batch = draw_batch(pool, batch_size, rng)
+            taps, record = stack.forward_with_taps(batch.features, train=True, rng=rng)
+            teachers = [taps.teachers[j] for j in range(len(ordered))]
+            origins = np.full(len(batch), -1)
+            for j, a in enumerate(ordered):
+                origins[batch.origins == a.expert_index] = j
+            loss = per_teacher_l_base(taps, teachers, batch.labels, origins,
+                                      coefficients.task, coefficients.consolidation,
+                                      distill_kind)
+            value, grads = loss_and_grads(loss.value, lambda: student.backward(record, loss))
+            opt.step(student.flat_params, grads, student.layout.param_slices)
+            losses.append(value)
+        schedule.step(float(np.mean(losses)))
+    unstack(stack, student)
+    return student
+
+
+def rewrite_last_artifact(msgs: list[bytes], edit) -> list[bytes]:
+    """ARTF frames with the last one's artifact replaced by ``edit(artifact)``."""
+    last = decode_artifact(unframe(msgs[-1])[1])
+    return [*msgs[:-1], frame(TAG_ARTIFACT, encode_artifact(edit(last)))]
 
 
 def float64_twin(model: ResidualClassifier) -> ResidualClassifier:
@@ -238,15 +308,15 @@ def cross_entropy(logits: Tensor, labels: np.ndarray, name: str = "cross_entropy
     return _node(value, (logits,), backward, name)
 
 
-def distance(students: list[Tensor], targets, masks=None, per_feature: bool = True,
+def distance(students: list[Tensor], targets, owner=None, per_feature: bool = True,
              name: str = "stacked_distance") -> Tensor:
     """``stacked_distance`` as one node; its backward adds teacher j's
     contribution into each student in order j = 0..k-1."""
     arrays = [s.data for s in students]
-    value, _ = stacked_distance(arrays, targets, masks, per_feature, name=name)
+    value, _ = stacked_distance(arrays, targets, owner, per_feature, name=name)
 
     def backward(g: np.ndarray) -> None:
-        _, grads = stacked_distance(arrays, targets, masks, per_feature, g, name=name)
+        _, grads = stacked_distance(arrays, targets, owner, per_feature, g, name=name)
         for s, stack in zip(students, grads):
             for contribution in stack:
                 _accumulate(s, contribution)
@@ -256,12 +326,13 @@ def distance(students: list[Tensor], targets, masks=None, per_feature: bool = Tr
 
 def tape_objective(student: TapSet, labels: np.ndarray, task_coef: float,
                    teacher: TapSet | None = None, distill_coef: float = 0.0,
-                   kind: str = "features", masks=None) -> Tensor:
+                   kind: str = "features", owner=None) -> Tensor:
     """``l_exp`` and ``l_base`` on a per-op pass (a TapSet of nodes), as the
     tape builds them: ``task_coef`` times the cross-entropy plus
     ``distill_coef`` times the ``kind`` distance to the ``(k, B, D)``
-    teacher stack, a zero coefficient leaving its term out. Without
-    ``masks`` every row counts for every teacher."""
+    teacher stack, a zero coefficient leaving its term out. ``owner``
+    routes each row to its teacher; without it every row counts for every
+    teacher."""
     terms = []
     if task_coef != 0.0:
         terms.append(scale(cross_entropy(student.logits, labels), task_coef))
@@ -270,7 +341,7 @@ def tape_objective(student: TapSet, labels: np.ndarray, task_coef: float,
         which = {"features": range(n), "phi_penultimate": [n - 1], "kd_logits": [n]}[kind]
         outputs, targets = [*student.taps, student.logits], [*teacher.taps, teacher.logits]
         terms.append(scale(
-            distance([outputs[i] for i in which], [targets[i] for i in which], masks,
+            distance([outputs[i] for i in which], [targets[i] for i in which], owner,
                      per_feature=kind != "kd_logits"),
             distill_coef,
         ))

@@ -222,8 +222,9 @@ def _run_program(leaves, instrs, terminal):
     elif term == "ce":
         out = cross_entropy(x, labels)
     else:
-        masks = mask[None] if term.startswith("masked") else None
-        out = distance([x], [target], masks, per_feature=term.endswith("features"))
+        # a masked terminal routes the selected rows to its one teacher
+        owner = np.where(mask == 1.0, 0, -1) if term.startswith("masked") else None
+        out = distance([x], [target], owner, per_feature=term.endswith("features"))
     return out, tensors, nodes
 
 
@@ -306,12 +307,12 @@ def _loss_fd_cases():
         return on_student(l_exp(student(a), teacher, labels, 0.7), a)
 
     def case_batched(a):
-        return on_student(l_bmc(student(a), teachers, [0, 1], origins), a)
+        return on_student(l_bmc(student(a), teachers, origins), a)
 
     def case_consolidation(a):
         return on_student(
             l_base(student(a), teachers, labels, task_coef=0.6, consolidation_coef=1.3,
-                   teacher_origins=[0, 1], batch_origins=origins),
+                   batch_origins=origins),
             a,
         )
 

@@ -131,11 +131,11 @@ class TestFiniteDifferenceOracle:
         for trial in range(10):
             params = random_params(rng, {"x": (6, 5)})
             target = rng.standard_normal((1, 6, 5))
-            mask = (rng.random((1, 6)) < 0.5).astype(np.float64)
+            owner = np.where(rng.random(6) < 0.5, 0, -1)
 
             def build(ps):
                 tx = Tensor(ps["x"], requires_grad=True, name="x")
-                return distance([tx], [target], mask, per_feature=False), tx
+                return distance([tx], [target], owner, per_feature=False), tx
 
             loss, tx = build(params)
             _, analytic = tape_grads(loss, {"x": tx})
@@ -147,8 +147,8 @@ class TestFiniteDifferenceOracle:
         for trial in range(10):
             params = random_params(rng, {"x": (6, 5)})
             target = rng.standard_normal((1, 6, 5))
-            mask = (rng.random((1, 6)) < 0.5).astype(np.float64)
-            for m in (None, mask):
+            owner = np.where(rng.random(6) < 0.5, 0, -1)
+            for m in (None, owner):
                 def build(ps, m=m):
                     tx = Tensor(ps["x"], requires_grad=True, name="x")
                     return distance([tx], [target], m, per_feature=True), tx
@@ -165,16 +165,16 @@ class TestFiniteDifferenceOracle:
         zero = np.zeros((1, 5, 3))
         got = distance([Tensor(x)], [zero], None, per_feature=True).item()
         assert got == pytest.approx((x ** 2).mean(), rel=1e-12)
-        mask = np.array([[1.0, 0.0, 1.0, 0.0, 0.0]])
+        owner = np.array([0, -1, 0, -1, -1])
         tx = Tensor(x, requires_grad=True, name="x")
-        loss = distance([tx], [zero], mask, per_feature=True)
+        loss = distance([tx], [zero], owner, per_feature=True)
         assert loss.item() == pytest.approx((x[[0, 2]] ** 2).mean(), rel=1e-12)
         _, grads = tape_grads(loss, {"x": tx})
-        assert np.all(grads["x"][mask[0] == 0.0] == 0.0)
-        empty = distance([Tensor(x)], [zero], np.zeros((1, 5)), per_feature=True)
+        assert np.all(grads["x"][owner == -1] == 0.0)
+        empty = distance([Tensor(x)], [zero], np.full(5, -1), per_feature=True)
         assert empty.item() == 0.0
-        with pytest.raises(GraphError, match="do not fit masks"):
-            distance([Tensor(x)], [zero], np.ones((1, 3)), per_feature=True)
+        with pytest.raises(GraphError, match="owners of shape .3,. do not fit 5 rows"):
+            distance([Tensor(x)], [zero], np.zeros(3, int), per_feature=True)
 
     @pytest.mark.parametrize("per_feature", [True, False])
     def test_stacked_distance_grads(self, per_feature):
@@ -184,8 +184,8 @@ class TestFiniteDifferenceOracle:
             params = random_params(rng, shapes)
             targets = [rng.standard_normal((3, *shape)) for shape in shapes.values()]
             # each row has one teacher at most; teacher 2 has no rows in the batch
-            masks = rng.integers(-1, 2, size=6) == np.arange(3)[:, None]
-            for m in (masks, None):
+            owner = rng.integers(-1, 2, size=6)
+            for m in (owner, None):
                 def build(ps, m=m):
                     students = [Tensor(ps[k], requires_grad=True, name=k) for k in shapes]
                     return distance(students, targets, m, per_feature), students
@@ -205,8 +205,8 @@ class TestFiniteDifferenceOracle:
         rng = np.random.default_rng(16)
         x = rng.standard_normal((7, 5)).astype(np.float32)
         targets = [rng.standard_normal((4, 7, 5)).astype(np.float32) for _ in range(2)]
-        masks = rng.integers(-1, 4, size=7) == np.arange(4)[:, None]
-        masks[1] = False
+        owner = rng.integers(-1, 4, size=7)
+        owner[owner == 1] = -1  # teacher 1 has no rows
 
         def run(distance):
             leaf = Tensor(x, requires_grad=True, name="x")
@@ -219,12 +219,13 @@ class TestFiniteDifferenceOracle:
             total = None
             for j in range(4):
                 term = distance(
-                    students, [t[j : j + 1] for t in targets], masks[j : j + 1], per_feature
+                    students, [t[j : j + 1] for t in targets], np.where(owner == j, 0, -1),
+                    per_feature,
                 )
                 total = term if total is None else add(total, term)
             return total
 
-        got = run(lambda ss: distance(ss, targets, masks, per_feature))
+        got = run(lambda ss: distance(ss, targets, owner, per_feature))
         want = run(per_teacher_graph)
         assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
         assert got[1]["x"].tobytes() == want[1]["x"].tobytes()
@@ -269,9 +270,9 @@ class TestFiniteDifferenceOracle:
         rng = np.random.default_rng(15)
         s = rng.standard_normal((4, 3))
         targets = rng.standard_normal((2, 4, 3))
-        masks = np.array([[1, 0, 1, 1], [0, 0, 0, 0]], dtype=bool)
-        got = distance([Tensor(s)], [targets], masks, per_feature).item()
-        sq = ((targets[0] - s) ** 2)[masks[0]]
+        owner = np.array([0, -1, 0, 0])
+        got = distance([Tensor(s)], [targets], owner, per_feature).item()
+        sq = ((targets[0] - s) ** 2)[owner == 0]
         want = sq.mean() if per_feature else sq.sum(axis=1).mean()
         assert got == pytest.approx(want, rel=1e-12)
         got = distance([Tensor(s)], [targets], None, per_feature).item()
@@ -279,15 +280,15 @@ class TestFiniteDifferenceOracle:
         want = sum(sq[j].mean() if per_feature else sq[j].sum(axis=1).mean() for j in range(2))
         assert got == pytest.approx(want, rel=1e-12)
         with pytest.raises(GraphError, match="target stack"):
-            distance([Tensor(s)], [targets[:, :3]], masks)
-        with pytest.raises(GraphError, match="do not fit masks"):
-            distance([Tensor(s)], [targets], masks[:, :1])
+            distance([Tensor(s)], [targets[:, :3]], owner)
+        with pytest.raises(GraphError, match="do not fit 4 rows"):
+            distance([Tensor(s)], [targets], owner[:1])
         with pytest.raises(GraphError, match="do not fit 2 teachers"):
             distance([Tensor(s), Tensor(s)], [targets, targets[:1]])
         with pytest.raises(GraphError, match="students"):
-            distance([Tensor(s)], [], masks)
+            distance([Tensor(s)], [], owner)
         with pytest.raises(GraphError, match="at least one teacher"):
-            distance([Tensor(s)], [targets[:0]], masks[:0])
+            distance([Tensor(s)], [targets[:0]], owner)
         with pytest.raises(GraphError, match="at least one teacher"):
             distance([Tensor(s)], [targets[:0]])
 
@@ -296,49 +297,78 @@ class TestFiniteDifferenceOracle:
         rng = np.random.default_rng(4)
         x = rng.standard_normal((5, 3))
         target = rng.standard_normal((1, 5, 3))
-        mask = np.array([[1.0, 0.0, 1.0, 0.0, 0.0]])
+        owner = np.array([0, -1, 0, -1, -1])
         tx = Tensor(x, requires_grad=True, name="x")
-        loss = distance([tx], [target], mask, per_feature)
+        loss = distance([tx], [target], owner, per_feature)
         sq = ((target[0] - x) ** 2)[[0, 2]]
         want = sq.mean() if per_feature else sq.sum(axis=1).mean()
         assert loss.item() == pytest.approx(want, rel=1e-12)
         # deselected rows get exactly zero gradient
         _, grads = tape_grads(loss, {"x": tx})
-        assert np.all(grads["x"][mask[0] == 0.0] == 0.0)
-        assert np.all(grads["x"][mask[0] == 1.0] != 0.0)
+        assert np.all(grads["x"][owner == -1] == 0.0)
+        assert np.all(grads["x"][owner == 0] != 0.0)
 
     @pytest.mark.parametrize("per_feature", [True, False])
     def test_stacked_distance_empty_selection_is_zero(self, per_feature):
         tx = Tensor(np.ones((4, 3)), requires_grad=True, name="x")
-        loss = distance([tx], [np.zeros((2, 4, 3))], np.zeros((2, 4)), per_feature)
+        loss = distance([tx], [np.zeros((2, 4, 3))], np.full(4, -1), per_feature)
         assert loss.item() == 0.0
         _, grads = tape_grads(loss, {"x": tx})
         assert np.all(grads["x"] == 0.0)
 
     @pytest.mark.parametrize("per_feature", [True, False])
     def test_stacked_distance_gathers_each_rows_teacher(self, per_feature):
-        """With masks every student gets one (B, D) contribution, whatever k
-        is; a row of no teacher gets an exact +0, and a row of two teachers
-        is rejected."""
+        """With owners every student gets one (B, D) contribution, whatever k
+        is, and a row of no teacher gets an exact +0."""
         rng = np.random.default_rng(18)
         s = rng.standard_normal((5, 3)).astype(np.float32)
         targets = rng.standard_normal((4, 5, 3)).astype(np.float32)
-        masks = np.array([-1, 2, 0, 2, -1]) == np.arange(4)[:, None]
-        _, (grad,) = stacked_distance([s], [targets], masks, per_feature, 0.5)
+        owner = np.array([-1, 2, 0, 2, -1])
+        _, (grad,) = stacked_distance([s], [targets], owner, per_feature, 0.5)
         assert grad.shape == (1, 5, 3)
         assert np.signbit(grad[0, [0, 4]]).sum() == 0 and not grad[0, [0, 4]].any()
         _, (stack,) = stacked_distance([s], [targets], None, per_feature, 0.5)
         assert stack.shape == (4, 5, 3)
-        masks[1, 1] = True
-        with pytest.raises(GraphError, match="row 1 selected by more than one teacher"):
-            stacked_distance([s], [targets], masks, per_feature)
+
+    @pytest.mark.parametrize("per_feature", [True, False])
+    def test_stacked_distance_all_memory_batch_is_exact_zero(self, per_feature):
+        """A batch of memory rows only: an exact 0 value and +0 gradients."""
+        rng = np.random.default_rng(19)
+        s = rng.standard_normal((6, 3)).astype(np.float32)
+        targets = np.stack([s + 1.0, -s]).astype(np.float32)
+        value, (grad,) = stacked_distance([s], [targets], np.full(6, -1), per_feature, 0.7)
+        assert np.float32(value).tobytes() == np.float32(0.0).tobytes()
+        assert grad.shape == (1, 6, 3)
+        assert not grad.any() and not np.signbit(grad).any()
+
+    @pytest.mark.parametrize("per_feature", [True, False])
+    def test_stacked_distance_rejects_an_owner_beyond_the_stack(self, per_feature):
+        s = np.ones((5, 3), np.float32)
+        targets = np.zeros((4, 5, 3), np.float32)
+        for owner, row in (([0, 4, -1, 1, 3], 1), ([0, 1, 2, 3, 9], 4)):
+            with pytest.raises(GraphError, match=f"row {row} routed to teacher .* of 4"):
+                stacked_distance([s], [targets], np.array(owner), per_feature)
+
+    @pytest.mark.parametrize("per_feature", [True, False])
+    def test_stacked_distance_absent_teacher_contributes_exact_zero(self, per_feature):
+        """A teacher that owns no row of the batch changes neither the value
+        nor the gradient, bit for bit, against the stack without it."""
+        rng = np.random.default_rng(20)
+        s = rng.standard_normal((7, 4)).astype(np.float32)
+        targets = rng.standard_normal((3, 7, 4)).astype(np.float32)
+        owner = np.array([0, 2, -1, 2, 0, -1, 2])  # teacher 1 owns nothing
+        with_absent = stacked_distance([s], [targets], owner, per_feature, 1.3)
+        without = stacked_distance([s], [targets[[0, 2]]], np.where(owner == 2, 1, owner),
+                                   per_feature, 1.3)
+        assert np.float32(with_absent[0]).tobytes() == np.float32(without[0]).tobytes()
+        assert with_absent[1][0].tobytes() == without[1][0].tobytes()
 
     def test_stacked_distance_bad_mask_shape(self):
         x = Tensor(np.ones((4, 3)), name="x")
-        with pytest.raises(GraphError, match="do not fit masks"):
-            distance([x], [np.zeros((1, 4, 3))], np.ones((1, 3)))
-        with pytest.raises(GraphError, match="masks of shape"):
-            distance([x], [np.zeros((1, 4, 3))], np.ones(4))
+        with pytest.raises(GraphError, match="owners of shape .3,. do not fit 4 rows"):
+            distance([x], [np.zeros((1, 4, 3))], np.zeros(3, int))
+        with pytest.raises(GraphError, match="owners of shape .1, 4. do not fit 4 rows"):
+            distance([x], [np.zeros((1, 4, 3))], np.zeros((1, 4), int))
 
     def test_train_mode_batch_norm(self):
         rng = np.random.default_rng(3)

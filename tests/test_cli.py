@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import re
@@ -13,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import rewrite_last_artifact
 
 import batchcl
 import batchcl.protocol as protocol_mod
@@ -24,6 +26,7 @@ from batchcl.config import (
     parse_sweep,
 )
 from batchcl.protocol import FRAME_OVERHEAD, SYNC_FIXED_NBYTES, child_seed
+from batchcl.replay import Buffer
 from batchcl.streams import load_feature_stream
 
 
@@ -203,6 +206,28 @@ class TestRunVerb:
         monkeypatch.setattr(
             protocol_mod.SerialExecutor, "run",
             lambda self, *args: [m[:-3] for m in serial_run(self, *args)],
+        )
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(toy_raw(method="bmc", out_dir=str(tmp_path / "out"))))
+        assert main(["run", str(cfg_file)]) == 3
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["failed_step"] == 0
+        assert (tmp_path / "out" / "records.jsonl").exists()
+
+    @pytest.mark.parametrize("field", ["expert_index", "buffer_owner"])
+    def test_misrouted_artifact_fails_the_step_not_the_run(self, tmp_path, monkeypatch, field):
+        # the last expert's ARTF frame names expert 7 of a 2-expert step, or
+        # carries a buffer owned by and tagged for expert 0
+        def edit(a):
+            if field == "expert_index":
+                return dataclasses.replace(a, expert_index=7)
+            return dataclasses.replace(a, buffer=Buffer(
+                a.buffer.exemplars.with_origin(0), a.buffer.capacity, owner=0))
+
+        serial_run = protocol_mod.SerialExecutor.run
+        monkeypatch.setattr(
+            protocol_mod.SerialExecutor, "run",
+            lambda self, *args: rewrite_last_artifact(serial_run(self, *args), edit),
         )
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps(toy_raw(method="bmc", out_dir=str(tmp_path / "out"))))

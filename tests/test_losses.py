@@ -11,6 +11,8 @@ from helpers import (
     finite_diff_params,
     float64_twin,
     jitter_params,
+    per_teacher_l_base,
+    per_teacher_l_bmc,
     stack_passes,
     step_grads,
 )
@@ -20,8 +22,6 @@ from batchcl.losses import (
     DISTILL_KINDS,
     FisherState,
     LossCoefficients,
-    Objective,
-    _joined,
     alt_distill,
     decay_and_anchor,
     ewc_penalty,
@@ -183,7 +183,7 @@ class TestBatchedDistillation:
     def test_expert_identical_to_base_zero(self):
         s = self._taps(self.base)
         t = self._taps(build_model(TOY, seed=0))
-        assert float(l_bmc(s, stack_passes([t]), [0], np.zeros(6, dtype=int)).value) == 0.0
+        assert float(l_bmc(s, stack_passes([t]), np.zeros(6, dtype=int)).value) == 0.0
 
     def test_each_expert_scored_on_own_rows_only(self):
         s = self._taps(self.base)
@@ -192,41 +192,43 @@ class TestBatchedDistillation:
             self._masked_oracle(s, t, self.origins == j)
             for j, t in enumerate(teachers)
         )
-        got = float(l_bmc(s, stack_passes(teachers), [0, 1, 2], self.origins).value)
+        got = float(l_bmc(s, stack_passes(teachers), self.origins).value)
         assert got == pytest.approx(want, rel=1e-6)
 
     def test_absent_expert_contributes_zero(self):
         s = self._taps(self.base)
         t0, t1 = self._taps(self.experts[0]), self._taps(self.experts[1])
         all_mine = np.zeros(6, dtype=int)
-        with_ghost = float(l_bmc(s, stack_passes([t0, t1]), [0, 7], all_mine).value)
-        alone = float(l_bmc(s, stack_passes([t0]), [0], all_mine).value)
+        with_ghost = float(l_bmc(s, stack_passes([t0, t1]), all_mine).value)
+        alone = float(l_bmc(s, stack_passes([t0]), all_mine).value)
         assert with_ghost == alone
-        assert float(l_bmc(s, stack_passes([t1]), [7], all_mine).value) == 0.0
+        assert float(l_bmc(s, stack_passes([t1]), np.full(6, -1)).value) == 0.0
 
     def test_memory_rows_excluded(self):
         s = self._taps(self.base)
         t = self._taps(self.experts[0])
         origins = np.array([-1, -1, -1, 0, 0, 0])
-        got = float(l_bmc(s, stack_passes([t]), [0], origins).value)
+        got = float(l_bmc(s, stack_passes([t]), origins).value)
         assert got == pytest.approx(self._masked_oracle(s, t, origins == 0), rel=1e-6)
         assert got != pytest.approx(self._masked_oracle(s, t, origins != 9), rel=1e-3)
 
     def test_additive_over_expert_partition(self):
         s = self._taps(self.base)
         teachers = [self._taps(e) for e in self.experts]
-        whole = float(l_bmc(s, stack_passes(teachers), [0, 1, 2], self.origins).value)
+        whole = float(l_bmc(s, stack_passes(teachers), self.origins).value)
+        # the second stack's slices are experts 1 and 2
         parts = (
-            float(l_bmc(s, stack_passes(teachers[:1]), [0], self.origins).value)
-            + float(l_bmc(s, stack_passes(teachers[1:]), [1, 2], self.origins).value)
+            float(l_bmc(s, stack_passes(teachers[:1]), np.where(self.origins == 0, 0, -1)).value)
+            + float(l_bmc(s, stack_passes(teachers[1:]), self.origins - 1).value)
         )
         assert whole == pytest.approx(parts, rel=1e-7)
 
     def test_mismatched_origin_tags_rejected(self):
+        # origin 2 names no expert of a stack of two
         s = self._taps(self.base)
-        teachers = [self._taps(e) for e in self.experts]
-        with pytest.raises(GraphError, match="origin tags"):
-            l_bmc(s, stack_passes(teachers), [0, 1], self.origins)
+        teachers = [self._taps(e) for e in self.experts[:2]]
+        with pytest.raises(GraphError, match="row 4 routed to teacher 2 of 2"):
+            l_bmc(s, stack_passes(teachers), self.origins)
 
     def test_empty_expert_list_rejected(self):
         s = self._taps(self.base)
@@ -235,23 +237,14 @@ class TestBatchedDistillation:
             logits=np.zeros((0, *s.logits.shape), np.float32),
         )
         with pytest.raises(GraphError, match="at least one"):
-            l_bmc(s, empty, [], self.origins)
-
-
-def per_teacher_l_bmc(student, teachers, owners, origins, kind, weight=1.0):
-    """The batched term as a sum of one-teacher distances, in teacher order:
-    the reference the single batched call must reproduce bit for bit."""
-    return _joined([
-        l_bmc(student, stack_passes([teacher]), [owner], origins, kind, weight)
-        for teacher, owner in zip(teachers, owners)
-    ])
+            l_bmc(s, empty, self.origins)
 
 
 class TestStackedDistillation:
     """One call over a teacher stack equals the per-teacher composition bitwise."""
 
     CONFIG = dataclasses.replace(TOY, res_blocks=2, dropout_p=0.1)
-    OWNERS = [0, 1, 2, 3]
+    K = 4
 
     def setup_method(self):
         rng = np.random.default_rng(15)
@@ -260,7 +253,7 @@ class TestStackedDistillation:
         # expert 3 has no rows in this batch; -1 marks memory rows
         self.origins = np.array([0, 1, -1, 2, 0, 1, -1, 2, 2, 0])
         self.base = build_model(self.CONFIG, seed=0)
-        self.experts = [build_model(self.CONFIG, seed=70 + j) for j in self.OWNERS]
+        self.experts = [build_model(self.CONFIG, seed=70 + j) for j in range(self.K)]
         self.stack = stack_vectors(self.CONFIG, [e.to_param_vector() for e in self.experts])
 
     def _grads(self, build):
@@ -280,12 +273,11 @@ class TestStackedDistillation:
     @pytest.mark.parametrize("kind", DISTILL_KINDS)
     def test_value_and_gradients_match_per_teacher_graphs(self, kind):
         def batched(s):
-            return l_bmc(s, self.stack.forward_as_teacher(self.x, s.masks),
-                         self.OWNERS, self.origins, kind)
+            return l_bmc(s, self.stack.forward_as_teacher(self.x, s.masks), self.origins, kind)
 
         def reference(s):
             teachers = [e.forward_as_teacher(self.x, s.masks) for e in self.experts]
-            return per_teacher_l_bmc(s, teachers, self.OWNERS, self.origins, kind)
+            return per_teacher_l_bmc(s, teachers, self.origins, kind)
 
         self._assert_bitwise(self._grads(batched), self._grads(reference))
 
@@ -295,26 +287,21 @@ class TestStackedDistillation:
 
         def batched(s):
             return l_base(s, self.stack.forward_as_teacher(self.x, s.masks), self.y,
-                          0.7, 1.3, kind, self.OWNERS, self.origins)
+                          0.7, 1.3, kind, self.origins)
 
         def reference(s):
             teachers = [e.forward_as_teacher(self.x, s.masks) for e in self.experts]
-            ce = task_loss(s, self.y, 0.7)
-            # the weight scales the sum of the expert terms, and each term's gradient
-            unit = per_teacher_l_bmc(s, teachers, self.OWNERS, self.origins, kind)
-            weighted = per_teacher_l_bmc(s, teachers, self.OWNERS, self.origins, kind, 1.3)
-            return Objective(ce.value + unit.value * np.float32(1.3),
-                             [a + b for a, b in zip(ce.taps, weighted.taps)],
-                             ce.logits + weighted.logits)
+            return per_teacher_l_base(s, teachers, self.y, self.origins, 0.7, 1.3, kind)
 
         self._assert_bitwise(self._grads(batched), self._grads(reference))
 
     @pytest.mark.parametrize("kind", DISTILL_KINDS)
     def test_absent_expert_contributes_exact_zero(self, kind):
+        # expert 3 as a stack of one: it owns no row of the batch
         absent = stack_vectors(self.CONFIG, [self.experts[3].to_param_vector()])
         value, grads = self._grads(
-            lambda s: l_bmc(s, absent.forward_as_teacher(self.x, s.masks), [3],
-                            self.origins, kind)
+            lambda s: l_bmc(s, absent.forward_as_teacher(self.x, s.masks),
+                            np.where(self.origins == 3, 0, -1), kind)
         )
         assert value == 0.0
         assert all(not g.any() for g in grads.values())
@@ -322,24 +309,24 @@ class TestStackedDistillation:
     def test_checks_still_raise(self):
         s, _ = self.base.forward_with_taps(self.x)
         stacked = self.stack.forward_as_teacher(self.x)
-        with pytest.raises(GraphError, match="origin tags"):
-            l_bmc(s, stacked, self.OWNERS[:-1], self.origins)
+        with pytest.raises(GraphError, match="routed to teacher 4 of 4"):
+            l_bmc(s, stacked, np.where(self.origins == 2, 4, self.origins))
         fewer = TapSet(taps=stacked.taps[:-1], logits=stacked.logits)
         with pytest.raises(GraphError, match="tap count mismatch"):
-            l_bmc(s, fewer, self.OWNERS, self.origins)
+            l_bmc(s, fewer, self.origins)
         other_rows = self.stack.forward_as_teacher(self.x[:6])
         for kind in DISTILL_KINDS:
             with pytest.raises(GraphError, match="do not fit"):
-                l_bmc(s, other_rows, self.OWNERS, self.origins, kind)
+                l_bmc(s, other_rows, self.origins, kind)
         with pytest.raises(GraphError, match="do not fit"):
-            l_bmc(s, stacked, self.OWNERS, self.origins[:6])
+            l_bmc(s, stacked, self.origins[:6])
         narrow = TapSet(taps=[t[..., :2] for t in stacked.taps],
                         logits=stacked.logits[..., :2])
         for kind in DISTILL_KINDS:
             with pytest.raises(GraphError, match="do not fit"):
-                l_bmc(s, narrow, self.OWNERS, self.origins, kind)
+                l_bmc(s, narrow, self.origins, kind)
         with pytest.raises(ValueError, match="unknown"):
-            l_bmc(s, stacked, self.OWNERS, self.origins, "temperature_kl")
+            l_bmc(s, stacked, self.origins, "temperature_kl")
 
 
 class TestBaseObjective:
@@ -348,14 +335,13 @@ class TestBaseObjective:
         self.x = rng.standard_normal((6, 4)).astype(np.float32)
         self.y = rng.integers(0, 3, size=6)
         self.origins = np.array([0, 0, 1, -1, -1, 1])
-        self.owners = [0, 1]
         self.base = build_model(TOY, seed=0)
         self.teachers = stack_passes(
             [build_model(TOY, seed=s).forward_with_taps(self.x)[0] for s in (21, 22)]
         )
 
     def _distill(self, s):
-        return l_bmc(s, self.teachers, self.owners, self.origins)
+        return l_bmc(s, self.teachers, self.origins)
 
     def test_pure_replay_needs_no_origins(self):
         s, _ = self.base.forward_with_taps(self.x)
@@ -366,7 +352,7 @@ class TestBaseObjective:
         s, _ = self.base.forward_with_taps(self.x)
         got = l_base(
             s, self.teachers, self.y, task_coef=0.0, consolidation_coef=1.0,
-            teacher_origins=self.owners, batch_origins=self.origins,
+            batch_origins=self.origins,
         )
         assert float(got.value) == float(self._distill(s).value)
 
@@ -374,7 +360,7 @@ class TestBaseObjective:
         s, _ = self.base.forward_with_taps(self.x)
         whole = float(l_base(
             s, self.teachers, self.y, 1.0, 1.0,
-            teacher_origins=self.owners, batch_origins=self.origins,
+            batch_origins=self.origins,
         ).value)
         parts = float(task_loss(s, self.y).value) + float(self._distill(s).value)
         assert abs(whole - parts) < 1e-6
@@ -382,7 +368,7 @@ class TestBaseObjective:
     def test_linear_in_consolidation_coefficient(self):
         s, _ = self.base.forward_with_taps(self.x)
         ce = float(task_loss(s, self.y).value)
-        kw = dict(teacher_origins=self.owners, batch_origins=self.origins)
+        kw = dict(batch_origins=self.origins)
         one = float(l_base(s, self.teachers, self.y, 1.0, 1.0, **kw).value) - ce
         two = float(l_base(s, self.teachers, self.y, 1.0, 2.0, **kw).value) - ce
         assert two == pytest.approx(2 * one, rel=1e-6)
@@ -621,13 +607,13 @@ class TestGradientOracles:
     def test_batched_distillation_grad(self):
         taps = stack_passes([m.forward_with_taps(self.x)[0] for m in self.teachers])
         origins = np.array([0, 1, 0, -1])
-        self._check(lambda ts: l_bmc(ts, taps, [0, 1], origins))
+        self._check(lambda ts: l_bmc(ts, taps, origins))
 
     def test_base_objective_grad(self):
         taps = stack_passes([m.forward_with_taps(self.x)[0] for m in self.teachers])
         origins = np.array([0, 1, 0, -1])
         self._check(lambda ts: l_base(ts, taps, self.y, 0.9, 1.3,
-                                      teacher_origins=[0, 1], batch_origins=origins))
+                                      batch_origins=origins))
 
     def test_train_mode_with_dropout_grad(self):
         # batch statistics and dropout through two residual blocks; every

@@ -272,32 +272,18 @@ class TestFusedPass:
     @pytest.mark.parametrize("res_blocks", [1, 2])
     @pytest.mark.parametrize("dropout_p", [0.0, 0.1])
     def test_bitwise_equal_to_per_op_graph(self, kind, train, res_blocks, dropout_p):
-        self._assert_l_base_same(kind, train, res_blocks, dropout_p, [0, 1, 2])
+        self._assert_l_base_same(kind, train, res_blocks, dropout_p)
 
-    @pytest.mark.parametrize("kind", DISTILL_KINDS)
-    def test_shared_rows_are_rejected(self, kind):
-        # a row takes one teacher's term at most: two teachers of one origin
-        # would own the same rows
-        model = self._model(2, 0.1)
-        x, y, teachers = self._data(model, 3)
-        tapset, _ = model.forward_with_taps(x, True, np.random.default_rng(24))
-        stack = teachers.forward_as_teacher(x, tapset.masks)
-        origins = np.array([0, 1, 2, 0, -1, 1, 2, 2, -1])
-        with pytest.raises(GraphError, match="teacher origin 0 repeated"):
-            l_base(tapset, stack, y, 0.9, 1.3, kind, [0, 0, 1], origins)
-
-    def _assert_l_base_same(self, kind, train, res_blocks, dropout_p, owners):
+    def _assert_l_base_same(self, kind, train, res_blocks, dropout_p):
         model = self._model(res_blocks, dropout_p)
         x, y, teachers = self._data(model, 3)
-        owners = np.array(owners)
         origins = np.array([0, 1, 2, 0, -1, 1, 2, 2, -1])
 
         def loss_of(tapset, per_op):
             stack = teachers.forward_as_teacher(x, tapset.masks)
             if per_op:
-                return tape_objective(tapset, y, 0.9, stack, 1.3, kind,
-                                      origins[None, :] == owners[:, None])
-            return l_base(tapset, stack, y, 0.9, 1.3, kind, owners, origins)
+                return tape_objective(tapset, y, 0.9, stack, 1.3, kind, origins)
+            return l_base(tapset, stack, y, 0.9, 1.3, kind, origins)
 
         self._assert_same(model, x, train, loss_of)
 
@@ -337,8 +323,8 @@ class TestFusedPass:
         def loss_of(tapset, per_op):
             stack = stack_passes([teacher.forward_as_teacher(x, tapset.masks)])
             if per_op:
-                return tape_objective(tapset, y, 1.0, stack, 1.0, "features", np.ones((1, 9)))
-            return l_base(tapset, stack, y, 1.0, 1.0, "features", [0], np.zeros(9))
+                return tape_objective(tapset, y, 1.0, stack, 1.0, "features", np.zeros(9, int))
+            return l_base(tapset, stack, y, 1.0, 1.0, "features", np.zeros(9, int))
 
         self._assert_same(model, x, True, loss_of)
 
@@ -581,8 +567,7 @@ class TestStackedStudent:
         x = data.standard_normal((9, 6)).astype(student.params["stem.W"].dtype)
         y = data.integers(0, 5, size=9)
         k = len(teachers)
-        owners = list(range(10, 10 + k))
-        origins = data.choice([-1, *owners], size=9)
+        origins = data.choice([-1, *range(k)], size=9)
         plain = student.copy()
         want, want_record = plain.forward_with_taps(x, True, np.random.default_rng(74))
         want_teachers = stack_vectors(config, teachers).forward_as_teacher(x, want.masks)
@@ -611,9 +596,9 @@ class TestStackedStudent:
         assert got_record.train == want_record.train
 
         want_value, want_grads = step_grads(
-            plain, want_record, l_base(want, want_teachers, y, 0.9, 1.3, kind, owners, origins))
+            plain, want_record, l_base(want, want_teachers, y, 0.9, 1.3, kind, origins))
         got_value, got_grads = step_grads(
-            view, got_record, l_base(got, got.teachers, y, 0.9, 1.3, kind, owners, origins))
+            view, got_record, l_base(got, got.teachers, y, 0.9, 1.3, kind, origins))
         assert np.float64(got_value).tobytes() == np.float64(want_value).tobytes()
         assert list(got_grads) == list(want_grads)
         for name in want_grads:

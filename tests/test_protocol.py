@@ -13,7 +13,14 @@ import struct
 
 import numpy as np
 import pytest
-from helpers import assert_views_of_own_arena, count_tensors, experiment
+from helpers import (
+    assert_views_of_own_arena,
+    consolidate_reference,
+    count_tensors,
+    experiment,
+    jitter_params,
+    rewrite_last_artifact,
+)
 
 import batchcl.protocol as protocol_mod
 from batchcl.losses import LossCoefficients
@@ -681,6 +688,38 @@ class TestConsolidate:
         assert out.arena.shape == base.arena.shape
         assert_views_of_own_arena(out)
 
+    @pytest.mark.parametrize("kind", ["features", "kd_logits", "phi_penultimate"])
+    @pytest.mark.parametrize("dropout_p", [0.0, 0.1])
+    def test_equals_the_per_teacher_reference_loop(self, kind, dropout_p):
+        # memory rows, three distinct teachers, and an expert of 2 rows that
+        # most batches of 8 drawn from the 28-row pool miss; the returned
+        # arena, running statistics included, must be the reference's
+        config = dataclasses.replace(TOY, res_blocks=2, dropout_p=dropout_p)
+        base = build_model(config, seed=1)
+        data = np.random.default_rng(40)
+        arts = []
+        for i, rows in enumerate([8, 6, 2]):
+            expert = build_model(config, seed=41 + i)
+            jitter_params(expert, seed=50 + i)
+            buf = ExemplarSet.from_task_data(
+                data.standard_normal((rows, 6)).astype(np.float32),
+                data.integers(2 * i, 2 * i + 2, size=rows), task_id=i, origin=i,
+            )
+            arts.append(ExpertArtifact(
+                expert_index=i, param_vector=expert.to_param_vector(),
+                buffer=Buffer(buf, capacity=8, owner=i),
+                stats=ExpertStats(epochs=1, final_loss=0.5, wall_clock_s=0.0),
+            ))
+        memory = Memory(40, 6)
+        memory.replace(make_exemplars(12, seed=42))
+        coefficients = LossCoefficients(task=0.7, consolidation=1.3)
+        args = (base, arts, memory, coefficients, 3, 8)
+        out = consolidate(*args, rng=np.random.default_rng(43), lr=0.1, distill_kind=kind)
+        want = consolidate_reference(*args, rng=np.random.default_rng(43), lr=0.1,
+                                     distill_kind=kind)
+        assert out.arena.tobytes() == want.arena.tobytes()
+        assert out.arena.tobytes() != base.arena.tobytes()
+
     def test_no_artifacts_rejected(self):
         base = build_model(TOY, seed=1)
         with pytest.raises(ValueError, match="artifact"):
@@ -853,6 +892,48 @@ class TestIncrementalStep:
             )
         assert base.to_param_vector().to_bytes() == base_before
         assert memory.exemplars.features.tobytes() == memory_before
+
+
+    @pytest.mark.parametrize("edit, message", [
+        # an expert index the step does not have
+        (lambda a: dataclasses.replace(a, expert_index=7),
+         "step 1: artifact names expert 7, but the step has 2 experts"),
+        # expert 1's buffer owned by and tagged for expert 0
+        (lambda a: dataclasses.replace(a, buffer=Buffer(
+            a.buffer.exemplars.with_origin(0), a.buffer.capacity, owner=0)),
+         "step 1: artifact of expert 1 carries a buffer tagged with expert 0"),
+        # expert 1's buffer owned by it, but its rows tagged for expert 0
+        (lambda a: dataclasses.replace(a, buffer=Buffer(
+            a.buffer.exemplars.with_origin(0), a.buffer.capacity, owner=1)),
+         "step 1: artifact of expert 1 carries a buffer tagged with expert 0"),
+    ], ids=["index", "owner_and_origins", "origins"])
+    def test_misrouted_artifact_fails_the_step(self, stream, edit, message):
+        master_seed = 5
+        base = build_model(TOY, seed=child_seed(master_seed, "init"))
+        plans = plan_steps(stream, 2, master_seed, TINY_HYPER)
+        memory = Memory(40, stream.dim)
+        memory.replace(make_exemplars(10))
+        base_before = base.to_param_vector().to_bytes()
+        memory_before = memory.exemplars.features.tobytes()
+        with pytest.raises(StepFailure, match=message):
+            run_incremental_step(
+                base, plans[1], memory, master_seed,
+                coefficients=LossCoefficients(), rehearsal_epochs=2,
+                transport=CountingTransport(), executor=_RewritingExecutor(edit),
+                lr=0.1, batch_size=8,
+            )
+        assert base.to_param_vector().to_bytes() == base_before
+        assert memory.exemplars.features.tobytes() == memory_before
+
+
+class _RewritingExecutor(SerialExecutor):
+    """Experts whose last ARTF frame carries ``edit`` of its artifact."""
+
+    def __init__(self, edit):
+        self.edit = edit
+
+    def run(self, syncs, tasks, model_config):
+        return rewrite_last_artifact(super().run(syncs, tasks, model_config), self.edit)
 
 
 class _TruncatingExecutor(SerialExecutor):
