@@ -330,6 +330,52 @@ def test_summary_bytes_pinned(tmp_path, method):
     assert (tmp_path / "summary.json").read_text() == PINNED_SUMMARIES[method]
 
 
+# the records.jsonl step rows of a two-step toy bmc run (one expert per step)
+# and a toy er run, each without its wall_clock_s, and the keys of the
+# timing line: the row format every reader of records.jsonl relies on
+PINNED_STEP_ROWS = {
+    "bmc": [
+        {"type": "step", "step_id": 0, "per_task_acc": {"0": 0.5}, "mean_acc": 0.5,
+         "first_task_acc": 0.5, "backward_transfer": None,
+         "experts": [{"expert_index": 0, "task_id": 0, "final_loss": 1.6669955551624298,
+                      "expert_base_distance": 0.10009482502937317,
+                      "consolidated_expert_distance": 0.13455191254615784}],
+         "cost": {"step_id": 0, "broadcast_bytes": 1730, "upload_bytes": 2100,
+                  "memory_bytes": 12, "expert_param_bytes": 1664, "model_bytes": 1664}},
+        {"type": "step", "step_id": 1, "per_task_acc": {"0": 0.5833333333333334, "1": 0.0},
+         "mean_acc": 0.2916666666666667, "first_task_acc": 0.5833333333333334,
+         "backward_transfer": 0.08333333333333337,
+         "experts": [{"expert_index": 0, "task_id": 1, "final_loss": 1.8272793889045715,
+                      "expert_base_distance": 0.09666061401367188,
+                      "consolidated_expert_distance": 0.17570383846759796}],
+         "cost": {"step_id": 1, "broadcast_bytes": 1730, "upload_bytes": 2100,
+                  "memory_bytes": 372, "expert_param_bytes": 1664, "model_bytes": 1664}},
+    ],
+    "er": [
+        {"type": "step", "step_id": 0, "per_task_acc": {"0": 0.3333333333333333},
+         "mean_acc": 0.3333333333333333, "first_task_acc": 0.3333333333333333,
+         "backward_transfer": None},
+        {"type": "step", "step_id": 1, "per_task_acc": {"0": 0.6666666666666666, "1": 0.0},
+         "mean_acc": 0.3333333333333333, "first_task_acc": 0.6666666666666666,
+         "backward_transfer": 0.3333333333333333},
+    ],
+}
+PINNED_TIMING_KEYS = {"bmc": ["steps", "type", "wall_clock_s"], "er": ["type", "wall_clock_s"]}
+
+
+@pytest.mark.parametrize("method", sorted(PINNED_STEP_ROWS))
+def test_step_rows_pinned(tmp_path, method):
+    raw = toy_raw(method=method)
+    raw["bmc"]["experts_per_step"] = 1
+    run_experiment(parse_config(raw), tmp_path, workers=1)
+    rows = [json.loads(s) for s in (tmp_path / "records.jsonl").read_text().splitlines()]
+    assert [r["type"] for r in rows] == ["step", "step", "timing", "summary"]
+    for row in rows[:2]:
+        assert row.pop("wall_clock_s") >= 0.0
+    assert rows[:2] == PINNED_STEP_ROWS[method]
+    assert sorted(rows[2]) == PINNED_TIMING_KEYS[method]
+
+
 class TestReadmeCli:
     README = Path(__file__).resolve().parents[1] / "README.md"
 
