@@ -18,8 +18,8 @@ from .config import BASELINE_METHODS, ExperimentConfig, build_model_config
 from .engine import loss_and_grads, train_epochs
 from .losses import FisherState, decay_and_anchor, ewc_penalty, task_loss, update_fisher
 from .model import ResidualClassifier, build_model
-from .protocol import RunRecorder, RunReport, child_seed, epoch_batches
 from .replay import ExemplarSet, Memory, draw_batch, subsample_memory
+from .run import RunRecorder, RunReport, child_seed, epoch_batches
 from .streams import TaskStream, evaluate_cil
 
 

@@ -1,12 +1,9 @@
 """Experiment runner: single runs, random-search sweeps, Pareto export.
 
-Output is line-delimited JSON (one self-describing object per line),
-written when the run returns: a run whose step fails (exit 3) still writes
+A run's records are line-delimited JSON, written when the run returns by
+:func:`batchcl.run.write_run`: a run whose step fails (exit 3) still writes
 the records of the steps before it, but a run that raises (exit 1) writes
-no records at all. Sweeps emit a CSV next to the JSONL for plotting. The summary record contains only
-deterministic fields — wall-clock timings live in a separate record — so
-re-running the same config and seed with one worker reproduces the summary
-byte for byte.
+no records at all. Sweeps emit a CSV next to the JSONL for plotting.
 """
 
 from __future__ import annotations
@@ -33,46 +30,9 @@ from .config import (
     load_sweep,
     parse_config,
 )
-from .protocol import RunReport, child_seed, cost_accuracy, run_full_stream, total_cost
+from .protocol import run_full_stream
+from .run import RunReport, child_seed, write_run
 from .streams import STREAM_KINDS, generate_stream, save_stream
-
-
-def _json_line(obj: dict) -> str:
-    return json.dumps(obj, sort_keys=True)
-
-
-def _step_records(report: RunReport) -> list[dict]:
-    cost_by_step = (
-        {e.step_id: e.to_dict() for e in report.ledger.steps} if report.ledger else {}
-    )
-    out = []
-    for rec in report.records:
-        row = {"type": "step", **rec.to_dict()}
-        if rec.step_id in cost_by_step:
-            row["cost"] = cost_by_step[rec.step_id]
-        out.append(row)
-    return out
-
-
-def _summary_record(cfg: ExperimentConfig, report: RunReport | None, bound: float | None) -> dict:
-    summary: dict = {"type": "summary", "method": cfg.method, "seed": cfg.seed}
-    if bound is not None:
-        summary.update(n_steps=0, final_mean_acc=bound, final_backward_transfer=None,
-                       failed_step=None)
-        return summary
-    summary.update(
-        n_steps=len(report.records),
-        final_mean_acc=report.final_mean_acc,
-        final_backward_transfer=report.final_backward_transfer,
-        failed_step=report.failed_step,
-    )
-    if report.records:
-        summary["per_task_acc"] = {str(k): v for k, v in report.records[-1].per_task_acc.items()}
-    if report.ledger and report.ledger.steps:
-        t_c = total_cost(report.ledger)
-        summary["total_cost"] = t_c
-        summary["cost_accuracy"] = cost_accuracy(report.final_mean_acc, t_c)
-    return summary
 
 
 def _with_workers(cfg: ExperimentConfig, workers: int | None) -> ExperimentConfig:
@@ -98,42 +58,22 @@ def run_experiment(
     out-of-range count raises ConfigError before anything runs.
     """
     cfg = _with_workers(cfg, workers)
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     stream = build_stream(cfg.stream)
 
     reference_wall = None
-    if time_reference and cfg.method != "sgd":
+    if time_reference and cfg.method not in ("sgd", "multitask"):
         t0 = time.perf_counter()
         run_baseline(stream, replace(cfg, method="sgd"))
         reference_wall = time.perf_counter() - t0
 
-    bound = None
-    report = None
     if cfg.method == "bmc":
         report = run_full_stream(stream, cfg)
-    elif cfg.method == "multitask":
-        bound = multitask_bound(stream, cfg)
+    elif cfg.method == "multitask":  # a bound: no steps, no ledger, no wall time
+        report = RunReport(cfg.method, [], None, 0.0, multitask_bound(stream, cfg), None)
     else:
         report = run_baseline(stream, cfg)
-
-    lines = _step_records(report) if report else []
-    timing: dict = {"type": "timing", "wall_clock_s": report.wall_clock_s if report else 0.0}
-    if report is not None and report.phase_walls:
-        timing["steps"] = report.phase_walls
-    if reference_wall is not None and report is not None:
-        timing["sgd_wall_clock_s"] = reference_wall
-        timing["relative_time"] = report.wall_clock_s / reference_wall
-    summary = _summary_record(cfg, report, bound)
-
-    with open(out / "records.jsonl", "w") as fh:
-        for row in lines:
-            fh.write(_json_line(row) + "\n")
-        fh.write(_json_line(timing) + "\n")
-        fh.write(_json_line(summary) + "\n")
-    (out / "summary.json").write_text(_json_line(summary) + "\n")
-    failed = summary.get("failed_step") is not None
-    return (3 if failed else 0), summary
+    summary = write_run(out_dir, cfg.seed, report, reference_wall)
+    return (0 if report.failed_step is None else 3), summary
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +139,7 @@ def run_sweep(
             except Exception as e:  # a 629-trial campaign must survive one bad trial
                 row.update(status="error", error=f"{type(e).__name__}: {e}")
             rows.append(row)
-            fh.write(_json_line(row) + "\n")
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
             fh.flush()
     _write_sweep_csv(out / "sweep.csv", rows, sorted(spec.ranges))
     return rows
@@ -325,7 +265,7 @@ def _cmd_run(args) -> int:
     except Exception as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
         return 1
-    print(_json_line(summary))
+    print(json.dumps(summary, sort_keys=True))
     return code
 
 

@@ -5,6 +5,7 @@ from .autodiff import (
     NonFiniteError,
     batch_norm_arrays,
     batch_norm_grads,
+    check_finite,
     dropout_mask,
     fold_batch_stats,
     loss_and_grads,
@@ -18,6 +19,7 @@ __all__ = [
     "NonFiniteError",
     "batch_norm_arrays",
     "batch_norm_grads",
+    "check_finite",
     "dropout_mask",
     "fold_batch_stats",
     "loss_and_grads",

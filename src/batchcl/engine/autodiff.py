@@ -31,7 +31,22 @@ class GraphError(Exception):
 
 
 class NonFiniteError(GraphError):
-    """A loss value or a gradient turned non-finite."""
+    """A loss value, a gradient or a batch statistic turned non-finite."""
+
+
+def check_finite(values: np.ndarray, slices: Mapping[str, slice], what: str) -> None:
+    """Raise :class:`NonFiniteError` naming the entry of ``slices`` whose
+    slice of the flat ``values`` holds the first inf or nan.
+
+    One reduce per call: an inf or nan entry makes the sum of all entries
+    non-finite, and only then is ``values`` scanned (a sum of finite
+    entries that merely overflowed passes the scan).
+    """
+    if not np.isfinite(np.add.reduce(values, axis=None)):
+        bad = np.flatnonzero(~np.isfinite(values))
+        if bad.size:
+            name = next(n for n, sl in slices.items() if sl.start <= bad[0] < sl.stop)
+            raise NonFiniteError(f"non-finite {what} '{name}'")
 
 
 def dropout_mask(

@@ -7,7 +7,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .autodiff import NonFiniteError
+from .autodiff import NonFiniteError, check_finite
 
 PLATEAU_FACTOR = 0.5
 PLATEAU_PATIENCE = 5
@@ -35,14 +35,7 @@ class SGD:
     def step(self, params: np.ndarray, grads: np.ndarray, slices: Mapping[str, slice]) -> None:
         """``params -= lr * grads``, scaling ``grads`` in place; ``slices``
         names each parameter's slice."""
-        # one check per step: an inf or nan entry makes the sum of all
-        # entries non-finite, and only then is the gradient scanned (a sum
-        # of finite entries that merely overflowed passes the scan)
-        if not np.isfinite(np.add.reduce(grads, axis=None)):
-            bad = np.flatnonzero(~np.isfinite(grads))
-            if bad.size:
-                name = next(n for n, sl in slices.items() if sl.start <= bad[0] < sl.stop)
-                raise NonFiniteError(f"non-finite gradient for parameter '{name}'")
+        check_finite(grads, slices, "gradient for parameter")
         step = grads.astype(params.dtype, copy=False)
         step *= np.asarray(self.lr, dtype=params.dtype)
         params -= step

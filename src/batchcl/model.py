@@ -55,6 +55,7 @@ from .engine import (
     GraphError,
     batch_norm_arrays,
     batch_norm_grads,
+    check_finite,
     dropout_mask,
     fold_batch_stats,
 )
@@ -468,7 +469,10 @@ class ResidualClassifier:
         layer and, at its end, concatenates them into one buffer laid out
         like the statistics region and folds that in with one
         :func:`fold_batch_stats`; no pass reads the running buffers before
-        then. ``masks`` are the dropout multipliers, one per site in layer
+        then. A non-finite statistic raises :class:`NonFiniteError` before
+        any buffer moves: a diverging student fails its train step even when
+        its overflowed variance zeroes ``inv_std`` and leaves the loss finite.
+        ``masks`` are the dropout multipliers, one per site in layer
         order, or empty for none. When ``layers`` is a list, each layer
         appends what its backward needs: (prefix, input, pre-ReLU value,
         xhat, inv_std, mask). A stack's layers append copies of slice 0's,
@@ -509,9 +513,10 @@ class ResidualClassifier:
         logits = head_in @ head_w + head_b
         if mode == "train":
             layout = self.layout
+            stats = np.concatenate(batch)
+            check_finite(stats, layout.stat_slices, "batch statistic for")
             student = self.arena.reshape(-1, layout.size)[0]
-            fold_batch_stats(student[layout.n_params :], np.concatenate(batch),
-                             layout.unbias(len(x), x.dtype))
+            fold_batch_stats(student[layout.n_params :], stats, layout.unbias(len(x), x.dtype))
         return taps, head_in, logits
 
     def forward_as_teacher(self, x: np.ndarray, masks=()) -> TapSet:
@@ -613,10 +618,6 @@ class ResidualClassifier:
     def to_param_vector(self) -> ParamVector:
         layout = self.layout
         return ParamVector(layout.names, tuple(layout.shapes.values()), self.arena.copy())
-
-    def load_param_vector(self, pv: ParamVector) -> None:
-        """Overwrite all state from a snapshot (shapes must match exactly)."""
-        self._bind(self.config, _payload(self.config, pv).copy())
 
     def copy(self) -> "ResidualClassifier":
         return ResidualClassifier._from_arena(self.config, self.arena.copy())
@@ -734,17 +735,3 @@ def stack_vectors(config: ModelConfig, sources) -> ResidualClassifier:
         else:
             rows.append(src.arena)
     return ResidualClassifier._from_arena(config, np.stack(rows))
-
-
-def unstack(stack: ResidualClassifier, student: ResidualClassifier) -> None:
-    """Give ``student``, a view of slice 0 of ``stack``, an arena of its own,
-    and drop the stack's.
-
-    The student's row is copied first; the stack's arena is freed when the
-    last view of it goes with the rebinding.
-    """
-    arena = student.arena.copy()
-    stack.arena = stack.flat_params = None
-    stack.params, stack.stats = {}, {}
-    stack._layer_views, stack._head_views = [], ()
-    student._bind(student.config, arena)

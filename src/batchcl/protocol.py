@@ -18,15 +18,8 @@ consolidation leaves the base model and the memory byte-identical to before
 the step.
 
 All randomness is derived from the run's master seed through
-:func:`child_seed` with documented labels, so any phase can be replayed
-independently:
-
-  ``("expert", j)``       expert for global task index j; below it,
-  ``("train",)``          the expert's batch-order/dropout generator and
-  ``("buffer",)``         its buffer-sampling seed;
-  ``("consolidate", t)``  step t's pool-draw/dropout generator;
-  ``("memory", t)``       step t's memory-subsample seed;
-  ``("init",)``           base-model initialization.
+:func:`~batchcl.run.child_seed`, whose labels :mod:`batchcl.run` lists, so
+any phase can be replayed independently.
 
 Wire format (everything little-endian): a message is a 4-byte tag, a u64
 payload length, then the payload. Payload layouts are documented on the
@@ -44,9 +37,8 @@ from __future__ import annotations
 
 import struct
 import time
-import zlib
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,7 +52,6 @@ from .model import (
     build_model,
     model_from_vector,
     stack_vectors,
-    unstack,
 )
 from .replay import (
     SAMPLING_STRATEGIES,
@@ -71,14 +62,8 @@ from .replay import (
     sample_buffer,
     subsample_memory,
 )
-from .streams import (
-    MetricsRecord,
-    Task,
-    TaskStream,
-    backward_transfer,
-    evaluate_cil,
-    mean_accuracy,
-)
+from .run import CostLedger, RunRecorder, RunReport, StepCost, child_seed, epoch_batches
+from .streams import Task, TaskStream
 
 TAG_SYNC = b"SYNC"
 TAG_ARTIFACT = b"ARTF"
@@ -95,19 +80,6 @@ class ExpertFailure(RuntimeError):
 
 class StepFailure(RuntimeError):
     """Raised by run_incremental_step after a rollback."""
-
-
-def child_seed(master: int, *parts) -> int:
-    """Derive a decorrelated child seed from a master seed and label path.
-
-    Labels are hashed (CRC-32 of their string form) into a SeedSequence
-    spawn key, so every (master, path) pair maps to a stable independent
-    stream. Public because reference implementations in tests replicate
-    the framework's exact randomness through it.
-    """
-    key = tuple(zlib.crc32(str(p).encode()) for p in parts)
-    ss = np.random.SeedSequence(master, spawn_key=key)
-    return int(ss.generate_state(1, np.uint64)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -409,84 +381,8 @@ class CountingTransport:
 
 
 # ---------------------------------------------------------------------------
-# cost ledger
-# ---------------------------------------------------------------------------
-
-MEGABYTE = 1e6  # SI, matching "megabytes" in the cost definition
-
-
-@dataclass(frozen=True)
-class StepCost:
-    step_id: int
-    broadcast_bytes: int
-    upload_bytes: int
-    memory_bytes: int
-    expert_param_bytes: int
-    model_bytes: int
-
-    @property
-    def communication_bytes(self) -> int:
-        return self.broadcast_bytes + self.upload_bytes
-
-    @property
-    def central_memory_bytes(self) -> int:
-        return self.memory_bytes + self.expert_param_bytes
-
-    def to_dict(self) -> dict:
-        return {
-            "step_id": self.step_id,
-            "broadcast_bytes": self.broadcast_bytes,
-            "upload_bytes": self.upload_bytes,
-            "memory_bytes": self.memory_bytes,
-            "expert_param_bytes": self.expert_param_bytes,
-            "model_bytes": self.model_bytes,
-        }
-
-
-@dataclass
-class CostLedger:
-    steps: list[StepCost] = field(default_factory=list)
-
-    def add(self, entry: StepCost) -> None:
-        for name in ("broadcast_bytes", "upload_bytes", "memory_bytes",
-                     "expert_param_bytes", "model_bytes"):
-            if getattr(entry, name) < 0:
-                raise ValueError(f"negative {name}")
-        self.steps.append(entry)
-
-
-def total_cost(ledger: CostLedger) -> float:
-    """Mean over steps of (central memory + communication) in MB, plus model MB."""
-    if not ledger.steps:
-        raise ValueError("empty cost ledger")
-    per_step = [
-        (e.central_memory_bytes + e.communication_bytes) / MEGABYTE
-        for e in ledger.steps
-    ]
-    model_mb = ledger.steps[-1].model_bytes / MEGABYTE
-    return float(np.mean(per_step) + model_mb)
-
-
-def cost_accuracy(mean_acc: float, t_c: float) -> float:
-    """Accuracy points bought per megabyte of total cost."""
-    if t_c <= 0:
-        raise ValueError("total cost must be positive")
-    return mean_acc / t_c
-
-
-# ---------------------------------------------------------------------------
 # expert phase
 # ---------------------------------------------------------------------------
-
-
-def epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
-    """Shuffled index slices; a trailing singleton is dropped (normalization
-    needs at least 2 rows in train mode)."""
-    order = rng.permutation(n)
-    for i in range(0, n, batch_size):
-        idx = order[i : i + batch_size]
-        if len(idx) >= 2:
-            yield idx
 
 
 def remote_train(sync: bytes, tasks: tuple[Task, ...], model_config: ModelConfig) -> bytes:
@@ -664,9 +560,8 @@ def consolidate(
 
     train_epochs(student.flat_params, student.layout.param_slices, lr, rehearsal_epochs,
                  lambda: range(batches_per_epoch), step)
-    if stack is not student:
-        unstack(stack, student)
-    return student
+    # the student's own arena; the stack goes as this returns
+    return student if stack is student else student.copy()
 
 
 def check_artifacts(artifacts: list[ExpertArtifact], k: int) -> None:
@@ -842,84 +737,6 @@ def run_incremental_step(
     )
 
 
-@dataclass
-class RunReport:
-    method: str
-    records: list[MetricsRecord]
-    ledger: CostLedger | None
-    wall_clock_s: float
-    final_mean_acc: float
-    final_backward_transfer: float | None
-    failed_step: int | None = None
-    # final parameters; in-memory only, deliberately absent from to_dict
-    final_params: ParamVector | None = None
-    # per-step phase wall times; timings stay out of to_dict, like the above
-    phase_walls: list[dict] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "records": [r.to_dict() for r in self.records],
-            "cost_steps": [e.to_dict() for e in self.ledger.steps] if self.ledger else None,
-            "wall_clock_s": self.wall_clock_s,
-            "final_mean_acc": self.final_mean_acc,
-            "final_backward_transfer": self.final_backward_transfer,
-            "failed_step": self.failed_step,
-        }
-
-
-class RunRecorder:
-    """The evaluation bookkeeping every runner shares.
-
-    After each step it scores every task seen so far, strictly
-    class-incremental, keeps the accuracy history that backward transfer
-    reads, and finally assembles the :class:`RunReport`.
-    """
-
-    def __init__(self, method: str, ledger: CostLedger | None = None):
-        self.method = method
-        self.ledger = ledger
-        self.t_start = time.perf_counter()
-        self.records: list[MetricsRecord] = []
-        self.history: list[dict[int, float]] = []
-        self.seen: list[Task] = []
-        self.phase_walls: list[dict] = []
-
-    def record(self, step_id: int, model: ResidualClassifier, tasks, step_t0: float,
-               experts: list[dict] | None = None) -> None:
-        """Evaluate ``model`` after the step that learned ``tasks``."""
-        self.seen.extend(tasks)
-        accs = evaluate_cil(model, self.seen)
-        self.history.append(accs)
-        self.records.append(
-            MetricsRecord(
-                step_id=step_id,
-                per_task_acc=accs,
-                mean_acc=mean_accuracy(accs),
-                first_task_acc=accs[min(self.history[0])],
-                backward_transfer=(
-                    backward_transfer(self.history) if len(self.history) >= 2 else None
-                ),
-                wall_clock_s=time.perf_counter() - step_t0,
-                experts=experts,
-            )
-        )
-
-    def report(self, model: ResidualClassifier, failed_step: int | None = None) -> RunReport:
-        last = self.records[-1] if self.records else None
-        return RunReport(
-            method=self.method,
-            records=self.records,
-            ledger=self.ledger,
-            wall_clock_s=time.perf_counter() - self.t_start,
-            final_mean_acc=last.mean_acc if last else 0.0,
-            final_backward_transfer=last.backward_transfer if last else None,
-            failed_step=failed_step,
-            final_params=model.to_param_vector(),
-            phase_walls=self.phase_walls,
-        )
-
-
 def plan_steps(stream: TaskStream, k: int, master_seed: int, hyper: ExpertHyper) -> list[StepPlan]:
     """Consecutive k-task batches; the final step may carry fewer tasks."""
     if k < 1:
@@ -948,8 +765,7 @@ def run_full_stream(stream: TaskStream, cfg: ExperimentConfig, executor=None) ->
     b, t = cfg.bmc, cfg.training
     if executor is None:
         executor = SerialExecutor() if b.workers <= 1 else ProcessExecutor(b.workers)
-    ledger = CostLedger()
-    recorder = RunRecorder("bmc", ledger)
+    recorder = RunRecorder("bmc", CostLedger())
     base = build_model(build_model_config(cfg.model, stream), seed=child_seed(cfg.seed, "init"))
     memory = Memory(b.memory_capacity, stream.dim)
     transport = CountingTransport()
@@ -981,11 +797,5 @@ def run_full_stream(stream: TaskStream, cfg: ExperimentConfig, executor=None) ->
         except StepFailure:
             return recorder.report(base, failed_step=plan.step_id)
         base = result.base
-        ledger.add(result.cost)
-        recorder.phase_walls.append({
-            "step_id": plan.step_id,
-            "expert_wall_s": result.expert_wall_s,
-            "consolidation_wall_s": result.consolidation_wall_s,
-        })
-        recorder.record(plan.step_id, base, plan.tasks, step_t0, result.expert_distances)
+        recorder.record(plan.step_id, base, plan.tasks, step_t0, result)
     return recorder.report(base)

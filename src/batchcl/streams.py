@@ -310,33 +310,6 @@ def load_feature_stream(path: str) -> TaskStream:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class MetricsRecord:
-    """Evaluation snapshot taken after one incremental step."""
-
-    step_id: int
-    per_task_acc: dict[int, float]
-    mean_acc: float
-    first_task_acc: float
-    backward_transfer: float | None = None
-    wall_clock_s: float = 0.0
-    # per-expert telemetry of a consolidation step; absent for baselines
-    experts: list[dict] | None = None
-
-    def to_dict(self) -> dict:
-        out = {
-            "step_id": self.step_id,
-            "per_task_acc": {str(k): v for k, v in self.per_task_acc.items()},
-            "mean_acc": self.mean_acc,
-            "first_task_acc": self.first_task_acc,
-            "backward_transfer": self.backward_transfer,
-            "wall_clock_s": self.wall_clock_s,
-        }
-        if self.experts is not None:
-            out["experts"] = self.experts
-        return out
-
-
 def evaluate_cil(model, tasks_seen: list[Task]) -> dict[int, float]:
     """Per-task validation accuracy with prediction over ALL seen classes.
 

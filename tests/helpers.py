@@ -27,7 +27,7 @@ from batchcl.engine import (
 from batchcl.engine import SGD, PlateauScheduler
 from batchcl.engine.autodiff import BN_MOMENTUM, Tensor, _accumulate, _node, gradients
 from batchcl.losses import Objective, _joined, l_bmc, task_loss
-from batchcl.model import ResidualClassifier, TapSet, stack_vectors, unstack
+from batchcl.model import ResidualClassifier, TapSet, stack_vectors
 from batchcl.protocol import TAG_ARTIFACT, decode_artifact, encode_artifact, frame, unframe
 from batchcl.replay import draw_batch, merge_pool
 
@@ -115,8 +115,7 @@ def consolidate_reference(base: ResidualClassifier, artifacts, memory, coefficie
             opt.step(student.flat_params, grads, student.layout.param_slices)
             losses.append(value)
         schedule.step(float(np.mean(losses)))
-    unstack(stack, student)
-    return student
+    return student.copy()
 
 
 def rewrite_last_artifact(msgs: list[bytes], edit) -> list[bytes]:

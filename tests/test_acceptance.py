@@ -64,15 +64,12 @@ from batchcl.protocol import (
     ProtocolViolation,
     SerialExecutor,
     StepFailure,
-    child_seed,
-    cost_accuracy,
     encode_artifact,
     exemplar_block_nbytes,
     frame,
     plan_steps,
     run_full_stream,
     run_incremental_step,
-    total_cost,
 )
 from batchcl.replay import (
     ExemplarSet,
@@ -82,6 +79,7 @@ from batchcl.replay import (
     sample_buffer,
     subsample_memory,
 )
+from batchcl.run import child_seed, cost_accuracy, total_cost
 from batchcl.streams import generate_stream
 
 # ---------------------------------------------------------------------------

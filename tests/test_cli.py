@@ -25,8 +25,9 @@ from batchcl.config import (
     parse_config,
     parse_sweep,
 )
-from batchcl.protocol import FRAME_OVERHEAD, SYNC_FIXED_NBYTES, child_seed
+from batchcl.protocol import FRAME_OVERHEAD, SYNC_FIXED_NBYTES
 from batchcl.replay import Buffer
+from batchcl.run import child_seed
 from batchcl.streams import load_feature_stream
 
 
@@ -199,6 +200,30 @@ class TestRunVerb:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["failed_step"] == 0
         assert summary["n_steps"] == 0
+
+    def test_overflowed_batch_statistics_fail_the_step(self, tmp_path):
+        # pinned16's shape with 8 tasks and logit distillation: step 1's
+        # consolidation drives the student's stem weights to about 5e17, the
+        # float32 batch variance overflows to inf and zeroes inv_std, so the
+        # loss and gradients stay finite while the student outputs its betas
+        raw = {
+            "method": "bmc", "seed": 0, "out_dir": str(tmp_path / "out"),
+            "stream": {"kind": "permuted", "n_tasks": 8, "classes_per_task": 4, "dim": 16,
+                       "train_per_task": 500, "val_per_task": 100, "seed": 100},
+            "model": {"res_blocks": 1, "res_layers_per_block": 2, "res_dim": 32,
+                      "hidden_dim": 16, "dropout_p": 0.1},
+            "training": {"epochs_per_task": 2, "lr": 0.1, "batch_size": 32},
+            "bmc": {"experts_per_step": 4, "rehearsal_epochs": 40, "buffer_capacity": 200,
+                    "memory_capacity": 1000, "distill_kind": "kd_logits", "workers": 1},
+        }
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(raw))
+        with np.errstate(over="ignore"):
+            assert main(["run", str(cfg_file)]) == 3
+        rows = [json.loads(s) for s in (tmp_path / "out" / "records.jsonl").read_text().splitlines()]
+        assert [r["step_id"] for r in rows if r["type"] == "step"] == [0]
+        assert rows[-1]["failed_step"] == 1
+        assert json.loads((tmp_path / "out" / "summary.json").read_text()) == rows[-1]
 
     def test_protocol_violation_fails_the_step_not_the_run(self, tmp_path, monkeypatch):
         # every expert's ARTF frame arrives 3 bytes short

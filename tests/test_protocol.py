@@ -10,6 +10,7 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -31,7 +32,6 @@ from batchcl.protocol import (
     SYNC_FIXED_NBYTES,
     TAG_ARTIFACT,
     TAG_SYNC,
-    CostLedger,
     CountingTransport,
     ExpertArtifact,
     ExpertFailure,
@@ -40,12 +40,9 @@ from batchcl.protocol import (
     ProcessExecutor,
     ProtocolViolation,
     SerialExecutor,
-    StepCost,
     StepFailure,
     StepPlan,
-    child_seed,
     consolidate,
-    cost_accuracy,
     decode_artifact,
     decode_buffer,
     decode_exemplars,
@@ -60,10 +57,10 @@ from batchcl.protocol import (
     remote_train,
     run_full_stream,
     run_incremental_step,
-    total_cost,
     unframe,
 )
 from batchcl.replay import Buffer, ExemplarSet, Memory
+from batchcl.run import CostLedger, StepCost, child_seed, cost_accuracy, total_cost
 from batchcl.streams import generate_stream
 
 TOY = ModelConfig(
@@ -688,6 +685,27 @@ class TestConsolidate:
         assert out.arena.shape == base.arena.shape
         assert_views_of_own_arena(out)
 
+    def test_frees_its_stack_and_returns_an_arena_of_its_own(self, stream, monkeypatch):
+        # the student trains as slice 0 of a stack; it leaves as a copy of
+        # that slice, and the stacked arena is freed as consolidate returns
+        real = protocol_mod.stack_vectors
+        stacks = []
+
+        def kept(*args):
+            stack = real(*args)
+            stacks.append((weakref.ref(stack.arena), stack.arena[0].copy()))
+            return stack
+
+        monkeypatch.setattr(protocol_mod, "stack_vectors", kept)
+        base = build_model(TOY, seed=1)
+        out = consolidate(base, self.setup_artifacts(base, stream), Memory(40, 6),
+                          LossCoefficients(), rehearsal_epochs=1, batch_size=8,
+                          rng=np.random.default_rng(0))
+        [(arena, start)] = stacks
+        assert arena() is None
+        assert_views_of_own_arena(out)
+        assert out.arena.tobytes() != start.tobytes()
+
     @pytest.mark.parametrize("kind", ["features", "kd_logits", "phi_penultimate"])
     @pytest.mark.parametrize("dropout_p", [0.0, 0.1])
     def test_equals_the_per_teacher_reference_loop(self, kind, dropout_p):
@@ -1013,11 +1031,11 @@ class TestProcessBoundary:
 
 class TestFullStream:
     def strip_times(self, report):
-        d = report.to_dict()
-        d.pop("wall_clock_s")
-        for r in d["records"]:
-            r.pop("wall_clock_s", None)
-        return d
+        rows = [r.row() for r in report.records]
+        for r in rows:
+            r.pop("wall_clock_s")
+        return (report.method, rows, report.final_mean_acc, report.final_backward_transfer,
+                report.failed_step)
 
     def test_serial_run_is_bit_reproducible(self, stream):
         r1 = run_full_stream(stream, tiny_config())
@@ -1048,7 +1066,7 @@ class TestFullStream:
             for e in rec.experts:
                 assert 0.0 < e["expert_base_distance"] < float("inf")
                 assert 0.0 < e["consolidated_expert_distance"] < float("inf")
-        assert "experts" in report.to_dict()["records"][0]
+        assert "experts" in report.records[0].row()
 
     def test_untrained_experts_sit_on_the_base(self, stream):
         report = run_full_stream(stream, tiny_config(epochs=0))
@@ -1060,9 +1078,23 @@ class TestFullStream:
         for rec in report.records:
             assert all(0.0 < e["final_loss"] < float("inf") for e in rec.experts)
         assert [w["step_id"] for w in report.phase_walls] == [0, 1]
-        assert "phase_walls" not in report.to_dict()
+        assert "expert_wall_s" not in report.records[0].row()
         untrained = run_full_stream(stream, tiny_config(epochs=0))
         assert all(e["final_loss"] is None for r in untrained.records for e in r.experts)
+
+    def test_steps_go_through_the_module_global(self, stream, monkeypatch):
+        # a probe that replaces protocol.run_incremental_step sees every step
+        real = protocol_mod.run_incremental_step
+        steps = []
+
+        def probed(*args, **kwargs):
+            steps.append(args[1].step_id)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(protocol_mod, "run_incremental_step", probed)
+        report = run_full_stream(stream, tiny_config())
+        assert steps == [0, 1]
+        assert report.failed_step is None
 
     def test_mid_stream_failure_reports_partial_history(self, stream, monkeypatch):
         real = protocol_mod.remote_train
