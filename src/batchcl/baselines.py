@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 from .config import BASELINE_METHODS, ExperimentConfig, build_model_config
-from .engine import loss_and_grads, train_epochs
+from .engine import NonFiniteError, loss_and_grads, train_epochs
 from .losses import FisherState, decay_and_anchor, ewc_penalty, task_loss, update_fisher
 from .model import ResidualClassifier, build_model
 from .replay import ExemplarSet, Memory, draw_batch, subsample_memory
@@ -100,7 +100,9 @@ def run_baseline(stream: TaskStream, cfg: ExperimentConfig) -> RunReport:
     Reads the ``model``, ``training`` and ``baseline`` sections of ``cfg``;
     the seed is ``cfg.seed``. Evaluation after each task covers every task
     seen so far with no task identity at test time, through the same
-    bookkeeping the distributed method reports with.
+    bookkeeping the distributed method reports with. A task whose training
+    turns non-finite fails its step as a BMC step does: the report keeps the
+    records of the tasks before it and names the task as ``failed_step``.
     """
     method, seed = cfg.method, cfg.seed
     if method not in BASELINE_METHODS:
@@ -116,8 +118,14 @@ def run_baseline(stream: TaskStream, cfg: ExperimentConfig) -> RunReport:
     for t, task in enumerate(stream.tasks):
         step_t0 = time.perf_counter()
         rng = np.random.default_rng(child_seed(seed, "task", t))
+        try:
+            if method == "er":
+                _train_task_replay(model, task.train_x, task.train_y, cfg, rng, memory)
+            else:
+                _train_task_plain(model, task.train_x, task.train_y, cfg, rng, fisher)
+        except NonFiniteError:
+            return recorder.report(model, failed_step=t)
         if method == "er":
-            _train_task_replay(model, task.train_x, task.train_y, cfg, rng, memory)
             fresh = ExemplarSet.from_task_data(
                 task.train_x, task.train_y, task_id=task.task_id, origin=0
             )
@@ -125,13 +133,9 @@ def run_baseline(stream: TaskStream, cfg: ExperimentConfig) -> RunReport:
             memory.replace(
                 subsample_memory(pool, memory.capacity, seed=child_seed(seed, "memory", t))
             )
-        elif method == "oewc":
-            _train_task_plain(model, task.train_x, task.train_y, cfg, rng, fisher)
-            if cfg.baseline.penalty_coef > 0:
-                update_fisher(model, task.train_x, task.train_y, fisher)
-                decay_and_anchor(fisher, model.flat_params)
-        else:
-            _train_task_plain(model, task.train_x, task.train_y, cfg, rng)
+        elif method == "oewc" and cfg.baseline.penalty_coef > 0:
+            update_fisher(model, task.train_x, task.train_y, fisher)
+            decay_and_anchor(fisher, model.flat_params)
         recorder.record(t, model, [task], step_t0)
     return recorder.report(model)
 

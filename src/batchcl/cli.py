@@ -1,9 +1,11 @@
 """Experiment runner: single runs, random-search sweeps, Pareto export.
 
 A run's records are line-delimited JSON, written when the run returns by
-:func:`batchcl.run.write_run`: a run whose step fails (exit 3) still writes
-the records of the steps before it, but a run that raises (exit 1) writes
-no records at all. Sweeps emit a CSV next to the JSONL for plotting.
+:func:`batchcl.run.write_run`. A run whose step fails (exit 3) still writes
+the records of the steps before it: a step of any method fails when its
+training turns non-finite, and a BMC step also when an expert fails or
+breaks the protocol. A run that raises (exit 1) writes no records at all.
+Sweeps emit a CSV next to the JSONL for plotting.
 """
 
 from __future__ import annotations

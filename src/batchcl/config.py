@@ -164,6 +164,7 @@ CONFIG_SCHEMA = {
             "bmc",
             {
                 "experts_per_step": _POSITIVE,
+                "rehearsal_epochs": _NON_NEGATIVE,
                 # an empty buffer leaves step 0 nothing to consolidate on
                 "buffer_capacity": _POSITIVE,
                 "memory_capacity": _POSITIVE,
@@ -175,8 +176,8 @@ CONFIG_SCHEMA = {
         ),
         _when("er", "baseline", {"memory_capacity": _POSITIVE, "replay_coef": _NON_NEGATIVE}),
         _when("oewc", "baseline", {"penalty_coef": _NON_NEGATIVE, "gamma": _NON_NEGATIVE}),
-        # a file stream ignores the size fields and the seed, so they bind
-        # generated streams only
+        # a file stream ignores the size fields, the seed and the
+        # separation, so they bind generated streams only
         {
             "if": {
                 "properties": {
@@ -189,6 +190,7 @@ CONFIG_SCHEMA = {
                         "properties": {
                             **{key: _POSITIVE for key in _STREAM_SIZE_FIELDS},
                             "seed": _NON_NEGATIVE,
+                            "separation": _NON_NEGATIVE,
                         }
                     }
                 }

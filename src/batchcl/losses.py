@@ -3,7 +3,8 @@
 Every objective is a pure function of a student pass's arrays (taps,
 logits) that returns an :class:`Objective`: the loss value and its
 gradients with respect to those taps and logits, already weighted by its
-coefficients. Carrying them to the parameters
+coefficients: plain floats from the run's ``bmc`` config section, whose
+schema keeps them >= 0. Carrying them to the parameters
 (:meth:`~batchcl.model.ResidualClassifier.backward`) and updating them
 stays with the caller. Teacher-side inputs are constant arrays from a
 teacher pass, so no objective in this module can move a teacher's
@@ -64,24 +65,6 @@ def _joined(terms: list[Objective]) -> Objective:
             out.value + t.value, [a + b for a, b in zip(out.taps, t.taps)], out.logits + t.logits
         )
     return out
-
-
-@dataclass(frozen=True)
-class LossCoefficients:
-    """Scalar weights of the consolidation objective.
-
-    ``task`` multiplies the replay cross-entropy and ``consolidation`` the
-    batched distillation term. The expert-side stability weight is
-    :attr:`~batchcl.protocol.ExpertHyper.stability_coef`.
-    """
-
-    task: float = 1.0
-    consolidation: float = 1.0
-
-    def __post_init__(self):
-        for name in ("task", "consolidation"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} coefficient must be >= 0")
 
 
 def task_loss(student: TapSet, labels: np.ndarray, weight: float = 1.0) -> Objective:

@@ -3,8 +3,8 @@
 One incremental step processes a batch of k disjoint tasks:
 
   1. sync       — the coordinator serializes the base model once and sends
-                  each expert one SYNC frame: its index, seed,
-                  hyper-parameters and the base snapshot;
+                  each expert one SYNC frame: its index, seed, the run's
+                  expert hyper-parameters and the base snapshot;
   2. regularize — experts train in parallel, each decoding its SYNC frame
                   and training on ONLY its own task;
   3. upload     — every expert returns exactly one ARTF frame (its
@@ -12,6 +12,9 @@ One incremental step processes a batch of k disjoint tasks:
   4. consolidate— the coordinator rebuilds the expert teachers locally,
                   trains the base on the pooled memory+buffer data, then
                   refreshes the memory and discards the buffers.
+
+One set of hyper-parameters drives both phases: the step functions read
+the run's ``ExperimentConfig`` (``seed``, ``training`` and ``bmc``).
 
 A step is atomic: an expert failure, a protocol violation or a diverging
 consolidation leaves the base model and the memory byte-identical to before
@@ -44,7 +47,7 @@ import numpy as np
 
 from .config import ExperimentConfig, build_model_config
 from .engine import NonFiniteError, loss_and_grads, train_epochs
-from .losses import DISTILL_KINDS, LossCoefficients, l_base, l_bd, l_exp
+from .losses import DISTILL_KINDS, l_base, l_bd, l_exp
 from .model import (
     ModelConfig,
     ParamVector,
@@ -89,15 +92,17 @@ class StepFailure(RuntimeError):
 
 @dataclass(frozen=True)
 class ExpertHyper:
-    """Everything an expert is allowed to know beyond its task and the base."""
+    """A decoded SYNC header, fields in wire order: everything an expert is
+    allowed to know beyond its task and the base. Built by :func:`decode_sync`,
+    which turns a failed check into a ProtocolViolation."""
 
-    epochs: int = 2
-    lr: float = 0.1
-    stability_coef: float = 1.0
-    batch_size: int = 32
-    buffer_capacity: int = 10_000
-    sampling: str = "random"
-    distill_kind: str = "features"
+    epochs: int
+    buffer_capacity: int
+    lr: float
+    stability_coef: float
+    batch_size: int
+    sampling: str
+    distill_kind: str
 
     def __post_init__(self):
         if self.batch_size < 2:
@@ -113,7 +118,6 @@ class StepPlan:
     step_id: int
     tasks: tuple[Task, ...]
     expert_seeds: tuple[int, ...]
-    hyper: ExpertHyper
 
     def __post_init__(self):
         if not self.tasks:
@@ -201,13 +205,15 @@ def _unframe_as(tag: bytes, msg: bytes) -> bytes:
     return payload
 
 
+def _exemplar_row(dim: int) -> np.dtype:
+    """One encoded exemplar row: dim x f32 | class u32 | task u32 | origin i32"""
+    return np.dtype([("x", "<f4", (dim,)), ("y", "<u4"), ("t", "<u4"), ("o", "<i4")])
+
+
 def encode_exemplars(es: ExemplarSet) -> bytes:
-    """count u64 | dim u32 | rows, each: dim x f32 | class u32 | task u32 | origin i32"""
+    """count u64 | dim u32 | rows (:func:`_exemplar_row`)"""
     head = struct.pack("<QI", len(es), es.dim)
-    dt = np.dtype(
-        [("x", "<f4", (es.dim,)), ("y", "<u4"), ("t", "<u4"), ("o", "<i4")]
-    )
-    rows = np.empty(len(es), dtype=dt)
+    rows = np.empty(len(es), dtype=_exemplar_row(es.dim))
     rows["x"] = es.features
     rows["y"] = es.labels
     rows["t"] = es.task_ids
@@ -223,8 +229,7 @@ def decode_exemplars(blob: bytes) -> ExemplarSet:
             f"exemplar header at byte 0 declares {count} rows of dim {dim}, "
             f"{end} bytes, but the block ends at byte {len(blob)}"
         )
-    dt = np.dtype([("x", "<f4", (dim,)), ("y", "<u4"), ("t", "<u4"), ("o", "<i4")])
-    rows = np.frombuffer(blob, dtype=dt, count=count, offset=off)
+    rows = np.frombuffer(blob, dtype=_exemplar_row(dim), count=count, offset=off)
     return ExemplarSet(
         features=rows["x"].copy(),
         labels=rows["y"].astype(np.int64),
@@ -259,21 +264,16 @@ _BUFFER_LENGTH = "<Q"  # between the snapshot and the buffer
 ARTIFACT_FIXED_NBYTES = struct.calcsize(_ARTIFACT_HEADER) + struct.calcsize(_BUFFER_LENGTH)  # 40
 
 
-def encode_sync(expert_index: int, seed: int, h: ExpertHyper, base_blob: bytes) -> bytes:
+def encode_sync(expert_index: int, seed: int, cfg: ExperimentConfig,
+                base_blob: bytes) -> bytes:
     """The coordinator-to-expert message (task data itself lives worker-side):
-    the ``_SYNC_HEADER`` fields, then the base snapshot bytes."""
+    the ``_SYNC_HEADER`` fields, packed from ``cfg.training`` and ``cfg.bmc``,
+    then the base snapshot bytes."""
+    t, b = cfg.training, cfg.bmc
     return struct.pack(
-        _SYNC_HEADER,
-        expert_index,
-        seed,
-        h.epochs,
-        h.buffer_capacity,
-        h.lr,
-        h.stability_coef,
-        h.batch_size,
-        SAMPLING_STRATEGIES.index(h.sampling),
-        DISTILL_KINDS.index(h.distill_kind),
-        len(base_blob),
+        _SYNC_HEADER, expert_index, seed, t.epochs_per_task, b.buffer_capacity, t.lr,
+        b.stability_coef, t.batch_size, SAMPLING_STRATEGIES.index(b.sampling),
+        DISTILL_KINDS.index(b.distill_kind), len(base_blob),
     ) + base_blob
 
 
@@ -292,15 +292,8 @@ def decode_sync(payload: bytes) -> tuple[int, int, ExpertHyper, bytes]:
             f"known are {len(SAMPLING_STRATEGIES)} and {len(DISTILL_KINDS)}"
         )
     try:
-        hyper = ExpertHyper(
-            epochs=epochs,
-            lr=lr,
-            stability_coef=stability,
-            batch_size=batch,
-            buffer_capacity=buffer_capacity,
-            sampling=SAMPLING_STRATEGIES[sampling_idx],
-            distill_kind=DISTILL_KINDS[distill_idx],
-        )
+        hyper = ExpertHyper(epochs, buffer_capacity, lr, stability, batch,
+                            SAMPLING_STRATEGIES[sampling_idx], DISTILL_KINDS[distill_idx])
     except ValueError as e:
         raise ProtocolViolation(f"sync header at byte 0: {e}") from e
     return expert_index, seed, hyper, blob
@@ -356,11 +349,13 @@ class CountingTransport:
         self.broadcast_bytes = 0
         self.upload_bytes = 0
         self._artifact_senders: set[int] = set()
-        self.artifact_count = 0
+
+    @property
+    def artifact_count(self) -> int:  # ARTF frames this step, one per sender
+        return len(self._artifact_senders)
 
     def begin_step(self) -> None:
         self._artifact_senders.clear()
-        self.artifact_count = 0
 
     def send_sync(self, payload: bytes) -> bytes:
         """Frame and count one SYNC payload; returns the message for the expert."""
@@ -376,7 +371,6 @@ class CountingTransport:
             raise ProtocolViolation(f"expert {sender} already sent its artifact this step")
         self._artifact_senders.add(sender)
         self.upload_bytes += len(msg)
-        self.artifact_count += 1
         return payload
 
 
@@ -503,17 +497,15 @@ def consolidate(
     base: ResidualClassifier,
     artifacts: list[ExpertArtifact],
     memory: Memory,
-    coefficients: LossCoefficients,
-    rehearsal_epochs: int,
-    batch_size: int,
+    cfg: ExperimentConfig,
     rng: np.random.Generator,
-    lr: float = 0.1,
-    distill_kind: str = "features",
 ) -> ResidualClassifier:
     """Distill all experts into a fresh copy of the base on the pooled data.
 
-    The learning rate is reset going in (fresh optimizer/scheduler) and the
-    caller never reuses this phase's optimizer afterwards. The student and
+    Trains ``cfg.bmc.rehearsal_epochs`` epochs of ``cfg.training.batch_size``
+    rows on the ``cfg.bmc`` objective. The learning rate is reset to
+    ``cfg.training.lr`` going in (fresh optimizer/scheduler) and the caller
+    never reuses this phase's optimizer afterwards. The student and
     its expert teachers are one stack: slice 0 is a copy of the base, and
     slices 1..k are the transmitted snapshots in expert-index order, so the
     summation is deterministic. ``artifacts`` are those of experts 0..k-1,
@@ -535,7 +527,11 @@ def consolidate(
     pool = merge_pool(memory, [a.buffer for a in ordered])
     if len(pool) == 0:
         raise ValueError("consolidation pool is empty (no memory, empty buffers)")
-    if coefficients.consolidation > 0:
+    t, b = cfg.training, cfg.bmc
+    batch_size, task_coef, consolidation_coef, kind = (
+        t.batch_size, b.task_coef, b.consolidation_coef, b.distill_kind
+    )
+    if consolidation_coef > 0:
         stack = stack_vectors(base.config, [base, *(a.param_vector for a in ordered)])
         student = stack.slice(0)
     else:
@@ -547,18 +543,11 @@ def consolidate(
     def step(_):
         idx = rng.integers(0, n, size=batch_size)
         student_taps, record = stack.forward_with_taps(features[idx], train=True, rng=rng)
-        loss = l_base(
-            student_taps,
-            student_taps.teachers,
-            labels[idx],
-            task_coef=coefficients.task,
-            consolidation_coef=coefficients.consolidation,
-            kind=distill_kind,
-            batch_origins=origins[idx],
-        )
+        loss = l_base(student_taps, student_taps.teachers, labels[idx], task_coef,
+                      consolidation_coef, kind, batch_origins=origins[idx])
         return loss_and_grads(loss.value, lambda: student.backward(record, loss))
 
-    train_epochs(student.flat_params, student.layout.param_slices, lr, rehearsal_epochs,
+    train_epochs(student.flat_params, student.layout.param_slices, t.lr, b.rehearsal_epochs,
                  lambda: range(batches_per_epoch), step)
     # the student's own arena; the stack goes as this returns
     return student if stack is student else student.copy()
@@ -646,17 +635,14 @@ def run_incremental_step(
     base: ResidualClassifier,
     plan: StepPlan,
     memory: Memory,
-    master_seed: int,
-    coefficients: LossCoefficients,
-    rehearsal_epochs: int,
+    cfg: ExperimentConfig,
     transport: CountingTransport,
     executor,
-    lr: float = 0.1,
-    batch_size: int = 32,
 ) -> StepResult:
     """Execute sync -> parallel expert training -> consolidate -> memory refresh.
 
-    On success returns the NEW base model and records the step's cost; the
+    Reads ``cfg.seed``, ``cfg.training`` and ``cfg.bmc``; the model shape is
+    ``base.config``. On success returns the NEW base model and records the step's cost; the
     memory is refreshed in place as the final action. If an expert fails,
     an expert's message breaks the protocol (a malformed, duplicate or
     missing ARTF frame, or one of an expert outside the step or with rows
@@ -670,7 +656,7 @@ def run_incremental_step(
     upload_before = transport.upload_bytes
     base_blob = base.to_param_vector().to_bytes()
     syncs = [
-        transport.send_sync(encode_sync(i, seed, plan.hyper, base_blob))
+        transport.send_sync(encode_sync(i, seed, cfg, base_blob))
         for i, seed in enumerate(plan.expert_seeds)
     ]
 
@@ -693,19 +679,9 @@ def run_incremental_step(
     expert_param_bytes = sum(a.param_vector.nbytes for a in received)
 
     t1 = time.perf_counter()
-    rng = np.random.default_rng(child_seed(master_seed, "consolidate", plan.step_id))
+    rng = np.random.default_rng(child_seed(cfg.seed, "consolidate", plan.step_id))
     try:
-        new_base = consolidate(
-            base,
-            received,
-            memory,
-            coefficients,
-            rehearsal_epochs=rehearsal_epochs,
-            batch_size=batch_size,
-            rng=rng,
-            lr=lr,
-            distill_kind=plan.hyper.distill_kind,
-        )
+        new_base = consolidate(base, received, memory, cfg, rng)
     except NonFiniteError as e:
         raise StepFailure(f"step {plan.step_id}: consolidation: {e}") from e
     consolidation_wall = time.perf_counter() - t1
@@ -714,7 +690,7 @@ def run_incremental_step(
     pool = merge_pool(memory, [a.buffer for a in received])
     memory.replace(
         subsample_memory(
-            pool, memory.capacity, seed=child_seed(master_seed, "memory", plan.step_id)
+            pool, memory.capacity, seed=child_seed(cfg.seed, "memory", plan.step_id)
         )
     )
     # buffers are dropped here: nothing retains them past this point
@@ -737,8 +713,10 @@ def run_incremental_step(
     )
 
 
-def plan_steps(stream: TaskStream, k: int, master_seed: int, hyper: ExpertHyper) -> list[StepPlan]:
-    """Consecutive k-task batches; the final step may carry fewer tasks."""
+def plan_steps(stream: TaskStream, cfg: ExperimentConfig) -> list[StepPlan]:
+    """Consecutive batches of ``cfg.bmc.experts_per_step`` tasks; the final
+    step may carry fewer. Expert seeds derive from ``cfg.seed``."""
+    k = cfg.bmc.experts_per_step
     if k < 1:
         raise ValueError("need at least one expert per step")
     plans = []
@@ -746,11 +724,9 @@ def plan_steps(stream: TaskStream, k: int, master_seed: int, hyper: ExpertHyper)
     for step_id, start in enumerate(range(0, len(tasks), k)):
         batch = tuple(tasks[start : start + k])
         seeds = tuple(
-            child_seed(master_seed, "expert", start + j) for j in range(len(batch))
+            child_seed(cfg.seed, "expert", start + j) for j in range(len(batch))
         )
-        plans.append(
-            StepPlan(step_id=step_id, tasks=batch, expert_seeds=seeds, hyper=hyper)
-        )
+        plans.append(StepPlan(step_id=step_id, tasks=batch, expert_seeds=seeds))
     return plans
 
 
@@ -762,38 +738,17 @@ def run_full_stream(stream: TaskStream, cfg: ExperimentConfig, executor=None) ->
     failed step stops the run; the report carries the partial history and
     the failed step id.
     """
-    b, t = cfg.bmc, cfg.training
+    b = cfg.bmc
     if executor is None:
         executor = SerialExecutor() if b.workers <= 1 else ProcessExecutor(b.workers)
     recorder = RunRecorder("bmc", CostLedger())
     base = build_model(build_model_config(cfg.model, stream), seed=child_seed(cfg.seed, "init"))
     memory = Memory(b.memory_capacity, stream.dim)
     transport = CountingTransport()
-    hyper = ExpertHyper(
-        epochs=t.epochs_per_task,
-        lr=t.lr,
-        stability_coef=b.stability_coef,
-        batch_size=t.batch_size,
-        buffer_capacity=b.buffer_capacity,
-        sampling=b.sampling,
-        distill_kind=b.distill_kind,
-    )
-    coefficients = LossCoefficients(task=b.task_coef, consolidation=b.consolidation_coef)
-    for plan in plan_steps(stream, b.experts_per_step, cfg.seed, hyper):
+    for plan in plan_steps(stream, cfg):
         step_t0 = time.perf_counter()
         try:
-            result = run_incremental_step(
-                base,
-                plan,
-                memory,
-                master_seed=cfg.seed,
-                coefficients=coefficients,
-                rehearsal_epochs=b.rehearsal_epochs,
-                transport=transport,
-                executor=executor,
-                lr=t.lr,
-                batch_size=t.batch_size,
-            )
+            result = run_incremental_step(base, plan, memory, cfg, transport, executor)
         except StepFailure:
             return recorder.report(base, failed_step=plan.step_id)
         base = result.base

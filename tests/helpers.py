@@ -84,33 +84,33 @@ def per_teacher_l_base(student: TapSet, teachers: list[TapSet], labels: np.ndarr
                      ce.logits + weighted.logits)
 
 
-def consolidate_reference(base: ResidualClassifier, artifacts, memory, coefficients,
-                          rehearsal_epochs: int, batch_size: int, rng: np.random.Generator,
-                          lr: float = 0.1, distill_kind: str = "features") -> ResidualClassifier:
+def consolidate_reference(base: ResidualClassifier, artifacts, memory, cfg: ExperimentConfig,
+                          rng: np.random.Generator) -> ResidualClassifier:
     """``protocol.consolidate`` with both coefficients on, as a plain loop:
     each batch is a ``draw_batch`` of the pool, one stacked pass of the
     student and its teachers, the per-teacher consolidation objective
     (:func:`per_teacher_l_base`, every teacher routed to its rows by
     comparing origin tags with its expert index), the student's backward
-    and an SGD step; a plateau schedule sees each epoch's mean loss."""
+    and an SGD step; a plateau schedule sees each epoch's mean loss. Reads
+    ``cfg.training`` and ``cfg.bmc`` as ``consolidate`` does."""
+    t, b = cfg.training, cfg.bmc
     ordered = sorted(artifacts, key=lambda a: a.expert_index)
     pool = merge_pool(memory, [a.buffer for a in ordered])
     stack = stack_vectors(base.config, [base, *(a.param_vector for a in ordered)])
     student = stack.slice(0)
-    opt = SGD(lr)
+    opt = SGD(t.lr)
     schedule = PlateauScheduler(opt)
-    for _ in range(rehearsal_epochs):
+    for _ in range(b.rehearsal_epochs):
         losses = []
-        for _ in range(max(1, len(pool) // batch_size)):
-            batch = draw_batch(pool, batch_size, rng)
+        for _ in range(max(1, len(pool) // t.batch_size)):
+            batch = draw_batch(pool, t.batch_size, rng)
             taps, record = stack.forward_with_taps(batch.features, train=True, rng=rng)
             teachers = [taps.teachers[j] for j in range(len(ordered))]
             origins = np.full(len(batch), -1)
             for j, a in enumerate(ordered):
                 origins[batch.origins == a.expert_index] = j
             loss = per_teacher_l_base(taps, teachers, batch.labels, origins,
-                                      coefficients.task, coefficients.consolidation,
-                                      distill_kind)
+                                      b.task_coef, b.consolidation_coef, b.distill_kind)
             value, grads = loss_and_grads(loss.value, lambda: student.backward(record, loss))
             opt.step(student.flat_params, grads, student.layout.param_slices)
             losses.append(value)

@@ -44,7 +44,6 @@ from batchcl.engine import SGD, PlateauScheduler
 from batchcl.engine.autodiff import Tensor
 from batchcl.losses import (
     FisherState,
-    LossCoefficients,
     ewc_penalty,
     l_base,
     l_bd,
@@ -59,7 +58,6 @@ from batchcl.protocol import (
     TAG_ARTIFACT,
     CountingTransport,
     ExpertFailure,
-    ExpertHyper,
     ProcessExecutor,
     ProtocolViolation,
     SerialExecutor,
@@ -734,18 +732,17 @@ def test_09_protocol_constraints(tmp_path):
         input_dim=stream.dim, total_classes=stream.total_classes, res_blocks=1,
         res_layers_per_block=1, res_dim=6, hidden_dim=5, dropout_p=0.0,
     )
-    coefficients = LossCoefficients(1.0, 1.0)
+    cfg = experiment(
+        "bmc", 9, training=dict(epochs_per_task=1, lr=0.1, batch_size=4),
+        bmc=dict(experts_per_step=3, rehearsal_epochs=1, buffer_capacity=10,
+                 task_coef=1.0, consolidation_coef=1.0),
+    )
     base = build_model(model_cfg, seed=child_seed(9, "init"))
     memory = Memory(40, stream.dim)
     transport = CountingTransport()
-    hyper = ExpertHyper(epochs=1, lr=0.1, batch_size=4, buffer_capacity=10)
-    plan = plan_steps(stream, 3, 9, hyper)[0]
+    plan = plan_steps(stream, cfg)[0]
     capturing = _CapturingExecutor()
-    result = run_incremental_step(
-        base, plan, memory, master_seed=9, coefficients=coefficients,
-        rehearsal_epochs=1, transport=transport, executor=capturing,
-        lr=0.1, batch_size=4,
-    )
+    result = run_incremental_step(base, plan, memory, cfg, transport, capturing)
 
     # (a) exactly k artifact messages, duplicates rejected
     exactly_k = transport.artifact_count == plan.k
@@ -768,11 +765,7 @@ def test_09_protocol_constraints(tmp_path):
     base_bytes = base2.to_param_vector().to_bytes()
     memory_bytes = memory.exemplars.features.tobytes() + memory.exemplars.labels.tobytes()
     with pytest.raises(StepFailure):
-        run_incremental_step(
-            base2, plan, memory, master_seed=9, coefficients=coefficients,
-            rehearsal_epochs=1, transport=transport, executor=_FailingExecutor(),
-            lr=0.1, batch_size=4,
-        )
+        run_incremental_step(base2, plan, memory, cfg, transport, _FailingExecutor())
     untouched = (
         base2.to_param_vector().to_bytes() == base_bytes
         and memory.exemplars.features.tobytes() + memory.exemplars.labels.tobytes()
@@ -841,14 +834,14 @@ def test_10_replay_invariants():
     memory = Memory(mem_cap, stream.dim)
     transport = CountingTransport()
     executor = SerialExecutor()
-    hyper = ExpertHyper(epochs=1, lr=0.1, batch_size=8, buffer_capacity=30)
+    cfg = experiment(
+        "bmc", 4, training=dict(epochs_per_task=1, lr=0.1, batch_size=8),
+        bmc=dict(experts_per_step=k, rehearsal_epochs=1, buffer_capacity=30,
+                 task_coef=1.0, consolidation_coef=1.0),
+    )
     over_capacity = []
-    for plan in plan_steps(stream, k, 4, hyper):
-        result = run_incremental_step(
-            base, plan, memory, master_seed=4, coefficients=LossCoefficients(1.0, 1.0),
-            rehearsal_epochs=1, transport=transport, executor=executor,
-            lr=0.1, batch_size=8,
-        )
+    for plan in plan_steps(stream, cfg):
+        result = run_incremental_step(base, plan, memory, cfg, transport, executor)
         base = result.base
         if len(memory) > mem_cap:
             over_capacity.append((plan.step_id, len(memory)))

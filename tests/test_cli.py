@@ -21,6 +21,7 @@ import batchcl.protocol as protocol_mod
 from batchcl.cli import _build_parser, export_pareto, main, run_experiment, run_sweep, sample_trial
 from batchcl.config import (
     ConfigError,
+    build_stream,
     config_to_dict,
     parse_config,
     parse_sweep,
@@ -28,7 +29,7 @@ from batchcl.config import (
 from batchcl.protocol import FRAME_OVERHEAD, SYNC_FIXED_NBYTES
 from batchcl.replay import Buffer
 from batchcl.run import child_seed
-from batchcl.streams import load_feature_stream
+from batchcl.streams import TaskStream, load_feature_stream, save_stream
 
 
 def toy_raw(method="sgd", **extra):
@@ -87,6 +88,10 @@ class TestConfig:
             ("bmc", "bmc", "buffer_capacity", 0),
             ("bmc", "bmc", "experts_per_step", 0),
             ("bmc", "bmc", "workers", -3),
+            ("bmc", "bmc", "rehearsal_epochs", -1),
+            ("bmc", "bmc", "task_coef", -1.0),
+            ("bmc", "bmc", "consolidation_coef", -1.0),
+            ("bmc", "bmc", "stability_coef", -1.0),
             ("sgd", "training", "lr", -1.0),
             ("sgd", "model", "dropout_p", 1.5),
             ("sgd", "stream", "n_tasks", 0),
@@ -95,6 +100,7 @@ class TestConfig:
             ("er", "stream", "train_per_task", 0),
             ("bmc", "stream", "val_per_task", 0),
             ("bmc", "stream", "seed", -5),
+            ("sgd", "stream", "separation", -1.0),
         ],
     )
     def test_bad_value_rejected_at_parse_time(self, tmp_path, capsys, method, section,
@@ -200,6 +206,38 @@ class TestRunVerb:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["failed_step"] == 0
         assert summary["n_steps"] == 0
+
+    @pytest.mark.parametrize("method", ["er", "sgd", "oewc"])
+    @pytest.mark.parametrize("diverging", ["lr", "second_task_rows"])
+    def test_diverging_baseline_fails_the_step_not_the_run(self, tmp_path, method, diverging):
+        # at lr 1e30 the first task's training blows up; with the second
+        # task's train rows scaled by 1e30, the first task trains and the
+        # second one's batch statistics overflow
+        raw = toy_raw(method=method, out_dir=str(tmp_path / "out"))
+        if diverging == "lr":
+            raw["training"]["lr"] = 1e30
+            failed = 0
+        else:
+            tasks = build_stream(parse_config(raw).stream).tasks
+            scaled = dataclasses.replace(tasks[1], train_x=tasks[1].train_x * np.float32(1e30))
+            save_stream(TaskStream((tasks[0], scaled)), str(tmp_path / "stream.bin"))
+            raw["stream"] = {"kind": "file", "path": str(tmp_path / "stream.bin")}
+            failed = 1
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(raw))
+        with np.errstate(all="ignore"):
+            assert main(["run", str(cfg_file)]) == 3
+        rows = [json.loads(s) for s in (tmp_path / "out" / "records.jsonl").read_text().splitlines()]
+        steps = [r for r in rows if r["type"] == "step"]
+        assert (rows[-1]["failed_step"], rows[-1]["n_steps"]) == (failed, failed)
+        assert json.loads((tmp_path / "out" / "summary.json").read_text()) == rows[-1]
+        # the finished tasks' rows are those of the run that does not diverge
+        run_experiment(parse_config(toy_raw(method=method)), tmp_path / "clean")
+        clean = [json.loads(s) for s in (tmp_path / "clean" / "records.jsonl").read_text()
+                 .splitlines()][:failed]
+        for row in steps + clean:
+            assert row.pop("wall_clock_s") >= 0.0
+        assert steps == clean
 
     def test_overflowed_batch_statistics_fail_the_step(self, tmp_path):
         # pinned16's shape with 8 tasks and logit distillation: step 1's

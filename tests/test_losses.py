@@ -21,7 +21,6 @@ from batchcl.engine import GraphError
 from batchcl.losses import (
     DISTILL_KINDS,
     FisherState,
-    LossCoefficients,
     alt_distill,
     decay_and_anchor,
     ewc_penalty,
@@ -377,12 +376,6 @@ class TestBaseObjective:
         s, _ = self.base.forward_with_taps(self.x)
         with pytest.raises(GraphError, match="origin tags"):
             l_base(s, self.teachers, self.y, 1.0, 1.0)
-
-    def test_coefficient_validation(self):
-        with pytest.raises(ValueError, match="task"):
-            LossCoefficients(task=-1.0)
-        with pytest.raises(ValueError, match="consolidation"):
-            LossCoefficients(consolidation=-1.0)
 
 
 class TestDistillationAlternatives:

@@ -24,7 +24,6 @@ from helpers import (
 )
 
 import batchcl.protocol as protocol_mod
-from batchcl.losses import LossCoefficients
 from batchcl.model import ModelConfig, ResidualClassifier, build_model
 from batchcl.protocol import (
     ARTIFACT_FIXED_NBYTES,
@@ -77,20 +76,23 @@ def stream():
     )
 
 
-def tiny_config(seed=13, epochs=1, **bmc):
+def tiny_config(seed=13, epochs=1, lr=0.1, **bmc):
     """A bmc run on the module stream with the TOY model shape."""
     return experiment(
         "bmc", seed,
         model=dict(res_blocks=1, res_layers_per_block=1, res_dim=8, hidden_dim=6,
                    dropout_p=0.0),
-        training=dict(epochs_per_task=epochs, lr=0.1, batch_size=8),
+        training=dict(epochs_per_task=epochs, lr=lr, batch_size=8),
         bmc={"experts_per_step": 2, "rehearsal_epochs": 4, "buffer_capacity": 12,
              "memory_capacity": 40, **bmc},
     )
 
 
-# the expert settings tiny_config() runs with, for tests that drive single steps
-TINY_HYPER = ExpertHyper(epochs=1, lr=0.1, batch_size=8, buffer_capacity=12)
+def expert_config(epochs=1, lr=0.1, batch_size=8, **bmc):
+    """A run config whose SYNC header carries these expert settings, with a
+    buffer of 10 unless ``bmc`` names another, for tests of one expert."""
+    return experiment(training=dict(epochs_per_task=epochs, lr=lr, batch_size=batch_size),
+                      bmc={"buffer_capacity": 10, **bmc})
 
 
 def make_exemplars(n, dim=6, seed=0):
@@ -103,13 +105,11 @@ def make_exemplars(n, dim=6, seed=0):
     )
 
 
-DEFAULT_HYPER = ExpertHyper(epochs=1, batch_size=8, buffer_capacity=10)
-
-
-def make_sync(seed=5, hyper=None, model_seed=1, config=TOY, expert_index=0):
-    """A framed SYNC message carrying a fresh base; returns (message, base blob)."""
+def make_sync(seed=5, cfg=None, model_seed=1, config=TOY, expert_index=0):
+    """A framed SYNC message carrying a fresh base and ``cfg``'s expert
+    settings (:func:`expert_config` by default); returns (message, base blob)."""
     blob = build_model(config, seed=model_seed).to_param_vector().to_bytes()
-    payload = encode_sync(expert_index, seed, hyper or DEFAULT_HYPER, blob)
+    payload = encode_sync(expert_index, seed, cfg or expert_config(), blob)
     return frame(TAG_SYNC, payload), blob
 
 
@@ -250,13 +250,15 @@ def test_fixed_header_sizes_pinned():
 
 class TestSyncCodec:
     def test_round_trip(self, stream):
-        hyper = ExpertHyper(epochs=3, lr=0.05, stability_coef=0.4, batch_size=16,
+        cfg = expert_config(epochs=3, lr=0.05, batch_size=16, stability_coef=0.4,
                             buffer_capacity=99, sampling="grad_max_base",
                             distill_kind="kd_logits")
-        sync, blob = make_sync(seed=77, hyper=hyper)
+        sync, blob = make_sync(seed=77, cfg=cfg)
         idx, seed, h, back = decode_sync(unframe(sync)[1])
         assert (idx, seed) == (0, 77)
-        assert h == hyper
+        assert h == ExpertHyper(epochs=3, buffer_capacity=99, lr=0.05, stability_coef=0.4,
+                                batch_size=16, sampling="grad_max_base",
+                                distill_kind="kd_logits")
         assert back == blob
 
     def test_fixed_size_arithmetic(self, stream):
@@ -380,42 +382,43 @@ class TestTransport:
 
 
 class TestPlans:
+    @staticmethod
+    def plans(stream, k, master_seed):
+        return plan_steps(stream, experiment("bmc", master_seed, bmc={"experts_per_step": k}))
+
     def test_disjoint_classes_enforced(self, stream):
-        hyper = ExpertHyper()
         with pytest.raises(ValueError, match="disjoint"):
-            StepPlan(step_id=0, tasks=(stream.tasks[0], stream.tasks[0]),
-                     expert_seeds=(1, 2), hyper=hyper)
+            StepPlan(step_id=0, tasks=(stream.tasks[0], stream.tasks[0]), expert_seeds=(1, 2))
 
     def test_seed_count_must_match(self, stream):
         with pytest.raises(ValueError, match="seed"):
-            StepPlan(step_id=0, tasks=(stream.tasks[0],), expert_seeds=(1, 2),
-                     hyper=ExpertHyper())
+            StepPlan(step_id=0, tasks=(stream.tasks[0],), expert_seeds=(1, 2))
 
     def test_eight_tasks_k4_gives_two_full_steps(self):
         s = generate_stream("permuted", n_tasks=8, classes_per_task=2, dim=4,
                             train_per_task=12, val_per_task=4, seed=0)
-        plans = plan_steps(s, k=4, master_seed=3, hyper=ExpertHyper())
+        plans = self.plans(s, k=4, master_seed=3)
         assert [p.k for p in plans] == [4, 4]
         assert [p.step_id for p in plans] == [0, 1]
 
     def test_seven_tasks_k4_gives_partial_final_step(self):
         s = generate_stream("permuted", n_tasks=7, classes_per_task=2, dim=4,
                             train_per_task=12, val_per_task=4, seed=0)
-        plans = plan_steps(s, k=4, master_seed=3, hyper=ExpertHyper())
+        plans = self.plans(s, k=4, master_seed=3)
         assert [p.k for p in plans] == [4, 3]
 
     def test_k_equals_stream_length_single_step(self, stream):
-        plans = plan_steps(stream, k=4, master_seed=3, hyper=ExpertHyper())
+        plans = self.plans(stream, k=4, master_seed=3)
         assert len(plans) == 1 and plans[0].k == 4
 
     def test_seeds_follow_global_task_index(self, stream):
-        plans = plan_steps(stream, k=3, master_seed=9, hyper=ExpertHyper())
+        plans = self.plans(stream, k=3, master_seed=9)
         flat = [s for p in plans for s in p.expert_seeds]
         assert flat == [child_seed(9, "expert", j) for j in range(4)]
 
     def test_k_below_one_rejected(self, stream):
         with pytest.raises(ValueError):
-            plan_steps(stream, k=0, master_seed=3, hyper=ExpertHyper())
+            self.plans(stream, k=0, master_seed=3)
 
 
 class _PoisonedTask:
@@ -439,7 +442,9 @@ class TestExpertIsolation:
             "sync", "tasks", "model_config"
         ]
         sync, blob = make_sync(seed=9)
-        assert decode_sync(unframe(sync)[1]) == (0, 9, DEFAULT_HYPER, blob)
+        hyper = ExpertHyper(epochs=1, buffer_capacity=10, lr=0.1, stability_coef=1.0,
+                            batch_size=8, sampling="random", distill_kind="features")
+        assert decode_sync(unframe(sync)[1]) == (0, 9, hyper, blob)
 
     def test_context_is_immutable(self, stream):
         sync, _ = make_sync()
@@ -455,11 +460,11 @@ class TestExpertIsolation:
         # frozen tasks, a frozen config -- no channel back to the
         # coordinator's Memory or to other experts exists
         capturing = _CapturingExecutor()
-        plan = plan_steps(stream, 2, 5, TINY_HYPER)[0]
+        cfg = tiny_config(seed=5, rehearsal_epochs=1)
+        plan = plan_steps(stream, cfg)[0]
         run_incremental_step(
-            build_model(TOY, seed=1), plan, Memory(40, stream.dim), 5,
-            coefficients=LossCoefficients(), rehearsal_epochs=1,
-            transport=CountingTransport(), executor=capturing, lr=0.1, batch_size=8,
+            build_model(TOY, seed=1), plan, Memory(40, stream.dim), cfg,
+            CountingTransport(), capturing,
         )
         syncs, tasks, model_config = capturing.args
         assert all(type(s) is bytes for s in syncs)
@@ -478,8 +483,7 @@ class TestExpertIsolation:
 
 class TestRemoteTrain:
     def test_zero_epochs_returns_base_bit_exact(self, stream):
-        hyper = ExpertHyper(epochs=0, batch_size=8, buffer_capacity=10)
-        sync, blob = make_sync(hyper=hyper)
+        sync, blob = make_sync(cfg=expert_config(epochs=0))
         artifact = decode_artifact(unframe(remote_train(sync, (stream.tasks[0],), TOY))[1])
         assert artifact.param_vector.to_bytes() == blob
 
@@ -492,7 +496,7 @@ class TestRemoteTrain:
         artifact = train_one(stream.tasks[1])
         assert artifact.buffer.owner == 0
         assert set(artifact.buffer.exemplars.task_ids) == {stream.tasks[1].task_id}
-        assert len(artifact.buffer.exemplars) <= DEFAULT_HYPER.buffer_capacity
+        assert len(artifact.buffer.exemplars) <= expert_config().bmc.buffer_capacity
 
     def test_stability_pull_reduces_feature_drift(self, stream):
         # same data and seeds, only the stability coefficient differs; the
@@ -512,10 +516,8 @@ class TestRemoteTrain:
             for coef in (0.0, 0.5, 2.0):
                 dists = []
                 for seed in (5, 6, 7):
-                    hyper = ExpertHyper(epochs=2, batch_size=8, buffer_capacity=10,
-                                        stability_coef=coef, lr=0.02)
-                    artifact = train_one(stream.tasks[0], config=config, seed=seed,
-                                         hyper=hyper)
+                    cfg = expert_config(epochs=2, lr=0.02, stability_coef=coef)
+                    artifact = train_one(stream.tasks[0], config=config, seed=seed, cfg=cfg)
                     expert = model_from_vector(config, artifact.param_vector)
                     dists.append(float(l_bd(expert.forward_as_teacher(x),
                                             base.forward_as_teacher(x)).value))
@@ -524,10 +526,9 @@ class TestRemoteTrain:
             assert mean_dist[2.0] > 0
 
     def test_divergence_reported_as_expert_failure(self, stream):
-        hyper = ExpertHyper(epochs=3, batch_size=8, buffer_capacity=10, lr=1e30)
         with np.errstate(all="ignore"):
             with pytest.raises(ExpertFailure, match="expert 0"):
-                train_one(stream.tasks[0], hyper=hyper)
+                train_one(stream.tasks[0], cfg=expert_config(epochs=3, lr=1e30))
 
     def test_non_sync_tag_rejected(self, stream):
         sync, _ = make_sync()
@@ -548,19 +549,17 @@ class TestRemoteTrain:
                            match=f"sync base snapshot at byte {SYNC_FIXED_NBYTES}: layout"):
             remote_train(sync, (stream.tasks[0],), TOY)
         # without a stability term the base is no stack, and is checked the same
-        sync, _ = make_sync(config=wider, hyper=dataclasses.replace(DEFAULT_HYPER,
-                                                                    stability_coef=0.0))
+        sync, _ = make_sync(config=wider, cfg=expert_config(stability_coef=0.0))
         with pytest.raises(ProtocolViolation,
                            match=f"sync base snapshot at byte {SYNC_FIXED_NBYTES}: layout"):
             remote_train(sync, (stream.tasks[0],), TOY)
 
     def test_one_expert_batch_builds_no_tensor(self, stream, monkeypatch):
         task = stream.tasks[0]
-        hyper = ExpertHyper(epochs=1, batch_size=len(task.train_y), buffer_capacity=10,
-                            stability_coef=1.0)
+        cfg = expert_config(batch_size=len(task.train_y), stability_coef=1.0)
         base = build_model(TOY, seed=1).to_param_vector().to_bytes()
         built = count_tensors(monkeypatch)
-        artifact = train_one(task, hyper=hyper)
+        artifact = train_one(task, cfg=cfg)
         assert built == []
         assert artifact.param_vector.to_bytes() != base
 
@@ -568,10 +567,9 @@ class TestRemoteTrain:
     def test_one_pass_per_batch(self, stream, monkeypatch, stability_coef):
         # with a stability term the expert and its base teacher share a pass
         task = stream.tasks[0]
-        hyper = ExpertHyper(epochs=2, batch_size=8, buffer_capacity=10,
-                            stability_coef=stability_coef)
+        cfg = expert_config(epochs=2, stability_coef=stability_coef)
         calls = count_passes(monkeypatch)
-        train_one(task, hyper=hyper)
+        train_one(task, cfg=cfg)
         assert len(calls) == 2 * (len(task.train_y) // 8)
 
     def test_expert_index_beyond_tasks_rejected(self, stream):
@@ -603,11 +601,9 @@ class TestConsolidate:
         # off, so the distillation distance and its gradient are exactly zero
         base = build_model(TOY, seed=1)
         arts = self.setup_artifacts(base, stream)
-        out = consolidate(
-            base, arts, Memory(40, 6),
-            LossCoefficients(task=0.0, consolidation=1.0),
-            rehearsal_epochs=2, batch_size=8, rng=np.random.default_rng(0),
-        )
+        out = consolidate(base, arts, Memory(40, 6),
+                          tiny_config(rehearsal_epochs=2, task_coef=0.0, consolidation_coef=1.0),
+                          rng=np.random.default_rng(0))
         assert params_bytes(out) == params_bytes(base)
 
     def test_input_base_never_mutated(self, stream):
@@ -615,10 +611,8 @@ class TestConsolidate:
         before_params = params_bytes(base)
         before_stats = b"".join(base.stats[k].tobytes() for k in sorted(base.stats))
         arts = self.setup_artifacts(base, stream)
-        consolidate(
-            base, arts, Memory(40, 6), LossCoefficients(),
-            rehearsal_epochs=2, batch_size=8, rng=np.random.default_rng(0),
-        )
+        consolidate(base, arts, Memory(40, 6), tiny_config(rehearsal_epochs=2),
+                    rng=np.random.default_rng(0))
         assert params_bytes(base) == before_params
         assert b"".join(base.stats[k].tobytes() for k in sorted(base.stats)) == before_stats
 
@@ -629,11 +623,9 @@ class TestConsolidate:
         for i, a in enumerate(arts):
             m = build_model(TOY, seed=10 + i)
             arts[i] = dataclasses.replace(a, param_vector=m.to_param_vector())
-        out1 = consolidate(base, arts, Memory(40, 6), LossCoefficients(),
-                           rehearsal_epochs=1, batch_size=8,
-                           rng=np.random.default_rng(3))
-        out2 = consolidate(base, list(reversed(arts)), Memory(40, 6),
-                           LossCoefficients(), rehearsal_epochs=1, batch_size=8,
+        cfg = tiny_config(rehearsal_epochs=1)
+        out1 = consolidate(base, arts, Memory(40, 6), cfg, rng=np.random.default_rng(3))
+        out2 = consolidate(base, list(reversed(arts)), Memory(40, 6), cfg,
                            rng=np.random.default_rng(3))
         assert params_bytes(out1) == params_bytes(out2)
 
@@ -641,18 +633,14 @@ class TestConsolidate:
         # with the distillation term off the expert snapshots must not leak
         # into the update; swapping them for unrelated weights changes nothing
         base = build_model(TOY, seed=1)
-        coeffs = LossCoefficients(task=1.0, consolidation=0.0)
+        cfg = tiny_config(rehearsal_epochs=2, task_coef=1.0, consolidation_coef=0.0)
         arts = self.setup_artifacts(base, stream)
-        out1 = consolidate(base, arts, Memory(40, 6), coeffs,
-                           rehearsal_epochs=2, batch_size=8,
-                           rng=np.random.default_rng(5))
+        out1 = consolidate(base, arts, Memory(40, 6), cfg, rng=np.random.default_rng(5))
         swapped = [
             dataclasses.replace(a, param_vector=build_model(TOY, seed=99 + i).to_param_vector())
             for i, a in enumerate(arts)
         ]
-        out2 = consolidate(base, swapped, Memory(40, 6), coeffs,
-                           rehearsal_epochs=2, batch_size=8,
-                           rng=np.random.default_rng(5))
+        out2 = consolidate(base, swapped, Memory(40, 6), cfg, rng=np.random.default_rng(5))
         assert params_bytes(out1) == params_bytes(out2)
 
     def test_empty_pool_rejected(self, stream):
@@ -661,8 +649,7 @@ class TestConsolidate:
             a, buffer=Buffer(ExemplarSet.empty(6), capacity=10, owner=a.expert_index)
         ) for a in self.setup_artifacts(base, stream)]
         with pytest.raises(ValueError, match="empty"):
-            consolidate(base, empty, Memory(40, 6), LossCoefficients(),
-                        rehearsal_epochs=1, batch_size=8,
+            consolidate(base, empty, Memory(40, 6), tiny_config(rehearsal_epochs=1),
                         rng=np.random.default_rng(0))
 
     @pytest.mark.parametrize("consolidation", [0.0, 1.0])
@@ -671,8 +658,8 @@ class TestConsolidate:
         base = build_model(TOY, seed=1)
         arts = self.setup_artifacts(base, stream, n=3)
         calls = count_passes(monkeypatch)
-        consolidate(base, arts, Memory(40, 6), LossCoefficients(1.0, consolidation),
-                    rehearsal_epochs=2, batch_size=8, rng=np.random.default_rng(0))
+        cfg = tiny_config(rehearsal_epochs=2, task_coef=1.0, consolidation_coef=consolidation)
+        consolidate(base, arts, Memory(40, 6), cfg, rng=np.random.default_rng(0))
         assert len(calls) == 2 * (30 // 8)
 
     def test_returned_model_owns_its_arrays(self, stream):
@@ -680,8 +667,7 @@ class TestConsolidate:
         # of its own, and its arrays are views of that arena
         base = build_model(TOY, seed=1)
         out = consolidate(base, self.setup_artifacts(base, stream), Memory(40, 6),
-                          LossCoefficients(), rehearsal_epochs=1, batch_size=8,
-                          rng=np.random.default_rng(0))
+                          tiny_config(rehearsal_epochs=1), rng=np.random.default_rng(0))
         assert out.arena.shape == base.arena.shape
         assert_views_of_own_arena(out)
 
@@ -699,8 +685,7 @@ class TestConsolidate:
         monkeypatch.setattr(protocol_mod, "stack_vectors", kept)
         base = build_model(TOY, seed=1)
         out = consolidate(base, self.setup_artifacts(base, stream), Memory(40, 6),
-                          LossCoefficients(), rehearsal_epochs=1, batch_size=8,
-                          rng=np.random.default_rng(0))
+                          tiny_config(rehearsal_epochs=1), rng=np.random.default_rng(0))
         [(arena, start)] = stacks
         assert arena() is None
         assert_views_of_own_arena(out)
@@ -730,19 +715,17 @@ class TestConsolidate:
             ))
         memory = Memory(40, 6)
         memory.replace(make_exemplars(12, seed=42))
-        coefficients = LossCoefficients(task=0.7, consolidation=1.3)
-        args = (base, arts, memory, coefficients, 3, 8)
-        out = consolidate(*args, rng=np.random.default_rng(43), lr=0.1, distill_kind=kind)
-        want = consolidate_reference(*args, rng=np.random.default_rng(43), lr=0.1,
-                                     distill_kind=kind)
+        cfg = tiny_config(rehearsal_epochs=3, task_coef=0.7, consolidation_coef=1.3,
+                          distill_kind=kind)
+        out = consolidate(base, arts, memory, cfg, rng=np.random.default_rng(43))
+        want = consolidate_reference(base, arts, memory, cfg, rng=np.random.default_rng(43))
         assert out.arena.tobytes() == want.arena.tobytes()
         assert out.arena.tobytes() != base.arena.tobytes()
 
     def test_no_artifacts_rejected(self):
         base = build_model(TOY, seed=1)
         with pytest.raises(ValueError, match="artifact"):
-            consolidate(base, [], Memory(40, 6), LossCoefficients(),
-                        rehearsal_epochs=1, batch_size=8,
+            consolidate(base, [], Memory(40, 6), tiny_config(rehearsal_epochs=1),
                         rng=np.random.default_rng(0))
 
 
@@ -769,8 +752,8 @@ class TestConsolidate:
             for i in range(4)
         ]
         built = count_tensors(monkeypatch)
-        out = consolidate(base, arts, Memory(40, 16), LossCoefficients(),
-                          rehearsal_epochs=1, batch_size=32, rng=np.random.default_rng(3))
+        cfg = experiment(training=dict(batch_size=32), bmc=dict(rehearsal_epochs=1))
+        out = consolidate(base, arts, Memory(40, 16), cfg, rng=np.random.default_rng(3))
         assert built == []
         assert params_bytes(out) != params_bytes(base)
 
@@ -778,15 +761,12 @@ class TestConsolidate:
 class TestIncrementalStep:
     def run_one(self, stream, plan_idx=0, memory=None, master_seed=5):
         base = build_model(TOY, seed=child_seed(master_seed, "init"))
-        plans = plan_steps(stream, 2, master_seed, TINY_HYPER)
+        cfg = tiny_config(seed=master_seed)
+        plans = plan_steps(stream, cfg)
         memory = memory if memory is not None else Memory(40, stream.dim)
         transport = CountingTransport()
         result = run_incremental_step(
-            base, plans[plan_idx], memory, master_seed,
-            coefficients=LossCoefficients(),
-            rehearsal_epochs=4,
-            transport=transport, executor=SerialExecutor(),
-            lr=0.1, batch_size=8,
+            base, plans[plan_idx], memory, cfg, transport, SerialExecutor()
         )
         return base, memory, transport, result
 
@@ -817,18 +797,12 @@ class TestIncrementalStep:
     def test_second_step_costs_are_deltas_not_cumulative(self, stream):
         master_seed = 5
         base = build_model(TOY, seed=child_seed(master_seed, "init"))
-        plans = plan_steps(stream, 2, master_seed, TINY_HYPER)
+        cfg = tiny_config(seed=master_seed)
         memory = Memory(40, stream.dim)
         transport = CountingTransport()
         costs = []
-        for plan in plans:
-            result = run_incremental_step(
-                base, plan, memory, master_seed,
-                coefficients=LossCoefficients(),
-                rehearsal_epochs=4,
-                transport=transport, executor=SerialExecutor(),
-                lr=0.1, batch_size=8,
-            )
+        for plan in plan_steps(stream, cfg):
+            result = run_incremental_step(base, plan, memory, cfg, transport, SerialExecutor())
             base = result.base
             costs.append(result.cost)
         blob0 = costs[0].broadcast_bytes
@@ -841,7 +815,8 @@ class TestIncrementalStep:
     def test_failed_expert_rolls_back_base_and_memory(self, stream, monkeypatch):
         master_seed = 5
         base = build_model(TOY, seed=child_seed(master_seed, "init"))
-        plans = plan_steps(stream, 2, master_seed, TINY_HYPER)
+        cfg = tiny_config(seed=master_seed, rehearsal_epochs=2)
+        plans = plan_steps(stream, cfg)
         memory = Memory(40, stream.dim)
         memory.replace(make_exemplars(10))
         base_before = base.to_param_vector().to_bytes()
@@ -857,11 +832,7 @@ class TestIncrementalStep:
         monkeypatch.setattr(protocol_mod, "remote_train", flaky)
         with pytest.raises(StepFailure, match="simulated crash"):
             run_incremental_step(
-                base, plans[0], memory, master_seed,
-                coefficients=LossCoefficients(),
-                rehearsal_epochs=2,
-                transport=CountingTransport(), executor=SerialExecutor(),
-                lr=0.1, batch_size=8,
+                base, plans[0], memory, cfg, CountingTransport(), SerialExecutor()
             )
         assert base.to_param_vector().to_bytes() == base_before
         assert memory.exemplars.features.tobytes() == memory_before
@@ -872,8 +843,8 @@ class TestIncrementalStep:
         master_seed = 5
         base = build_model(TOY, seed=child_seed(master_seed, "init"))
         # experts train no epoch, so only the consolidation sees the step size
-        hyper = dataclasses.replace(TINY_HYPER, epochs=0)
-        plans = plan_steps(stream, 2, master_seed, hyper)
+        cfg = tiny_config(seed=master_seed, epochs=0, lr=1e30, rehearsal_epochs=2)
+        plans = plan_steps(stream, cfg)
         memory = Memory(40, stream.dim)
         memory.replace(make_exemplars(10))
         base_before = base.to_param_vector().to_bytes()
@@ -882,11 +853,7 @@ class TestIncrementalStep:
             StepFailure, match="step 1: consolidation: non-finite"
         ):
             run_incremental_step(
-                base, plans[1], memory, master_seed,
-                coefficients=LossCoefficients(),
-                rehearsal_epochs=2,
-                transport=CountingTransport(), executor=SerialExecutor(),
-                lr=1e30, batch_size=8,
+                base, plans[1], memory, cfg, CountingTransport(), SerialExecutor()
             )
         assert base.to_param_vector().to_bytes() == base_before
         assert memory.exemplars.features.tobytes() == memory_before
@@ -896,17 +863,15 @@ class TestIncrementalStep:
     def test_truncated_artifact_frame_fails_the_step(self, stream):
         master_seed = 5
         base = build_model(TOY, seed=child_seed(master_seed, "init"))
-        plans = plan_steps(stream, 2, master_seed, TINY_HYPER)
+        cfg = tiny_config(seed=master_seed, rehearsal_epochs=2)
+        plans = plan_steps(stream, cfg)
         memory = Memory(40, stream.dim)
         memory.replace(make_exemplars(10))
         base_before = base.to_param_vector().to_bytes()
         memory_before = memory.exemplars.features.tobytes()
         with pytest.raises(StepFailure, match="step 1: frame payload truncated"):
             run_incremental_step(
-                base, plans[1], memory, master_seed,
-                coefficients=LossCoefficients(), rehearsal_epochs=2,
-                transport=CountingTransport(), executor=_TruncatingExecutor(),
-                lr=0.1, batch_size=8,
+                base, plans[1], memory, cfg, CountingTransport(), _TruncatingExecutor()
             )
         assert base.to_param_vector().to_bytes() == base_before
         assert memory.exemplars.features.tobytes() == memory_before
@@ -928,17 +893,15 @@ class TestIncrementalStep:
     def test_misrouted_artifact_fails_the_step(self, stream, edit, message):
         master_seed = 5
         base = build_model(TOY, seed=child_seed(master_seed, "init"))
-        plans = plan_steps(stream, 2, master_seed, TINY_HYPER)
+        cfg = tiny_config(seed=master_seed, rehearsal_epochs=2)
+        plans = plan_steps(stream, cfg)
         memory = Memory(40, stream.dim)
         memory.replace(make_exemplars(10))
         base_before = base.to_param_vector().to_bytes()
         memory_before = memory.exemplars.features.tobytes()
         with pytest.raises(StepFailure, match=message):
             run_incremental_step(
-                base, plans[1], memory, master_seed,
-                coefficients=LossCoefficients(), rehearsal_epochs=2,
-                transport=CountingTransport(), executor=_RewritingExecutor(edit),
-                lr=0.1, batch_size=8,
+                base, plans[1], memory, cfg, CountingTransport(), _RewritingExecutor(edit)
             )
         assert base.to_param_vector().to_bytes() == base_before
         assert memory.exemplars.features.tobytes() == memory_before
@@ -994,12 +957,9 @@ class TestProcessBoundary:
         base = build_model(TOY, seed=child_seed(master_seed, "init"))
         memory = Memory(40, stream.dim)
         transport = CountingTransport()
-        for plan in plan_steps(stream, 2, master_seed, TINY_HYPER):
-            result = run_incremental_step(
-                base, plan, memory, master_seed, coefficients=LossCoefficients(),
-                rehearsal_epochs=1, transport=transport, executor=ProcessExecutor(2),
-                lr=0.1, batch_size=8,
-            )
+        cfg = tiny_config(seed=master_seed, rehearsal_epochs=1)
+        for plan in plan_steps(stream, cfg):
+            result = run_incremental_step(base, plan, memory, cfg, transport, ProcessExecutor(2))
             base = result.base
             pool = _StandInPool.created[-1]
             # the step's tasks and model shape arrive once, at worker start
@@ -1020,11 +980,11 @@ class TestProcessBoundary:
         monkeypatch.setattr(protocol_mod, "ProcessPoolExecutor", _StandInPool)
         monkeypatch.setattr(protocol_mod, "_worker_step", protocol_mod._worker_step)
         master_seed = 5
-        plan = plan_steps(stream, 2, master_seed, TINY_HYPER)[0]
+        cfg = tiny_config(seed=master_seed, rehearsal_epochs=1)
+        plan = plan_steps(stream, cfg)[0]
         run_incremental_step(
             build_model(TOY, seed=child_seed(master_seed, "init")), plan, Memory(40, stream.dim),
-            master_seed, coefficients=LossCoefficients(), rehearsal_epochs=1,
-            transport=CountingTransport(), executor=ProcessExecutor(8), lr=0.1, batch_size=8,
+            cfg, CountingTransport(), ProcessExecutor(8),
         )
         assert [pool.max_workers for pool in _StandInPool.created] == [plan.k] == [2]
 
