@@ -62,11 +62,11 @@ def run_experiment(
     cfg = _with_workers(cfg, workers)
     stream = build_stream(cfg.stream)
 
-    reference_wall = None
+    reference = None
     if time_reference and cfg.method not in ("sgd", "multitask"):
         t0 = time.perf_counter()
-        run_baseline(stream, replace(cfg, method="sgd"))
-        reference_wall = time.perf_counter() - t0
+        sgd = run_baseline(stream, replace(cfg, method="sgd"))
+        reference = (time.perf_counter() - t0, sgd.failed_step)
 
     if cfg.method == "bmc":
         report = run_full_stream(stream, cfg)
@@ -74,7 +74,7 @@ def run_experiment(
         report = RunReport(cfg.method, [], None, 0.0, multitask_bound(stream, cfg), None)
     else:
         report = run_baseline(stream, cfg)
-    summary = write_run(out_dir, cfg.seed, report, reference_wall)
+    summary = write_run(out_dir, cfg.seed, report, reference)
     return (0 if report.failed_step is None else 3), summary
 
 

@@ -174,9 +174,15 @@ class ParamVector:
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "ParamVector":
-        """Inverse of :meth:`to_bytes`; malformed input raises ValueError naming the byte."""
+        """Inverse of :meth:`to_bytes`; malformed input raises ValueError naming the byte.
+
+        The payload is a float32 view of ``blob``, not a copy: it keeps
+        ``blob`` alive, and it is read-only when ``blob`` is (bytes, or a
+        view of them, as a decoded frame is). A model built from it
+        (:func:`model_from_vector`, :func:`stack_vectors`) copies it.
+        """
         if blob[:4] != PARAM_VECTOR_MAGIC:
-            raise ValueError(f"bad magic {blob[:4]!r}, expected {PARAM_VECTOR_MAGIC!r}")
+            raise ValueError(f"bad magic {bytes(blob[:4])!r}, expected {PARAM_VECTOR_MAGIC!r}")
         (version, count), off = _unpack("<HI", blob, 4, "header")
         if version != PARAM_VECTOR_VERSION:
             raise ValueError(f"unsupported version {version}")
@@ -197,7 +203,7 @@ class ParamVector:
         if end != len(blob):
             raise ValueError(f"{len(blob) - end} trailing bytes at byte {end}")
         payload = np.frombuffer(blob, dtype="<f4", count=(end - start) // 4, offset=start)
-        return cls(tuple(names), tuple(shapes), payload.astype(np.float32))
+        return cls(tuple(names), tuple(shapes), payload.astype(np.float32, copy=False))
 
     @property
     def nbytes(self) -> int:

@@ -34,13 +34,19 @@ expert exactly the SYNC frame the transport counted and returns exactly
 the ARTF frame the transport counts. Task data lives worker-side: a pool
 worker receives its step's tasks and the model shape once, when it starts,
 and picks its own task by the index in the SYNC frame.
+
+The coordinator holds each snapshot once: the decoders return views of the
+frame they read, so a decoded expert snapshot is a read-only view of its
+ARTF frame, and a step lets go of each frame once it has consumed it.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import struct
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,17 +167,18 @@ def frame(tag: bytes, payload: bytes) -> bytes:
     """tag (4 bytes) | payload length (u64) | payload"""
     if len(tag) != 4:
         raise ValueError("tag must be 4 bytes")
-    return tag + struct.pack("<Q", len(payload)) + payload
+    return b"".join((tag, struct.pack("<Q", len(payload)), payload))
 
 
-def _take(blob: bytes, off: int, n: int, what: str) -> tuple[bytes, int]:
-    """The ``n`` bytes at ``off`` plus the offset after them; a short blob
-    raises ProtocolViolation naming ``what`` and the byte offset."""
+def _take(blob: bytes, off: int, n: int, what: str) -> tuple[memoryview, int]:
+    """A view of the ``n`` bytes at ``off`` (no copy) plus the offset after
+    them; a short blob raises ProtocolViolation naming ``what`` and the byte
+    offset."""
     if off + n > len(blob):
         raise ProtocolViolation(
             f"{what} truncated at byte {off}: needs {n} bytes, {len(blob) - off} present"
         )
-    return blob[off : off + n], off + n
+    return memoryview(blob)[off : off + n], off + n
 
 
 def _unpack(fmt: str, blob: bytes, off: int, what: str) -> tuple[tuple, int]:
@@ -185,8 +192,8 @@ def _check_end(blob: bytes, off: int, what: str) -> None:
         raise ProtocolViolation(f"{what}: {len(blob) - off} trailing bytes at byte {off}")
 
 
-def unframe(blob: bytes) -> tuple[bytes, bytes]:
-    """(tag, payload) of exactly one frame."""
+def unframe(blob: bytes) -> tuple[bytes, memoryview]:
+    """(tag, payload) of exactly one frame; the payload is a view of ``blob``."""
     if len(blob) < FRAME_OVERHEAD:
         raise ProtocolViolation(
             f"frame truncated: {len(blob)} bytes, header needs {FRAME_OVERHEAD}"
@@ -194,10 +201,10 @@ def unframe(blob: bytes) -> tuple[bytes, bytes]:
     (length,) = struct.unpack_from("<Q", blob, 4)
     payload, end = _take(blob, FRAME_OVERHEAD, length, "frame payload")
     _check_end(blob, end, "frame")
-    return blob[:4], payload
+    return bytes(blob[:4]), payload
 
 
-def _unframe_as(tag: bytes, msg: bytes) -> bytes:
+def _unframe_as(tag: bytes, msg: bytes) -> memoryview:
     """The payload of ``msg``, which must be a ``tag`` frame."""
     got, payload = unframe(msg)
     if got != tag:
@@ -250,7 +257,8 @@ def encode_buffer(buf: Buffer) -> bytes:
 
 def decode_buffer(blob: bytes) -> Buffer:
     (owner, capacity), off = _unpack("<IQ", blob, 0, "buffer header")
-    return Buffer(exemplars=decode_exemplars(blob[off:]), capacity=capacity, owner=owner)
+    return Buffer(exemplars=decode_exemplars(memoryview(blob)[off:]), capacity=capacity,
+                  owner=owner)
 
 
 # expert u32 | seed u64 | epochs u32 | buffer capacity u64 | lr f64 |
@@ -270,17 +278,18 @@ def encode_sync(expert_index: int, seed: int, cfg: ExperimentConfig,
     the ``_SYNC_HEADER`` fields, packed from ``cfg.training`` and ``cfg.bmc``,
     then the base snapshot bytes."""
     t, b = cfg.training, cfg.bmc
-    return struct.pack(
+    return b"".join((struct.pack(
         _SYNC_HEADER, expert_index, seed, t.epochs_per_task, b.buffer_capacity, t.lr,
         b.stability_coef, t.batch_size, SAMPLING_STRATEGIES.index(b.sampling),
         DISTILL_KINDS.index(b.distill_kind), len(base_blob),
-    ) + base_blob
+    ), base_blob))
 
 
-def decode_sync(payload: bytes) -> tuple[int, int, ExpertHyper, bytes]:
+def decode_sync(payload: bytes) -> tuple[int, int, ExpertHyper, memoryview]:
     """Inverse of :func:`encode_sync`.
 
-    Returns (expert index, seed, hyper-parameters, base snapshot bytes).
+    Returns (expert index, seed, hyper-parameters, base snapshot bytes); the
+    snapshot bytes are a view of ``payload``, not a copy.
     """
     (expert_index, seed, epochs, buffer_capacity, lr, stability, batch, sampling_idx,
      distill_idx, blob_len), off = _unpack(_SYNC_HEADER, payload, 0, "sync header")
@@ -304,15 +313,18 @@ def encode_artifact(a: ExpertArtifact) -> bytes:
     (``_BUFFER_LENGTH``) and the buffer bytes."""
     pv = a.param_vector.to_bytes()
     buf = encode_buffer(a.buffer)
-    return (
+    return b"".join((
         struct.pack(_ARTIFACT_HEADER, a.expert_index, a.stats.epochs, a.stats.final_loss,
-                    a.stats.wall_clock_s, len(pv))
-        + pv
-        + struct.pack(_BUFFER_LENGTH, len(buf)) + buf
-    )
+                    a.stats.wall_clock_s, len(pv)),
+        pv, struct.pack(_BUFFER_LENGTH, len(buf)), buf,
+    ))
 
 
 def decode_artifact(payload: bytes) -> ExpertArtifact:
+    """Inverse of :func:`encode_artifact`. The snapshot is a read-only view
+    of ``payload`` (:meth:`~batchcl.model.ParamVector.from_bytes`), so it
+    keeps the received frame alive and is its only copy; the buffer's rows
+    are copied out."""
     (expert_index, epochs, final_loss, wall, pv_len), off = _unpack(
         _ARTIFACT_HEADER, payload, 0, "artifact header"
     )
@@ -407,7 +419,7 @@ def remote_train(sync: bytes, tasks: tuple[Task, ...], model_config: ModelConfig
             stack = expert = base.copy()
     except ValueError as e:
         raise ProtocolViolation(f"sync base snapshot at byte {SYNC_FIXED_NBYTES}: {e}") from e
-    del snapshot  # the model arenas hold copies
+    del snapshot  # a view of the SYNC frame; the model arenas hold copies
     train_rng = np.random.default_rng(child_seed(seed, "train"))
     x, y = task.train_x, task.train_y
 
@@ -468,12 +480,14 @@ def _train_in_worker(sync: bytes) -> bytes:
 
 
 class ProcessExecutor:
-    """Parallel execution in worker processes; ARTF frames in launch order.
+    """Parallel execution in forked worker processes; ARTF frames in launch
+    order.
 
     Each worker gets the step's tasks and model shape once, from the pool
-    initializer (inherited, not pickled, under fork); a call carries one
-    SYNC frame and returns one ARTF frame. A step starts no more workers
-    than it has experts.
+    initializer (inherited, not pickled: the pool always forks, whatever
+    the platform's default start method); a call carries one SYNC frame and
+    returns one ARTF frame. A step starts no more workers than it has
+    experts. A worker that dies fails the step with ExpertFailure.
     """
 
     def __init__(self, workers: int):
@@ -483,9 +497,13 @@ class ProcessExecutor:
 
     def run(self, syncs: list[bytes], tasks: tuple[Task, ...],
             model_config: ModelConfig) -> list[bytes]:
-        with ProcessPoolExecutor(min(self.workers, len(syncs)), initializer=_init_worker,
-                                 initargs=(tasks, model_config)) as pool:
-            return list(pool.map(_train_in_worker, syncs))
+        try:
+            with ProcessPoolExecutor(min(self.workers, len(syncs)), initializer=_init_worker,
+                                     initargs=(tasks, model_config),
+                                     mp_context=multiprocessing.get_context("fork")) as pool:
+                return list(pool.map(_train_in_worker, syncs))
+        except BrokenProcessPool as e:
+            raise ExpertFailure(f"a pool worker died: {e}") from e
 
 
 # ---------------------------------------------------------------------------
@@ -659,16 +677,21 @@ def run_incremental_step(
         transport.send_sync(encode_sync(i, seed, cfg, base_blob))
         for i, seed in enumerate(plan.expert_seeds)
     ]
+    del base_blob  # every SYNC frame holds its own copy
 
     t0 = time.perf_counter()
     try:
         artifact_msgs = executor.run(syncs, plan.tasks, base.config)
         expert_wall = time.perf_counter() - t0
+        del syncs  # consumed: the coordinator holds no copy of the base but its arena
         # sorting makes everything downstream arrival-order independent
         received = sorted(
             (decode_artifact(transport.send_artifact(m)) for m in artifact_msgs),
             key=lambda a: a.expert_index,
         )
+        # each decoded snapshot is a view of its ARTF frame and now the only
+        # reference to it, so every snapshot exists once
+        del artifact_msgs
         if len(received) != plan.k:
             raise ProtocolViolation(f"expected {plan.k} artifacts, got {len(received)}")
         check_artifacts(received, plan.k)
@@ -753,4 +776,5 @@ def run_full_stream(stream: TaskStream, cfg: ExperimentConfig, executor=None) ->
             return recorder.report(base, failed_step=plan.step_id)
         base = result.base
         recorder.record(plan.step_id, base, plan.tasks, step_t0, result)
+        del result  # its artifacts hold this step's snapshots; none outlives the step
     return recorder.report(base)

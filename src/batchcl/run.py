@@ -235,14 +235,16 @@ class RunRecorder:
 
 
 def write_run(out_dir: str | Path, seed: int, report: RunReport,
-              reference_wall: float | None) -> dict:
+              reference: tuple[float, int | None] | None) -> dict:
     """Write ``report`` into ``out_dir`` (made if missing); returns the summary.
 
     ``records.jsonl`` gets one JSON object per line: each step's row, the
     timing line, then the summary line, which ``summary.json`` repeats. Wall
     times stay on the timing line (the run's, each step's phase walls, and
-    the run's relative to ``reference_wall``, a sequential fine-tuning run's
-    wall time), so a serial rerun reproduces the summary byte for byte.
+    the run's relative to ``reference``, the wall time and failed step of a
+    sequential fine-tuning run), so a serial rerun reproduces the summary
+    byte for byte. A reference run that failed a step is reported as
+    ``sgd_failed_step``, and no ``relative_time`` is divided by its wall.
     """
     summary = {
         "type": "summary",
@@ -262,9 +264,13 @@ def write_run(out_dir: str | Path, seed: int, report: RunReport,
     timing: dict = {"type": "timing", "wall_clock_s": report.wall_clock_s}
     if report.phase_walls:
         timing["steps"] = report.phase_walls
-    if reference_wall is not None:
+    if reference is not None:
+        reference_wall, reference_failed = reference
         timing["sgd_wall_clock_s"] = reference_wall
-        timing["relative_time"] = report.wall_clock_s / reference_wall
+        if reference_failed is None:
+            timing["relative_time"] = report.wall_clock_s / reference_wall
+        else:
+            timing["sgd_failed_step"] = reference_failed
     lines = [json.dumps(obj, sort_keys=True) + "\n"
              for obj in (*(r.row() for r in report.records), timing, summary)]
     out = Path(out_dir)

@@ -26,7 +26,7 @@ from batchcl.config import (
     parse_config,
     parse_sweep,
 )
-from batchcl.protocol import FRAME_OVERHEAD, SYNC_FIXED_NBYTES
+from batchcl.protocol import FRAME_OVERHEAD, SYNC_FIXED_NBYTES, decode_sync, unframe
 from batchcl.replay import Buffer
 from batchcl.run import child_seed
 from batchcl.streams import TaskStream, load_feature_stream, save_stream
@@ -277,6 +277,34 @@ class TestRunVerb:
         assert summary["failed_step"] == 0
         assert (tmp_path / "out" / "records.jsonl").exists()
 
+    def test_dead_pool_worker_fails_the_step_not_the_run(self, tmp_path, monkeypatch):
+        # step 1's expert 1 exits in its forked pool worker, as a killed
+        # worker would; the worker inherits the patched remote_train
+        raw = toy_raw(method="bmc", out_dir=str(tmp_path / "out"))
+        raw["stream"]["n_tasks"] = 4
+        raw["bmc"]["workers"] = 2
+        doomed = child_seed(raw["seed"], "expert", 3)  # task 3: step 1, expert 1
+        real, coordinator = protocol_mod.remote_train, os.getpid()
+
+        def dying(sync, tasks, model_config):
+            if decode_sync(unframe(sync)[1])[1] == doomed and os.getpid() != coordinator:
+                os._exit(1)
+            return real(sync, tasks, model_config)
+
+        monkeypatch.setattr(protocol_mod, "remote_train", dying)
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(raw))
+        assert main(["run", str(cfg_file)]) == 3
+        rows = [json.loads(s) for s in (tmp_path / "out" / "records.jsonl").read_text().splitlines()]
+        assert (rows[-1]["failed_step"], rows[-1]["n_steps"]) == (1, 1)
+        assert json.loads((tmp_path / "out" / "summary.json").read_text()) == rows[-1]
+        # step 0's row is that of a run without the dying worker
+        run_experiment(parse_config(raw), tmp_path / "clean", workers=1)
+        clean = json.loads((tmp_path / "clean" / "records.jsonl").read_text().splitlines()[0])
+        for row in (rows[0], clean):
+            assert row.pop("wall_clock_s") >= 0.0
+        assert rows[0] == clean
+
     @pytest.mark.parametrize("field", ["expert_index", "buffer_owner"])
     def test_misrouted_artifact_fails_the_step_not_the_run(self, tmp_path, monkeypatch, field):
         # the last expert's ARTF frame names expert 7 of a 2-expert step, or
@@ -362,6 +390,19 @@ class TestRunVerb:
         rows = [json.loads(s) for s in (tmp_path / "records.jsonl").read_text().splitlines()]
         timing = [r for r in rows if r["type"] == "timing"][0]
         assert timing["relative_time"] > 0
+        assert "sgd_failed_step" not in timing
+
+    def test_failed_time_reference_is_reported_not_divided_by(self, tmp_path):
+        # at lr 1e30 the reference sgd run fails its first task
+        raw = toy_raw(method="er")
+        raw["training"]["lr"] = 1e30
+        with np.errstate(all="ignore"):
+            code, _ = run_experiment(parse_config(raw), tmp_path, time_reference=True)
+        assert code == 3
+        rows = [json.loads(s) for s in (tmp_path / "records.jsonl").read_text().splitlines()]
+        timing = [r for r in rows if r["type"] == "timing"][0]
+        assert timing["sgd_failed_step"] == 0
+        assert "relative_time" not in timing
 
 
 # summary.json of every method on toy_raw(), as the runners wrote it before

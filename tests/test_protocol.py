@@ -8,8 +8,10 @@ and isolation rather than accuracy.
 from __future__ import annotations
 
 import dataclasses
+import dis
 import inspect
 import struct
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -24,7 +26,7 @@ from helpers import (
 )
 
 import batchcl.protocol as protocol_mod
-from batchcl.model import ModelConfig, ResidualClassifier, build_model
+from batchcl.model import ModelConfig, ParamVector, ResidualClassifier, build_model
 from batchcl.protocol import (
     ARTIFACT_FIXED_NBYTES,
     FRAME_OVERHEAD,
@@ -265,6 +267,13 @@ class TestSyncCodec:
         sync, blob = make_sync()
         assert len(unframe(sync)[1]) == SYNC_FIXED_NBYTES + len(blob)
 
+    def test_snapshot_is_a_read_only_view_of_the_frame(self, stream):
+        sync, blob = make_sync()
+        payload = ParamVector.from_bytes(decode_sync(unframe(sync)[1])[3]).payload
+        assert np.shares_memory(payload, np.frombuffer(sync, np.uint8))
+        assert not payload.flags.writeable
+        assert payload.tobytes() == ParamVector.from_bytes(blob).payload.tobytes()
+
     def test_truncation_rejected(self, stream):
         payload = unframe(make_sync()[0])[1]
         with pytest.raises(ProtocolViolation, match="truncated"):
@@ -306,6 +315,14 @@ class TestArtifactCodec:
         assert back.param_vector.to_bytes() == a.param_vector.to_bytes()
         assert back.buffer.exemplars.features.tobytes() == a.buffer.exemplars.features.tobytes()
         assert back.stats == a.stats
+
+    def test_snapshot_is_a_read_only_view_of_the_frame(self):
+        msg = artifact_frame()
+        a = decode_artifact(unframe(msg)[1])
+        assert np.shares_memory(a.param_vector.payload, np.frombuffer(msg, np.uint8))
+        assert not a.param_vector.payload.flags.writeable
+        # the buffer's rows are copied out: they do not pin the frame
+        assert not np.shares_memory(a.buffer.exemplars.features, np.frombuffer(msg, np.uint8))
 
     def test_fixed_size_arithmetic(self):
         a = self.make_artifact()
@@ -929,8 +946,9 @@ class _StandInPool:
 
     created: list["_StandInPool"] = []
 
-    def __init__(self, max_workers, initializer, initargs):
+    def __init__(self, max_workers, initializer, initargs, mp_context):
         self.max_workers, self.initargs, self.calls = max_workers, initargs, []
+        self.mp_context = mp_context
         _StandInPool.created.append(self)
         initializer(*initargs)
 
@@ -962,7 +980,9 @@ class TestProcessBoundary:
             result = run_incremental_step(base, plan, memory, cfg, transport, ProcessExecutor(2))
             base = result.base
             pool = _StandInPool.created[-1]
-            # the step's tasks and model shape arrive once, at worker start
+            # the step's tasks and model shape arrive once, at worker start,
+            # inherited by a forked worker whatever the platform's default
+            assert pool.mp_context.get_start_method() == "fork"
             assert pool.initargs == (plan.tasks, TOY)
             assert len(pool.calls) == plan.k
             for args, result_msg in pool.calls:
@@ -1068,6 +1088,66 @@ class TestFullStream:
         report = run_full_stream(stream, tiny_config())
         assert report.failed_step == 1
         assert len(report.records) == 1
+
+
+def _lines(fn) -> set[tuple[str, int]]:
+    """The (file, line) pairs of ``fn``'s body, as a traceback frame names them."""
+    code = fn.__code__
+    return {(code.co_filename, line) for _, line in dis.findlinestarts(code) if line}
+
+
+class TestSnapshotLifetimes:
+    """The coordinator holds each snapshot once: consolidation starts with
+    the base arena and the k ARTF frames, whose decoded snapshots are views
+    of them, and nothing of a step outlives it but the base it made."""
+
+    def test_consolidation_starts_with_the_base_and_k_frames(self, stream, monkeypatch):
+        # 2 blocks of 2 layers 256 wide: a snapshot of about 1.09 MB
+        cfg = experiment(
+            "bmc", 13,
+            model=dict(res_blocks=2, res_layers_per_block=2, res_dim=256, hidden_dim=8,
+                       dropout_p=0.0),
+            training=dict(epochs_per_task=1, lr=0.1, batch_size=8),
+            bmc={"experts_per_step": 2, "rehearsal_epochs": 1, "buffer_capacity": 12,
+                 "memory_capacity": 40},
+        )
+        real_step, real_consolidate = protocol_mod.run_incremental_step, protocol_mod.consolidate
+
+        # one caller per step, so a block's traceback names the step that made it
+        def step_0(*args):
+            return real_step(*args)
+
+        def step_1(*args):
+            return real_step(*args)
+
+        def step(*args):
+            return (step_0, step_1)[args[1].step_id](*args)
+
+        entries = []  # per step: (snapshot size, k, blocks of at least that size)
+
+        def probed(base, artifacts, *rest):
+            size = base.arena.nbytes
+            big = [t for t in tracemalloc.take_snapshot().traces if t.size >= size]
+            entries.append((size, len(artifacts), big))
+            return real_consolidate(base, artifacts, *rest)
+
+        monkeypatch.setattr(protocol_mod, "run_incremental_step", step)
+        monkeypatch.setattr(protocol_mod, "consolidate", probed)
+        tracemalloc.start(64)
+        try:
+            report = run_full_stream(stream, cfg, executor=SerialExecutor())
+        finally:
+            tracemalloc.stop()
+        assert report.failed_step is None and len(entries) == 2
+        for size, k, big in entries:
+            assert size >= 1_000_000
+            assert len(big) <= k + 1, [t.size for t in big]
+        # at step 1 only the base step 0 consolidated is left of step 0
+        size, _, big = entries[1]
+        step_0_lines = _lines(step_0)
+        left = [t.size for t in big
+                if step_0_lines & {(f.filename, f.lineno) for f in t.traceback}]
+        assert left == [size]
 
 
 class TestCostLedger:
