@@ -71,7 +71,7 @@ def run_experiment(
     if cfg.method == "bmc":
         report = run_full_stream(stream, cfg)
     elif cfg.method == "multitask":  # a bound: no steps, no ledger, no wall time
-        report = RunReport(cfg.method, [], None, 0.0, multitask_bound(stream, cfg), None)
+        report = RunReport(cfg.method, [], 0.0, multitask_bound(stream, cfg), None)
     else:
         report = run_baseline(stream, cfg)
     summary = write_run(out_dir, cfg.seed, report, reference)

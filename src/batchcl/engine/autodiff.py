@@ -165,7 +165,6 @@ def stacked_distance(
     students: Sequence[np.ndarray],
     targets: Sequence[np.ndarray],
     owner: np.ndarray | None = None,
-    per_feature: bool = True,
     weight=1.0,
     name: str = "stacked_distance",
 ):
@@ -175,8 +174,9 @@ def stacked_distance(
     one call of it. ``students[i]`` is a ``(B, D_i)`` array and
     ``targets[i]`` the ``(k, B, D_i)`` stack of what k teachers put in its
     place (a constant: it gets no gradient). Term (j, i) is the squared
-    difference of target j and student i, averaged over rows and, when
-    ``per_feature``, over the D_i features too, else summed over them.
+    difference of target j and student i, averaged over rows and over the
+    D_i features, whatever the features are (taps or logits): the one
+    normalization, so a term's scale does not grow with D_i.
 
     ``owner``, when given, is the constant ``(B,)`` integer array that
     routes each row to one teacher: ``owner[r] = j`` makes row r teacher
@@ -186,8 +186,8 @@ def stacked_distance(
     contributes exactly 0. Each row's own teacher is gathered once, so a
     student's gradient is one ``(B, D_i)`` contribution whatever k is, and
     a row of no teacher gets an exact +0. Without ``owner`` every row
-    counts for every teacher. That mode takes the mean over the rows (and
-    features) as numpy's ``mean`` rounds it, not a row sum divided by the
+    counts for every teacher. That mode takes the mean over the rows and
+    features as numpy's ``mean`` rounds it, not a row sum divided by the
     count of a routed mode: the two round differently in float32, so
     routing every row to a teacher is not the same number.
 
@@ -215,12 +215,8 @@ def stacked_distance(
     g = np.asarray(weight, dtype=dtype)
     if owner is None:
         diffs = [t - s for s, t in zip(students, targets)]
-        denoms = [s.size if per_feature else rows for s in students]
-        terms = [
-            np.add.reduce(d * d, axis=(-2, -1)) / den if per_feature
-            else np.add.reduce(np.add.reduce(d * d, axis=-1), axis=-1) / den
-            for d, den in zip(diffs, denoms)
-        ]
+        denoms = [s.size for s in students]
+        terms = [np.add.reduce(d * d, axis=(-2, -1)) / den for d, den in zip(diffs, denoms)]
     else:
         if owner.shape != (rows,):
             raise GraphError(f"{name}: owners of shape {owner.shape} do not fit {rows} rows")
@@ -233,7 +229,7 @@ def stacked_distance(
         every_row = np.arange(rows)
         diffs = [t[sel, every_row] - s for s, t in zip(students, targets)]
         counts = np.maximum(np.add.reduce(m, axis=1), 1)
-        denoms = [counts * s.shape[1] if per_feature else counts for s in students]
+        denoms = [counts * s.shape[1] for s in students]
         terms = [np.add.reduce(m * np.add.reduce(d * d, axis=-1), axis=-1) / den
                  for d, den in zip(diffs, denoms)]
     per_teacher = terms[0]
@@ -249,8 +245,7 @@ def stacked_distance(
         else:
             # each row's coefficient is its own teacher's, or 0 for a row of
             # none; 0.0 - x turns that row's -0 into +0
-            coef = ((g * 2.0 / den)[sel] * owned if per_feature
-                    else (g * 2.0) * (owned / den[sel]))
+            coef = (g * 2.0 / den)[sel] * owned
             grad = (0.0 - coef[:, None] * d)[None]
         grads.append(grad)
     return np.asarray(total, dtype=dtype) * g, grads

@@ -177,23 +177,21 @@ DISTILL_KINDS = ("features", "kd_logits", "phi_penultimate")
 def _distance(kind: str, teacher: TapSet, student: TapSet, owner, weight: float,
               name: str) -> Objective:
     """The ``kind`` distance of the student to a teacher stack, as one
-    :func:`~batchcl.engine.stacked_distance` call: every tap, the last tap
-    only, or the logits with the per-row squared norm."""
+    :func:`~batchcl.engine.stacked_distance` call over every tap, the last
+    tap only, or the logits; each a mean over rows and features alike."""
     n = len(student.taps)
     if len(teacher.taps) != n:
         raise GraphError(f"tap count mismatch: teacher {len(teacher.taps)} vs student {n}")
     if kind == "features":
-        which, targets, per_feature = range(n), teacher.taps, True
+        which, targets = range(n), teacher.taps
     elif kind == "phi_penultimate":
-        which, targets, per_feature = [n - 1], teacher.taps[-1:], True
+        which, targets = [n - 1], teacher.taps[-1:]
     elif kind == "kd_logits":
-        which, targets, per_feature = [n], [teacher.logits], False
+        which, targets = [n], [teacher.logits]
     else:
         raise ValueError(f"unknown distillation kind {kind!r}; expected one of {DISTILL_KINDS}")
     outputs = [*student.taps, student.logits]
-    value, grads = stacked_distance(
-        [outputs[i] for i in which], targets, owner, per_feature, weight, name=name
-    )
+    value, grads = stacked_distance([outputs[i] for i in which], targets, owner, weight, name=name)
     parts: list[list[np.ndarray]] = [[] for _ in outputs]
     for i, stack in zip(which, grads):
         parts[i] = list(stack)
@@ -203,12 +201,13 @@ def _distance(kind: str, teacher: TapSet, student: TapSet, owner, weight: float,
 def alt_distill(kind: str, teacher: TapSet, student: TapSet, weight: float = 1.0) -> Objective:
     """Distillation to one teacher pass, in each of the loss-ablation variants.
 
-    ``features`` is :func:`l_bd`; ``kd_logits`` is the per-row squared L2
-    distance of the raw logits, averaged over rows; ``phi_penultimate`` is
-    :func:`l_bd`'s term for the last tap only. Every kind is exactly 0
-    between identical passes, which takes a teacher pass given the
-    student's dropout masks when the model drops units. The teacher pass
-    is a stack of one (a view, no copy) in which every row counts.
+    ``features`` is :func:`l_bd`; ``kd_logits`` is the squared difference
+    of the raw logits, averaged over rows and logits (DER's logit replay);
+    ``phi_penultimate`` is :func:`l_bd`'s term for the last tap only. Every
+    kind is exactly 0 between identical passes, which takes a teacher pass
+    given the student's dropout masks when the model drops units. The
+    teacher pass is a stack of one (a view, no copy) in which every row
+    counts.
     """
     stacked = TapSet(taps=[t[None] for t in teacher.taps], logits=teacher.logits[None])
     return _distance(kind, stacked, student, None, weight, "teacher_distance")

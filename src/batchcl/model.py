@@ -430,7 +430,8 @@ class ResidualClassifier:
         """
         params, slices = self.params, self.layout.param_slices
         flat = np.zeros(self.layout.n_params, dtype=self.arena.dtype)
-        taps = [_sum(*parts) for parts in objective.taps]
+        taps = [_sum(*parts) for parts in objective.taps[:-1]]
+        head = ()
         g = _sum(*objective.logits)
         if g is not None:
             w = params["head.W"]
@@ -439,8 +440,8 @@ class ResidualClassifier:
             dw += 0.0
             np.add.reduce(g, axis=0, out=flat[slices["head.b"]])
             d = g @ w.T
-            taps[-1] = _sum(d if record.head_mask is None else d * record.head_mask,
-                            *objective.taps[-1])
+            head = (d if record.head_mask is None else d * record.head_mask,)
+        taps.append(_sum(*head, *objective.taps[-1]))
         step = partial(_layer_backward, params, flat, slices, record.train)
         _walk_trunk(self.config, record.layers, step, taps)
         return flat

@@ -71,7 +71,7 @@ from .replay import (
     sample_buffer,
     subsample_memory,
 )
-from .run import CostLedger, RunRecorder, RunReport, StepCost, child_seed, epoch_batches
+from .run import RunRecorder, RunReport, StepCost, child_seed, epoch_batches
 from .streams import Task, TaskStream
 
 TAG_SYNC = b"SYNC"
@@ -677,6 +677,8 @@ def run_incremental_step(
         transport.send_sync(encode_sync(i, seed, cfg, base_blob))
         for i, seed in enumerate(plan.expert_seeds)
     ]
+    # the consolidated base keeps the base's layout, so its serialized size
+    model_bytes = len(base_blob)
     del base_blob  # every SYNC frame holds its own copy
 
     t0 = time.perf_counter()
@@ -724,7 +726,7 @@ def run_incremental_step(
         upload_bytes=transport.upload_bytes - upload_before,
         memory_bytes=memory_bytes_at_peak,
         expert_param_bytes=expert_param_bytes,
-        model_bytes=new_base.to_param_vector().nbytes,
+        model_bytes=model_bytes,
     )
     return StepResult(
         base=new_base,
@@ -764,7 +766,7 @@ def run_full_stream(stream: TaskStream, cfg: ExperimentConfig, executor=None) ->
     b = cfg.bmc
     if executor is None:
         executor = SerialExecutor() if b.workers <= 1 else ProcessExecutor(b.workers)
-    recorder = RunRecorder("bmc", CostLedger())
+    recorder = RunRecorder("bmc")
     base = build_model(build_model_config(cfg.model, stream), seed=child_seed(cfg.seed, "init"))
     memory = Memory(b.memory_capacity, stream.dim)
     transport = CountingTransport()

@@ -169,18 +169,14 @@ def sample_buffer(
     if strategy == "random":
         idx = np.random.default_rng(seed).choice(n, size=capacity, replace=False)
         idx.sort()
-    elif strategy == "grad_max_base":
-        if base_model is None:
-            raise ValueError("grad_max_base needs the base model")
-        norms = base_model.per_example_grad_norms(data.features, data.labels)
+    elif strategy in ("grad_max_base", "grad_min_expert"):
+        largest = strategy == "grad_max_base"
+        model, role = (base_model, "base") if largest else (expert_model, "expert")
+        if model is None:
+            raise ValueError(f"{strategy} needs the {role} model")
+        norms = model.per_example_grad_norms(data.features, data.labels)
         # stable sort: ties resolve to lower index
-        idx = np.argsort(-norms, kind="stable")[:capacity]
-        idx.sort()
-    elif strategy == "grad_min_expert":
-        if expert_model is None:
-            raise ValueError("grad_min_expert needs the expert model")
-        norms = expert_model.per_example_grad_norms(data.features, data.labels)
-        idx = np.argsort(norms, kind="stable")[:capacity]
+        idx = np.argsort(-norms if largest else norms, kind="stable")[:capacity]
         idx.sort()
     else:
         raise ValueError(

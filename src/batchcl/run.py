@@ -1,4 +1,4 @@
-"""What a run records: its seeds, its step records, its cost ledger and its files.
+"""What a run records: its seeds, its step records and their costs, and its files.
 
 Every runner, the BMC stream of :mod:`batchcl.protocol` and the sequential
 baselines of :mod:`batchcl.baselines`, derives all of its randomness from the
@@ -15,9 +15,10 @@ phase can be replayed independently:
   ``("bound", t)``        the multitask bound's model for task t.
 
 A :class:`RunRecorder` scores the model after every step and keeps one
-:class:`MetricsRecord` per step, and with it the step's cost in the
-:class:`CostLedger`. :func:`write_run` writes the finished
-:class:`RunReport` as the run's ``records.jsonl`` and ``summary.json``.
+:class:`MetricsRecord` per step, with a consolidation step's
+:class:`StepCost`: the run's cost ledger is those records' costs.
+:func:`write_run` writes the finished :class:`RunReport` as the run's
+``records.jsonl`` and ``summary.json``.
 """
 
 from __future__ import annotations
@@ -73,6 +74,12 @@ class StepCost:
     expert_param_bytes: int
     model_bytes: int
 
+    def __post_init__(self):
+        for name in ("broadcast_bytes", "upload_bytes", "memory_bytes",
+                     "expert_param_bytes", "model_bytes"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"negative {name}")
+
     @property
     def communication_bytes(self) -> int:
         return self.broadcast_bytes + self.upload_bytes
@@ -82,27 +89,13 @@ class StepCost:
         return self.memory_bytes + self.expert_param_bytes
 
 
-@dataclass
-class CostLedger:
-    steps: list[StepCost] = field(default_factory=list)
-
-    def add(self, entry: StepCost) -> None:
-        for name in ("broadcast_bytes", "upload_bytes", "memory_bytes",
-                     "expert_param_bytes", "model_bytes"):
-            if getattr(entry, name) < 0:
-                raise ValueError(f"negative {name}")
-        self.steps.append(entry)
-
-
-def total_cost(ledger: CostLedger) -> float:
-    """Mean over steps of (central memory + communication) in MB, plus model MB."""
-    if not ledger.steps:
+def total_cost(steps: list[StepCost]) -> float:
+    """Mean over steps of (central memory + communication) in MB, plus the
+    last step's model MB."""
+    if not steps:
         raise ValueError("empty cost ledger")
-    per_step = [
-        (e.central_memory_bytes + e.communication_bytes) / MEGABYTE
-        for e in ledger.steps
-    ]
-    model_mb = ledger.steps[-1].model_bytes / MEGABYTE
+    per_step = [(e.central_memory_bytes + e.communication_bytes) / MEGABYTE for e in steps]
+    model_mb = steps[-1].model_bytes / MEGABYTE
     return float(np.mean(per_step) + model_mb)
 
 
@@ -155,7 +148,6 @@ class MetricsRecord:
 class RunReport:
     method: str
     records: list[MetricsRecord]
-    ledger: CostLedger | None
     wall_clock_s: float
     final_mean_acc: float
     final_backward_transfer: float | None
@@ -174,9 +166,8 @@ class RunRecorder:
     :class:`RunReport`.
     """
 
-    def __init__(self, method: str, ledger: CostLedger | None = None):
+    def __init__(self, method: str):
         self.method = method
-        self.ledger = ledger
         self.t_start = time.perf_counter()
         self.records: list[MetricsRecord] = []
         self.seen: list[Task] = []
@@ -187,15 +178,14 @@ class RunRecorder:
         """Evaluate ``model`` after the step that learned ``tasks``.
 
         ``step`` is a consolidation step's
-        :class:`~batchcl.protocol.StepResult`: its cost goes to the ledger
-        and the record, its per-expert telemetry to the record, and its phase
-        wall times to the report's ``phase_walls``.
+        :class:`~batchcl.protocol.StepResult`: its cost and per-expert
+        telemetry go to the record, and its phase wall times to the report's
+        ``phase_walls``.
         """
         self.seen.extend(tasks)
         accs = evaluate_cil(model, self.seen)
         history = [r.per_task_acc for r in self.records] + [accs]
         if step is not None:
-            self.ledger.add(step.cost)
             self.phase_walls.append({
                 "step_id": step_id,
                 "expert_wall_s": step.expert_wall_s,
@@ -219,7 +209,6 @@ class RunRecorder:
         return RunReport(
             method=self.method,
             records=self.records,
-            ledger=self.ledger,
             wall_clock_s=time.perf_counter() - self.t_start,
             final_mean_acc=last.mean_acc if last else 0.0,
             final_backward_transfer=last.backward_transfer if last else None,
@@ -257,8 +246,9 @@ def write_run(out_dir: str | Path, seed: int, report: RunReport,
     }
     if report.records:
         summary["per_task_acc"] = {str(k): v for k, v in report.records[-1].per_task_acc.items()}
-    if report.ledger and report.ledger.steps:
-        t_c = total_cost(report.ledger)
+    costs = [r.cost for r in report.records if r.cost is not None]
+    if costs:
+        t_c = total_cost(costs)
         summary["total_cost"] = t_c
         summary["cost_accuracy"] = cost_accuracy(report.final_mean_acc, t_c)
     timing: dict = {"type": "timing", "wall_clock_s": report.wall_clock_s}

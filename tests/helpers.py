@@ -307,15 +307,15 @@ def cross_entropy(logits: Tensor, labels: np.ndarray, name: str = "cross_entropy
     return _node(value, (logits,), backward, name)
 
 
-def distance(students: list[Tensor], targets, owner=None, per_feature: bool = True,
+def distance(students: list[Tensor], targets, owner=None,
              name: str = "stacked_distance") -> Tensor:
     """``stacked_distance`` as one node; its backward adds teacher j's
     contribution into each student in order j = 0..k-1."""
     arrays = [s.data for s in students]
-    value, _ = stacked_distance(arrays, targets, owner, per_feature, name=name)
+    value, _ = stacked_distance(arrays, targets, owner, name=name)
 
     def backward(g: np.ndarray) -> None:
-        _, grads = stacked_distance(arrays, targets, owner, per_feature, g, name=name)
+        _, grads = stacked_distance(arrays, targets, owner, g, name=name)
         for s, stack in zip(students, grads):
             for contribution in stack:
                 _accumulate(s, contribution)
@@ -340,8 +340,7 @@ def tape_objective(student: TapSet, labels: np.ndarray, task_coef: float,
         which = {"features": range(n), "phi_penultimate": [n - 1], "kd_logits": [n]}[kind]
         outputs, targets = [*student.taps, student.logits], [*teacher.taps, teacher.logits]
         terms.append(scale(
-            distance([outputs[i] for i in which], [targets[i] for i in which], owner,
-                     per_feature=kind != "kd_logits"),
+            distance([outputs[i] for i in which], [targets[i] for i in which], owner),
             distill_coef,
         ))
     out = terms[0]

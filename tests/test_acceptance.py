@@ -179,7 +179,8 @@ def _gen_program(seed: int):
             instrs.append(("matmul", i, w))
             shapes.append((shapes[i][0], shapes[w][1]))
     last_shape = shapes[-1]
-    # six slots, as many as ever, so every program's draws stay the same
+    # six slots, as many as ever, so every program's draws stay the same;
+    # the *_rows slots run the one distance as the *_features slots do
     terminal = str(
         rng.choice(
             ["sum_all", "distance_features", "distance_rows",
@@ -220,7 +221,7 @@ def _run_program(leaves, instrs, terminal):
     else:
         # a masked terminal routes the selected rows to its one teacher
         owner = np.where(mask == 1.0, 0, -1) if term.startswith("masked") else None
-        out = distance([x], [target], owner, per_feature=term.endswith("features"))
+        out = distance([x], [target], owner)
     return out, tensors, nodes
 
 
@@ -605,7 +606,8 @@ def _ledger_case(n_tasks, k, dim, buffer_capacity, memory_capacity, train_per_ta
     mem_len = 0
     mismatches = []
     step_sizes = [len(range(i, min(i + k, n_tasks))) for i in range(0, n_tasks, k)]
-    for entry, k_step in zip(report.ledger.steps, step_sizes):
+    costs = [r.cost for r in report.records]
+    for entry, k_step in zip(costs, step_sizes):
         expect = {
             "broadcast_bytes": k_step * (12 + SYNC_FIXED_NBYTES + n_param),
             "upload_bytes": k_step * (
@@ -624,13 +626,13 @@ def _ledger_case(n_tasks, k, dim, buffer_capacity, memory_capacity, train_per_ta
 
     per_step_mb = [
         (e.memory_bytes + e.expert_param_bytes + e.broadcast_bytes + e.upload_bytes) / 1e6
-        for e in report.ledger.steps
+        for e in costs
     ]
     t_c = float(np.mean(per_step_mb) + n_param / 1e6)
     a_c = report.final_mean_acc / t_c
-    dt = abs(total_cost(report.ledger) - t_c)
-    da = abs(cost_accuracy(report.final_mean_acc, total_cost(report.ledger)) - a_c)
-    return mismatches, dt, da, len(report.ledger.steps)
+    dt = abs(total_cost(costs) - t_c)
+    da = abs(cost_accuracy(report.final_mean_acc, total_cost(costs)) - a_c)
+    return mismatches, dt, da, len(costs)
 
 
 def test_07_cost_ledger_exactness():

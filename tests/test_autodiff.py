@@ -108,8 +108,8 @@ class TestFiniteDifferenceOracle:
             assert_matches_fd(analytic, numeric)
 
     def test_row_norm_means(self):
-        """Unmasked per-row mode against a zero target: the mean squared
-        row norm of x, as a value and as central differences."""
+        """Unmasked, against a zero target: the mean squared row norm of x
+        over its feature count, as a value and as central differences."""
         rng = np.random.default_rng(2)
         zero = np.zeros((1, 6, 5))
         for trial in range(10):
@@ -117,16 +117,18 @@ class TestFiniteDifferenceOracle:
 
             def build(ps):
                 tx = Tensor(ps["x"], requires_grad=True, name="x")
-                return distance([tx], [zero], None, per_feature=False), tx
+                return distance([tx], [zero], None), tx
 
             loss, tx = build(params)
-            want = (params["x"] ** 2).sum(axis=1).mean()
+            want = (params["x"] ** 2).sum(axis=1).mean() / 5
             assert loss.item() == pytest.approx(want, rel=1e-12)
             _, analytic = tape_grads(loss, {"x": tx})
             numeric = finite_diff_params(lambda: build(params)[0].item(), params)
             assert_matches_fd(analytic, numeric)
 
     def test_masked_row_norm_means(self):
+        """Routed: the mean squared row norm of the owned rows' differences
+        over the feature count, as a value and as central differences."""
         rng = np.random.default_rng(3)
         for trial in range(10):
             params = random_params(rng, {"x": (6, 5)})
@@ -135,9 +137,12 @@ class TestFiniteDifferenceOracle:
 
             def build(ps):
                 tx = Tensor(ps["x"], requires_grad=True, name="x")
-                return distance([tx], [target], owner, per_feature=False), tx
+                return distance([tx], [target], owner), tx
 
             loss, tx = build(params)
+            if (owner == 0).any():
+                rows = ((target[0] - params["x"]) ** 2)[owner == 0]
+                assert loss.item() == pytest.approx(rows.sum(axis=1).mean() / 5, rel=1e-12)
             _, analytic = tape_grads(loss, {"x": tx})
             numeric = finite_diff_params(lambda: build(params)[0].item(), params)
             assert_matches_fd(analytic, numeric)
@@ -151,7 +156,7 @@ class TestFiniteDifferenceOracle:
             for m in (None, owner):
                 def build(ps, m=m):
                     tx = Tensor(ps["x"], requires_grad=True, name="x")
-                    return distance([tx], [target], m, per_feature=True), tx
+                    return distance([tx], [target], m), tx
 
                 loss, tx = build(params)
                 _, analytic = tape_grads(loss, {"x": tx})
@@ -159,25 +164,27 @@ class TestFiniteDifferenceOracle:
                 assert_matches_fd(analytic, numeric)
 
     def test_mean_square_values(self):
-        """Per-feature mode against a zero target: the mean square of x."""
+        """Against a zero target: the mean square of x."""
         rng = np.random.default_rng(13)
         x = rng.standard_normal((5, 3))
         zero = np.zeros((1, 5, 3))
-        got = distance([Tensor(x)], [zero], None, per_feature=True).item()
+        got = distance([Tensor(x)], [zero], None).item()
         assert got == pytest.approx((x ** 2).mean(), rel=1e-12)
         owner = np.array([0, -1, 0, -1, -1])
         tx = Tensor(x, requires_grad=True, name="x")
-        loss = distance([tx], [zero], owner, per_feature=True)
+        loss = distance([tx], [zero], owner)
         assert loss.item() == pytest.approx((x[[0, 2]] ** 2).mean(), rel=1e-12)
         _, grads = tape_grads(loss, {"x": tx})
         assert np.all(grads["x"][owner == -1] == 0.0)
-        empty = distance([Tensor(x)], [zero], np.full(5, -1), per_feature=True)
+        empty = distance([Tensor(x)], [zero], np.full(5, -1))
         assert empty.item() == 0.0
         with pytest.raises(GraphError, match="owners of shape .3,. do not fit 5 rows"):
-            distance([Tensor(x)], [zero], np.zeros(3, int), per_feature=True)
+            distance([Tensor(x)], [zero], np.zeros(3, int))
 
-    @pytest.mark.parametrize("per_feature", [True, False])
-    def test_stacked_distance_grads(self, per_feature):
+    @pytest.mark.parametrize("routed", [True, False])
+    def test_stacked_distance_grads(self, routed):
+        """Central differences with each row routed to one teacher, and with
+        every row counting for every teacher."""
         rng = np.random.default_rng(14)
         shapes = {"s0": (6, 5), "s1": (6, 3)}
         for trial in range(5):
@@ -185,18 +192,18 @@ class TestFiniteDifferenceOracle:
             targets = [rng.standard_normal((3, *shape)) for shape in shapes.values()]
             # each row has one teacher at most; teacher 2 has no rows in the batch
             owner = rng.integers(-1, 2, size=6)
-            for m in (owner, None):
-                def build(ps, m=m):
-                    students = [Tensor(ps[k], requires_grad=True, name=k) for k in shapes]
-                    return distance(students, targets, m, per_feature), students
+            m = owner if routed else None
 
-                loss, students = build(params)
-                _, analytic = tape_grads(loss, dict(zip(shapes, students)))
-                numeric = finite_diff_params(lambda: build(params)[0].item(), params)
-                assert_matches_fd(analytic, numeric)
+            def build(ps):
+                students = [Tensor(ps[k], requires_grad=True, name=k) for k in shapes]
+                return distance(students, targets, m), students
 
-    @pytest.mark.parametrize("per_feature", [True, False])
-    def test_stacked_distance_is_the_per_term_graph_bitwise(self, per_feature):
+            loss, students = build(params)
+            _, analytic = tape_grads(loss, dict(zip(shapes, students)))
+            numeric = finite_diff_params(lambda: build(params)[0].item(), params)
+            assert_matches_fd(analytic, numeric)
+
+    def test_stacked_distance_is_the_per_term_graph_bitwise(self):
         """Against a sum of one-teacher nodes, joined with add in teacher
         order. Each row has one teacher at most, so the stacked node's
         gathered term per row must add to the same bits as the k terms of
@@ -219,20 +226,18 @@ class TestFiniteDifferenceOracle:
             total = None
             for j in range(4):
                 term = distance(
-                    students, [t[j : j + 1] for t in targets], np.where(owner == j, 0, -1),
-                    per_feature,
+                    students, [t[j : j + 1] for t in targets], np.where(owner == j, 0, -1)
                 )
                 total = term if total is None else add(total, term)
             return total
 
-        got = run(lambda ss: distance(ss, targets, owner, per_feature))
+        got = run(lambda ss: distance(ss, targets, owner))
         want = run(per_teacher_graph)
         assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
         assert got[1]["x"].tobytes() == want[1]["x"].tobytes()
 
-    @pytest.mark.parametrize("per_feature", [True, False])
-    def test_stacked_distance_unmasked_is_the_numpy_mean_bitwise(self, per_feature):
-        """Without masks the value is numpy's mean over rows (and features)
+    def test_stacked_distance_unmasked_is_the_numpy_mean_bitwise(self):
+        """Without masks the value is numpy's mean over rows and features
         and the gradient is 2 g d / size, bit for bit, on float32 inputs.
         A row sum divided by the row count, as an all-ones mask computes
         it, rounds differently on many of these shapes."""
@@ -243,123 +248,118 @@ class TestFiniteDifferenceOracle:
             widths = [int(rng.integers(1, 40)) for _ in range(int(rng.integers(1, 4)))]
             xs = [rng.standard_normal((rows, w)).astype(np.float32) for w in widths]
             targets = [rng.standard_normal((k, rows, w)).astype(np.float32) for w in widths]
-            value, grads = stacked_distance(xs, targets, None, per_feature, 0.3)
-
-            def distance(d):
-                return (d * d).mean() if per_feature else (d * d).sum(axis=1).mean()
-
+            value, grads = stacked_distance(xs, targets, None, 0.3)
             total = None
             for j in range(k):
                 per_teacher = None
                 for a, t in zip(xs, targets):
-                    term = distance(t[j] - a)
+                    d = t[j] - a
+                    term = (d * d).mean()
                     per_teacher = term if per_teacher is None else per_teacher + term
                 total = per_teacher if total is None else total + per_teacher
             want = np.float32(total) * np.float32(0.3)
             assert np.float32(value).tobytes() == want.tobytes(), (trial, k, rows, widths)
             g = np.float32(0.3)
             for i, (a, t) in enumerate(zip(xs, targets)):
-                size = a.size if per_feature else rows
                 assert grads[i].shape == (k, *a.shape)
                 for j in range(k):
-                    want_j = -((g * 2.0 / size) * (t[j] - a))
+                    want_j = -((g * 2.0 / a.size) * (t[j] - a))
                     assert grads[i][j].tobytes() == want_j.tobytes(), (trial, i, j)
 
-    @pytest.mark.parametrize("per_feature", [True, False])
-    def test_stacked_distance_values(self, per_feature):
+    @pytest.mark.parametrize("routed", [True, False])
+    def test_stacked_distance_values(self, routed):
+        """Routed, the mean square over the owned rows of each row's own
+        teacher; unrouted, the sum over teachers of the mean square over all
+        rows. The shape checks hold either way."""
         rng = np.random.default_rng(15)
         s = rng.standard_normal((4, 3))
         targets = rng.standard_normal((2, 4, 3))
         owner = np.array([0, -1, 0, 0])
-        got = distance([Tensor(s)], [targets], owner, per_feature).item()
-        sq = ((targets[0] - s) ** 2)[owner == 0]
-        want = sq.mean() if per_feature else sq.sum(axis=1).mean()
-        assert got == pytest.approx(want, rel=1e-12)
-        got = distance([Tensor(s)], [targets], None, per_feature).item()
+        m = owner if routed else None
+        got = distance([Tensor(s)], [targets], m).item()
         sq = (targets - s) ** 2
-        want = sum(sq[j].mean() if per_feature else sq[j].sum(axis=1).mean() for j in range(2))
+        want = sq[0][owner == 0].mean() if routed else sum(sq[j].mean() for j in range(2))
         assert got == pytest.approx(want, rel=1e-12)
         with pytest.raises(GraphError, match="target stack"):
-            distance([Tensor(s)], [targets[:, :3]], owner)
-        with pytest.raises(GraphError, match="do not fit 4 rows"):
-            distance([Tensor(s)], [targets], owner[:1])
+            distance([Tensor(s)], [targets[:, :3]], m)
+        if routed:
+            with pytest.raises(GraphError, match="do not fit 4 rows"):
+                distance([Tensor(s)], [targets], owner[:1])
         with pytest.raises(GraphError, match="do not fit 2 teachers"):
-            distance([Tensor(s), Tensor(s)], [targets, targets[:1]])
+            distance([Tensor(s), Tensor(s)], [targets, targets[:1]], m)
         with pytest.raises(GraphError, match="students"):
-            distance([Tensor(s)], [], owner)
+            distance([Tensor(s)], [], m)
         with pytest.raises(GraphError, match="at least one teacher"):
-            distance([Tensor(s)], [targets[:0]], owner)
-        with pytest.raises(GraphError, match="at least one teacher"):
-            distance([Tensor(s)], [targets[:0]])
+            distance([Tensor(s)], [targets[:0]], m)
 
-    @pytest.mark.parametrize("per_feature", [True, False])
-    def test_stacked_distance_selected_rows_only(self, per_feature):
+    @pytest.mark.parametrize("stacked", [True, False])
+    def test_stacked_distance_selected_rows_only(self, stacked):
+        """The selected rows go to the one teacher of a stack of one, or to
+        the last teacher of a stack of three."""
         rng = np.random.default_rng(4)
         x = rng.standard_normal((5, 3))
-        target = rng.standard_normal((1, 5, 3))
-        owner = np.array([0, -1, 0, -1, -1])
+        target = rng.standard_normal((3 if stacked else 1, 5, 3))
+        j = len(target) - 1
+        owner = np.array([j, -1, j, -1, -1])
         tx = Tensor(x, requires_grad=True, name="x")
-        loss = distance([tx], [target], owner, per_feature)
-        sq = ((target[0] - x) ** 2)[[0, 2]]
-        want = sq.mean() if per_feature else sq.sum(axis=1).mean()
+        loss = distance([tx], [target], owner)
+        want = ((target[j] - x) ** 2)[[0, 2]].mean()
         assert loss.item() == pytest.approx(want, rel=1e-12)
         # deselected rows get exactly zero gradient
         _, grads = tape_grads(loss, {"x": tx})
         assert np.all(grads["x"][owner == -1] == 0.0)
-        assert np.all(grads["x"][owner == 0] != 0.0)
+        assert np.all(grads["x"][owner == j] != 0.0)
 
-    @pytest.mark.parametrize("per_feature", [True, False])
-    def test_stacked_distance_empty_selection_is_zero(self, per_feature):
-        tx = Tensor(np.ones((4, 3)), requires_grad=True, name="x")
-        loss = distance([tx], [np.zeros((2, 4, 3))], np.full(4, -1), per_feature)
+    @pytest.mark.parametrize("float32", [True, False])
+    def test_stacked_distance_empty_selection_is_zero(self, float32):
+        dtype = np.float32 if float32 else np.float64
+        tx = Tensor(np.ones((4, 3), dtype), requires_grad=True, name="x")
+        loss = distance([tx], [np.zeros((2, 4, 3), dtype)], np.full(4, -1))
         assert loss.item() == 0.0
         _, grads = tape_grads(loss, {"x": tx})
         assert np.all(grads["x"] == 0.0)
 
-    @pytest.mark.parametrize("per_feature", [True, False])
-    def test_stacked_distance_gathers_each_rows_teacher(self, per_feature):
+    @pytest.mark.parametrize("float32", [True, False])
+    def test_stacked_distance_gathers_each_rows_teacher(self, float32):
         """With owners every student gets one (B, D) contribution, whatever k
-        is, and a row of no teacher gets an exact +0."""
+        is, and a row of no teacher gets an exact +0, in either precision."""
+        dtype = np.float32 if float32 else np.float64
         rng = np.random.default_rng(18)
-        s = rng.standard_normal((5, 3)).astype(np.float32)
-        targets = rng.standard_normal((4, 5, 3)).astype(np.float32)
+        s = rng.standard_normal((5, 3)).astype(dtype)
+        targets = rng.standard_normal((4, 5, 3)).astype(dtype)
         owner = np.array([-1, 2, 0, 2, -1])
-        _, (grad,) = stacked_distance([s], [targets], owner, per_feature, 0.5)
+        _, (grad,) = stacked_distance([s], [targets], owner, 0.5)
         assert grad.shape == (1, 5, 3)
         assert np.signbit(grad[0, [0, 4]]).sum() == 0 and not grad[0, [0, 4]].any()
-        _, (stack,) = stacked_distance([s], [targets], None, per_feature, 0.5)
+        _, (stack,) = stacked_distance([s], [targets], None, 0.5)
         assert stack.shape == (4, 5, 3)
 
-    @pytest.mark.parametrize("per_feature", [True, False])
-    def test_stacked_distance_all_memory_batch_is_exact_zero(self, per_feature):
+    def test_stacked_distance_all_memory_batch_is_exact_zero(self):
         """A batch of memory rows only: an exact 0 value and +0 gradients."""
         rng = np.random.default_rng(19)
         s = rng.standard_normal((6, 3)).astype(np.float32)
         targets = np.stack([s + 1.0, -s]).astype(np.float32)
-        value, (grad,) = stacked_distance([s], [targets], np.full(6, -1), per_feature, 0.7)
+        value, (grad,) = stacked_distance([s], [targets], np.full(6, -1), 0.7)
         assert np.float32(value).tobytes() == np.float32(0.0).tobytes()
         assert grad.shape == (1, 6, 3)
         assert not grad.any() and not np.signbit(grad).any()
 
-    @pytest.mark.parametrize("per_feature", [True, False])
-    def test_stacked_distance_rejects_an_owner_beyond_the_stack(self, per_feature):
+    def test_stacked_distance_rejects_an_owner_beyond_the_stack(self):
         s = np.ones((5, 3), np.float32)
         targets = np.zeros((4, 5, 3), np.float32)
         for owner, row in (([0, 4, -1, 1, 3], 1), ([0, 1, 2, 3, 9], 4)):
             with pytest.raises(GraphError, match=f"row {row} routed to teacher .* of 4"):
-                stacked_distance([s], [targets], np.array(owner), per_feature)
+                stacked_distance([s], [targets], np.array(owner))
 
-    @pytest.mark.parametrize("per_feature", [True, False])
-    def test_stacked_distance_absent_teacher_contributes_exact_zero(self, per_feature):
+    def test_stacked_distance_absent_teacher_contributes_exact_zero(self):
         """A teacher that owns no row of the batch changes neither the value
         nor the gradient, bit for bit, against the stack without it."""
         rng = np.random.default_rng(20)
         s = rng.standard_normal((7, 4)).astype(np.float32)
         targets = rng.standard_normal((3, 7, 4)).astype(np.float32)
         owner = np.array([0, 2, -1, 2, 0, -1, 2])  # teacher 1 owns nothing
-        with_absent = stacked_distance([s], [targets], owner, per_feature, 1.3)
-        without = stacked_distance([s], [targets[[0, 2]]], np.where(owner == 2, 1, owner),
-                                   per_feature, 1.3)
+        with_absent = stacked_distance([s], [targets], owner, 1.3)
+        without = stacked_distance([s], [targets[[0, 2]]], np.where(owner == 2, 1, owner), 1.3)
         assert np.float32(with_absent[0]).tobytes() == np.float32(without[0]).tobytes()
         assert with_absent[1][0].tobytes() == without[1][0].tobytes()
 

@@ -85,7 +85,7 @@ class TestSgd:
         report = run_baseline(two_task_stream, cfg("sgd", 0))
         assert [r.step_id for r in report.records] == [0, 1]
         assert report.method == "sgd"
-        assert report.ledger is None
+        assert all(r.cost is None for r in report.records)
 
     def test_deterministic(self, two_task_stream):
         r1 = run_baseline(two_task_stream, cfg("sgd", 3))

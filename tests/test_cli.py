@@ -239,11 +239,24 @@ class TestRunVerb:
             assert row.pop("wall_clock_s") >= 0.0
         assert steps == clean
 
-    def test_overflowed_batch_statistics_fail_the_step(self, tmp_path):
-        # pinned16's shape with 8 tasks and logit distillation: step 1's
-        # consolidation drives the student's stem weights to about 5e17, the
-        # float32 batch variance overflows to inf and zeroes inv_std, so the
-        # loss and gradients stay finite while the student outputs its betas
+    def test_overflowed_batch_statistics_fail_the_step(self, tmp_path, monkeypatch):
+        # pinned16's shape with 8 tasks and logit distillation at coefficients
+        # of 32, the run's logit count, so each distance is the sum over
+        # logits: step 1's consolidation drives the student's stem weights to
+        # about 5e17, the float32 batch variance overflows to inf and zeroes
+        # inv_std, so the loss and gradients stay finite while the student
+        # outputs its betas
+        failures = []
+        real_step = protocol_mod.run_incremental_step
+
+        def step(*args):
+            try:
+                return real_step(*args)
+            except protocol_mod.StepFailure as e:
+                failures.append(str(e))
+                raise
+
+        monkeypatch.setattr(protocol_mod, "run_incremental_step", step)
         raw = {
             "method": "bmc", "seed": 0, "out_dir": str(tmp_path / "out"),
             "stream": {"kind": "permuted", "n_tasks": 8, "classes_per_task": 4, "dim": 16,
@@ -252,12 +265,14 @@ class TestRunVerb:
                       "hidden_dim": 16, "dropout_p": 0.1},
             "training": {"epochs_per_task": 2, "lr": 0.1, "batch_size": 32},
             "bmc": {"experts_per_step": 4, "rehearsal_epochs": 40, "buffer_capacity": 200,
-                    "memory_capacity": 1000, "distill_kind": "kd_logits", "workers": 1},
+                    "memory_capacity": 1000, "distill_kind": "kd_logits", "workers": 1,
+                    "stability_coef": 32.0, "consolidation_coef": 32.0},
         }
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps(raw))
         with np.errstate(over="ignore"):
             assert main(["run", str(cfg_file)]) == 3
+        assert len(failures) == 1 and "non-finite batch statistic" in failures[0], failures
         rows = [json.loads(s) for s in (tmp_path / "out" / "records.jsonl").read_text().splitlines()]
         assert [r["step_id"] for r in rows if r["type"] == "step"] == [0]
         assert rows[-1]["failed_step"] == 1

@@ -294,6 +294,24 @@ class TestStackedDistillation:
 
         self._assert_bitwise(self._grads(batched), self._grads(reference))
 
+    def test_kd_logits_is_each_experts_mean_over_its_rows_and_logits(self):
+        """Each expert's term is the mean of the squared logit difference
+        over the rows it owns and over every logit, whatever the logit
+        count; memory rows count for no expert."""
+        rng = np.random.default_rng(21)
+        k, rows, classes = 3, 12, 40
+        origins = np.array([0, -1, 2, 0, 1, -1, 2, 2, 0, 1, -1, 0])
+        teacher_logits = rng.standard_normal((k, rows, classes)).astype(np.float32)
+        student_logits = rng.standard_normal((rows, classes)).astype(np.float32)
+        teachers = TapSet(taps=[np.zeros((k, rows, 2), np.float32)], logits=teacher_logits)
+        student = tapset_from([np.zeros((rows, 2), np.float32)], logits=student_logits)
+        got = float(l_bmc(student, teachers, origins, "kd_logits").value)
+        want = sum(
+            np.mean((teacher_logits[j] - student_logits)[origins == j].astype(np.float64) ** 2)
+            for j in range(k)
+        )
+        assert got == pytest.approx(want, rel=1e-6)
+
     @pytest.mark.parametrize("kind", DISTILL_KINDS)
     def test_absent_expert_contributes_exact_zero(self, kind):
         # expert 3 as a stack of one: it owns no row of the batch
@@ -400,9 +418,21 @@ class TestDistillationAlternatives:
         )
 
     def test_kd_logits_squared_convention(self):
+        """The squared logit difference, averaged over rows and logits."""
         teacher = tapset_from([np.zeros((1, 2))], logits=np.array([[1.0, 0.0]]))
         student = tapset_from([np.zeros((1, 2))], logits=np.array([[0.0, 0.0]]))
-        assert float(alt_distill("kd_logits", teacher, student).value) == pytest.approx(1.0)
+        assert float(alt_distill("kd_logits", teacher, student).value) == pytest.approx(0.5)
+
+    def test_kd_logits_is_the_numpy_mean_bitwise(self):
+        """A teacher pass, a stack of one in which every row counts, takes
+        numpy's mean over rows and logits, as every other kind does over
+        features."""
+        rng = np.random.default_rng(9)
+        t, s = (rng.standard_normal((7, 32)).astype(np.float32) for _ in range(2))
+        teacher = tapset_from([np.zeros((7, 2), np.float32)], logits=t)
+        student = tapset_from([np.zeros((7, 2), np.float32)], logits=s)
+        got = alt_distill("kd_logits", teacher, student).value
+        assert np.float32(got).tobytes() == np.mean((t - s) ** 2).tobytes()
 
     def test_teacher_shielded_for_all_kinds(self):
         rng = np.random.default_rng(8)

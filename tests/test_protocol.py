@@ -61,7 +61,7 @@ from batchcl.protocol import (
     unframe,
 )
 from batchcl.replay import Buffer, ExemplarSet, Memory
-from batchcl.run import CostLedger, StepCost, child_seed, cost_accuracy, total_cost
+from batchcl.run import StepCost, child_seed, cost_accuracy, total_cost
 from batchcl.streams import generate_stream
 
 TOY = ModelConfig(
@@ -1159,20 +1159,19 @@ class TestCostLedger:
         return StepCost(step_id=step_id, **values)
 
     def test_total_is_mean_step_cost_plus_model(self):
-        ledger = CostLedger()
-        ledger.add(self.entry(0))
-        ledger.add(self.entry(1, upload_bytes=4_000_000))
+        steps = [self.entry(0), self.entry(1, upload_bytes=4_000_000)]
         # steps: (0.5+0.5+1+2)=4 MB and (0.5+0.5+1+4)=6 MB; model 3 MB
-        assert total_cost(ledger) == pytest.approx(5.0 + 3.0)
+        assert total_cost(steps) == pytest.approx(5.0 + 3.0)
 
     def test_empty_ledger_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            total_cost(CostLedger())
+            total_cost([])
 
     def test_negative_bytes_rejected(self):
-        ledger = CostLedger()
-        with pytest.raises(ValueError, match="negative"):
-            ledger.add(self.entry(0, upload_bytes=-1))
+        for field in ("broadcast_bytes", "upload_bytes", "memory_bytes",
+                      "expert_param_bytes", "model_bytes"):
+            with pytest.raises(ValueError, match=f"negative {field}"):
+                self.entry(0, **{field: -1})
 
     def test_cost_accuracy_scales_inversely_with_cost(self):
         assert cost_accuracy(0.8, 4.0) == pytest.approx(0.2)
@@ -1185,4 +1184,5 @@ class TestCostLedger:
     def test_bigger_buffers_cost_more(self, stream):
         small = run_full_stream(stream, tiny_config(seed=3, buffer_capacity=6))
         big = run_full_stream(stream, tiny_config(seed=3, buffer_capacity=24))
-        assert total_cost(big.ledger) > total_cost(small.ledger)
+        assert total_cost([r.cost for r in big.records]) > total_cost(
+            [r.cost for r in small.records])

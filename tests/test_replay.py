@@ -142,8 +142,10 @@ class TestSampleBuffer:
     def test_grad_strategies_need_models(self):
         x = np.zeros((5, 4), dtype=np.float32)
         y = np.zeros(5, dtype=np.int64)
-        with pytest.raises(ValueError, match="base model"):
+        with pytest.raises(ValueError, match="grad_max_base needs the base model"):
             sample_buffer(x, y, 0, capacity=2, strategy="grad_max_base", seed=0, owner=0)
+        with pytest.raises(ValueError, match="grad_min_expert needs the expert model"):
+            sample_buffer(x, y, 0, capacity=2, strategy="grad_min_expert", seed=0, owner=0)
 
 
 def scoring_model(config: ModelConfig, seed: int):
