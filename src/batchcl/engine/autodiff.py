@@ -54,7 +54,8 @@ def dropout_mask(
 ) -> np.ndarray:
     """Inverted-dropout multiplier: 0 for a dropped unit, 1/(1-p) for a kept one."""
     keep = (rng.random(shape) >= p).astype(dtype)
-    return keep * np.asarray(1.0 / (1.0 - p), dtype=dtype)
+    keep *= np.asarray(1.0 / (1.0 - p), dtype=dtype)
+    return keep
 
 
 BN_MOMENTUM = 0.1
@@ -71,14 +72,17 @@ def _row_mean(x: np.ndarray) -> np.ndarray:
     return np.add.reduce(x, axis=-2, keepdims=True) / x.shape[-2]
 
 
-def batch_norm_arrays(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, stats, train: bool):
-    """Batch norm on plain arrays: ``(out, xhat, inv_std)``.
+def batch_norm_arrays(x: np.ndarray, stats, train: bool):
+    """Batch norm's normalization on plain arrays, in place: ``(xhat, inv_std)``.
 
     This is the forward arithmetic of every pass that normalizes: the
-    model's student, teacher and eval passes. ``x`` is ``(..., B, D)``, and
-    ``gamma``, ``beta`` broadcast against it. In train mode the statistics
-    are taken over the rows (axis -2) of each leading index, as ``mean``,
-    ``d = x - mean``, ``var = mean(d * d)``, and ``stats``, a list or None,
+    model's student, teacher and eval passes. It consumes ``x``, a
+    ``(..., B, D)`` array the caller owns (a fresh matmul output): ``x``
+    becomes ``d = x - mean`` and then ``xhat = d * inv_std``, so ``xhat``
+    is ``x`` itself and no ``(B, D)`` array is allocated for either. The
+    affine ``gamma * xhat + beta`` is the caller's. In train mode the
+    statistics are taken over the rows (axis -2) of each leading index, as
+    ``mean``, ``d``, ``var = mean(d * d)``, and ``stats``, a list or None,
     gets slice 0's ``(D,)`` mean and (biased) variance appended: the
     student of a stack is slice 0, and its teachers keep their buffers. The
     caller folds what a pass gathered into the running buffers with
@@ -88,17 +92,17 @@ def batch_norm_arrays(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, stats,
     """
     if train:
         mean = _row_mean(x)
-        d = x - mean
-        var = _row_mean(d * d)
+        x -= mean
+        var = _row_mean(x * x)
         if stats is not None:
             first = (0,) * (x.ndim - 1)  # row 0 of slice 0 of a stack; (0,) for one model
             stats.extend((mean[first], var[first]))
     else:
         mean, var = stats
-        d = x - mean
+        x -= mean
     inv_std = (1.0 / np.sqrt(var + BN_EPS)).astype(x.dtype, copy=False)
-    xhat = d * inv_std
-    return gamma * xhat + beta, xhat, inv_std
+    x *= inv_std
+    return x, inv_std
 
 
 def fold_batch_stats(running: np.ndarray, batch: np.ndarray, unbias: np.ndarray) -> None:
@@ -116,17 +120,23 @@ def fold_batch_stats(running: np.ndarray, batch: np.ndarray, unbias: np.ndarray)
 
 def batch_norm_grads(g: np.ndarray, xhat: np.ndarray, inv_std: np.ndarray,
                      gamma: np.ndarray, train: bool):
-    """Backward of :func:`batch_norm_arrays` on ``(B, D)`` arrays:
-    ``(d gamma, d beta, d x)`` for the output gradient ``g``.
+    """Backward of batch norm, :func:`batch_norm_arrays` followed by the
+    affine ``gamma * xhat + beta``, on ``(B, D)`` arrays: ``(d gamma,
+    d beta, d x)`` for the output gradient ``g``.
 
     In train mode the batch statistics depend on ``x``, so the gradient
-    also flows through them.
+    also flows through them. ``d x`` is computed in the buffer of
+    ``d xhat = g * gamma``, in the float operations and order of
+    ``(dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) * inv_std``.
+    ``g``, ``xhat`` and ``inv_std`` are only read.
     """
-    dxhat = g * gamma
+    dx = g * gamma  # d xhat, until it becomes d x
     if train:
-        dx = (dxhat - _row_mean(dxhat) - xhat * _row_mean(dxhat * xhat)) * inv_std
-    else:
-        dx = dxhat * inv_std
+        m1 = _row_mean(dx)
+        t = xhat * _row_mean(dx * xhat)
+        dx -= m1
+        dx -= t
+    dx *= inv_std
     return np.add.reduce(g * xhat, axis=0), np.add.reduce(g, axis=0), dx
 
 

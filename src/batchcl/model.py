@@ -21,8 +21,11 @@ logit-space distillation alternative consumes them directly instead.
 Every pass runs the same layer arithmetic on plain arrays
 (``ResidualClassifier._values``): the train or eval student pass, the
 teacher pass, ``predict`` and the per-example gradient-norm pass. No pass
-builds a graph. The student pass returns its taps and logits with a
-record of its layers, and ``ResidualClassifier.backward`` carries an
+builds a graph. Each layer runs its bias, batch norm, affine, ReLU and
+dropout in place in the buffer its matmul allocated. The student pass
+returns its taps and logits with a record of its layers (each layer's
+input, output, xhat and mask, but no pre-ReLU value: the ReLU's backward
+reads the output), and ``ResidualClassifier.backward`` carries an
 objective's gradients with respect to them through the head and every
 trunk layer and skip connection to the parameters, written into one flat
 gradient. Those gradients equal the ones a tape with one node per op
@@ -117,8 +120,11 @@ class TapSet:
 
 class PassRecord(NamedTuple):
     """What a student pass keeps for :meth:`ResidualClassifier.backward`: each
-    layer's state as ``_values`` records it, the head's input and the dropout
-    mask that made it (or None), and whether batch statistics normalized."""
+    layer's state as ``_values`` records it, ``(prefix, input, output, xhat,
+    inv_std, mask)`` with the output after ReLU and dropout, the head's
+    input and the dropout mask that made it (or None), and whether batch
+    statistics normalized. In a single model's pass a layer's output is the
+    next layer's input, one array; nothing writes into a recorded array."""
 
     layers: list[tuple]
     head_in: np.ndarray
@@ -160,7 +166,8 @@ class ParamVector:
 
         Header: magic ``CLPV``, version u16, entry count u32; per entry a
         name (u16 length + UTF-8 bytes), rank u8, and dims (u32 each).
-        Payload: the float32 arrays concatenated in entry order.
+        Payload: the float32 arrays concatenated in entry order, joined
+        from a view of ``payload``, so the blob is the only copy made.
         """
         out = [PARAM_VECTOR_MAGIC, struct.pack("<HI", PARAM_VECTOR_VERSION, len(self.names))]
         for name, shape in zip(self.names, self.shapes):
@@ -169,7 +176,7 @@ class ParamVector:
             out.append(nb)
             out.append(struct.pack("<B", len(shape)))
             out.append(struct.pack(f"<{len(shape)}I", *shape))
-        out.append(np.ascontiguousarray(self.payload, dtype="<f4").tobytes())
+        out.append(memoryview(np.ascontiguousarray(self.payload, dtype="<f4")).cast("B"))
         return b"".join(out)
 
     @classmethod
@@ -481,9 +488,18 @@ class ResidualClassifier:
         its overflowed variance zeroes ``inv_std`` and leaves the loss finite.
         ``masks`` are the dropout multipliers, one per site in layer
         order, or empty for none. When ``layers`` is a list, each layer
-        appends what its backward needs: (prefix, input, pre-ReLU value,
-        xhat, inv_std, mask). A stack's layers append copies of slice 0's,
-        so the teachers' states are freed as the pass goes on.
+        appends what its backward needs: (prefix, input, output, xhat,
+        inv_std, mask), where the output is the layer's value after ReLU
+        and dropout, which is the next layer's input; no pre-ReLU value is
+        kept. A stack's layers append copies of slice 0's, so the teachers'
+        states are freed as the pass goes on.
+
+        Each layer's arithmetic after ``h @ w`` runs in place in that
+        product's buffer: the bias, batch norm (which turns it into xhat),
+        the affine, ReLU and dropout, in the float operations and order of
+        the out-of-place expressions. Only a single model's recorded pass
+        takes one fresh array, ``gamma * xhat``, since the record keeps
+        xhat. No pass writes into an array it was given or has handed out.
         """
         train = mode != "eval"
         replay = iter(masks)
@@ -491,18 +507,26 @@ class ResidualClassifier:
 
         def layer(h: np.ndarray, views: tuple, dropped: bool) -> np.ndarray:
             prefix, w, b, gamma, beta, running = views
-            y, xhat, inv_std = batch_norm_arrays(
-                h @ w + b, gamma, beta,
-                batch if mode == "train" else None if mode == "teacher" else running,
-                train,
+            z = h @ w
+            z += b
+            xhat, inv_std = batch_norm_arrays(
+                z, batch if mode == "train" else None if mode == "teacher" else running, train
             )
             mask = next(replay) if dropped and masks else None
+            stacked = z.ndim == 3
+            if layers is not None:  # slice 0's, before the affine overwrites xhat
+                state = (h, xhat, inv_std) if not stacked else (
+                    h if h.ndim == 2 else h[0].copy(), xhat[0].copy(), inv_std[0])
+            # a single model's record keeps xhat, so its affine takes a fresh array
+            y = np.multiply(gamma, xhat, out=xhat if layers is None or stacked else None)
+            y += beta
+            np.maximum(y, 0, out=y)
+            if mask is not None:
+                y *= mask
             if layers is not None:
-                state = (h, y, xhat, inv_std) if y.ndim == 2 else (
-                    h if h.ndim == 2 else h[0].copy(), y[0].copy(), xhat[0].copy(), inv_std[0])
-                layers.append((prefix, *state, mask))
-            out = np.maximum(y, 0)
-            return out if mask is None else out * mask
+                h0, xhat0, inv_std0 = state
+                layers.append((prefix, h0, y[0].copy() if stacked else y, xhat0, inv_std0, mask))
+            return y
 
         views = iter(self._layer_views)
         h = layer(x, next(views), True)
@@ -517,7 +541,8 @@ class ResidualClassifier:
         taps.append(pen)
         head_in = pen * next(replay) if masks else pen
         head_w, head_b = self._head_views
-        logits = head_in @ head_w + head_b
+        logits = head_in @ head_w
+        logits += head_b
         if mode == "train":
             layout = self.layout
             stats = np.concatenate(batch)
@@ -612,8 +637,8 @@ class ResidualClassifier:
         sq = (_row_sq(head_in) + 1.0) * _row_sq(delta)
 
         def step(state: tuple, g: np.ndarray, need_dx: bool):
-            prefix, h, y, xhat, inv_std, _ = state
-            g = g * (y > 0)
+            prefix, h, output, xhat, inv_std, _ = state
+            g = g * (output > 0)
             dz = g * params[f"{prefix}.bn.gamma"] * inv_std
             sq[:] += (_row_sq(h) + 1.0) * _row_sq(dz) + _row_sq(g * xhat) + _row_sq(g)
             return dz @ params[f"{prefix}.W"].T if need_dx else None
@@ -654,12 +679,18 @@ def _layer_backward(params: dict, flat: np.ndarray, slices: dict, train: bool, s
     input (if needed).
 
     Each ``+ 0.0`` stands where a per-op tape starts a value's gradient
-    from zeros, which turns a -0 into +0.
+    from zeros, which turns a -0 into +0. The ReLU's gate reads the
+    recorded output, not the pre-ReLU value: where the dropout mask is 0 the
+    gradient is +0 either way, and where it is 1/(1-p) >= 1 the output is
+    positive exactly when the pre-ReLU value is, so the bits are the same.
     """
-    prefix, h, y, xhat, inv_std, mask = state
-    if mask is not None:
+    prefix, h, output, xhat, inv_std, mask = state
+    if mask is None:
+        g = g * (output > 0)
+    else:
         g = g * mask
-    g = g * (y > 0) + 0.0
+        g *= output > 0
+    g += 0.0
     w = params[f"{prefix}.W"]
     dgamma, dbeta, dz = batch_norm_grads(g, xhat, inv_std, params[f"{prefix}.bn.gamma"], train)
     np.add(dgamma, 0.0, out=flat[slices[f"{prefix}.bn.gamma"]])

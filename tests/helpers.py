@@ -440,7 +440,8 @@ def batch_norm_values(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.
     ``(..., D)``; statistics are taken over the rows (axis -2) of each,
     with the same arithmetic as a single ``(B, D)`` input.
     """
-    return batch_norm_arrays(x, gamma[..., None, :], beta[..., None, :], None, True)[0]
+    xhat, _ = batch_norm_arrays(x.copy(), None, True)  # it normalizes in place
+    return gamma[..., None, :] * xhat + beta[..., None, :]
 
 
 def batch_norm(
@@ -466,14 +467,16 @@ def batch_norm(
     n = x.shape[0]
     if train and n < 2:
         raise GraphError(f"{name}: train-mode batch of size {n} (need >= 2)")
+    # batch_norm_arrays normalizes in place, and x.data is the input node's value
     if train:
         batch: list[np.ndarray] = []
-        out_data, xhat, inv_std = batch_norm_arrays(x.data, gamma.data, beta.data, batch, True)
+        xhat, inv_std = batch_norm_arrays(x.data.copy(), batch, True)
         running_update_reference(running_mean, running_var, *batch, n)
     else:
-        out_data, xhat, inv_std = batch_norm_arrays(
-            x.data, gamma.data, beta.data, (running_mean, running_var), False
+        xhat, inv_std = batch_norm_arrays(
+            x.data.copy(), (running_mean, running_var), False
         )
+    out_data = gamma.data * xhat + beta.data
 
     def backward(g: np.ndarray) -> None:
         dgamma, dbeta, dx = batch_norm_grads(g, xhat, inv_std, gamma.data, train)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import gc
 import hashlib
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -44,6 +45,8 @@ TOY = ModelConfig(
     hidden_dim=5,
     dropout_p=0.0,
 )
+# the wide benchmark workload's model: 256-wide residual layers, the defaults
+WIDE = ModelConfig(input_dim=32, total_classes=64)
 
 
 class TestConfig:
@@ -327,6 +330,60 @@ class TestFusedPass:
 
         self._assert_same(model, x, True, loss_of)
 
+    def test_wide_stack_bitwise_equal_to_per_op_graph(self):
+        # the wide workload's consolidation batch: a base and 4 teachers in
+        # one stack, 32 rows, 256-wide layers computed in place
+        data = np.random.default_rng(80)
+        models = []
+        for j in range(5):
+            m = build_model(WIDE, seed=81 + j)
+            jitter_params(m, seed=90 + j)
+            m.forward_with_taps(data.standard_normal((32, 32)).astype(np.float32), True, data)
+            models.append(m)
+        x = data.standard_normal((32, 32)).astype(np.float32)
+        y = data.integers(0, 64, size=32)
+        origins = data.choice([-1, 0, 1, 2, 3], size=32)
+
+        stack = stack_vectors(WIDE, models)
+        rng = np.random.default_rng(95)
+        got, record = stack.forward_with_taps(x, True, rng)
+        got_value, got_grads = step_grads(
+            stack.slice(0), record, l_base(got, got.teachers, y, 0.9, 1.3, "features", origins))
+
+        plain = models[0].copy()
+        want_rng = np.random.default_rng(95)
+        want, leaves = per_op_forward(plain, x, True, want_rng)
+        teachers = stack_vectors(WIDE, models[1:]).forward_as_teacher(x, want.masks)
+        want_value, want_grads = tape_grads(
+            tape_objective(want, y, 0.9, teachers, 1.3, "features", origins), leaves)
+
+        assert rng.bit_generator.state == want_rng.bit_generator.state
+        assert [t.tobytes() for t in got.taps] == [t.data.tobytes() for t in want.taps]
+        assert got.logits.tobytes() == want.logits.data.tobytes()
+        assert [m.tobytes() for m in got.masks] == [m.tobytes() for m in want.masks]
+        assert [t.tobytes() for t in got.teachers.taps] == [t.tobytes() for t in teachers.taps]
+        for name, buf in plain.stats.items():
+            assert stack.slice(0).stats[name].tobytes() == buf.tobytes(), name
+        assert np.float64(got_value).tobytes() == np.float64(want_value).tobytes()
+        assert list(got_grads) == list(want_grads)
+        for name in want_grads:
+            assert got_grads[name].tobytes() == want_grads[name].tobytes(), name
+
+    def test_record_keeps_no_pre_activation_copy(self):
+        # a wide train pass keeps, per layer, its input, its output (the
+        # next layer's input), xhat and mask; a pre-ReLU copy of each layer
+        # would add about 0.25 MB
+        model = build_model(WIDE, seed=34)
+        x = np.random.default_rng(35).standard_normal((32, 32)).astype(np.float32)
+        model.forward_with_taps(x, True, np.random.default_rng(36))  # fills the layout's caches
+        tracemalloc.start()
+        try:
+            tapset, record = model.forward_with_taps(x, True, np.random.default_rng(37))
+            alive, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert alive <= 900_000, alive
+
     def test_predict_is_the_eval_pass_argmax(self):
         model = self._model(2, 0.1)
         x = np.random.default_rng(29).standard_normal((11, 6)).astype(np.float32)
@@ -357,6 +414,59 @@ class TestFusedPass:
                                     rng=np.random.default_rng(0))
         with pytest.raises(GraphError, match="RNG"):
             model.forward_with_taps(np.zeros((4, 6), np.float32), train=True)
+
+
+class TestPassesWriteOnlyTheirOwnArrays:
+    """Each layer computes in place in the buffer of its own matmul: no pass
+    writes into an array it was given or has handed out, and a backward
+    writes into none of the arrays of the pass it differentiates."""
+
+    CONFIG = ModelConfig(input_dim=6, total_classes=5, res_blocks=2, res_layers_per_block=2,
+                         res_dim=8, hidden_dim=7, dropout_p=0.1)
+
+    def _models(self, n):
+        rng = np.random.default_rng(110)
+        models = [build_model(self.CONFIG, seed=111 + j) for j in range(n)]
+        for m in models:
+            jitter_params(m, seed=int(rng.integers(1000)))
+            m.forward_with_taps(rng.standard_normal((12, 6)).astype(np.float32), True, rng)
+        return models
+
+    @pytest.mark.parametrize("k, train", [(0, True), (0, False), (3, True)])
+    def test_backward_leaves_the_pass_alone(self, k, train):
+        models = self._models(max(k, 1) + 1)
+        x = np.random.default_rng(112).standard_normal((9, 6)).astype(np.float32)
+        y = np.arange(9) % 5
+        if k:  # a student with k teachers riding its stack
+            model = stack_vectors(self.CONFIG, models[: k + 1])
+            student = model.slice(0)
+        else:
+            model = student = models[0]
+        tapset, record = model.forward_with_taps(x, train, np.random.default_rng(113))
+        teachers = tapset.teachers or stack_vectors(self.CONFIG, models[-1:]).forward_as_teacher(
+            x, tapset.masks)
+        handed = [x, *tapset.taps, tapset.logits, *tapset.masks, *teachers.taps,
+                  teachers.logits, record.head_in, record.head_mask,
+                  *(a for state in record.layers for a in state[1:])]
+        before = TestStackedStudent._bytes(handed)
+        origins = np.arange(9) % (max(k, 1) + 1) - 1
+        objective = l_base(tapset, teachers, y, 0.9, 1.3, "features", origins)
+        student.backward(record, objective)
+        assert TestStackedStudent._bytes(handed) == before
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_teacher_and_norm_passes_leave_their_inputs_alone(self, k):
+        models = self._models(k)
+        model = stack_vectors(self.CONFIG, models) if k > 1 else models[0]
+        x = np.random.default_rng(114).standard_normal((9, 6)).astype(np.float32)
+        masks = models[0].copy().forward_with_taps(x, True, np.random.default_rng(115))[0].masks
+        handed = [x, model.arena, *masks]
+        before = TestStackedStudent._bytes(handed)
+        model.forward_as_teacher(x, masks)
+        assert TestStackedStudent._bytes(handed) == before
+        if k == 1:
+            model.per_example_grad_norms(x, np.arange(9) % 5)
+            assert TestStackedStudent._bytes(handed) == before
 
 
 class TestParamVector:
@@ -455,6 +565,17 @@ class TestParamVector:
             model_from_vector(TOY, swapped)
         with pytest.raises(ValueError, match="out of snapshot order"):
             stack_vectors(TOY, [pv, swapped])
+
+    def test_to_bytes_copies_the_payload_once(self):
+        pv = build_model(WIDE, seed=2).to_param_vector()
+        tracemalloc.start()
+        try:
+            blob = pv.to_bytes()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(blob) > 1_000_000
+        assert peak <= 1.5 * len(blob), (peak, len(blob))  # the blob, and no second copy
 
     def test_copy_is_independent(self):
         m = build_model(TOY, seed=4)
