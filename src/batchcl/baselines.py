@@ -67,21 +67,20 @@ def _train_task_replay(
     """One task of experience replay: half fresh rows, half memory rows.
 
     The two halves are forwarded separately (each half normalizes over its
-    own rows) and the memory half's objective is weighted by the replay
-    coefficient; the step's gradient is the sum of the two passes'.
-    Before anything is stored the loop degenerates to plain fine-tuning.
+    own rows); the step's gradient is the sum of the two passes'. Before
+    anything is stored the loop degenerates to plain fine-tuning.
     """
-    t, replay_coef = cfg.training, cfg.baseline.replay_coef
+    t = cfg.training
     half = max(2, t.batch_size // 2)
 
     def step(idx):
         tapset, record = model.forward_with_taps(x[idx], train=True, rng=rng)
         loss = task_loss(tapset, y[idx])
-        if len(memory) == 0 or replay_coef == 0:
+        if len(memory) == 0:
             return loss_and_grads(loss.value, lambda: model.backward(record, loss))
         mem_batch = draw_batch(memory.exemplars, half, rng)
         mem_taps, mem_record = model.forward_with_taps(mem_batch.features, train=True, rng=rng)
-        mem_loss = task_loss(mem_taps, mem_batch.labels, replay_coef)
+        mem_loss = task_loss(mem_taps, mem_batch.labels)
 
         return loss_and_grads(
             loss.value + mem_loss.value,

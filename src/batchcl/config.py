@@ -74,7 +74,6 @@ class BmcSpec:
 @dataclass(frozen=True)
 class BaselineSpec:
     memory_capacity: int = 10_000
-    replay_coef: float = 1.0
     penalty_coef: float = 0.7
     gamma: float = 1.0
 
@@ -174,7 +173,7 @@ CONFIG_SCHEMA = {
                 "workers": _POSITIVE,
             },
         ),
-        _when("er", "baseline", {"memory_capacity": _POSITIVE, "replay_coef": _NON_NEGATIVE}),
+        _when("er", "baseline", {"memory_capacity": _POSITIVE}),
         _when("oewc", "baseline", {"penalty_coef": _NON_NEGATIVE, "gamma": _NON_NEGATIVE}),
         # a file stream ignores the size fields, the seed and the
         # separation, so they bind generated streams only
@@ -215,7 +214,7 @@ _CONFIG_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
 def parse_config(raw: dict) -> ExperimentConfig:
     """Validate a raw mapping against the schema and build the config."""
     _validate(raw, _CONFIG_VALIDATOR, "config")
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         method=raw["method"],
         seed=raw["seed"],
         stream=StreamSpec(**raw["stream"]),
@@ -225,6 +224,10 @@ def parse_config(raw: dict) -> ExperimentConfig:
         baseline=BaselineSpec(**raw.get("baseline", {})),
         out_dir=raw.get("out_dir", "runs"),
     )
+    if cfg.method == "bmc" and cfg.bmc.task_coef == cfg.bmc.consolidation_coef == 0:
+        raise ConfigError("config invalid at bmc: bmc/task_coef and bmc/consolidation_coef "
+                          "are both 0, so consolidation has nothing to optimize")
+    return cfg
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
@@ -246,16 +249,20 @@ def build_stream(spec: StreamSpec) -> TaskStream:
         if not spec.path:
             raise ConfigError("stream kind 'file' requires stream/path")
         return load_feature_stream(spec.path)
-    return generate_stream(
-        spec.kind,
-        n_tasks=spec.n_tasks,
-        classes_per_task=spec.classes_per_task,
-        dim=spec.dim,
-        train_per_task=spec.train_per_task,
-        val_per_task=spec.val_per_task,
-        seed=spec.seed,
-        separation=spec.separation,
-    )
+    try:
+        return generate_stream(
+            spec.kind,
+            n_tasks=spec.n_tasks,
+            classes_per_task=spec.classes_per_task,
+            dim=spec.dim,
+            train_per_task=spec.train_per_task,
+            val_per_task=spec.val_per_task,
+            seed=spec.seed,
+            separation=spec.separation,
+        )
+    except ValueError as e:
+        # the schema bounds each size alone; the generator checks how they fit
+        raise ConfigError(f"config invalid at stream/classes_per_task: {e}") from e
 
 
 def build_model_config(spec: ModelSpec, stream: TaskStream) -> ModelConfig:

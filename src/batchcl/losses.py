@@ -13,20 +13,14 @@ parameters.
 Objectives:
 
 - ``task_loss``            cross-entropy on the full current head
-- ``l_bd``                 per-tap mean squared feature distillation
-- ``alt_distill``          the distillation kinds (every tap / logits / last tap only)
-- ``l_exp``                expert objective: task + stability (``alt_distill`` to the base)
-- ``l_bmc``                batched distillation over a stack of expert teachers
-- ``l_base``               consolidation objective: replay task loss + l_bmc
+- ``distill``              distillation toward a teacher stack (every tap / last tap / logits),
+                           every row counting or each row routed to its expert by origin
+- ``l_exp``                expert objective: task + stability (``distill`` to the base)
+- ``l_base``               consolidation objective: replay task loss + routed ``distill``
 - ``ewc_penalty``          quadratic parameter-importance penalty (on the parameters)
 
-Every distillation distance is one :func:`~batchcl.engine.stacked_distance`
-call: a single teacher pass is a stack of one, every row counting, and
-``l_bmc`` routes each row to one expert of its stack by the row's origin
-tag. A row's origin is the index of the expert whose buffer contributed
-it, which is that expert's slice of the teacher stack, and memory rows
-(origin -1) go to no expert; so the routing is the origin column itself,
-fixed for a whole consolidation, with nothing to work out per batch.
+A teacher is always a stacked pass, ``(k, B, D)``: a stack of one for the
+stability pull, of k experts for consolidation.
 """
 
 from __future__ import annotations
@@ -73,73 +67,65 @@ def task_loss(student: TapSet, labels: np.ndarray, weight: float = 1.0) -> Objec
     return Objective(value, [[] for _ in student.taps], [grad])
 
 
-def l_bd(teacher: TapSet, student: TapSet) -> Objective:
-    """Feature distillation: sum over depths of the mean squared tap difference.
+DISTILL_KINDS = ("features", "kd_logits", "phi_penultimate")
 
-    Each tap contributes the mean over rows and features of the squared
-    teacher-student difference. The squared form gives a pull that shrinks
-    with the distance, so a fixed-step update settles onto the teacher
-    instead of overshooting it as the constant-size gradient of an
-    unsquared norm does; the per-feature mean keeps taps of different
-    widths on one scale. The teacher taps are constants, so the result is
-    a function of student parameters only.
+
+def distill(kind: str, teachers: TapSet, student: TapSet, origins: np.ndarray | None = None,
+            weight: float = 1.0) -> Objective:
+    """The ``kind`` distance of the student to a teacher stack, times ``weight``.
+
+    ``teachers`` is a stacked pass, taps and logits ``(k, B, D)``: the
+    ``TapSet.teachers`` of a stack's student pass, or a slice of a stack's
+    teacher pass. ``kind`` compares every tap (``features``), the last tap
+    (``phi_penultimate``) or the raw logits (``kd_logits``, DER's logit
+    replay). Each term is the squared teacher-student difference averaged
+    over rows and features, exactly 0 between identical passes: its pull
+    shrinks with the distance, so a fixed-step update settles onto the
+    teacher instead of overshooting it.
+
+    Without ``origins`` every row counts for every teacher: the stability
+    pull and the drift telemetry, each on a stack of one. With them this is
+    the batched consolidation term: origin j routes a row to teacher j,
+    whose buffer contributed it, and -1 (memory) to none. Each teacher's
+    distance averages over its own rows, a teacher owning none adds an exact
+    0, and value and gradients are those of a sum of k one-teacher
+    distances, all in one :func:`~batchcl.engine.stacked_distance` call.
     """
-    return alt_distill("features", teacher, student)
+    n = len(student.taps)
+    if len(teachers.taps) != n:
+        raise GraphError(f"tap count mismatch: teacher {len(teachers.taps)} vs student {n}")
+    which = {"features": range(n), "phi_penultimate": [n - 1], "kd_logits": [n]}.get(kind)
+    if which is None:
+        raise ValueError(f"unknown distillation kind {kind!r}; expected one of {DISTILL_KINDS}")
+    outputs, targets = [*student.taps, student.logits], [*teachers.taps, teachers.logits]
+    value, grads = stacked_distance(
+        [outputs[i] for i in which], [targets[i] for i in which], origins, weight,
+        name="teacher_distance" if origins is None else "expert_distance",
+    )
+    parts: list[list[np.ndarray]] = [[] for _ in outputs]
+    for i, stack in zip(which, grads):
+        parts[i] = list(stack)
+    return Objective(value, parts[:-1], parts[-1])
 
 
 def l_exp(
     student: TapSet,
-    base_teacher: TapSet,
+    base_teachers: TapSet,
     labels: np.ndarray,
     stability_coef: float,
     kind: str = "features",
 ) -> Objective:
     """Expert objective: cross-entropy plus stability pull toward the base.
 
-    With coefficient 0 the distillation branch is skipped entirely, making
-    the objective (and its RNG footprint) literally plain task loss.
-    ``kind`` selects the distillation variant (ablation hook).
+    ``base_teachers`` is the base's pass as a stack of one. With
+    coefficient 0 the distillation branch is skipped entirely, making the
+    objective (and its RNG footprint) literally plain task loss. ``kind``
+    selects the distillation variant (ablation hook).
     """
     ce = task_loss(student, labels)
     if stability_coef == 0.0:
         return ce
-    return _joined([ce, alt_distill(kind, base_teacher, student, stability_coef)])
-
-
-def l_bmc(
-    student: TapSet,
-    expert_teachers: TapSet,
-    batch_origins: np.ndarray,
-    kind: str = "features",
-    weight: float = 1.0,
-) -> Objective:
-    """Batched distillation: per-expert distances, summed over experts, in one op.
-
-    ``expert_teachers`` is the pass of a stack of k expert teachers: a
-    TapSet whose taps and logits carry a leading expert axis, ``(k, B, D)``,
-    such as ``TapSet.teachers`` of the stacked student pass that computed
-    ``student`` (:meth:`~batchcl.model.ResidualClassifier.forward_with_taps`).
-
-    Each expert is authoritative only for the exemplars its own buffer
-    contributed. ``batch_origins`` is the ``(B,)`` origin tag of every row,
-    and a row's origin is its teacher's slice of the stack: origin j routes
-    the row to expert j, and ``ORIGIN_MEMORY`` (-1) to no expert. Each
-    expert's distance is averaged over its own rows; rows from other
-    buffers or from memory contribute nothing to its term, and an expert
-    absent from the batch contributes an exact zero. An origin of k or more
-    names no expert of the stack (GraphError). Teacher taps are recomputed
-    locally from transmitted parameter snapshots; features themselves never
-    cross a worker boundary.
-
-    Every ``kind`` is one :func:`~batchcl.engine.stacked_distance` call
-    routed by the origins. The value adds the experts' terms in expert
-    order, bit-identical to a sum of k single-expert distances. Each row's
-    own expert is gathered once, so every tap's gradient is one ``(B, D)``
-    contribution; a row of memory gets an exact zero. Every other expert's
-    share of a row is zero, so the gradients are those of the sum of k
-    single-expert distances too.
-    """
-    return _distance(kind, expert_teachers, student, batch_origins, weight, "expert_distance")
+    return _joined([ce, distill(kind, base_teachers, student, weight=stability_coef)])
 
 
 def l_base(
@@ -156,8 +142,8 @@ def l_base(
     A zero coefficient skips its branch entirely (degenerate modes reduce
     to pure replay or pure distillation with no leftover work). The batch's
     origin tags route each row to the expert whose buffer contributed it
-    (:func:`l_bmc`); they are required whenever the distillation branch is
-    active.
+    (:func:`distill`); they are required whenever the distillation branch
+    is active.
     """
     terms: list[Objective] = []
     if task_coef != 0.0:
@@ -165,52 +151,10 @@ def l_base(
     if consolidation_coef != 0.0:
         if batch_origins is None:
             raise GraphError("batched distillation needs origin tags for the batch")
-        terms.append(l_bmc(student, expert_teachers, batch_origins, kind, consolidation_coef))
+        terms.append(distill(kind, expert_teachers, student, batch_origins, consolidation_coef))
     if not terms:
         raise GraphError("both coefficients zero: nothing to optimize")
     return _joined(terms)
-
-
-DISTILL_KINDS = ("features", "kd_logits", "phi_penultimate")
-
-
-def _distance(kind: str, teacher: TapSet, student: TapSet, owner, weight: float,
-              name: str) -> Objective:
-    """The ``kind`` distance of the student to a teacher stack, as one
-    :func:`~batchcl.engine.stacked_distance` call over every tap, the last
-    tap only, or the logits; each a mean over rows and features alike."""
-    n = len(student.taps)
-    if len(teacher.taps) != n:
-        raise GraphError(f"tap count mismatch: teacher {len(teacher.taps)} vs student {n}")
-    if kind == "features":
-        which, targets = range(n), teacher.taps
-    elif kind == "phi_penultimate":
-        which, targets = [n - 1], teacher.taps[-1:]
-    elif kind == "kd_logits":
-        which, targets = [n], [teacher.logits]
-    else:
-        raise ValueError(f"unknown distillation kind {kind!r}; expected one of {DISTILL_KINDS}")
-    outputs = [*student.taps, student.logits]
-    value, grads = stacked_distance([outputs[i] for i in which], targets, owner, weight, name=name)
-    parts: list[list[np.ndarray]] = [[] for _ in outputs]
-    for i, stack in zip(which, grads):
-        parts[i] = list(stack)
-    return Objective(value, parts[:-1], parts[-1])
-
-
-def alt_distill(kind: str, teacher: TapSet, student: TapSet, weight: float = 1.0) -> Objective:
-    """Distillation to one teacher pass, in each of the loss-ablation variants.
-
-    ``features`` is :func:`l_bd`; ``kd_logits`` is the squared difference
-    of the raw logits, averaged over rows and logits (DER's logit replay);
-    ``phi_penultimate`` is :func:`l_bd`'s term for the last tap only. Every
-    kind is exactly 0 between identical passes, which takes a teacher pass
-    given the student's dropout masks when the model drops units. The
-    teacher pass is a stack of one (a view, no copy) in which every row
-    counts.
-    """
-    stacked = TapSet(taps=[t[None] for t in teacher.taps], logits=teacher.logits[None])
-    return _distance(kind, stacked, student, None, weight, "teacher_distance")
 
 
 @dataclass

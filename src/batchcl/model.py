@@ -492,7 +492,9 @@ class ResidualClassifier:
         inv_std, mask), where the output is the layer's value after ReLU
         and dropout, which is the next layer's input; no pre-ReLU value is
         kept. A stack's layers append copies of slice 0's, so the teachers'
-        states are freed as the pass goes on.
+        states are freed as the pass goes on; a layer whose input is the
+        previous layer's output records that output's copy, so a stack's
+        record shares arrays as a single pass's does.
 
         Each layer's arithmetic after ``h @ w`` runs in place in that
         product's buffer: the bias, batch norm (which turns it into xhat),
@@ -504,6 +506,7 @@ class ResidualClassifier:
         train = mode != "eval"
         replay = iter(masks)
         batch: list[np.ndarray] = []  # slice 0's batch statistics, in layout order
+        last: list = [None, None]  # the last layer's output and its recorded slice 0
 
         def layer(h: np.ndarray, views: tuple, dropped: bool) -> np.ndarray:
             prefix, w, b, gamma, beta, running = views
@@ -516,7 +519,8 @@ class ResidualClassifier:
             stacked = z.ndim == 3
             if layers is not None:  # slice 0's, before the affine overwrites xhat
                 state = (h, xhat, inv_std) if not stacked else (
-                    h if h.ndim == 2 else h[0].copy(), xhat[0].copy(), inv_std[0])
+                    h if h.ndim == 2 else last[1] if h is last[0] else h[0].copy(),
+                    xhat[0].copy(), inv_std[0])
             # a single model's record keeps xhat, so its affine takes a fresh array
             y = np.multiply(gamma, xhat, out=xhat if layers is None or stacked else None)
             y += beta
@@ -525,7 +529,8 @@ class ResidualClassifier:
                 y *= mask
             if layers is not None:
                 h0, xhat0, inv_std0 = state
-                layers.append((prefix, h0, y[0].copy() if stacked else y, xhat0, inv_std0, mask))
+                last[:] = y, y[0].copy() if stacked else y
+                layers.append((prefix, h0, last[1], xhat0, inv_std0, mask))
             return y
 
         views = iter(self._layer_views)

@@ -53,7 +53,7 @@ import numpy as np
 
 from .config import ExperimentConfig, build_model_config
 from .engine import NonFiniteError, loss_and_grads, train_epochs
-from .losses import DISTILL_KINDS, l_base, l_bd, l_exp
+from .losses import DISTILL_KINDS, distill, l_base, l_exp
 from .model import (
     ModelConfig,
     ParamVector,
@@ -425,8 +425,7 @@ def remote_train(sync: bytes, tasks: tuple[Task, ...], model_config: ModelConfig
 
     def step(idx):
         student, record = stack.forward_with_taps(x[idx], train=True, rng=train_rng)
-        teacher = None if student.teachers is None else student.teachers[0]
-        loss = l_exp(student, teacher, y[idx], h.stability_coef, h.distill_kind)
+        loss = l_exp(student, student.teachers, y[idx], h.stability_coef, h.distill_kind)
         return loss_and_grads(loss.value, lambda: expert.backward(record, loss))
 
     t0 = time.perf_counter()
@@ -606,7 +605,8 @@ def expert_distances(
     stability coefficient holds down;
     ``consolidated_expert_distance`` is how far the consolidated base ended
     from the expert, the distance the consolidation coefficient pulls in.
-    Both are :func:`l_bd` between dropout-free teacher passes, computed on
+    Both are the ``features`` :func:`~batchcl.losses.distill` of one
+    dropout-free teacher pass to the next, each a stack of one, computed on
     the coordinator from the received artifacts, so nothing extra crosses
     the wire: one pass of the stack (base, expert, new base) per expert. A
     buffer of fewer than 2 rows (no batch statistics) gives None.
@@ -626,8 +626,9 @@ def expert_distances(
                 base.config, [base, a.param_vector, new_base]
             ).forward_as_teacher(x)
             row.update(
-                expert_base_distance=float(l_bd(passes[0], passes[1]).value),
-                consolidated_expert_distance=float(l_bd(passes[1], passes[2]).value),
+                expert_base_distance=float(distill("features", passes[0:1], passes[1]).value),
+                consolidated_expert_distance=float(
+                    distill("features", passes[1:2], passes[2]).value),
             )
             del passes  # before the next expert's stack runs: 3 slices of activations
         out.append(row)

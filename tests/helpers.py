@@ -26,7 +26,7 @@ from batchcl.engine import (
 )
 from batchcl.engine import SGD, PlateauScheduler
 from batchcl.engine.autodiff import BN_MOMENTUM, Tensor, _accumulate, _node, gradients
-from batchcl.losses import Objective, _joined, l_bmc, task_loss
+from batchcl.losses import Objective, _joined, distill, task_loss
 from batchcl.model import ResidualClassifier, TapSet, stack_vectors
 from batchcl.protocol import TAG_ARTIFACT, decode_artifact, encode_artifact, frame, unframe
 from batchcl.replay import draw_batch, merge_pool
@@ -59,13 +59,13 @@ def stack_passes(passes: list[TapSet]) -> TapSet:
     )
 
 
-def per_teacher_l_bmc(student: TapSet, teachers: list[TapSet], origins: np.ndarray, kind: str,
+def per_teacher_distill(student: TapSet, teachers: list[TapSet], origins: np.ndarray, kind: str,
                       weight: float = 1.0) -> Objective:
     """The batched term as a sum of one-teacher distances, in teacher order:
     the reference the single batched call must reproduce bit for bit.
     Teacher j is a stack of one that owns the rows of origin j."""
     return _joined([
-        l_bmc(student, stack_passes([teacher]), np.where(origins == j, 0, -1), kind, weight)
+        distill(kind, stack_passes([teacher]), student, np.where(origins == j, 0, -1), weight)
         for j, teacher in enumerate(teachers)
     ])
 
@@ -74,11 +74,11 @@ def per_teacher_l_base(student: TapSet, teachers: list[TapSet], labels: np.ndarr
                        origins: np.ndarray, task_coef: float, consolidation_coef: float,
                        kind: str) -> Objective:
     """``l_base`` with both terms on, from the task loss and
-    :func:`per_teacher_l_bmc`: the coefficient scales the sum of the
+    :func:`per_teacher_distill`: the coefficient scales the sum of the
     teachers' terms, and each term's gradient."""
     ce = task_loss(student, labels, task_coef)
-    unit = per_teacher_l_bmc(student, teachers, origins, kind)
-    weighted = per_teacher_l_bmc(student, teachers, origins, kind, consolidation_coef)
+    unit = per_teacher_distill(student, teachers, origins, kind)
+    weighted = per_teacher_distill(student, teachers, origins, kind, consolidation_coef)
     return Objective(ce.value + unit.value * np.float32(consolidation_coef),
                      [a + b for a, b in zip(ce.taps, weighted.taps)],
                      ce.logits + weighted.logits)

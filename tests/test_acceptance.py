@@ -44,10 +44,9 @@ from batchcl.engine import SGD, PlateauScheduler
 from batchcl.engine.autodiff import Tensor
 from batchcl.losses import (
     FisherState,
+    distill,
     ewc_penalty,
     l_base,
-    l_bd,
-    l_bmc,
     l_exp,
     task_loss,
 )
@@ -298,13 +297,13 @@ def _loss_fd_cases():
         return loss.value, {"slog": summed(loss.logits, a["slog"])}
 
     def case_stability(a):
-        return on_student(l_bd(teacher, student(a)), a)
+        return on_student(distill("features", stack_passes([teacher]), student(a)), a)
 
     def case_expert(a):
-        return on_student(l_exp(student(a), teacher, labels, 0.7), a)
+        return on_student(l_exp(student(a), stack_passes([teacher]), labels, 0.7), a)
 
     def case_batched(a):
-        return on_student(l_bmc(student(a), teachers, origins), a)
+        return on_student(distill("features", teachers, student(a), origins), a)
 
     def case_consolidation(a):
         return on_student(

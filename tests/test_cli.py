@@ -115,6 +115,46 @@ class TestConfig:
         assert f"{section}/{key}" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_both_consolidation_coefficients_zero_rejected_before_anything_runs(
+            self, tmp_path, capsys):
+        raw = toy_raw(method="bmc", out_dir=str(tmp_path / "out"))
+        raw["bmc"].update(task_coef=0, consolidation_coef=0)
+        with pytest.raises(ConfigError, match="bmc/task_coef and bmc/consolidation_coef"):
+            parse_config(raw)
+        cfg_file = tmp_path / "zero.json"
+        cfg_file.write_text(json.dumps(raw))
+        assert main(["run", str(cfg_file)]) == 2
+        err = capsys.readouterr().err
+        assert "bmc/task_coef" in err and "bmc/consolidation_coef" in err
+        assert not (tmp_path / "out").exists()
+        # either coefficient alone may be 0, and only bmc reads them
+        for key in ("task_coef", "consolidation_coef"):
+            one = toy_raw(method="bmc")
+            one["bmc"][key] = 0
+            assert getattr(parse_config(one).bmc, key) == 0
+        assert parse_config({**raw, "method": "sgd"}).bmc.task_coef == 0
+        # a sweep trial that samples both to 0 is an error row, not a crash
+        spec = parse_sweep({"trials": 1, "seed": 5, "base": toy_raw(method="bmc"), "ranges": {
+            "bmc.task_coef": {"choices": [0]}, "bmc.consolidation_coef": {"choices": [0]}}})
+        (row,) = run_sweep(spec, tmp_path / "sweep")
+        assert row["status"] == "error" and "bmc/consolidation_coef" in row["error"]
+        assert not (tmp_path / "sweep" / "trial-0000").exists()
+
+    @pytest.mark.parametrize("split", ["train_per_task", "val_per_task"])
+    def test_stream_size_the_generator_refuses_exits_2(self, tmp_path, capsys, split):
+        # each size passes the schema alone; 5 classes do not fit 3 rows of a split
+        raw = toy_raw(method="bmc", out_dir=str(tmp_path / "out"))
+        raw["stream"].update({"classes_per_task": 5, split: 3})
+        cfg = parse_config(raw)
+        with pytest.raises(ConfigError, match="stream/classes_per_task"):
+            build_stream(cfg.stream)
+        cfg_file = tmp_path / "sizes.json"
+        cfg_file.write_text(json.dumps(raw))
+        assert main(["run", str(cfg_file)]) == 2
+        err = capsys.readouterr().err
+        assert "stream/classes_per_task" in err and "one example per class" in err
+        assert not (tmp_path / "out").exists()
+
     def test_section_bounds_bind_only_the_methods_that_read_them(self):
         raw = toy_raw(method="sgd", baseline={"memory_capacity": 0})
         raw["bmc"]["memory_capacity"] = 0
@@ -523,6 +563,27 @@ class TestReadmeCli:
                 _build_parser().parse_args(argv[3:])
             except SystemExit:
                 pytest.fail(f"README command does not parse: {shlex.join(argv)}")
+
+    def json_block(self, after: str) -> str:
+        text = self.README.read_text()
+        return re.search(r"```json\n(.*?)```", text[text.index(after):], re.S).group(1)
+
+    def test_run_config_example_parses(self):
+        cfg = parse_config(json.loads(self.json_block("A run config:")))
+        assert cfg.method == "bmc" and cfg.bmc.experts_per_step == 4
+
+    def test_sweep_example_ranges_name_keys_of_the_run_config(self):
+        run_block = self.json_block("A run config:")
+        sweep_block = self.json_block("A sweep config")
+        placeholder = "{ ... a full run config ... }"
+        assert placeholder in sweep_block
+        spec = parse_sweep(json.loads(sweep_block.replace(placeholder, run_block)))
+        assert spec.ranges
+        for path in spec.ranges:
+            node = config_to_dict(spec.base)
+            for part in path.split("."):
+                assert part in node, path
+                node = node[part]
 
 
 class TestSweep:

@@ -12,7 +12,7 @@ from helpers import (
     float64_twin,
     jitter_params,
     per_teacher_l_base,
-    per_teacher_l_bmc,
+    per_teacher_distill,
     stack_passes,
     step_grads,
 )
@@ -21,12 +21,10 @@ from batchcl.engine import GraphError
 from batchcl.losses import (
     DISTILL_KINDS,
     FisherState,
-    alt_distill,
     decay_and_anchor,
+    distill,
     ewc_penalty,
     l_base,
-    l_bd,
-    l_bmc,
     l_exp,
     task_loss,
     update_fisher,
@@ -81,20 +79,21 @@ class TestFeatureDistillation:
         x = np.random.default_rng(1).standard_normal((6, 4)).astype(np.float32)
         t, _ = m.forward_with_taps(x)
         s, _ = m.forward_with_taps(x)
-        assert float(l_bd(t, s).value) == 0.0
+        assert float(distill("features", stack_passes([t]), s).value) == 0.0
 
     def test_unit_distance_single_tap(self):
         # one row, two features: (1^2 + 0^2) / 2
         teacher = tapset_from([np.array([[1.0, 0.0]])])
         student = tapset_from([np.array([[0.0, 0.0]])])
-        assert float(l_bd(teacher, student).value) == pytest.approx(0.5)
+        loss = distill("features", stack_passes([teacher]), student)
+        assert float(loss.value) == pytest.approx(0.5)
 
     def test_teacher_gradients_exactly_zero(self):
         rng = np.random.default_rng(2)
         teacher = tapset_from([rng.standard_normal((3, 4)), rng.standard_normal((3, 5))])
         student = tapset_from([rng.standard_normal((3, 4)), rng.standard_normal((3, 5))])
         before = [t.copy() for t in teacher.taps]
-        loss = l_bd(teacher, student)
+        loss = distill("features", stack_passes([teacher]), student)
         # the teacher's taps are inputs with no gradient: every gradient the
         # objective returns is the student's, and the teacher is untouched
         assert loss.logits == []
@@ -107,19 +106,20 @@ class TestFeatureDistillation:
         rng = np.random.default_rng(3)
         a = [rng.standard_normal((2, 3)), rng.standard_normal((2, 3))]
         b = [a[0].copy(), a[1] + 0.5]
-        assert float(l_bd(tapset_from(a), tapset_from(b)).value) > 0
+        assert float(distill("features", stack_passes([tapset_from(a)]), tapset_from(b)).value) > 0
 
     def test_tap_mismatch_rejected(self):
         t = tapset_from([np.zeros((2, 3))])
         s = tapset_from([np.zeros((2, 3)), np.zeros((2, 3))])
         with pytest.raises(GraphError, match="tap count"):
-            l_bd(t, s)
+            distill("features", stack_passes([t]), s)
 
     def test_batch_mean_convention(self):
         # two rows of two features, squares 9, 0, 0, 16 -> mean 25 / 4
         teacher = tapset_from([np.array([[3.0, 0.0], [0.0, 4.0]])])
         student = tapset_from([np.zeros((2, 2))])
-        assert float(l_bd(teacher, student).value) == pytest.approx(6.25)
+        loss = distill("features", stack_passes([teacher]), student)
+        assert float(loss.value) == pytest.approx(6.25)
 
 
 class TestExpertObjective:
@@ -133,28 +133,31 @@ class TestExpertObjective:
     def test_zero_coefficient_is_task_loss(self):
         s, _ = self.expert.forward_with_taps(self.x)
         t, _ = self.base.forward_with_taps(self.x)
-        assert float(l_exp(s, t, self.y, 0.0).value) == float(task_loss(s, self.y).value)
+        loss = l_exp(s, stack_passes([t]), self.y, 0.0)
+        assert float(loss.value) == float(task_loss(s, self.y).value)
 
     def test_expert_at_base_reduces_to_task_loss(self):
         clone = build_model(TOY, seed=0)
         s, _ = clone.forward_with_taps(self.x)
         t, _ = self.base.forward_with_taps(self.x)
-        total = l_exp(s, t, self.y, 1.0)
+        total = l_exp(s, stack_passes([t]), self.y, 1.0)
         assert float(total.value) == pytest.approx(float(task_loss(s, self.y).value), abs=1e-7)
 
     def test_default_coefficient_additivity(self):
         s, _ = self.expert.forward_with_taps(self.x)
         t, _ = self.base.forward_with_taps(self.x)
-        combined = float(l_exp(s, t, self.y, 1.0).value)
-        parts = float(task_loss(s, self.y).value) + float(l_bd(t, s).value)
+        combined = float(l_exp(s, stack_passes([t]), self.y, 1.0).value)
+        parts = float(task_loss(s, self.y).value) + float(
+            distill("features", stack_passes([t]), s).value
+        )
         assert abs(combined - parts) < 1e-6
 
     def test_linear_in_stability_coefficient(self):
         s, _ = self.expert.forward_with_taps(self.x)
         t, _ = self.base.forward_with_taps(self.x)
         ce = float(task_loss(s, self.y).value)
-        one = float(l_exp(s, t, self.y, 1.0).value) - ce
-        two = float(l_exp(s, t, self.y, 2.0).value) - ce
+        one = float(l_exp(s, stack_passes([t]), self.y, 1.0).value) - ce
+        two = float(l_exp(s, stack_passes([t]), self.y, 2.0).value) - ce
         assert two == pytest.approx(2 * one, rel=1e-6)
 
 
@@ -182,7 +185,7 @@ class TestBatchedDistillation:
     def test_expert_identical_to_base_zero(self):
         s = self._taps(self.base)
         t = self._taps(build_model(TOY, seed=0))
-        assert float(l_bmc(s, stack_passes([t]), np.zeros(6, dtype=int)).value) == 0.0
+        assert float(distill("features", stack_passes([t]), s, np.zeros(6, dtype=int)).value) == 0.0
 
     def test_each_expert_scored_on_own_rows_only(self):
         s = self._taps(self.base)
@@ -191,34 +194,35 @@ class TestBatchedDistillation:
             self._masked_oracle(s, t, self.origins == j)
             for j, t in enumerate(teachers)
         )
-        got = float(l_bmc(s, stack_passes(teachers), self.origins).value)
+        got = float(distill("features", stack_passes(teachers), s, self.origins).value)
         assert got == pytest.approx(want, rel=1e-6)
 
     def test_absent_expert_contributes_zero(self):
         s = self._taps(self.base)
         t0, t1 = self._taps(self.experts[0]), self._taps(self.experts[1])
         all_mine = np.zeros(6, dtype=int)
-        with_ghost = float(l_bmc(s, stack_passes([t0, t1]), all_mine).value)
-        alone = float(l_bmc(s, stack_passes([t0]), all_mine).value)
+        with_ghost = float(distill("features", stack_passes([t0, t1]), s, all_mine).value)
+        alone = float(distill("features", stack_passes([t0]), s, all_mine).value)
         assert with_ghost == alone
-        assert float(l_bmc(s, stack_passes([t1]), np.full(6, -1)).value) == 0.0
+        assert float(distill("features", stack_passes([t1]), s, np.full(6, -1)).value) == 0.0
 
     def test_memory_rows_excluded(self):
         s = self._taps(self.base)
         t = self._taps(self.experts[0])
         origins = np.array([-1, -1, -1, 0, 0, 0])
-        got = float(l_bmc(s, stack_passes([t]), origins).value)
+        got = float(distill("features", stack_passes([t]), s, origins).value)
         assert got == pytest.approx(self._masked_oracle(s, t, origins == 0), rel=1e-6)
         assert got != pytest.approx(self._masked_oracle(s, t, origins != 9), rel=1e-3)
 
     def test_additive_over_expert_partition(self):
         s = self._taps(self.base)
         teachers = [self._taps(e) for e in self.experts]
-        whole = float(l_bmc(s, stack_passes(teachers), self.origins).value)
+        whole = float(distill("features", stack_passes(teachers), s, self.origins).value)
         # the second stack's slices are experts 1 and 2
         parts = (
-            float(l_bmc(s, stack_passes(teachers[:1]), np.where(self.origins == 0, 0, -1)).value)
-            + float(l_bmc(s, stack_passes(teachers[1:]), self.origins - 1).value)
+            float(distill("features", stack_passes(teachers[:1]), s,
+                          np.where(self.origins == 0, 0, -1)).value)
+            + float(distill("features", stack_passes(teachers[1:]), s, self.origins - 1).value)
         )
         assert whole == pytest.approx(parts, rel=1e-7)
 
@@ -227,7 +231,7 @@ class TestBatchedDistillation:
         s = self._taps(self.base)
         teachers = [self._taps(e) for e in self.experts[:2]]
         with pytest.raises(GraphError, match="row 4 routed to teacher 2 of 2"):
-            l_bmc(s, stack_passes(teachers), self.origins)
+            distill("features", stack_passes(teachers), s, self.origins)
 
     def test_empty_expert_list_rejected(self):
         s = self._taps(self.base)
@@ -236,7 +240,7 @@ class TestBatchedDistillation:
             logits=np.zeros((0, *s.logits.shape), np.float32),
         )
         with pytest.raises(GraphError, match="at least one"):
-            l_bmc(s, empty, self.origins)
+            distill("features", empty, s, self.origins)
 
 
 class TestStackedDistillation:
@@ -272,11 +276,11 @@ class TestStackedDistillation:
     @pytest.mark.parametrize("kind", DISTILL_KINDS)
     def test_value_and_gradients_match_per_teacher_graphs(self, kind):
         def batched(s):
-            return l_bmc(s, self.stack.forward_as_teacher(self.x, s.masks), self.origins, kind)
+            return distill(kind, self.stack.forward_as_teacher(self.x, s.masks), s, self.origins)
 
         def reference(s):
             teachers = [e.forward_as_teacher(self.x, s.masks) for e in self.experts]
-            return per_teacher_l_bmc(s, teachers, self.origins, kind)
+            return per_teacher_distill(s, teachers, self.origins, kind)
 
         self._assert_bitwise(self._grads(batched), self._grads(reference))
 
@@ -305,7 +309,7 @@ class TestStackedDistillation:
         student_logits = rng.standard_normal((rows, classes)).astype(np.float32)
         teachers = TapSet(taps=[np.zeros((k, rows, 2), np.float32)], logits=teacher_logits)
         student = tapset_from([np.zeros((rows, 2), np.float32)], logits=student_logits)
-        got = float(l_bmc(student, teachers, origins, "kd_logits").value)
+        got = float(distill("kd_logits", teachers, student, origins).value)
         want = sum(
             np.mean((teacher_logits[j] - student_logits)[origins == j].astype(np.float64) ** 2)
             for j in range(k)
@@ -317,8 +321,8 @@ class TestStackedDistillation:
         # expert 3 as a stack of one: it owns no row of the batch
         absent = stack_vectors(self.CONFIG, [self.experts[3].to_param_vector()])
         value, grads = self._grads(
-            lambda s: l_bmc(s, absent.forward_as_teacher(self.x, s.masks),
-                            np.where(self.origins == 3, 0, -1), kind)
+            lambda s: distill(kind, absent.forward_as_teacher(self.x, s.masks), s,
+                              np.where(self.origins == 3, 0, -1))
         )
         assert value == 0.0
         assert all(not g.any() for g in grads.values())
@@ -327,23 +331,23 @@ class TestStackedDistillation:
         s, _ = self.base.forward_with_taps(self.x)
         stacked = self.stack.forward_as_teacher(self.x)
         with pytest.raises(GraphError, match="routed to teacher 4 of 4"):
-            l_bmc(s, stacked, np.where(self.origins == 2, 4, self.origins))
+            distill("features", stacked, s, np.where(self.origins == 2, 4, self.origins))
         fewer = TapSet(taps=stacked.taps[:-1], logits=stacked.logits)
         with pytest.raises(GraphError, match="tap count mismatch"):
-            l_bmc(s, fewer, self.origins)
+            distill("features", fewer, s, self.origins)
         other_rows = self.stack.forward_as_teacher(self.x[:6])
         for kind in DISTILL_KINDS:
             with pytest.raises(GraphError, match="do not fit"):
-                l_bmc(s, other_rows, self.origins, kind)
+                distill(kind, other_rows, s, self.origins)
         with pytest.raises(GraphError, match="do not fit"):
-            l_bmc(s, stacked, self.origins[:6])
+            distill("features", stacked, s, self.origins[:6])
         narrow = TapSet(taps=[t[..., :2] for t in stacked.taps],
                         logits=stacked.logits[..., :2])
         for kind in DISTILL_KINDS:
             with pytest.raises(GraphError, match="do not fit"):
-                l_bmc(s, narrow, self.origins, kind)
+                distill(kind, narrow, s, self.origins)
         with pytest.raises(ValueError, match="unknown"):
-            l_bmc(s, stacked, self.origins, "temperature_kl")
+            distill("temperature_kl", stacked, s, self.origins)
 
 
 class TestBaseObjective:
@@ -358,7 +362,7 @@ class TestBaseObjective:
         )
 
     def _distill(self, s):
-        return l_bmc(s, self.teachers, self.origins)
+        return distill("features", self.teachers, s, self.origins)
 
     def test_pure_replay_needs_no_origins(self):
         s, _ = self.base.forward_with_taps(self.x)
@@ -406,22 +410,23 @@ class TestDistillationAlternatives:
         t, _ = m.forward_with_taps(self.x)
         s, _ = m.forward_with_taps(self.x)
         for kind in ("features", "kd_logits", "phi_penultimate"):
-            assert float(alt_distill(kind, t, s).value) == 0.0
+            assert float(distill(kind, stack_passes([t]), s).value) == 0.0
 
     def test_penultimate_equals_last_tap_distance(self):
         t, _ = build_model(TOY, seed=1).forward_with_taps(self.x)
         s, _ = build_model(TOY, seed=2).forward_with_taps(self.x)
         only_last_t = TapSet(taps=[t.taps[-1]], logits=t.logits)
         only_last_s = TapSet(taps=[s.taps[-1]], logits=s.logits)
-        assert float(alt_distill("phi_penultimate", t, s).value) == pytest.approx(
-            float(l_bd(only_last_t, only_last_s).value)
+        assert float(distill("phi_penultimate", stack_passes([t]), s).value) == pytest.approx(
+            float(distill("features", stack_passes([only_last_t]), only_last_s).value)
         )
 
     def test_kd_logits_squared_convention(self):
         """The squared logit difference, averaged over rows and logits."""
         teacher = tapset_from([np.zeros((1, 2))], logits=np.array([[1.0, 0.0]]))
         student = tapset_from([np.zeros((1, 2))], logits=np.array([[0.0, 0.0]]))
-        assert float(alt_distill("kd_logits", teacher, student).value) == pytest.approx(0.5)
+        loss = distill("kd_logits", stack_passes([teacher]), student)
+        assert float(loss.value) == pytest.approx(0.5)
 
     def test_kd_logits_is_the_numpy_mean_bitwise(self):
         """A teacher pass, a stack of one in which every row counts, takes
@@ -431,7 +436,7 @@ class TestDistillationAlternatives:
         t, s = (rng.standard_normal((7, 32)).astype(np.float32) for _ in range(2))
         teacher = tapset_from([np.zeros((7, 2), np.float32)], logits=t)
         student = tapset_from([np.zeros((7, 2), np.float32)], logits=s)
-        got = alt_distill("kd_logits", teacher, student).value
+        got = distill("kd_logits", stack_passes([teacher]), student).value
         assert np.float32(got).tobytes() == np.mean((t - s) ** 2).tobytes()
 
     def test_teacher_shielded_for_all_kinds(self):
@@ -444,7 +449,7 @@ class TestDistillationAlternatives:
                 [rng.standard_normal((3, 4))], logits=rng.standard_normal((3, 2))
             )
             before = (teacher.taps[0].copy(), teacher.logits.copy())
-            loss = alt_distill(kind, teacher, student)
+            loss = distill(kind, stack_passes([teacher]), student)
             # gradients come only in the student's shapes; the teacher is untouched
             for got, out in zip([*loss.taps, loss.logits], [*student.taps, student.logits]):
                 assert all(g.shape == out.shape for g in got)
@@ -455,7 +460,7 @@ class TestDistillationAlternatives:
     def test_unknown_kind_rejected(self):
         t = tapset_from([np.zeros((1, 2))])
         with pytest.raises(ValueError, match="unknown"):
-            alt_distill("temperature_kl", t, t)
+            distill("temperature_kl", stack_passes([t]), t)
 
 
 @pytest.mark.parametrize("dropout_p", [0.1, 0.3])
@@ -490,17 +495,18 @@ class TestMaskReplay:
         base, student = self._pair(dropout_p)
         teacher = base.forward_as_teacher(self.x, student.masks)
         for kind in DISTILL_KINDS:
-            assert float(alt_distill(kind, teacher, student).value) == 0.0
+            assert float(distill(kind, stack_passes([teacher]), student).value) == 0.0
 
     def test_expert_at_base_reduces_to_task_loss(self, dropout_p):
         base, student = self._pair(dropout_p)
         teacher = base.forward_as_teacher(self.x, student.masks)
-        assert float(l_exp(student, teacher, self.y, 1.0).value) == \
+        assert float(l_exp(student, stack_passes([teacher]), self.y, 1.0).value) == \
             float(task_loss(student, self.y).value)
 
     def test_unreplayed_teacher_is_not_at_zero(self, dropout_p):
         base, student = self._pair(dropout_p)
-        assert float(l_bd(base.forward_as_teacher(self.x), student).value) > 0.0
+        unreplayed = stack_passes([base.forward_as_teacher(self.x)])
+        assert float(distill("features", unreplayed, student).value) > 0.0
 
     def test_teacher_pass_is_pure(self, dropout_p):
         base, student = self._pair(dropout_p)
@@ -621,16 +627,16 @@ class TestGradientOracles:
 
     def test_feature_distillation_grad(self):
         t, _ = self.teachers[0].forward_with_taps(self.x)
-        self._check(lambda ts: l_bd(t, ts))
+        self._check(lambda ts: distill("features", stack_passes([t]), ts))
 
     def test_expert_objective_grad(self):
         t, _ = self.teachers[0].forward_with_taps(self.x)
-        self._check(lambda ts: l_exp(ts, t, self.y, 0.7))
+        self._check(lambda ts: l_exp(ts, stack_passes([t]), self.y, 0.7))
 
     def test_batched_distillation_grad(self):
         taps = stack_passes([m.forward_with_taps(self.x)[0] for m in self.teachers])
         origins = np.array([0, 1, 0, -1])
-        self._check(lambda ts: l_bmc(ts, taps, origins))
+        self._check(lambda ts: distill("features", taps, ts, origins))
 
     def test_base_objective_grad(self):
         taps = stack_passes([m.forward_with_taps(self.x)[0] for m in self.teachers])
@@ -655,9 +661,9 @@ class TestGradientOracles:
         ts, record = forward()
         assert ts.masks and not all(m.all() for m in ts.masks)
         target = teacher.forward_as_teacher(x, ts.masks)
-        _, analytic = step_grads(student, record, l_exp(ts, target, y, 0.7))
+        _, analytic = step_grads(student, record, l_exp(ts, stack_passes([target]), y, 0.7))
         numeric = finite_diff_params(
-            lambda: float(l_exp(forward()[0], target, y, 0.7).value), student.params
+            lambda: float(l_exp(forward()[0], stack_passes([target]), y, 0.7).value), student.params
         )
         assert_matches_fd(analytic, numeric)
 

@@ -25,7 +25,7 @@ from helpers import (
 )
 
 from batchcl.engine import SGD, GraphError, NonFiniteError
-from batchcl.losses import DISTILL_KINDS, l_base, l_bd, l_exp, task_loss
+from batchcl.losses import DISTILL_KINDS, distill, l_base, l_exp, task_loss
 from batchcl.model import (
     ModelConfig,
     ParamVector,
@@ -299,8 +299,7 @@ class TestFusedPass:
             stack = teacher.forward_as_teacher(x, tapset.masks)
             if per_op:
                 return tape_objective(tapset, y, 1.0, stack, 0.7, kind)
-            single = TapSet(taps=[t[0] for t in stack.taps], logits=stack.logits[0])
-            return l_exp(tapset, single, y, 0.7, kind)
+            return l_exp(tapset, stack, y, 0.7, kind)
 
         self._assert_same(model, x, True, loss_of)
 
@@ -383,6 +382,27 @@ class TestFusedPass:
         finally:
             tracemalloc.stop()
         assert alive <= 900_000, alive
+
+    def test_stack_record_shares_each_layer_output_with_the_next_input(self):
+        # inside a block a layer's input is the previous layer's output: a
+        # stack's record keeps one slice-0 copy of it, as a single pass
+        # keeps one array
+        config = ModelConfig(input_dim=6, total_classes=5, res_blocks=2,
+                             res_layers_per_block=3, res_dim=8, hidden_dim=7, dropout_p=0.1)
+        stack = stack_vectors(config, [build_model(config, seed=40 + j).to_param_vector()
+                                       for j in range(3)])
+        x = np.random.default_rng(43).standard_normal((9, 6)).astype(np.float32)
+        _, record = stack.forward_with_taps(x, True, np.random.default_rng(44))
+        layers = record.layers
+        assert len(layers) == 1 + 2 * 3 + 1
+        for block in range(2):
+            first = 1 + 3 * block
+            if block == 0:  # the first block starts from the stem's output
+                assert layers[first][1] is layers[0][2]
+            for i in range(first + 1, first + 3):
+                assert layers[i][1] is layers[i - 1][2], (block, i)
+        # a block's sum is not a layer's output: that input is its own copy
+        assert all(layers[i][1] is not layers[i - 1][2] for i in (4, 7))
 
     def test_predict_is_the_eval_pass_argmax(self):
         model = self._model(2, 0.1)
@@ -875,7 +895,8 @@ class TestArena:
         x = np.random.default_rng(9).standard_normal((6, 4)).astype(np.float32)
         tapset, record = m.forward_with_taps(x, True, np.random.default_rng(10))
         target = TapSet(taps=[t + 1.0 for t in tapset.taps], logits=tapset.logits)
-        grads = m.layout.param_views(m.backward(record, l_bd(target, tapset)))
+        loss = distill("features", stack_passes([target]), tapset)
+        grads = m.layout.param_views(m.backward(record, loss))
         for name in ("head.W", "head.b"):
             assert grads[name].tobytes() == np.zeros_like(grads[name]).tobytes(), name
         assert grads["stem.W"].any()

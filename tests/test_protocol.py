@@ -23,6 +23,7 @@ from helpers import (
     experiment,
     jitter_params,
     rewrite_last_artifact,
+    stack_passes,
 )
 
 import batchcl.protocol as protocol_mod
@@ -522,7 +523,7 @@ class TestRemoteTrain:
         # and without dropout: a pull that overshoots the base at a large
         # coefficient, or a teacher that does not see the student's dropped
         # units, breaks the ordering.
-        from batchcl.losses import l_bd
+        from batchcl.losses import distill
         from batchcl.model import model_from_vector
 
         x = stream.tasks[0].train_x
@@ -536,8 +537,9 @@ class TestRemoteTrain:
                     cfg = expert_config(epochs=2, lr=0.02, stability_coef=coef)
                     artifact = train_one(stream.tasks[0], config=config, seed=seed, cfg=cfg)
                     expert = model_from_vector(config, artifact.param_vector)
-                    dists.append(float(l_bd(expert.forward_as_teacher(x),
-                                            base.forward_as_teacher(x)).value))
+                    drift = distill("features", stack_passes([expert.forward_as_teacher(x)]),
+                                    base.forward_as_teacher(x))
+                    dists.append(float(drift.value))
                 mean_dist[coef] = float(np.mean(dists))
             assert mean_dist[0.0] > mean_dist[0.5] > mean_dist[2.0], (dropout_p, mean_dist)
             assert mean_dist[2.0] > 0
