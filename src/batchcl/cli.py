@@ -38,7 +38,7 @@ from .streams import STREAM_KINDS, generate_stream, save_stream
 
 
 def _with_workers(cfg: ExperimentConfig, workers: int | None) -> ExperimentConfig:
-    """``cfg`` with ``bmc.workers`` replaced, through the schema check a
+    """``cfg`` with ``bmc.workers`` replaced, through the validation a
     config file's value goes through (None keeps the config's value)."""
     if workers is None:
         return cfg
@@ -128,7 +128,7 @@ def run_sweep(
             row: dict = {"type": "trial", "trial": i}
             try:
                 raw, sampled = sample_trial(spec, i)
-                # recorded first, so a trial the schema rejects still shows
+                # recorded first, so a trial parse_config rejects still shows
                 # the values that made it invalid
                 row.update(seed=raw["seed"], sampled=sampled)
                 cfg = parse_config(raw)
@@ -194,7 +194,11 @@ def export_pareto(points: list[tuple[float, float]]) -> list[tuple[float, float]
 def _collect_points(pattern: str) -> list[tuple[float, float]]:
     points = []
     for name in sorted(globlib.glob(pattern, recursive=True)):
-        for line in Path(name).read_text().splitlines():
+        try:
+            text = Path(name).read_text(encoding="utf-8")
+        except UnicodeDecodeError:  # skipped like a malformed line
+            continue
+        for line in text.splitlines():
             line = line.strip()
             if not line:
                 continue

@@ -1,19 +1,22 @@
-"""Experiment configuration: the one run-level config tree and its schema.
+"""Experiment configuration: the one run-level config tree and its validator.
 
-Config files are JSON with a fixed schema; unknown keys anywhere are
-rejected so typos fail loudly instead of silently running defaults, and
-out-of-range values are rejected here, naming the key, rather than
-mid-run. The runners read the parsed :class:`ExperimentConfig` directly.
+A config file is a JSON object whose keys are the fields of the spec
+dataclasses below. Unknown keys anywhere are rejected so typos fail loudly
+instead of silently running defaults, and a value of the wrong type, outside
+its field's choices or out of range (``_BOUNDS``) is rejected here, naming
+the key, rather than mid-run. The runners read the parsed
+:class:`ExperimentConfig` directly.
 ``parse_config -> config_to_dict -> parse_config`` is an identity.
 """
 
-from __future__ import annotations
+# no ``from __future__ import annotations``: the validator reads each
+# field's annotation as a type
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+import math
+import operator
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
-
-import jsonschema
 
 from .losses import DISTILL_KINDS
 from .model import ModelConfig
@@ -30,7 +33,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class StreamSpec:
-    kind: str = "permuted"  # permuted | split_synthetic | file
+    kind: str = field(default="permuted", metadata={"choices": STREAM_KINDS + ("file",)})
     n_tasks: int = 4
     classes_per_task: int = 2
     dim: int = 16
@@ -63,8 +66,8 @@ class BmcSpec:
     rehearsal_epochs: int = 100
     buffer_capacity: int = 10_000
     memory_capacity: int = 10_000
-    sampling: str = "random"
-    distill_kind: str = "features"
+    sampling: str = field(default="random", metadata={"choices": SAMPLING_STRATEGIES})
+    distill_kind: str = field(default="features", metadata={"choices": DISTILL_KINDS})
     stability_coef: float = 1.0
     task_coef: float = 1.0
     consolidation_coef: float = 1.0
@@ -80,7 +83,7 @@ class BaselineSpec:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    method: str
+    method: str = field(metadata={"choices": METHODS})
     seed: int
     stream: StreamSpec
     model: ModelSpec = field(default_factory=ModelSpec)
@@ -90,143 +93,128 @@ class ExperimentConfig:
     out_dir: str = "runs"
 
 
-def _props(cls) -> dict:
-    kinds = {int: {"type": "integer"}, float: {"type": "number"}, str: {"type": "string"}}
-    return {f.name: dict(kinds[f.type if isinstance(f.type, type) else _ann(f)]) for f in fields(cls)}
+# ---------------------------------------------------------------------------
+# validation
+# ---------------------------------------------------------------------------
+
+# what a field of each annotation accepts from JSON; bool is no number here
+_JSON_TYPES = {int: int, float: (int, float), str: str, dict: dict, list: list}
+_TYPE_NAMES = {int: "of type 'integer'", float: "a finite number", str: "of type 'string'",
+               dict: "of type 'object'", list: "of type 'array'"}
+_OPS = {">=": operator.ge, ">": operator.gt, "<": operator.lt}
+_POSITIVE = ((">=", 1),)
+_NON_NEGATIVE = ((">=", 0),)
+
+# (which configs a row binds, {key path: bounds}). A section binds only the
+# methods that read it, so e.g. sgd runs with any baseline/memory_capacity;
+# a file stream ignores the size fields, the seed and the separation, so
+# they bind generated streams only.
+_BOUNDS = (
+    (lambda cfg: True, {
+        "seed": _NON_NEGATIVE,
+        "model/res_blocks": _POSITIVE,
+        "model/res_layers_per_block": _POSITIVE,
+        "model/res_dim": _POSITIVE,
+        "model/hidden_dim": _POSITIVE,
+        "model/dropout_p": ((">=", 0), ("<", 1)),
+        "training/epochs_per_task": _NON_NEGATIVE,
+        "training/lr": ((">", 0),),
+        # train-mode normalization needs at least 2 rows
+        "training/batch_size": ((">=", 2),),
+    }),
+    (lambda cfg: cfg.method == "bmc", {
+        "bmc/experts_per_step": _POSITIVE,
+        "bmc/rehearsal_epochs": _NON_NEGATIVE,
+        # an empty buffer leaves step 0 nothing to consolidate on
+        "bmc/buffer_capacity": _POSITIVE,
+        "bmc/memory_capacity": _POSITIVE,
+        "bmc/stability_coef": _NON_NEGATIVE,
+        "bmc/task_coef": _NON_NEGATIVE,
+        "bmc/consolidation_coef": _NON_NEGATIVE,
+        "bmc/workers": _POSITIVE,
+    }),
+    (lambda cfg: cfg.method == "er", {"baseline/memory_capacity": _POSITIVE}),
+    (lambda cfg: cfg.method == "oewc", {
+        "baseline/penalty_coef": _NON_NEGATIVE,
+        "baseline/gamma": _NON_NEGATIVE,
+    }),
+    (lambda cfg: cfg.stream.kind != "file", {
+        "stream/n_tasks": _POSITIVE,
+        "stream/classes_per_task": _POSITIVE,
+        "stream/dim": _POSITIVE,
+        "stream/train_per_task": _POSITIVE,
+        "stream/val_per_task": _POSITIVE,
+        "stream/seed": _NON_NEGATIVE,
+        "stream/separation": _NON_NEGATIVE,
+    }),
+)
 
 
-def _ann(f) -> type:
-    return {"int": int, "float": float, "str": str}[f.type]
+def _fail(what: str, where: str, message: str):
+    raise ConfigError(f"{what} invalid at {where or '<top level>'}: {message}")
 
 
-def _section(cls, extra: dict | None = None) -> dict:
-    props = _props(cls)
-    for key, override in (extra or {}).items():
-        props[key].update(override)
-    return {"type": "object", "properties": props, "additionalProperties": False}
+def _join(where: str, key: str) -> str:
+    return f"{where}/{key}" if where else key
 
 
-def _when(method: str, section: str, bounds: dict) -> dict:
-    """Bounds on one section's keys that hold only in runs of ``method``."""
-    return {
-        "if": {"properties": {"method": {"const": method}}},
-        "then": {"properties": {section: {"properties": bounds}}},
-    }
+def _check_type(value, kind: type, what: str, where: str) -> None:
+    if (isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind])
+            or (kind is float and not math.isfinite(value))):
+        _fail(what, where, f"{value!r} is not {_TYPE_NAMES[kind]}")
 
 
-_POSITIVE = {"minimum": 1}
-_NON_NEGATIVE = {"minimum": 0}
-_STREAM_SIZE_FIELDS = ("n_tasks", "classes_per_task", "dim", "train_per_task", "val_per_task")
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "required": ["method", "seed", "stream"],
-    "additionalProperties": False,
-    "properties": {
-        "method": {"enum": list(METHODS)},
-        "seed": {"type": "integer", **_NON_NEGATIVE},
-        "out_dir": {"type": "string"},
-        "stream": _section(StreamSpec, {"kind": {"enum": list(STREAM_KINDS) + ["file"]}}),
-        "model": _section(
-            ModelSpec,
-            {
-                "res_blocks": _POSITIVE,
-                "res_layers_per_block": _POSITIVE,
-                "res_dim": _POSITIVE,
-                "hidden_dim": _POSITIVE,
-                "dropout_p": {"minimum": 0, "exclusiveMaximum": 1},
-            },
-        ),
-        "training": _section(
-            TrainingSpec,
-            {
-                "epochs_per_task": _NON_NEGATIVE,
-                "lr": {"exclusiveMinimum": 0},
-                # train-mode normalization needs at least 2 rows
-                "batch_size": {"minimum": 2},
-            },
-        ),
-        "bmc": _section(
-            BmcSpec,
-            {
-                "sampling": {"enum": list(SAMPLING_STRATEGIES)},
-                "distill_kind": {"enum": list(DISTILL_KINDS)},
-            },
-        ),
-        "baseline": _section(BaselineSpec),
-    },
-    # a section only binds the methods that read it, so e.g. sgd runs with
-    # any baseline/memory_capacity
-    "allOf": [
-        _when(
-            "bmc",
-            "bmc",
-            {
-                "experts_per_step": _POSITIVE,
-                "rehearsal_epochs": _NON_NEGATIVE,
-                # an empty buffer leaves step 0 nothing to consolidate on
-                "buffer_capacity": _POSITIVE,
-                "memory_capacity": _POSITIVE,
-                "stability_coef": _NON_NEGATIVE,
-                "task_coef": _NON_NEGATIVE,
-                "consolidation_coef": _NON_NEGATIVE,
-                "workers": _POSITIVE,
-            },
-        ),
-        _when("er", "baseline", {"memory_capacity": _POSITIVE}),
-        _when("oewc", "baseline", {"penalty_coef": _NON_NEGATIVE, "gamma": _NON_NEGATIVE}),
-        # a file stream ignores the size fields, the seed and the
-        # separation, so they bind generated streams only
-        {
-            "if": {
-                "properties": {
-                    "stream": {"properties": {"kind": {"const": "file"}}, "required": ["kind"]}
-                }
-            },
-            "else": {
-                "properties": {
-                    "stream": {
-                        "properties": {
-                            **{key: _POSITIVE for key in _STREAM_SIZE_FIELDS},
-                            "seed": _NON_NEGATIVE,
-                            "separation": _NON_NEGATIVE,
-                        }
-                    }
-                }
-            },
-        },
-    ],
-}
+def _parse(raw, cls, what: str, where: str):
+    """Build dataclass ``cls`` from the mapping ``raw``, rejecting unknown
+    and missing keys, values not of their field's annotated type and values
+    outside their field's choices."""
+    _check_type(raw, dict, what, where)
+    known = {f.name: f for f in fields(cls)}
+    for key in raw:
+        if key not in known:
+            _fail(what, where, f"Additional properties are not allowed ({key!r} was unexpected)")
+    values = {}
+    for name, f in known.items():
+        if name not in raw:
+            if f.default is MISSING and f.default_factory is MISSING:
+                _fail(what, where, f"{name!r} is a required property")
+            continue
+        path = _join(where, name)
+        if is_dataclass(f.type):
+            values[name] = _parse(raw[name], f.type, what, path)
+            continue
+        _check_type(raw[name], f.type, what, path)
+        choices = f.metadata.get("choices", ())
+        if choices and raw[name] not in choices:
+            _fail(what, path, f"{raw[name]!r} is not one of {list(choices)!r}")
+        values[name] = raw[name]
+    return cls(**values)
 
 
-def _validate(raw, validator: jsonschema.Draft202012Validator, what: str) -> None:
-    """Raise ConfigError for the most relevant schema violation, naming its key."""
-    error = jsonschema.exceptions.best_match(validator.iter_errors(raw))
-    if error is not None:
-        where = "/".join(str(p) for p in error.absolute_path) or "<top level>"
-        raise ConfigError(f"{what} invalid at {where}: {error.message}")
+def _check_bounds(obj, bounds: dict, what: str, where: str) -> None:
+    for path, limits in bounds.items():
+        value = obj
+        for part in path.split("/"):
+            value = getattr(value, part)
+        for op, limit in limits:
+            if not _OPS[op](value, limit):
+                _fail(what, _join(where, path), f"{value!r} is not {op} {limit}")
 
 
-# built once: jsonschema.validate would re-check the schema itself on every call
-_CONFIG_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+def _check_config(cfg: ExperimentConfig, what: str, where: str) -> None:
+    """Raise ConfigError for a value outside the bounds that bind ``cfg``."""
+    for binds, bounds in _BOUNDS:
+        if binds(cfg):
+            _check_bounds(cfg, bounds, what, where)
+    if cfg.method == "bmc" and cfg.bmc.task_coef == cfg.bmc.consolidation_coef == 0:
+        _fail(what, _join(where, "bmc"), "bmc/task_coef and bmc/consolidation_coef are both 0, "
+              "so consolidation has nothing to optimize")
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
-    """Validate a raw mapping against the schema and build the config."""
-    _validate(raw, _CONFIG_VALIDATOR, "config")
-    cfg = ExperimentConfig(
-        method=raw["method"],
-        seed=raw["seed"],
-        stream=StreamSpec(**raw["stream"]),
-        model=ModelSpec(**raw.get("model", {})),
-        training=TrainingSpec(**raw.get("training", {})),
-        bmc=BmcSpec(**raw.get("bmc", {})),
-        baseline=BaselineSpec(**raw.get("baseline", {})),
-        out_dir=raw.get("out_dir", "runs"),
-    )
-    if cfg.method == "bmc" and cfg.bmc.task_coef == cfg.bmc.consolidation_coef == 0:
-        raise ConfigError("config invalid at bmc: bmc/task_coef and bmc/consolidation_coef "
-                          "are both 0, so consolidation has nothing to optimize")
+    """Validate a raw mapping and build the config."""
+    cfg = _parse(raw, ExperimentConfig, "config", "")
+    _check_config(cfg, "config", "")
     return cfg
 
 
@@ -234,14 +222,19 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return asdict(cfg)
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
+def _read_json(path: str | Path, what: str) -> dict:
+    """The JSON object in the UTF-8 file ``path``."""
     try:
-        raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{path} is not valid JSON: {e}") from e
+        raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ConfigError(f"{what} file {path} is not valid JSON: {e}") from e
     if not isinstance(raw, dict):
-        raise ConfigError(f"{path} must contain a JSON object")
-    return parse_config(raw)
+        raise ConfigError(f"{what} file {path} must contain a JSON object")
+    return raw
+
+
+def load_config(path: str | Path) -> ExperimentConfig:
+    return parse_config(_read_json(path, "config"))
 
 
 def build_stream(spec: StreamSpec) -> TaskStream:
@@ -261,8 +254,8 @@ def build_stream(spec: StreamSpec) -> TaskStream:
             separation=spec.separation,
         )
     except ValueError as e:
-        # the schema bounds each size alone; the generator checks how they fit
-        raise ConfigError(f"config invalid at stream/classes_per_task: {e}") from e
+        # parse_config bounds each size alone; the generator checks how they fit
+        _fail("config", "stream/classes_per_task", str(e))
 
 
 def build_model_config(spec: ModelSpec, stream: TaskStream) -> ModelConfig:
@@ -275,30 +268,6 @@ def build_model_config(spec: ModelSpec, stream: TaskStream) -> ModelConfig:
 # sweeps
 # ---------------------------------------------------------------------------
 
-SWEEP_SCHEMA = {
-    "type": "object",
-    "required": ["trials", "seed", "ranges", "base"],
-    "additionalProperties": False,
-    "properties": {
-        "trials": {"type": "integer", "minimum": 1},
-        "seed": {"type": "integer", **_NON_NEGATIVE},
-        "base": CONFIG_SCHEMA,
-        "ranges": {
-            "type": "object",
-            "minProperties": 1,
-            "additionalProperties": {
-                "type": "object",
-                "additionalProperties": False,
-                "properties": {
-                    "low": {"type": "number"},
-                    "high": {"type": "number"},
-                    "choices": {"type": "array", "minItems": 1},
-                },
-            },
-        },
-    },
-}
-
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -307,39 +276,45 @@ class SweepSpec:
     trials: int
     seed: int
     base: ExperimentConfig
-    ranges: dict[str, dict]
+    ranges: dict  # dotted config key -> {"low", "high"} or {"choices"}
 
-    def __post_init__(self):
-        base_dict = config_to_dict(self.base)
-        for path, spec in self.ranges.items():
-            node = base_dict
-            for part in path.split("."):
-                if not isinstance(node, dict) or part not in node:
-                    raise ConfigError(f"sweep range targets unknown config key {path!r}")
-                node = node[part]
-            if "choices" in spec:
-                if "low" in spec or "high" in spec:
-                    raise ConfigError(f"range {path!r}: give either choices or low/high")
-            elif "low" in spec and "high" in spec:
-                if spec["low"] > spec["high"]:
-                    raise ConfigError(f"range {path!r}: low > high")
-            else:
-                raise ConfigError(f"range {path!r}: needs low+high or choices")
+
+@dataclass(frozen=True)
+class _Range:
+    """The keys of one sweep range, for the validator."""
+
+    low: float = 0.0
+    high: float = 0.0
+    choices: list = field(default_factory=list)
 
 
 def parse_sweep(raw: dict) -> SweepSpec:
-    _validate(raw, jsonschema.Draft202012Validator(SWEEP_SCHEMA), "sweep spec")
-    return SweepSpec(
-        trials=raw["trials"],
-        seed=raw["seed"],
-        base=parse_config(raw["base"]),
-        ranges=raw["ranges"],
-    )
+    what = "sweep spec"
+    spec = _parse(raw, SweepSpec, what, "")
+    _check_bounds(spec, {"trials": _POSITIVE, "seed": _NON_NEGATIVE}, what, "")
+    _check_config(spec.base, what, "base")
+    if not spec.ranges:
+        _fail(what, "ranges", "{} should be non-empty")
+    base_dict = config_to_dict(spec.base)
+    for path, r in spec.ranges.items():
+        where = f"ranges/{path}"
+        _parse(r, _Range, what, where)
+        if r.get("choices") == []:
+            _fail(what, f"{where}/choices", "[] should be non-empty")
+        node = base_dict
+        for part in path.split("."):
+            if not isinstance(node, dict) or part not in node:
+                _fail(what, where, f"sweep range targets unknown config key {path!r}")
+            node = node[part]
+        if "choices" in r:
+            if "low" in r or "high" in r:
+                _fail(what, where, "give either choices or low/high")
+        elif "low" not in r or "high" not in r:
+            _fail(what, where, "needs low+high or choices")
+        elif r["low"] > r["high"]:
+            _fail(what, where, "low > high")
+    return spec
 
 
 def load_sweep(path: str | Path) -> SweepSpec:
-    try:
-        raw = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"{path} is not valid JSON: {e}") from e
-    return parse_sweep(raw)
+    return parse_sweep(_read_json(path, "sweep spec"))

@@ -7,7 +7,7 @@ from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .autodiff import NonFiniteError, check_finite
+from .autodiff import check_finite
 
 PLATEAU_FACTOR = 0.5
 PLATEAU_PATIENCE = 5

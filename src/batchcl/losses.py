@@ -3,8 +3,8 @@
 Every objective is a pure function of a student pass's arrays (taps,
 logits) that returns an :class:`Objective`: the loss value and its
 gradients with respect to those taps and logits, already weighted by its
-coefficients: plain floats from the run's ``bmc`` config section, whose
-schema keeps them >= 0. Carrying them to the parameters
+coefficients: plain floats from the run's ``bmc`` config section, which
+``parse_config`` keeps >= 0. Carrying them to the parameters
 (:meth:`~batchcl.model.ResidualClassifier.backward`) and updating them
 stays with the caller. Teacher-side inputs are constant arrays from a
 teacher pass, so no objective in this module can move a teacher's

@@ -101,6 +101,12 @@ class TestConfig:
             ("bmc", "stream", "val_per_task", 0),
             ("bmc", "stream", "seed", -5),
             ("sgd", "stream", "separation", -1.0),
+            ("bmc", "model", "res_dim", 8.0),
+            ("sgd", "training", "epochs_per_task", 1.0),
+            ("bmc", "bmc", "buffer_capacity", 10.0),
+            ("sgd", "stream", "n_tasks", 4.0),
+            ("bmc", "training", "lr", float("nan")),
+            ("bmc", "bmc", "stability_coef", float("inf")),
         ],
     )
     def test_bad_value_rejected_at_parse_time(self, tmp_path, capsys, method, section,
@@ -194,6 +200,17 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown config key"):
             parse_sweep({"trials": 1, "seed": 0, "base": toy_raw(),
                          "ranges": {"bmc.nope": {"low": 0, "high": 1}}})
+
+    @pytest.mark.parametrize("verb", ["run", "sweep"])
+    @pytest.mark.parametrize("content", [b"\xff\xfe{}", b"{not json", b"[1, 2]"],
+                             ids=["undecodable", "invalid", "not_an_object"])
+    def test_file_that_is_no_json_object_exits_2(self, tmp_path, capsys, verb, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert main([verb, str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(path) in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_sweep_range_needs_bounds_or_choices(self):
         with pytest.raises(ConfigError, match="low"):
@@ -658,6 +675,13 @@ class TestPareto:
         assert main(["pareto", str(tmp_path / "*.json")]) == 0
         out = capsys.readouterr().out.splitlines()
         assert out == ["total_cost,mean_acc", "1.0,0.5", "2.0,0.6"]
+
+    def test_cli_verb_skips_undecodable_file(self, tmp_path, capsys):
+        (tmp_path / "a.json").write_text(
+            json.dumps({"type": "summary", "total_cost": 1, "final_mean_acc": 0.5}))
+        (tmp_path / "b.json").write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
+        assert main(["pareto", str(tmp_path / "*.json")]) == 0
+        assert capsys.readouterr().out.splitlines() == ["total_cost,mean_acc", "1.0,0.5"]
 
     def test_cli_verb_empty_glob_fails(self, tmp_path, capsys):
         assert main(["pareto", str(tmp_path / "none-*.json")]) == 2

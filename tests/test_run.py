@@ -15,6 +15,7 @@ import batchcl
 @pytest.mark.parametrize("module, absent", [
     ("batchcl.run", ["batchcl.cli", "batchcl.protocol"]),
     ("batchcl.baselines", ["batchcl.protocol"]),
+    ("batchcl.cli", ["jsonschema"]),
 ])
 def test_loads_without(module, absent):
     src = str(Path(batchcl.__file__).resolve().parents[1])
