@@ -194,8 +194,11 @@ def export_pareto(points: list[tuple[float, float]]) -> list[tuple[float, float]
 def _collect_points(pattern: str) -> list[tuple[float, float]]:
     points = []
     for name in sorted(globlib.glob(pattern, recursive=True)):
+        path = Path(name)
+        if not path.is_file():  # a matched directory holds no summary lines
+            continue
         try:
-            text = Path(name).read_text(encoding="utf-8")
+            text = path.read_text(encoding="utf-8")
         except UnicodeDecodeError:  # skipped like a malformed line
             continue
         for line in text.splitlines():

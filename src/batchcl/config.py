@@ -295,22 +295,24 @@ def parse_sweep(raw: dict) -> SweepSpec:
     _check_config(spec.base, what, "base")
     if not spec.ranges:
         _fail(what, "ranges", "{} should be non-empty")
-    base_dict = config_to_dict(spec.base)
     for path, r in spec.ranges.items():
         where = f"ranges/{path}"
         _parse(r, _Range, what, where)
         if r.get("choices") == []:
             _fail(what, f"{where}/choices", "[] should be non-empty")
-        node = base_dict
+        kind = ExperimentConfig  # the annotated type of the key, section by section
         for part in path.split("."):
-            if not isinstance(node, dict) or part not in node:
+            known = {f.name: f.type for f in fields(kind)} if is_dataclass(kind) else {}
+            if part not in known:
                 _fail(what, where, f"sweep range targets unknown config key {path!r}")
-            node = node[part]
+            kind = known[part]
         if "choices" in r:
             if "low" in r or "high" in r:
                 _fail(what, where, "give either choices or low/high")
         elif "low" not in r or "high" not in r:
             _fail(what, where, "needs low+high or choices")
+        elif kind is not float:  # a trial draws a float from low/high
+            _fail(what, where, f"{path!r} is not a float key: give it choices, not low/high")
         elif r["low"] > r["high"]:
             _fail(what, where, "low > high")
     return spec

@@ -31,9 +31,9 @@ which is what makes the cost ledger auditable by arithmetic.
 
 The expert boundary carries only those frames: an executor hands each
 expert exactly the SYNC frame the transport counted and returns exactly
-the ARTF frame the transport counts. Task data lives worker-side: a pool
-worker receives its step's tasks and the model shape once, when it starts,
-and picks its own task by the index in the SYNC frame.
+the ARTF frame the transport counts. Task data lives worker-side: a forked
+worker inherits its step's tasks, the model shape and its SYNC frames, and
+picks its own task by the index in the SYNC frame.
 
 The coordinator holds each snapshot once: the decoders return views of the
 frame they read, so a decoded expert snapshot is a read-only view of its
@@ -42,11 +42,11 @@ ARTF frame, and a step lets go of each frame once it has consumed it.
 
 from __future__ import annotations
 
-import multiprocessing
+import os
+import pickle
+import signal
 import struct
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
@@ -465,28 +465,64 @@ class SerialExecutor:
         return [remote_train(sync, tasks, model_config) for sync in syncs]
 
 
-# the step's (tasks, model config), set once in each pool worker at start
-_worker_step: tuple = ()
+_REPORT_LENGTH = struct.Struct("<Q")  # before each record a worker writes to its pipe
 
 
-def _init_worker(tasks: tuple[Task, ...], model_config: ModelConfig) -> None:
-    global _worker_step
-    _worker_step = (tasks, model_config)
+def _serve_experts(out_fd: int, read_ends: list, syncs: list[bytes],
+                   tasks: tuple[Task, ...], model_config: ModelConfig) -> None:
+    """A forked worker's whole life; never returns.
+
+    Closes the pipe ends it inherited for reading, so that its writes fail
+    rather than block once the coordinator is gone. Trains its experts through the module's ``remote_train``, then writes
+    their ARTF frames, each length-prefixed, to the pipe ``out_fd`` and
+    exits 0. If an expert raises, it writes the pickled exception instead
+    and exits 1. It writes only when all its experts are done, so a full
+    pipe never holds up its next expert while the coordinator reads
+    another worker's pipe. It leaves through ``os._exit``, so nothing
+    unwinds into the coordinator's stack.
+    """
+    code = 1
+    try:
+        for pipe in read_ends:
+            pipe.close()
+        with open(out_fd, "wb") as out:  # a file object finishes interrupted writes
+            try:
+                reports = [remote_train(sync, tasks, model_config) for sync in syncs]
+            except BaseException as e:
+                reports = [pickle.dumps(e)]
+            else:
+                code = 0
+            for blob in reports:
+                out.write(_REPORT_LENGTH.pack(len(blob)))
+                out.write(blob)
+    finally:
+        os._exit(code)
 
 
-def _train_in_worker(sync: bytes) -> bytes:
-    return remote_train(sync, *_worker_step)
+def _read_reports(pipe) -> list[bytes]:
+    """Every whole record a worker wrote to ``pipe``, read to EOF."""
+    reports = []
+    while len(head := pipe.read(_REPORT_LENGTH.size)) == _REPORT_LENGTH.size:
+        (n,) = _REPORT_LENGTH.unpack(head)
+        blob = pipe.read(n)
+        if len(blob) < n:  # the worker died mid-write
+            break
+        reports.append(blob)
+    return reports
 
 
 class ProcessExecutor:
     """Parallel execution in forked worker processes; ARTF frames in launch
     order.
 
-    Each worker gets the step's tasks and model shape once, from the pool
-    initializer (inherited, not pickled: the pool always forks, whatever
-    the platform's default start method); a call carries one SYNC frame and
-    returns one ARTF frame. A step starts no more workers than it has
-    experts. A worker that dies fails the step with ExpertFailure.
+    Each step forks W = ``min(workers, experts)`` workers, each with its
+    own pipe; worker w trains experts w, w + W, ... in turn. A worker inherits
+    the step's tasks, the model shape and its SYNC frames at the fork, so
+    nothing is sent to it; the only bytes it sends back are its ARTF
+    frames. Every worker is reaped before ``run`` returns or raises, and
+    an interrupted coordinator kills its workers first. An exception a
+    worker raises is re-raised here as it is; a worker that dies or exits
+    without a report fails the step with ExpertFailure.
     """
 
     def __init__(self, workers: int):
@@ -496,13 +532,39 @@ class ProcessExecutor:
 
     def run(self, syncs: list[bytes], tasks: tuple[Task, ...],
             model_config: ModelConfig) -> list[bytes]:
+        n = min(self.workers, len(syncs))
+        pids, pipes = [], []
         try:
-            with ProcessPoolExecutor(min(self.workers, len(syncs)), initializer=_init_worker,
-                                     initargs=(tasks, model_config),
-                                     mp_context=multiprocessing.get_context("fork")) as pool:
-                return list(pool.map(_train_in_worker, syncs))
-        except BrokenProcessPool as e:
-            raise ExpertFailure(f"a pool worker died: {e}") from e
+            for w in range(n):
+                r, out_fd = os.pipe()
+                pipes.append(open(r, "rb"))
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        _serve_experts(out_fd, pipes, syncs[w::n], tasks, model_config)
+                finally:  # in the coordinator only: a worker never returns here
+                    os.close(out_fd)
+                pids.append(pid)
+            reports = [_read_reports(pipe) for pipe in pipes]
+        except BaseException:
+            for pid in pids:
+                os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            for pipe in pipes:
+                pipe.close()
+            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+        frames: list[bytes] = [b""] * len(syncs)
+        for w, (code, got) in enumerate(zip(codes, reports)):
+            if code == 1 and len(got) == 1:
+                raise pickle.loads(got[0])
+            owed = len(frames[w::n])
+            if code != 0 or len(got) != owed:
+                # a negative code is the signal that killed the worker
+                raise ExpertFailure(f"expert worker {w} ended with exit code {code} "
+                                    f"after {len(got)} of {owed} reports")
+            frames[w::n] = got
+        return frames
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,9 @@
 """The benchmark tracer sees only wire frames cross the process boundary.
 
 ``benchmarks/tracer.py`` counts ``protocol.ipc_bytes`` as the pickled size
-of what ``ProcessExecutor.run`` hands its pool and gets back, and
+of the frames ``ProcessExecutor.run`` is handed and returns, and
 ``protocol.wire_bytes`` as what the cost ledger charges. This runs a toy
-traced bmc run with a 2-worker pool and checks that the two agree, so the
+traced bmc run with 2 forked workers and checks that the two agree, so the
 "the ledger counts what crosses the wire" contract is held by the test
 suite and not only by a traced benchmark run. ``Tracer.install`` patches
 the package for the whole process, hence the subprocess.

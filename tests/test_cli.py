@@ -196,6 +196,21 @@ class TestConfig:
         assert "seed" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_integer_key_range_rejected_at_parse_time(self, tmp_path, capsys):
+        # a low/high range would draw a float epoch count for every trial
+        raw = {"trials": 2, "seed": 3, "base": toy_raw(out_dir=str(tmp_path / "out")),
+               "ranges": {"training.epochs_per_task": {"low": 1, "high": 3}}}
+        with pytest.raises(ConfigError, match="ranges/training.epochs_per_task"):
+            parse_sweep(raw)
+        spec_file = tmp_path / "sweep.json"
+        spec_file.write_text(json.dumps(raw))
+        assert main(["sweep", str(spec_file)]) == 2
+        assert "ranges/training.epochs_per_task" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        # choices still sweep it
+        raw["ranges"]["training.epochs_per_task"] = {"choices": [1, 3]}
+        parse_sweep(raw)
+
     def test_sweep_range_must_target_real_key(self):
         with pytest.raises(ConfigError, match="unknown config key"):
             parse_sweep({"trials": 1, "seed": 0, "base": toy_raw(),
@@ -350,7 +365,7 @@ class TestRunVerb:
         assert (tmp_path / "out" / "records.jsonl").exists()
 
     def test_dead_pool_worker_fails_the_step_not_the_run(self, tmp_path, monkeypatch):
-        # step 1's expert 1 exits in its forked pool worker, as a killed
+        # step 1's expert 1 exits in its forked worker, as a killed
         # worker would; the worker inherits the patched remote_train
         raw = toy_raw(method="bmc", out_dir=str(tmp_path / "out"))
         raw["stream"]["n_tasks"] = 4
@@ -681,6 +696,13 @@ class TestPareto:
             json.dumps({"type": "summary", "total_cost": 1, "final_mean_acc": 0.5}))
         (tmp_path / "b.json").write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
         assert main(["pareto", str(tmp_path / "*.json")]) == 0
+        assert capsys.readouterr().out.splitlines() == ["total_cost,mean_acc", "1.0,0.5"]
+
+    def test_cli_verb_skips_matched_directory(self, tmp_path, capsys):
+        (tmp_path / "s0.json").write_text(
+            json.dumps({"type": "summary", "total_cost": 1, "final_mean_acc": 0.5}))
+        (tmp_path / "trial-0000").mkdir()
+        assert main(["pareto", str(tmp_path / "*")]) == 0
         assert capsys.readouterr().out.splitlines() == ["total_cost,mean_acc", "1.0,0.5"]
 
     def test_cli_verb_empty_glob_fails(self, tmp_path, capsys):

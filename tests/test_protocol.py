@@ -10,7 +10,11 @@ from __future__ import annotations
 import dataclasses
 import dis
 import inspect
+import os
+import pickle
+import signal
 import struct
+import time
 import tracemalloc
 import weakref
 
@@ -943,64 +947,122 @@ class _TruncatingExecutor(SerialExecutor):
         return [m[:-3] for m in super().run(syncs, tasks, model_config)]
 
 
-class _StandInPool:
-    """In-process stand-in for ProcessPoolExecutor that records its traffic."""
+def spy_workers(monkeypatch, tmp_path) -> list[int]:
+    """Record every worker ``ProcessExecutor`` forks and what it trains.
 
-    created: list["_StandInPool"] = []
+    Returns the list that each fork appends its worker's pid to. A worker
+    inherits the patched ``remote_train``, which writes, per call, the
+    SYNC frame it trained from, the ARTF frame it returned, its pid, its
+    parent's pid and what it inherited to ``tmp_path/<expert>.pkl``.
+    """
+    forks: list[int] = []
+    real_fork, real_train = os.fork, protocol_mod.remote_train
 
-    def __init__(self, max_workers, initializer, initargs, mp_context):
-        self.max_workers, self.initargs, self.calls = max_workers, initargs, []
-        self.mp_context = mp_context
-        _StandInPool.created.append(self)
-        initializer(*initargs)
+    def fork():
+        pid = real_fork()
+        if pid:
+            forks.append(pid)
+        return pid
 
-    def __enter__(self):
-        return self
+    def train(sync, tasks, model_config):
+        msg = real_train(sync, tasks, model_config)
+        (tmp_path / f"{expert_of(sync)}.pkl").write_bytes(pickle.dumps({
+            "sync": sync, "artf": msg, "pid": os.getpid(), "ppid": os.getppid(),
+            "task_ids": [t.task_id for t in tasks], "model_config": model_config,
+        }))
+        return msg
 
-    def __exit__(self, *exc):
-        return False
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(protocol_mod, "remote_train", train)
+    return forks
 
-    def map(self, fn, *iterables):
-        for args in zip(*iterables):
-            result = fn(*args)
-            self.calls.append((args, result))
-            yield result
+
+def in_workers(monkeypatch, act, expert=1):
+    """Make ``remote_train`` call ``act()`` for ``expert`` when it runs in a
+    forked worker, and train as usual everywhere else."""
+    real, coordinator = protocol_mod.remote_train, os.getpid()
+
+    def patched(sync, tasks, model_config):
+        if expert_of(sync) == expert and os.getpid() != coordinator:
+            act()
+        return real(sync, tasks, model_config)
+
+    monkeypatch.setattr(protocol_mod, "remote_train", patched)
+
+
+def step_syncs(cfg, k=2):
+    """The SYNC frames and tasks of a fresh base's k-expert first step."""
+    plan = plan_steps(generate_stream("permuted", n_tasks=k, classes_per_task=2, dim=6,
+                                      train_per_task=40, val_per_task=16, seed=11), cfg)[0]
+    base = build_model(TOY, seed=child_seed(cfg.seed, "init"))
+    blob = base.to_param_vector().to_bytes()
+    transport = CountingTransport()
+    return [transport.send_sync(encode_sync(i, seed, cfg, blob))
+            for i, seed in enumerate(plan.expert_seeds)], plan.tasks
+
+
+def without_wall_clock(msg: bytes) -> bytes:
+    """An ARTF frame with its stats' wall-clock field zeroed."""
+    out = bytearray(msg)
+    at = FRAME_OVERHEAD + struct.calcsize("<IId")
+    out[at : at + 8] = bytes(8)
+    return bytes(out)
+
+
+class _RecordingExecutor(ProcessExecutor):
+    """A ProcessExecutor that keeps each step's SYNC and ARTF frames."""
+
+    def __init__(self, workers):
+        super().__init__(workers)
+        self.calls = []
+
+    def run(self, syncs, tasks, model_config):
+        frames = super().run(syncs, tasks, model_config)
+        self.calls.append((syncs, frames))
+        return frames
 
 
 class TestProcessBoundary:
-    def test_pool_carries_exactly_the_counted_frames(self, stream, monkeypatch):
-        _StandInPool.created = []
-        monkeypatch.setattr(protocol_mod, "ProcessPoolExecutor", _StandInPool)
-        # the stand-in runs the worker initializer in this process; undo it after
-        monkeypatch.setattr(protocol_mod, "_worker_step", protocol_mod._worker_step)
+    def test_pool_carries_exactly_the_counted_frames(self, stream, monkeypatch, tmp_path):
+        forks = spy_workers(monkeypatch, tmp_path)
         master_seed = 5
         base = build_model(TOY, seed=child_seed(master_seed, "init"))
         memory = Memory(40, stream.dim)
         transport = CountingTransport()
         cfg = tiny_config(seed=master_seed, rehearsal_epochs=1)
-        for plan in plan_steps(stream, cfg):
-            result = run_incremental_step(base, plan, memory, cfg, transport, ProcessExecutor(2))
+        executor = _RecordingExecutor(2)
+        for step, plan in enumerate(plan_steps(stream, cfg)):
+            for old in tmp_path.glob("*.pkl"):
+                old.unlink()
+            result = run_incremental_step(base, plan, memory, cfg, transport, executor)
             base = result.base
-            pool = _StandInPool.created[-1]
-            # the step's tasks and model shape arrive once, at worker start,
-            # inherited by a forked worker whatever the platform's default
-            assert pool.mp_context.get_start_method() == "fork"
-            assert pool.initargs == (plan.tasks, TOY)
-            assert len(pool.calls) == plan.k
-            for args, result_msg in pool.calls:
-                assert len(args) == 1 and type(args[0]) is bytes
-                assert unframe(args[0])[0] == TAG_SYNC
-                assert type(result_msg) is bytes and unframe(result_msg)[0] == TAG_ARTIFACT
-            assert [expert_of(args[0]) for args, _ in pool.calls] == list(range(plan.k))
-            assert sum(len(args[0]) for args, _ in pool.calls) == result.cost.broadcast_bytes
-            assert sum(len(msg) for _, msg in pool.calls) == result.cost.upload_bytes
-        assert len(_StandInPool.created) == 2
+            syncs, frames = executor.calls[-1]
+            step_forks = forks[2 * step :]
+            assert len(step_forks) == 2
+            workers = [pickle.loads((tmp_path / f"{i}.pkl").read_bytes())
+                       for i in range(plan.k)]
+            assert len(list(tmp_path.glob("*.pkl"))) == plan.k
+            for i, seen in enumerate(workers):
+                # each expert ran in a worker forked by this coordinator, one
+                # per expert here, which inherited the step's tasks and shape
+                assert seen["pid"] == step_forks[i] and seen["ppid"] == os.getpid()
+                assert seen["task_ids"] == [t.task_id for t in plan.tasks]
+                assert seen["model_config"] == TOY
+                # it trained from the counted SYNC frame and nothing else ...
+                assert type(seen["sync"]) is bytes and unframe(seen["sync"])[0] == TAG_SYNC
+                assert seen["sync"] == syncs[i]
+                # ... and what came back through its pipe is exactly its ARTF frame
+                assert type(frames[i]) is bytes and unframe(frames[i])[0] == TAG_ARTIFACT
+                assert frames[i] == seen["artf"]
+            # launch order, both ways
+            assert [expert_of(s) for s in syncs] == list(range(plan.k))
+            assert [decode_artifact(unframe(m)[1]).expert_index for m in frames] == [0, 1]
+            assert sum(len(s) for s in syncs) == result.cost.broadcast_bytes
+            assert sum(len(m) for m in frames) == result.cost.upload_bytes
+        assert len(executor.calls) == 2 and len(forks) == 4
 
-
-    def test_pool_starts_no_more_workers_than_experts(self, stream, monkeypatch):
-        _StandInPool.created = []
-        monkeypatch.setattr(protocol_mod, "ProcessPoolExecutor", _StandInPool)
-        monkeypatch.setattr(protocol_mod, "_worker_step", protocol_mod._worker_step)
+    def test_pool_starts_no_more_workers_than_experts(self, stream, monkeypatch, tmp_path):
+        forks = spy_workers(monkeypatch, tmp_path)
         master_seed = 5
         cfg = tiny_config(seed=master_seed, rehearsal_epochs=1)
         plan = plan_steps(stream, cfg)[0]
@@ -1008,7 +1070,104 @@ class TestProcessBoundary:
             build_model(TOY, seed=child_seed(master_seed, "init")), plan, Memory(40, stream.dim),
             cfg, CountingTransport(), ProcessExecutor(8),
         )
-        assert [pool.max_workers for pool in _StandInPool.created] == [plan.k] == [2]
+        assert len(forks) == plan.k == 2
+
+    def test_round_robin_workers_match_serial_bit_for_bit(self, monkeypatch, tmp_path):
+        # 2 workers, 4 experts: worker 0 trains experts 0 and 2, worker 1 trains 1 and 3
+        forks = spy_workers(monkeypatch, tmp_path)
+        syncs, tasks = step_syncs(tiny_config(experts_per_step=4), k=4)
+        parallel = ProcessExecutor(2).run(syncs, tasks, TOY)
+        assert len(forks) == 2
+        ran_in = [pickle.loads((tmp_path / f"{i}.pkl").read_bytes())["pid"] for i in range(4)]
+        assert ran_in == [forks[0], forks[1], forks[0], forks[1]]
+        serial = SerialExecutor().run(syncs, tasks, TOY)
+        assert [without_wall_clock(m) for m in parallel] == [
+            without_wall_clock(m) for m in serial]
+
+    def test_expert_failure_in_a_worker_reaches_the_coordinator(self, stream, monkeypatch):
+        def diverge():
+            raise ExpertFailure("expert 1 diverged in its worker")
+
+        in_workers(monkeypatch, diverge)
+        syncs, tasks = step_syncs(tiny_config())
+        with pytest.raises(ExpertFailure) as raised:
+            ProcessExecutor(2).run(syncs, tasks, TOY)
+        assert type(raised.value) is ExpertFailure
+        assert str(raised.value) == "expert 1 diverged in its worker"
+        cfg = tiny_config(seed=5)
+        with pytest.raises(StepFailure, match="step 0: expert 1 diverged in its worker"):
+            run_incremental_step(build_model(TOY, seed=child_seed(5, "init")),
+                                 plan_steps(stream, cfg)[0], Memory(40, stream.dim), cfg,
+                                 CountingTransport(), ProcessExecutor(2))
+
+    def test_protocol_violation_in_a_worker_is_reraised_as_it_is(self, monkeypatch):
+        def violate():
+            raise ProtocolViolation("sync payload names expert 9")
+
+        in_workers(monkeypatch, violate, expert=0)
+        syncs, tasks = step_syncs(tiny_config())
+        with pytest.raises(ProtocolViolation, match="^sync payload names expert 9$"):
+            ProcessExecutor(2).run(syncs, tasks, TOY)
+
+    def test_killed_worker_fails_the_step(self, stream, monkeypatch):
+        in_workers(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
+        syncs, tasks = step_syncs(tiny_config())
+        with pytest.raises(ExpertFailure, match="worker 1 ended with exit code -9 after 0 of 1"):
+            ProcessExecutor(2).run(syncs, tasks, TOY)
+        cfg = tiny_config(seed=5)
+        with pytest.raises(StepFailure, match="step 0: expert worker 1"):
+            run_incremental_step(build_model(TOY, seed=child_seed(5, "init")),
+                                 plan_steps(stream, cfg)[0], Memory(40, stream.dim), cfg,
+                                 CountingTransport(), ProcessExecutor(2))
+
+    @pytest.mark.parametrize("outcome", ["returns", "raises", "dies", "exits_early"])
+    def test_no_worker_outlives_run(self, monkeypatch, tmp_path, outcome):
+        def boom():
+            raise ExpertFailure("boom")
+
+        forks = spy_workers(monkeypatch, tmp_path)
+        act = {
+            "raises": boom,
+            "dies": lambda: os.kill(os.getpid(), signal.SIGKILL),
+            "exits_early": lambda: os._exit(0),
+        }.get(outcome)
+        if act is not None:
+            in_workers(monkeypatch, act)
+        syncs, tasks = step_syncs(tiny_config())
+        if act is None:
+            assert len(ProcessExecutor(2).run(syncs, tasks, TOY)) == 2
+        else:
+            with pytest.raises(ExpertFailure):
+                ProcessExecutor(2).run(syncs, tasks, TOY)
+        assert len(forks) == 2
+        for pid in forks:  # reaped: no longer a child of this process, not even a zombie
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+    def test_interrupted_coordinator_kills_and_reaps_its_workers(self, monkeypatch, tmp_path):
+        class Interrupted(Exception):
+            pass
+
+        def interrupt(signum, frame):
+            raise Interrupted
+
+        forks = spy_workers(monkeypatch, tmp_path)
+        in_workers(monkeypatch, lambda: time.sleep(60), expert=0)
+        syncs, tasks = step_syncs(tiny_config())
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        t0 = time.perf_counter()
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.5)
+            with pytest.raises(Interrupted):
+                ProcessExecutor(2).run(syncs, tasks, TOY)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.perf_counter() - t0 < 30  # the sleeping worker was killed
+        assert len(forks) == 2
+        for pid in forks:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
 
 
 class TestFullStream:

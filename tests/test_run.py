@@ -16,6 +16,7 @@ import batchcl
     ("batchcl.run", ["batchcl.cli", "batchcl.protocol"]),
     ("batchcl.baselines", ["batchcl.protocol"]),
     ("batchcl.cli", ["jsonschema"]),
+    ("batchcl.cli", ["multiprocessing", "concurrent.futures"]),
 ])
 def test_loads_without(module, absent):
     src = str(Path(batchcl.__file__).resolve().parents[1])
