@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import glob as globlib
+import itertools
 import json
 import sys
 import time
@@ -28,38 +29,25 @@ from .config import (
     SweepSpec,
     build_stream,
     config_to_dict,
-    load_config,
-    load_sweep,
     parse_config,
+    parse_sweep,
+    read_json,
 )
 from .protocol import run_full_stream
 from .run import RunReport, child_seed, write_run
 from .streams import STREAM_KINDS, generate_stream, save_stream
 
 
-def _with_workers(cfg: ExperimentConfig, workers: int | None) -> ExperimentConfig:
-    """``cfg`` with ``bmc.workers`` replaced, through the validation a
-    config file's value goes through (None keeps the config's value)."""
-    if workers is None:
-        return cfg
-    raw = config_to_dict(cfg)
-    return parse_config({**raw, "bmc": {**raw["bmc"], "workers": workers}})
-
-
 def run_experiment(
     cfg: ExperimentConfig,
     out_dir: str | Path,
-    workers: int | None = None,
     time_reference: bool = False,
 ) -> tuple[int, dict]:
     """Execute one configured run and write records.jsonl + summary.json.
 
     Returns (exit code, summary). Exit 0 on success, 3 if a step failed
-    mid-stream (partial records are still flushed). ``workers`` replaces
-    ``bmc.workers`` and is checked like the config file's value: an
-    out-of-range count raises ConfigError before anything runs.
+    mid-stream (partial records are still flushed).
     """
-    cfg = _with_workers(cfg, workers)
     stream = build_stream(cfg.stream)
 
     reference = None
@@ -84,11 +72,15 @@ def run_experiment(
 
 
 def _set_path(raw: dict, dotted: str, value) -> None:
+    """Set a dotted key in a raw config mapping, before it is parsed. A
+    section that is no mapping is left as it is, for the parser to name."""
     node = raw
-    parts = dotted.split(".")
-    for part in parts[:-1]:
+    *sections, key = dotted.split(".")
+    for part in sections:
         node = node.setdefault(part, {})
-    node[parts[-1]] = value
+        if not isinstance(node, dict):
+            return
+    node[key] = value
 
 
 def sample_trial(spec: SweepSpec, index: int) -> tuple[dict, dict]:
@@ -119,7 +111,8 @@ def run_sweep(
     spec: SweepSpec, out_dir: str | Path, workers: int | None = None
 ) -> list[dict]:
     """Run every trial, collecting one row per trial; failures are recorded,
-    not fatal."""
+    not fatal. ``workers`` replaces each trial's ``bmc.workers``, sampled
+    or not."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     rows: list[dict] = []
@@ -131,8 +124,9 @@ def run_sweep(
                 # recorded first, so a trial parse_config rejects still shows
                 # the values that made it invalid
                 row.update(seed=raw["seed"], sampled=sampled)
-                cfg = parse_config(raw)
-                code, summary = run_experiment(cfg, out / f"trial-{i:04d}", workers=workers)
+                if workers is not None:
+                    _set_path(raw, "bmc.workers", workers)
+                code, summary = run_experiment(parse_config(raw), out / f"trial-{i:04d}")
                 row["status"] = "ok" if code == 0 else "failed_step"
                 for key in ("final_mean_acc", "final_backward_transfer",
                             "total_cost", "cost_accuracy"):
@@ -178,16 +172,11 @@ def export_pareto(points: list[tuple[float, float]]) -> list[tuple[float, float]
         raise ValueError("no points to filter")
     uniq = sorted({(float(c), float(a)) for c, a in points})
     frontier: list[tuple[float, float]] = []
-    best_prev = float("-inf")  # best accuracy among strictly cheaper points
-    i = 0
-    while i < len(uniq):
-        j = i
-        while j < len(uniq) and uniq[j][0] == uniq[i][0]:
-            if uniq[j][1] >= best_prev:
-                frontier.append(uniq[j])
-            j += 1
-        best_prev = max(best_prev, max(a for _, a in uniq[i:j]))
-        i = j
+    best_cheaper = float("-inf")  # best accuracy among strictly cheaper points
+    for _, group in itertools.groupby(uniq, key=lambda p: p[0]):
+        group = list(group)  # ascending accuracy at one cost
+        frontier += [p for p in group if p[1] >= best_cheaper]
+        best_cheaper = max(best_cheaper, group[-1][1])
     return frontier
 
 
@@ -256,32 +245,40 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _error_exit(e: Exception) -> int:
+    print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+    return 1
+
+
 def _cmd_run(args) -> int:
     try:
-        cfg = load_config(args.config)
+        raw = read_json(args.config, "config")
         if args.seed is not None:
-            cfg = parse_config({**config_to_dict(cfg), "seed": args.seed})
+            raw["seed"] = args.seed
+        if args.workers is not None:
+            _set_path(raw, "bmc.workers", args.workers)
+        cfg = parse_config(raw)
     except (ConfigError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     out_dir = args.out_dir or cfg.out_dir
     try:
-        code, summary = run_experiment(cfg, out_dir, workers=args.workers,
-                                       time_reference=args.time_reference)
+        code, summary = run_experiment(cfg, out_dir, time_reference=args.time_reference)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except Exception as e:
-        print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
-        return 1
+        return _error_exit(e)
     print(json.dumps(summary, sort_keys=True))
     return code
 
 
 def _cmd_sweep(args) -> int:
     try:
-        spec = load_sweep(args.spec)
-        _with_workers(spec.base, args.workers)
+        raw = read_json(args.spec, "sweep spec")
+        if args.workers is not None:  # checked here, before any trial runs
+            _set_path(raw, "base.bmc.workers", args.workers)
+        spec = parse_sweep(raw)
     except (ConfigError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -302,7 +299,10 @@ def _cmd_pareto(args) -> int:
     lines = ["total_cost,mean_acc"] + [f"{c},{a}" for c, a in frontier]
     text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as e:
+            return _error_exit(e)
     else:
         sys.stdout.write(text)
     return 0
@@ -323,7 +323,10 @@ def _cmd_gen_stream(args) -> int:
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    save_stream(stream, args.out)
+    try:
+        save_stream(stream, args.out)
+    except OSError as e:
+        return _error_exit(e)
     print(f"wrote {len(stream.tasks)} tasks to {args.out}")
     return 0
 

@@ -222,8 +222,9 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     return asdict(cfg)
 
 
-def _read_json(path: str | Path, what: str) -> dict:
-    """The JSON object in the UTF-8 file ``path``."""
+def read_json(path: str | Path, what: str) -> dict:
+    """The JSON object in the UTF-8 file ``path``, the raw mapping
+    :func:`parse_config` or :func:`parse_sweep` validates."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
@@ -231,10 +232,6 @@ def _read_json(path: str | Path, what: str) -> dict:
     if not isinstance(raw, dict):
         raise ConfigError(f"{what} file {path} must contain a JSON object")
     return raw
-
-
-def load_config(path: str | Path) -> ExperimentConfig:
-    return parse_config(_read_json(path, "config"))
 
 
 def build_stream(spec: StreamSpec) -> TaskStream:
@@ -316,7 +313,3 @@ def parse_sweep(raw: dict) -> SweepSpec:
         elif r["low"] > r["high"]:
             _fail(what, where, "low > high")
     return spec
-
-
-def load_sweep(path: str | Path) -> SweepSpec:
-    return parse_sweep(_read_json(path, "sweep spec"))

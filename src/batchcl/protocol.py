@@ -72,7 +72,7 @@ from .replay import (
     subsample_memory,
 )
 from .run import RunRecorder, RunReport, StepCost, child_seed, epoch_batches
-from .streams import Task, TaskStream
+from .streams import Task, TaskStream, ranges_overlap
 
 TAG_SYNC = b"SYNC"
 TAG_ARTIFACT = b"ARTF"
@@ -130,11 +130,8 @@ class StepPlan:
             raise ValueError("a step needs at least one task")
         if len(self.expert_seeds) != len(self.tasks):
             raise ValueError("one seed per expert required")
-        ranges = [(t.class_lo, t.class_hi) for t in self.tasks]
-        for i, (lo_a, hi_a) in enumerate(ranges):
-            for lo_b, hi_b in ranges[i + 1 :]:
-                if lo_a < hi_b and lo_b < hi_a:
-                    raise ValueError("tasks within a step must have disjoint classes")
+        if ranges_overlap((t.class_lo, t.class_hi) for t in self.tasks):
+            raise ValueError("tasks within a step must have disjoint classes")
 
     @property
     def k(self) -> int:

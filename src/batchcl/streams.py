@@ -1,11 +1,13 @@
 """Task streams and class-incremental evaluation.
 
 A stream is an ordered list of tasks with pairwise-disjoint global class
-ids. Two synthetic generators are provided — ``permuted`` (one base
-dataset seen through per-task input permutations, the classic forgetting
-benchmark) and ``split_synthetic`` (fresh Gaussian clusters per task) —
-plus a binary file format so externally extracted feature datasets can be
-ingested without this package knowing how they were produced.
+ranges; :func:`ranges_overlap` is the one rule that decides disjointness,
+for streams, stream files and the tasks of one step. Two synthetic
+generators are provided — ``permuted`` (one base dataset seen through
+per-task input permutations, the classic forgetting benchmark) and
+``split_synthetic`` (fresh Gaussian clusters per task) — plus a binary file
+format so externally extracted feature datasets can be ingested without
+this package knowing how they were produced.
 
 Evaluation is strictly class-incremental: the predictor sees a feature
 vector and answers with a class id from the union of everything learned
@@ -29,7 +31,15 @@ STREAM_KINDS = ("permuted", "split_synthetic")
 
 
 class StreamFormatError(ValueError):
-    """Malformed stream file (bad magic/version, truncation, inconsistent dims)."""
+    """Malformed stream file (bad magic/version, truncation, inconsistent
+    dims, more class ids than a task header declares)."""
+
+
+def ranges_overlap(ranges) -> bool:
+    """Whether any two half-open ``(lo, hi)`` class ranges share an id
+    (sorted, a range overlaps an earlier one iff it overlaps its predecessor)."""
+    ordered = sorted(ranges)
+    return any(lo < prev_hi for (_, prev_hi), (lo, _) in zip(ordered, ordered[1:]))
 
 
 @dataclass(frozen=True)
@@ -69,11 +79,8 @@ class TaskStream:
     tasks: tuple[Task, ...]
 
     def __post_init__(self):
-        ranges = [(t.class_lo, t.class_hi) for t in self.tasks]
-        for i, (lo_a, hi_a) in enumerate(ranges):
-            for lo_b, hi_b in ranges[i + 1 :]:
-                if lo_a < hi_b and lo_b < hi_a:
-                    raise ValueError("task class ranges overlap")
+        if ranges_overlap((t.class_lo, t.class_hi) for t in self.tasks):
+            raise ValueError("task class ranges overlap")
         dims = {t.dim for t in self.tasks}
         if len(dims) > 1:
             raise ValueError(f"tasks disagree on feature dim: {sorted(dims)}")
@@ -122,11 +129,11 @@ def generate_stream(
     """Build a synthetic stream.
 
     ``permuted``: one base Gaussian-cluster dataset; task t applies a fixed
-    random permutation of input coordinates (task 0 is the identity) and
-    remaps labels to a fresh class-id block, so n_tasks x classes_per_task
-    global classes exist in total. ``split_synthetic``: every task draws
-    brand-new cluster means; ``separation`` scales how far apart class
-    means sit (0 makes all classes indistinguishable).
+    random permutation of input coordinates (task 0 is the identity).
+    ``split_synthetic``: every task draws brand-new cluster means. Task t's
+    labels fill the class-id block starting at ``t * classes_per_task``;
+    ``separation`` scales how far apart class means sit (0 makes all
+    classes indistinguishable).
     """
     if kind not in STREAM_KINDS:
         raise ValueError(f"unknown stream kind {kind!r}; expected one of {STREAM_KINDS}")
@@ -137,42 +144,24 @@ def generate_stream(
     if separation < 0:
         raise ValueError(f"separation must be >= 0, got {separation}")
     rng = np.random.default_rng(seed)
-    tasks = []
-    if kind == "permuted":
+
+    def draw() -> tuple[np.ndarray, ...]:  # fresh means, then train and val samples
         means = rng.standard_normal((classes_per_task, dim)) * separation
-        base_train_x, base_train_y = _sample_clusters(rng, means, train_per_task)
-        base_val_x, base_val_y = _sample_clusters(rng, means, val_per_task)
-        for t in range(n_tasks):
+        return (*_sample_clusters(rng, means, train_per_task),
+                *_sample_clusters(rng, means, val_per_task))
+
+    if kind == "permuted":
+        base = draw()
+    tasks = []
+    for t in range(n_tasks):
+        if kind == "permuted":
             perm = np.arange(dim) if t == 0 else rng.permutation(dim)
-            lo = t * classes_per_task
-            tasks.append(
-                Task(
-                    task_id=t,
-                    train_x=base_train_x[:, perm],
-                    train_y=base_train_y + lo,
-                    val_x=base_val_x[:, perm],
-                    val_y=base_val_y + lo,
-                    class_lo=lo,
-                    class_hi=lo + classes_per_task,
-                )
-            )
-    else:
-        for t in range(n_tasks):
-            means = rng.standard_normal((classes_per_task, dim)) * separation
-            train_x, train_y = _sample_clusters(rng, means, train_per_task)
-            val_x, val_y = _sample_clusters(rng, means, val_per_task)
-            lo = t * classes_per_task
-            tasks.append(
-                Task(
-                    task_id=t,
-                    train_x=train_x,
-                    train_y=train_y + lo,
-                    val_x=val_x,
-                    val_y=val_y + lo,
-                    class_lo=lo,
-                    class_hi=lo + classes_per_task,
-                )
-            )
+            train_x, train_y, val_x, val_y = base
+            train_x, val_x = train_x[:, perm], val_x[:, perm]
+        else:
+            train_x, train_y, val_x, val_y = draw()
+        lo = t * classes_per_task
+        tasks.append(Task(t, train_x, train_y + lo, val_x, val_y + lo, lo, lo + classes_per_task))
     return TaskStream(tasks=tuple(tasks))
 
 
@@ -217,10 +206,12 @@ def save_stream(stream: TaskStream, path: str) -> None:
 def load_feature_stream(path: str) -> TaskStream:
     """Read a stream file, validating structure and re-basing class ids if needed.
 
-    Tasks materialize in file order. If any two tasks' class-id sets
-    overlap, every task's ids are remapped deterministically (file order,
-    ascending original id) onto consecutive global blocks, and the remap is
-    reported through the module logger.
+    Tasks materialize in file order, each with the class range
+    ``[min id, max id + 1)`` of its rows. A task whose rows carry more
+    distinct ids than its header's class count is malformed. If no two
+    tasks' ranges overlap, the file's ids are kept; otherwise every task's
+    ids are remapped (file order, ascending original id) onto consecutive
+    global blocks, and the remap is reported through the module logger.
     """
     with open(path, "rb") as f:
         blob = f.read()
@@ -239,69 +230,58 @@ def load_feature_stream(path: str) -> TaskStream:
     off = 10
     raw = []
     dim0: int | None = None
-    for i in range(n_tasks):
+    for _ in range(n_tasks):
+        header_at = off
         if off + 28 > len(blob):
             raise StreamFormatError(f"truncated task header at byte {off}")
         task_id, n_classes, dim, n_train, n_val = struct.unpack_from("<IIIQQ", blob, off)
         for split, count in (("train", n_train), ("validation", n_val)):
             if count == 0:
                 raise StreamFormatError(
-                    f"task {task_id}: no rows in its {split} split (header at byte {off})"
+                    f"task {task_id}: no rows in its {split} split (header at byte {header_at})"
                 )
         off += 28
         if dim0 is None:
             dim0 = dim
         elif dim != dim0:
             raise StreamFormatError(
-                f"task {task_id}: dim {dim} != stream dim {dim0} (header at byte {off - 28})"
+                f"task {task_id}: dim {dim} != stream dim {dim0} (header at byte {header_at})"
             )
         rows_dt = _row_dtype(dim)
-        splits = []
+        xs, ys = [], []
         for count in (n_train, n_val):
             nbytes = count * rows_dt.itemsize
             if off + nbytes > len(blob):
                 raise StreamFormatError(f"truncated payload at byte {off}")
             rows = np.frombuffer(blob, dtype=rows_dt, count=count, offset=off)
             off += nbytes
-            splits.append((rows["x"].copy(), rows["y"].astype(np.int64)))
-        raw.append((task_id, n_classes, splits))
+            xs.append(rows["x"].copy())
+            ys.append(rows["y"])
+        labels = np.concatenate(ys)
+        classes, inverse = np.unique(labels, return_inverse=True)
+        if len(classes) > n_classes:
+            raise StreamFormatError(f"task {task_id}: {len(classes)} distinct class ids, but "
+                                    f"its header declares {n_classes} (header at byte {header_at})")
+        raw.append((task_id, xs, labels, classes, inverse))
     if off != len(blob):
         raise StreamFormatError(f"{len(blob) - off} trailing bytes at byte {off}")
 
-    class_sets = [set(np.unique(np.concatenate([s[1] for s in splits])))
-                  for _, _, splits in raw]
-    disjoint = all(
-        not (class_sets[i] & class_sets[j])
-        for i in range(len(raw))
-        for j in range(i + 1, len(raw))
-    )
+    ranges = [(int(classes[0]), int(classes[-1]) + 1) for *_, classes, _ in raw]
+    rebase = ranges_overlap(ranges)
     tasks = []
     next_lo = 0
-    for (task_id, n_classes, splits), classes in zip(raw, class_sets):
-        (train_x, train_y), (val_x, val_y) = splits
-        if disjoint:
-            lo, hi = int(min(classes)), int(max(classes)) + 1
-        else:
-            remap = {orig: next_lo + k for k, orig in enumerate(sorted(classes))}
-            train_y = np.array([remap[v] for v in train_y], dtype=np.int64)
-            val_y = np.array([remap[v] for v in val_y], dtype=np.int64)
+    for (task_id, (train_x, val_x), labels, classes, inverse), (lo, hi) in zip(raw, ranges):
+        if rebase:
             lo, hi = next_lo, next_lo + len(classes)
             next_lo = hi
+            labels = inverse + lo
             logger.info(
-                "task %d: class ids overlap another task; re-based %d classes onto [%d, %d)",
+                "task %d: class ranges overlap; re-based %d classes onto [%d, %d)",
                 task_id, len(classes), lo, hi,
             )
-        tasks.append(
-            Task(
-                task_id=task_id,
-                train_x=train_x,
-                train_y=train_y,
-                val_x=val_x,
-                val_y=val_y,
-                class_lo=lo,
-                class_hi=hi,
-            )
-        )
+        labels = labels.astype(np.int64, copy=False)
+        n = len(train_x)
+        tasks.append(Task(task_id, train_x, labels[:n], val_x, labels[n:], lo, hi))
     return TaskStream(tasks=tuple(tasks))
 
 

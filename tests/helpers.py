@@ -1,9 +1,11 @@
 """Shared test utilities: float64 model twins, teacher stacks, finite-difference
 oracles, the per-row gradient-norm oracle, and the per-op oracle of the
 train step: the student pass and the objectives as a tape with one node
-per op, built from the reference ops below."""
+per op, built from the reference ops below; and a hand-written stream file."""
 
 from __future__ import annotations
+
+import struct
 
 import numpy as np
 
@@ -49,6 +51,19 @@ def experiment(method: str = "bmc", seed: int = 0, *, model: dict | None = None,
         bmc=BmcSpec(**(bmc or {})),
         baseline=BaselineSpec(**(baseline or {})),
     )
+
+
+def write_stream_file(path, dim: int, tasks: list[tuple[int, int, list, list]]) -> None:
+    """A version-1 stream file with standard-normal features; each task is
+    (task id, header class count, train class ids, val class ids), one row
+    per id."""
+    rng = np.random.default_rng(0)
+    with open(path, "wb") as f:
+        f.write(b"CLFS" + struct.pack("<HI", 1, len(tasks)))
+        for task_id, n_classes, train_ids, val_ids in tasks:
+            f.write(struct.pack("<IIIQQ", task_id, n_classes, dim, len(train_ids), len(val_ids)))
+            for y in (*train_ids, *val_ids):
+                f.write(rng.standard_normal(dim).astype("<f4").tobytes() + struct.pack("<I", y))
 
 
 def stack_passes(passes: list[TapSet]) -> TapSet:

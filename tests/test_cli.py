@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import rewrite_last_artifact
+from helpers import rewrite_last_artifact, write_stream_file
 
 import batchcl
 import batchcl.protocol as protocol_mod
@@ -246,7 +246,7 @@ class TestRunVerb:
         assert lines[-1]["n_steps"] == 2
 
     def test_bmc_step_rows_carry_expert_distances(self, tmp_path):
-        run_experiment(parse_config(toy_raw(method="bmc")), tmp_path, workers=1)
+        run_experiment(parse_config(toy_raw(method="bmc")), tmp_path)
         rows = [json.loads(s) for s in (tmp_path / "records.jsonl").read_text().splitlines()]
         steps = [r for r in rows if r["type"] == "step"]
         assert steps and all(len(r["experts"]) == 2 for r in steps)
@@ -255,7 +255,7 @@ class TestRunVerb:
         assert "experts" not in json.loads((tmp_path / "summary.json").read_text())
 
     def test_records_carry_phase_walls_and_expert_losses(self, tmp_path):
-        run_experiment(parse_config(toy_raw(method="bmc")), tmp_path, workers=1)
+        run_experiment(parse_config(toy_raw(method="bmc")), tmp_path)
         rows = [json.loads(s) for s in (tmp_path / "records.jsonl").read_text().splitlines()]
         steps = [r for r in rows if r["type"] == "step"]
         timing = [r for r in rows if r["type"] == "timing"][0]
@@ -386,7 +386,8 @@ class TestRunVerb:
         assert (rows[-1]["failed_step"], rows[-1]["n_steps"]) == (1, 1)
         assert json.loads((tmp_path / "out" / "summary.json").read_text()) == rows[-1]
         # step 0's row is that of a run without the dying worker
-        run_experiment(parse_config(raw), tmp_path / "clean", workers=1)
+        raw["bmc"]["workers"] = 1
+        run_experiment(parse_config(raw), tmp_path / "clean")
         clean = json.loads((tmp_path / "clean" / "records.jsonl").read_text().splitlines()[0])
         for row in (rows[0], clean):
             assert row.pop("wall_clock_s") >= 0.0
@@ -443,10 +444,21 @@ class TestRunVerb:
         assert "bmc/workers" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_interleaved_file_stream_runs(self, tmp_path):
+        # task 0 carries ids {0, 2} and task 1 ids {1, 3}: the loader
+        # re-bases them onto [0, 2) and [2, 4), so the run sees 4 classes
+        path = tmp_path / "interleaved.bin"
+        write_stream_file(path, 6, [(0, 2, [0, 2] * 8, [2, 0] * 3),
+                                    (1, 2, [1, 3] * 8, [3, 1] * 3)])
+        raw = toy_raw(method="bmc", stream={"kind": "file", "path": str(path)})
+        code, summary = run_experiment(parse_config(raw), tmp_path / "out")
+        assert code == 0
+        assert (summary["n_steps"], sorted(summary["per_task_acc"])) == (1, ["0", "1"])
+
     def test_summary_byte_identical_across_reruns(self, tmp_path):
         cfg = parse_config(toy_raw(method="bmc"))
-        run_experiment(cfg, tmp_path / "a", workers=1)
-        run_experiment(cfg, tmp_path / "b", workers=1)
+        run_experiment(cfg, tmp_path / "a")
+        run_experiment(cfg, tmp_path / "b")
         assert (tmp_path / "a" / "summary.json").read_bytes() == \
                (tmp_path / "b" / "summary.json").read_bytes()
 
@@ -558,7 +570,7 @@ PINNED_TIMING_KEYS = {"bmc": ["steps", "type", "wall_clock_s"], "er": ["type", "
 def test_step_rows_pinned(tmp_path, method):
     raw = toy_raw(method=method)
     raw["bmc"]["experts_per_step"] = 1
-    run_experiment(parse_config(raw), tmp_path, workers=1)
+    run_experiment(parse_config(raw), tmp_path)
     rows = [json.loads(s) for s in (tmp_path / "records.jsonl").read_text().splitlines()]
     assert [r["type"] for r in rows] == ["step", "step", "timing", "summary"]
     for row in rows[:2]:
@@ -645,6 +657,22 @@ class TestSweep:
         assert len(set(values)) == 10
         assert all(0.0 <= v <= 2.0 for v in values)
 
+    def test_workers_flag_wins_over_a_sampled_worker_count(self, tmp_path):
+        # a sampled count of 0 fails the trial's parse unless --workers replaces it
+        spec = self.spec(1, {"bmc.workers": {"choices": [0]}}, method="bmc")
+        assert run_sweep(spec, tmp_path / "bad")[0]["status"] == "error"
+        assert run_sweep(spec, tmp_path / "ok", workers=1)[0]["status"] == "ok"
+
+    def test_workers_flag_is_range_checked_before_any_trial(self, tmp_path, capsys):
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps({
+            "trials": 1, "seed": 5, "base": toy_raw(method="bmc"),
+            "ranges": {"training.lr": {"low": 0.05, "high": 0.2}}}))
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(spec_file), "--out-dir", str(out), "--workers", "0"]) == 2
+        assert "bmc/workers" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_failing_trial_recorded_not_fatal(self, tmp_path):
         spec = self.spec(2, {"training.lr": {"choices": [-1.0]}})
         rows = run_sweep(spec, tmp_path / "sweep")
@@ -666,6 +694,12 @@ class TestPareto:
     def test_equal_cost_points_all_survive(self):
         # neither has strictly lower cost, so neither dominates the other
         assert export_pareto([(1, 0.3), (1, 0.7)]) == [(1.0, 0.3), (1.0, 0.7)]
+
+    def test_ties_with_cheaper_groups(self):
+        # equal accuracy at a higher cost is not strictly worse, so it survives;
+        # the best of an equal-cost group dominates every dearer, worse point
+        assert export_pareto([(1, 0.5), (2, 0.5)]) == [(1.0, 0.5), (2.0, 0.5)]
+        assert export_pareto([(1, 0.7), (1, 0.3), (2, 0.5)]) == [(1.0, 0.3), (1.0, 0.7)]
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError, match="no points"):
@@ -708,6 +742,15 @@ class TestPareto:
     def test_cli_verb_empty_glob_fails(self, tmp_path, capsys):
         assert main(["pareto", str(tmp_path / "none-*.json")]) == 2
 
+    def test_cli_verb_unwritable_out_is_an_error_not_a_traceback(self, tmp_path, capsys):
+        (tmp_path / "s0.json").write_text(
+            json.dumps({"type": "summary", "total_cost": 1, "final_mean_acc": 0.5}))
+        out = tmp_path / "missing" / "frontier.csv"
+        assert main(["pareto", str(tmp_path / "*.json"), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: FileNotFoundError: ") and str(out) in err
+        assert "Traceback" not in err
+
 
 class TestGenStream:
     def test_generates_loadable_file(self, tmp_path, capsys):
@@ -725,3 +768,13 @@ class TestGenStream:
                      "--n-tasks", "0", "--classes-per-task", "3", "--dim", "5",
                      "--train-per-task", "30", "--val-per-task", "9"])
         assert code == 2
+
+    def test_unwritable_out_is_an_error_not_a_traceback(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "toy.stream"
+        code = main(["gen-stream", "permuted", str(out),
+                     "--n-tasks", "2", "--classes-per-task", "3", "--dim", "5",
+                     "--train-per-task", "30", "--val-per-task", "9"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: FileNotFoundError: ") and str(out) in err
+        assert "Traceback" not in err

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import hashlib
 import logging
 import struct
 
 import numpy as np
 import pytest
+from helpers import write_stream_file
 
 from batchcl.engine import SGD, loss_and_grads
 from batchcl.losses import task_loss
@@ -19,6 +21,7 @@ from batchcl.streams import (
     generate_stream,
     load_feature_stream,
     mean_accuracy,
+    ranges_overlap,
     save_stream,
 )
 
@@ -32,7 +35,28 @@ def small_stream(kind="split_synthetic", n_tasks=3, seed=0, **kw):
     return generate_stream(kind, **args)
 
 
+def stream_digest(stream) -> str:
+    """sha256 (first 16 hex digits) of every task's ids, class range, and
+    arrays with their dtypes and shapes."""
+    h = hashlib.sha256()
+    for t in stream.tasks:
+        h.update(struct.pack("<qqq", t.task_id, t.class_lo, t.class_hi))
+        for a in (t.train_x, t.train_y, t.val_x, t.val_y):
+            h.update(f"{a.dtype.str}{a.shape}".encode())
+            h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()[:16]
+
+
 class TestGeneration:
+    @pytest.mark.parametrize("kind, digest", [
+        ("split_synthetic", "55cf7f66e8aaeff0"),
+        ("permuted", "1596f641882c098f"),
+    ])
+    def test_stream_bytes_pinned(self, kind, digest):
+        # the generator's draw order is part of every run's data: a refactor
+        # that reorders one rng call changes these digests
+        assert stream_digest(small_stream(kind, n_tasks=3, seed=0)) == digest
+
     def test_permuted_task0_is_base_dataset(self):
         # the base dataset is exactly what a 1-task stream yields; a longer
         # stream must present the identical data as its task 0 (identity perm)
@@ -102,6 +126,19 @@ class TestGeneration:
         args.update(bad)
         with pytest.raises(ValueError):
             generate_stream(**args)
+
+    @pytest.mark.parametrize("ranges, overlap", [
+        ([], False),
+        ([(0, 2)], False),
+        ([(0, 2), (2, 4)], False),  # touching half-open ranges share no id
+        ([(4, 6), (0, 2), (2, 4)], False),
+        ([(0, 2), (1, 3)], True),  # one shared id
+        ([(2, 4), (0, 3)], True),
+        ([(0, 10), (3, 4), (5, 6)], True),  # nested
+        ([(6, 8), (0, 2), (7, 9)], True),  # the overlapping pair is not adjacent in input order
+    ])
+    def test_ranges_overlap(self, ranges, overlap):
+        assert ranges_overlap(ranges) is overlap
 
     def test_overlapping_ranges_rejected(self):
         t0 = small_stream(n_tasks=1, seed=0).tasks[0]
@@ -180,6 +217,42 @@ class TestStreamFile:
         assert (s.tasks[1].class_lo, s.tasks[1].class_hi) == (2, 4)
         assert s.tasks[1].train_y.min() >= 2
         assert any("re-based" in r.message for r in caplog.records)
+
+    def test_interleaved_ids_rebased_in_file_order(self, tmp_path, caplog):
+        # disjoint id sets whose ranges interleave, as a shuffled class order
+        # splits a labelled dataset: [0, 3) and [1, 4) overlap
+        path = str(tmp_path / "interleaved.clfs")
+        write_stream_file(path, 3, [(0, 2, [0, 2, 2, 0], [2, 0]),
+                                    (1, 2, [3, 1, 1, 3], [1, 3])])
+        with caplog.at_level(logging.INFO, logger="batchcl.streams"):
+            s = load_feature_stream(path)
+        assert [(t.class_lo, t.class_hi) for t in s.tasks] == [(0, 2), (2, 4)]
+        # ascending original id within each task: 0, 2 -> 0, 1 and 1, 3 -> 2, 3
+        np.testing.assert_array_equal(s.tasks[0].train_y, [0, 1, 1, 0])
+        np.testing.assert_array_equal(s.tasks[0].val_y, [1, 0])
+        np.testing.assert_array_equal(s.tasks[1].train_y, [3, 2, 2, 3])
+        np.testing.assert_array_equal(s.tasks[1].val_y, [2, 3])
+        assert all(t.train_y.dtype == t.val_y.dtype == np.int64 for t in s.tasks)
+        assert sum("re-based" in r.message for r in caplog.records) == 2
+
+    def test_disjoint_ranges_keep_file_ids(self, tmp_path, caplog):
+        path = str(tmp_path / "disjoint.clfs")
+        write_stream_file(path, 3, [(0, 2, [4, 5], [5, 4]), (1, 3, [0, 2], [2])])
+        with caplog.at_level(logging.INFO, logger="batchcl.streams"):
+            s = load_feature_stream(path)
+        assert [(t.class_lo, t.class_hi) for t in s.tasks] == [(4, 6), (0, 3)]
+        np.testing.assert_array_equal(s.tasks[1].train_y, [0, 2])
+        assert not caplog.records
+
+    def test_more_ids_than_header_class_count_rejected(self, tmp_path):
+        # the second task's header starts after the first task's 3 rows of
+        # 3 floats and an id each
+        path = str(tmp_path / "undeclared.clfs")
+        write_stream_file(path, 3, [(0, 2, [0, 1], [1]), (5, 1, [2, 3], [3])])
+        with pytest.raises(StreamFormatError,
+                           match=r"task 5: 2 distinct class ids, but its header declares 1 "
+                                 rf"\(header at byte {10 + 28 + 3 * 16}\)"):
+            load_feature_stream(path)
 
     def test_zero_tasks_rejected(self, tmp_path):
         path = str(tmp_path / "empty.clfs")
