@@ -174,7 +174,7 @@ def softmax_cross_entropy(
 def stacked_distance(
     students: Sequence[np.ndarray],
     targets: Sequence[np.ndarray],
-    owner: np.ndarray | None = None,
+    route: tuple[np.ndarray, int] | None = None,
     weight=1.0,
     name: str = "stacked_distance",
 ):
@@ -182,62 +182,66 @@ def stacked_distance(
 
     This is the one distance op of the engine: every distillation term is
     one call of it. ``students[i]`` is a ``(B, D_i)`` array and
-    ``targets[i]`` the ``(k, B, D_i)`` stack of what k teachers put in its
-    place (a constant: it gets no gradient). Term (j, i) is the squared
-    difference of target j and student i, averaged over rows and over the
-    D_i features, whatever the features are (taps or logits): the one
-    normalization, so a term's scale does not grow with D_i.
+    ``targets[i]`` what the teachers put in its place (a constant: it gets
+    no gradient). Term (j, i) is the squared difference of teacher j's
+    target and student i, averaged over rows and over the D_i features,
+    whatever the features are (taps or logits): the one normalization, so
+    a term's scale does not grow with D_i.
 
-    ``owner``, when given, is the constant ``(B,)`` integer array that
-    routes each row to one teacher: ``owner[r] = j`` makes row r teacher
-    j's, and a negative entry (-1, a memory row) makes it no teacher's. An
-    entry of k or more names no teacher of the stack (GraphError). Term
-    (j, i) averages over teacher j's rows only, and a teacher owning no row
-    contributes exactly 0. Each row's own teacher is gathered once, so a
-    student's gradient is one ``(B, D_i)`` contribution whatever k is, and
-    a row of no teacher gets an exact +0. Without ``owner`` every row
-    counts for every teacher. That mode takes the mean over the rows and
-    features as numpy's ``mean`` rounds it, not a row sum divided by the
-    count of a routed mode: the two round differently in float32, so
-    routing every row to a teacher is not the same number.
+    Without ``route`` every row counts for every teacher, and
+    ``targets[i]`` is the ``(k, B, D_i)`` stack of the k teachers'
+    targets. That mode takes the mean over the rows and features as
+    numpy's ``mean`` rounds it, not a row sum divided by the count of the
+    routed mode: the two round differently in float32, so routing every
+    row to a teacher is not the same number.
+
+    ``route = (owner, k)`` routes each row to one of k teachers: ``owner``
+    is the constant ``(B,)`` integer array in which ``owner[r] = j`` makes
+    row r teacher j's and a negative entry (-1, a memory row) makes it no
+    teacher's; an entry of k or more names no teacher (GraphError). Then
+    ``targets[i]`` is ``(B, D_i)``, each row's own teacher's target,
+    gathered by whoever ran the teachers (a row of no teacher carries
+    teacher 0's, which it reads at weight 0). Term (j, i) averages over
+    teacher j's rows only, and a teacher owning no row contributes
+    exactly 0.
 
     Returns ``(value, grads)``. The value adds the terms of one teacher in
     student order, then the teachers in order. ``grads[i]`` is the stack of
     contributions to the gradient of student i, summed from zero in stack
-    order: without ``owner`` the ``(k, B, D_i)`` teachers' contributions
+    order: without ``route`` the ``(k, B, D_i)`` teachers' contributions
     in teacher order j = 0..k-1, the order a sum of k one-teacher
-    distances adds them in; with ``owner`` the ``(1, B, D_i)`` gathered
-    one, which adds to the same bits since every other teacher's share of
-    a row is zero.
+    distances adds them in; with it the ``(1, B, D_i)`` one of each row's
+    own teacher, which adds to the same bits since every other teacher's
+    share of a row is zero, and which is an exact +0 on a row of none.
     """
     if not students or len(students) != len(targets):
         raise GraphError(f"{name}: {len(students)} students for {len(targets)} target stacks")
     dtype = students[0].dtype
-    k, rows = len(targets[0]), students[0].shape[0]
+    rows = students[0].shape[0]
+    owner, k = (None, len(targets[0])) if route is None else route
     if k == 0:
         raise GraphError(f"{name}: needs at least one teacher")
-    for i, (s, t) in enumerate(zip(students, targets)):
-        if s.ndim != 2 or s.shape[0] != rows or t.shape != (k, *s.shape):
-            raise GraphError(
-                f"{name}: student {i} of shape {s.shape} and target stack of shape "
-                f"{t.shape} do not fit {k} teachers of {rows} rows"
-            )
-    g = np.asarray(weight, dtype=dtype)
-    if owner is None:
-        diffs = [t - s for s, t in zip(students, targets)]
-        denoms = [s.size for s in students]
-        terms = [np.add.reduce(d * d, axis=(-2, -1)) / den for d, den in zip(diffs, denoms)]
-    else:
+    if owner is not None:
         if owner.shape != (rows,):
             raise GraphError(f"{name}: owners of shape {owner.shape} do not fit {rows} rows")
         if np.maximum.reduce(owner, initial=-1) >= k:
             r = int(np.argmax(owner >= k))
             raise GraphError(f"{name}: row {r} routed to teacher {int(owner[r])} of {k}")
+    lead = (k,) if owner is None else ()
+    for i, (s, t) in enumerate(zip(students, targets)):
+        if s.ndim != 2 or s.shape[0] != rows or t.shape != (*lead, *s.shape):
+            raise GraphError(
+                f"{name}: student {i} of shape {s.shape} and targets of shape "
+                f"{t.shape} do not fit {k} teachers of {rows} rows"
+            )
+    g = np.asarray(weight, dtype=dtype)
+    diffs = [t - s for s, t in zip(students, targets)]
+    if owner is None:
+        denoms = [s.size for s in students]
+        terms = [np.add.reduce(d * d, axis=(-2, -1)) / den for d, den in zip(diffs, denoms)]
+    else:
         m = (owner == np.arange(k)[:, None]).astype(dtype)
-        # a row of no teacher reads teacher 0's target, at weight 0
         sel, owned = np.maximum(owner, 0), (owner >= 0).astype(dtype)
-        every_row = np.arange(rows)
-        diffs = [t[sel, every_row] - s for s, t in zip(students, targets)]
         counts = np.maximum(np.add.reduce(m, axis=1), 1)
         denoms = [counts * s.shape[1] for s in students]
         terms = [np.add.reduce(m * np.add.reduce(d * d, axis=-1), axis=-1) / den

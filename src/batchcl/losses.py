@@ -13,14 +13,17 @@ parameters.
 Objectives:
 
 - ``task_loss``            cross-entropy on the full current head
-- ``distill``              distillation toward a teacher stack (every tap / last tap / logits),
-                           every row counting or each row routed to its expert by origin
+- ``distill``              distillation toward teachers (every tap / last tap / logits):
+                           a teacher stack every row counts for, or each row's own
+                           expert's gathered outputs, routed by origin
 - ``l_exp``                expert objective: task + stability (``distill`` to the base)
 - ``l_base``               consolidation objective: replay task loss + routed ``distill``
 - ``ewc_penalty``          quadratic parameter-importance penalty (on the parameters)
 
-A teacher is always a stacked pass, ``(k, B, D)``: a stack of one for the
-stability pull, of k experts for consolidation.
+An unrouted teacher is a stacked pass, ``(k, B, D)``: a stack of one for
+the stability pull and the drift telemetry. Consolidation's k experts run
+in a process of their own, which sends each batch row its own expert's
+outputs, ``(B, D)``; the routed form takes those and the teacher count.
 """
 
 from __future__ import annotations
@@ -70,37 +73,50 @@ def task_loss(student: TapSet, labels: np.ndarray, weight: float = 1.0) -> Objec
 DISTILL_KINDS = ("features", "kd_logits", "phi_penultimate")
 
 
-def distill(kind: str, teachers: TapSet, student: TapSet, origins: np.ndarray | None = None,
-            weight: float = 1.0) -> Objective:
-    """The ``kind`` distance of the student to a teacher stack, times ``weight``.
+def distilled_outputs(kind: str, n_taps: int) -> list[int]:
+    """The outputs of a pass with ``n_taps`` taps that the ``kind`` distance
+    compares, as indices into ``[*taps, logits]``: every tap
+    (``features``), the last tap (``phi_penultimate``) or the raw logits
+    (``kd_logits``, DER's logit replay)."""
+    which = {"features": range(n_taps), "phi_penultimate": [n_taps - 1],
+             "kd_logits": [n_taps]}.get(kind)
+    if which is None:
+        raise ValueError(f"unknown distillation kind {kind!r}; expected one of {DISTILL_KINDS}")
+    return list(which)
 
-    ``teachers`` is a stacked pass, taps and logits ``(k, B, D)``: the
+
+def distill(kind: str, teachers: TapSet, student: TapSet,
+            route: tuple[np.ndarray, int] | None = None, weight: float = 1.0) -> Objective:
+    """The ``kind`` distance of the student to its teachers, times ``weight``.
+
+    ``kind`` picks the outputs compared (:func:`distilled_outputs`). Each
+    term is the squared teacher-student difference averaged over rows and
+    features, exactly 0 between identical passes: its pull shrinks with
+    the distance, so a fixed-step update settles onto the teacher instead
+    of overshooting it.
+
+    Without ``route`` every row counts for every teacher, and ``teachers``
+    is a stacked pass, taps and logits ``(k, B, D)``: the
     ``TapSet.teachers`` of a stack's student pass, or a slice of a stack's
-    teacher pass. ``kind`` compares every tap (``features``), the last tap
-    (``phi_penultimate``) or the raw logits (``kd_logits``, DER's logit
-    replay). Each term is the squared teacher-student difference averaged
-    over rows and features, exactly 0 between identical passes: its pull
-    shrinks with the distance, so a fixed-step update settles onto the
-    teacher instead of overshooting it.
-
-    Without ``origins`` every row counts for every teacher: the stability
-    pull and the drift telemetry, each on a stack of one. With them this is
-    the batched consolidation term: origin j routes a row to teacher j,
-    whose buffer contributed it, and -1 (memory) to none. Each teacher's
-    distance averages over its own rows, a teacher owning none adds an exact
-    0, and value and gradients are those of a sum of k one-teacher
-    distances, all in one :func:`~batchcl.engine.stacked_distance` call.
+    teacher pass. That is the stability pull and the drift telemetry, each
+    on a stack of one. ``route = (origins, k)`` is the batched
+    consolidation term: origin j routes a row to teacher j of k, whose
+    buffer contributed it, and -1 (memory) to none. Then ``teachers``
+    holds each row's own teacher's outputs, ``(B, D)``, gathered where the
+    k teachers ran (a memory row carries teacher 0's); an output the kind
+    does not compare may be None. Each teacher's distance averages over its
+    own rows, a teacher owning none adds an exact 0, and value and
+    gradients are those of a sum of k one-teacher distances, all in one
+    :func:`~batchcl.engine.stacked_distance` call.
     """
     n = len(student.taps)
     if len(teachers.taps) != n:
         raise GraphError(f"tap count mismatch: teacher {len(teachers.taps)} vs student {n}")
-    which = {"features": range(n), "phi_penultimate": [n - 1], "kd_logits": [n]}.get(kind)
-    if which is None:
-        raise ValueError(f"unknown distillation kind {kind!r}; expected one of {DISTILL_KINDS}")
+    which = distilled_outputs(kind, n)
     outputs, targets = [*student.taps, student.logits], [*teachers.taps, teachers.logits]
     value, grads = stacked_distance(
-        [outputs[i] for i in which], [targets[i] for i in which], origins, weight,
-        name="teacher_distance" if origins is None else "expert_distance",
+        [outputs[i] for i in which], [targets[i] for i in which], route, weight,
+        name="teacher_distance" if route is None else "expert_distance",
     )
     parts: list[list[np.ndarray]] = [[] for _ in outputs]
     for i, stack in zip(which, grads):
@@ -130,28 +146,29 @@ def l_exp(
 
 def l_base(
     student: TapSet,
-    expert_teachers: TapSet | None,
+    expert_targets: TapSet | None,
     labels: np.ndarray,
     task_coef: float,
     consolidation_coef: float,
     kind: str = "features",
-    batch_origins: np.ndarray | None = None,
+    route: tuple[np.ndarray, int] | None = None,
 ) -> Objective:
     """Consolidation objective: weighted replay cross-entropy + batched distillation.
 
     A zero coefficient skips its branch entirely (degenerate modes reduce
-    to pure replay or pure distillation with no leftover work). The batch's
-    origin tags route each row to the expert whose buffer contributed it
-    (:func:`distill`); they are required whenever the distillation branch
-    is active.
+    to pure replay or pure distillation with no leftover work). The
+    distillation branch is :func:`distill`'s routed form: ``route`` is the
+    batch's origin tags and the teacher count, and ``expert_targets`` each
+    row's own expert's outputs; both are required whenever that branch is
+    active.
     """
     terms: list[Objective] = []
     if task_coef != 0.0:
         terms.append(task_loss(student, labels, task_coef))
     if consolidation_coef != 0.0:
-        if batch_origins is None:
+        if route is None:
             raise GraphError("batched distillation needs origin tags for the batch")
-        terms.append(distill(kind, expert_teachers, student, batch_origins, consolidation_coef))
+        terms.append(distill(kind, expert_targets, student, route, consolidation_coef))
     if not terms:
         raise GraphError("both coefficients zero: nothing to optimize")
     return _joined(terms)

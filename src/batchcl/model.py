@@ -37,11 +37,11 @@ A model's whole state is one contiguous buffer, its arena
 statistics, which is also a snapshot's payload order. ``params`` and
 ``stats`` are views of it, so a snapshot, a copy or a load is one copy of
 the arena, a gradient is one flat array in the parameters' layout, and an
-SGD step is one array op. A student and the teachers it learns from run
-as one stack (:func:`stack_vectors`) whose arena is ``(k+1, size)``,
-student in row 0: one train pass computes every slice's taps on the
-shared batch and dropout masks, and the student trains through views of
-row 0 (:meth:`ResidualClassifier.slice`).
+SGD step is one array op. Models of one layout stack (:func:`stack_vectors`)
+into one whose arena is ``(k, size)``: a teacher pass of the stack runs k
+teachers on one batch, and a train pass runs a student in row 0 together
+with its teachers in rows 1..k on the shared batch and dropout masks, the
+student training through views of row 0 (:meth:`ResidualClassifier.slice`).
 """
 
 from __future__ import annotations
@@ -169,6 +169,11 @@ class ParamVector:
         Payload: the float32 arrays concatenated in entry order, joined
         from a view of ``payload``, so the blob is the only copy made.
         """
+        return b"".join(self.byte_parts())
+
+    def byte_parts(self) -> list:
+        """The pieces :meth:`to_bytes` joins, the payload last as a byte view
+        of ``payload``, for a caller that joins them into a larger message."""
         out = [PARAM_VECTOR_MAGIC, struct.pack("<HI", PARAM_VECTOR_VERSION, len(self.names))]
         for name, shape in zip(self.names, self.shapes):
             nb = name.encode()
@@ -177,7 +182,7 @@ class ParamVector:
             out.append(struct.pack("<B", len(shape)))
             out.append(struct.pack(f"<{len(shape)}I", *shape))
         out.append(memoryview(np.ascontiguousarray(self.payload, dtype="<f4")).cast("B"))
-        return b"".join(out)
+        return out
 
     @classmethod
     def from_bytes(cls, blob: bytes) -> "ParamVector":
@@ -383,13 +388,16 @@ class ResidualClassifier:
         x: np.ndarray,
         train: bool = False,
         rng: np.random.Generator | None = None,
+        masks: list[np.ndarray] | None = None,
     ) -> tuple[TapSet, PassRecord]:
         """Run the network, returning the TapSet and the record of the pass.
 
         Hand the record to :meth:`backward` with an objective's gradients
         with respect to the returned taps and logits. Train mode updates
         normalization running statistics in place and draws dropout masks
-        from ``rng``; the TapSet keeps them for :meth:`forward_as_teacher`.
+        from ``rng`` (:meth:`draw_masks`), unless ``masks`` are the ones
+        that call already drew for this batch; the TapSet keeps them for
+        :meth:`forward_as_teacher`.
 
         On a stack (:func:`stack_vectors`) this is the train pass of a
         student in slice 0 with its teachers in slices 1..k, in one call of
@@ -411,7 +419,10 @@ class ResidualClassifier:
         # passes run in whatever precision the parameters carry (float32 in
         # production; tests build float64 twins for derivative oracles)
         dtype = self.params["stem.W"].dtype
-        masks = self._draw_masks(n, rng, dtype) if train else []
+        if not train:
+            masks = []
+        elif masks is None:
+            masks = self.draw_masks(n, rng)
         layers: list[tuple] = []
         taps, head_in, logits = self._values(
             x.astype(dtype, copy=False), "train" if train else "eval", masks, layers
@@ -453,8 +464,9 @@ class ResidualClassifier:
         _walk_trunk(self.config, record.layers, step, taps)
         return flat
 
-    def _draw_masks(self, n: int, rng, dtype) -> list[np.ndarray]:
-        """A train pass's dropout multipliers, one ``(n, width)`` array per site.
+    def draw_masks(self, n: int, rng) -> list[np.ndarray]:
+        """A train pass's dropout multipliers for ``n`` rows, one ``(n, width)``
+        array per site, in the parameters' precision.
 
         One draw covers every site, split in layer order: the same stream,
         in the same order, as one draw per site.
@@ -465,7 +477,7 @@ class ResidualClassifier:
             raise GraphError("stem.dropout: train-mode dropout needs an RNG")
         c = self.config
         widths = [c.res_dim] * (1 + c.res_blocks * c.res_layers_per_block) + [c.hidden_dim]
-        flat = dropout_mask((n * sum(widths),), c.dropout_p, rng, dtype)
+        flat = dropout_mask((n * sum(widths),), c.dropout_p, rng, self.params["stem.W"].dtype)
         masks, start = [], 0
         for w in widths:
             masks.append(flat[start : start + n * w].reshape(n, w))
@@ -577,10 +589,22 @@ class ResidualClassifier:
         (-2) of each expert. Every expert's slice thus goes through the same
         float operations as a single pass, and equals it bit for bit. Here
         every slice is a teacher; :meth:`forward_with_taps` trains slice 0.
+
+        A stack viewed :meth:`over_batches` runs n batches at once: ``x`` is
+        ``(n, B, d)``, each mask ``(n, B, width)``, and every array gains the
+        batch axis after the stack axis, ``(k, n, B, D)``. Each batch takes
+        statistics over its own rows, so slice ``[j, b]`` equals the pass of
+        batch b alone, bit for bit, in fewer and larger array ops.
         """
-        x = self._check_input(x)
-        if len(x) < 2:
-            raise GraphError(f"teacher pass on {len(x)} rows (batch statistics need >= 2)")
+        if self.arena.ndim == 3:
+            x = np.asarray(x)
+            if x.ndim != 3:
+                raise GraphError(f"input shape {x.shape}: a stack over batches takes (n, B, d)")
+            self._check_input(x[0])
+        else:
+            x = self._check_input(x)
+        if x.shape[-2] < 2:
+            raise GraphError(f"teacher pass on {x.shape[-2]} rows (batch statistics need >= 2)")
         if masks and len(masks) != self.dropout_sites:
             raise GraphError(
                 f"{len(masks)} dropout masks for {self.dropout_sites} dropout layers"
@@ -652,9 +676,21 @@ class ResidualClassifier:
         _walk_trunk(self.config, layers, step, tap_grads)
         return np.sqrt(sq)
 
-    def to_param_vector(self) -> ParamVector:
+    def to_param_vector(self, copy: bool = True) -> ParamVector:
+        """A snapshot of the model's whole state. With ``copy=False`` its
+        payload is the arena itself: it moves with the model, so serialize
+        it before the model trains again."""
         layout = self.layout
-        return ParamVector(layout.names, tuple(layout.shapes.values()), self.arena.copy())
+        arena = self.arena.copy() if copy else self.arena
+        return ParamVector(layout.names, tuple(layout.shapes.values()), arena)
+
+    def over_batches(self) -> "ResidualClassifier":
+        """This stack with an axis of batches after the stack axis: its
+        ``(k, size)`` arena viewed as ``(k, 1, size)`` (not a copy), so that
+        :meth:`forward_as_teacher` takes n batches at once."""
+        if self.arena.ndim != 2:
+            raise GraphError(f"an arena of shape {self.arena.shape} is not a stack's")
+        return ResidualClassifier._from_arena(self.config, self.arena[:, None])
 
     def copy(self) -> "ResidualClassifier":
         return ResidualClassifier._from_arena(self.config, self.arena.copy())

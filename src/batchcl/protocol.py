@@ -9,9 +9,11 @@ One incremental step processes a batch of k disjoint tasks:
                   and training on ONLY its own task;
   3. upload     — every expert returns exactly one ARTF frame (its
                   parameter snapshot, buffer, and training stats);
-  4. consolidate— the coordinator rebuilds the expert teachers locally,
-                  trains the base on the pooled memory+buffer data, then
-                  refreshes the memory and discards the buffers.
+  4. consolidate— the coordinator trains a copy of the base on the pooled
+                  memory+buffer data while the expert teachers, rebuilt
+                  from their snapshots in a forked teacher process, send
+                  it their targets; then it refreshes the memory and
+                  discards the buffers.
 
 One set of hyper-parameters drives both phases: the step functions read
 the run's ``ExperimentConfig`` (``seed``, ``training`` and ``bmc``).
@@ -37,27 +39,36 @@ picks its own task by the index in the SYNC frame.
 
 The coordinator holds each snapshot once: the decoders return views of the
 frame they read, so a decoded expert snapshot is a read-only view of its
-ARTF frame, and a step lets go of each frame once it has consumed it.
+ARTF frame, and a step lets go of each frame once it has consumed it. The
+base snapshot and each ARTF frame are serialized from a view of the arena
+with one join.
+
+Every child process, an expert worker or a teacher process, is forked by
+:class:`Forked`, which gives it a pipe of its own for its length-prefixed
+records and reaps it on every way out.
 """
 
 from __future__ import annotations
 
+import fcntl
 import os
 import pickle
 import signal
 import struct
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .config import ExperimentConfig, build_model_config
 from .engine import NonFiniteError, loss_and_grads, train_epochs
-from .losses import DISTILL_KINDS, distill, l_base, l_exp
+from .losses import DISTILL_KINDS, distill, distilled_outputs, l_base, l_exp
 from .model import (
     ModelConfig,
     ParamVector,
     ResidualClassifier,
+    TapSet,
     build_model,
     model_from_vector,
     stack_vectors,
@@ -160,11 +171,12 @@ class ExpertArtifact:
 # ---------------------------------------------------------------------------
 
 
-def frame(tag: bytes, payload: bytes) -> bytes:
-    """tag (4 bytes) | payload length (u64) | payload"""
+def frame(tag: bytes, *parts) -> bytes:
+    """tag (4 bytes) | payload length (u64) | payload, the payload being
+    ``parts`` (bytes or byte views) joined: the frame is the one copy made."""
     if len(tag) != 4:
         raise ValueError("tag must be 4 bytes")
-    return b"".join((tag, struct.pack("<Q", len(payload)), payload))
+    return b"".join((tag, struct.pack("<Q", sum(map(len, parts))), *parts))
 
 
 def _take(blob: bytes, off: int, n: int, what: str) -> tuple[memoryview, int]:
@@ -308,13 +320,19 @@ def decode_sync(payload: bytes) -> tuple[int, int, ExpertHyper, memoryview]:
 def encode_artifact(a: ExpertArtifact) -> bytes:
     """The ``_ARTIFACT_HEADER`` fields, the snapshot bytes, the buffer length
     (``_BUFFER_LENGTH``) and the buffer bytes."""
-    pv = a.param_vector.to_bytes()
+    return b"".join(_artifact_parts(a))
+
+
+def _artifact_parts(a: ExpertArtifact) -> list:
+    """The pieces of :func:`encode_artifact`'s payload, the snapshot's
+    payload a view of its array, so that one join makes the message."""
+    pv = a.param_vector.byte_parts()
     buf = encode_buffer(a.buffer)
-    return b"".join((
+    return [
         struct.pack(_ARTIFACT_HEADER, a.expert_index, a.stats.epochs, a.stats.final_loss,
-                    a.stats.wall_clock_s, len(pv)),
-        pv, struct.pack(_BUFFER_LENGTH, len(buf)), buf,
-    ))
+                    a.stats.wall_clock_s, sum(map(len, pv))),
+        *pv, struct.pack(_BUFFER_LENGTH, len(buf)), buf,
+    ]
 
 
 def decode_artifact(payload: bytes) -> ExpertArtifact:
@@ -442,9 +460,10 @@ def remote_train(sync: bytes, tasks: tuple[Task, ...], model_config: ModelConfig
         base_model=base,
         expert_model=expert,
     )
-    return frame(TAG_ARTIFACT, encode_artifact(ExpertArtifact(
+    # the frame is the one copy of the expert's arena
+    return frame(TAG_ARTIFACT, *_artifact_parts(ExpertArtifact(
         expert_index=expert_index,
-        param_vector=expert.to_param_vector(),
+        param_vector=expert.to_param_vector(copy=False),
         buffer=buffer,
         stats=ExpertStats(
             epochs=h.epochs,
@@ -462,21 +481,26 @@ class SerialExecutor:
         return [remote_train(sync, tasks, model_config) for sync in syncs]
 
 
-_REPORT_LENGTH = struct.Struct("<Q")  # before each record a worker writes to its pipe
+# before each record a child writes to its pipe: its length, then 1 if it
+# is a pickled exception
+_RECORD_HEADER = struct.Struct("<QB")
+# what each child's pipe holds if the system allows it (Linux's default
+# unprivileged maximum): 12 of wide's 80 KiB teacher records, where the
+# default 64 KiB holds none whole
+_PIPE_BYTES = 1 << 20
+# the request for it, where the system has one (Linux)
+_SETPIPE_SZ = getattr(fcntl, "F_SETPIPE_SZ", None)
 
 
-def _serve_experts(out_fd: int, read_ends: list, syncs: list[bytes],
-                   tasks: tuple[Task, ...], model_config: ModelConfig) -> None:
-    """A forked worker's whole life; never returns.
+def _serve(out_fd: int, read_ends: list, job) -> None:
+    """A forked child's whole life; never returns.
 
     Closes the pipe ends it inherited for reading, so that its writes fail
-    rather than block once the coordinator is gone. Trains its experts through the module's ``remote_train``, then writes
-    their ARTF frames, each length-prefixed, to the pipe ``out_fd`` and
-    exits 0. If an expert raises, it writes the pickled exception instead
-    and exits 1. It writes only when all its experts are done, so a full
-    pipe never holds up its next expert while the coordinator reads
-    another worker's pipe. It leaves through ``os._exit``, so nothing
-    unwinds into the coordinator's stack.
+    rather than block once the parent is gone. Writes each record
+    (bytes-like) that ``job()`` yields to the pipe ``out_fd`` as it comes,
+    length-prefixed, and exits 0. If the job raises, it writes the pickled
+    exception instead and exits 1. It leaves through ``os._exit``, so
+    nothing unwinds into the parent's stack.
     """
     code = 1
     try:
@@ -484,42 +508,119 @@ def _serve_experts(out_fd: int, read_ends: list, syncs: list[bytes],
             pipe.close()
         with open(out_fd, "wb") as out:  # a file object finishes interrupted writes
             try:
-                reports = [remote_train(sync, tasks, model_config) for sync in syncs]
+                for record in job():
+                    view = memoryview(record).cast("B")
+                    out.write(_RECORD_HEADER.pack(len(view), 0))
+                    out.write(view)
+                    out.flush()
             except BaseException as e:
-                reports = [pickle.dumps(e)]
+                blob = pickle.dumps(e)
+                out.write(_RECORD_HEADER.pack(len(blob), 1))
+                out.write(blob)
             else:
                 code = 0
-            for blob in reports:
-                out.write(_REPORT_LENGTH.pack(len(blob)))
-                out.write(blob)
     finally:
         os._exit(code)
 
 
-def _read_reports(pipe) -> list[bytes]:
-    """Every whole record a worker wrote to ``pipe``, read to EOF."""
-    reports = []
-    while len(head := pipe.read(_REPORT_LENGTH.size)) == _REPORT_LENGTH.size:
-        (n,) = _REPORT_LENGTH.unpack(head)
+class Forked:
+    """Child processes forked from this one, one per job, each writing the
+    records its job yields (:func:`_serve`) to a pipe of its own.
+
+    A child inherits everything its job reads at the fork, so nothing is
+    sent to it. Each pipe is asked to hold ``_PIPE_BYTES`` (where the
+    system refuses, it keeps its default size), so that a child streaming
+    records runs that far ahead of its reader and the two processes swap
+    the CPU less often when they share one. Leaving the
+    ``with`` block reaps every child; if the block raised (an exception, a
+    KeyboardInterrupt), the children still running are killed first.
+    ``codes`` then holds each child's exit code, a negative one being the
+    signal that killed it.
+    """
+
+    def __init__(self, jobs):
+        self.pids: list[int] = []
+        self.pipes: list = []
+        self.codes: list[int | None] = []
+        try:
+            for job in jobs:
+                r, out_fd = os.pipe()
+                self.pipes.append(open(r, "rb"))
+                if _SETPIPE_SZ is not None:
+                    try:
+                        fcntl.fcntl(r, _SETPIPE_SZ, _PIPE_BYTES)
+                    except OSError:
+                        pass
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        _serve(out_fd, self.pipes, job)
+                finally:  # in this process only: a child never returns here
+                    os.close(out_fd)
+                self.pids.append(pid)
+                self.codes.append(None)
+        except BaseException as e:
+            self.__exit__(type(e), e, e.__traceback__)
+            raise
+
+    def __enter__(self) -> Forked:
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is not None:
+            for pid, code in zip(self.pids, self.codes):
+                if code is None:
+                    os.kill(pid, signal.SIGKILL)
+        for pipe in self.pipes:
+            pipe.close()
+        for w in range(len(self.pids)):
+            self.exit_code(w)
+
+    def read(self, w: int):
+        """Child ``w``'s next record, or None once its pipe ends (the child
+        exited, or died mid-record). A pickled exception it sent is
+        raised here as it is."""
+        pipe = self.pipes[w]
+        head = pipe.read(_RECORD_HEADER.size)
+        if len(head) < _RECORD_HEADER.size:
+            return None
+        n, failed = _RECORD_HEADER.unpack(head)
         blob = pipe.read(n)
-        if len(blob) < n:  # the worker died mid-write
-            break
-        reports.append(blob)
-    return reports
+        if len(blob) < n:
+            return None
+        if failed:
+            raise pickle.loads(blob)
+        return blob
+
+    def exit_code(self, w: int) -> int:
+        """Child ``w``'s exit code, reaping it first if need be."""
+        if self.codes[w] is None:
+            self.codes[w] = os.waitstatus_to_exitcode(os.waitpid(self.pids[w], 0)[1])
+        return self.codes[w]
+
+
+def _train_experts(syncs: list[bytes], tasks: tuple[Task, ...],
+                   model_config: ModelConfig) -> list[bytes]:
+    """An expert worker's job: the ARTF frames of its experts, trained in
+    turn through the module's ``remote_train``. It returns them only when
+    all are done, so a full pipe never holds up its next expert while the
+    coordinator reads another worker's pipe."""
+    return [remote_train(sync, tasks, model_config) for sync in syncs]
 
 
 class ProcessExecutor:
     """Parallel execution in forked worker processes; ARTF frames in launch
     order.
 
-    Each step forks W = ``min(workers, experts)`` workers, each with its
-    own pipe; worker w trains experts w, w + W, ... in turn. A worker inherits
-    the step's tasks, the model shape and its SYNC frames at the fork, so
-    nothing is sent to it; the only bytes it sends back are its ARTF
-    frames. Every worker is reaped before ``run`` returns or raises, and
-    an interrupted coordinator kills its workers first. An exception a
-    worker raises is re-raised here as it is; a worker that dies or exits
-    without a report fails the step with ExpertFailure.
+    Each step forks (:class:`Forked`) W = ``min(workers, experts)``
+    workers; worker w trains experts w, w + W, ... in turn
+    (:func:`_train_experts`). A worker inherits the step's tasks, the model
+    shape and its SYNC frames at the fork, so nothing is sent to it; the
+    only bytes it sends back are its ARTF frames. Every worker is reaped
+    before ``run`` returns or raises, and an interrupted coordinator kills
+    its workers first. An exception a worker raises is re-raised here as
+    it is; a worker that dies or exits without a report fails the step
+    with ExpertFailure.
     """
 
     def __init__(self, workers: int):
@@ -530,31 +631,11 @@ class ProcessExecutor:
     def run(self, syncs: list[bytes], tasks: tuple[Task, ...],
             model_config: ModelConfig) -> list[bytes]:
         n = min(self.workers, len(syncs))
-        pids, pipes = [], []
-        try:
-            for w in range(n):
-                r, out_fd = os.pipe()
-                pipes.append(open(r, "rb"))
-                try:
-                    pid = os.fork()
-                    if pid == 0:
-                        _serve_experts(out_fd, pipes, syncs[w::n], tasks, model_config)
-                finally:  # in the coordinator only: a worker never returns here
-                    os.close(out_fd)
-                pids.append(pid)
-            reports = [_read_reports(pipe) for pipe in pipes]
-        except BaseException:
-            for pid in pids:
-                os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            for pipe in pipes:
-                pipe.close()
-            codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+        jobs = [partial(_train_experts, syncs[w::n], tasks, model_config) for w in range(n)]
+        with Forked(jobs) as workers:
+            reports = [list(iter(partial(workers.read, w), None)) for w in range(n)]
         frames: list[bytes] = [b""] * len(syncs)
-        for w, (code, got) in enumerate(zip(codes, reports)):
-            if code == 1 and len(got) == 1:
-                raise pickle.loads(got[0])
+        for w, (code, got) in enumerate(zip(workers.codes, reports)):
             owed = len(frames[w::n])
             if code != 0 or len(got) != owed:
                 # a negative code is the signal that killed the worker
@@ -581,19 +662,33 @@ def consolidate(
     Trains ``cfg.bmc.rehearsal_epochs`` epochs of ``cfg.training.batch_size``
     rows on the ``cfg.bmc`` objective. The learning rate is reset to
     ``cfg.training.lr`` going in (fresh optimizer/scheduler) and the caller
-    never reuses this phase's optimizer afterwards. The student and
-    its expert teachers are one stack: slice 0 is a copy of the base, and
-    slices 1..k are the transmitted snapshots in expert-index order, so the
-    summation is deterministic. ``artifacts`` are those of experts 0..k-1,
-    each buffer holding its own expert's rows (:func:`check_artifacts`), so
-    a pool row's origin tag is the index of its teacher in the stack's
-    teacher pass and memory rows (-1) have none: the pool's origin column
-    is the routing of the batched term for the whole call. Each batch
-    draws its rows as :func:`~batchcl.replay.draw_batch` does, with one
-    ``rng.integers`` call, and gathers only the features, labels and
-    origins it reads; then it takes one pass for the student and all k
-    experts and one batched distillation. Returns the updated copy; the
-    input base is untouched.
+    never reuses this phase's optimizer afterwards. The student is a copy
+    of the base, trained with single-model passes and returned; the input
+    base is untouched. ``artifacts`` are those of experts 0..k-1, each
+    buffer holding its own expert's rows (:func:`check_artifacts`), so a
+    pool row's origin tag is the index of its teacher and memory rows (-1)
+    have none: the pool's origin column routes the batched term for the
+    whole call. Each batch draws its rows as
+    :func:`~batchcl.replay.draw_batch` does, with one ``rng.integers``
+    call, then its dropout masks, and gathers only the features, labels
+    and origins it reads.
+
+    With the distillation term on, the k experts teach from a process of
+    their own (:func:`_teach`), forked before the first batch. It inherits
+    the decoded snapshots, the pool and the RNG's state, replays every
+    batch's draws through the same function as the student, and sends
+    each row its own expert's outputs, which the student's routed distance
+    reads. The teachers never read the student, so they run ahead of it.
+    The teacher process is reaped before this returns or raises: killed
+    first if the student fails (a NonFiniteError, an interrupt); its own
+    exception is re-raised here as it is; if it dies, ExpertFailure.
+
+    A consolidation of fewer than ``_FORK_MIN_BATCHES`` batches, or one in
+    a process that may run on one CPU only (:func:`_usable_cores`), forks
+    nothing: the student trains as slice 0 of one stack with the k experts
+    in slices 1..k, whose pass yields every teacher's outputs with the
+    student's, and gathers each row's own (:func:`_own_outputs`) for the
+    same routed distance. It returns a copy of slice 0.
     """
     if not artifacts:
         raise ValueError("consolidation needs at least one expert artifact")
@@ -607,26 +702,128 @@ def consolidate(
     batch_size, task_coef, consolidation_coef, kind = (
         t.batch_size, b.task_coef, b.consolidation_coef, b.distill_kind
     )
-    if consolidation_coef > 0:
-        stack = stack_vectors(base.config, [base, *(a.param_vector for a in ordered)])
-        student = stack.slice(0)
-    else:
-        stack = student = base.copy()
     features, labels, origins = pool.features, pool.labels, pool.origins
-    n = len(pool)
+    n, k = len(pool), len(ordered)
     batches_per_epoch = max(1, n // batch_size)
+    total = b.rehearsal_epochs * batches_per_epoch
+    which = distilled_outputs(kind, base.config.res_blocks + 1)
+    snapshots = [a.param_vector for a in ordered]
+    stacked = consolidation_coef > 0 and (total < _FORK_MIN_BATCHES or _usable_cores() < 2)
+    model = stack_vectors(base.config, [base, *snapshots]) if stacked else base.copy()
+    student = model.slice(0) if stacked else model
 
-    def step(_):
+    def draw(rng):
+        # one batch's draws, rows then dropout masks; the teacher process
+        # makes them from a copy of this RNG's state, so both see one stream
         idx = rng.integers(0, n, size=batch_size)
-        student_taps, record = stack.forward_with_taps(features[idx], train=True, rng=rng)
-        loss = l_base(student_taps, student_taps.teachers, labels[idx], task_coef,
-                      consolidation_coef, kind, batch_origins=origins[idx])
-        return loss_and_grads(loss.value, lambda: student.backward(record, loss))
+        return idx, student.draw_masks(batch_size, rng)
 
-    train_epochs(student.flat_params, student.layout.param_slices, t.lr, b.rehearsal_epochs,
-                 lambda: range(batches_per_epoch), step)
-    # the student's own arena; the stack goes as this returns
-    return student if stack is student else student.copy()
+    def train(targets):
+        def step(_):
+            idx, masks = draw(rng)
+            taps, record = model.forward_with_taps(features[idx], train=True, masks=masks)
+            own = origins[idx]
+            loss = l_base(taps, targets(taps, own), labels[idx], task_coef, consolidation_coef,
+                          kind, (own, k))
+            return loss_and_grads(loss.value, lambda: student.backward(record, loss))
+
+        train_epochs(student.flat_params, student.layout.param_slices, t.lr,
+                     b.rehearsal_epochs, lambda: range(batches_per_epoch), step)
+
+    if consolidation_coef == 0:
+        train(lambda taps, own: None)
+    elif stacked:
+        train(lambda taps, own: _own_outputs(taps.teachers, own, which))
+        return student.copy()  # an arena of its own; the stack goes as this returns
+    else:
+        job = partial(_teach, base.config, snapshots, features, origins, partial(draw, rng),
+                      which, total)
+        with Forked([job]) as teacher:
+            received = 0
+
+            def targets(taps, own):
+                nonlocal received
+                blob = teacher.read(0)
+                if blob is None:
+                    raise ExpertFailure(f"teacher process ended with exit code "
+                                        f"{teacher.exit_code(0)} after {received} of {total} "
+                                        f"batches")
+                received += 1
+                return _routed_targets(blob, taps, which)
+
+            train(targets)
+    return student
+
+
+def _own_outputs(teachers: TapSet, origins: np.ndarray, which: list[int]) -> TapSet:
+    """Each row's own teacher's outputs ``which`` names (indices into
+    ``[*taps, logits]``), gathered from a stacked pass ``(k, B, D)``, the
+    others None; a memory row (origin -1) carries teacher 0's."""
+    own, rows = np.maximum(origins, 0), np.arange(len(origins))
+    outputs = [*teachers.taps, teachers.logits]
+    got = [outputs[i][own, rows] if i in which else None for i in range(len(outputs))]
+    return TapSet(got[:-1], got[-1])
+
+
+# batches per teacher pass: at the 32- and the 256-wide shapes of the
+# benchmark, 4 cost the least time per batch of 1, 2, 4, 8 and 16
+_TEACHER_CHUNK = 4
+# a consolidation of fewer batches runs its teachers in the coordinator's
+# stacked pass: the fork, the copy-on-write faults of both processes and the
+# wait for the first pass cost about 13 ms at the benchmark's 32-wide
+# shape, more than a second core saves on so few batches
+_FORK_MIN_BATCHES = 64
+
+
+def _usable_cores() -> int:
+    """The CPUs this process may run on. On one CPU the teacher process
+    only adds its own work to the student's (pinned16's consolidation took
+    7-14% longer than the stacked pass with both pinned to one CPU), so
+    consolidation forks it only where there are at least 2."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _teach(config: ModelConfig, snapshots: list[ParamVector], features: np.ndarray,
+           origins: np.ndarray, draw, which: list[int], batches: int):
+    """The teacher process's job (:func:`consolidate`): one record per batch.
+
+    Stacks the k snapshots once. For each of ``batches`` batches it makes
+    the batch's draws with ``draw``, runs the stack's teacher pass on the
+    batch's rows with its dropout masks, and yields the outputs ``which``
+    names (indices into ``[*taps, logits]``), each ``(B, D)`` block of
+    each row's own expert's output, in that order; a memory row carries
+    expert 0's. One pass covers ``_TEACHER_CHUNK`` batches
+    (:meth:`~batchcl.model.ResidualClassifier.over_batches`), with the
+    bits of a pass per batch.
+    """
+    teachers = stack_vectors(config, snapshots).over_batches()
+    for start in range(0, batches, _TEACHER_CHUNK):
+        draws = [draw() for _ in range(min(_TEACHER_CHUNK, batches - start))]
+        idx = np.stack([rows for rows, _ in draws])
+        masks = [np.stack(site) for site in zip(*(m for _, m in draws))]
+        passes = teachers.forward_as_teacher(features[idx], masks)  # (k, n, B, D)
+        for b, rows in enumerate(idx):
+            batch = TapSet([t[:, b] for t in passes.taps], passes.logits[:, b])
+            own = _own_outputs(batch, origins[rows], which)
+            outputs = [*own.taps, own.logits]
+            yield b"".join(outputs[i] for i in which)
+
+
+def _routed_targets(blob: bytes, student: TapSet, which: list[int]) -> TapSet:
+    """A :func:`_teach` record as a TapSet shaped like the ``student`` pass:
+    the outputs ``which`` names are views of ``blob``, the others None."""
+    outputs = [*student.taps, student.logits]
+    flat = np.frombuffer(blob, dtype=student.logits.dtype)
+    got: list = [None] * len(outputs)
+    at = 0
+    for i in which:
+        got[i] = flat[at : at + outputs[i].size].reshape(outputs[i].shape)
+        at += outputs[i].size
+    if at != flat.size:
+        raise ProtocolViolation(f"teacher record of {flat.size} values for {at} targets")
+    return TapSet(got[:-1], got[-1])
 
 
 def check_artifacts(artifacts: list[ExpertArtifact], k: int) -> None:
@@ -732,7 +929,7 @@ def run_incremental_step(
     transport.begin_step()
     broadcast_before = transport.broadcast_bytes
     upload_before = transport.upload_bytes
-    base_blob = base.to_param_vector().to_bytes()
+    base_blob = base.to_param_vector(copy=False).to_bytes()  # one copy of the arena
     syncs = [
         transport.send_sync(encode_sync(i, seed, cfg, base_blob))
         for i, seed in enumerate(plan.expert_seeds)
@@ -767,7 +964,7 @@ def run_incremental_step(
     rng = np.random.default_rng(child_seed(cfg.seed, "consolidate", plan.step_id))
     try:
         new_base = consolidate(base, received, memory, cfg, rng)
-    except NonFiniteError as e:
+    except (NonFiniteError, ExpertFailure) as e:
         raise StepFailure(f"step {plan.step_id}: consolidation: {e}") from e
     consolidation_wall = time.perf_counter() - t1
     distances = expert_distances(base, new_base, received, plan)

@@ -28,7 +28,7 @@ from batchcl.engine import (
 )
 from batchcl.engine import SGD, PlateauScheduler
 from batchcl.engine.autodiff import BN_MOMENTUM, Tensor, _accumulate, _node, gradients
-from batchcl.losses import Objective, _joined, distill, task_loss
+from batchcl.losses import Objective, _joined, distill, l_base, task_loss
 from batchcl.model import ResidualClassifier, TapSet, stack_vectors
 from batchcl.protocol import TAG_ARTIFACT, decode_artifact, encode_artifact, frame, unframe
 from batchcl.replay import draw_batch, merge_pool
@@ -74,13 +74,42 @@ def stack_passes(passes: list[TapSet]) -> TapSet:
     )
 
 
+def gathered(stack: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """Row r of teacher ``owner[r]``'s slice of a ``(k, ...)`` target stack,
+    teacher 0's for a row of none: the targets of the routed form. An owner
+    beyond the stack reads its last teacher, for the routed form to reject."""
+    sel = np.clip(owner, 0, len(stack) - 1)
+    return stack[sel, np.arange(len(owner))]
+
+
+def gather_passes(stack: TapSet, origins: np.ndarray) -> TapSet:
+    """Each row's own teacher's taps and logits of a stacked pass."""
+    return TapSet(taps=[gathered(t, origins) for t in stack.taps],
+                  logits=gathered(stack.logits, origins))
+
+
+def routed_distill(kind: str, stack: TapSet, student: TapSet, origins: np.ndarray,
+                   weight: float = 1.0) -> Objective:
+    """``distill``'s routed form on a stacked pass: each row's own teacher
+    gathered from the stack, routed among all of its teachers."""
+    return distill(kind, gather_passes(stack, origins), student, (origins, len(stack.logits)),
+                   weight)
+
+
+def routed_l_base(student: TapSet, stack: TapSet, labels: np.ndarray, task_coef: float,
+                  consolidation_coef: float, kind: str, origins: np.ndarray) -> Objective:
+    """``l_base`` with its distillation routed over a stacked pass of the teachers."""
+    return l_base(student, gather_passes(stack, origins), labels, task_coef,
+                  consolidation_coef, kind, (origins, len(stack.logits)))
+
+
 def per_teacher_distill(student: TapSet, teachers: list[TapSet], origins: np.ndarray, kind: str,
                       weight: float = 1.0) -> Objective:
     """The batched term as a sum of one-teacher distances, in teacher order:
     the reference the single batched call must reproduce bit for bit.
-    Teacher j is a stack of one that owns the rows of origin j."""
+    Teacher j is the only teacher of the rows of origin j."""
     return _joined([
-        distill(kind, stack_passes([teacher]), student, np.where(origins == j, 0, -1), weight)
+        distill(kind, teacher, student, (np.where(origins == j, 0, -1), 1), weight)
         for j, teacher in enumerate(teachers)
     ])
 
@@ -324,13 +353,18 @@ def cross_entropy(logits: Tensor, labels: np.ndarray, name: str = "cross_entropy
 
 def distance(students: list[Tensor], targets, owner=None,
              name: str = "stacked_distance") -> Tensor:
-    """``stacked_distance`` as one node; its backward adds teacher j's
-    contribution into each student in order j = 0..k-1."""
+    """``stacked_distance`` as one node on ``(k, B, D)`` target stacks,
+    with each row's own teacher gathered when ``owner`` routes the rows;
+    its backward adds teacher j's contribution into each student in order
+    j = 0..k-1."""
     arrays = [s.data for s in students]
-    value, _ = stacked_distance(arrays, targets, owner, name=name)
+    route = None
+    if owner is not None:
+        route, targets = (owner, len(targets[0])), [gathered(t, owner) for t in targets]
+    value, _ = stacked_distance(arrays, targets, route, name=name)
 
     def backward(g: np.ndarray) -> None:
-        _, grads = stacked_distance(arrays, targets, owner, g, name=name)
+        _, grads = stacked_distance(arrays, targets, route, g, name=name)
         for s, stack in zip(students, grads):
             for contribution in stack:
                 _accumulate(s, contribution)

@@ -26,6 +26,7 @@ from helpers import (
     experiment,
     finite_diff_params,
     flat_grads,
+    gather_passes,
     matmul,
     mul,
     per_op_forward,
@@ -289,8 +290,9 @@ def _loss_fd_cases():
     )
     labels = rng.integers(0, classes, size=n)
     origins = np.array([0, 1, 0, -1, 1])
-    # the same two teachers as one stacked pass, as consolidation sees them
-    teachers = stack_passes([teacher, teacher_b])
+    # each row's own teacher of the two, as consolidation receives them
+    teachers = gather_passes(stack_passes([teacher, teacher_b]), origins)
+    route = (origins, 2)
 
     def case_task(a):
         loss = task_loss(TapSet(taps=[], logits=a["slog"]), labels)
@@ -303,12 +305,12 @@ def _loss_fd_cases():
         return on_student(l_exp(student(a), stack_passes([teacher]), labels, 0.7), a)
 
     def case_batched(a):
-        return on_student(distill("features", teachers, student(a), origins), a)
+        return on_student(distill("features", teachers, student(a), route), a)
 
     def case_consolidation(a):
         return on_student(
             l_base(student(a), teachers, labels, task_coef=0.6, consolidation_coef=1.3,
-                   batch_origins=origins),
+                   route=route),
             a,
         )
 

@@ -18,6 +18,7 @@ from helpers import (
     distance,
     dropout,
     finite_diff_params,
+    gathered,
     matmul,
     mul,
     relu,
@@ -270,7 +271,8 @@ class TestFiniteDifferenceOracle:
     def test_stacked_distance_values(self, routed):
         """Routed, the mean square over the owned rows of each row's own
         teacher; unrouted, the sum over teachers of the mean square over all
-        rows. The shape checks hold either way."""
+        rows. Each form checks the shapes it takes: a routed target is each
+        row's own teacher's, ``(B, D)``, so it has no teacher axis to check."""
         rng = np.random.default_rng(15)
         s = rng.standard_normal((4, 3))
         targets = rng.standard_normal((2, 4, 3))
@@ -280,17 +282,25 @@ class TestFiniteDifferenceOracle:
         sq = (targets - s) ** 2
         want = sq[0][owner == 0].mean() if routed else sum(sq[j].mean() for j in range(2))
         assert got == pytest.approx(want, rel=1e-12)
-        with pytest.raises(GraphError, match="target stack"):
-            distance([Tensor(s)], [targets[:, :3]], m)
         if routed:
+            route, own = (owner, 2), gathered(targets, owner)
+            with pytest.raises(GraphError, match="targets of shape .3, 3. do not fit"):
+                stacked_distance([s], [own[:3]], route)
             with pytest.raises(GraphError, match="do not fit 4 rows"):
-                distance([Tensor(s)], [targets], owner[:1])
-        with pytest.raises(GraphError, match="do not fit 2 teachers"):
-            distance([Tensor(s), Tensor(s)], [targets, targets[:1]], m)
-        with pytest.raises(GraphError, match="students"):
-            distance([Tensor(s)], [], m)
-        with pytest.raises(GraphError, match="at least one teacher"):
-            distance([Tensor(s)], [targets[:0]], m)
+                stacked_distance([s], [own], (owner[:1], 2))
+            with pytest.raises(GraphError, match="students"):
+                stacked_distance([s], [], route)
+            with pytest.raises(GraphError, match="at least one teacher"):
+                stacked_distance([s], [own], (owner, 0))
+        else:
+            with pytest.raises(GraphError, match="targets of shape .2, 3, 3. do not fit"):
+                distance([Tensor(s)], [targets[:, :3]])
+            with pytest.raises(GraphError, match="do not fit 2 teachers"):
+                distance([Tensor(s), Tensor(s)], [targets, targets[:1]])
+            with pytest.raises(GraphError, match="students"):
+                distance([Tensor(s)], [])
+            with pytest.raises(GraphError, match="at least one teacher"):
+                distance([Tensor(s)], [targets[:0]])
 
     @pytest.mark.parametrize("stacked", [True, False])
     def test_stacked_distance_selected_rows_only(self, stacked):
@@ -328,7 +338,7 @@ class TestFiniteDifferenceOracle:
         s = rng.standard_normal((5, 3)).astype(dtype)
         targets = rng.standard_normal((4, 5, 3)).astype(dtype)
         owner = np.array([-1, 2, 0, 2, -1])
-        _, (grad,) = stacked_distance([s], [targets], owner, 0.5)
+        _, (grad,) = stacked_distance([s], [gathered(targets, owner)], (owner, 4), 0.5)
         assert grad.shape == (1, 5, 3)
         assert np.signbit(grad[0, [0, 4]]).sum() == 0 and not grad[0, [0, 4]].any()
         _, (stack,) = stacked_distance([s], [targets], None, 0.5)
@@ -339,17 +349,18 @@ class TestFiniteDifferenceOracle:
         rng = np.random.default_rng(19)
         s = rng.standard_normal((6, 3)).astype(np.float32)
         targets = np.stack([s + 1.0, -s]).astype(np.float32)
-        value, (grad,) = stacked_distance([s], [targets], np.full(6, -1), 0.7)
+        owner = np.full(6, -1)
+        value, (grad,) = stacked_distance([s], [gathered(targets, owner)], (owner, 2), 0.7)
         assert np.float32(value).tobytes() == np.float32(0.0).tobytes()
         assert grad.shape == (1, 6, 3)
         assert not grad.any() and not np.signbit(grad).any()
 
     def test_stacked_distance_rejects_an_owner_beyond_the_stack(self):
         s = np.ones((5, 3), np.float32)
-        targets = np.zeros((4, 5, 3), np.float32)
+        targets = np.zeros((5, 3), np.float32)
         for owner, row in (([0, 4, -1, 1, 3], 1), ([0, 1, 2, 3, 9], 4)):
             with pytest.raises(GraphError, match=f"row {row} routed to teacher .* of 4"):
-                stacked_distance([s], [targets], np.array(owner))
+                stacked_distance([s], [targets], (np.array(owner), 4))
 
     def test_stacked_distance_absent_teacher_contributes_exact_zero(self):
         """A teacher that owns no row of the batch changes neither the value
@@ -358,8 +369,9 @@ class TestFiniteDifferenceOracle:
         s = rng.standard_normal((7, 4)).astype(np.float32)
         targets = rng.standard_normal((3, 7, 4)).astype(np.float32)
         owner = np.array([0, 2, -1, 2, 0, -1, 2])  # teacher 1 owns nothing
-        with_absent = stacked_distance([s], [targets], owner, 1.3)
-        without = stacked_distance([s], [targets[[0, 2]]], np.where(owner == 2, 1, owner), 1.3)
+        with_absent = stacked_distance([s], [gathered(targets, owner)], (owner, 3), 1.3)
+        fewer = np.where(owner == 2, 1, owner)
+        without = stacked_distance([s], [gathered(targets[[0, 2]], fewer)], (fewer, 2), 1.3)
         assert np.float32(with_absent[0]).tobytes() == np.float32(without[0]).tobytes()
         assert with_absent[1][0].tobytes() == without[1][0].tobytes()
 

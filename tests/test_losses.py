@@ -10,9 +10,12 @@ from helpers import (
     assert_matches_fd,
     finite_diff_params,
     float64_twin,
+    gather_passes,
     jitter_params,
     per_teacher_l_base,
     per_teacher_distill,
+    routed_distill,
+    routed_l_base,
     stack_passes,
     step_grads,
 )
@@ -185,7 +188,7 @@ class TestBatchedDistillation:
     def test_expert_identical_to_base_zero(self):
         s = self._taps(self.base)
         t = self._taps(build_model(TOY, seed=0))
-        assert float(distill("features", stack_passes([t]), s, np.zeros(6, dtype=int)).value) == 0.0
+        assert float(routed_distill("features", stack_passes([t]), s, np.zeros(6, dtype=int)).value) == 0.0
 
     def test_each_expert_scored_on_own_rows_only(self):
         s = self._taps(self.base)
@@ -194,35 +197,36 @@ class TestBatchedDistillation:
             self._masked_oracle(s, t, self.origins == j)
             for j, t in enumerate(teachers)
         )
-        got = float(distill("features", stack_passes(teachers), s, self.origins).value)
+        got = float(routed_distill("features", stack_passes(teachers), s, self.origins).value)
         assert got == pytest.approx(want, rel=1e-6)
 
     def test_absent_expert_contributes_zero(self):
         s = self._taps(self.base)
         t0, t1 = self._taps(self.experts[0]), self._taps(self.experts[1])
         all_mine = np.zeros(6, dtype=int)
-        with_ghost = float(distill("features", stack_passes([t0, t1]), s, all_mine).value)
-        alone = float(distill("features", stack_passes([t0]), s, all_mine).value)
+        with_ghost = float(routed_distill("features", stack_passes([t0, t1]), s, all_mine).value)
+        alone = float(routed_distill("features", stack_passes([t0]), s, all_mine).value)
         assert with_ghost == alone
-        assert float(distill("features", stack_passes([t1]), s, np.full(6, -1)).value) == 0.0
+        assert float(routed_distill("features", stack_passes([t1]), s, np.full(6, -1)).value) == 0.0
 
     def test_memory_rows_excluded(self):
         s = self._taps(self.base)
         t = self._taps(self.experts[0])
         origins = np.array([-1, -1, -1, 0, 0, 0])
-        got = float(distill("features", stack_passes([t]), s, origins).value)
+        got = float(routed_distill("features", stack_passes([t]), s, origins).value)
         assert got == pytest.approx(self._masked_oracle(s, t, origins == 0), rel=1e-6)
         assert got != pytest.approx(self._masked_oracle(s, t, origins != 9), rel=1e-3)
 
     def test_additive_over_expert_partition(self):
         s = self._taps(self.base)
         teachers = [self._taps(e) for e in self.experts]
-        whole = float(distill("features", stack_passes(teachers), s, self.origins).value)
+        whole = float(routed_distill("features", stack_passes(teachers), s, self.origins).value)
         # the second stack's slices are experts 1 and 2
         parts = (
-            float(distill("features", stack_passes(teachers[:1]), s,
-                          np.where(self.origins == 0, 0, -1)).value)
-            + float(distill("features", stack_passes(teachers[1:]), s, self.origins - 1).value)
+            float(routed_distill("features", stack_passes(teachers[:1]), s,
+                                 np.where(self.origins == 0, 0, -1)).value)
+            + float(routed_distill("features", stack_passes(teachers[1:]), s,
+                                   self.origins - 1).value)
         )
         assert whole == pytest.approx(parts, rel=1e-7)
 
@@ -231,16 +235,19 @@ class TestBatchedDistillation:
         s = self._taps(self.base)
         teachers = [self._taps(e) for e in self.experts[:2]]
         with pytest.raises(GraphError, match="row 4 routed to teacher 2 of 2"):
-            distill("features", stack_passes(teachers), s, self.origins)
+            routed_distill("features", stack_passes(teachers), s, self.origins)
 
     def test_empty_expert_list_rejected(self):
+        # rows routed among no teacher at all, and an empty unrouted stack
         s = self._taps(self.base)
+        with pytest.raises(GraphError, match="at least one"):
+            distill("features", s, s, (self.origins, 0))
         empty = TapSet(
             taps=[np.zeros((0, *t.shape), np.float32) for t in s.taps],
             logits=np.zeros((0, *s.logits.shape), np.float32),
         )
         with pytest.raises(GraphError, match="at least one"):
-            distill("features", empty, s, self.origins)
+            distill("features", empty, s)
 
 
 class TestStackedDistillation:
@@ -276,7 +283,8 @@ class TestStackedDistillation:
     @pytest.mark.parametrize("kind", DISTILL_KINDS)
     def test_value_and_gradients_match_per_teacher_graphs(self, kind):
         def batched(s):
-            return distill(kind, self.stack.forward_as_teacher(self.x, s.masks), s, self.origins)
+            return routed_distill(kind, self.stack.forward_as_teacher(self.x, s.masks), s,
+                                  self.origins)
 
         def reference(s):
             teachers = [e.forward_as_teacher(self.x, s.masks) for e in self.experts]
@@ -289,8 +297,8 @@ class TestStackedDistillation:
         """With the replay cross-entropy also reaching the taps and logits."""
 
         def batched(s):
-            return l_base(s, self.stack.forward_as_teacher(self.x, s.masks), self.y,
-                          0.7, 1.3, kind, self.origins)
+            return routed_l_base(s, self.stack.forward_as_teacher(self.x, s.masks), self.y,
+                                 0.7, 1.3, kind, self.origins)
 
         def reference(s):
             teachers = [e.forward_as_teacher(self.x, s.masks) for e in self.experts]
@@ -309,7 +317,7 @@ class TestStackedDistillation:
         student_logits = rng.standard_normal((rows, classes)).astype(np.float32)
         teachers = TapSet(taps=[np.zeros((k, rows, 2), np.float32)], logits=teacher_logits)
         student = tapset_from([np.zeros((rows, 2), np.float32)], logits=student_logits)
-        got = float(distill("kd_logits", teachers, student, origins).value)
+        got = float(routed_distill("kd_logits", teachers, student, origins).value)
         want = sum(
             np.mean((teacher_logits[j] - student_logits)[origins == j].astype(np.float64) ** 2)
             for j in range(k)
@@ -321,8 +329,8 @@ class TestStackedDistillation:
         # expert 3 as a stack of one: it owns no row of the batch
         absent = stack_vectors(self.CONFIG, [self.experts[3].to_param_vector()])
         value, grads = self._grads(
-            lambda s: distill(kind, absent.forward_as_teacher(self.x, s.masks), s,
-                              np.where(self.origins == 3, 0, -1))
+            lambda s: routed_distill(kind, absent.forward_as_teacher(self.x, s.masks), s,
+                                     np.where(self.origins == 3, 0, -1))
         )
         assert value == 0.0
         assert all(not g.any() for g in grads.values())
@@ -331,23 +339,24 @@ class TestStackedDistillation:
         s, _ = self.base.forward_with_taps(self.x)
         stacked = self.stack.forward_as_teacher(self.x)
         with pytest.raises(GraphError, match="routed to teacher 4 of 4"):
-            distill("features", stacked, s, np.where(self.origins == 2, 4, self.origins))
+            routed_distill("features", stacked, s, np.where(self.origins == 2, 4, self.origins))
         fewer = TapSet(taps=stacked.taps[:-1], logits=stacked.logits)
         with pytest.raises(GraphError, match="tap count mismatch"):
-            distill("features", fewer, s, self.origins)
-        other_rows = self.stack.forward_as_teacher(self.x[:6])
+            routed_distill("features", fewer, s, self.origins)
+        # gathered targets of 6 rows for a student pass of 10
+        other_rows = gather_passes(self.stack.forward_as_teacher(self.x[:6]), self.origins[:6])
         for kind in DISTILL_KINDS:
             with pytest.raises(GraphError, match="do not fit"):
-                distill(kind, other_rows, s, self.origins)
+                distill(kind, other_rows, s, (self.origins, self.K))
         with pytest.raises(GraphError, match="do not fit"):
-            distill("features", stacked, s, self.origins[:6])
+            routed_distill("features", stacked, s, self.origins[:6])
         narrow = TapSet(taps=[t[..., :2] for t in stacked.taps],
                         logits=stacked.logits[..., :2])
         for kind in DISTILL_KINDS:
             with pytest.raises(GraphError, match="do not fit"):
-                distill(kind, narrow, s, self.origins)
+                routed_distill(kind, narrow, s, self.origins)
         with pytest.raises(ValueError, match="unknown"):
-            distill("temperature_kl", stacked, s, self.origins)
+            routed_distill("temperature_kl", stacked, s, self.origins)
 
 
 class TestBaseObjective:
@@ -362,7 +371,7 @@ class TestBaseObjective:
         )
 
     def _distill(self, s):
-        return distill("features", self.teachers, s, self.origins)
+        return routed_distill("features", self.teachers, s, self.origins)
 
     def test_pure_replay_needs_no_origins(self):
         s, _ = self.base.forward_with_taps(self.x)
@@ -371,27 +380,22 @@ class TestBaseObjective:
 
     def test_pure_distillation(self):
         s, _ = self.base.forward_with_taps(self.x)
-        got = l_base(
-            s, self.teachers, self.y, task_coef=0.0, consolidation_coef=1.0,
-            batch_origins=self.origins,
-        )
+        got = routed_l_base(s, self.teachers, self.y, 0.0, 1.0, "features", self.origins)
         assert float(got.value) == float(self._distill(s).value)
 
     def test_default_coefficients_sum(self):
         s, _ = self.base.forward_with_taps(self.x)
-        whole = float(l_base(
-            s, self.teachers, self.y, 1.0, 1.0,
-            batch_origins=self.origins,
-        ).value)
+        whole = float(routed_l_base(s, self.teachers, self.y, 1.0, 1.0, "features",
+                                    self.origins).value)
         parts = float(task_loss(s, self.y).value) + float(self._distill(s).value)
         assert abs(whole - parts) < 1e-6
 
     def test_linear_in_consolidation_coefficient(self):
         s, _ = self.base.forward_with_taps(self.x)
         ce = float(task_loss(s, self.y).value)
-        kw = dict(batch_origins=self.origins)
-        one = float(l_base(s, self.teachers, self.y, 1.0, 1.0, **kw).value) - ce
-        two = float(l_base(s, self.teachers, self.y, 1.0, 2.0, **kw).value) - ce
+        args = ("features", self.origins)
+        one = float(routed_l_base(s, self.teachers, self.y, 1.0, 1.0, *args).value) - ce
+        two = float(routed_l_base(s, self.teachers, self.y, 1.0, 2.0, *args).value) - ce
         assert two == pytest.approx(2 * one, rel=1e-6)
 
     def test_active_distillation_requires_origins(self):
@@ -636,13 +640,12 @@ class TestGradientOracles:
     def test_batched_distillation_grad(self):
         taps = stack_passes([m.forward_with_taps(self.x)[0] for m in self.teachers])
         origins = np.array([0, 1, 0, -1])
-        self._check(lambda ts: distill("features", taps, ts, origins))
+        self._check(lambda ts: routed_distill("features", taps, ts, origins))
 
     def test_base_objective_grad(self):
         taps = stack_passes([m.forward_with_taps(self.x)[0] for m in self.teachers])
         origins = np.array([0, 1, 0, -1])
-        self._check(lambda ts: l_base(ts, taps, self.y, 0.9, 1.3,
-                                      batch_origins=origins))
+        self._check(lambda ts: routed_l_base(ts, taps, self.y, 0.9, 1.3, "features", origins))
 
     def test_train_mode_with_dropout_grad(self):
         # batch statistics and dropout through two residual blocks; every

@@ -17,6 +17,7 @@ from helpers import (
     float64_twin,
     jitter_params,
     per_op_forward,
+    routed_l_base,
     snapshot_entries,
     stack_passes,
     step_grads,
@@ -25,7 +26,7 @@ from helpers import (
 )
 
 from batchcl.engine import SGD, GraphError, NonFiniteError
-from batchcl.losses import DISTILL_KINDS, distill, l_base, l_exp, task_loss
+from batchcl.losses import DISTILL_KINDS, distill, l_exp, task_loss
 from batchcl.model import (
     ModelConfig,
     ParamVector,
@@ -285,7 +286,7 @@ class TestFusedPass:
             stack = teachers.forward_as_teacher(x, tapset.masks)
             if per_op:
                 return tape_objective(tapset, y, 0.9, stack, 1.3, kind, origins)
-            return l_base(tapset, stack, y, 0.9, 1.3, kind, origins)
+            return routed_l_base(tapset, stack, y, 0.9, 1.3, kind, origins)
 
         self._assert_same(model, x, train, loss_of)
 
@@ -325,7 +326,7 @@ class TestFusedPass:
             stack = stack_passes([teacher.forward_as_teacher(x, tapset.masks)])
             if per_op:
                 return tape_objective(tapset, y, 1.0, stack, 1.0, "features", np.zeros(9, int))
-            return l_base(tapset, stack, y, 1.0, 1.0, "features", np.zeros(9, int))
+            return routed_l_base(tapset, stack, y, 1.0, 1.0, "features", np.zeros(9, int))
 
         self._assert_same(model, x, True, loss_of)
 
@@ -347,7 +348,7 @@ class TestFusedPass:
         rng = np.random.default_rng(95)
         got, record = stack.forward_with_taps(x, True, rng)
         got_value, got_grads = step_grads(
-            stack.slice(0), record, l_base(got, got.teachers, y, 0.9, 1.3, "features", origins))
+            stack.slice(0), record, routed_l_base(got, got.teachers, y, 0.9, 1.3, "features", origins))
 
         plain = models[0].copy()
         want_rng = np.random.default_rng(95)
@@ -470,7 +471,7 @@ class TestPassesWriteOnlyTheirOwnArrays:
                   *(a for state in record.layers for a in state[1:])]
         before = TestStackedStudent._bytes(handed)
         origins = np.arange(9) % (max(k, 1) + 1) - 1
-        objective = l_base(tapset, teachers, y, 0.9, 1.3, "features", origins)
+        objective = routed_l_base(tapset, teachers, y, 0.9, 1.3, "features", origins)
         student.backward(record, objective)
         assert TestStackedStudent._bytes(handed) == before
 
@@ -639,6 +640,28 @@ class TestStackedTeacher:
                 assert got[j].tobytes() == want.tobytes()
             assert stacked.logits[j].tobytes() == single.logits.tobytes()
 
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("dropout_p", [0.0, 0.3])
+    def test_batches_at_once_equal_a_pass_per_batch_bitwise(self, k, dropout_p):
+        config, models = self._models(k, dropout_p)
+        stack = stack_vectors(config, [m.to_param_vector() for m in models])
+        data = np.random.default_rng(46)
+        xs = data.standard_normal((3, 9, 4)).astype(np.float32)
+        masks = [build_model(config, seed=60).draw_masks(9, data) for _ in xs]
+        chunk = stack.over_batches()
+        assert np.shares_memory(chunk.arena, stack.arena)
+        together = chunk.forward_as_teacher(xs, [np.stack(site) for site in zip(*masks)])
+        assert together.logits.shape == (k, 3, 9, 3)
+        for b, (x, m) in enumerate(zip(xs, masks)):
+            alone = stack.forward_as_teacher(x, m)
+            for got, want in zip(together.taps, alone.taps):
+                assert got[:, b].tobytes() == want.tobytes()
+            assert together.logits[:, b].tobytes() == alone.logits.tobytes()
+        with pytest.raises(GraphError, match=r"takes \(n, B, d\)"):
+            chunk.forward_as_teacher(xs[0])
+        with pytest.raises(GraphError, match="not a stack's"):
+            models[0].over_batches()
+
     def test_stack_keeps_snapshot_order_and_layout(self):
         config, models = self._models(2, 0.0)
         pvs = [m.to_param_vector() for m in models]
@@ -735,9 +758,9 @@ class TestStackedStudent:
         assert got_record.train == want_record.train
 
         want_value, want_grads = step_grads(
-            plain, want_record, l_base(want, want_teachers, y, 0.9, 1.3, kind, origins))
+            plain, want_record, routed_l_base(want, want_teachers, y, 0.9, 1.3, kind, origins))
         got_value, got_grads = step_grads(
-            view, got_record, l_base(got, got.teachers, y, 0.9, 1.3, kind, origins))
+            view, got_record, routed_l_base(got, got.teachers, y, 0.9, 1.3, kind, origins))
         assert np.float64(got_value).tobytes() == np.float64(want_value).tobytes()
         assert list(got_grads) == list(want_grads)
         for name in want_grads:

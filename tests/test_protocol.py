@@ -31,7 +31,9 @@ from helpers import (
 )
 
 import batchcl.protocol as protocol_mod
-from batchcl.model import ModelConfig, ParamVector, ResidualClassifier, build_model
+from batchcl.engine import NonFiniteError
+from batchcl.losses import DISTILL_KINDS, distilled_outputs
+from batchcl.model import ModelConfig, ParamVector, ResidualClassifier, build_model, stack_vectors
 from batchcl.protocol import (
     ARTIFACT_FIXED_NBYTES,
     FRAME_OVERHEAD,
@@ -65,7 +67,7 @@ from batchcl.protocol import (
     run_incremental_step,
     unframe,
 )
-from batchcl.replay import Buffer, ExemplarSet, Memory
+from batchcl.replay import Buffer, ExemplarSet, Memory, merge_pool
 from batchcl.run import StepCost, child_seed, cost_accuracy, total_cost
 from batchcl.streams import generate_stream
 
@@ -142,6 +144,19 @@ def count_passes(monkeypatch) -> list:
 
     monkeypatch.setattr(ResidualClassifier, "_values", counting)
     return calls
+
+
+def fork_teachers(monkeypatch) -> None:
+    """Make every consolidation with the distillation term on fork its
+    teacher process, however few batches it runs and however few CPUs this
+    process may use."""
+    monkeypatch.setattr(protocol_mod, "_FORK_MIN_BATCHES", 0)
+    monkeypatch.setattr(protocol_mod, "_usable_cores", lambda: 2)
+
+
+@pytest.fixture
+def forking(monkeypatch):
+    fork_teachers(monkeypatch)
 
 
 def params_bytes(model) -> bytes:
@@ -328,6 +343,32 @@ class TestArtifactCodec:
         assert not a.param_vector.payload.flags.writeable
         # the buffer's rows are copied out: they do not pin the frame
         assert not np.shares_memory(a.buffer.exemplars.features, np.frombuffer(msg, np.uint8))
+
+    def test_frames_and_snapshots_are_one_copy_of_the_arena(self):
+        # a snapshot of about 1 MB, taken as a view of the arena: the SYNC
+        # base blob and the ARTF frame are each the one block of their size
+        # that building them allocates, with the bytes of the copying path
+        config = dataclasses.replace(TOY, res_layers_per_block=4, res_dim=256)
+        model = build_model(config, seed=1)
+        view = model.to_param_vector(copy=False)
+        assert view.payload is model.arena
+        a = ExpertArtifact(expert_index=0, param_vector=view,
+                           buffer=Buffer(make_exemplars(5), capacity=5, owner=0),
+                           stats=ExpertStats(epochs=1, final_loss=0.5, wall_clock_s=0.1))
+        tracemalloc.start()
+        try:
+            blob = view.to_bytes()
+            blob_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            msg = frame(TAG_ARTIFACT, *protocol_mod._artifact_parts(a))
+            frame_peak = tracemalloc.get_traced_memory()[1] - len(blob)
+        finally:
+            tracemalloc.stop()
+        assert len(blob) > 1_000_000
+        assert blob_peak < len(blob) + 65536 and frame_peak < len(msg) + 65536
+        copied = dataclasses.replace(a, param_vector=model.to_param_vector())
+        assert blob == copied.param_vector.to_bytes()
+        assert msg == frame(TAG_ARTIFACT, encode_artifact(copied))
 
     def test_fixed_size_arithmetic(self):
         a = self.make_artifact()
@@ -675,9 +716,15 @@ class TestConsolidate:
             consolidate(base, empty, Memory(40, 6), tiny_config(rehearsal_epochs=1),
                         rng=np.random.default_rng(0))
 
-    @pytest.mark.parametrize("consolidation", [0.0, 1.0])
-    def test_one_pass_per_batch(self, stream, monkeypatch, consolidation):
-        # the student and its k teachers share one pass
+    @pytest.mark.parametrize("consolidation, forked", [
+        pytest.param(0.0, False, id="0.0"), pytest.param(1.0, False, id="1.0"),
+        pytest.param(1.0, True, id="1.0-forked")])
+    def test_one_pass_per_batch(self, stream, monkeypatch, consolidation, forked):
+        # stacked (a short consolidation), the student and its k teachers
+        # share one pass; forked, the coordinator runs the student's pass
+        # alone and its k teachers run in the teacher process
+        if forked:
+            fork_teachers(monkeypatch)
         base = build_model(TOY, seed=1)
         arts = self.setup_artifacts(base, stream, n=3)
         calls = count_passes(monkeypatch)
@@ -686,8 +733,8 @@ class TestConsolidate:
         assert len(calls) == 2 * (30 // 8)
 
     def test_returned_model_owns_its_arrays(self, stream):
-        # the student trained as slice 0 of a stack; it leaves with an arena
-        # of its own, and its arrays are views of that arena
+        # the student leaves with an arena of its own, and its arrays are
+        # views of that arena
         base = build_model(TOY, seed=1)
         out = consolidate(base, self.setup_artifacts(base, stream), Memory(40, 6),
                           tiny_config(rehearsal_epochs=1), rng=np.random.default_rng(0))
@@ -695,8 +742,9 @@ class TestConsolidate:
         assert_views_of_own_arena(out)
 
     def test_frees_its_stack_and_returns_an_arena_of_its_own(self, stream, monkeypatch):
-        # the student trains as slice 0 of a stack; it leaves as a copy of
-        # that slice, and the stacked arena is freed as consolidate returns
+        # a short consolidation trains the student as slice 0 of a stack; it
+        # leaves as a copy of that slice, and the stacked arena is freed as
+        # consolidate returns
         real = protocol_mod.stack_vectors
         stacks = []
 
@@ -713,6 +761,28 @@ class TestConsolidate:
         assert arena() is None
         assert_views_of_own_arena(out)
         assert out.arena.tobytes() != start.tobytes()
+
+    def test_builds_no_stack_and_returns_an_arena_of_its_own(self, stream, monkeypatch, forking):
+        # the student trains alone in the coordinator and leaves as the model
+        # it trained, with an arena of its own; only the teacher process
+        # stacks (the experts alone), so the coordinator builds no stack
+        coordinator, real = os.getpid(), protocol_mod.stack_vectors
+        stacks = []
+
+        def kept(*args):
+            stack = real(*args)
+            if os.getpid() == coordinator:
+                stacks.append(stack.arena.shape)
+            return stack
+
+        monkeypatch.setattr(protocol_mod, "stack_vectors", kept)
+        base = build_model(TOY, seed=1)
+        out = consolidate(base, self.setup_artifacts(base, stream), Memory(40, 6),
+                          tiny_config(rehearsal_epochs=1), rng=np.random.default_rng(0))
+        assert stacks == []
+        assert out.arena.shape == base.arena.shape
+        assert_views_of_own_arena(out)
+        assert out.arena.tobytes() != base.arena.tobytes()
 
     @pytest.mark.parametrize("kind", ["features", "kd_logits", "phi_penultimate"])
     @pytest.mark.parametrize("dropout_p", [0.0, 0.1])
@@ -779,6 +849,218 @@ class TestConsolidate:
         out = consolidate(base, arts, Memory(40, 16), cfg, rng=np.random.default_rng(3))
         assert built == []
         assert params_bytes(out) != params_bytes(base)
+
+
+class _TeacherBoom(Exception):
+    """An exception a teacher process raises."""
+
+
+def in_teacher(monkeypatch, act, after=0):
+    """Make the teacher pass call ``act()`` from its call ``after + 1`` on
+    when it runs in a forked child, and run as usual everywhere else. The
+    teacher process takes one pass per 4 batches."""
+    real, coordinator = ResidualClassifier.forward_as_teacher, os.getpid()
+    calls = []
+
+    def patched(self, *args, **kwargs):
+        if os.getpid() != coordinator:
+            calls.append(1)
+            if len(calls) > after:
+                act()
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(ResidualClassifier, "forward_as_teacher", patched)
+
+
+@pytest.mark.usefixtures("forking")
+class TestTeacherProcess:
+    """Consolidation's k teachers run in one forked process that replays the
+    coordinator's draws and sends each batch row its own expert's outputs;
+    a short consolidation runs them in the student's stacked pass instead."""
+
+    def setup(self, config, rows, memory_rows):
+        base = build_model(config, seed=1)
+        data = np.random.default_rng(40)
+        arts = []
+        for i, n in enumerate(rows):
+            expert = build_model(config, seed=41 + i)
+            jitter_params(expert, seed=50 + i)
+            buf = ExemplarSet.from_task_data(
+                data.standard_normal((n, 6)).astype(np.float32),
+                data.integers(2 * i, 2 * i + 2, size=n), task_id=i, origin=i,
+            )
+            arts.append(ExpertArtifact(
+                expert_index=i, param_vector=expert.to_param_vector(),
+                buffer=Buffer(buf, capacity=8, owner=i),
+                stats=ExpertStats(epochs=1, final_loss=0.5, wall_clock_s=0.0),
+            ))
+        memory = Memory(40, 6)
+        memory.replace(make_exemplars(memory_rows, seed=42))
+        return base, arts, memory
+
+    @pytest.mark.parametrize("kind", DISTILL_KINDS)
+    @pytest.mark.parametrize("dropout_p", [0.0, 0.1])
+    @pytest.mark.parametrize("rows, memory_rows", [((8, 6, 2), 12), ((1,), 30)],
+                             ids=["k3", "k1_memory_batches"])
+    @pytest.mark.parametrize("forked", [True, False], ids=["forked", "stacked"])
+    def test_targets_are_the_old_stacked_pass_slices(self, monkeypatch, kind, dropout_p, rows,
+                                                      memory_rows, forked):
+        # what the coordinator receives per batch against the teacher slices
+        # of one (k+1)-stack train pass (student and teachers) on the same
+        # draws, gathered row by row: a memory row reads teacher 0's
+        if not forked:
+            monkeypatch.setattr(protocol_mod, "_FORK_MIN_BATCHES", 10 ** 9)
+        config = dataclasses.replace(TOY, res_blocks=2, dropout_p=dropout_p)
+        base, arts, memory = self.setup(config, rows, memory_rows)
+        cfg = tiny_config(rehearsal_epochs=3, task_coef=0.7, consolidation_coef=1.3,
+                          distill_kind=kind)
+        received = []
+        real = protocol_mod.l_base
+
+        def recording(student, targets, labels, *args):
+            received.append((args[-1], [None if t is None else t.copy()
+                                        for t in (*targets.taps, targets.logits)]))
+            return real(student, targets, labels, *args)
+
+        monkeypatch.setattr(protocol_mod, "l_base", recording)
+        consolidate(base, arts, memory, cfg, rng=np.random.default_rng(43))
+
+        pool = merge_pool(memory, [a.buffer for a in arts])
+        stack = stack_vectors(config, [base, *(a.param_vector for a in arts)])
+        rng, every_row = np.random.default_rng(43), np.arange(8)
+        which = distilled_outputs(kind, 3)
+        assert len(received) == 3 * (len(pool) // 8)
+        for (origins, k), targets in received:
+            idx = rng.integers(0, len(pool), size=8)
+            taps, _ = stack.forward_with_taps(pool.features[idx], train=True, rng=rng)
+            assert k == len(arts) and origins.tobytes() == pool.origins[idx].tobytes()
+            teachers = [*taps.teachers.taps, taps.teachers.logits]
+            own = np.maximum(origins, 0)
+            for i, got in enumerate(targets):
+                if i in which:
+                    assert got.tobytes() == teachers[i][own, every_row].tobytes(), i
+                else:
+                    assert got is None
+        if memory_rows == 30:
+            assert any((origins == -1).all() for (origins, _), _ in received)
+
+    def test_killed_teacher_process_fails_the_step(self, stream, monkeypatch):
+        # killed in its second pass, after the records of its first 4 batches
+        in_teacher(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL), after=1)
+        base = build_model(TOY, seed=child_seed(5, "init"))
+        cfg = tiny_config(seed=5, rehearsal_epochs=2)
+        memory = Memory(40, stream.dim)
+        memory.replace(make_exemplars(10))
+        base_before = base.to_param_vector().to_bytes()
+        memory_before = encode_exemplars(memory.exemplars)
+        with pytest.raises(StepFailure, match="step 1: consolidation: teacher process ended "
+                                              "with exit code -9 after 4 of 8 batches"):
+            run_incremental_step(base, plan_steps(stream, cfg)[1], memory, cfg,
+                                 CountingTransport(), SerialExecutor())
+        assert base.to_param_vector().to_bytes() == base_before
+        assert encode_exemplars(memory.exemplars) == memory_before
+
+    def test_teacher_exception_is_reraised_as_it_is(self, stream, monkeypatch):
+        def boom():
+            raise _TeacherBoom("no teacher today")
+
+        in_teacher(monkeypatch, boom, after=1)
+        base = build_model(TOY, seed=1)
+        arts = TestConsolidate().setup_artifacts(base, stream)
+        with pytest.raises(_TeacherBoom, match="^no teacher today$"):
+            consolidate(base, arts, Memory(40, 6), tiny_config(rehearsal_epochs=4),
+                        rng=np.random.default_rng(0))
+
+    def test_diverging_student_leaves_no_child_behind(self, stream, monkeypatch):
+        # 8 batches of a 20-row pool: the student fails at its second batch
+        # while the teacher process sleeps in its second pass (batches 5 to
+        # 8); it is killed, then reaped
+        teachers = spy_forks(monkeypatch, runs=protocol_mod._teach)
+        in_teacher(monkeypatch, lambda: time.sleep(60), after=1)
+        base = build_model(TOY, seed=1)
+        arts = TestConsolidate().setup_artifacts(base, stream)
+        t0 = time.perf_counter()
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteError):
+            consolidate(base, arts, Memory(40, 6), tiny_config(lr=1e30, rehearsal_epochs=4),
+                        rng=np.random.default_rng(0))
+        assert time.perf_counter() - t0 < 30
+        assert len(teachers) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(teachers[0], os.WNOHANG)
+
+    def test_interrupted_coordinator_kills_and_reaps_the_teacher_process(self, stream,
+                                                                          monkeypatch):
+        class Interrupted(Exception):
+            pass
+
+        def interrupt(signum, frame):
+            raise Interrupted
+
+        teachers = spy_forks(monkeypatch, runs=protocol_mod._teach)
+        in_teacher(monkeypatch, lambda: time.sleep(60), after=1)
+        base = build_model(TOY, seed=1)
+        arts = TestConsolidate().setup_artifacts(base, stream)
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        t0 = time.perf_counter()
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.5)
+            with pytest.raises(Interrupted):
+                consolidate(base, arts, Memory(40, 6), tiny_config(rehearsal_epochs=4),
+                            rng=np.random.default_rng(0))
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.perf_counter() - t0 < 30
+        assert len(teachers) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(teachers[0], os.WNOHANG)
+
+    @pytest.mark.parametrize("consolidation, shortest, cores, forked", [
+        (0.0, 0, 2, 0), (1.0, 0, 2, 1), (1.0, 8, 2, 1), (1.0, 9, 2, 0), (1.0, 0, 1, 0)])
+    def test_forks_a_teacher_process_only_for_a_long_enough_distillation(
+            self, stream, monkeypatch, consolidation, shortest, cores, forked):
+        # 4 epochs of 2 batches on a 20-row pool: 8 batches fork if at least
+        # 8 must, and not if 9 must, nor on one CPU; either way the student
+        # ends the same
+        monkeypatch.setattr(protocol_mod, "_FORK_MIN_BATCHES", shortest)
+        monkeypatch.setattr(protocol_mod, "_usable_cores", lambda: cores)
+        forks = []
+        real_fork = os.fork
+
+        def fork():
+            pid = real_fork()
+            if pid:
+                forks.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", fork)
+        base = build_model(TOY, seed=1)
+        arts = TestConsolidate().setup_artifacts(base, stream)
+        for i, a in enumerate(arts):
+            jitter_params(base, seed=70 + i)
+            arts[i] = dataclasses.replace(a, param_vector=base.to_param_vector())
+        base = build_model(TOY, seed=1)
+        cfg = tiny_config(rehearsal_epochs=4, task_coef=1.0, consolidation_coef=consolidation)
+        out = consolidate(base, arts, Memory(40, 6), cfg, rng=np.random.default_rng(0))
+        assert len(forks) == forked
+        fork_teachers(monkeypatch)
+        assert out.arena.tobytes() == consolidate(base, arts, Memory(40, 6), cfg,
+                                                  rng=np.random.default_rng(0)).arena.tobytes()
+
+
+    def test_pipes_keep_their_default_size_where_the_system_cannot_resize(self, stream,
+                                                                           monkeypatch):
+        # a system without F_SETPIPE_SZ forks the teacher process all the
+        # same, and the student ends as it does with resized pipes
+        base = build_model(TOY, seed=1)
+        arts = TestConsolidate().setup_artifacts(base, stream)
+        cfg = tiny_config(rehearsal_epochs=4)
+        resized = consolidate(base, arts, Memory(40, 6), cfg, rng=np.random.default_rng(0))
+        teachers = spy_forks(monkeypatch, runs=protocol_mod._teach)
+        monkeypatch.setattr(protocol_mod, "_SETPIPE_SZ", None)
+        out = consolidate(base, arts, Memory(40, 6), cfg, rng=np.random.default_rng(0))
+        assert len(teachers) == 1
+        assert out.arena.tobytes() == resized.arena.tobytes()
 
 
 class TestIncrementalStep:
@@ -947,22 +1229,36 @@ class _TruncatingExecutor(SerialExecutor):
         return [m[:-3] for m in super().run(syncs, tasks, model_config)]
 
 
-def spy_workers(monkeypatch, tmp_path) -> list[int]:
-    """Record every worker ``ProcessExecutor`` forks and what it trains.
+def spy_forks(monkeypatch, runs=None) -> list[int]:
+    """Record the children ``protocol.Forked`` forks: returns the list that
+    each fork of a child running ``runs`` (a job's function; any, if None)
+    appends the child's pid to, in fork order."""
+    forks: list[int] = []
+    real_init = protocol_mod.Forked.__init__
 
-    Returns the list that each fork appends its worker's pid to. A worker
-    inherits the patched ``remote_train``, which writes, per call, the
-    SYNC frame it trained from, the ARTF frame it returned, its pid, its
+    def init(self, jobs):
+        jobs = list(jobs)
+        try:
+            real_init(self, jobs)
+        finally:
+            forks.extend(pid for pid, job in zip(getattr(self, "pids", ()), jobs)
+                          if runs is None or job.func is runs)
+
+    monkeypatch.setattr(protocol_mod.Forked, "__init__", init)
+    return forks
+
+
+def spy_workers(monkeypatch, tmp_path) -> list[int]:
+    """Record every expert worker ``ProcessExecutor`` forks and what it trains.
+
+    Returns the pids of the expert workers forked so far, in fork order: the
+    children forked to run an expert worker's job, not every ``os.fork``. A
+    worker inherits the patched ``remote_train``, which writes, per call,
+    the SYNC frame it trained from, the ARTF frame it returned, its pid, its
     parent's pid and what it inherited to ``tmp_path/<expert>.pkl``.
     """
-    forks: list[int] = []
-    real_fork, real_train = os.fork, protocol_mod.remote_train
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            forks.append(pid)
-        return pid
+    forks = spy_forks(monkeypatch, runs=protocol_mod._train_experts)
+    real_train = protocol_mod.remote_train
 
     def train(sync, tasks, model_config):
         msg = real_train(sync, tasks, model_config)
@@ -972,7 +1268,6 @@ def spy_workers(monkeypatch, tmp_path) -> list[int]:
         }))
         return msg
 
-    monkeypatch.setattr(os, "fork", fork)
     monkeypatch.setattr(protocol_mod, "remote_train", train)
     return forks
 
@@ -1023,7 +1318,9 @@ class _RecordingExecutor(ProcessExecutor):
 
 
 class TestProcessBoundary:
-    def test_pool_carries_exactly_the_counted_frames(self, stream, monkeypatch, tmp_path):
+    def test_pool_carries_exactly_the_counted_frames(self, stream, monkeypatch, tmp_path,
+                                                     forking):
+        children = spy_forks(monkeypatch)
         forks = spy_workers(monkeypatch, tmp_path)
         master_seed = 5
         base = build_model(TOY, seed=child_seed(master_seed, "init"))
@@ -1060,6 +1357,8 @@ class TestProcessBoundary:
             assert sum(len(s) for s in syncs) == result.cost.broadcast_bytes
             assert sum(len(m) for m in frames) == result.cost.upload_bytes
         assert len(executor.calls) == 2 and len(forks) == 4
+        # each step also forked one teacher process for its consolidation
+        assert len(children) == 6 and set(forks) < set(children)
 
     def test_pool_starts_no_more_workers_than_experts(self, stream, monkeypatch, tmp_path):
         forks = spy_workers(monkeypatch, tmp_path)
