@@ -442,8 +442,11 @@ class ResidualClassifier:
         The objective lists the contributions to its gradient with respect to
         each tap and the logits; the head's contribution to the last tap
         comes before them. Contributions to every value are added in the
-        order a tape with one node per op adds them, from its zero start, so
-        the gradients are that tape's, bit for bit. A parameter nothing
+        order a tape with one node per op adds them, so the gradients are
+        that tape's, bit for bit. The tape starts each value's gradient from
+        zeros, which turns a -0 into +0; here a -0 may travel on, but every
+        flat gradient entry is written by a matmul or an axis reduce, which
+        start from +0 themselves, and x + (-0) is x. A parameter nothing
         reaches keeps an exact zero.
         """
         params, slices = self.params, self.layout.param_slices
@@ -455,7 +458,6 @@ class ResidualClassifier:
             w = params["head.W"]
             dw = flat[slices["head.W"]].reshape(w.shape)
             np.matmul(record.head_in.T, g, out=dw)
-            dw += 0.0
             np.add.reduce(g, axis=0, out=flat[slices["head.b"]])
             d = g @ w.T
             head = (d if record.head_mask is None else d * record.head_mask,)
@@ -702,13 +704,13 @@ class ResidualClassifier:
 
 
 def _sum(*parts):
-    """Gradient contributions to one value, added in the given order from a
-    per-op tape's zero start (which turns a first -0 into +0); None when
-    there are none."""
+    """Gradient contributions to one value, added in the given order; None
+    when there are none. A single contribution is returned as it is, not
+    copied: no caller writes to the sum."""
     total = None
     for g in parts:
         if g is not None:
-            total = g + 0.0 if total is None else total + g
+            total = g if total is None else total + g
     return total
 
 
@@ -719,11 +721,10 @@ def _layer_backward(params: dict, flat: np.ndarray, slices: dict, train: bool, s
     their ``slices`` of the flat gradient and returns the gradient of its
     input (if needed).
 
-    Each ``+ 0.0`` stands where a per-op tape starts a value's gradient
-    from zeros, which turns a -0 into +0. The ReLU's gate reads the
-    recorded output, not the pre-ReLU value: where the dropout mask is 0 the
-    gradient is +0 either way, and where it is 1/(1-p) >= 1 the output is
-    positive exactly when the pre-ReLU value is, so the bits are the same.
+    The ReLU's gate reads the recorded output, not the pre-ReLU value:
+    where the dropout mask is 0 the gradient is the same zero either way,
+    and where it is 1/(1-p) >= 1 the output is positive exactly when the
+    pre-ReLU value is, so the bits are the same.
     """
     prefix, h, output, xhat, inv_std, mask = state
     if mask is None:
@@ -731,16 +732,13 @@ def _layer_backward(params: dict, flat: np.ndarray, slices: dict, train: bool, s
     else:
         g = g * mask
         g *= output > 0
-    g += 0.0
     w = params[f"{prefix}.W"]
     dgamma, dbeta, dz = batch_norm_grads(g, xhat, inv_std, params[f"{prefix}.bn.gamma"], train)
-    np.add(dgamma, 0.0, out=flat[slices[f"{prefix}.bn.gamma"]])
+    flat[slices[f"{prefix}.bn.gamma"]] = dgamma
     flat[slices[f"{prefix}.bn.beta"]] = dbeta
-    dz += 0.0
     np.add.reduce(dz, axis=0, out=flat[slices[f"{prefix}.b"]])
     dw = flat[slices[f"{prefix}.W"]].reshape(w.shape)
     np.matmul(h.T, dz, out=dw)
-    dw += 0.0
     return dz @ w.T if need_dx else None
 
 

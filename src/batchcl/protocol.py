@@ -29,7 +29,8 @@ any phase can be replayed independently.
 Wire format (everything little-endian): a message is a 4-byte tag, a u64
 payload length, then the payload. Payload layouts are documented on the
 encode functions; sizes are exact and the counting transport records them,
-which is what makes the cost ledger auditable by arithmetic.
+which is what makes the cost ledger auditable by arithmetic. A process
+pipe carries nothing but such frames.
 
 The expert boundary carries only those frames: an executor hands each
 expert exactly the SYNC frame the transport counted and returns exactly
@@ -44,8 +45,9 @@ base snapshot and each ARTF frame are serialized from a view of the arena
 with one join.
 
 Every child process, an expert worker or a teacher process, is forked by
-:class:`Forked`, which gives it a pipe of its own for its length-prefixed
-records and reaps it on every way out.
+:class:`Forked`, which gives it a pipe of its own and reaps it on every way
+out. The pipe carries an expert worker's ARTF frames, a teacher process's
+TGTS frames, or an EXCP frame holding a child's pickled exception.
 """
 
 from __future__ import annotations
@@ -87,6 +89,8 @@ from .streams import Task, TaskStream, ranges_overlap
 
 TAG_SYNC = b"SYNC"
 TAG_ARTIFACT = b"ARTF"
+TAG_TARGETS = b"TGTS"  # a teacher process's outputs for one batch
+TAG_EXCEPTION = b"EXCP"  # a child's pickled exception
 FRAME_OVERHEAD = 12  # 4-byte tag + u64 payload length
 
 
@@ -95,7 +99,8 @@ class ProtocolViolation(RuntimeError):
 
 
 class ExpertFailure(RuntimeError):
-    """An expert diverged or crashed; the step must be rolled back."""
+    """An expert diverged or crashed, or a child process ended before it
+    sent all its frames; the step must be rolled back."""
 
 
 class StepFailure(RuntimeError):
@@ -481,11 +486,8 @@ class SerialExecutor:
         return [remote_train(sync, tasks, model_config) for sync in syncs]
 
 
-# before each record a child writes to its pipe: its length, then 1 if it
-# is a pickled exception
-_RECORD_HEADER = struct.Struct("<QB")
 # what each child's pipe holds if the system allows it (Linux's default
-# unprivileged maximum): 12 of wide's 80 KiB teacher records, where the
+# unprivileged maximum): 12 of wide's 80 KiB teacher frames, where the
 # default 64 KiB holds none whole
 _PIPE_BYTES = 1 << 20
 # the request for it, where the system has one (Linux)
@@ -496,11 +498,11 @@ def _serve(out_fd: int, read_ends: list, job) -> None:
     """A forked child's whole life; never returns.
 
     Closes the pipe ends it inherited for reading, so that its writes fail
-    rather than block once the parent is gone. Writes each record
-    (bytes-like) that ``job()`` yields to the pipe ``out_fd`` as it comes,
-    length-prefixed, and exits 0. If the job raises, it writes the pickled
-    exception instead and exits 1. It leaves through ``os._exit``, so
-    nothing unwinds into the parent's stack.
+    rather than block once the parent is gone. Writes each frame that
+    ``job()`` yields to the pipe ``out_fd`` as it comes, and exits 0. If the
+    job raises, it writes an EXCP frame holding the pickled exception
+    instead and exits 1. It leaves through ``os._exit``, so nothing unwinds
+    into the parent's stack.
     """
     code = 1
     try:
@@ -508,15 +510,11 @@ def _serve(out_fd: int, read_ends: list, job) -> None:
             pipe.close()
         with open(out_fd, "wb") as out:  # a file object finishes interrupted writes
             try:
-                for record in job():
-                    view = memoryview(record).cast("B")
-                    out.write(_RECORD_HEADER.pack(len(view), 0))
-                    out.write(view)
+                for msg in job():
+                    out.write(msg)
                     out.flush()
             except BaseException as e:
-                blob = pickle.dumps(e)
-                out.write(_RECORD_HEADER.pack(len(blob), 1))
-                out.write(blob)
+                out.write(frame(TAG_EXCEPTION, pickle.dumps(e)))
             else:
                 code = 0
     finally:
@@ -525,17 +523,17 @@ def _serve(out_fd: int, read_ends: list, job) -> None:
 
 class Forked:
     """Child processes forked from this one, one per job, each writing the
-    records its job yields (:func:`_serve`) to a pipe of its own.
+    frames its job yields (:func:`_serve`) to a pipe of its own.
 
     A child inherits everything its job reads at the fork, so nothing is
     sent to it. Each pipe is asked to hold ``_PIPE_BYTES`` (where the
     system refuses, it keeps its default size), so that a child streaming
-    records runs that far ahead of its reader and the two processes swap
-    the CPU less often when they share one. Leaving the
-    ``with`` block reaps every child; if the block raised (an exception, a
-    KeyboardInterrupt), the children still running are killed first.
-    ``codes`` then holds each child's exit code, a negative one being the
-    signal that killed it.
+    frames runs that far ahead of its reader and the two processes swap
+    the CPU less often when they share one. :meth:`records` reads a
+    child's frames. Leaving the ``with`` block reaps every child; if the
+    block raised (an exception, a KeyboardInterrupt), the children still
+    running are killed first. ``codes`` then holds each child's exit code,
+    a negative one being the signal that killed it.
     """
 
     def __init__(self, jobs):
@@ -576,21 +574,23 @@ class Forked:
         for w in range(len(self.pids)):
             self.exit_code(w)
 
-    def read(self, w: int):
-        """Child ``w``'s next record, or None once its pipe ends (the child
-        exited, or died mid-record). A pickled exception it sent is
-        raised here as it is."""
+    def records(self, w: int, n: int, what: str, unit: str):
+        """Child ``w``'s first ``n`` frames as they arrive. An EXCP frame's
+        exception is raised here as it is; a pipe that ends before the n-th
+        frame raises ExpertFailure naming ``what``, the child's exit code
+        and how many of the ``n`` ``unit`` came."""
         pipe = self.pipes[w]
-        head = pipe.read(_RECORD_HEADER.size)
-        if len(head) < _RECORD_HEADER.size:
-            return None
-        n, failed = _RECORD_HEADER.unpack(head)
-        blob = pipe.read(n)
-        if len(blob) < n:
-            return None
-        if failed:
-            raise pickle.loads(blob)
-        return blob
+        for got in range(n):
+            head = pipe.read(FRAME_OVERHEAD)
+            size = struct.unpack_from("<Q", head, 4)[0] if len(head) == FRAME_OVERHEAD else None
+            payload = None if size is None else pipe.read(size)
+            if payload is None or len(payload) < size:
+                # a negative code is the signal that killed the child
+                raise ExpertFailure(f"{what} ended with exit code {self.exit_code(w)} "
+                                    f"after {got} of {n} {unit}")
+            if head[:4] == TAG_EXCEPTION:
+                raise pickle.loads(payload)
+            yield head + payload
 
     def exit_code(self, w: int) -> int:
         """Child ``w``'s exit code, reaping it first if need be."""
@@ -617,10 +617,10 @@ class ProcessExecutor:
     (:func:`_train_experts`). A worker inherits the step's tasks, the model
     shape and its SYNC frames at the fork, so nothing is sent to it; the
     only bytes it sends back are its ARTF frames. Every worker is reaped
-    before ``run`` returns or raises, and an interrupted coordinator kills
-    its workers first. An exception a worker raises is re-raised here as
-    it is; a worker that dies or exits without a report fails the step
-    with ExpertFailure.
+    before ``run`` returns or raises, and a failing or interrupted
+    coordinator kills its workers first. An exception a worker raises is
+    re-raised here as it is; a worker that ends before it sent all its
+    frames fails the step with ExpertFailure (:meth:`Forked.records`).
     """
 
     def __init__(self, workers: int):
@@ -632,16 +632,11 @@ class ProcessExecutor:
             model_config: ModelConfig) -> list[bytes]:
         n = min(self.workers, len(syncs))
         jobs = [partial(_train_experts, syncs[w::n], tasks, model_config) for w in range(n)]
-        with Forked(jobs) as workers:
-            reports = [list(iter(partial(workers.read, w), None)) for w in range(n)]
         frames: list[bytes] = [b""] * len(syncs)
-        for w, (code, got) in enumerate(zip(workers.codes, reports)):
-            owed = len(frames[w::n])
-            if code != 0 or len(got) != owed:
-                # a negative code is the signal that killed the worker
-                raise ExpertFailure(f"expert worker {w} ended with exit code {code} "
-                                    f"after {len(got)} of {owed} reports")
-            frames[w::n] = got
+        with Forked(jobs) as workers:
+            for w in range(n):
+                frames[w::n] = workers.records(w, len(frames[w::n]), f"expert worker {w}",
+                                               "reports")
         return frames
 
 
@@ -677,11 +672,12 @@ def consolidate(
     their own (:func:`_teach`), forked before the first batch. It inherits
     the decoded snapshots, the pool and the RNG's state, replays every
     batch's draws through the same function as the student, and sends
-    each row its own expert's outputs, which the student's routed distance
-    reads. The teachers never read the student, so they run ahead of it.
-    The teacher process is reaped before this returns or raises: killed
-    first if the student fails (a NonFiniteError, an interrupt); its own
-    exception is re-raised here as it is; if it dies, ExpertFailure.
+    each row its own expert's outputs, one TGTS frame per batch, which the
+    student's routed distance reads. The teachers never read the student,
+    so they run ahead of it. The teacher process is reaped before this
+    returns or raises: killed first if the student fails (a NonFiniteError,
+    an interrupt, a malformed frame); its own exception is re-raised here
+    as it is; if it ends early, ExpertFailure.
 
     A consolidation of fewer than ``_FORK_MIN_BATCHES`` batches, or one in
     a process that may run on one CPU only (:func:`_usable_cores`), forks
@@ -739,19 +735,8 @@ def consolidate(
         job = partial(_teach, base.config, snapshots, features, origins, partial(draw, rng),
                       which, total)
         with Forked([job]) as teacher:
-            received = 0
-
-            def targets(taps, own):
-                nonlocal received
-                blob = teacher.read(0)
-                if blob is None:
-                    raise ExpertFailure(f"teacher process ended with exit code "
-                                        f"{teacher.exit_code(0)} after {received} of {total} "
-                                        f"batches")
-                received += 1
-                return _routed_targets(blob, taps, which)
-
-            train(targets)
+            msgs = teacher.records(0, total, "teacher process", "batches")
+            train(lambda taps, own: _routed_targets(next(msgs), taps, which))
     return student
 
 
@@ -787,14 +772,14 @@ def _usable_cores() -> int:
 
 def _teach(config: ModelConfig, snapshots: list[ParamVector], features: np.ndarray,
            origins: np.ndarray, draw, which: list[int], batches: int):
-    """The teacher process's job (:func:`consolidate`): one record per batch.
+    """The teacher process's job (:func:`consolidate`): a frame per batch.
 
     Stacks the k snapshots once. For each of ``batches`` batches it makes
     the batch's draws with ``draw``, runs the stack's teacher pass on the
-    batch's rows with its dropout masks, and yields the outputs ``which``
-    names (indices into ``[*taps, logits]``), each ``(B, D)`` block of
-    each row's own expert's output, in that order; a memory row carries
-    expert 0's. One pass covers ``_TEACHER_CHUNK`` batches
+    batch's rows with its dropout masks, and yields a TGTS frame of the
+    outputs ``which`` names (indices into ``[*taps, logits]``), each
+    ``(B, D)`` block of each row's own expert's output, in that order; a
+    memory row carries expert 0's. One pass covers ``_TEACHER_CHUNK`` batches
     (:meth:`~batchcl.model.ResidualClassifier.over_batches`), with the
     bits of a pass per batch.
     """
@@ -808,21 +793,26 @@ def _teach(config: ModelConfig, snapshots: list[ParamVector], features: np.ndarr
             batch = TapSet([t[:, b] for t in passes.taps], passes.logits[:, b])
             own = _own_outputs(batch, origins[rows], which)
             outputs = [*own.taps, own.logits]
-            yield b"".join(outputs[i] for i in which)
+            yield frame(TAG_TARGETS, *(memoryview(outputs[i]).cast("B") for i in which))
 
 
-def _routed_targets(blob: bytes, student: TapSet, which: list[int]) -> TapSet:
-    """A :func:`_teach` record as a TapSet shaped like the ``student`` pass:
-    the outputs ``which`` names are views of ``blob``, the others None."""
+def _routed_targets(msg: bytes, student: TapSet, which: list[int]) -> TapSet:
+    """A :func:`_teach` frame as a TapSet shaped like the ``student`` pass:
+    the outputs ``which`` names are views of its payload, the others None.
+    Anything but a TGTS frame of exactly their bytes is a ProtocolViolation,
+    raised before any view is taken."""
+    payload = _unframe_as(TAG_TARGETS, msg)
     outputs = [*student.taps, student.logits]
-    flat = np.frombuffer(blob, dtype=student.logits.dtype)
+    want = sum(outputs[i].nbytes for i in which)
+    if len(payload) != want:
+        raise ProtocolViolation(f"teacher frame of {len(payload)} bytes for {want} bytes "
+                                f"of targets")
+    flat = np.frombuffer(payload, dtype=student.logits.dtype)
     got: list = [None] * len(outputs)
     at = 0
     for i in which:
         got[i] = flat[at : at + outputs[i].size].reshape(outputs[i].shape)
         at += outputs[i].size
-    if at != flat.size:
-        raise ProtocolViolation(f"teacher record of {flat.size} values for {at} targets")
     return TapSet(got[:-1], got[-1])
 
 
@@ -921,7 +911,8 @@ def run_incremental_step(
     memory is refreshed in place as the final action. If an expert fails,
     an expert's message breaks the protocol (a malformed, duplicate or
     missing ARTF frame, or one of an expert outside the step or with rows
-    tagged for another expert), or the consolidation loss or a gradient turns
+    tagged for another expert), the teacher process fails or sends a
+    malformed frame, or the consolidation loss or a gradient turns
     non-finite, raises StepFailure with base and memory untouched (the
     consolidation trains a copy, and the memory write only happens after
     success).
@@ -964,7 +955,7 @@ def run_incremental_step(
     rng = np.random.default_rng(child_seed(cfg.seed, "consolidate", plan.step_id))
     try:
         new_base = consolidate(base, received, memory, cfg, rng)
-    except (NonFiniteError, ExpertFailure) as e:
+    except (NonFiniteError, ExpertFailure, ProtocolViolation) as e:
         raise StepFailure(f"step {plan.step_id}: consolidation: {e}") from e
     consolidation_wall = time.perf_counter() - t1
     distances = expert_distances(base, new_base, received, plan)

@@ -1,7 +1,9 @@
 """Shared test utilities: float64 model twins, teacher stacks, finite-difference
 oracles, the per-row gradient-norm oracle, and the per-op oracle of the
 train step: the student pass and the objectives as a tape with one node
-per op, built from the reference ops below; and a hand-written stream file."""
+per op, built from the reference ops below; a hand-written stream file;
+and consolidations forced to fork a teacher process, which may send
+malformed frames."""
 
 from __future__ import annotations
 
@@ -9,6 +11,7 @@ import struct
 
 import numpy as np
 
+import batchcl.protocol as protocol_mod
 from batchcl.config import (
     BaselineSpec,
     BmcSpec,
@@ -30,7 +33,15 @@ from batchcl.engine import SGD, PlateauScheduler
 from batchcl.engine.autodiff import BN_MOMENTUM, Tensor, _accumulate, _node, gradients
 from batchcl.losses import Objective, _joined, distill, l_base, task_loss
 from batchcl.model import ResidualClassifier, TapSet, stack_vectors
-from batchcl.protocol import TAG_ARTIFACT, decode_artifact, encode_artifact, frame, unframe
+from batchcl.protocol import (
+    FRAME_OVERHEAD,
+    TAG_ARTIFACT,
+    TAG_TARGETS,
+    decode_artifact,
+    encode_artifact,
+    frame,
+    unframe,
+)
 from batchcl.replay import draw_batch, merge_pool
 
 
@@ -166,6 +177,38 @@ def rewrite_last_artifact(msgs: list[bytes], edit) -> list[bytes]:
     """ARTF frames with the last one's artifact replaced by ``edit(artifact)``."""
     last = decode_artifact(unframe(msgs[-1])[1])
     return [*msgs[:-1], frame(TAG_ARTIFACT, encode_artifact(edit(last)))]
+
+
+# ways to break a teacher process's TGTS frame: each maps the frame to
+# what the teacher process sends instead
+MALFORMED_TARGETS = {
+    "wrong_tag": lambda msg: TAG_ARTIFACT + msg[4:],
+    "short": lambda msg: frame(TAG_TARGETS, msg[FRAME_OVERHEAD:-4]),
+    "long": lambda msg: frame(TAG_TARGETS, msg[FRAME_OVERHEAD:], bytes(4)),
+    "odd_length": lambda msg: frame(TAG_TARGETS, msg[FRAME_OVERHEAD:-1]),
+}
+
+
+def fork_teachers(monkeypatch) -> None:
+    """Make every consolidation with the distillation term on fork its
+    teacher process, however few batches it runs and however few CPUs this
+    process may use."""
+    monkeypatch.setattr(protocol_mod, "_FORK_MIN_BATCHES", 0)
+    monkeypatch.setattr(protocol_mod, "_usable_cores", lambda: 2)
+
+
+def send_malformed_targets(monkeypatch, how: str) -> None:
+    """Make every consolidation with the distillation term fork its teacher
+    process (:func:`fork_teachers`), and make that process send each
+    batch's TGTS frame broken the way ``MALFORMED_TARGETS[how]`` breaks it."""
+    real, mangle = protocol_mod._teach, MALFORMED_TARGETS[how]
+
+    def teach(*args):
+        for msg in real(*args):
+            yield mangle(msg)
+
+    fork_teachers(monkeypatch)
+    monkeypatch.setattr(protocol_mod, "_teach", teach)
 
 
 def float64_twin(model: ResidualClassifier) -> ResidualClassifier:

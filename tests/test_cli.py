@@ -14,7 +14,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import rewrite_last_artifact, write_stream_file
+from helpers import (
+    MALFORMED_TARGETS,
+    rewrite_last_artifact,
+    send_malformed_targets,
+    write_stream_file,
+)
 
 import batchcl
 import batchcl.protocol as protocol_mod
@@ -363,6 +368,19 @@ class TestRunVerb:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["failed_step"] == 0
         assert (tmp_path / "out" / "records.jsonl").exists()
+
+    @pytest.mark.parametrize("how", MALFORMED_TARGETS)
+    def test_malformed_teacher_frame_fails_the_step_not_the_run(self, tmp_path, monkeypatch,
+                                                                 how):
+        # every TGTS frame of the teacher process forked for step 0's
+        # consolidation breaks the protocol
+        send_malformed_targets(monkeypatch, how)
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(toy_raw(method="bmc", out_dir=str(tmp_path / "out"))))
+        assert main(["run", str(cfg_file)]) == 3
+        rows = [json.loads(s) for s in (tmp_path / "out" / "records.jsonl").read_text().splitlines()]
+        assert [r["type"] for r in rows] == ["timing", "summary"]
+        assert rows[-1]["failed_step"] == 0
 
     def test_dead_pool_worker_fails_the_step_not_the_run(self, tmp_path, monkeypatch):
         # step 1's expert 1 exits in its forked worker, as a killed

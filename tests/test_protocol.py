@@ -7,11 +7,13 @@ and isolation rather than accuracy.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import dis
 import inspect
 import os
 import pickle
+import re
 import signal
 import struct
 import time
@@ -21,12 +23,15 @@ import weakref
 import numpy as np
 import pytest
 from helpers import (
+    MALFORMED_TARGETS,
     assert_views_of_own_arena,
     consolidate_reference,
     count_tensors,
     experiment,
+    fork_teachers,
     jitter_params,
     rewrite_last_artifact,
+    send_malformed_targets,
     stack_passes,
 )
 
@@ -144,14 +149,6 @@ def count_passes(monkeypatch) -> list:
 
     monkeypatch.setattr(ResidualClassifier, "_values", counting)
     return calls
-
-
-def fork_teachers(monkeypatch) -> None:
-    """Make every consolidation with the distillation term on fork its
-    teacher process, however few batches it runs and however few CPUs this
-    process may use."""
-    monkeypatch.setattr(protocol_mod, "_FORK_MIN_BATCHES", 0)
-    monkeypatch.setattr(protocol_mod, "_usable_cores", lambda: 2)
 
 
 @pytest.fixture
@@ -960,6 +957,32 @@ class TestTeacherProcess:
         assert base.to_param_vector().to_bytes() == base_before
         assert encode_exemplars(memory.exemplars) == memory_before
 
+    @pytest.mark.parametrize("how", MALFORMED_TARGETS)
+    def test_malformed_teacher_frame_fails_the_step(self, stream, monkeypatch, how):
+        # every batch's TGTS frame arrives with another tag, or a payload
+        # that is not the student's targets' bytes: the step fails before
+        # any view of it is taken, and base and memory stay as they were
+        send_malformed_targets(monkeypatch, how)
+        base = build_model(TOY, seed=child_seed(5, "init"))
+        cfg = tiny_config(seed=5, rehearsal_epochs=2)
+        memory = Memory(40, stream.dim)
+        memory.replace(make_exemplars(10))
+        base_before = base.to_param_vector().to_bytes()
+        memory_before = encode_exemplars(memory.exemplars)
+        with pytest.raises(StepFailure, match="^step 1: consolidation: ") as raised:
+            run_incremental_step(base, plan_steps(stream, cfg)[1], memory, cfg,
+                                 CountingTransport(), SerialExecutor())
+        assert type(raised.value.__cause__) is ProtocolViolation
+        if how == "wrong_tag":
+            assert "expected a b'TGTS' frame, got b'ARTF'" in str(raised.value)
+        else:
+            sizes = re.search(r"teacher frame of (\d+) bytes for (\d+) bytes of targets$",
+                              str(raised.value))
+            got, want = map(int, sizes.groups())
+            assert got - want == {"short": -4, "long": 4, "odd_length": -1}[how]
+        assert base.to_param_vector().to_bytes() == base_before
+        assert encode_exemplars(memory.exemplars) == memory_before
+
     def test_teacher_exception_is_reraised_as_it_is(self, stream, monkeypatch):
         def boom():
             raise _TeacherBoom("no teacher today")
@@ -1315,6 +1338,97 @@ class _RecordingExecutor(ProcessExecutor):
         frames = super().run(syncs, tasks, model_config)
         self.calls.append((syncs, frames))
         return frames
+
+
+class _ChildBoom(Exception):
+    """An exception a forked child's job raises."""
+
+
+def frames_then(msgs, act=None):
+    """A job that yields ``msgs`` in order, then calls ``act()``."""
+    def job():
+        yield from msgs
+        if act is not None:
+            act()
+    return job
+
+
+def reaped(pids) -> bool:
+    """Whether no process of ``pids`` is still a child of this one, not even
+    a zombie."""
+    for pid in pids:
+        try:
+            os.waitpid(pid, os.WNOHANG)
+        except ChildProcessError:
+            continue
+        return False
+    return True
+
+
+class TestForked:
+    """The one fork/pipe/reap helper on its own: a child's frames arrive
+    whole and in order, its exception is raised as it is, a child that ends
+    early fails with its exit code and count, and every child is reaped."""
+
+    # the second frame is larger than a pipe holds, so it crosses in pieces
+    MSGS = [frame(TAG_SYNC, b""),
+            frame(TAG_ARTIFACT, np.random.default_rng(0).bytes(3 << 20)),
+            frame(b"TGTS", b"\x01\x02\x03")]
+
+    def test_frames_come_back_byte_identical_in_order(self):
+        # two children, the second one read first: each pipe is its own
+        jobs = [frames_then(self.MSGS), frames_then(self.MSGS[::-1])]
+        with protocol_mod.Forked(jobs) as children:
+            second = list(children.records(1, 3, "child 1", "frames"))
+            first = list(children.records(0, 3, "child 0", "frames"))
+        assert first == self.MSGS and second == self.MSGS[::-1]
+        assert all(type(m) is bytes for m in first + second)
+        assert children.codes == [0, 0] and reaped(children.pids)
+
+    def test_exception_after_one_frame_is_reraised_as_it_is(self):
+        def boom():
+            raise _ChildBoom("after one frame")
+
+        with protocol_mod.Forked([frames_then(self.MSGS[:1], boom)]) as children:
+            msgs = children.records(0, 2, "child 0", "frames")
+            assert next(msgs) == self.MSGS[0]
+            with pytest.raises(_ChildBoom, match="^after one frame$"):
+                next(msgs)
+        assert children.codes == [1] and reaped(children.pids)
+
+    @pytest.mark.parametrize("cut", [0, 5, 20], ids=["between", "mid_header", "mid_payload"])
+    @pytest.mark.parametrize("end, code", [
+        (lambda: os.kill(os.getpid(), signal.SIGKILL), -9), (lambda: os._exit(0), 0)],
+        ids=["killed", "exits"])
+    def test_child_that_ends_early_fails_with_its_exit_code_and_count(self, cut, end, code):
+        job = frames_then([self.MSGS[0], self.MSGS[1][:cut]], end)
+        with protocol_mod.Forked([job]) as children:
+            with pytest.raises(ExpertFailure,
+                               match=f"^child 0 ended with exit code {code} after 1 of 3 frames$"):
+                list(children.records(0, 3, "child 0", "frames"))
+        assert children.codes == [code] and reaped(children.pids)
+
+    @pytest.mark.parametrize("outcome, codes", [
+        ("read", [0, 0]), ("unread", [1, 1]), ("raised", [-9, -9])])
+    def test_every_child_is_reaped(self, outcome, codes):
+        # unread: each child blocks on its full pipe until the block's end
+        # closes it, and its write fails; raised: the block fails while the
+        # children sleep, and they are killed first
+        class Failed(Exception):
+            pass
+
+        job = (frames_then([], lambda: time.sleep(60)) if outcome == "raised"
+               else frames_then(self.MSGS))
+        t0 = time.perf_counter()
+        with contextlib.suppress(Failed):
+            with protocol_mod.Forked([job, job]) as children:
+                if outcome == "read":
+                    for w in range(2):
+                        assert list(children.records(w, 3, f"child {w}", "frames")) == self.MSGS
+                if outcome == "raised":
+                    raise Failed
+        assert time.perf_counter() - t0 < 30
+        assert children.codes == codes and reaped(children.pids)
 
 
 class TestProcessBoundary:
