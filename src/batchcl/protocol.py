@@ -28,13 +28,13 @@ any phase can be replayed independently.
 
 Wire format (everything little-endian): a message is a 4-byte tag, a u64
 payload length, then the payload. Payload layouts are documented on the
-encode functions; sizes are exact and the counting transport records them,
-which is what makes the cost ledger auditable by arithmetic. A process
-pipe carries nothing but such frames.
+encode functions; sizes are exact and each step's own counting transport
+records them, which is what makes the cost ledger auditable by arithmetic.
+A process pipe carries nothing but such frames.
 
 The expert boundary carries only those frames: an executor hands each
-expert exactly the SYNC frame the transport counted and returns exactly
-the ARTF frame the transport counts. Task data lives worker-side: a forked
+expert exactly the SYNC frame the step's transport counted and returns
+exactly the ARTF frame it counts. Task data lives worker-side: a forked
 worker inherits its step's tasks, the model shape and its SYNC frames, and
 picks its own task by the index in the SYNC frame.
 
@@ -344,7 +344,9 @@ def decode_artifact(payload: bytes) -> ExpertArtifact:
     """Inverse of :func:`encode_artifact`. The snapshot is a read-only view
     of ``payload`` (:meth:`~batchcl.model.ParamVector.from_bytes`), so it
     keeps the received frame alive and is its only copy; the buffer's rows
-    are copied out."""
+    are copied out. A buffer owned by, or with a row tagged for, another
+    expert raises ProtocolViolation: :func:`consolidate` distills each pool
+    row toward the teacher its origin tag names."""
     (expert_index, epochs, final_loss, wall, pv_len), off = _unpack(
         _ARTIFACT_HEADER, payload, 0, "artifact header"
     )
@@ -357,12 +359,12 @@ def decode_artifact(payload: bytes) -> ExpertArtifact:
         pv = ParamVector.from_bytes(pv_blob)
     except ValueError as e:
         raise ProtocolViolation(f"artifact snapshot at byte {pv_at}: {e}") from e
-    return ExpertArtifact(
-        expert_index=expert_index,
-        param_vector=pv,
-        buffer=decode_buffer(buf_blob),
-        stats=ExpertStats(epochs=epochs, final_loss=final_loss, wall_clock_s=wall),
-    )
+    buffer = decode_buffer(buf_blob)
+    others = {buffer.owner, *np.unique(buffer.exemplars.origins).tolist()} - {expert_index}
+    if others:
+        raise ProtocolViolation(f"artifact of expert {expert_index} carries a buffer tagged "
+                                f"with expert {min(others)}")
+    return ExpertArtifact(expert_index, pv, buffer, ExpertStats(epochs, final_loss, wall))
 
 
 # ---------------------------------------------------------------------------
@@ -373,21 +375,13 @@ def decode_artifact(payload: bytes) -> ExpertArtifact:
 class CountingTransport:
     """In-process channel that records the exact bytes of every message.
 
-    Its messages are the very frames that cross the expert boundary.
-    Doubles as the enforcement point for the one-artifact-per-expert rule.
+    Its messages are the very frames that cross the expert boundary; it
+    only counts them.
     """
 
     def __init__(self):
         self.broadcast_bytes = 0
         self.upload_bytes = 0
-        self._artifact_senders: set[int] = set()
-
-    @property
-    def artifact_count(self) -> int:  # ARTF frames this step, one per sender
-        return len(self._artifact_senders)
-
-    def begin_step(self) -> None:
-        self._artifact_senders.clear()
 
     def send_sync(self, payload: bytes) -> bytes:
         """Frame and count one SYNC payload; returns the message for the expert."""
@@ -398,10 +392,6 @@ class CountingTransport:
     def send_artifact(self, msg: bytes) -> bytes:
         """Count one ARTF frame from an expert; returns its payload."""
         payload = _unframe_as(TAG_ARTIFACT, msg)
-        (sender,), _ = _unpack("<I", payload, 0, "artifact header")
-        if sender in self._artifact_senders:
-            raise ProtocolViolation(f"expert {sender} already sent its artifact this step")
-        self._artifact_senders.add(sender)
         self.upload_bytes += len(msg)
         return payload
 
@@ -478,12 +468,22 @@ def remote_train(sync: bytes, tasks: tuple[Task, ...], model_config: ModelConfig
     )))
 
 
+def _train_experts(syncs: list[bytes], tasks: tuple[Task, ...],
+                   model_config: ModelConfig) -> list[bytes]:
+    """The ARTF frames of ``syncs``' experts, trained in turn through the
+    module's ``remote_train``: the serial run, and an expert worker's job.
+    It returns them only when all are done, so in a worker a full pipe
+    never holds up its next expert while the coordinator reads another
+    worker's pipe."""
+    return [remote_train(sync, tasks, model_config) for sync in syncs]
+
+
 class SerialExecutor:
     """Deterministic single-worker execution, in launch order."""
 
     def run(self, syncs: list[bytes], tasks: tuple[Task, ...],
             model_config: ModelConfig) -> list[bytes]:
-        return [remote_train(sync, tasks, model_config) for sync in syncs]
+        return _train_experts(syncs, tasks, model_config)
 
 
 # what each child's pipe holds if the system allows it (Linux's default
@@ -501,8 +501,9 @@ def _serve(out_fd: int, read_ends: list, job) -> None:
     rather than block once the parent is gone. Writes each frame that
     ``job()`` yields to the pipe ``out_fd`` as it comes, and exits 0. If the
     job raises, it writes an EXCP frame holding the pickled exception
-    instead and exits 1. It leaves through ``os._exit``, so nothing unwinds
-    into the parent's stack.
+    instead, or an ExpertFailure naming its type and message where it does
+    not survive a pickle round trip, and exits 1. It leaves through
+    ``os._exit``, so nothing unwinds into the parent's stack.
     """
     code = 1
     try:
@@ -514,7 +515,11 @@ def _serve(out_fd: int, read_ends: list, job) -> None:
                     out.write(msg)
                     out.flush()
             except BaseException as e:
-                out.write(frame(TAG_EXCEPTION, pickle.dumps(e)))
+                try:  # the parent unpickles it: send only what survives that
+                    pickle.loads(blob := pickle.dumps(e))
+                except Exception:
+                    blob = pickle.dumps(ExpertFailure(f"{type(e).__name__}: {e}"))
+                out.write(frame(TAG_EXCEPTION, blob))
             else:
                 code = 0
     finally:
@@ -576,7 +581,8 @@ class Forked:
 
     def records(self, w: int, n: int, what: str, unit: str):
         """Child ``w``'s first ``n`` frames as they arrive. An EXCP frame's
-        exception is raised here as it is; a pipe that ends before the n-th
+        exception is raised here as it is, or, if it does not unpickle, an
+        ExpertFailure naming ``what``; a pipe that ends before the n-th
         frame raises ExpertFailure naming ``what``, the child's exit code
         and how many of the ``n`` ``unit`` came."""
         pipe = self.pipes[w]
@@ -589,7 +595,12 @@ class Forked:
                 raise ExpertFailure(f"{what} ended with exit code {self.exit_code(w)} "
                                     f"after {got} of {n} {unit}")
             if head[:4] == TAG_EXCEPTION:
-                raise pickle.loads(payload)
+                try:
+                    e = pickle.loads(payload)
+                except Exception as bad:
+                    raise ExpertFailure(f"{what} raised an exception that does not unpickle: "
+                                        f"{type(bad).__name__}: {bad}") from bad
+                raise e
             yield head + payload
 
     def exit_code(self, w: int) -> int:
@@ -597,15 +608,6 @@ class Forked:
         if self.codes[w] is None:
             self.codes[w] = os.waitstatus_to_exitcode(os.waitpid(self.pids[w], 0)[1])
         return self.codes[w]
-
-
-def _train_experts(syncs: list[bytes], tasks: tuple[Task, ...],
-                   model_config: ModelConfig) -> list[bytes]:
-    """An expert worker's job: the ARTF frames of its experts, trained in
-    turn through the module's ``remote_train``. It returns them only when
-    all are done, so a full pipe never holds up its next expert while the
-    coordinator reads another worker's pipe."""
-    return [remote_train(sync, tasks, model_config) for sync in syncs]
 
 
 class ProcessExecutor:
@@ -659,11 +661,11 @@ def consolidate(
     ``cfg.training.lr`` going in (fresh optimizer/scheduler) and the caller
     never reuses this phase's optimizer afterwards. The student is a copy
     of the base, trained with single-model passes and returned; the input
-    base is untouched. ``artifacts`` are those of experts 0..k-1, each
-    buffer holding its own expert's rows (:func:`check_artifacts`), so a
-    pool row's origin tag is the index of its teacher and memory rows (-1)
-    have none: the pool's origin column routes the batched term for the
-    whole call. Each batch draws its rows as
+    base is untouched. ``artifacts`` are those of experts 0..k-1
+    (:func:`run_incremental_step`), each buffer holding its own expert's
+    rows (:func:`decode_artifact`), so a pool row's origin tag is the index
+    of its teacher and memory rows (-1) have none: the pool's origin column
+    routes the batched term for the whole call. Each batch draws its rows as
     :func:`~batchcl.replay.draw_batch` does, with one ``rng.integers``
     call, then its dropout masks, and gathers only the features, labels
     and origins it reads.
@@ -816,27 +818,6 @@ def _routed_targets(msg: bytes, student: TapSet, which: list[int]) -> TapSet:
     return TapSet(got[:-1], got[-1])
 
 
-def check_artifacts(artifacts: list[ExpertArtifact], k: int) -> None:
-    """Check that every artifact is one of a k-expert step's and carries
-    only its own expert's rows.
-
-    An artifact's expert index must be in 0..k-1, and its buffer's owner
-    and every row's origin tag must equal that index; anything else raises
-    ProtocolViolation. :func:`consolidate` routes each pool row to the
-    teacher its origin names, so a buffer tagged with another expert would
-    distill its rows toward that expert.
-    """
-    for a in artifacts:
-        j = a.expert_index
-        if not 0 <= j < k:
-            raise ProtocolViolation(f"artifact names expert {j}, but the step has {k} experts")
-        others = {a.buffer.owner, *np.unique(a.buffer.exemplars.origins).tolist()} - {j}
-        if others:
-            raise ProtocolViolation(
-                f"artifact of expert {j} carries a buffer tagged with expert {min(others)}"
-            )
-
-
 def expert_distances(
     base: ResidualClassifier,
     new_base: ResidualClassifier,
@@ -901,25 +882,22 @@ def run_incremental_step(
     plan: StepPlan,
     memory: Memory,
     cfg: ExperimentConfig,
-    transport: CountingTransport,
     executor,
 ) -> StepResult:
     """Execute sync -> parallel expert training -> consolidate -> memory refresh.
 
     Reads ``cfg.seed``, ``cfg.training`` and ``cfg.bmc``; the model shape is
     ``base.config``. On success returns the NEW base model and records the step's cost; the
-    memory is refreshed in place as the final action. If an expert fails,
-    an expert's message breaks the protocol (a malformed, duplicate or
-    missing ARTF frame, or one of an expert outside the step or with rows
-    tagged for another expert), the teacher process fails or sends a
-    malformed frame, or the consolidation loss or a gradient turns
-    non-finite, raises StepFailure with base and memory untouched (the
-    consolidation trains a copy, and the memory write only happens after
-    success).
+    memory is refreshed in place as the final action. The step's own
+    transport counts its broadcast and upload bytes. If an expert fails, an
+    expert's message breaks the protocol (a malformed ARTF frame, one with
+    rows tagged for another expert, or frames that are not one from each of
+    experts 0..k-1), the teacher process fails or sends a malformed frame,
+    or the consolidation loss or a gradient turns non-finite, raises
+    StepFailure with base and memory untouched (the consolidation trains a
+    copy, and the memory write only happens after success).
     """
-    transport.begin_step()
-    broadcast_before = transport.broadcast_bytes
-    upload_before = transport.upload_bytes
+    transport = CountingTransport()
     base_blob = base.to_param_vector(copy=False).to_bytes()  # one copy of the arena
     syncs = [
         transport.send_sync(encode_sync(i, seed, cfg, base_blob))
@@ -942,9 +920,10 @@ def run_incremental_step(
         # each decoded snapshot is a view of its ARTF frame and now the only
         # reference to it, so every snapshot exists once
         del artifact_msgs
-        if len(received) != plan.k:
-            raise ProtocolViolation(f"expected {plan.k} artifacts, got {len(received)}")
-        check_artifacts(received, plan.k)
+        experts = [a.expert_index for a in received]
+        if experts != list(range(plan.k)):
+            raise ProtocolViolation(f"artifacts came from experts {experts}, but the step "
+                                    f"has {plan.k} experts")
     except (ExpertFailure, ProtocolViolation) as e:
         raise StepFailure(f"step {plan.step_id}: {e}") from e
 
@@ -970,8 +949,8 @@ def run_incremental_step(
 
     cost = StepCost(
         step_id=plan.step_id,
-        broadcast_bytes=transport.broadcast_bytes - broadcast_before,
-        upload_bytes=transport.upload_bytes - upload_before,
+        broadcast_bytes=transport.broadcast_bytes,
+        upload_bytes=transport.upload_bytes,
         memory_bytes=memory_bytes_at_peak,
         expert_param_bytes=expert_param_bytes,
         model_bytes=model_bytes,
@@ -1017,11 +996,10 @@ def run_full_stream(stream: TaskStream, cfg: ExperimentConfig, executor=None) ->
     recorder = RunRecorder("bmc")
     base = build_model(build_model_config(cfg.model, stream), seed=child_seed(cfg.seed, "init"))
     memory = Memory(b.memory_capacity, stream.dim)
-    transport = CountingTransport()
     for plan in plan_steps(stream, cfg):
         step_t0 = time.perf_counter()
         try:
-            result = run_incremental_step(base, plan, memory, cfg, transport, executor)
+            result = run_incremental_step(base, plan, memory, cfg, executor)
         except StepFailure:
             return recorder.report(base, failed_step=plan.step_id)
         base = result.base

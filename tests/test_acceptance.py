@@ -55,16 +55,12 @@ from batchcl.model import ModelConfig, TapSet, build_model
 from batchcl.protocol import (
     ARTIFACT_FIXED_NBYTES,
     SYNC_FIXED_NBYTES,
-    TAG_ARTIFACT,
-    CountingTransport,
     ExpertFailure,
     ProcessExecutor,
     ProtocolViolation,
     SerialExecutor,
     StepFailure,
-    encode_artifact,
     exemplar_block_nbytes,
-    frame,
     plan_steps,
     run_full_stream,
     run_incremental_step,
@@ -726,6 +722,16 @@ class _FailingExecutor:
         raise ExpertFailure("worker crashed")
 
 
+class _RewritingExecutor(SerialExecutor):
+    """Experts whose ARTF frames arrive as ``edit(frames)``."""
+
+    def __init__(self, edit):
+        self.edit = edit
+
+    def run(self, syncs, tasks, model_config):
+        return self.edit(super().run(syncs, tasks, model_config))
+
+
 def test_09_protocol_constraints(tmp_path):
     stream = generate_stream(
         kind="permuted", n_tasks=3, classes_per_task=2, dim=5,
@@ -742,15 +748,31 @@ def test_09_protocol_constraints(tmp_path):
     )
     base = build_model(model_cfg, seed=child_seed(9, "init"))
     memory = Memory(40, stream.dim)
-    transport = CountingTransport()
     plan = plan_steps(stream, cfg)[0]
     capturing = _CapturingExecutor()
-    result = run_incremental_step(base, plan, memory, cfg, transport, capturing)
+    result = run_incremental_step(base, plan, memory, cfg, capturing)
+    base2 = result.base
 
-    # (a) exactly k artifact messages, duplicates rejected
-    exactly_k = transport.artifact_count == plan.k
-    with pytest.raises(ProtocolViolation):
-        transport.send_artifact(frame(TAG_ARTIFACT, encode_artifact(result.artifacts[0])))
+    def state() -> bytes:
+        return (base2.to_param_vector().to_bytes() + memory.exemplars.features.tobytes()
+                + memory.exemplars.labels.tobytes())
+
+    def rejected(edit) -> bool:
+        """Whether a step whose frames arrive as ``edit(frames)`` fails on
+        the protocol and leaves base and memory byte-identical."""
+        before = state()
+        try:
+            run_incremental_step(base2, plan, memory, cfg, _RewritingExecutor(edit))
+        except StepFailure as e:
+            return type(e.__cause__) is ProtocolViolation and state() == before
+        return False
+
+    # (a) exactly k artifacts; a duplicated or a missing frame fails the step
+    exactly_k = (
+        len(result.artifacts) == plan.k
+        and rejected(lambda msgs: [*msgs, msgs[0]])
+        and rejected(lambda msgs: msgs[:-1])
+    )
 
     # (b) experts get their SYNC bytes, the step's tasks and the model shape:
     # exactly the counted broadcast, and nothing that reaches a memory
@@ -764,16 +786,10 @@ def test_09_protocol_constraints(tmp_path):
     )
 
     # (c) a failed step leaves base and memory byte-identical
-    base2 = result.base
-    base_bytes = base2.to_param_vector().to_bytes()
-    memory_bytes = memory.exemplars.features.tobytes() + memory.exemplars.labels.tobytes()
+    before = state()
     with pytest.raises(StepFailure):
-        run_incremental_step(base2, plan, memory, cfg, transport, _FailingExecutor())
-    untouched = (
-        base2.to_param_vector().to_bytes() == base_bytes
-        and memory.exemplars.features.tobytes() + memory.exemplars.labels.tobytes()
-        == memory_bytes
-    )
+        run_incremental_step(base2, plan, memory, cfg, _FailingExecutor())
+    untouched = state() == before
 
     # (d) serial mode: two identical runs, bit-identical summaries
     exp = parse_config({
@@ -835,7 +851,6 @@ def test_10_replay_invariants():
     )
     base = build_model(model_cfg, seed=child_seed(4, "init"))
     memory = Memory(mem_cap, stream.dim)
-    transport = CountingTransport()
     executor = SerialExecutor()
     cfg = experiment(
         "bmc", 4, training=dict(epochs_per_task=1, lr=0.1, batch_size=8),
@@ -844,7 +859,7 @@ def test_10_replay_invariants():
     )
     over_capacity = []
     for plan in plan_steps(stream, cfg):
-        result = run_incremental_step(base, plan, memory, cfg, transport, executor)
+        result = run_incremental_step(base, plan, memory, cfg, executor)
         base = result.base
         if len(memory) > mem_cap:
             over_capacity.append((plan.step_id, len(memory)))

@@ -397,6 +397,18 @@ class TestArtifactCodec:
         with pytest.raises(ProtocolViolation, match=f"2 trailing bytes at byte {len(payload)}"):
             decode_artifact(payload + b"\0\0")
 
+    @pytest.mark.parametrize("owner, origins", [
+        (0, [1, 1, 1, 1, 1]), (1, [1, 1, 1, 0, 1]), (0, [0, 0, 0, 0, 0])],
+        ids=["owner", "one_row", "owner_and_rows"])
+    def test_buffer_of_another_expert_rejected(self, owner, origins):
+        # expert 1's buffer owned by expert 0, or with rows tagged for it
+        a = self.make_artifact()
+        rows = dataclasses.replace(a.buffer.exemplars, origins=np.array(origins))
+        payload = encode_artifact(dataclasses.replace(a, buffer=Buffer(rows, 10, owner=owner)))
+        with pytest.raises(ProtocolViolation,
+                           match="^artifact of expert 1 carries a buffer tagged with expert 0$"):
+            decode_artifact(payload)
+
 
 def artifact_frame() -> bytes:
     return frame(TAG_ARTIFACT, encode_artifact(TestArtifactCodec().make_artifact()))
@@ -405,7 +417,6 @@ def artifact_frame() -> bytes:
 class TestTransport:
     def test_counts_exact_message_lengths(self, stream):
         t = CountingTransport()
-        t.begin_step()
         sync, blob = make_sync()
         payload = unframe(sync)[1]
         msg1 = t.send_sync(payload)
@@ -414,31 +425,12 @@ class TestTransport:
         assert t.send_artifact(msg2) == unframe(msg2)[1]
         assert t.broadcast_bytes == len(msg1)
         assert t.upload_bytes == len(msg2)
-        assert t.artifact_count == 1
-
-    def test_duplicate_artifact_rejected(self):
-        t = CountingTransport()
-        t.begin_step()
-        msg = artifact_frame()
-        t.send_artifact(msg)
-        with pytest.raises(ProtocolViolation, match="expert 1 already sent"):
-            t.send_artifact(msg)
-
-    def test_next_step_clears_senders(self):
-        t = CountingTransport()
-        msg = artifact_frame()
-        t.begin_step()
-        t.send_artifact(msg)
-        t.begin_step()
-        t.send_artifact(msg)  # fine: new step
-        assert t.artifact_count == 1
 
     def test_sync_frame_is_not_an_upload(self):
         t = CountingTransport()
-        t.begin_step()
         with pytest.raises(ProtocolViolation, match="expected a b'ARTF' frame"):
             t.send_artifact(make_sync()[0])
-        assert t.upload_bytes == 0 and t.artifact_count == 0
+        assert t.upload_bytes == 0
 
 
 class TestPlans:
@@ -523,8 +515,7 @@ class TestExpertIsolation:
         cfg = tiny_config(seed=5, rehearsal_epochs=1)
         plan = plan_steps(stream, cfg)[0]
         run_incremental_step(
-            build_model(TOY, seed=1), plan, Memory(40, stream.dim), cfg,
-            CountingTransport(), capturing,
+            build_model(TOY, seed=1), plan, Memory(40, stream.dim), cfg, capturing,
         )
         syncs, tasks, model_config = capturing.args
         assert all(type(s) is bytes for s in syncs)
@@ -953,7 +944,7 @@ class TestTeacherProcess:
         with pytest.raises(StepFailure, match="step 1: consolidation: teacher process ended "
                                               "with exit code -9 after 4 of 8 batches"):
             run_incremental_step(base, plan_steps(stream, cfg)[1], memory, cfg,
-                                 CountingTransport(), SerialExecutor())
+                                 SerialExecutor())
         assert base.to_param_vector().to_bytes() == base_before
         assert encode_exemplars(memory.exemplars) == memory_before
 
@@ -971,7 +962,7 @@ class TestTeacherProcess:
         memory_before = encode_exemplars(memory.exemplars)
         with pytest.raises(StepFailure, match="^step 1: consolidation: ") as raised:
             run_incremental_step(base, plan_steps(stream, cfg)[1], memory, cfg,
-                                 CountingTransport(), SerialExecutor())
+                                 SerialExecutor())
         assert type(raised.value.__cause__) is ProtocolViolation
         if how == "wrong_tag":
             assert "expected a b'TGTS' frame, got b'ARTF'" in str(raised.value)
@@ -1086,26 +1077,26 @@ class TestTeacherProcess:
         assert out.arena.tobytes() == resized.arena.tobytes()
 
 
+# the two expert paths a step can take, by test id
+EXECUTORS = {"serial": SerialExecutor, "forked": lambda: ProcessExecutor(2)}
+
+
 class TestIncrementalStep:
     def run_one(self, stream, plan_idx=0, memory=None, master_seed=5):
         base = build_model(TOY, seed=child_seed(master_seed, "init"))
         cfg = tiny_config(seed=master_seed)
         plans = plan_steps(stream, cfg)
         memory = memory if memory is not None else Memory(40, stream.dim)
-        transport = CountingTransport()
-        result = run_incremental_step(
-            base, plans[plan_idx], memory, cfg, transport, SerialExecutor()
-        )
-        return base, memory, transport, result
+        result = run_incremental_step(base, plans[plan_idx], memory, cfg, SerialExecutor())
+        return base, memory, result
 
     def test_step_produces_k_artifacts_and_fills_memory(self, stream):
-        _, memory, transport, result = self.run_one(stream)
-        assert transport.artifact_count == 2
-        assert len(result.artifacts) == 2
+        _, memory, result = self.run_one(stream)
+        assert [a.expert_index for a in result.artifacts] == [0, 1]
         assert 0 < len(memory) <= memory.capacity
 
     def test_cost_entry_matches_analytic_byte_arithmetic(self, stream):
-        base, memory, transport, result = self.run_one(stream)
+        base, memory, result = self.run_one(stream)
         blob_len = len(base.to_param_vector().to_bytes())
         sync_msg = FRAME_OVERHEAD + SYNC_FIXED_NBYTES + blob_len
         assert result.cost.broadcast_bytes == 2 * sync_msg
@@ -1127,10 +1118,9 @@ class TestIncrementalStep:
         base = build_model(TOY, seed=child_seed(master_seed, "init"))
         cfg = tiny_config(seed=master_seed)
         memory = Memory(40, stream.dim)
-        transport = CountingTransport()
         costs = []
         for plan in plan_steps(stream, cfg):
-            result = run_incremental_step(base, plan, memory, cfg, transport, SerialExecutor())
+            result = run_incremental_step(base, plan, memory, cfg, SerialExecutor())
             base = result.base
             costs.append(result.cost)
         blob0 = costs[0].broadcast_bytes
@@ -1138,7 +1128,6 @@ class TestIncrementalStep:
         assert costs[1].broadcast_bytes == blob0
         # step 1 started with a populated memory, so its peak is larger
         assert costs[1].memory_bytes > costs[0].memory_bytes
-        assert transport.broadcast_bytes == costs[0].broadcast_bytes + costs[1].broadcast_bytes
 
     def test_failed_expert_rolls_back_base_and_memory(self, stream, monkeypatch):
         master_seed = 5
@@ -1160,7 +1149,7 @@ class TestIncrementalStep:
         monkeypatch.setattr(protocol_mod, "remote_train", flaky)
         with pytest.raises(StepFailure, match="simulated crash"):
             run_incremental_step(
-                base, plans[0], memory, cfg, CountingTransport(), SerialExecutor()
+                base, plans[0], memory, cfg, SerialExecutor()
             )
         assert base.to_param_vector().to_bytes() == base_before
         assert memory.exemplars.features.tobytes() == memory_before
@@ -1181,14 +1170,17 @@ class TestIncrementalStep:
             StepFailure, match="step 1: consolidation: non-finite"
         ):
             run_incremental_step(
-                base, plans[1], memory, cfg, CountingTransport(), SerialExecutor()
+                base, plans[1], memory, cfg, SerialExecutor()
             )
         assert base.to_param_vector().to_bytes() == base_before
         assert memory.exemplars.features.tobytes() == memory_before
         assert len(memory) == 10
 
 
-    def test_truncated_artifact_frame_fails_the_step(self, stream):
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_truncated_artifact_frame_fails_the_step(self, stream, executor):
+        # every ARTF frame loses its last 3 bytes on the way
+        truncated = _RewritingExecutor(EXECUTORS[executor](), lambda msgs: [m[:-3] for m in msgs])
         master_seed = 5
         base = build_model(TOY, seed=child_seed(master_seed, "init"))
         cfg = tiny_config(seed=master_seed, rehearsal_epochs=2)
@@ -1198,27 +1190,34 @@ class TestIncrementalStep:
         base_before = base.to_param_vector().to_bytes()
         memory_before = memory.exemplars.features.tobytes()
         with pytest.raises(StepFailure, match="step 1: frame payload truncated"):
-            run_incremental_step(
-                base, plans[1], memory, cfg, CountingTransport(), _TruncatingExecutor()
-            )
+            run_incremental_step(base, plans[1], memory, cfg, truncated)
         assert base.to_param_vector().to_bytes() == base_before
         assert memory.exemplars.features.tobytes() == memory_before
 
 
     @pytest.mark.parametrize("edit, message", [
-        # an expert index the step does not have
-        (lambda a: dataclasses.replace(a, expert_index=7),
-         "step 1: artifact names expert 7, but the step has 2 experts"),
+        # the last frame relabelled, buffer and all, as expert 7's
+        (lambda msgs: rewrite_last_artifact(msgs, lambda a: dataclasses.replace(
+            a, expert_index=7, buffer=Buffer(a.buffer.exemplars.with_origin(7),
+                                             a.buffer.capacity, owner=7))),
+         r"step 1: artifacts came from experts \[0, 7\], but the step has 2 experts"),
         # expert 1's buffer owned by and tagged for expert 0
-        (lambda a: dataclasses.replace(a, buffer=Buffer(
-            a.buffer.exemplars.with_origin(0), a.buffer.capacity, owner=0)),
+        (lambda msgs: rewrite_last_artifact(msgs, lambda a: dataclasses.replace(
+            a, buffer=Buffer(a.buffer.exemplars.with_origin(0), a.buffer.capacity, owner=0))),
          "step 1: artifact of expert 1 carries a buffer tagged with expert 0"),
         # expert 1's buffer owned by it, but its rows tagged for expert 0
-        (lambda a: dataclasses.replace(a, buffer=Buffer(
-            a.buffer.exemplars.with_origin(0), a.buffer.capacity, owner=1)),
+        (lambda msgs: rewrite_last_artifact(msgs, lambda a: dataclasses.replace(
+            a, buffer=Buffer(a.buffer.exemplars.with_origin(0), a.buffer.capacity, owner=1))),
          "step 1: artifact of expert 1 carries a buffer tagged with expert 0"),
-    ], ids=["index", "owner_and_origins", "origins"])
-    def test_misrouted_artifact_fails_the_step(self, stream, edit, message):
+        # expert 0's frame sent twice
+        (lambda msgs: [*msgs, msgs[0]],
+         r"step 1: artifacts came from experts \[0, 0, 1\], but the step has 2 experts"),
+        # expert 1's frame left out
+        (lambda msgs: msgs[:-1],
+         r"step 1: artifacts came from experts \[0\], but the step has 2 experts"),
+    ], ids=["index", "owner_and_origins", "origins", "duplicate", "missing"])
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_misrouted_artifact_fails_the_step(self, stream, edit, message, executor):
         master_seed = 5
         base = build_model(TOY, seed=child_seed(master_seed, "init"))
         cfg = tiny_config(seed=master_seed, rehearsal_epochs=2)
@@ -1229,27 +1228,21 @@ class TestIncrementalStep:
         memory_before = memory.exemplars.features.tobytes()
         with pytest.raises(StepFailure, match=message):
             run_incremental_step(
-                base, plans[1], memory, cfg, CountingTransport(), _RewritingExecutor(edit)
+                base, plans[1], memory, cfg, _RewritingExecutor(EXECUTORS[executor](), edit)
             )
         assert base.to_param_vector().to_bytes() == base_before
         assert memory.exemplars.features.tobytes() == memory_before
 
 
-class _RewritingExecutor(SerialExecutor):
-    """Experts whose last ARTF frame carries ``edit`` of its artifact."""
+class _RewritingExecutor:
+    """The ``inner`` executor's experts, whose ARTF frames arrive as
+    ``edit(frames)``."""
 
-    def __init__(self, edit):
-        self.edit = edit
-
-    def run(self, syncs, tasks, model_config):
-        return rewrite_last_artifact(super().run(syncs, tasks, model_config), self.edit)
-
-
-class _TruncatingExecutor(SerialExecutor):
-    """Experts whose ARTF frames lose their last 3 bytes on the way."""
+    def __init__(self, inner, edit):
+        self.inner, self.edit = inner, edit
 
     def run(self, syncs, tasks, model_config):
-        return [m[:-3] for m in super().run(syncs, tasks, model_config)]
+        return self.edit(self.inner.run(syncs, tasks, model_config))
 
 
 def spy_forks(monkeypatch, runs=None) -> list[int]:
@@ -1344,6 +1337,29 @@ class _ChildBoom(Exception):
     """An exception a forked child's job raises."""
 
 
+class _Unpicklable(Exception):
+    """An exception that does not pickle: it holds a lambda."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.hook = lambda: None
+
+
+class _TwoArgs(Exception):
+    """An exception that pickles but does not unpickle: its class takes two
+    arguments, its ``args`` hold one."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a} and {b}")
+
+
+# (exception a child raises, the message of the ExpertFailure that arrives)
+NOT_ROUND_TRIPPING = pytest.mark.parametrize("raised, message", [
+    (_Unpicklable("holds a lambda"), "_Unpicklable: holds a lambda"),
+    (_TwoArgs("one", "two"), "_TwoArgs: one and two"),
+], ids=["does_not_pickle", "does_not_unpickle"])
+
+
 def frames_then(msgs, act=None):
     """A job that yields ``msgs`` in order, then calls ``act()``."""
     def job():
@@ -1396,6 +1412,26 @@ class TestForked:
                 next(msgs)
         assert children.codes == [1] and reaped(children.pids)
 
+    @NOT_ROUND_TRIPPING
+    def test_exception_that_does_not_round_trip_arrives_as_expert_failure(self, raised,
+                                                                          message):
+        def boom():
+            raise raised
+
+        with protocol_mod.Forked([frames_then([], boom)]) as children:
+            with pytest.raises(ExpertFailure) as got:
+                list(children.records(0, 1, "child 0", "frames"))
+        assert type(got.value) is ExpertFailure and str(got.value) == message
+        assert children.codes == [1] and reaped(children.pids)
+
+    def test_exception_frame_that_does_not_unpickle_fails_naming_the_child(self):
+        job = frames_then([frame(protocol_mod.TAG_EXCEPTION, b"not a pickle")])
+        with protocol_mod.Forked([job]) as children:
+            with pytest.raises(ExpertFailure, match="^child 0 raised an exception that does "
+                                                    "not unpickle: UnpicklingError: "):
+                list(children.records(0, 2, "child 0", "frames"))
+        assert children.codes == [0] and reaped(children.pids)
+
     @pytest.mark.parametrize("cut", [0, 5, 20], ids=["between", "mid_header", "mid_payload"])
     @pytest.mark.parametrize("end, code", [
         (lambda: os.kill(os.getpid(), signal.SIGKILL), -9), (lambda: os._exit(0), 0)],
@@ -1439,13 +1475,12 @@ class TestProcessBoundary:
         master_seed = 5
         base = build_model(TOY, seed=child_seed(master_seed, "init"))
         memory = Memory(40, stream.dim)
-        transport = CountingTransport()
         cfg = tiny_config(seed=master_seed, rehearsal_epochs=1)
         executor = _RecordingExecutor(2)
         for step, plan in enumerate(plan_steps(stream, cfg)):
             for old in tmp_path.glob("*.pkl"):
                 old.unlink()
-            result = run_incremental_step(base, plan, memory, cfg, transport, executor)
+            result = run_incremental_step(base, plan, memory, cfg, executor)
             base = result.base
             syncs, frames = executor.calls[-1]
             step_forks = forks[2 * step :]
@@ -1481,7 +1516,7 @@ class TestProcessBoundary:
         plan = plan_steps(stream, cfg)[0]
         run_incremental_step(
             build_model(TOY, seed=child_seed(master_seed, "init")), plan, Memory(40, stream.dim),
-            cfg, CountingTransport(), ProcessExecutor(8),
+            cfg, ProcessExecutor(8),
         )
         assert len(forks) == plan.k == 2
 
@@ -1511,7 +1546,7 @@ class TestProcessBoundary:
         with pytest.raises(StepFailure, match="step 0: expert 1 diverged in its worker"):
             run_incremental_step(build_model(TOY, seed=child_seed(5, "init")),
                                  plan_steps(stream, cfg)[0], Memory(40, stream.dim), cfg,
-                                 CountingTransport(), ProcessExecutor(2))
+                                 ProcessExecutor(2))
 
     def test_protocol_violation_in_a_worker_is_reraised_as_it_is(self, monkeypatch):
         def violate():
@@ -1522,6 +1557,20 @@ class TestProcessBoundary:
         with pytest.raises(ProtocolViolation, match="^sync payload names expert 9$"):
             ProcessExecutor(2).run(syncs, tasks, TOY)
 
+    @NOT_ROUND_TRIPPING
+    def test_exception_that_does_not_round_trip_fails_the_step(self, stream, monkeypatch,
+                                                               raised, message):
+        def boom():
+            raise raised
+
+        in_workers(monkeypatch, boom)
+        cfg = tiny_config(seed=5)
+        with pytest.raises(StepFailure, match=f"^step 0: {message}$") as failed:
+            run_incremental_step(build_model(TOY, seed=child_seed(5, "init")),
+                                 plan_steps(stream, cfg)[0], Memory(40, stream.dim), cfg,
+                                 ProcessExecutor(2))
+        assert type(failed.value.__cause__) is ExpertFailure
+
     def test_killed_worker_fails_the_step(self, stream, monkeypatch):
         in_workers(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL))
         syncs, tasks = step_syncs(tiny_config())
@@ -1531,7 +1580,7 @@ class TestProcessBoundary:
         with pytest.raises(StepFailure, match="step 0: expert worker 1"):
             run_incremental_step(build_model(TOY, seed=child_seed(5, "init")),
                                  plan_steps(stream, cfg)[0], Memory(40, stream.dim), cfg,
-                                 CountingTransport(), ProcessExecutor(2))
+                                 ProcessExecutor(2))
 
     @pytest.mark.parametrize("outcome", ["returns", "raises", "dies", "exits_early"])
     def test_no_worker_outlives_run(self, monkeypatch, tmp_path, outcome):
