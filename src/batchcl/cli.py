@@ -4,7 +4,8 @@ A run's records are line-delimited JSON, written when the run returns by
 :func:`batchcl.run.write_run`. A run whose step fails (exit 3) still writes
 the records of the steps before it: a step of any method fails when its
 training turns non-finite, and a BMC step also when an expert fails or
-breaks the protocol. A run that raises (exit 1) writes no records at all.
+breaks the protocol, which an uploaded snapshot of another layout than the
+base's does. A run that raises (exit 1) writes no records at all.
 Sweeps emit a CSV next to the JSONL for plotting.
 """
 

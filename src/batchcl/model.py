@@ -46,6 +46,8 @@ student training through views of row 0 (:meth:`ResidualClassifier.slice`).
 
 from __future__ import annotations
 
+import bisect
+import itertools
 import math
 import struct
 from dataclasses import dataclass, field
@@ -132,29 +134,19 @@ class PassRecord(NamedTuple):
     train: bool
 
 
-def _unpack(fmt: str, blob: bytes, off: int, what: str) -> tuple[tuple, int]:
-    """``struct.unpack_from`` at ``off`` plus the offset after it; a short
-    blob raises ValueError naming ``what`` and the byte offset."""
-    end = off + struct.calcsize(fmt)
-    if end > len(blob):
-        raise ValueError(f"truncated {what} at byte {off}")
-    return struct.unpack_from(fmt, blob, off), end
-
-
 @dataclass(frozen=True)
 class ParamVector:
-    """Flat snapshot of a model's full inference state.
+    """Flat snapshot of a model's full inference state: a layout and its payload.
 
-    Entries keep a stable order (build order) and include normalization
-    running statistics, so loading a ParamVector reproduces the source
-    model's eval-mode behavior exactly. This is the only format in which
-    parameters are serialized, broadcast, or uploaded. ``payload`` is
-    every entry's float32 values concatenated in entry order, the layout of
-    a model's arena.
+    ``payload`` is every entry's float32 values in the layout's entry order
+    (build order, running statistics included), the layout of a model's
+    arena, so loading a ParamVector reproduces the source model's eval-mode
+    behavior exactly. This is the only format in which parameters are
+    serialized, broadcast, or uploaded: the layout's CLPV header
+    (:attr:`ArenaLayout.header`), then the payload, little-endian.
     """
 
-    names: tuple[str, ...]
-    shapes: tuple[tuple[int, ...], ...]
+    layout: ArenaLayout
     payload: np.ndarray = field(repr=False)
 
     def __post_init__(self):
@@ -162,69 +154,51 @@ class ParamVector:
             raise ValueError(f"payload is {self.payload.dtype}, expected float32")
 
     def to_bytes(self) -> bytes:
-        """Little-endian binary form.
-
-        Header: magic ``CLPV``, version u16, entry count u32; per entry a
-        name (u16 length + UTF-8 bytes), rank u8, and dims (u32 each).
-        Payload: the float32 arrays concatenated in entry order, joined
-        from a view of ``payload``, so the blob is the only copy made.
-        """
+        """The binary form, joined from :meth:`byte_parts`: the blob is the
+        only copy of the payload made."""
         return b"".join(self.byte_parts())
 
     def byte_parts(self) -> list:
-        """The pieces :meth:`to_bytes` joins, the payload last as a byte view
-        of ``payload``, for a caller that joins them into a larger message."""
-        out = [PARAM_VECTOR_MAGIC, struct.pack("<HI", PARAM_VECTOR_VERSION, len(self.names))]
-        for name, shape in zip(self.names, self.shapes):
-            nb = name.encode()
-            out.append(struct.pack("<H", len(nb)))
-            out.append(nb)
-            out.append(struct.pack("<B", len(shape)))
-            out.append(struct.pack(f"<{len(shape)}I", *shape))
-        out.append(memoryview(np.ascontiguousarray(self.payload, dtype="<f4")).cast("B"))
-        return out
+        """The layout's header, then the payload as a byte view of
+        ``payload``, for a caller that joins them into a larger message."""
+        return [self.layout.header,
+                memoryview(np.ascontiguousarray(self.payload, dtype="<f4")).cast("B")]
 
     @classmethod
-    def from_bytes(cls, blob: bytes) -> "ParamVector":
-        """Inverse of :meth:`to_bytes`; malformed input raises ValueError naming the byte.
+    def from_bytes(cls, blob: bytes, config: ModelConfig) -> "ParamVector":
+        """Inverse of :meth:`to_bytes` for a snapshot of the layout of
+        ``config``; anything else raises ValueError naming the byte.
 
+        The magic and version come first, then the header must be the
+        layout's byte for byte and the payload exactly the layout's size.
         The payload is a float32 view of ``blob``, not a copy: it keeps
         ``blob`` alive, and it is read-only when ``blob`` is (bytes, or a
         view of them, as a decoded frame is). A model built from it
         (:func:`model_from_vector`, :func:`stack_vectors`) copies it.
         """
+        layout = arena_layout(config)
         if blob[:4] != PARAM_VECTOR_MAGIC:
             raise ValueError(f"bad magic {bytes(blob[:4])!r}, expected {PARAM_VECTOR_MAGIC!r}")
-        (version, count), off = _unpack("<HI", blob, 4, "header")
+        if len(blob) < 10:
+            raise ValueError("truncated header at byte 4")
+        (version,) = struct.unpack_from("<H", blob, 4)
         if version != PARAM_VECTOR_VERSION:
             raise ValueError(f"unsupported version {version}")
-        names: list[str] = []
-        shapes: list[tuple[int, ...]] = []
-        for _ in range(count):
-            (nlen,), off = _unpack("<H", blob, off, "entry header")
-            (name,), off = _unpack(f"<{nlen}s", blob, off, "entry name")
-            names.append(name.decode())
-            (ndim,), off = _unpack("<B", blob, off, f"entry header of '{names[-1]}'")
-            shape, off = _unpack(f"<{ndim}I", blob, off, f"entry header of '{names[-1]}'")
-            shapes.append(shape)
-        start = end = off
-        for name, shape in zip(names, shapes):
-            if end + 4 * math.prod(shape) > len(blob):
-                raise ValueError(f"truncated payload for entry '{name}' at byte {end}")
-            end += 4 * math.prod(shape)
-        if end != len(blob):
+        start = len(layout.header)
+        layout.check_header(blob[:start])
+        end = start + 4 * layout.size
+        if len(blob) < end:
+            raise ValueError(f"truncated payload at byte {len(blob)}: the layout's ends at "
+                             f"byte {end}")
+        if len(blob) > end:
             raise ValueError(f"{len(blob) - end} trailing bytes at byte {end}")
-        payload = np.frombuffer(blob, dtype="<f4", count=(end - start) // 4, offset=start)
-        return cls(tuple(names), tuple(shapes), payload.astype(np.float32, copy=False))
+        payload = np.frombuffer(blob, dtype="<f4", count=layout.size, offset=start)
+        return cls(layout, payload.astype(np.float32, copy=False))
 
     @property
     def nbytes(self) -> int:
         """Exact serialized size; the quantity the cost ledger charges for."""
-        header = 10 + sum(
-            2 + len(n.encode()) + 1 + 4 * len(shape)
-            for n, shape in zip(self.names, self.shapes)
-        )
-        return header + 4 * self.payload.size
+        return len(self.layout.header) + 4 * self.payload.size
 
 
 def xavier_uniform(rng: np.random.Generator, fan_in: int, fan_out: int, shape) -> np.ndarray:
@@ -249,6 +223,12 @@ class ArenaLayout:
     payload order. ``param_slices`` index the parameter region (the first
     ``n_params`` floats), ``stat_slices`` the statistics region after it.
     One layout serves every model of a shape (:func:`arena_layout`).
+
+    The layout owns the snapshot format: ``header`` is the CLPV header of
+    every snapshot of it (:class:`ParamVector`), built once: magic ``CLPV``,
+    version u16, entry count u32, then per entry its name (u16 length +
+    UTF-8 bytes), rank u8 and dims (u32 each), little-endian. Two layouts
+    are the same layout when their headers are equal (:meth:`check_header`).
     """
 
     def __init__(self, config: ModelConfig):
@@ -264,6 +244,11 @@ class ArenaLayout:
         params["head.b"] = (config.total_classes,)
         self.shapes = {**params, **stats}
         self.names = tuple(self.shapes)
+        entries = [struct.pack(f"<H{len(nb)}sB{len(shape)}I", len(nb), nb, len(shape), *shape)
+                   for nb, shape in zip(map(str.encode, self.names), self.shapes.values())]
+        self.header = b"".join([PARAM_VECTOR_MAGIC, struct.pack(
+            "<HI", PARAM_VECTOR_VERSION, len(entries)), *entries])
+        self._entry_starts = list(itertools.accumulate(map(len, entries[:-1]), initial=10))
         self.param_slices, self.n_params = _slices(params)
         self.stat_slices, n_stats = _slices(stats)
         self.size = self.n_params + n_stats
@@ -271,6 +256,20 @@ class ArenaLayout:
         for name, sl in self.stat_slices.items():
             self._var_slots[sl] = name.endswith("running_var")
         self._unbias: dict[tuple, np.ndarray] = {}
+
+    def check_header(self, head) -> None:
+        """Raise ValueError unless ``head`` is this layout's header, naming
+        the first byte where it differs and the entry that byte belongs to."""
+        header = self.header
+        if head == header:
+            return
+        at = next((i for i, (a, b) in enumerate(zip(bytes(head), header)) if a != b),
+                  min(len(head), len(header)))
+        if at == len(head):
+            raise ValueError(f"truncated header at byte {at}")
+        i = bisect.bisect_right(self._entry_starts, at)
+        entry = repr(self.names[i - 1]) if i else "the entry count"
+        raise ValueError(f"layout mismatch for {entry} at byte {at}")
 
     def param_views(self, flat: np.ndarray) -> dict[str, np.ndarray]:
         """Each parameter as a view of ``flat``, a ``(..., n_params)`` region."""
@@ -311,27 +310,6 @@ def _views(flat: np.ndarray, slices: dict, shapes: dict) -> dict[str, np.ndarray
 def arena_layout(config: ModelConfig) -> ArenaLayout:
     """The arena layout of every model of shape ``config``."""
     return ArenaLayout(config)
-
-
-def _payload(config: ModelConfig, pv: ParamVector) -> np.ndarray:
-    """A snapshot's payload, checked against the layout of ``config``: the
-    snapshot's own array, not a copy."""
-    layout = arena_layout(config)
-    incoming = dict(zip(pv.names, pv.shapes))
-    if set(incoming) != set(layout.shapes):
-        missing = set(layout.shapes) - set(incoming)
-        extra = set(incoming) - set(layout.shapes)
-        raise ValueError(
-            f"layout mismatch: missing={sorted(missing)} unexpected={sorted(extra)}"
-        )
-    for name, shape in layout.shapes.items():
-        if incoming[name] != shape:
-            raise ValueError(
-                f"layout mismatch for '{name}': {incoming[name]}, expected {shape}"
-            )
-    if pv.names != layout.names:
-        raise ValueError("layout mismatch: entries out of snapshot order")
-    return pv.payload
 
 
 class ResidualClassifier:
@@ -682,9 +660,7 @@ class ResidualClassifier:
         """A snapshot of the model's whole state. With ``copy=False`` its
         payload is the arena itself: it moves with the model, so serialize
         it before the model trains again."""
-        layout = self.layout
-        arena = self.arena.copy() if copy else self.arena
-        return ParamVector(layout.names, tuple(layout.shapes.values()), arena)
+        return ParamVector(self.layout, self.arena.copy() if copy else self.arena)
 
     def over_batches(self) -> "ResidualClassifier":
         """This stack with an axis of batches after the stack axis: its
@@ -786,12 +762,15 @@ def model_from_vector(config: ModelConfig, pv: ParamVector) -> ResidualClassifie
     This is how a worker reconstructs the base model it was sent. The
     arena is a copy of the snapshot's payload; no initialization is drawn.
     """
-    return ResidualClassifier._from_arena(config, _payload(config, pv).copy())
+    arena_layout(config).check_header(pv.layout.header)
+    return ResidualClassifier._from_arena(config, pv.payload.copy())
 
 
 def stack_vectors(config: ModelConfig, sources) -> ResidualClassifier:
-    """Snapshots or models of one layout as one model whose arena is the
-    ``(k, size)`` stack of theirs, so every array leads with the stack axis.
+    """Snapshots or models of the layout of ``config`` as one model whose
+    arena is the ``(k, size)`` stack of theirs, so every array leads with the
+    stack axis. A source of another layout raises ValueError, whichever kind
+    it is; the rest of its config (its dropout) does not matter.
 
     Row j is source j's arena or payload, in the given order, so source j
     is slice j of every tap and logit of the stack's passes. A model source
@@ -803,12 +782,8 @@ def stack_vectors(config: ModelConfig, sources) -> ResidualClassifier:
     """
     if not sources:
         raise ValueError("a stack needs at least one snapshot or model")
-    rows = []
+    layout = arena_layout(config)
     for src in sources:
-        if not isinstance(src, ResidualClassifier):
-            rows.append(_payload(config, src))
-        elif src.config != config:
-            raise ValueError(f"layout mismatch: a model of {src.config} in a stack of {config}")
-        else:
-            rows.append(src.arena)
+        layout.check_header(src.layout.header)
+    rows = [src.arena if isinstance(src, ResidualClassifier) else src.payload for src in sources]
     return ResidualClassifier._from_arena(config, np.stack(rows))

@@ -30,7 +30,8 @@ Wire format (everything little-endian): a message is a 4-byte tag, a u64
 payload length, then the payload. Payload layouts are documented on the
 encode functions; sizes are exact and each step's own counting transport
 records them, which is what makes the cost ledger auditable by arithmetic.
-A process pipe carries nothing but such frames.
+A process pipe carries nothing but such frames. A snapshot of another
+layout than the step's is a protocol violation where it is decoded.
 
 The expert boundary carries only those frames: an executor hands each
 expert exactly the SYNC frame the step's transport counted and returns
@@ -322,15 +323,10 @@ def decode_sync(payload: bytes) -> tuple[int, int, ExpertHyper, memoryview]:
     return expert_index, seed, hyper, blob
 
 
-def encode_artifact(a: ExpertArtifact) -> bytes:
-    """The ``_ARTIFACT_HEADER`` fields, the snapshot bytes, the buffer length
-    (``_BUFFER_LENGTH``) and the buffer bytes."""
-    return b"".join(_artifact_parts(a))
-
-
 def _artifact_parts(a: ExpertArtifact) -> list:
-    """The pieces of :func:`encode_artifact`'s payload, the snapshot's
-    payload a view of its array, so that one join makes the message."""
+    """An ARTF payload as the pieces :func:`frame` joins into one message:
+    the ``_ARTIFACT_HEADER`` fields, the snapshot's header and a view of its
+    array, the buffer length (``_BUFFER_LENGTH``) and the buffer bytes."""
     pv = a.param_vector.byte_parts()
     buf = encode_buffer(a.buffer)
     return [
@@ -340,13 +336,14 @@ def _artifact_parts(a: ExpertArtifact) -> list:
     ]
 
 
-def decode_artifact(payload: bytes) -> ExpertArtifact:
-    """Inverse of :func:`encode_artifact`. The snapshot is a read-only view
+def decode_artifact(payload: bytes, config: ModelConfig) -> ExpertArtifact:
+    """Inverse of :func:`_artifact_parts`. The snapshot is a read-only view
     of ``payload`` (:meth:`~batchcl.model.ParamVector.from_bytes`), so it
     keeps the received frame alive and is its only copy; the buffer's rows
-    are copied out. A buffer owned by, or with a row tagged for, another
-    expert raises ProtocolViolation: :func:`consolidate` distills each pool
-    row toward the teacher its origin tag names."""
+    are copied out. A snapshot of another layout than ``config``'s, and a
+    buffer owned by, or with a row tagged for, another expert, raise
+    ProtocolViolation: :func:`consolidate` stacks the snapshots with the
+    base and distills each pool row toward the teacher its origin names."""
     (expert_index, epochs, final_loss, wall, pv_len), off = _unpack(
         _ARTIFACT_HEADER, payload, 0, "artifact header"
     )
@@ -356,7 +353,7 @@ def decode_artifact(payload: bytes) -> ExpertArtifact:
     buf_blob, off = _take(payload, off, buf_len, "artifact buffer")
     _check_end(payload, off, "artifact payload")
     try:
-        pv = ParamVector.from_bytes(pv_blob)
+        pv = ParamVector.from_bytes(pv_blob, config)
     except ValueError as e:
         raise ProtocolViolation(f"artifact snapshot at byte {pv_at}: {e}") from e
     buffer = decode_buffer(buf_blob)
@@ -419,16 +416,16 @@ def remote_train(sync: bytes, tasks: tuple[Task, ...], model_config: ModelConfig
         )
     task = tasks[expert_index]
     try:
-        snapshot = ParamVector.from_bytes(base_blob)
-        if h.stability_coef > 0:
-            # stacked straight from the snapshot: no base arena of its own
-            stack = stack_vectors(model_config, [snapshot, snapshot])
-            expert, base = stack.slice(0), stack.slice(1)
-        else:
-            base = model_from_vector(model_config, snapshot)
-            stack = expert = base.copy()
+        snapshot = ParamVector.from_bytes(base_blob, model_config)
     except ValueError as e:
         raise ProtocolViolation(f"sync base snapshot at byte {SYNC_FIXED_NBYTES}: {e}") from e
+    if h.stability_coef > 0:
+        # stacked straight from the snapshot: no base arena of its own
+        stack = stack_vectors(model_config, [snapshot, snapshot])
+        expert, base = stack.slice(0), stack.slice(1)
+    else:
+        base = model_from_vector(model_config, snapshot)
+        stack = expert = base.copy()
     del snapshot  # a view of the SYNC frame; the model arenas hold copies
     train_rng = np.random.default_rng(child_seed(seed, "train"))
     x, y = task.train_x, task.train_y
@@ -890,10 +887,11 @@ def run_incremental_step(
     ``base.config``. On success returns the NEW base model and records the step's cost; the
     memory is refreshed in place as the final action. The step's own
     transport counts its broadcast and upload bytes. If an expert fails, an
-    expert's message breaks the protocol (a malformed ARTF frame, one with
-    rows tagged for another expert, or frames that are not one from each of
-    experts 0..k-1), the teacher process fails or sends a malformed frame,
-    or the consolidation loss or a gradient turns non-finite, raises
+    expert's message breaks the protocol (a malformed ARTF frame, one whose
+    snapshot is of another layout than ``base``'s, one with rows tagged for
+    another expert, or frames that are not one from each of experts
+    0..k-1), the teacher process fails or sends a malformed frame, or the
+    consolidation loss or a gradient turns non-finite, raises
     StepFailure with base and memory untouched (the consolidation trains a
     copy, and the memory write only happens after success).
     """
@@ -914,7 +912,7 @@ def run_incremental_step(
         del syncs  # consumed: the coordinator holds no copy of the base but its arena
         # sorting makes everything downstream arrival-order independent
         received = sorted(
-            (decode_artifact(transport.send_artifact(m)) for m in artifact_msgs),
+            (decode_artifact(transport.send_artifact(m), base.config) for m in artifact_msgs),
             key=lambda a: a.expert_index,
         )
         # each decoded snapshot is a view of its ARTF frame and now the only

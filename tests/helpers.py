@@ -3,10 +3,12 @@ oracles, the per-row gradient-norm oracle, and the per-op oracle of the
 train step: the student pass and the objectives as a tape with one node
 per op, built from the reference ops below; a hand-written stream file;
 and consolidations forced to fork a teacher process, which may send
-malformed frames."""
+malformed frames; and the per-entry reference codec of the CLPV snapshot
+format, the oracle of the layout's one header."""
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -32,13 +34,21 @@ from batchcl.engine import (
 from batchcl.engine import SGD, PlateauScheduler
 from batchcl.engine.autodiff import BN_MOMENTUM, Tensor, _accumulate, _node, gradients
 from batchcl.losses import Objective, _joined, distill, l_base, task_loss
-from batchcl.model import ResidualClassifier, TapSet, stack_vectors
+from batchcl.model import (
+    PARAM_VECTOR_MAGIC,
+    PARAM_VECTOR_VERSION,
+    ModelConfig,
+    ResidualClassifier,
+    TapSet,
+    arena_layout,
+    stack_vectors,
+)
 from batchcl.protocol import (
     FRAME_OVERHEAD,
     TAG_ARTIFACT,
     TAG_TARGETS,
+    ExpertArtifact,
     decode_artifact,
-    encode_artifact,
     frame,
     unframe,
 )
@@ -173,10 +183,119 @@ def consolidate_reference(base: ResidualClassifier, artifacts, memory, cfg: Expe
     return student.copy()
 
 
-def rewrite_last_artifact(msgs: list[bytes], edit) -> list[bytes]:
-    """ARTF frames with the last one's artifact replaced by ``edit(artifact)``."""
-    last = decode_artifact(unframe(msgs[-1])[1])
+def encode_artifact(a: ExpertArtifact) -> bytes:
+    """An ARTF frame's payload as one blob."""
+    return b"".join(protocol_mod._artifact_parts(a))
+
+
+def rewrite_last_artifact(msgs: list[bytes], edit, config: ModelConfig) -> list[bytes]:
+    """ARTF frames of a step of model shape ``config``, with the last one's
+    artifact replaced by ``edit(artifact)``."""
+    last = decode_artifact(unframe(msgs[-1])[1], config)
     return [*msgs[:-1], frame(TAG_ARTIFACT, encode_artifact(edit(last)))]
+
+
+def with_snapshot(msg: bytes, blob: bytes) -> bytes:
+    """An ARTF frame with its snapshot bytes replaced by ``blob``, the
+    snapshot length field to match, the rest as it was."""
+    payload = unframe(msg)[1]
+    at = struct.calcsize(protocol_mod._ARTIFACT_HEADER)  # its last field is the length
+    (pv_len,) = struct.unpack_from("<Q", payload, at - 8)
+    return frame(TAG_ARTIFACT, payload[: at - 8], struct.pack("<Q", len(blob)), blob,
+                 payload[at + pv_len :])
+
+
+# -- reference CLPV codec ----------------------------------------------------
+#
+# The snapshot format entry by entry: an encoder of any entries, a parser
+# of any well-formed snapshot, and the check of parsed entries against a
+# layout. ``ArenaLayout.header`` must equal the reference header, and
+# ``ParamVector.from_bytes`` must accept exactly what these accept.
+
+
+def reference_header(entries) -> bytes:
+    """magic, version u16, count u32; per (name, shape) entry a name (u16
+    length + UTF-8 bytes), rank u8 and dims (u32 each)"""
+    entries = list(entries)
+    out = [PARAM_VECTOR_MAGIC, struct.pack("<HI", PARAM_VECTOR_VERSION, len(entries))]
+    for name, shape in entries:
+        nb = name.encode()
+        out.append(struct.pack("<H", len(nb)))
+        out.append(nb)
+        out.append(struct.pack("<B", len(shape)))
+        out.append(struct.pack(f"<{len(shape)}I", *shape))
+    return b"".join(out)
+
+
+def reference_snapshot(entries, payload: np.ndarray) -> bytes:
+    """A snapshot of (name, shape) ``entries``, whatever they are."""
+    return reference_header(entries) + np.asarray(payload, "<f4").tobytes()
+
+
+def _unpack(fmt: str, blob: bytes, off: int, what: str) -> tuple[tuple, int]:
+    end = off + struct.calcsize(fmt)
+    if end > len(blob):
+        raise ValueError(f"truncated {what} at byte {off}")
+    return struct.unpack_from(fmt, blob, off), end
+
+
+def reference_parse(blob: bytes) -> tuple[tuple, tuple, np.ndarray]:
+    """(names, shapes, payload) of any well-formed snapshot; a malformed one
+    raises ValueError naming the byte."""
+    if blob[:4] != PARAM_VECTOR_MAGIC:
+        raise ValueError(f"bad magic {bytes(blob[:4])!r}, expected {PARAM_VECTOR_MAGIC!r}")
+    (version, count), off = _unpack("<HI", blob, 4, "header")
+    if version != PARAM_VECTOR_VERSION:
+        raise ValueError(f"unsupported version {version}")
+    names: list[str] = []
+    shapes: list[tuple[int, ...]] = []
+    for _ in range(count):
+        (nlen,), off = _unpack("<H", blob, off, "entry header")
+        (name,), off = _unpack(f"<{nlen}s", blob, off, "entry name")
+        names.append(name.decode())
+        (ndim,), off = _unpack("<B", blob, off, f"entry header of '{names[-1]}'")
+        shape, off = _unpack(f"<{ndim}I", blob, off, f"entry header of '{names[-1]}'")
+        shapes.append(shape)
+    start = end = off
+    for name, shape in zip(names, shapes):
+        if end + 4 * math.prod(shape) > len(blob):
+            raise ValueError(f"truncated payload for entry '{name}' at byte {end}")
+        end += 4 * math.prod(shape)
+    if end != len(blob):
+        raise ValueError(f"{len(blob) - end} trailing bytes at byte {end}")
+    payload = np.frombuffer(blob, dtype="<f4", count=(end - start) // 4, offset=start)
+    return tuple(names), tuple(shapes), payload
+
+
+def reference_check(config: ModelConfig, names, shapes) -> None:
+    """Parsed entries checked against the layout of ``config``: the same
+    names, each of its shape, in snapshot order."""
+    layout = arena_layout(config)
+    incoming = dict(zip(names, shapes))
+    if set(incoming) != set(layout.shapes):
+        missing = set(layout.shapes) - set(incoming)
+        extra = set(incoming) - set(layout.shapes)
+        raise ValueError(
+            f"layout mismatch: missing={sorted(missing)} unexpected={sorted(extra)}"
+        )
+    for name, shape in layout.shapes.items():
+        if incoming[name] != shape:
+            raise ValueError(
+                f"layout mismatch for '{name}': {incoming[name]}, expected {shape}"
+            )
+    if tuple(names) != layout.names:
+        raise ValueError("layout mismatch: entries out of snapshot order")
+
+
+def reference_accepts(blob: bytes, config: ModelConfig) -> bool:
+    """Whether the reference parser and check take ``blob`` as a snapshot
+    of the layout of ``config``."""
+    try:
+        names, shapes, _ = reference_parse(blob)
+        reference_check(config, names, shapes)
+    except ValueError:  # a name that is not UTF-8 too
+        return False
+    return True
 
 
 # ways to break a teacher process's TGTS frame: each maps the frame to
@@ -244,7 +363,7 @@ def assert_views_of_own_arena(model: ResidualClassifier) -> None:
 def snapshot_entries(pv) -> dict[str, np.ndarray]:
     """A snapshot's entries by name, cut from its payload in entry order."""
     entries, start = {}, 0
-    for name, shape in zip(pv.names, pv.shapes):
+    for name, shape in pv.layout.shapes.items():
         n = int(np.prod(shape))
         entries[name] = pv.payload[start : start + n].reshape(shape)
         start += n

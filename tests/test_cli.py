@@ -424,7 +424,8 @@ class TestRunVerb:
         serial_run = protocol_mod.SerialExecutor.run
         monkeypatch.setattr(
             protocol_mod.SerialExecutor, "run",
-            lambda self, *args: rewrite_last_artifact(serial_run(self, *args), edit),
+            lambda self, syncs, tasks, config: rewrite_last_artifact(
+                serial_run(self, syncs, tasks, config), edit, config),
         )
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps(toy_raw(method="bmc", out_dir=str(tmp_path / "out"))))
@@ -432,6 +433,23 @@ class TestRunVerb:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["failed_step"] == 0
         assert (tmp_path / "out" / "records.jsonl").exists()
+
+    def test_snapshot_of_another_layout_fails_the_step_not_the_run(self, tmp_path, monkeypatch):
+        # the last expert's snapshot of step 0 names 'head.c' where the
+        # layout has 'head.b': well formed, but of another layout
+        serial_run = protocol_mod.SerialExecutor.run
+
+        def renamed(self, *args):
+            msgs = serial_run(self, *args)
+            return [*msgs[:-1], msgs[-1].replace(b"head.b", b"head.c", 1)]
+
+        monkeypatch.setattr(protocol_mod.SerialExecutor, "run", renamed)
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(toy_raw(method="bmc", out_dir=str(tmp_path / "out"))))
+        assert main(["run", str(cfg_file)]) == 3
+        rows = [json.loads(s) for s in (tmp_path / "out" / "records.jsonl").read_text().splitlines()]
+        assert [r["type"] for r in rows] == ["timing", "summary"]
+        assert rows[-1]["failed_step"] == 0
 
     @pytest.mark.parametrize("field", ["batch_size", "base_snapshot"])
     def test_malformed_sync_fails_the_step_not_the_run(self, tmp_path, monkeypatch, field):

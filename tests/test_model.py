@@ -17,6 +17,10 @@ from helpers import (
     float64_twin,
     jitter_params,
     per_op_forward,
+    reference_accepts,
+    reference_header,
+    reference_parse,
+    reference_snapshot,
     routed_l_base,
     snapshot_entries,
     stack_passes,
@@ -32,10 +36,13 @@ from batchcl.model import (
     ParamVector,
     ResidualClassifier,
     TapSet,
+    arena_layout,
     build_model,
     model_from_vector,
     stack_vectors,
 )
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 TOY = ModelConfig(
     input_dim=4,
@@ -48,6 +55,9 @@ TOY = ModelConfig(
 )
 # the wide benchmark workload's model: 256-wide residual layers, the defaults
 WIDE = ModelConfig(input_dim=32, total_classes=64)
+# the pinned16 benchmark workload's model
+PINNED16 = ModelConfig(input_dim=16, total_classes=64, res_blocks=1, res_layers_per_block=2,
+                       res_dim=32, hidden_dim=16, dropout_p=0.1)
 
 
 class TestConfig:
@@ -495,10 +505,9 @@ class TestParamVector:
         m = build_model(TOY, seed=2)
         pv = m.to_param_vector()
         blob = pv.to_bytes()
-        back = ParamVector.from_bytes(blob)
+        back = ParamVector.from_bytes(blob, TOY)
         assert back.to_bytes() == blob
-        assert back.names == pv.names
-        assert back.shapes == pv.shapes
+        assert back.layout.header == pv.layout.header
         assert back.payload.tobytes() == pv.payload.tobytes()
 
     def test_nbytes_matches_serialized_length(self):
@@ -510,29 +519,30 @@ class TestParamVector:
         blob = pv.to_bytes()
         assert blob[:4] == b"CLPV"
         assert int.from_bytes(blob[4:6], "little") == 1
-        assert int.from_bytes(blob[6:10], "little") == len(pv.names)
+        assert int.from_bytes(blob[6:10], "little") == len(pv.layout.names)
 
     def test_truncated_blob_rejected(self):
         blob = build_model(TOY, seed=2).to_param_vector().to_bytes()
         with pytest.raises(ValueError, match="truncated"):
-            ParamVector.from_bytes(blob[:-8])
+            ParamVector.from_bytes(blob[:-8], TOY)
 
     def test_truncated_header_names_byte_offset(self):
         with pytest.raises(ValueError, match="truncated header at byte 4"):
-            ParamVector.from_bytes(b"CLPV")
-        blob = build_model(TOY, seed=2).to_param_vector().to_bytes()
-        with pytest.raises(ValueError, match=r"truncated entry name at byte 12"):
-            ParamVector.from_bytes(blob[:14])
+            ParamVector.from_bytes(b"CLPV", TOY)
+        pv = build_model(TOY, seed=2).to_param_vector()
+        blob = reference_snapshot(pv.layout.shapes.items(), pv.payload)
+        with pytest.raises(ValueError, match=r"truncated header at byte 14"):
+            ParamVector.from_bytes(blob[:14], TOY)
 
     def test_trailing_bytes_rejected(self):
         blob = build_model(TOY, seed=2).to_param_vector().to_bytes()
         with pytest.raises(ValueError, match=f"3 trailing bytes at byte {len(blob)}"):
-            ParamVector.from_bytes(blob + b"\x00" * 3)
+            ParamVector.from_bytes(blob + b"\x00" * 3, TOY)
 
     def test_bad_magic_rejected(self):
         blob = build_model(TOY, seed=2).to_param_vector().to_bytes()
         with pytest.raises(ValueError, match="magic"):
-            ParamVector.from_bytes(b"XXXX" + blob[4:])
+            ParamVector.from_bytes(b"XXXX" + blob[4:], TOY)
 
     def test_load_restores_behavior(self):
         rng = np.random.default_rng(5)
@@ -580,12 +590,46 @@ class TestParamVector:
 
     def test_entries_out_of_snapshot_order_rejected(self):
         pv = build_model(TOY, seed=3).to_param_vector()
-        swapped = ParamVector((pv.names[1], pv.names[0], *pv.names[2:]),
-                              (pv.shapes[1], pv.shapes[0], *pv.shapes[2:]), pv.payload)
-        with pytest.raises(ValueError, match="out of snapshot order"):
-            model_from_vector(TOY, swapped)
-        with pytest.raises(ValueError, match="out of snapshot order"):
-            stack_vectors(TOY, [pv, swapped])
+        entries = list(pv.layout.shapes.items())
+        entries[:2] = entries[1], entries[0]
+        swapped = reference_snapshot(entries, pv.payload)
+        # 'stem.b' where the layout has 'stem.W': the names' last bytes differ
+        with pytest.raises(ValueError, match="layout mismatch for 'stem.W' at byte 17"):
+            ParamVector.from_bytes(swapped, TOY)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(data=st.data())
+    def test_from_bytes_accepts_what_the_reference_accepts(self, data):
+        # a snapshot of one of several shapes, checked against the layout of
+        # the same or another shape, after a single-byte edit, a truncation
+        # or an extension, or none, mostly in or just past the header
+        shapes = [TOY, PINNED16, WIDE, dataclasses.replace(TOY, total_classes=4),
+                  dataclasses.replace(TOY, res_blocks=1), dataclasses.replace(TOY, hidden_dim=6)]
+        source = data.draw(st.sampled_from(shapes))
+        config = data.draw(st.sampled_from([source, source, *shapes]))
+        layout = arena_layout(source)
+        blob = bytearray(reference_snapshot(layout.shapes.items(),
+                                            np.arange(layout.size, dtype=np.float32)))
+        near_header = st.integers(0, len(layout.header) + 8)
+        at = data.draw(st.one_of(near_header, near_header, st.integers(0, len(blob))))
+        how = data.draw(st.sampled_from(["none", "byte", "truncate", "extend"]))
+        if how == "byte":
+            blob[min(at, len(blob) - 1)] = data.draw(st.integers(0, 255))
+        elif how == "truncate":
+            del blob[at:]
+        elif how == "extend":
+            blob += data.draw(st.binary(min_size=1, max_size=8))
+        blob = bytes(blob)
+        want = reference_accepts(blob, config)
+        try:
+            pv = ParamVector.from_bytes(blob, config)
+        except ValueError:
+            assert not want
+        else:
+            assert want
+            assert pv.to_bytes() == blob
+            assert pv.payload.tobytes() == reference_parse(blob)[2].tobytes()
+        assert arena_layout(config).header == reference_header(arena_layout(config).shapes.items())
 
     def test_to_bytes_copies_the_payload_once(self):
         pv = build_model(WIDE, seed=2).to_param_vector()
@@ -603,7 +647,7 @@ class TestParamVector:
         c = m.copy()
         c.params["head.b"][:] = 123.0
         assert m.params["head.b"].max() != 123.0
-        assert c.to_param_vector().names == m.to_param_vector().names
+        assert c.to_param_vector().layout.names == m.to_param_vector().layout.names
 
 
 class TestStackedTeacher:
@@ -675,6 +719,20 @@ class TestStackedTeacher:
             stack_vectors(config, [pvs[0], wider.to_param_vector()])
         with pytest.raises(ValueError, match="at least one"):
             stack_vectors(config, [])
+
+    @pytest.mark.parametrize("change", [dict(dropout_p=0.5), dict(total_classes=7),
+                                        dict(res_blocks=1)])
+    def test_a_model_and_its_snapshot_stack_alike(self, change):
+        # one rule for both kinds of source: the layout, not the whole config
+        model = build_model(dataclasses.replace(TOY, **change), seed=3)
+        outcomes = []
+        for src in (model, model.to_param_vector()):
+            try:
+                outcomes.append(stack_vectors(TOY, [src]).arena.tobytes())
+            except ValueError as e:
+                outcomes.append(str(e))
+        assert outcomes[0] == outcomes[1]
+        assert isinstance(outcomes[0], bytes) == ("dropout_p" in change), outcomes[0]
 
     def test_stack_keeps_the_single_pass_checks(self):
         config, models = self._models(2, 0.1)
@@ -826,9 +884,9 @@ class TestArena:
     def test_layout_is_snapshot_order(self):
         m = self._trained(0)
         pv = m.to_param_vector()
-        assert m.layout.names == pv.names
+        assert pv.layout is m.layout
         assert pv.payload.tobytes() == m.arena.tobytes()
-        assert list(m.params) + list(m.stats) == list(pv.names)
+        assert list(m.params) + list(m.stats) == list(pv.layout.names)
         assert m.layout.size == m.arena.size == m.layout.n_params + sum(
             a.size for a in m.stats.values())
 

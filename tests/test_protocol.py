@@ -27,12 +27,14 @@ from helpers import (
     assert_views_of_own_arena,
     consolidate_reference,
     count_tensors,
+    encode_artifact,
     experiment,
     fork_teachers,
     jitter_params,
     rewrite_last_artifact,
     send_malformed_targets,
     stack_passes,
+    with_snapshot,
 )
 
 import batchcl.protocol as protocol_mod
@@ -60,7 +62,6 @@ from batchcl.protocol import (
     decode_buffer,
     decode_exemplars,
     decode_sync,
-    encode_artifact,
     encode_buffer,
     encode_exemplars,
     encode_sync,
@@ -130,7 +131,7 @@ def make_sync(seed=5, cfg=None, model_seed=1, config=TOY, expert_index=0):
 def train_one(task, config=TOY, **sync_kw) -> ExpertArtifact:
     """Expert 0 of a one-task step, decoded from the ARTF frame it returns."""
     sync, _ = make_sync(config=config, **sync_kw)
-    return decode_artifact(unframe(remote_train(sync, (task,), config))[1])
+    return decode_artifact(unframe(remote_train(sync, (task,), config))[1], config)
 
 
 def expert_of(sync: bytes) -> int:
@@ -286,10 +287,10 @@ class TestSyncCodec:
 
     def test_snapshot_is_a_read_only_view_of_the_frame(self, stream):
         sync, blob = make_sync()
-        payload = ParamVector.from_bytes(decode_sync(unframe(sync)[1])[3]).payload
+        payload = ParamVector.from_bytes(decode_sync(unframe(sync)[1])[3], TOY).payload
         assert np.shares_memory(payload, np.frombuffer(sync, np.uint8))
         assert not payload.flags.writeable
-        assert payload.tobytes() == ParamVector.from_bytes(blob).payload.tobytes()
+        assert payload.tobytes() == ParamVector.from_bytes(blob, TOY).payload.tobytes()
 
     def test_truncation_rejected(self, stream):
         payload = unframe(make_sync()[0])[1]
@@ -327,7 +328,7 @@ class TestArtifactCodec:
 
     def test_round_trip(self):
         a = self.make_artifact()
-        back = decode_artifact(encode_artifact(a))
+        back = decode_artifact(encode_artifact(a), TOY)
         assert back.expert_index == 1
         assert back.param_vector.to_bytes() == a.param_vector.to_bytes()
         assert back.buffer.exemplars.features.tobytes() == a.buffer.exemplars.features.tobytes()
@@ -335,7 +336,7 @@ class TestArtifactCodec:
 
     def test_snapshot_is_a_read_only_view_of_the_frame(self):
         msg = artifact_frame()
-        a = decode_artifact(unframe(msg)[1])
+        a = decode_artifact(unframe(msg)[1], TOY)
         assert np.shares_memory(a.param_vector.payload, np.frombuffer(msg, np.uint8))
         assert not a.param_vector.payload.flags.writeable
         # the buffer's rows are copied out: they do not pin the frame
@@ -378,24 +379,24 @@ class TestArtifactCodec:
 
     def test_short_payload_rejected(self):
         with pytest.raises(ProtocolViolation, match="artifact header truncated at byte 0"):
-            decode_artifact(b"x" * 10)
+            decode_artifact(b"x" * 10, TOY)
 
     def test_every_strict_prefix_rejected(self):
         payload = encode_artifact(self.make_artifact())
         for n in range(len(payload)):
             with pytest.raises(ProtocolViolation, match="at byte"):
-                decode_artifact(payload[:n])
+                decode_artifact(payload[:n], TOY)
 
     def test_malformed_snapshot_rejected(self):
         payload = bytearray(encode_artifact(self.make_artifact()))
         payload[ARTIFACT_FIXED_NBYTES - 8] ^= 0xFF  # first byte of the snapshot magic
         with pytest.raises(ProtocolViolation, match="artifact snapshot at byte 32: bad magic"):
-            decode_artifact(bytes(payload))
+            decode_artifact(bytes(payload), TOY)
 
     def test_trailing_bytes_rejected(self):
         payload = encode_artifact(self.make_artifact())
         with pytest.raises(ProtocolViolation, match=f"2 trailing bytes at byte {len(payload)}"):
-            decode_artifact(payload + b"\0\0")
+            decode_artifact(payload + b"\0\0", TOY)
 
     @pytest.mark.parametrize("owner, origins", [
         (0, [1, 1, 1, 1, 1]), (1, [1, 1, 1, 0, 1]), (0, [0, 0, 0, 0, 0])],
@@ -407,7 +408,7 @@ class TestArtifactCodec:
         payload = encode_artifact(dataclasses.replace(a, buffer=Buffer(rows, 10, owner=owner)))
         with pytest.raises(ProtocolViolation,
                            match="^artifact of expert 1 carries a buffer tagged with expert 0$"):
-            decode_artifact(payload)
+            decode_artifact(payload, TOY)
 
 
 def artifact_frame() -> bytes:
@@ -526,7 +527,7 @@ class TestExpertIsolation:
     def test_expert_reads_only_its_own_task(self, stream):
         sync, _ = make_sync(expert_index=2, seed=21)
         tasks = (_PoisonedTask(), _PoisonedTask(), stream.tasks[1], _PoisonedTask())
-        artifact = decode_artifact(unframe(remote_train(sync, tasks, TOY))[1])
+        artifact = decode_artifact(unframe(remote_train(sync, tasks, TOY))[1], TOY)
         assert set(artifact.buffer.exemplars.task_ids) == {stream.tasks[1].task_id}
         alone = train_one(stream.tasks[1], seed=21)
         assert artifact.param_vector.to_bytes() == alone.param_vector.to_bytes()
@@ -535,7 +536,8 @@ class TestExpertIsolation:
 class TestRemoteTrain:
     def test_zero_epochs_returns_base_bit_exact(self, stream):
         sync, blob = make_sync(cfg=expert_config(epochs=0))
-        artifact = decode_artifact(unframe(remote_train(sync, (stream.tasks[0],), TOY))[1])
+        artifact = decode_artifact(unframe(remote_train(sync, (stream.tasks[0],), TOY))[1],
+                                   TOY)
         assert artifact.param_vector.to_bytes() == blob
 
     def test_deterministic_given_context(self, stream):
@@ -1199,15 +1201,17 @@ class TestIncrementalStep:
         # the last frame relabelled, buffer and all, as expert 7's
         (lambda msgs: rewrite_last_artifact(msgs, lambda a: dataclasses.replace(
             a, expert_index=7, buffer=Buffer(a.buffer.exemplars.with_origin(7),
-                                             a.buffer.capacity, owner=7))),
+                                             a.buffer.capacity, owner=7)), TOY),
          r"step 1: artifacts came from experts \[0, 7\], but the step has 2 experts"),
         # expert 1's buffer owned by and tagged for expert 0
         (lambda msgs: rewrite_last_artifact(msgs, lambda a: dataclasses.replace(
-            a, buffer=Buffer(a.buffer.exemplars.with_origin(0), a.buffer.capacity, owner=0))),
+            a, buffer=Buffer(a.buffer.exemplars.with_origin(0), a.buffer.capacity,
+                             owner=0)), TOY),
          "step 1: artifact of expert 1 carries a buffer tagged with expert 0"),
         # expert 1's buffer owned by it, but its rows tagged for expert 0
         (lambda msgs: rewrite_last_artifact(msgs, lambda a: dataclasses.replace(
-            a, buffer=Buffer(a.buffer.exemplars.with_origin(0), a.buffer.capacity, owner=1))),
+            a, buffer=Buffer(a.buffer.exemplars.with_origin(0), a.buffer.capacity,
+                             owner=1)), TOY),
          "step 1: artifact of expert 1 carries a buffer tagged with expert 0"),
         # expert 0's frame sent twice
         (lambda msgs: [*msgs, msgs[0]],
@@ -1218,6 +1222,35 @@ class TestIncrementalStep:
     ], ids=["index", "owner_and_origins", "origins", "duplicate", "missing"])
     @pytest.mark.parametrize("executor", EXECUTORS)
     def test_misrouted_artifact_fails_the_step(self, stream, edit, message, executor):
+        self.assert_step_fails(stream, executor, edit, message)
+
+    @pytest.mark.parametrize("edit, entry", [
+        # the last snapshot with 'head.b' renamed 'head.c', at equal length
+        (lambda msgs: [*msgs[:-1], msgs[-1].replace(b"head.b", b"head.c", 1)], "head.b"),
+        # the last snapshot replaced by one of a model with one more class
+        (lambda msgs: [*msgs[:-1], with_snapshot(msgs[-1], build_model(
+            dataclasses.replace(TOY, total_classes=TOY.total_classes + 1), seed=1
+        ).to_param_vector().to_bytes())], "head.W"),
+    ], ids=["renamed", "wider_head"])
+    @pytest.mark.parametrize("teachers", ["stacked", "forked"])
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_snapshot_of_another_layout_fails_the_step(self, stream, monkeypatch, edit, entry,
+                                                       teachers, executor):
+        # a well-formed snapshot of another layout is a protocol break, caught
+        # where it is decoded, before consolidation stacks it in either place
+        if teachers == "forked":
+            fork_teachers(monkeypatch)
+        else:
+            monkeypatch.setattr(protocol_mod, "_FORK_MIN_BATCHES", 10 ** 9)
+        failure = self.assert_step_fails(
+            stream, executor, edit,
+            rf"^step 1: artifact snapshot at byte 32: layout mismatch for '{entry}' at byte \d+$")
+        assert isinstance(failure.__cause__, ProtocolViolation)
+
+    def assert_step_fails(self, stream, executor: str, edit, message: str) -> StepFailure:
+        """Step 1 of a stream, its ARTF frames arriving as ``edit(frames)``,
+        raises StepFailure matching ``message`` with base and memory
+        byte-identical; returns the StepFailure."""
         master_seed = 5
         base = build_model(TOY, seed=child_seed(master_seed, "init"))
         cfg = tiny_config(seed=master_seed, rehearsal_epochs=2)
@@ -1226,12 +1259,13 @@ class TestIncrementalStep:
         memory.replace(make_exemplars(10))
         base_before = base.to_param_vector().to_bytes()
         memory_before = memory.exemplars.features.tobytes()
-        with pytest.raises(StepFailure, match=message):
+        with pytest.raises(StepFailure, match=message) as failure:
             run_incremental_step(
                 base, plans[1], memory, cfg, _RewritingExecutor(EXECUTORS[executor](), edit)
             )
         assert base.to_param_vector().to_bytes() == base_before
         assert memory.exemplars.features.tobytes() == memory_before
+        return failure.value
 
 
 class _RewritingExecutor:
@@ -1502,7 +1536,7 @@ class TestProcessBoundary:
                 assert frames[i] == seen["artf"]
             # launch order, both ways
             assert [expert_of(s) for s in syncs] == list(range(plan.k))
-            assert [decode_artifact(unframe(m)[1]).expert_index for m in frames] == [0, 1]
+            assert [decode_artifact(unframe(m)[1], TOY).expert_index for m in frames] == [0, 1]
             assert sum(len(s) for s in syncs) == result.cost.broadcast_bytes
             assert sum(len(m) for m in frames) == result.cost.upload_bytes
         assert len(executor.calls) == 2 and len(forks) == 4
