@@ -18,8 +18,8 @@ from .config import BASELINE_METHODS, ExperimentConfig, build_model_config
 from .engine import NonFiniteError, loss_and_grads, train_epochs
 from .losses import FisherState, decay_and_anchor, ewc_penalty, task_loss, update_fisher
 from .model import ResidualClassifier, build_model
-from .replay import ExemplarSet, Memory, draw_batch, subsample_memory
-from .run import RunRecorder, RunReport, child_seed, epoch_batches
+from .replay import ExemplarSet, Memory, draw_batch, epoch_batches, subsample_memory
+from .run import RunRecorder, RunReport, child_seed
 from .streams import TaskStream, evaluate_cil
 
 
@@ -40,8 +40,9 @@ def _train_task_plain(
     t, penalty_coef = cfg.training, cfg.baseline.penalty_coef
     use_penalty = fisher is not None and penalty_coef > 0
 
-    def step(idx):
-        tapset, record = model.forward_with_taps(x[idx], train=True, rng=rng)
+    def step(batch):
+        idx, masks = batch
+        tapset, record = model.forward_with_taps(x[idx], True, masks)
         loss = task_loss(tapset, y[idx])
         if not use_penalty:
             return loss_and_grads(loss.value, lambda: model.backward(record, loss))
@@ -52,7 +53,7 @@ def _train_task_plain(
 
     train_epochs(
         model.flat_params, model.layout.param_slices, t.lr, t.epochs_per_task,
-        lambda: epoch_batches(len(y), t.batch_size, rng), step,
+        lambda: epoch_batches(len(y), t.batch_size, model, rng), step,
     )
 
 
@@ -73,14 +74,16 @@ def _train_task_replay(
     t = cfg.training
     half = max(2, t.batch_size // 2)
 
-    def step(idx):
-        tapset, record = model.forward_with_taps(x[idx], train=True, rng=rng)
+    def step(batch):
+        idx, masks = batch
+        tapset, record = model.forward_with_taps(x[idx], True, masks)
         loss = task_loss(tapset, y[idx])
         if len(memory) == 0:
             return loss_and_grads(loss.value, lambda: model.backward(record, loss))
-        mem_batch = draw_batch(memory.exemplars, half, rng)
-        mem_taps, mem_record = model.forward_with_taps(mem_batch.features, train=True, rng=rng)
-        mem_loss = task_loss(mem_taps, mem_batch.labels)
+        mem = memory.exemplars
+        mem_idx, mem_masks = draw_batch(len(mem), half, model, rng)
+        mem_taps, mem_record = model.forward_with_taps(mem.features[mem_idx], True, mem_masks)
+        mem_loss = task_loss(mem_taps, mem.labels[mem_idx])
 
         return loss_and_grads(
             loss.value + mem_loss.value,
@@ -89,7 +92,7 @@ def _train_task_replay(
 
     train_epochs(
         model.flat_params, model.layout.param_slices, t.lr, t.epochs_per_task,
-        lambda: epoch_batches(len(y), t.batch_size, rng), step,
+        lambda: epoch_batches(len(y), t.batch_size, model, rng), step,
     )
 
 

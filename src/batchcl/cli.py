@@ -284,7 +284,10 @@ def _cmd_sweep(args) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     out_dir = args.out_dir or spec.base.out_dir
-    rows = run_sweep(spec, out_dir, workers=args.workers)
+    try:
+        rows = run_sweep(spec, out_dir, workers=args.workers)
+    except Exception as e:
+        return _error_exit(e)
     ok = sum(1 for r in rows if r.get("status") == "ok")
     print(f"{ok}/{len(rows)} trials ok; results under {out_dir}")
     return 0

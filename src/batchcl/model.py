@@ -32,6 +32,9 @@ gradient. Those gradients equal the ones a tape with one node per op
 gives, bit for bit. The norm pass walks the trunk backward in the same
 order (``_walk_trunk``) with a per-row step instead of a summed one.
 
+No pass draws randomness: a train pass drops units by the masks its caller
+drew (``draw_masks``), and a teacher pass replays them or drops none.
+
 A model's whole state is one contiguous buffer, its arena
 (:class:`ArenaLayout`): the parameters in build order, then the running
 statistics, which is also a snapshot's payload order. ``params`` and
@@ -102,18 +105,14 @@ class TapSet:
     """One forward pass: intermediate representations plus logits.
 
     ``taps`` are arrays in depth order; ``logits`` covers every class
-    registered so far. ``masks`` are the dropout multipliers a train-mode
-    pass drew, in layer order (empty when nothing was dropped); a teacher
-    pass replays them to see exactly the units the student saw.
-    ``teachers`` is the pass of the teachers that rode a stack's student
-    pass (slices 1..k, arrays ``(k, B, D)``), or None.
+    registered so far. ``teachers`` is the pass of the teachers that rode
+    a stack's student pass (slices 1..k, arrays ``(k, B, D)``), or None.
 
     Indexing a pass of a stack gives the pass of those slices.
     """
 
     taps: list[np.ndarray]
     logits: np.ndarray
-    masks: list[np.ndarray] = field(default_factory=list)
     teachers: TapSet | None = None
 
     def __getitem__(self, j) -> TapSet:
@@ -361,31 +360,24 @@ class ResidualClassifier:
             for prefix, _, _ in _affine_layers(config)
         ]
 
-    def forward_with_taps(
-        self,
-        x: np.ndarray,
-        train: bool = False,
-        rng: np.random.Generator | None = None,
-        masks: list[np.ndarray] | None = None,
-    ) -> tuple[TapSet, PassRecord]:
+    def forward_with_taps(self, x: np.ndarray, train: bool = False,
+                          masks=()) -> tuple[TapSet, PassRecord]:
         """Run the network, returning the TapSet and the record of the pass.
 
         Hand the record to :meth:`backward` with an objective's gradients
         with respect to the returned taps and logits. Train mode updates
-        normalization running statistics in place and draws dropout masks
-        from ``rng`` (:meth:`draw_masks`), unless ``masks`` are the ones
-        that call already drew for this batch; the TapSet keeps them for
-        :meth:`forward_as_teacher`.
+        normalization running statistics in place and drops units by
+        ``masks``, the batch's :meth:`draw_masks`, which its caller drew
+        (:mod:`batchcl.replay`); an eval pass drops nothing.
 
         On a stack (:func:`stack_vectors`) this is the train pass of a
         student in slice 0 with its teachers in slices 1..k, in one call of
-        the layer arithmetic: the ``(B, D)`` dropout masks, drawn once,
-        broadcast over the stack axis, and each slice takes batch
-        statistics over its own rows. The TapSet and the record are slice
-        0's, equal bit for bit to a pass of slice 0 alone, and only slice
-        0's running buffers take its statistics. ``TapSet.teachers`` is the
-        pass of slices 1..k, equal bit for bit to their
-        :meth:`forward_as_teacher` given these masks.
+        the layer arithmetic: the ``(B, D)`` dropout masks broadcast over
+        the stack axis, and each slice takes batch statistics over its own
+        rows. The TapSet and the record are slice 0's, equal bit for bit to
+        a pass of slice 0 alone, and only slice 0's running buffers take its
+        statistics. ``TapSet.teachers`` is the pass of slices 1..k, equal
+        bit for bit to their :meth:`forward_as_teacher` given these masks.
         """
         x = self._check_input(x)
         n = len(x)
@@ -398,9 +390,7 @@ class ResidualClassifier:
         # production; tests build float64 twins for derivative oracles)
         dtype = self.params["stem.W"].dtype
         if not train:
-            masks = []
-        elif masks is None:
-            masks = self.draw_masks(n, rng)
+            masks = ()
         layers: list[tuple] = []
         taps, head_in, logits = self._values(
             x.astype(dtype, copy=False), "train" if train else "eval", masks, layers
@@ -410,7 +400,7 @@ class ResidualClassifier:
             teachers = TapSet(taps, logits)[1:]
             taps, head_in, logits = [t[0] for t in taps], head_in[0], logits[0]
         record = PassRecord(layers, head_in, masks[-1] if masks else None, train)
-        return TapSet(taps=taps, logits=logits, masks=masks, teachers=teachers), record
+        return TapSet(taps=taps, logits=logits, teachers=teachers), record
 
     def backward(self, record: PassRecord, objective) -> np.ndarray:
         """Gradients of every parameter for an objective on the pass ``record``
@@ -453,8 +443,6 @@ class ResidualClassifier:
         """
         if self.config.dropout_p == 0.0:
             return []
-        if rng is None:
-            raise GraphError("stem.dropout: train-mode dropout needs an RNG")
         c = self.config
         widths = [c.res_dim] * (1 + c.res_blocks * c.res_layers_per_block) + [c.hidden_dim]
         flat = dropout_mask((n * sum(widths),), c.dropout_p, rng, self.params["stem.W"].dtype)
@@ -479,7 +467,8 @@ class ResidualClassifier:
         any buffer moves: a diverging student fails its train step even when
         its overflowed variance zeroes ``inv_std`` and leaves the loss finite.
         ``masks`` are the dropout multipliers, one per site in layer
-        order, or empty for none. When ``layers`` is a list, each layer
+        order; a teacher pass may take none, and any other count raises
+        :class:`GraphError`. When ``layers`` is a list, each layer
         appends what its backward needs: (prefix, input, output, xhat,
         inv_std, mask), where the output is the layer's value after ReLU
         and dropout, which is the next layer's input; no pre-ReLU value is
@@ -495,6 +484,8 @@ class ResidualClassifier:
         takes one fresh array, ``gamma * xhat``, since the record keeps
         xhat. No pass writes into an array it was given or has handed out.
         """
+        if (masks or mode == "train") and len(masks) != self.dropout_sites:
+            raise GraphError(f"{len(masks)} dropout masks for {self.dropout_sites} dropout layers")
         train = mode != "eval"
         replay = iter(masks)
         batch: list[np.ndarray] = []  # slice 0's batch statistics, in layout order
@@ -555,7 +546,7 @@ class ResidualClassifier:
         dropped units as the train-mode student they supervise, otherwise
         identical parameters would not give identical taps and the
         distillation distance would never reach zero. ``masks`` are the
-        ``TapSet.masks`` of that student pass; without them no unit is
+        dropout masks of that student pass; without them no unit is
         dropped. Teacher passes are never differentiated, so this one runs
         the student pass's arithmetic and records nothing for a backward.
         Running buffers are left untouched and no randomness is consumed.
@@ -585,10 +576,6 @@ class ResidualClassifier:
             x = self._check_input(x)
         if x.shape[-2] < 2:
             raise GraphError(f"teacher pass on {x.shape[-2]} rows (batch statistics need >= 2)")
-        if masks and len(masks) != self.dropout_sites:
-            raise GraphError(
-                f"{len(masks)} dropout masks for {self.dropout_sites} dropout layers"
-            )
         taps, _, logits = self._values(
             x.astype(self.params["stem.W"].dtype, copy=False), "teacher", masks, None
         )

@@ -24,7 +24,8 @@ the step.
 
 All randomness is derived from the run's master seed through
 :func:`~batchcl.run.child_seed`, whose labels :mod:`batchcl.run` lists, so
-any phase can be replayed independently.
+any phase can be replayed independently; every train batch's rows and
+dropout masks are drawn by :mod:`batchcl.replay`.
 
 Wire format (everything little-endian): a message is a 4-byte tag, a u64
 payload length, then the payload. Payload layouts are documented on the
@@ -81,11 +82,13 @@ from .replay import (
     Buffer,
     ExemplarSet,
     Memory,
+    draw_batch,
+    epoch_batches,
     merge_pool,
     sample_buffer,
     subsample_memory,
 )
-from .run import RunRecorder, RunReport, StepCost, child_seed, epoch_batches
+from .run import RunRecorder, RunReport, StepCost, child_seed
 from .streams import Task, TaskStream, ranges_overlap
 
 TAG_SYNC = b"SYNC"
@@ -130,8 +133,6 @@ class ExpertHyper:
     def __post_init__(self):
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2 (normalization needs 2 rows)")
-        if self.distill_kind not in DISTILL_KINDS:
-            raise ValueError(f"unknown distill kind {self.distill_kind!r}")
 
 
 @dataclass(frozen=True)
@@ -430,8 +431,9 @@ def remote_train(sync: bytes, tasks: tuple[Task, ...], model_config: ModelConfig
     train_rng = np.random.default_rng(child_seed(seed, "train"))
     x, y = task.train_x, task.train_y
 
-    def step(idx):
-        student, record = stack.forward_with_taps(x[idx], train=True, rng=train_rng)
+    def step(batch):
+        idx, masks = batch
+        student, record = stack.forward_with_taps(x[idx], True, masks)
         loss = l_exp(student, student.teachers, y[idx], h.stability_coef, h.distill_kind)
         return loss_and_grads(loss.value, lambda: expert.backward(record, loss))
 
@@ -439,7 +441,7 @@ def remote_train(sync: bytes, tasks: tuple[Task, ...], model_config: ModelConfig
     try:
         epoch_losses = train_epochs(
             expert.flat_params, expert.layout.param_slices, h.lr, h.epochs,
-            lambda: epoch_batches(len(y), h.batch_size, train_rng), step,
+            lambda: epoch_batches(len(y), h.batch_size, stack, train_rng), step,
         )
     except NonFiniteError as e:
         raise ExpertFailure(f"expert {expert_index}: {e}") from e
@@ -662,15 +664,14 @@ def consolidate(
     (:func:`run_incremental_step`), each buffer holding its own expert's
     rows (:func:`decode_artifact`), so a pool row's origin tag is the index
     of its teacher and memory rows (-1) have none: the pool's origin column
-    routes the batched term for the whole call. Each batch draws its rows as
-    :func:`~batchcl.replay.draw_batch` does, with one ``rng.integers``
-    call, then its dropout masks, and gathers only the features, labels
-    and origins it reads.
+    routes the batched term for the whole call. Each batch's rows and
+    dropout masks are a :func:`~batchcl.replay.draw_batch` from ``rng``,
+    and it gathers only the features, labels and origins it reads.
 
     With the distillation term on, the k experts teach from a process of
     their own (:func:`_teach`), forked before the first batch. It inherits
     the decoded snapshots, the pool and the RNG's state, replays every
-    batch's draws through the same function as the student, and sends
+    batch's draws with ``draw_batch`` as the student makes them, and sends
     each row its own expert's outputs, one TGTS frame per batch, which the
     student's routed distance reads. The teachers never read the student,
     so they run ahead of it. The teacher process is reaped before this
@@ -707,23 +708,18 @@ def consolidate(
     model = stack_vectors(base.config, [base, *snapshots]) if stacked else base.copy()
     student = model.slice(0) if stacked else model
 
-    def draw(rng):
-        # one batch's draws, rows then dropout masks; the teacher process
-        # makes them from a copy of this RNG's state, so both see one stream
-        idx = rng.integers(0, n, size=batch_size)
-        return idx, student.draw_masks(batch_size, rng)
-
     def train(targets):
-        def step(_):
-            idx, masks = draw(rng)
+        def step(batch):
+            idx, masks = batch
             taps, record = model.forward_with_taps(features[idx], train=True, masks=masks)
             own = origins[idx]
             loss = l_base(taps, targets(taps, own), labels[idx], task_coef, consolidation_coef,
                           kind, (own, k))
             return loss_and_grads(loss.value, lambda: student.backward(record, loss))
 
-        train_epochs(student.flat_params, student.layout.param_slices, t.lr,
-                     b.rehearsal_epochs, lambda: range(batches_per_epoch), step)
+        train_epochs(student.flat_params, student.layout.param_slices, t.lr, b.rehearsal_epochs,
+                     lambda: (draw_batch(n, batch_size, student, rng)
+                              for _ in range(batches_per_epoch)), step)
 
     if consolidation_coef == 0:
         train(lambda taps, own: None)
@@ -731,7 +727,7 @@ def consolidate(
         train(lambda taps, own: _own_outputs(taps.teachers, own, which))
         return student.copy()  # an arena of its own; the stack goes as this returns
     else:
-        job = partial(_teach, base.config, snapshots, features, origins, partial(draw, rng),
+        job = partial(_teach, base.config, snapshots, features, origins, batch_size, rng,
                       which, total)
         with Forked([job]) as teacher:
             msgs = teacher.records(0, total, "teacher process", "batches")
@@ -770,11 +766,12 @@ def _usable_cores() -> int:
 
 
 def _teach(config: ModelConfig, snapshots: list[ParamVector], features: np.ndarray,
-           origins: np.ndarray, draw, which: list[int], batches: int):
+           origins: np.ndarray, batch_size: int, rng, which: list[int], batches: int):
     """The teacher process's job (:func:`consolidate`): a frame per batch.
 
     Stacks the k snapshots once. For each of ``batches`` batches it makes
-    the batch's draws with ``draw``, runs the stack's teacher pass on the
+    the batch's draws with :func:`~batchcl.replay.draw_batch` from ``rng``,
+    its copy of the student's RNG, runs the stack's teacher pass on the
     batch's rows with its dropout masks, and yields a TGTS frame of the
     outputs ``which`` names (indices into ``[*taps, logits]``), each
     ``(B, D)`` block of each row's own expert's output, in that order; a
@@ -784,7 +781,8 @@ def _teach(config: ModelConfig, snapshots: list[ParamVector], features: np.ndarr
     """
     teachers = stack_vectors(config, snapshots).over_batches()
     for start in range(0, batches, _TEACHER_CHUNK):
-        draws = [draw() for _ in range(min(_TEACHER_CHUNK, batches - start))]
+        draws = [draw_batch(len(features), batch_size, teachers, rng)
+                 for _ in range(min(_TEACHER_CHUNK, batches - start))]
         idx = np.stack([rows for rows, _ in draws])
         masks = [np.stack(site) for site in zip(*(m for _, m in draws))]
         passes = teachers.forward_as_teacher(features[idx], masks)  # (k, n, B, D)

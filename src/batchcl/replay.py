@@ -12,6 +12,9 @@ step: ``ORIGIN_MEMORY`` (-1) or the contributing buffer's expert index.
 Buffers are sampled at random or by per-example gradient norm; the norms
 come from the model's one batched eval pass
 (``ResidualClassifier.per_example_grad_norms``), not a graph per row.
+
+Every train batch's rows, then its dropout masks, are drawn here
+(:func:`epoch_batches`, :func:`draw_batch`); model passes take those masks.
 """
 
 from __future__ import annotations
@@ -236,9 +239,21 @@ def subsample_memory(pool: ExemplarSet, capacity: int, seed: int) -> ExemplarSet
     return pool.take(out)
 
 
-def draw_batch(pool: ExemplarSet, batch_size: int, rng: np.random.Generator) -> ExemplarSet:
-    """Uniform-with-replacement minibatch over the whole pool."""
-    if len(pool) == 0:
+def draw_batch(n: int, batch_size: int, model, rng: np.random.Generator):
+    """A rehearsal batch from a pool of ``n`` rows: row indices, uniform with
+    replacement, then ``model``'s dropout masks for them (``draw_masks``)."""
+    if n == 0:
         raise ValueError("cannot draw from an empty pool")
-    idx = rng.integers(0, len(pool), size=batch_size)
-    return pool.take(idx)
+    idx = rng.integers(0, n, size=batch_size)
+    return idx, model.draw_masks(batch_size, rng)
+
+
+def epoch_batches(n: int, batch_size: int, model, rng: np.random.Generator):
+    """A task epoch over ``n`` rows: one shuffle, then each batch's indices
+    with ``model``'s dropout masks, drawn as the batch is reached; a trailing
+    singleton (normalization needs 2 rows) is dropped and draws nothing."""
+    order = rng.permutation(n)
+    for i in range(0, n, batch_size):
+        idx = order[i : i + batch_size]
+        if len(idx) >= 2:
+            yield idx, model.draw_masks(len(idx), rng)

@@ -14,6 +14,8 @@ phase can be replayed independently:
   ``("task", t)``         a baseline's generator for task t;
   ``("bound", t)``        the multitask bound's model for task t.
 
+A train generator's batch draws are made by :mod:`batchcl.replay`.
+
 A :class:`RunRecorder` scores the model after every step and keeps one
 :class:`MetricsRecord` per step, with a consolidation step's
 :class:`StepCost`: the run's cost ledger is those records' costs.
@@ -48,16 +50,6 @@ def child_seed(master: int, *parts) -> int:
     key = tuple(zlib.crc32(str(p).encode()) for p in parts)
     ss = np.random.SeedSequence(master, spawn_key=key)
     return int(ss.generate_state(1, np.uint64)[0])
-
-
-def epoch_batches(n: int, batch_size: int, rng: np.random.Generator):
-    """Shuffled index slices; a trailing singleton is dropped (normalization
-    needs at least 2 rows in train mode)."""
-    order = rng.permutation(n)
-    for i in range(0, n, batch_size):
-        idx = order[i : i + batch_size]
-        if len(idx) >= 2:
-            yield idx
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
-"""Shared test utilities: float64 model twins, teacher stacks, finite-difference
-oracles, the per-row gradient-norm oracle, and the per-op oracle of the
-train step: the student pass and the objectives as a tape with one node
-per op, built from the reference ops below; a hand-written stream file;
+"""Shared test utilities: train passes with their dropout masks, float64
+model twins, teacher stacks, finite-difference oracles, the per-row
+gradient-norm oracle, and the per-op oracle of the train step: the
+student pass and the objectives as a tape with one node per op, built
+from the reference ops below; a hand-written stream file;
 and consolidations forced to fork a teacher process, which may send
 malformed frames; and the per-entry reference codec of the CLPV snapshot
 format, the oracle of the layout's one header."""
@@ -14,6 +15,7 @@ import struct
 import numpy as np
 
 import batchcl.protocol as protocol_mod
+import batchcl.replay as replay_mod
 from batchcl.config import (
     BaselineSpec,
     BmcSpec,
@@ -52,7 +54,7 @@ from batchcl.protocol import (
     frame,
     unframe,
 )
-from batchcl.replay import draw_batch, merge_pool
+from batchcl.replay import merge_pool
 
 
 def experiment(method: str = "bmc", seed: int = 0, *, model: dict | None = None,
@@ -152,7 +154,8 @@ def per_teacher_l_base(student: TapSet, teachers: list[TapSet], labels: np.ndarr
 def consolidate_reference(base: ResidualClassifier, artifacts, memory, cfg: ExperimentConfig,
                           rng: np.random.Generator) -> ResidualClassifier:
     """``protocol.consolidate`` with both coefficients on, as a plain loop:
-    each batch is a ``draw_batch`` of the pool, one stacked pass of the
+    each batch is a ``draw_batch`` of the pool (looked up in
+    ``batchcl.replay`` at each call), one stacked pass of the
     student and its teachers, the per-teacher consolidation objective
     (:func:`per_teacher_l_base`, every teacher routed to its rows by
     comparing origin tags with its expert index), the student's backward
@@ -168,8 +171,9 @@ def consolidate_reference(base: ResidualClassifier, artifacts, memory, cfg: Expe
     for _ in range(b.rehearsal_epochs):
         losses = []
         for _ in range(max(1, len(pool) // t.batch_size)):
-            batch = draw_batch(pool, t.batch_size, rng)
-            taps, record = stack.forward_with_taps(batch.features, train=True, rng=rng)
+            idx, masks = replay_mod.draw_batch(len(pool), t.batch_size, student, rng)
+            batch = pool.take(idx)
+            taps, record = stack.forward_with_taps(batch.features, True, masks)
             teachers = [taps.teachers[j] for j in range(len(ordered))]
             origins = np.full(len(batch), -1)
             for j, a in enumerate(ordered):
@@ -328,6 +332,25 @@ def send_malformed_targets(monkeypatch, how: str) -> None:
 
     fork_teachers(monkeypatch)
     monkeypatch.setattr(protocol_mod, "_teach", teach)
+
+
+def train_pass(model: ResidualClassifier, x: np.ndarray, rng: np.random.Generator):
+    """A train-mode pass whose dropout masks ``model.draw_masks`` draws from
+    ``rng`` first, as a trainer's batch draws them: (pass, record, masks)."""
+    masks = model.draw_masks(len(x), rng)
+    tapset, record = model.forward_with_taps(x, True, masks)
+    return tapset, record, masks
+
+
+def per_site_masks(model: ResidualClassifier, n: int, rng: np.random.Generator) -> list:
+    """One ``dropout_mask`` per dropout site of a pass of ``n`` rows, in
+    layer order, each a draw of its own: the oracle of ``draw_masks``."""
+    c = model.config
+    if c.dropout_p == 0.0:
+        return []
+    widths = [c.res_dim] * (1 + c.res_blocks * c.res_layers_per_block) + [c.hidden_dim]
+    dtype = model.params["stem.W"].dtype
+    return [dropout_mask((n, w), c.dropout_p, rng, dtype) for w in widths]
 
 
 def float64_twin(model: ResidualClassifier) -> ResidualClassifier:
@@ -699,25 +722,21 @@ def batch_norm(
 
 
 def per_op_forward(model: ResidualClassifier, x: np.ndarray, train: bool = False,
-                   rng: np.random.Generator | None = None) -> tuple[TapSet, dict[str, Tensor]]:
+                   masks=()) -> tuple[TapSet, dict[str, Tensor]]:
     """The student pass as a graph of one tape node per op: the oracle of the fused pass.
 
     Same contract as ``ResidualClassifier.forward_with_taps``: it updates
-    the running buffers in train mode and draws one dropout mask per site,
-    in layer order. The fused pass must give the same taps, logits, masks,
-    buffers and gradients, bit for bit.
+    the running buffers in train mode and drops units by ``masks``, one
+    per site in layer order. The fused pass must give the same taps,
+    logits, buffers and gradients, bit for bit.
     """
     leaves = {name: Tensor(arr, requires_grad=True, name=name)
               for name, arr in model.params.items()}
     p = model.config.dropout_p
-    masks: list[np.ndarray] = []
+    replay = iter(masks)
 
     def drop(h, name):
-        mask = None
-        if train and rng is not None:
-            mask = dropout_mask(h.shape, p, rng, h.dtype)
-            masks.append(mask)
-        return dropout(h, p, rng, train, name=name, mask=mask)
+        return dropout(h, p, None, train, name=name, mask=next(replay, None))
 
     def layer(h, prefix, p_drop):
         h = add(matmul(h, leaves[f"{prefix}.W"]), leaves[f"{prefix}.b"])
@@ -739,4 +758,4 @@ def per_op_forward(model: ResidualClassifier, x: np.ndarray, train: bool = False
     taps.append(pen)
     head_in = drop(pen, "head.dropout") if p > 0 else pen
     logits = add(matmul(head_in, leaves["head.W"]), leaves["head.b"])
-    return TapSet(taps=taps, logits=logits, masks=masks), leaves
+    return TapSet(taps=taps, logits=logits), leaves

@@ -405,9 +405,9 @@ def test_02_degenerate_reduction():
         for _ in range(rehearsal):
             losses = []
             for _ in range(max(1, len(pool) // batch)):
-                batch_set = draw_batch(pool, batch, rng)
-                taps, leaves = per_op_forward(student, batch_set.features, train=True, rng=rng)
-                value, grads = tape_grads(cross_entropy(taps.logits, batch_set.labels), leaves)
+                idx, masks = draw_batch(len(pool), batch, student, rng)
+                taps, leaves = per_op_forward(student, pool.features[idx], True, masks)
+                value, grads = tape_grads(cross_entropy(taps.logits, pool.labels[idx]), leaves)
                 opt.step(student.flat_params, flat_grads(student, grads),
                          student.layout.param_slices)
                 losses.append(value)

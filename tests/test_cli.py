@@ -718,6 +718,21 @@ class TestSweep:
         csv_text = (tmp_path / "sweep" / "sweep.csv").read_text()
         assert csv_text.count("\n") == 3  # header + 2 trial rows
 
+    @pytest.mark.parametrize("verb", ["run", "sweep"])
+    def test_out_dir_under_a_file_is_an_error_not_a_traceback(self, tmp_path, capsys, verb):
+        base = toy_raw()
+        raw = base if verb == "run" else {
+            "trials": 1, "seed": 0, "base": base,
+            "ranges": {"training.lr": {"low": 0.05, "high": 0.2}}}
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(json.dumps(raw))
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "out"
+        assert main([verb, str(spec_file), "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: NotADirectoryError: ") and str(out.parent) in err
+        assert "Traceback" not in err
+
 
 class TestPareto:
     def test_hand_worked_frontier(self):

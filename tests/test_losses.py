@@ -18,6 +18,7 @@ from helpers import (
     routed_l_base,
     stack_passes,
     step_grads,
+    train_pass,
 )
 
 from batchcl.engine import GraphError
@@ -267,12 +268,11 @@ class TestStackedDistillation:
         self.stack = stack_vectors(self.CONFIG, [e.to_param_vector() for e in self.experts])
 
     def _grads(self, build):
-        """Loss value and parameter gradients of one train-mode student pass."""
+        """Loss value and parameter gradients of one train-mode student pass;
+        ``build(pass, masks)`` builds the objective."""
         student = self.base.copy()
-        taps, record = student.forward_with_taps(
-            self.x, train=True, rng=np.random.default_rng(16)
-        )
-        return step_grads(student, record, build(taps))
+        taps, record, masks = train_pass(student, self.x, np.random.default_rng(16))
+        return step_grads(student, record, build(taps, masks))
 
     def _assert_bitwise(self, got, want):
         assert np.float64(got[0]).tobytes() == np.float64(want[0]).tobytes()
@@ -282,12 +282,12 @@ class TestStackedDistillation:
 
     @pytest.mark.parametrize("kind", DISTILL_KINDS)
     def test_value_and_gradients_match_per_teacher_graphs(self, kind):
-        def batched(s):
-            return routed_distill(kind, self.stack.forward_as_teacher(self.x, s.masks), s,
+        def batched(s, masks):
+            return routed_distill(kind, self.stack.forward_as_teacher(self.x, masks), s,
                                   self.origins)
 
-        def reference(s):
-            teachers = [e.forward_as_teacher(self.x, s.masks) for e in self.experts]
+        def reference(s, masks):
+            teachers = [e.forward_as_teacher(self.x, masks) for e in self.experts]
             return per_teacher_distill(s, teachers, self.origins, kind)
 
         self._assert_bitwise(self._grads(batched), self._grads(reference))
@@ -296,12 +296,12 @@ class TestStackedDistillation:
     def test_consolidation_objective_matches_per_teacher_graphs(self, kind):
         """With the replay cross-entropy also reaching the taps and logits."""
 
-        def batched(s):
-            return routed_l_base(s, self.stack.forward_as_teacher(self.x, s.masks), self.y,
+        def batched(s, masks):
+            return routed_l_base(s, self.stack.forward_as_teacher(self.x, masks), self.y,
                                  0.7, 1.3, kind, self.origins)
 
-        def reference(s):
-            teachers = [e.forward_as_teacher(self.x, s.masks) for e in self.experts]
+        def reference(s, masks):
+            teachers = [e.forward_as_teacher(self.x, masks) for e in self.experts]
             return per_teacher_l_base(s, teachers, self.y, self.origins, 0.7, 1.3, kind)
 
         self._assert_bitwise(self._grads(batched), self._grads(reference))
@@ -329,7 +329,7 @@ class TestStackedDistillation:
         # expert 3 as a stack of one: it owns no row of the batch
         absent = stack_vectors(self.CONFIG, [self.experts[3].to_param_vector()])
         value, grads = self._grads(
-            lambda s: routed_distill(kind, absent.forward_as_teacher(self.x, s.masks), s,
+            lambda s, masks: routed_distill(kind, absent.forward_as_teacher(self.x, masks), s,
                                      np.where(self.origins == 3, 0, -1))
         )
         assert value == 0.0
@@ -482,46 +482,44 @@ class TestMaskReplay:
 
     def _pair(self, dropout_p):
         base = build_model(dataclasses.replace(TOY, dropout_p=dropout_p), seed=0)
-        student, _ = base.copy().forward_with_taps(
-            self.x, train=True, rng=np.random.default_rng(14)
-        )
-        return base, student
+        student, _, masks = train_pass(base.copy(), self.x, np.random.default_rng(14))
+        return base, student, masks
 
     def test_teacher_reproduces_taps_and_logits(self, dropout_p):
-        base, student = self._pair(dropout_p)
-        assert len(student.masks) == base.dropout_sites > 0
-        teacher = base.forward_as_teacher(self.x, student.masks)
+        base, student, masks = self._pair(dropout_p)
+        assert len(masks) == base.dropout_sites > 0
+        teacher = base.forward_as_teacher(self.x, masks)
         for t, s in zip(teacher.taps, student.taps):
             np.testing.assert_array_equal(t, s)
         np.testing.assert_array_equal(teacher.logits, student.logits)
 
     def test_all_kinds_exactly_zero(self, dropout_p):
-        base, student = self._pair(dropout_p)
-        teacher = base.forward_as_teacher(self.x, student.masks)
+        base, student, masks = self._pair(dropout_p)
+        teacher = base.forward_as_teacher(self.x, masks)
         for kind in DISTILL_KINDS:
             assert float(distill(kind, stack_passes([teacher]), student).value) == 0.0
 
     def test_expert_at_base_reduces_to_task_loss(self, dropout_p):
-        base, student = self._pair(dropout_p)
-        teacher = base.forward_as_teacher(self.x, student.masks)
+        base, student, masks = self._pair(dropout_p)
+        teacher = base.forward_as_teacher(self.x, masks)
         assert float(l_exp(student, stack_passes([teacher]), self.y, 1.0).value) == \
             float(task_loss(student, self.y).value)
 
     def test_unreplayed_teacher_is_not_at_zero(self, dropout_p):
-        base, student = self._pair(dropout_p)
+        base, student, _ = self._pair(dropout_p)
         unreplayed = stack_passes([base.forward_as_teacher(self.x)])
         assert float(distill("features", unreplayed, student).value) > 0.0
 
     def test_teacher_pass_is_pure(self, dropout_p):
-        base, student = self._pair(dropout_p)
+        base, _, masks = self._pair(dropout_p)
         before = base.to_param_vector().to_bytes()
-        teacher = base.forward_as_teacher(self.x, student.masks)
+        teacher = base.forward_as_teacher(self.x, masks)
         assert base.to_param_vector().to_bytes() == before
 
     def test_wrong_mask_count_rejected(self, dropout_p):
-        base, student = self._pair(dropout_p)
+        base, _, masks = self._pair(dropout_p)
         with pytest.raises(GraphError, match="dropout masks"):
-            base.forward_as_teacher(self.x, student.masks[:-1])
+            base.forward_as_teacher(self.x, masks[:-1])
 
 
 class TestEwc:
@@ -659,11 +657,11 @@ class TestGradientOracles:
         x, y = rng.standard_normal((6, 4)), rng.integers(0, 3, size=6)
 
         def forward():
-            return student.forward_with_taps(x, train=True, rng=np.random.default_rng(15))
+            return train_pass(student, x, np.random.default_rng(15))
 
-        ts, record = forward()
-        assert ts.masks and not all(m.all() for m in ts.masks)
-        target = teacher.forward_as_teacher(x, ts.masks)
+        ts, record, masks = forward()
+        assert masks and not all(m.all() for m in masks)
+        target = teacher.forward_as_teacher(x, masks)
         _, analytic = step_grads(student, record, l_exp(ts, stack_passes([target]), y, 0.7))
         numeric = finite_diff_params(
             lambda: float(l_exp(forward()[0], stack_passes([target]), y, 0.7).value), student.params

@@ -17,6 +17,7 @@ from helpers import (
     float64_twin,
     jitter_params,
     per_op_forward,
+    per_site_masks,
     reference_accepts,
     reference_header,
     reference_parse,
@@ -27,6 +28,7 @@ from helpers import (
     step_grads,
     tape_grads,
     tape_objective,
+    train_pass,
 )
 
 from batchcl.engine import SGD, GraphError, NonFiniteError
@@ -173,9 +175,7 @@ class TestForward:
         m = build_model(TOY, seed=0)
         # give running stats some structure first
         rng = np.random.default_rng(1)
-        m.forward_with_taps(
-            rng.standard_normal((8, 4)).astype(np.float32), train=True, rng=rng
-        )
+        train_pass(m, rng.standard_normal((8, 4)).astype(np.float32), rng)
         x = rng.standard_normal((5, 4)).astype(np.float32)
         a, _ = m.forward_with_taps(x)
         b, _ = m.forward_with_taps(x)
@@ -188,9 +188,7 @@ class TestForward:
         m = build_model(TOY, seed=5)
         # non-trivial running stats so eval mode is not the identity-normalizer
         for _ in range(3):
-            m.forward_with_taps(
-                rng.standard_normal((16, 4)).astype(np.float32), train=True, rng=rng
-            )
+            train_pass(m, rng.standard_normal((16, 4)).astype(np.float32), rng)
         x = rng.standard_normal((7, 4)).astype(np.float32)
         tapset, _ = m.forward_with_taps(x)
         ref_taps, ref_logits = reference_forward(m, x)
@@ -238,21 +236,24 @@ class TestFusedPass:
         m = build_model(config, seed=21)
         jitter_params(m, seed=22)
         rng = np.random.default_rng(23)  # running buffers away from their start
-        m.forward_with_taps(rng.standard_normal((12, 6)).astype(np.float32),
-                            train=True, rng=rng)
+        train_pass(m, rng.standard_normal((12, 6)).astype(np.float32), rng)
         return m if dtype == np.float32 else float64_twin(m)
 
     def _run(self, model, x, train, loss_of, per_op):
-        """One step's outputs as bytes; ``loss_of(tapset, per_op)`` builds the
-        objective (a tape node for the per-op pass)."""
+        """One step's outputs as bytes; ``loss_of(tapset, masks, per_op)``
+        builds the objective (a tape node for the per-op pass). The per-op
+        pass draws a mask per site (:func:`per_site_masks`), the fused one
+        all at once (``draw_masks``): the same stream."""
         rng = np.random.default_rng(24)
         if per_op:
-            tapset, leaves = per_op_forward(model, x, train, rng)
-            value, grads = tape_grads(loss_of(tapset, True), leaves)
+            masks = per_site_masks(model, len(x), rng) if train else []
+            tapset, leaves = per_op_forward(model, x, train, masks)
+            value, grads = tape_grads(loss_of(tapset, masks, True), leaves)
             taps, logits = [t.data for t in tapset.taps], tapset.logits.data
         else:
-            tapset, record = model.forward_with_taps(x, train, rng)
-            value, grads = step_grads(model, record, loss_of(tapset, False))
+            tapset, record, masks = (train_pass(model, x, rng) if train
+                                     else (*model.forward_with_taps(x), []))
+            value, grads = step_grads(model, record, loss_of(tapset, masks, False))
             taps, logits = tapset.taps, tapset.logits
         return {
             "loss": np.float64(value).tobytes(),
@@ -260,7 +261,7 @@ class TestFusedPass:
             "grads": {k: g.tobytes() for k, g in grads.items()},
             "taps": [t.tobytes() for t in taps],
             "logits": logits.tobytes(),
-            "masks": [mk.tobytes() for mk in tapset.masks],
+            "masks": [mk.tobytes() for mk in masks],
             "stats": {k: v.tobytes() for k, v in model.stats.items()},
         }
 
@@ -292,8 +293,8 @@ class TestFusedPass:
         x, y, teachers = self._data(model, 3)
         origins = np.array([0, 1, 2, 0, -1, 1, 2, 2, -1])
 
-        def loss_of(tapset, per_op):
-            stack = teachers.forward_as_teacher(x, tapset.masks)
+        def loss_of(tapset, masks, per_op):
+            stack = teachers.forward_as_teacher(x, masks)
             if per_op:
                 return tape_objective(tapset, y, 0.9, stack, 1.3, kind, origins)
             return routed_l_base(tapset, stack, y, 0.9, 1.3, kind, origins)
@@ -306,8 +307,8 @@ class TestFusedPass:
         model = self._model(2, dropout_p)
         x, y, teacher = self._data(model, 1)
 
-        def loss_of(tapset, per_op):
-            stack = teacher.forward_as_teacher(x, tapset.masks)
+        def loss_of(tapset, masks, per_op):
+            stack = teacher.forward_as_teacher(x, masks)
             if per_op:
                 return tape_objective(tapset, y, 1.0, stack, 0.7, kind)
             return l_exp(tapset, stack, y, 0.7, kind)
@@ -319,7 +320,7 @@ class TestFusedPass:
         model = self._model(2, 0.1)
         x = np.random.default_rng(26).standard_normal((1, 6)).astype(np.float32)
 
-        def loss_of(tapset, per_op):
+        def loss_of(tapset, masks, per_op):
             label = np.array([3])
             return cross_entropy(tapset.logits, label) if per_op else task_loss(tapset, label)
 
@@ -332,8 +333,8 @@ class TestFusedPass:
         jitter_params(teacher, seed=28)
         y = np.arange(9) % 5
 
-        def loss_of(tapset, per_op):
-            stack = stack_passes([teacher.forward_as_teacher(x, tapset.masks)])
+        def loss_of(tapset, masks, per_op):
+            stack = stack_passes([teacher.forward_as_teacher(x, masks)])
             if per_op:
                 return tape_objective(tapset, y, 1.0, stack, 1.0, "features", np.zeros(9, int))
             return routed_l_base(tapset, stack, y, 1.0, 1.0, "features", np.zeros(9, int))
@@ -348,7 +349,7 @@ class TestFusedPass:
         for j in range(5):
             m = build_model(WIDE, seed=81 + j)
             jitter_params(m, seed=90 + j)
-            m.forward_with_taps(data.standard_normal((32, 32)).astype(np.float32), True, data)
+            train_pass(m, data.standard_normal((32, 32)).astype(np.float32), data)
             models.append(m)
         x = data.standard_normal((32, 32)).astype(np.float32)
         y = data.integers(0, 64, size=32)
@@ -356,21 +357,22 @@ class TestFusedPass:
 
         stack = stack_vectors(WIDE, models)
         rng = np.random.default_rng(95)
-        got, record = stack.forward_with_taps(x, True, rng)
+        got, record, got_masks = train_pass(stack, x, rng)
         got_value, got_grads = step_grads(
             stack.slice(0), record, routed_l_base(got, got.teachers, y, 0.9, 1.3, "features", origins))
 
         plain = models[0].copy()
         want_rng = np.random.default_rng(95)
-        want, leaves = per_op_forward(plain, x, True, want_rng)
-        teachers = stack_vectors(WIDE, models[1:]).forward_as_teacher(x, want.masks)
+        want_masks = per_site_masks(plain, len(x), want_rng)
+        want, leaves = per_op_forward(plain, x, True, want_masks)
+        teachers = stack_vectors(WIDE, models[1:]).forward_as_teacher(x, want_masks)
         want_value, want_grads = tape_grads(
             tape_objective(want, y, 0.9, teachers, 1.3, "features", origins), leaves)
 
         assert rng.bit_generator.state == want_rng.bit_generator.state
         assert [t.tobytes() for t in got.taps] == [t.data.tobytes() for t in want.taps]
         assert got.logits.tobytes() == want.logits.data.tobytes()
-        assert [m.tobytes() for m in got.masks] == [m.tobytes() for m in want.masks]
+        assert [m.tobytes() for m in got_masks] == [m.tobytes() for m in want_masks]
         assert [t.tobytes() for t in got.teachers.taps] == [t.tobytes() for t in teachers.taps]
         for name, buf in plain.stats.items():
             assert stack.slice(0).stats[name].tobytes() == buf.tobytes(), name
@@ -385,10 +387,10 @@ class TestFusedPass:
         # would add about 0.25 MB
         model = build_model(WIDE, seed=34)
         x = np.random.default_rng(35).standard_normal((32, 32)).astype(np.float32)
-        model.forward_with_taps(x, True, np.random.default_rng(36))  # fills the layout's caches
+        train_pass(model, x, np.random.default_rng(36))  # fills the layout's caches
         tracemalloc.start()
         try:
-            tapset, record = model.forward_with_taps(x, True, np.random.default_rng(37))
+            tapset, record, _ = train_pass(model, x, np.random.default_rng(37))
             alive, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -403,7 +405,7 @@ class TestFusedPass:
         stack = stack_vectors(config, [build_model(config, seed=40 + j).to_param_vector()
                                        for j in range(3)])
         x = np.random.default_rng(43).standard_normal((9, 6)).astype(np.float32)
-        _, record = stack.forward_with_taps(x, True, np.random.default_rng(44))
+        _, record, _ = train_pass(stack, x, np.random.default_rng(44))
         layers = record.layers
         assert len(layers) == 1 + 2 * 3 + 1
         for block in range(2):
@@ -428,8 +430,7 @@ class TestFusedPass:
         x = np.random.default_rng(32).standard_normal((5, 6)).astype(np.float32)
         gc.disable()
         try:
-            tapset, record = model.forward_with_taps(x, train=True,
-                                                     rng=np.random.default_rng(33))
+            tapset, record, _ = train_pass(model, x, np.random.default_rng(33))
             loss = task_loss(tapset, np.arange(5))
             step_grads(model, record, loss)
             head_in = weakref.ref(record.head_in)
@@ -441,9 +442,8 @@ class TestFusedPass:
     def test_train_mode_checks(self):
         model = self._model(1, 0.1)
         with pytest.raises(GraphError, match="size 1"):
-            model.forward_with_taps(np.zeros((1, 6), np.float32), train=True,
-                                    rng=np.random.default_rng(0))
-        with pytest.raises(GraphError, match="RNG"):
+            train_pass(model, np.zeros((1, 6), np.float32), np.random.default_rng(0))
+        with pytest.raises(GraphError, match="dropout masks"):
             model.forward_with_taps(np.zeros((4, 6), np.float32), train=True)
 
 
@@ -460,7 +460,7 @@ class TestPassesWriteOnlyTheirOwnArrays:
         models = [build_model(self.CONFIG, seed=111 + j) for j in range(n)]
         for m in models:
             jitter_params(m, seed=int(rng.integers(1000)))
-            m.forward_with_taps(rng.standard_normal((12, 6)).astype(np.float32), True, rng)
+            train_pass(m, rng.standard_normal((12, 6)).astype(np.float32), rng)
         return models
 
     @pytest.mark.parametrize("k, train", [(0, True), (0, False), (3, True)])
@@ -473,10 +473,11 @@ class TestPassesWriteOnlyTheirOwnArrays:
             student = model.slice(0)
         else:
             model = student = models[0]
-        tapset, record = model.forward_with_taps(x, train, np.random.default_rng(113))
+        tapset, record, masks = (train_pass(model, x, np.random.default_rng(113)) if train
+                                 else (*model.forward_with_taps(x), []))
         teachers = tapset.teachers or stack_vectors(self.CONFIG, models[-1:]).forward_as_teacher(
-            x, tapset.masks)
-        handed = [x, *tapset.taps, tapset.logits, *tapset.masks, *teachers.taps,
+            x, masks)
+        handed = [x, *tapset.taps, tapset.logits, *masks, *teachers.taps,
                   teachers.logits, record.head_in, record.head_mask,
                   *(a for state in record.layers for a in state[1:])]
         before = TestStackedStudent._bytes(handed)
@@ -490,7 +491,7 @@ class TestPassesWriteOnlyTheirOwnArrays:
         models = self._models(k)
         model = stack_vectors(self.CONFIG, models) if k > 1 else models[0]
         x = np.random.default_rng(114).standard_normal((9, 6)).astype(np.float32)
-        masks = models[0].copy().forward_with_taps(x, True, np.random.default_rng(115))[0].masks
+        masks = models[0].draw_masks(len(x), np.random.default_rng(115))
         handed = [x, model.arena, *masks]
         before = TestStackedStudent._bytes(handed)
         model.forward_as_teacher(x, masks)
@@ -548,9 +549,7 @@ class TestParamVector:
         rng = np.random.default_rng(5)
         src = build_model(TOY, seed=3)
         for _ in range(2):  # distinct running stats
-            src.forward_with_taps(
-                rng.standard_normal((8, 4)).astype(np.float32), train=True, rng=rng
-            )
+            train_pass(src, rng.standard_normal((8, 4)).astype(np.float32), rng)
         dst = model_from_vector(TOY, src.to_param_vector())
         x = rng.standard_normal((5, 4)).astype(np.float32)
         a, _ = src.forward_with_taps(x)
@@ -660,8 +659,7 @@ class TestStackedTeacher:
         rng = np.random.default_rng(40)
         models = [build_model(config, seed=50 + j) for j in range(k)]
         for m in models:  # distinct running stats, which a teacher pass must ignore
-            m.forward_with_taps(rng.standard_normal((8, 4)).astype(np.float32),
-                                train=True, rng=rng)
+            train_pass(m, rng.standard_normal((8, 4)).astype(np.float32), rng)
         return config, models
 
     @pytest.mark.parametrize("k", [1, 2, 4])
@@ -669,15 +667,13 @@ class TestStackedTeacher:
     def test_stack_equals_single_passes_bitwise(self, k, dropout_p):
         config, models = self._models(k, dropout_p)
         x = np.random.default_rng(41).standard_normal((9, 4)).astype(np.float32)
-        student, _ = build_model(config, seed=60).forward_with_taps(
-            x, train=True, rng=np.random.default_rng(42)
-        )
+        masks = build_model(config, seed=60).draw_masks(len(x), np.random.default_rng(42))
         stack = stack_vectors(config, [m.to_param_vector() for m in models])
-        stacked = stack.forward_as_teacher(x, student.masks)
+        stacked = stack.forward_as_teacher(x, masks)
         assert len(stacked.taps) == config.res_blocks + 1
         assert stacked.logits.shape == (k, 9, 3)
         for j, m in enumerate(models):
-            single = m.forward_as_teacher(x, student.masks)
+            single = m.forward_as_teacher(x, masks)
             assert single.logits.shape == (9, 3)
             for got, want in zip(stacked.taps, single.taps):
                 assert got.shape == (k, *want.shape)
@@ -738,11 +734,9 @@ class TestStackedTeacher:
         config, models = self._models(2, 0.1)
         stack = stack_vectors(config, [m.to_param_vector() for m in models])
         x = np.random.default_rng(43).standard_normal((5, 4)).astype(np.float32)
-        student, _ = models[0].copy().forward_with_taps(
-            x, train=True, rng=np.random.default_rng(44)
-        )
+        masks = models[0].draw_masks(len(x), np.random.default_rng(44))
         with pytest.raises(GraphError, match="dropout masks"):
-            stack.forward_as_teacher(x, student.masks[:-1])
+            stack.forward_as_teacher(x, masks[:-1])
         with pytest.raises(GraphError, match=">= 2"):
             stack.forward_as_teacher(x[:1])
         with pytest.raises(GraphError, match="input_dim"):
@@ -772,8 +766,7 @@ class TestStackedStudent:
         models = [build_model(config, seed=71 + j) for j in range(k + 1)]
         for m in models:  # distinct running buffers
             jitter_params(m, seed=int(rng.integers(1000)))
-            m.forward_with_taps(rng.standard_normal((12, 6)).astype(np.float32),
-                                train=True, rng=rng)
+            train_pass(m, rng.standard_normal((12, 6)).astype(np.float32), rng)
         if dtype == np.float64:
             models = [float64_twin(m) for m in models]
         return config, models[0], models[1:]
@@ -789,14 +782,14 @@ class TestStackedStudent:
         k = len(teachers)
         origins = data.choice([-1, *range(k)], size=9)
         plain = student.copy()
-        want, want_record = plain.forward_with_taps(x, True, np.random.default_rng(74))
-        want_teachers = stack_vectors(config, teachers).forward_as_teacher(x, want.masks)
+        want, want_record, want_masks = train_pass(plain, x, np.random.default_rng(74))
+        want_teachers = stack_vectors(config, teachers).forward_as_teacher(x, want_masks)
         stack = stack_vectors(config, [student, *teachers])
-        got, got_record = stack.forward_with_taps(x, True, np.random.default_rng(74))
+        got, got_record, got_masks = train_pass(stack, x, np.random.default_rng(74))
 
         assert self._bytes(got.taps) == self._bytes(want.taps)
         assert self._bytes([got.logits]) == self._bytes([want.logits])
-        assert self._bytes(got.masks) == self._bytes(want.masks)
+        assert self._bytes(got_masks) == self._bytes(want_masks)
         assert got.teachers.logits.shape == (k, 9, 5)
         assert self._bytes(got.teachers.taps) == self._bytes(want_teachers.taps)
         assert self._bytes([got.teachers.logits]) == self._bytes([want_teachers.logits])
@@ -846,7 +839,7 @@ class TestStackedStudent:
         view = stack.slice(0)
         before = {name: p.copy() for name, p in stack.params.items()}
         x = np.random.default_rng(75).standard_normal((9, 6)).astype(np.float32)
-        tapset, record = stack.forward_with_taps(x, True, np.random.default_rng(76))
+        tapset, record, _ = train_pass(stack, x, np.random.default_rng(76))
         flat = view.backward(record, task_loss(tapset, np.arange(9) % 5))
         grads = view.layout.param_views(flat.copy())  # the step spends its gradient
         SGD(lr=0.1).step(view.flat_params, flat, view.layout.param_slices)
@@ -863,7 +856,7 @@ class TestStackedStudent:
         with pytest.raises(GraphError, match="train mode only"):
             stack.forward_with_taps(x)
         with pytest.raises(GraphError, match="size 1"):
-            stack.forward_with_taps(x[:1], True, np.random.default_rng(0))
+            train_pass(stack, x[:1], np.random.default_rng(0))
         other = build_model(dataclasses.replace(config, total_classes=7), seed=3)
         with pytest.raises(ValueError, match="layout mismatch"):
             stack_vectors(config, [student, other])
@@ -878,7 +871,7 @@ class TestArena:
         m = build_model(self.CONFIG, seed=seed)
         jitter_params(m, seed=seed + 1)
         rng = np.random.default_rng(seed + 2)
-        m.forward_with_taps(rng.standard_normal((7, 4)).astype(np.float32), True, rng)
+        train_pass(m, rng.standard_normal((7, 4)).astype(np.float32), rng)
         return m if dtype == np.float32 else float64_twin(m)
 
     def test_layout_is_snapshot_order(self):
@@ -924,8 +917,8 @@ class TestArena:
         m = self._trained(0, dtype)
         want = m.copy()
         x = np.random.default_rng(3).standard_normal((n, 4)).astype(np.float32)
-        m.forward_with_taps(x, True, np.random.default_rng(4))
-        per_op_forward(want, x, train=True, rng=np.random.default_rng(4))
+        train_pass(m, x, np.random.default_rng(4))
+        per_op_forward(want, x, True, per_site_masks(want, n, np.random.default_rng(4)))
         for name, a in m.stats.items():
             assert a.tobytes() == want.stats[name].tobytes(), name
         assert m.arena.tobytes() == want.arena.tobytes()
@@ -937,8 +930,8 @@ class TestArena:
         stack = stack_vectors(self.CONFIG, models)
         want = models[0].copy()
         x = np.random.default_rng(5).standard_normal((n, 4)).astype(np.float32)
-        stack.forward_with_taps(x, True, np.random.default_rng(6))
-        per_op_forward(want, x, train=True, rng=np.random.default_rng(6))
+        train_pass(stack, x, np.random.default_rng(6))
+        per_op_forward(want, x, True, per_site_masks(want, n, np.random.default_rng(6)))
         for name, a in stack.stats.items():
             assert a[0].tobytes() == want.stats[name].tobytes(), name
             for j, t in enumerate(models[1:], start=1):
@@ -957,13 +950,13 @@ class TestArena:
         x = np.random.default_rng(7).standard_normal((8, 4)).astype(np.float32)
         with np.errstate(over="ignore"), \
                 pytest.raises(NonFiniteError, match="'stem.bn.running_var'"):
-            model.forward_with_taps(x, True, np.random.default_rng(8))
+            train_pass(model, x, np.random.default_rng(8))
         assert model.arena.tobytes() == before
 
     def test_backward_is_one_fresh_flat_array(self):
         m = self._trained(0)
         x = np.random.default_rng(7).standard_normal((6, 4)).astype(np.float32)
-        tapset, record = m.forward_with_taps(x, True, np.random.default_rng(8))
+        tapset, record, _ = train_pass(m, x, np.random.default_rng(8))
         loss = task_loss(tapset, np.arange(6) % 3)
         first, second = m.backward(record, loss), m.backward(record, loss)
         assert first.shape == (m.layout.n_params,) and first.dtype == m.arena.dtype
@@ -974,7 +967,7 @@ class TestArena:
         # feature distillation reads the taps only, so nothing reaches the head
         m = self._trained(0)
         x = np.random.default_rng(9).standard_normal((6, 4)).astype(np.float32)
-        tapset, record = m.forward_with_taps(x, True, np.random.default_rng(10))
+        tapset, record, _ = train_pass(m, x, np.random.default_rng(10))
         target = TapSet(taps=[t + 1.0 for t in tapset.taps], logits=tapset.logits)
         loss = distill("features", stack_passes([target]), tapset)
         grads = m.layout.param_views(m.backward(record, loss))

@@ -34,10 +34,14 @@ from helpers import (
     rewrite_last_artifact,
     send_malformed_targets,
     stack_passes,
+    train_pass,
     with_snapshot,
 )
 
+import batchcl.baselines as baselines_mod
 import batchcl.protocol as protocol_mod
+import batchcl.replay as replay_mod
+from batchcl.baselines import run_baseline
 from batchcl.engine import NonFiniteError
 from batchcl.losses import DISTILL_KINDS, distilled_outputs
 from batchcl.model import ModelConfig, ParamVector, ResidualClassifier, build_model, stack_vectors
@@ -774,12 +778,11 @@ class TestConsolidate:
         assert_views_of_own_arena(out)
         assert out.arena.tobytes() != base.arena.tobytes()
 
-    @pytest.mark.parametrize("kind", ["features", "kd_logits", "phi_penultimate"])
-    @pytest.mark.parametrize("dropout_p", [0.0, 0.1])
-    def test_equals_the_per_teacher_reference_loop(self, kind, dropout_p):
-        # memory rows, three distinct teachers, and an expert of 2 rows that
-        # most batches of 8 drawn from the 28-row pool miss; the returned
-        # arena, running statistics included, must be the reference's
+    @staticmethod
+    def _three_experts(kind, dropout_p):
+        """(base, artifacts, memory, config): memory rows, three distinct
+        teachers, and an expert of 2 rows that most batches of 8 drawn from
+        the 28-row pool miss."""
         config = dataclasses.replace(TOY, res_blocks=2, dropout_p=dropout_p)
         base = build_model(config, seed=1)
         data = np.random.default_rng(40)
@@ -800,10 +803,52 @@ class TestConsolidate:
         memory.replace(make_exemplars(12, seed=42))
         cfg = tiny_config(rehearsal_epochs=3, task_coef=0.7, consolidation_coef=1.3,
                           distill_kind=kind)
+        return base, arts, memory, cfg
+
+    @pytest.mark.parametrize("kind", ["features", "kd_logits", "phi_penultimate"])
+    @pytest.mark.parametrize("dropout_p", [0.0, 0.1])
+    def test_equals_the_per_teacher_reference_loop(self, kind, dropout_p):
+        # the returned arena, running statistics included, must be the reference's
+        base, arts, memory, cfg = self._three_experts(kind, dropout_p)
         out = consolidate(base, arts, memory, cfg, rng=np.random.default_rng(43))
         want = consolidate_reference(base, arts, memory, cfg, rng=np.random.default_rng(43))
         assert out.arena.tobytes() == want.arena.tobytes()
         assert out.arena.tobytes() != base.arena.tobytes()
+
+    def test_a_changed_draw_reaches_every_trainer_that_rehearses(self, stream, monkeypatch):
+        # a draw with draw_batch's RNG calls that maps the rows elsewhere:
+        # both teacher layouts, the reference loop and er must all follow it
+        real = replay_mod.draw_batch
+
+        def mirrored(n, batch_size, model, rng):
+            idx, masks = real(n, batch_size, model, rng)
+            return n - 1 - idx, masks
+
+        base, arts, memory, cfg = self._three_experts("features", 0.1)
+        er_cfg = experiment(
+            "er", 0, model=dict(res_blocks=1, res_layers_per_block=1, res_dim=8, hidden_dim=6,
+                                dropout_p=0.1),
+            training=dict(epochs_per_task=1, lr=0.1, batch_size=8),
+            baseline={"memory_capacity": 40})
+
+        def outputs():
+            runs = [lambda: consolidate(base, arts, memory, cfg, np.random.default_rng(43)),
+                    lambda: consolidate_reference(base, arts, memory, cfg,
+                                                  np.random.default_rng(43))]
+            with monkeypatch.context() as mp:
+                fork_teachers(mp)
+                forked = consolidate(base, arts, memory, cfg, np.random.default_rng(43))
+            return ([run().arena.tobytes() for run in runs] + [forked.arena.tobytes()],
+                    run_baseline(stream, er_cfg).final_params.to_bytes())
+
+        plain, plain_er = outputs()
+        for module in (replay_mod, protocol_mod, baselines_mod):
+            monkeypatch.setattr(module, "draw_batch", mirrored)
+        changed, changed_er = outputs()
+        assert plain[0] == plain[1] == plain[2]
+        assert changed[0] == changed[1] == changed[2]
+        assert changed[0] != plain[0]
+        assert changed_er != plain_er
 
     def test_no_artifacts_rejected(self):
         base = build_model(TOY, seed=1)
@@ -922,7 +967,7 @@ class TestTeacherProcess:
         assert len(received) == 3 * (len(pool) // 8)
         for (origins, k), targets in received:
             idx = rng.integers(0, len(pool), size=8)
-            taps, _ = stack.forward_with_taps(pool.features[idx], train=True, rng=rng)
+            taps, _, _ = train_pass(stack, pool.features[idx], rng)
             assert k == len(arts) and origins.tobytes() == pool.origins[idx].tobytes()
             teachers = [*taps.teachers.taps, taps.teachers.logits]
             own = np.maximum(origins, 0)

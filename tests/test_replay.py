@@ -19,6 +19,7 @@ from batchcl.replay import (
     ExemplarSet,
     Memory,
     draw_batch,
+    epoch_batches,
     merge_pool,
     sample_buffer,
     subsample_memory,
@@ -364,31 +365,73 @@ class TestSubsampleMemory:
 
 
 class TestDrawBatch:
-    def test_singleton_pool(self):
-        pool = make_set(1)
-        batch = draw_batch(pool, 1, np.random.default_rng(0))
-        np.testing.assert_array_equal(batch.features, pool.features)
+    """A rehearsal batch's draws: row indices, uniform with replacement,
+    then the model's dropout masks for them, from one stream."""
 
-    def test_reproducible_sequence(self):
-        pool = make_set(30)
-        a = [draw_batch(pool, 4, np.random.default_rng(5)).labels for _ in range(1)]
-        b = [draw_batch(pool, 4, np.random.default_rng(5)).labels for _ in range(1)]
-        np.testing.assert_array_equal(a, b)
+    MODEL = build_model(replace(TOY, dropout_p=0.5), seed=0)
+
+    def test_rows_then_masks_from_one_stream(self):
+        rng = np.random.default_rng(5)
+        idx, masks = draw_batch(30, 4, self.MODEL, rng)
+        want = np.random.default_rng(5)
+        assert idx.tobytes() == want.integers(0, 30, size=4).tobytes()
+        assert [m.tobytes() for m in masks] == [
+            m.tobytes() for m in self.MODEL.draw_masks(4, want)]
+        assert len(masks) == self.MODEL.dropout_sites
+        assert rng.bit_generator.state == want.bit_generator.state
+
+    def test_singleton_pool(self):
+        idx, _ = draw_batch(1, 3, self.MODEL, np.random.default_rng(0))
+        assert idx.tolist() == [0, 0, 0]
+
+    def test_no_dropout_draws_rows_only(self):
+        rng = np.random.default_rng(7)
+        idx, masks = draw_batch(30, 4, build_model(TOY, seed=0), rng)
+        want = np.random.default_rng(7)
+        assert masks == [] and idx.tobytes() == want.integers(0, 30, size=4).tobytes()
+        assert rng.bit_generator.state == want.bit_generator.state
 
     def test_multinomial_frequency(self):
         pool = ExemplarSet.concat(
             [make_set(100, task_id=1, seed=1), make_set(300, task_id=2, seed=2)]
         )
-        rng = np.random.default_rng(11)
-        draws = draw_batch(pool, 10_000, rng)
-        freq = (draws.task_ids == 2).mean()
+        idx, _ = draw_batch(len(pool), 10_000, build_model(TOY, seed=0),
+                            np.random.default_rng(11))
+        freq = (pool.task_ids[idx] == 2).mean()
         assert abs(freq - 0.75) <= 0.03
-
-    def test_origin_tags_retained(self):
-        pool = make_set(10, origin=3)
-        batch = draw_batch(pool, 5, np.random.default_rng(0))
-        assert (batch.origins == 3).all()
 
     def test_empty_pool_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            draw_batch(ExemplarSet.empty(4), 2, np.random.default_rng(0))
+            draw_batch(0, 2, self.MODEL, np.random.default_rng(0))
+
+
+class TestEpochBatches:
+    """A task epoch's batches: one shuffle, then each batch's masks as it is
+    reached."""
+
+    MODEL = TestDrawBatch.MODEL
+
+    def test_shuffle_then_masks_batch_by_batch(self):
+        rng = np.random.default_rng(3)
+        batches = epoch_batches(10, 4, self.MODEL, rng)
+        want = np.random.default_rng(3)
+        order = want.permutation(10)
+        for start in (0, 4):
+            idx, masks = next(batches)
+            assert idx.tobytes() == order[start : start + 4].tobytes()
+            assert [m.tobytes() for m in masks] == [
+                m.tobytes() for m in self.MODEL.draw_masks(4, want)]
+            # nothing is drawn ahead of the batch reached
+            assert rng.bit_generator.state == want.bit_generator.state
+        idx, masks = next(batches)  # the trailing pair
+        assert idx.tobytes() == order[8:].tobytes() and masks[0].shape == (2, 5)
+
+    def test_trailing_singleton_is_dropped_and_draws_nothing(self):
+        rng = np.random.default_rng(4)
+        got = list(epoch_batches(9, 4, self.MODEL, rng))
+        want = np.random.default_rng(4)
+        order = want.permutation(9)
+        for _ in got:
+            self.MODEL.draw_masks(4, want)
+        assert [idx.tolist() for idx, _ in got] == [order[:4].tolist(), order[4:8].tolist()]
+        assert rng.bit_generator.state == want.bit_generator.state

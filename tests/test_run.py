@@ -15,6 +15,7 @@ import batchcl
 @pytest.mark.parametrize("module, absent", [
     ("batchcl.run", ["batchcl.cli", "batchcl.protocol"]),
     ("batchcl.baselines", ["batchcl.protocol"]),
+    ("batchcl.replay", ["batchcl.model", "batchcl.engine"]),
     ("batchcl.cli", ["jsonschema"]),
     ("batchcl.cli", ["multiprocessing", "concurrent.futures"]),
 ])

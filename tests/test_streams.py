@@ -8,7 +8,7 @@ import struct
 
 import numpy as np
 import pytest
-from helpers import write_stream_file
+from helpers import train_pass, write_stream_file
 
 from batchcl.engine import SGD, loss_and_grads
 from batchcl.losses import task_loss
@@ -356,7 +356,7 @@ class TestEvaluateCil:
                 idx = order[i : i + 32]
                 if len(idx) < 2:
                     continue
-                ts, record = m.forward_with_taps(t.train_x[idx], train=True, rng=rng)
+                ts, record, _ = train_pass(m, t.train_x[idx], rng)
                 loss = task_loss(ts, t.train_y[idx])
                 _, grads = loss_and_grads(loss.value, lambda: m.backward(record, loss))
                 opt.step(m.flat_params, grads, m.layout.param_slices)
