@@ -101,7 +101,7 @@ class ExperimentConfig:
 _JSON_TYPES = {int: int, float: (int, float), str: str, dict: dict, list: list}
 _TYPE_NAMES = {int: "of type 'integer'", float: "a finite number", str: "of type 'string'",
                dict: "of type 'object'", list: "of type 'array'"}
-_OPS = {">=": operator.ge, ">": operator.gt, "<": operator.lt}
+_OPS = {">=": operator.ge, ">": operator.gt, "<": operator.lt, "<=": operator.le}
 _POSITIVE = ((">=", 1),)
 _NON_NEGATIVE = ((">=", 0),)
 
@@ -125,13 +125,17 @@ _BOUNDS = (
     (lambda cfg: cfg.method == "bmc", {
         "bmc/experts_per_step": _POSITIVE,
         "bmc/rehearsal_epochs": _NON_NEGATIVE,
-        # an empty buffer leaves step 0 nothing to consolidate on
-        "bmc/buffer_capacity": _POSITIVE,
+        # an empty buffer leaves step 0 nothing to consolidate on; the SYNC
+        # header carries it as a u64
+        "bmc/buffer_capacity": ((">=", 1), ("<=", 2**64 - 1)),
         "bmc/memory_capacity": _POSITIVE,
         "bmc/stability_coef": _NON_NEGATIVE,
         "bmc/task_coef": _NON_NEGATIVE,
         "bmc/consolidation_coef": _NON_NEGATIVE,
         "bmc/workers": _POSITIVE,
+        # the SYNC header carries these as u32s
+        "training/epochs_per_task": (("<=", 2**32 - 1),),
+        "training/batch_size": (("<=", 2**32 - 1),),
     }),
     (lambda cfg: cfg.method == "er", {"baseline/memory_capacity": _POSITIVE}),
     (lambda cfg: cfg.method == "oewc", {

@@ -9,11 +9,11 @@ One incremental step processes a batch of k disjoint tasks:
                   and training on ONLY its own task;
   3. upload     — every expert returns exactly one ARTF frame (its
                   parameter snapshot, buffer, and training stats);
-  4. consolidate— the coordinator trains a copy of the base on the pooled
-                  memory+buffer data while the expert teachers, rebuilt
-                  from their snapshots in a forked teacher process, send
-                  it their targets; then it refreshes the memory and
-                  discards the buffers.
+  4. consolidate— the coordinator pools the memory and the buffers once,
+                  trains a copy of the base on the pool while the expert
+                  teachers, rebuilt from their snapshots in a forked teacher
+                  process, send it their targets, then refreshes the memory
+                  from the same pool and discards the buffers.
 
 One set of hyper-parameters drives both phases: the step functions read
 the run's ``ExperimentConfig`` (``seed``, ``training`` and ``bmc``).
@@ -301,11 +301,11 @@ def encode_sync(expert_index: int, seed: int, cfg: ExperimentConfig,
     ), base_blob))
 
 
-def decode_sync(payload: bytes) -> tuple[int, int, ExpertHyper, memoryview]:
+def decode_sync(payload: bytes, config: ModelConfig) -> tuple[int, int, ExpertHyper, ParamVector]:
     """Inverse of :func:`encode_sync`.
 
-    Returns (expert index, seed, hyper-parameters, base snapshot bytes); the
-    snapshot bytes are a view of ``payload``, not a copy.
+    Returns (expert index, seed, hyper-parameters, base snapshot); the
+    snapshot, of ``config``'s layout, is a read-only view of ``payload``.
     """
     (expert_index, seed, epochs, buffer_capacity, lr, stability, batch, sampling_idx,
      distill_idx, blob_len), off = _unpack(_SYNC_HEADER, payload, 0, "sync header")
@@ -321,7 +321,11 @@ def decode_sync(payload: bytes) -> tuple[int, int, ExpertHyper, memoryview]:
                             SAMPLING_STRATEGIES[sampling_idx], DISTILL_KINDS[distill_idx])
     except ValueError as e:
         raise ProtocolViolation(f"sync header at byte 0: {e}") from e
-    return expert_index, seed, hyper, blob
+    try:
+        snapshot = ParamVector.from_bytes(blob, config)
+    except ValueError as e:
+        raise ProtocolViolation(f"sync base snapshot at byte {off}: {e}") from e
+    return expert_index, seed, hyper, snapshot
 
 
 def _artifact_parts(a: ExpertArtifact) -> list:
@@ -409,17 +413,13 @@ def remote_train(sync: bytes, tasks: tuple[Task, ...], model_config: ModelConfig
     loss turns non-finite. With a stability term the expert and its base
     are slices 0 and 1 of one stack, so each batch takes one pass for both.
     """
-    expert_index, seed, h, base_blob = decode_sync(_unframe_as(TAG_SYNC, sync))
+    expert_index, seed, h, snapshot = decode_sync(_unframe_as(TAG_SYNC, sync), model_config)
     if expert_index >= len(tasks):
         raise ProtocolViolation(
             f"sync payload names expert {expert_index} at byte 0, "
             f"but the step has {len(tasks)} tasks"
         )
     task = tasks[expert_index]
-    try:
-        snapshot = ParamVector.from_bytes(base_blob, model_config)
-    except ValueError as e:
-        raise ProtocolViolation(f"sync base snapshot at byte {SYNC_FIXED_NBYTES}: {e}") from e
     if h.stability_coef > 0:
         # stacked straight from the snapshot: no base arena of its own
         stack = stack_vectors(model_config, [snapshot, snapshot])
@@ -648,25 +648,24 @@ class ProcessExecutor:
 
 def consolidate(
     base: ResidualClassifier,
-    artifacts: list[ExpertArtifact],
-    memory: Memory,
+    snapshots: list[ParamVector],
+    pool: ExemplarSet,
     cfg: ExperimentConfig,
     rng: np.random.Generator,
 ) -> ResidualClassifier:
-    """Distill all experts into a fresh copy of the base on the pooled data.
+    """Distill the expert ``snapshots`` into a fresh copy of the base on ``pool``.
 
     Trains ``cfg.bmc.rehearsal_epochs`` epochs of ``cfg.training.batch_size``
     rows on the ``cfg.bmc`` objective. The learning rate is reset to
     ``cfg.training.lr`` going in (fresh optimizer/scheduler) and the caller
     never reuses this phase's optimizer afterwards. The student is a copy
     of the base, trained with single-model passes and returned; the input
-    base is untouched. ``artifacts`` are those of experts 0..k-1
-    (:func:`run_incremental_step`), each buffer holding its own expert's
-    rows (:func:`decode_artifact`), so a pool row's origin tag is the index
-    of its teacher and memory rows (-1) have none: the pool's origin column
-    routes the batched term for the whole call. Each batch's rows and
-    dropout masks are a :func:`~batchcl.replay.draw_batch` from ``rng``,
-    and it gathers only the features, labels and origins it reads.
+    base is untouched. A pool row's origin tag j names ``snapshots[j]`` as
+    its teacher and memory rows (-1) have none (:func:`run_incremental_step`
+    guarantees it): the pool's origin column routes the batched term for
+    the whole call. Each batch's rows and dropout masks are a
+    :func:`~batchcl.replay.draw_batch` from ``rng``, and it gathers only
+    the features, labels and origins it reads.
 
     With the distillation term on, the k experts teach from a process of
     their own (:func:`_teach`), forked before the first batch. It inherits
@@ -686,12 +685,8 @@ def consolidate(
     student's, and gathers each row's own (:func:`_own_outputs`) for the
     same routed distance. It returns a copy of slice 0.
     """
-    if not artifacts:
-        raise ValueError("consolidation needs at least one expert artifact")
-    # canonical expert-index order for the pool AND the teacher sum, so the
-    # phase is invariant to artifact arrival order
-    ordered = sorted(artifacts, key=lambda a: a.expert_index)
-    pool = merge_pool(memory, [a.buffer for a in ordered])
+    if not snapshots:
+        raise ValueError("consolidation needs at least one expert snapshot")
     if len(pool) == 0:
         raise ValueError("consolidation pool is empty (no memory, empty buffers)")
     t, b = cfg.training, cfg.bmc
@@ -699,11 +694,10 @@ def consolidate(
         t.batch_size, b.task_coef, b.consolidation_coef, b.distill_kind
     )
     features, labels, origins = pool.features, pool.labels, pool.origins
-    n, k = len(pool), len(ordered)
+    n, k = len(pool), len(snapshots)
     batches_per_epoch = max(1, n // batch_size)
     total = b.rehearsal_epochs * batches_per_epoch
     which = distilled_outputs(kind, base.config.res_blocks + 1)
-    snapshots = [a.param_vector for a in ordered]
     stacked = consolidation_coef > 0 and (total < _FORK_MIN_BATCHES or _usable_cores() < 2)
     model = stack_vectors(base.config, [base, *snapshots]) if stacked else base.copy()
     student = model.slice(0) if stacked else model
@@ -882,9 +876,12 @@ def run_incremental_step(
     """Execute sync -> parallel expert training -> consolidate -> memory refresh.
 
     Reads ``cfg.seed``, ``cfg.training`` and ``cfg.bmc``; the model shape is
-    ``base.config``. On success returns the NEW base model and records the step's cost; the
-    memory is refreshed in place as the final action. The step's own
-    transport counts its broadcast and upload bytes. If an expert fails, an
+    ``base.config``. On success returns the NEW base model and records the step's cost. The
+    step's own transport counts its broadcast and upload bytes. Once the
+    decoded artifacts are experts 0..k-1 in order, it merges the memory and
+    their buffers into one pool, trains :func:`consolidate` on it with their
+    snapshots (origin j is ``snapshots[j]``), and, as the final action,
+    refreshes the memory in place from the same pool. If an expert fails, an
     expert's message breaks the protocol (a malformed ARTF frame, one whose
     snapshot is of another layout than ``base``'s, one with rows tagged for
     another expert, or frames that are not one from each of experts
@@ -927,20 +924,18 @@ def run_incremental_step(
     expert_param_bytes = sum(a.param_vector.nbytes for a in received)
 
     t1 = time.perf_counter()
+    # in expert order, so a pool row of origin j is distilled toward snapshot j
+    pool = merge_pool(memory, [a.buffer for a in received])
     rng = np.random.default_rng(child_seed(cfg.seed, "consolidate", plan.step_id))
     try:
-        new_base = consolidate(base, received, memory, cfg, rng)
+        new_base = consolidate(base, [a.param_vector for a in received], pool, cfg, rng)
     except (NonFiniteError, ExpertFailure, ProtocolViolation) as e:
         raise StepFailure(f"step {plan.step_id}: consolidation: {e}") from e
     consolidation_wall = time.perf_counter() - t1
     distances = expert_distances(base, new_base, received, plan)
 
-    pool = merge_pool(memory, [a.buffer for a in received])
-    memory.replace(
-        subsample_memory(
-            pool, memory.capacity, seed=child_seed(cfg.seed, "memory", plan.step_id)
-        )
-    )
+    seed = child_seed(cfg.seed, "memory", plan.step_id)
+    memory.replace(subsample_memory(pool, memory.capacity, seed=seed))
     # buffers are dropped here: nothing retains them past this point
 
     cost = StepCost(

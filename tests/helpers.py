@@ -54,7 +54,7 @@ from batchcl.protocol import (
     frame,
     unframe,
 )
-from batchcl.replay import merge_pool
+from batchcl.replay import ExemplarSet, merge_pool
 
 
 def experiment(method: str = "bmc", seed: int = 0, *, model: dict | None = None,
@@ -151,20 +151,26 @@ def per_teacher_l_base(student: TapSet, teachers: list[TapSet], labels: np.ndarr
                      ce.logits + weighted.logits)
 
 
-def consolidate_reference(base: ResidualClassifier, artifacts, memory, cfg: ExperimentConfig,
+def consolidation_inputs(artifacts, memory) -> tuple[list, ExemplarSet]:
+    """What a step hands ``protocol.consolidate`` for ``artifacts`` of
+    experts 0..k-1 in that order: their snapshots in that order, and the
+    pool of ``memory`` and their buffers."""
+    return ([a.param_vector for a in artifacts],
+            merge_pool(memory, [a.buffer for a in artifacts]))
+
+
+def consolidate_reference(base: ResidualClassifier, snapshots, pool, cfg: ExperimentConfig,
                           rng: np.random.Generator) -> ResidualClassifier:
     """``protocol.consolidate`` with both coefficients on, as a plain loop:
     each batch is a ``draw_batch`` of the pool (looked up in
     ``batchcl.replay`` at each call), one stacked pass of the
     student and its teachers, the per-teacher consolidation objective
-    (:func:`per_teacher_l_base`, every teacher routed to its rows by
-    comparing origin tags with its expert index), the student's backward
-    and an SGD step; a plateau schedule sees each epoch's mean loss. Reads
-    ``cfg.training`` and ``cfg.bmc`` as ``consolidate`` does."""
+    (:func:`per_teacher_l_base`, teacher j routed to the rows of origin j),
+    the student's backward and an SGD step; a plateau schedule sees each
+    epoch's mean loss. Takes the inputs ``consolidate`` takes and reads
+    ``cfg.training`` and ``cfg.bmc`` as it does."""
     t, b = cfg.training, cfg.bmc
-    ordered = sorted(artifacts, key=lambda a: a.expert_index)
-    pool = merge_pool(memory, [a.buffer for a in ordered])
-    stack = stack_vectors(base.config, [base, *(a.param_vector for a in ordered)])
+    stack = stack_vectors(base.config, [base, *snapshots])
     student = stack.slice(0)
     opt = SGD(t.lr)
     schedule = PlateauScheduler(opt)
@@ -174,11 +180,8 @@ def consolidate_reference(base: ResidualClassifier, artifacts, memory, cfg: Expe
             idx, masks = replay_mod.draw_batch(len(pool), t.batch_size, student, rng)
             batch = pool.take(idx)
             taps, record = stack.forward_with_taps(batch.features, True, masks)
-            teachers = [taps.teachers[j] for j in range(len(ordered))]
-            origins = np.full(len(batch), -1)
-            for j, a in enumerate(ordered):
-                origins[batch.origins == a.expert_index] = j
-            loss = per_teacher_l_base(taps, teachers, batch.labels, origins,
+            teachers = [taps.teachers[j] for j in range(len(snapshots))]
+            loss = per_teacher_l_base(taps, teachers, batch.labels, batch.origins,
                                       b.task_coef, b.consolidation_coef, b.distill_kind)
             value, grads = loss_and_grads(loss.value, lambda: student.backward(record, loss))
             opt.step(student.flat_params, grads, student.layout.param_slices)

@@ -112,6 +112,10 @@ class TestConfig:
             ("sgd", "stream", "n_tasks", 4.0),
             ("bmc", "training", "lr", float("nan")),
             ("bmc", "bmc", "stability_coef", float("inf")),
+            # wider than the SYNC header's field
+            ("bmc", "training", "epochs_per_task", 2**32),
+            ("bmc", "training", "batch_size", 2**32),
+            ("bmc", "bmc", "buffer_capacity", 2**64),
         ],
     )
     def test_bad_value_rejected_at_parse_time(self, tmp_path, capsys, method, section,
@@ -392,7 +396,8 @@ class TestRunVerb:
         real, coordinator = protocol_mod.remote_train, os.getpid()
 
         def dying(sync, tasks, model_config):
-            if decode_sync(unframe(sync)[1])[1] == doomed and os.getpid() != coordinator:
+            seed = decode_sync(unframe(sync)[1], model_config)[1]
+            if seed == doomed and os.getpid() != coordinator:
                 os._exit(1)
             return real(sync, tasks, model_config)
 

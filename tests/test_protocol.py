@@ -26,6 +26,7 @@ from helpers import (
     MALFORMED_TARGETS,
     assert_views_of_own_arena,
     consolidate_reference,
+    consolidation_inputs,
     count_tensors,
     encode_artifact,
     experiment,
@@ -77,7 +78,7 @@ from batchcl.protocol import (
     run_incremental_step,
     unframe,
 )
-from batchcl.replay import Buffer, ExemplarSet, Memory, merge_pool
+from batchcl.replay import Buffer, ExemplarSet, Memory
 from batchcl.run import StepCost, child_seed, cost_accuracy, total_cost
 from batchcl.streams import generate_stream
 
@@ -138,9 +139,9 @@ def train_one(task, config=TOY, **sync_kw) -> ExpertArtifact:
     return decode_artifact(unframe(remote_train(sync, (task,), config))[1], config)
 
 
-def expert_of(sync: bytes) -> int:
-    """The expert index a SYNC message names."""
-    return decode_sync(unframe(sync)[1])[0]
+def expert_of(sync: bytes, config: ModelConfig = TOY) -> int:
+    """The expert index a SYNC message of a ``config`` base names."""
+    return decode_sync(unframe(sync)[1], config)[0]
 
 
 def count_passes(monkeypatch) -> list:
@@ -278,12 +279,12 @@ class TestSyncCodec:
                             buffer_capacity=99, sampling="grad_max_base",
                             distill_kind="kd_logits")
         sync, blob = make_sync(seed=77, cfg=cfg)
-        idx, seed, h, back = decode_sync(unframe(sync)[1])
+        idx, seed, h, back = decode_sync(unframe(sync)[1], TOY)
         assert (idx, seed) == (0, 77)
         assert h == ExpertHyper(epochs=3, buffer_capacity=99, lr=0.05, stability_coef=0.4,
                                 batch_size=16, sampling="grad_max_base",
                                 distill_kind="kd_logits")
-        assert back == blob
+        assert back.to_bytes() == blob
 
     def test_fixed_size_arithmetic(self, stream):
         sync, blob = make_sync()
@@ -291,7 +292,7 @@ class TestSyncCodec:
 
     def test_snapshot_is_a_read_only_view_of_the_frame(self, stream):
         sync, blob = make_sync()
-        payload = ParamVector.from_bytes(decode_sync(unframe(sync)[1])[3], TOY).payload
+        payload = decode_sync(unframe(sync)[1], TOY)[3].payload
         assert np.shares_memory(payload, np.frombuffer(sync, np.uint8))
         assert not payload.flags.writeable
         assert payload.tobytes() == ParamVector.from_bytes(blob, TOY).payload.tobytes()
@@ -299,12 +300,12 @@ class TestSyncCodec:
     def test_truncation_rejected(self, stream):
         payload = unframe(make_sync()[0])[1]
         with pytest.raises(ProtocolViolation, match="truncated"):
-            decode_sync(payload[:-1])
+            decode_sync(payload[:-1], TOY)
 
     def test_short_fixed_part_rejected(self, stream):
         payload = unframe(make_sync()[0])[1]
         with pytest.raises(ProtocolViolation, match="truncated"):
-            decode_sync(payload[: SYNC_FIXED_NBYTES - 9])
+            decode_sync(payload[: SYNC_FIXED_NBYTES - 9], TOY)
 
     def test_unknown_sampling_index_rejected(self, stream):
         payload = bytearray(unframe(make_sync()[0])[1])
@@ -312,13 +313,13 @@ class TestSyncCodec:
         assert payload[sampling_at] == 0  # "random"
         payload[sampling_at] = 9
         with pytest.raises(ProtocolViolation, match="sampling 9"):
-            decode_sync(bytes(payload))
+            decode_sync(bytes(payload), TOY)
 
     def test_batch_size_below_two_rejected(self, stream):
         payload = bytearray(unframe(make_sync()[0])[1])
         struct.pack_into("<I", payload, struct.calcsize("<IQIQdd"), 1)
         with pytest.raises(ProtocolViolation, match="sync header at byte 0: batch_size"):
-            decode_sync(bytes(payload))
+            decode_sync(bytes(payload), TOY)
 
 
 class TestArtifactCodec:
@@ -501,7 +502,8 @@ class TestExpertIsolation:
         sync, blob = make_sync(seed=9)
         hyper = ExpertHyper(epochs=1, buffer_capacity=10, lr=0.1, stability_coef=1.0,
                             batch_size=8, sampling="random", distill_kind="features")
-        assert decode_sync(unframe(sync)[1]) == (0, 9, hyper, blob)
+        *header, base = decode_sync(unframe(sync)[1], TOY)
+        assert header == [0, 9, hyper] and base.to_bytes() == blob
 
     def test_context_is_immutable(self, stream):
         sync, _ = make_sync()
@@ -659,7 +661,7 @@ class TestConsolidate:
         # off, so the distillation distance and its gradient are exactly zero
         base = build_model(TOY, seed=1)
         arts = self.setup_artifacts(base, stream)
-        out = consolidate(base, arts, Memory(40, 6),
+        out = consolidate(base, *consolidation_inputs(arts, Memory(40, 6)),
                           tiny_config(rehearsal_epochs=2, task_coef=0.0, consolidation_coef=1.0),
                           rng=np.random.default_rng(0))
         assert params_bytes(out) == params_bytes(base)
@@ -669,23 +671,11 @@ class TestConsolidate:
         before_params = params_bytes(base)
         before_stats = b"".join(base.stats[k].tobytes() for k in sorted(base.stats))
         arts = self.setup_artifacts(base, stream)
-        consolidate(base, arts, Memory(40, 6), tiny_config(rehearsal_epochs=2),
+        consolidate(base, *consolidation_inputs(arts, Memory(40, 6)),
+                    tiny_config(rehearsal_epochs=2),
                     rng=np.random.default_rng(0))
         assert params_bytes(base) == before_params
         assert b"".join(base.stats[k].tobytes() for k in sorted(base.stats)) == before_stats
-
-    def test_artifact_order_does_not_matter(self, stream):
-        base = build_model(TOY, seed=1)
-        arts = self.setup_artifacts(base, stream, n=3)
-        # make the teachers genuinely different so ordering could bite
-        for i, a in enumerate(arts):
-            m = build_model(TOY, seed=10 + i)
-            arts[i] = dataclasses.replace(a, param_vector=m.to_param_vector())
-        cfg = tiny_config(rehearsal_epochs=1)
-        out1 = consolidate(base, arts, Memory(40, 6), cfg, rng=np.random.default_rng(3))
-        out2 = consolidate(base, list(reversed(arts)), Memory(40, 6), cfg,
-                           rng=np.random.default_rng(3))
-        assert params_bytes(out1) == params_bytes(out2)
 
     def test_zero_consolidation_coef_ignores_teacher_weights(self, stream):
         # with the distillation term off the expert snapshots must not leak
@@ -693,12 +683,14 @@ class TestConsolidate:
         base = build_model(TOY, seed=1)
         cfg = tiny_config(rehearsal_epochs=2, task_coef=1.0, consolidation_coef=0.0)
         arts = self.setup_artifacts(base, stream)
-        out1 = consolidate(base, arts, Memory(40, 6), cfg, rng=np.random.default_rng(5))
+        out1 = consolidate(base, *consolidation_inputs(arts, Memory(40, 6)),
+                           cfg, rng=np.random.default_rng(5))
         swapped = [
             dataclasses.replace(a, param_vector=build_model(TOY, seed=99 + i).to_param_vector())
             for i, a in enumerate(arts)
         ]
-        out2 = consolidate(base, swapped, Memory(40, 6), cfg, rng=np.random.default_rng(5))
+        out2 = consolidate(base, *consolidation_inputs(swapped, Memory(40, 6)),
+                           cfg, rng=np.random.default_rng(5))
         assert params_bytes(out1) == params_bytes(out2)
 
     def test_empty_pool_rejected(self, stream):
@@ -707,7 +699,8 @@ class TestConsolidate:
             a, buffer=Buffer(ExemplarSet.empty(6), capacity=10, owner=a.expert_index)
         ) for a in self.setup_artifacts(base, stream)]
         with pytest.raises(ValueError, match="empty"):
-            consolidate(base, empty, Memory(40, 6), tiny_config(rehearsal_epochs=1),
+            consolidate(base, *consolidation_inputs(empty, Memory(40, 6)),
+                        tiny_config(rehearsal_epochs=1),
                         rng=np.random.default_rng(0))
 
     @pytest.mark.parametrize("consolidation, forked", [
@@ -723,14 +716,16 @@ class TestConsolidate:
         arts = self.setup_artifacts(base, stream, n=3)
         calls = count_passes(monkeypatch)
         cfg = tiny_config(rehearsal_epochs=2, task_coef=1.0, consolidation_coef=consolidation)
-        consolidate(base, arts, Memory(40, 6), cfg, rng=np.random.default_rng(0))
+        consolidate(base, *consolidation_inputs(arts, Memory(40, 6)),
+                    cfg, rng=np.random.default_rng(0))
         assert len(calls) == 2 * (30 // 8)
 
     def test_returned_model_owns_its_arrays(self, stream):
         # the student leaves with an arena of its own, and its arrays are
         # views of that arena
         base = build_model(TOY, seed=1)
-        out = consolidate(base, self.setup_artifacts(base, stream), Memory(40, 6),
+        arts = self.setup_artifacts(base, stream)
+        out = consolidate(base, *consolidation_inputs(arts, Memory(40, 6)),
                           tiny_config(rehearsal_epochs=1), rng=np.random.default_rng(0))
         assert out.arena.shape == base.arena.shape
         assert_views_of_own_arena(out)
@@ -749,7 +744,8 @@ class TestConsolidate:
 
         monkeypatch.setattr(protocol_mod, "stack_vectors", kept)
         base = build_model(TOY, seed=1)
-        out = consolidate(base, self.setup_artifacts(base, stream), Memory(40, 6),
+        arts = self.setup_artifacts(base, stream)
+        out = consolidate(base, *consolidation_inputs(arts, Memory(40, 6)),
                           tiny_config(rehearsal_epochs=1), rng=np.random.default_rng(0))
         [(arena, start)] = stacks
         assert arena() is None
@@ -771,7 +767,8 @@ class TestConsolidate:
 
         monkeypatch.setattr(protocol_mod, "stack_vectors", kept)
         base = build_model(TOY, seed=1)
-        out = consolidate(base, self.setup_artifacts(base, stream), Memory(40, 6),
+        arts = self.setup_artifacts(base, stream)
+        out = consolidate(base, *consolidation_inputs(arts, Memory(40, 6)),
                           tiny_config(rehearsal_epochs=1), rng=np.random.default_rng(0))
         assert stacks == []
         assert out.arena.shape == base.arena.shape
@@ -780,7 +777,7 @@ class TestConsolidate:
 
     @staticmethod
     def _three_experts(kind, dropout_p):
-        """(base, artifacts, memory, config): memory rows, three distinct
+        """(base, snapshots, pool, config): memory rows, three distinct
         teachers, and an expert of 2 rows that most batches of 8 drawn from
         the 28-row pool miss."""
         config = dataclasses.replace(TOY, res_blocks=2, dropout_p=dropout_p)
@@ -803,15 +800,15 @@ class TestConsolidate:
         memory.replace(make_exemplars(12, seed=42))
         cfg = tiny_config(rehearsal_epochs=3, task_coef=0.7, consolidation_coef=1.3,
                           distill_kind=kind)
-        return base, arts, memory, cfg
+        return base, *consolidation_inputs(arts, memory), cfg
 
     @pytest.mark.parametrize("kind", ["features", "kd_logits", "phi_penultimate"])
     @pytest.mark.parametrize("dropout_p", [0.0, 0.1])
     def test_equals_the_per_teacher_reference_loop(self, kind, dropout_p):
         # the returned arena, running statistics included, must be the reference's
-        base, arts, memory, cfg = self._three_experts(kind, dropout_p)
-        out = consolidate(base, arts, memory, cfg, rng=np.random.default_rng(43))
-        want = consolidate_reference(base, arts, memory, cfg, rng=np.random.default_rng(43))
+        base, snapshots, pool, cfg = self._three_experts(kind, dropout_p)
+        out = consolidate(base, snapshots, pool, cfg, rng=np.random.default_rng(43))
+        want = consolidate_reference(base, snapshots, pool, cfg, rng=np.random.default_rng(43))
         assert out.arena.tobytes() == want.arena.tobytes()
         assert out.arena.tobytes() != base.arena.tobytes()
 
@@ -824,7 +821,7 @@ class TestConsolidate:
             idx, masks = real(n, batch_size, model, rng)
             return n - 1 - idx, masks
 
-        base, arts, memory, cfg = self._three_experts("features", 0.1)
+        base, snapshots, pool, cfg = self._three_experts("features", 0.1)
         er_cfg = experiment(
             "er", 0, model=dict(res_blocks=1, res_layers_per_block=1, res_dim=8, hidden_dim=6,
                                 dropout_p=0.1),
@@ -832,12 +829,12 @@ class TestConsolidate:
             baseline={"memory_capacity": 40})
 
         def outputs():
-            runs = [lambda: consolidate(base, arts, memory, cfg, np.random.default_rng(43)),
-                    lambda: consolidate_reference(base, arts, memory, cfg,
+            runs = [lambda: consolidate(base, snapshots, pool, cfg, np.random.default_rng(43)),
+                    lambda: consolidate_reference(base, snapshots, pool, cfg,
                                                   np.random.default_rng(43))]
             with monkeypatch.context() as mp:
                 fork_teachers(mp)
-                forked = consolidate(base, arts, memory, cfg, np.random.default_rng(43))
+                forked = consolidate(base, snapshots, pool, cfg, np.random.default_rng(43))
             return ([run().arena.tobytes() for run in runs] + [forked.arena.tobytes()],
                     run_baseline(stream, er_cfg).final_params.to_bytes())
 
@@ -850,10 +847,11 @@ class TestConsolidate:
         assert changed[0] != plain[0]
         assert changed_er != plain_er
 
-    def test_no_artifacts_rejected(self):
+    def test_no_snapshots_rejected(self):
         base = build_model(TOY, seed=1)
-        with pytest.raises(ValueError, match="artifact"):
-            consolidate(base, [], Memory(40, 6), tiny_config(rehearsal_epochs=1),
+        with pytest.raises(ValueError, match="snapshot"):
+            consolidate(base, *consolidation_inputs([], Memory(40, 6)),
+                        tiny_config(rehearsal_epochs=1),
                         rng=np.random.default_rng(0))
 
 
@@ -881,7 +879,8 @@ class TestConsolidate:
         ]
         built = count_tensors(monkeypatch)
         cfg = experiment(training=dict(batch_size=32), bmc=dict(rehearsal_epochs=1))
-        out = consolidate(base, arts, Memory(40, 16), cfg, rng=np.random.default_rng(3))
+        out = consolidate(base, *consolidation_inputs(arts, Memory(40, 16)),
+                          cfg, rng=np.random.default_rng(3))
         assert built == []
         assert params_bytes(out) != params_bytes(base)
 
@@ -958,10 +957,10 @@ class TestTeacherProcess:
             return real(student, targets, labels, *args)
 
         monkeypatch.setattr(protocol_mod, "l_base", recording)
-        consolidate(base, arts, memory, cfg, rng=np.random.default_rng(43))
+        snapshots, pool = consolidation_inputs(arts, memory)
+        consolidate(base, snapshots, pool, cfg, rng=np.random.default_rng(43))
 
-        pool = merge_pool(memory, [a.buffer for a in arts])
-        stack = stack_vectors(config, [base, *(a.param_vector for a in arts)])
+        stack = stack_vectors(config, [base, *snapshots])
         rng, every_row = np.random.default_rng(43), np.arange(8)
         which = distilled_outputs(kind, 3)
         assert len(received) == 3 * (len(pool) // 8)
@@ -1029,7 +1028,8 @@ class TestTeacherProcess:
         base = build_model(TOY, seed=1)
         arts = TestConsolidate().setup_artifacts(base, stream)
         with pytest.raises(_TeacherBoom, match="^no teacher today$"):
-            consolidate(base, arts, Memory(40, 6), tiny_config(rehearsal_epochs=4),
+            consolidate(base, *consolidation_inputs(arts, Memory(40, 6)),
+                        tiny_config(rehearsal_epochs=4),
                         rng=np.random.default_rng(0))
 
     def test_diverging_student_leaves_no_child_behind(self, stream, monkeypatch):
@@ -1042,7 +1042,8 @@ class TestTeacherProcess:
         arts = TestConsolidate().setup_artifacts(base, stream)
         t0 = time.perf_counter()
         with np.errstate(all="ignore"), pytest.raises(NonFiniteError):
-            consolidate(base, arts, Memory(40, 6), tiny_config(lr=1e30, rehearsal_epochs=4),
+            consolidate(base, *consolidation_inputs(arts, Memory(40, 6)),
+                        tiny_config(lr=1e30, rehearsal_epochs=4),
                         rng=np.random.default_rng(0))
         assert time.perf_counter() - t0 < 30
         assert len(teachers) == 1
@@ -1066,7 +1067,8 @@ class TestTeacherProcess:
         try:
             signal.setitimer(signal.ITIMER_REAL, 0.5)
             with pytest.raises(Interrupted):
-                consolidate(base, arts, Memory(40, 6), tiny_config(rehearsal_epochs=4),
+                consolidate(base, *consolidation_inputs(arts, Memory(40, 6)),
+                            tiny_config(rehearsal_epochs=4),
                             rng=np.random.default_rng(0))
         finally:
             signal.setitimer(signal.ITIMER_REAL, 0)
@@ -1102,11 +1104,13 @@ class TestTeacherProcess:
             arts[i] = dataclasses.replace(a, param_vector=base.to_param_vector())
         base = build_model(TOY, seed=1)
         cfg = tiny_config(rehearsal_epochs=4, task_coef=1.0, consolidation_coef=consolidation)
-        out = consolidate(base, arts, Memory(40, 6), cfg, rng=np.random.default_rng(0))
+        out = consolidate(base, *consolidation_inputs(arts, Memory(40, 6)),
+                          cfg, rng=np.random.default_rng(0))
         assert len(forks) == forked
         fork_teachers(monkeypatch)
-        assert out.arena.tobytes() == consolidate(base, arts, Memory(40, 6), cfg,
-                                                  rng=np.random.default_rng(0)).arena.tobytes()
+        forked_out = consolidate(base, *consolidation_inputs(arts, Memory(40, 6)),
+                                 cfg, rng=np.random.default_rng(0))
+        assert out.arena.tobytes() == forked_out.arena.tobytes()
 
 
     def test_pipes_keep_their_default_size_where_the_system_cannot_resize(self, stream,
@@ -1116,10 +1120,12 @@ class TestTeacherProcess:
         base = build_model(TOY, seed=1)
         arts = TestConsolidate().setup_artifacts(base, stream)
         cfg = tiny_config(rehearsal_epochs=4)
-        resized = consolidate(base, arts, Memory(40, 6), cfg, rng=np.random.default_rng(0))
+        resized = consolidate(base, *consolidation_inputs(arts, Memory(40, 6)),
+                              cfg, rng=np.random.default_rng(0))
         teachers = spy_forks(monkeypatch, runs=protocol_mod._teach)
         monkeypatch.setattr(protocol_mod, "_SETPIPE_SZ", None)
-        out = consolidate(base, arts, Memory(40, 6), cfg, rng=np.random.default_rng(0))
+        out = consolidate(base, *consolidation_inputs(arts, Memory(40, 6)),
+                          cfg, rng=np.random.default_rng(0))
         assert len(teachers) == 1
         assert out.arena.tobytes() == resized.arena.tobytes()
 
@@ -1141,6 +1147,32 @@ class TestIncrementalStep:
         _, memory, result = self.run_one(stream)
         assert [a.expert_index for a in result.artifacts] == [0, 1]
         assert 0 < len(memory) <= memory.capacity
+
+    def test_refresh_subsamples_the_pool_consolidation_trained_on(self, stream, monkeypatch):
+        # the step merges the memory and the buffers once; consolidation
+        # trains on that pool object and the memory refresh subsamples it
+        seen = {}
+
+        def spy(name, pick):
+            real = getattr(protocol_mod, name)
+
+            def spied(*args, **kwargs):
+                out = real(*args, **kwargs)
+                seen.setdefault(name, []).append(pick(args, out))
+                return out
+
+            monkeypatch.setattr(protocol_mod, name, spied)
+
+        spy("merge_pool", lambda args, out: out)
+        spy("consolidate", lambda args, out: args[2])
+        spy("subsample_memory", lambda args, out: args[0])
+        memory = Memory(40, stream.dim)
+        memory.replace(make_exemplars(10))
+        self.run_one(stream, plan_idx=1, memory=memory)
+        [pool] = seen["merge_pool"]
+        assert [p is pool for p in seen["consolidate"] + seen["subsample_memory"]] == [True] * 2
+        # memory rows first, then the buffers in expert order
+        assert pool.origins.tolist() == [-1] * 10 + sorted(pool.origins[10:].tolist())
 
     def test_cost_entry_matches_analytic_byte_arithmetic(self, stream):
         base, memory, result = self.run_one(stream)
@@ -1189,7 +1221,7 @@ class TestIncrementalStep:
         real = protocol_mod.remote_train
 
         def flaky(sync, tasks, model_config):
-            if expert_of(sync) == 1:
+            if expert_of(sync, model_config) == 1:
                 raise ExpertFailure("simulated crash")
             return real(sync, tasks, model_config)
 
@@ -1357,7 +1389,7 @@ def spy_workers(monkeypatch, tmp_path) -> list[int]:
 
     def train(sync, tasks, model_config):
         msg = real_train(sync, tasks, model_config)
-        (tmp_path / f"{expert_of(sync)}.pkl").write_bytes(pickle.dumps({
+        (tmp_path / f"{expert_of(sync, model_config)}.pkl").write_bytes(pickle.dumps({
             "sync": sync, "artf": msg, "pid": os.getpid(), "ppid": os.getppid(),
             "task_ids": [t.task_id for t in tasks], "model_config": model_config,
         }))
@@ -1373,7 +1405,7 @@ def in_workers(monkeypatch, act, expert=1):
     real, coordinator = protocol_mod.remote_train, os.getpid()
 
     def patched(sync, tasks, model_config):
-        if expert_of(sync) == expert and os.getpid() != coordinator:
+        if expert_of(sync, model_config) == expert and os.getpid() != coordinator:
             act()
         return real(sync, tasks, model_config)
 
@@ -1782,7 +1814,7 @@ class TestFullStream:
         real = protocol_mod.remote_train
 
         def flaky(sync, tasks, model_config):
-            if tasks[expert_of(sync)].task_id >= 2:
+            if tasks[expert_of(sync, model_config)].task_id >= 2:
                 raise ExpertFailure("boom")
             return real(sync, tasks, model_config)
 
@@ -1827,11 +1859,11 @@ class TestSnapshotLifetimes:
 
         entries = []  # per step: (snapshot size, k, blocks of at least that size)
 
-        def probed(base, artifacts, *rest):
+        def probed(base, snapshots, *rest):
             size = base.arena.nbytes
             big = [t for t in tracemalloc.take_snapshot().traces if t.size >= size]
-            entries.append((size, len(artifacts), big))
-            return real_consolidate(base, artifacts, *rest)
+            entries.append((size, len(snapshots), big))
+            return real_consolidate(base, snapshots, *rest)
 
         monkeypatch.setattr(protocol_mod, "run_incremental_step", step)
         monkeypatch.setattr(protocol_mod, "consolidate", probed)
