@@ -21,6 +21,8 @@ finite-difference oracle.
 
 from __future__ import annotations
 
+import operator
+from functools import reduce
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -178,90 +180,75 @@ def stacked_distance(
     weight=1.0,
     name: str = "stacked_distance",
 ):
-    """Squared distances of students to k teachers' targets, summed, times ``weight``.
+    """Squared distances of students to their teachers' targets, summed, times ``weight``.
 
     This is the one distance op of the engine: every distillation term is
     one call of it. ``students[i]`` is a ``(B, D_i)`` array and
-    ``targets[i]`` what the teachers put in its place (a constant: it gets
-    no gradient). Term (j, i) is the squared difference of teacher j's
-    target and student i, averaged over rows and over the D_i features,
+    ``targets[i]`` the ``(B, D_i)`` array the teachers put in its place (a
+    constant: it gets no gradient). A term is the squared difference of
+    target and student, averaged over rows and over the D_i features,
     whatever the features are (taps or logits): the one normalization, so
     a term's scale does not grow with D_i.
 
-    Without ``route`` every row counts for every teacher, and
-    ``targets[i]`` is the ``(k, B, D_i)`` stack of the k teachers'
-    targets. That mode takes the mean over the rows and features as
-    numpy's ``mean`` rounds it, not a row sum divided by the count of the
-    routed mode: the two round differently in float32, so routing every
-    row to a teacher is not the same number.
+    Without ``route`` the targets are one teacher's and every row counts:
+    term i is the mean over the rows and features as numpy's ``mean``
+    rounds it, not a row sum divided by the count of the routed mode; the
+    two round differently in float32, so routing every row to one teacher
+    is not the same number.
 
     ``route = (owner, k)`` routes each row to one of k teachers: ``owner``
     is the constant ``(B,)`` integer array in which ``owner[r] = j`` makes
     row r teacher j's and a negative entry (-1, a memory row) makes it no
     teacher's; an entry of k or more names no teacher (GraphError). Then
-    ``targets[i]`` is ``(B, D_i)``, each row's own teacher's target,
-    gathered by whoever ran the teachers (a row of no teacher carries
-    teacher 0's, which it reads at weight 0). Term (j, i) averages over
-    teacher j's rows only, and a teacher owning no row contributes
-    exactly 0.
+    ``targets[i]`` holds each row's own teacher's target, gathered by
+    whoever ran the teachers (a row of no teacher carries teacher 0's,
+    which it reads at weight 0). Term (j, i) averages over teacher j's rows
+    only, and a teacher owning no row contributes exactly 0.
 
     Returns ``(value, grads)``. The value adds the terms of one teacher in
-    student order, then the teachers in order. ``grads[i]`` is the stack of
-    contributions to the gradient of student i, summed from zero in stack
-    order: without ``route`` the ``(k, B, D_i)`` teachers' contributions
-    in teacher order j = 0..k-1, the order a sum of k one-teacher
-    distances adds them in; with it the ``(1, B, D_i)`` one of each row's
-    own teacher, which adds to the same bits since every other teacher's
-    share of a row is zero, and which is an exact +0 on a row of none.
+    student order, then the teachers in order. ``grads[i]`` is the
+    ``(B, D_i)`` gradient of student i; routed, each row's is its own
+    teacher's, the bits of a sum of k one-teacher distances since every
+    other teacher's share of a row is zero, and an exact +0 on a row of
+    none.
     """
     if not students or len(students) != len(targets):
-        raise GraphError(f"{name}: {len(students)} students for {len(targets)} target stacks")
+        raise GraphError(f"{name}: {len(students)} students for {len(targets)} targets")
     dtype = students[0].dtype
     rows = students[0].shape[0]
-    owner, k = (None, len(targets[0])) if route is None else route
-    if k == 0:
-        raise GraphError(f"{name}: needs at least one teacher")
-    if owner is not None:
+    if route is not None:
+        owner, k = route
+        if k == 0:
+            raise GraphError(f"{name}: needs at least one teacher")
         if owner.shape != (rows,):
             raise GraphError(f"{name}: owners of shape {owner.shape} do not fit {rows} rows")
         if np.maximum.reduce(owner, initial=-1) >= k:
             r = int(np.argmax(owner >= k))
             raise GraphError(f"{name}: row {r} routed to teacher {int(owner[r])} of {k}")
-    lead = (k,) if owner is None else ()
     for i, (s, t) in enumerate(zip(students, targets)):
-        if s.ndim != 2 or s.shape[0] != rows or t.shape != (*lead, *s.shape):
+        if s.ndim != 2 or s.shape[0] != rows or t.shape != s.shape:
             raise GraphError(
                 f"{name}: student {i} of shape {s.shape} and targets of shape "
-                f"{t.shape} do not fit {k} teachers of {rows} rows"
+                f"{t.shape} do not fit as one ({rows}, D) pair"
             )
     g = np.asarray(weight, dtype=dtype)
     diffs = [t - s for s, t in zip(students, targets)]
-    if owner is None:
+    if route is None:
         denoms = [s.size for s in students]
         terms = [np.add.reduce(d * d, axis=(-2, -1)) / den for d, den in zip(diffs, denoms)]
-    else:
-        m = (owner == np.arange(k)[:, None]).astype(dtype)
-        sel, owned = np.maximum(owner, 0), (owner >= 0).astype(dtype)
-        counts = np.maximum(np.add.reduce(m, axis=1), 1)
-        denoms = [counts * s.shape[1] for s in students]
-        terms = [np.add.reduce(m * np.add.reduce(d * d, axis=-1), axis=-1) / den
-                 for d, den in zip(diffs, denoms)]
-    per_teacher = terms[0]
-    for term in terms[1:]:
-        per_teacher = per_teacher + term
-    total = per_teacher[0]
-    for term in per_teacher[1:]:
-        total = total + term
-    grads = []
-    for d, den in zip(diffs, denoms):
-        if owner is None:
-            grad = -((g * 2.0 / den) * d)
-        else:
-            # each row's coefficient is its own teacher's, or 0 for a row of
-            # none; 0.0 - x turns that row's -0 into +0
-            coef = (g * 2.0 / den)[sel] * owned
-            grad = (0.0 - coef[:, None] * d)[None]
-        grads.append(grad)
+        total = reduce(operator.add, terms)
+        grads = [-((g * 2.0 / den) * d) for d, den in zip(diffs, denoms)]
+        return np.asarray(total, dtype=dtype) * g, grads
+    m = (owner == np.arange(k)[:, None]).astype(dtype)
+    sel, owned = np.maximum(owner, 0), (owner >= 0).astype(dtype)
+    counts = np.maximum(np.add.reduce(m, axis=1), 1)
+    denoms = [counts * s.shape[1] for s in students]
+    terms = [np.add.reduce(m * np.add.reduce(d * d, axis=-1), axis=-1) / den
+             for d, den in zip(diffs, denoms)]
+    total = reduce(operator.add, reduce(operator.add, terms))
+    # each row's coefficient is its own teacher's, or 0 for a row of none;
+    # 0.0 - x turns that row's -0 into +0
+    grads = [0.0 - ((g * 2.0 / den)[sel] * owned)[:, None] * d for d, den in zip(diffs, denoms)]
     return np.asarray(total, dtype=dtype) * g, grads
 
 

@@ -1,8 +1,8 @@
 """Training objectives.
 
-Every objective is a pure function of a student pass's arrays (taps,
-logits) that returns an :class:`Objective`: the loss value and its
-gradients with respect to those taps and logits, already weighted by its
+Every objective is a pure function of a student pass's outputs (taps,
+then logits) that returns an :class:`Objective`: the loss value and its
+gradient with respect to each of those outputs, already weighted by its
 coefficients: plain floats from the run's ``bmc`` config section, which
 ``parse_config`` keeps >= 0. Carrying them to the parameters
 (:meth:`~batchcl.model.ResidualClassifier.backward`) and updating them
@@ -14,16 +14,17 @@ Objectives:
 
 - ``task_loss``            cross-entropy on the full current head
 - ``distill``              distillation toward teachers (every tap / last tap / logits):
-                           a teacher stack every row counts for, or each row's own
+                           one teacher every row counts for, or each row's own
                            expert's gathered outputs, routed by origin
 - ``l_exp``                expert objective: task + stability (``distill`` to the base)
 - ``l_base``               consolidation objective: replay task loss + routed ``distill``
 - ``ewc_penalty``          quadratic parameter-importance penalty (on the parameters)
 
-An unrouted teacher is a stacked pass, ``(k, B, D)``: a stack of one for
-the stability pull and the drift telemetry. Consolidation's k experts run
-in a process of their own, which sends each batch row its own expert's
-outputs, ``(B, D)``; the routed form takes those and the teacher count.
+Every teacher pass a distance reads is ``(B, D)``, the student's shape.
+Unrouted, it is one teacher's: the base's for the stability pull, and one
+model's for the drift telemetry. Consolidation's k experts run in a
+process of their own, which sends each batch row its own expert's
+outputs; the routed form takes those and the teacher count.
 """
 
 from __future__ import annotations
@@ -39,35 +40,30 @@ from .model import TapSet
 
 @dataclass
 class Objective:
-    """A loss on one student pass: its value and its gradients with respect
-    to the pass's taps and logits.
-
-    ``taps[i]`` and ``logits`` each list the contributions to one gradient,
-    in the order they are summed; an empty list means the loss does not
-    reach that output. The order is the one a per-op tape adds them in,
-    which :meth:`~batchcl.model.ResidualClassifier.backward` keeps.
+    """A loss on one student pass: its value and its gradient with respect
+    to each of the pass's ``outputs`` (:class:`~batchcl.model.TapSet`), in
+    their order; None where the loss does not reach that output.
     """
 
     value: np.ndarray
-    taps: list[list[np.ndarray]]
-    logits: list[np.ndarray]
+    grads: list[np.ndarray | None]
 
 
 def _joined(terms: list[Objective]) -> Objective:
-    """The sum of objectives on one pass; each term's contributions follow
-    those of the terms before it."""
+    """The sum of objectives on one pass: each output's gradient adds the
+    terms' in term order, earlier terms first, as a per-op tape adds them."""
     out = terms[0]
     for t in terms[1:]:
-        out = Objective(
-            out.value + t.value, [a + b for a, b in zip(out.taps, t.taps)], out.logits + t.logits
-        )
+        out = Objective(out.value + t.value, [
+            b if a is None else a if b is None else a + b for a, b in zip(out.grads, t.grads)
+        ])
     return out
 
 
 def task_loss(student: TapSet, labels: np.ndarray, weight: float = 1.0) -> Objective:
     """Mean cross-entropy over the batch, labels in global class-id space."""
     value, grad = softmax_cross_entropy(student.logits, labels, weight, name="task_loss")
-    return Objective(value, [[] for _ in student.taps], [grad])
+    return Objective(value, [None] * len(student.taps) + [grad])
 
 
 DISTILL_KINDS = ("features", "kd_logits", "phi_penultimate")
@@ -75,7 +71,7 @@ DISTILL_KINDS = ("features", "kd_logits", "phi_penultimate")
 
 def distilled_outputs(kind: str, n_taps: int) -> list[int]:
     """The outputs of a pass with ``n_taps`` taps that the ``kind`` distance
-    compares, as indices into ``[*taps, logits]``: every tap
+    compares, as indices into its ``outputs``: every tap
     (``features``), the last tap (``phi_penultimate``) or the raw logits
     (``kd_logits``, DER's logit replay)."""
     which = {"features": range(n_taps), "phi_penultimate": [n_taps - 1],
@@ -95,53 +91,49 @@ def distill(kind: str, teachers: TapSet, student: TapSet,
     the distance, so a fixed-step update settles onto the teacher instead
     of overshooting it.
 
-    Without ``route`` every row counts for every teacher, and ``teachers``
-    is a stacked pass, taps and logits ``(k, B, D)``: the
-    ``TapSet.teachers`` of a stack's student pass, or a slice of a stack's
-    teacher pass. That is the stability pull and the drift telemetry, each
-    on a stack of one. ``route = (origins, k)`` is the batched
+    ``teachers`` is a pass shaped like the student's, ``(B, D)``. Without
+    ``route`` it is one teacher's and every row counts: the stability pull
+    and the drift telemetry. ``route = (origins, k)`` is the batched
     consolidation term: origin j routes a row to teacher j of k, whose
     buffer contributed it, and -1 (memory) to none. Then ``teachers``
-    holds each row's own teacher's outputs, ``(B, D)``, gathered where the
-    k teachers ran (a memory row carries teacher 0's); an output the kind
-    does not compare may be None. Each teacher's distance averages over its
-    own rows, a teacher owning none adds an exact 0, and value and
-    gradients are those of a sum of k one-teacher distances, all in one
+    holds each row's own teacher's outputs, gathered where the k teachers
+    ran (a memory row carries teacher 0's); an output the kind does not
+    compare may be None. Each teacher's distance averages over its own
+    rows, a teacher owning none adds an exact 0, and value and gradients
+    are those of a sum of k one-teacher distances, all in one
     :func:`~batchcl.engine.stacked_distance` call.
     """
     n = len(student.taps)
     if len(teachers.taps) != n:
         raise GraphError(f"tap count mismatch: teacher {len(teachers.taps)} vs student {n}")
     which = distilled_outputs(kind, n)
-    outputs, targets = [*student.taps, student.logits], [*teachers.taps, teachers.logits]
     value, grads = stacked_distance(
-        [outputs[i] for i in which], [targets[i] for i in which], route, weight,
+        [student.outputs[i] for i in which], [teachers.outputs[i] for i in which], route, weight,
         name="teacher_distance" if route is None else "expert_distance",
     )
-    parts: list[list[np.ndarray]] = [[] for _ in outputs]
-    for i, stack in zip(which, grads):
-        parts[i] = list(stack)
-    return Objective(value, parts[:-1], parts[-1])
+    got = dict(zip(which, grads))
+    return Objective(value, [got.get(i) for i in range(n + 1)])
 
 
 def l_exp(
     student: TapSet,
-    base_teachers: TapSet,
+    base: TapSet | None,
     labels: np.ndarray,
     stability_coef: float,
     kind: str = "features",
 ) -> Objective:
     """Expert objective: cross-entropy plus stability pull toward the base.
 
-    ``base_teachers`` is the base's pass as a stack of one. With
+    ``base`` is the base's pass on the student's batch, ``(B, D)``. With
     coefficient 0 the distillation branch is skipped entirely, making the
-    objective (and its RNG footprint) literally plain task loss. ``kind``
-    selects the distillation variant (ablation hook).
+    objective (and its RNG footprint) literally plain task loss, and
+    ``base`` may be None. ``kind`` selects the distillation variant
+    (ablation hook).
     """
     ce = task_loss(student, labels)
     if stability_coef == 0.0:
         return ce
-    return _joined([ce, distill(kind, base_teachers, student, weight=stability_coef)])
+    return _joined([ce, distill(kind, base, student, weight=stability_coef)])
 
 
 def l_base(

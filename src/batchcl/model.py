@@ -102,21 +102,28 @@ class ModelConfig:
 
 @dataclass
 class TapSet:
-    """One forward pass: intermediate representations plus logits.
-
-    ``taps`` are arrays in depth order; ``logits`` covers every class
-    registered so far. ``teachers`` is the pass of the teachers that rode
-    a stack's student pass (slices 1..k, arrays ``(k, B, D)``), or None.
+    """One forward pass: ``outputs`` are its taps in depth order, then its
+    logits, which cover every class registered so far. ``taps`` and
+    ``logits`` read them. ``teachers`` is the pass of the teachers that
+    rode a stack's student pass (slices 1..k, arrays ``(k, B, D)``), or
+    None.
 
     Indexing a pass of a stack gives the pass of those slices.
     """
 
-    taps: list[np.ndarray]
-    logits: np.ndarray
+    outputs: list[np.ndarray]
     teachers: TapSet | None = None
 
+    @property
+    def taps(self) -> list[np.ndarray]:
+        return self.outputs[:-1]
+
+    @property
+    def logits(self) -> np.ndarray:
+        return self.outputs[-1]
+
     def __getitem__(self, j) -> TapSet:
-        return TapSet(taps=[t[j] for t in self.taps], logits=self.logits[j])
+        return TapSet([o[j] for o in self.outputs])
 
 
 class PassRecord(NamedTuple):
@@ -392,24 +399,24 @@ class ResidualClassifier:
         if not train:
             masks = ()
         layers: list[tuple] = []
-        taps, head_in, logits = self._values(
+        outputs, head_in = self._values(
             x.astype(dtype, copy=False), "train" if train else "eval", masks, layers
         )
         teachers = None
         if stacked:
-            teachers = TapSet(taps, logits)[1:]
-            taps, head_in, logits = [t[0] for t in taps], head_in[0], logits[0]
+            teachers = TapSet(outputs)[1:]
+            outputs, head_in = [o[0] for o in outputs], head_in[0]
         record = PassRecord(layers, head_in, masks[-1] if masks else None, train)
-        return TapSet(taps=taps, logits=logits, teachers=teachers), record
+        return TapSet(outputs, teachers), record
 
     def backward(self, record: PassRecord, objective) -> np.ndarray:
         """Gradients of every parameter for an objective on the pass ``record``
         describes (a :class:`~batchcl.losses.Objective`), as one fresh flat
         array laid out like ``flat_params``.
 
-        The objective lists the contributions to its gradient with respect to
-        each tap and the logits; the head's contribution to the last tap
-        comes before them. Contributions to every value are added in the
+        The objective holds its gradient with respect to each output of the
+        pass, or None; the head's contribution to the last tap comes before
+        the objective's. Contributions to every value are added in the
         order a tape with one node per op adds them, so the gradients are
         that tape's, bit for bit. The tape starts each value's gradient from
         zeros, which turns a -0 into +0; here a -0 may travel on, but every
@@ -419,9 +426,8 @@ class ResidualClassifier:
         """
         params, slices = self.params, self.layout.param_slices
         flat = np.zeros(self.layout.n_params, dtype=self.arena.dtype)
-        taps = [_sum(*parts) for parts in objective.taps[:-1]]
+        *taps, last, g = objective.grads
         head = ()
-        g = _sum(*objective.logits)
         if g is not None:
             w = params["head.W"]
             dw = flat[slices["head.W"]].reshape(w.shape)
@@ -429,7 +435,7 @@ class ResidualClassifier:
             np.add.reduce(g, axis=0, out=flat[slices["head.b"]])
             d = g @ w.T
             head = (d if record.head_mask is None else d * record.head_mask,)
-        taps.append(_sum(*head, *objective.taps[-1]))
+        taps.append(_sum(*head, last))
         step = partial(_layer_backward, params, flat, slices, record.train)
         _walk_trunk(self.config, record.layers, step, taps)
         return flat
@@ -453,7 +459,8 @@ class ResidualClassifier:
         return masks
 
     def _values(self, x: np.ndarray, mode: str, masks, layers: list | None):
-        """The architecture on plain arrays: ``(taps, head input, logits)``.
+        """The architecture on plain arrays: ``(outputs, head input)``, the
+        outputs being the taps, then the logits (:class:`TapSet`).
 
         This is every pass's arithmetic. ``mode`` picks the normalization
         statistics: ``"train"`` takes batch statistics and folds them into
@@ -518,15 +525,15 @@ class ResidualClassifier:
 
         views = iter(self._layer_views)
         h = layer(x, next(views), True)
-        taps: list[np.ndarray] = []
+        outputs: list[np.ndarray] = []
         for _ in range(self.config.res_blocks):
             r = h
             for _ in range(self.config.res_layers_per_block):
                 r = layer(r, next(views), True)
             h = h + r
-            taps.append(h)
+            outputs.append(h)
         pen = layer(h, next(views), False)
-        taps.append(pen)
+        outputs.append(pen)
         head_in = pen * next(replay) if masks else pen
         head_w, head_b = self._head_views
         logits = head_in @ head_w
@@ -537,7 +544,8 @@ class ResidualClassifier:
             check_finite(stats, layout.stat_slices, "batch statistic for")
             student = self.arena.reshape(-1, layout.size)[0]
             fold_batch_stats(student[layout.n_params :], stats, layout.unbias(len(x), x.dtype))
-        return taps, head_in, logits
+        outputs.append(logits)
+        return outputs, head_in
 
     def forward_as_teacher(self, x: np.ndarray, masks=()) -> TapSet:
         """Distillation-target pass: batch statistics, replayed dropout, no mutation.
@@ -576,10 +584,9 @@ class ResidualClassifier:
             x = self._check_input(x)
         if x.shape[-2] < 2:
             raise GraphError(f"teacher pass on {x.shape[-2]} rows (batch statistics need >= 2)")
-        taps, _, logits = self._values(
+        return TapSet(self._values(
             x.astype(self.params["stem.W"].dtype, copy=False), "teacher", masks, None
-        )
-        return TapSet(taps=taps, logits=logits)
+        )[0])
 
     @property
     def dropout_sites(self) -> int:
@@ -599,7 +606,7 @@ class ResidualClassifier:
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Eval-mode argmax over every registered class (ties -> lowest id)."""
         x = self._check_input(x).astype(self.params["stem.W"].dtype, copy=False)
-        return np.argmax(self._values(x, "eval", (), None)[2], axis=1)
+        return np.argmax(self._values(x, "eval", (), None)[0][-1], axis=1)
 
     def per_example_grad_norms(self, x: np.ndarray, labels: np.ndarray) -> np.ndarray:
         """L2 norm of each row's task-loss gradient over every parameter.
@@ -624,7 +631,7 @@ class ResidualClassifier:
                              f"for {n} rows")
         params = self.params
         layers: list[tuple] = []
-        _, head_in, logits = self._values(
+        (*_, logits), head_in = self._values(
             x.astype(params["stem.W"].dtype, copy=False), "eval", (), layers
         )
         ez = np.exp(logits - logits.max(axis=1, keepdims=True))

@@ -434,7 +434,8 @@ def remote_train(sync: bytes, tasks: tuple[Task, ...], model_config: ModelConfig
     def step(batch):
         idx, masks = batch
         student, record = stack.forward_with_taps(x[idx], True, masks)
-        loss = l_exp(student, student.teachers, y[idx], h.stability_coef, h.distill_kind)
+        base_pass = student.teachers[0] if h.stability_coef > 0 else None
+        loss = l_exp(student, base_pass, y[idx], h.stability_coef, h.distill_kind)
         return loss_and_grads(loss.value, lambda: expert.backward(record, loss))
 
     t0 = time.perf_counter()
@@ -731,12 +732,10 @@ def consolidate(
 
 def _own_outputs(teachers: TapSet, origins: np.ndarray, which: list[int]) -> TapSet:
     """Each row's own teacher's outputs ``which`` names (indices into
-    ``[*taps, logits]``), gathered from a stacked pass ``(k, B, D)``, the
-    others None; a memory row (origin -1) carries teacher 0's."""
+    ``outputs``), gathered from a stacked pass ``(k, B, D)``, the others
+    None; a memory row (origin -1) carries teacher 0's."""
     own, rows = np.maximum(origins, 0), np.arange(len(origins))
-    outputs = [*teachers.taps, teachers.logits]
-    got = [outputs[i][own, rows] if i in which else None for i in range(len(outputs))]
-    return TapSet(got[:-1], got[-1])
+    return TapSet([o[own, rows] if i in which else None for i, o in enumerate(teachers.outputs)])
 
 
 # batches per teacher pass: at the 32- and the 256-wide shapes of the
@@ -767,7 +766,7 @@ def _teach(config: ModelConfig, snapshots: list[ParamVector], features: np.ndarr
     the batch's draws with :func:`~batchcl.replay.draw_batch` from ``rng``,
     its copy of the student's RNG, runs the stack's teacher pass on the
     batch's rows with its dropout masks, and yields a TGTS frame of the
-    outputs ``which`` names (indices into ``[*taps, logits]``), each
+    outputs ``which`` names (indices into a pass's ``outputs``), each
     ``(B, D)`` block of each row's own expert's output, in that order; a
     memory row carries expert 0's. One pass covers ``_TEACHER_CHUNK`` batches
     (:meth:`~batchcl.model.ResidualClassifier.over_batches`), with the
@@ -781,10 +780,8 @@ def _teach(config: ModelConfig, snapshots: list[ParamVector], features: np.ndarr
         masks = [np.stack(site) for site in zip(*(m for _, m in draws))]
         passes = teachers.forward_as_teacher(features[idx], masks)  # (k, n, B, D)
         for b, rows in enumerate(idx):
-            batch = TapSet([t[:, b] for t in passes.taps], passes.logits[:, b])
-            own = _own_outputs(batch, origins[rows], which)
-            outputs = [*own.taps, own.logits]
-            yield frame(TAG_TARGETS, *(memoryview(outputs[i]).cast("B") for i in which))
+            own = _own_outputs(passes[:, b], origins[rows], which).outputs
+            yield frame(TAG_TARGETS, *(memoryview(own[i]).cast("B") for i in which))
 
 
 def _routed_targets(msg: bytes, student: TapSet, which: list[int]) -> TapSet:
@@ -793,7 +790,7 @@ def _routed_targets(msg: bytes, student: TapSet, which: list[int]) -> TapSet:
     Anything but a TGTS frame of exactly their bytes is a ProtocolViolation,
     raised before any view is taken."""
     payload = _unframe_as(TAG_TARGETS, msg)
-    outputs = [*student.taps, student.logits]
+    outputs = student.outputs
     want = sum(outputs[i].nbytes for i in which)
     if len(payload) != want:
         raise ProtocolViolation(f"teacher frame of {len(payload)} bytes for {want} bytes "
@@ -804,7 +801,7 @@ def _routed_targets(msg: bytes, student: TapSet, which: list[int]) -> TapSet:
     for i in which:
         got[i] = flat[at : at + outputs[i].size].reshape(outputs[i].shape)
         at += outputs[i].size
-    return TapSet(got[:-1], got[-1])
+    return TapSet(got)
 
 
 def expert_distances(
@@ -822,7 +819,7 @@ def expert_distances(
     ``consolidated_expert_distance`` is how far the consolidated base ended
     from the expert, the distance the consolidation coefficient pulls in.
     Both are the ``features`` :func:`~batchcl.losses.distill` of one
-    dropout-free teacher pass to the next, each a stack of one, computed on
+    dropout-free teacher pass to the next, one teacher each, computed on
     the coordinator from the received artifacts, so nothing extra crosses
     the wire: one pass of the stack (base, expert, new base) per expert. A
     buffer of fewer than 2 rows (no batch statistics) gives None.
@@ -842,9 +839,9 @@ def expert_distances(
                 base.config, [base, a.param_vector, new_base]
             ).forward_as_teacher(x)
             row.update(
-                expert_base_distance=float(distill("features", passes[0:1], passes[1]).value),
+                expert_base_distance=float(distill("features", passes[0], passes[1]).value),
                 consolidated_expert_distance=float(
-                    distill("features", passes[1:2], passes[2]).value),
+                    distill("features", passes[1], passes[2]).value),
             )
             del passes  # before the next expert's stack runs: 3 slices of activations
         out.append(row)

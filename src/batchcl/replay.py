@@ -194,11 +194,7 @@ def merge_pool(memory: Memory, buffers: list[Buffer]) -> ExemplarSet:
     Pure concatenation — duplicates stay duplicated, inputs untouched,
     origin tags preserved.
     """
-    parts = [memory.exemplars] + [b.exemplars for b in buffers]
-    parts = [p for p in parts if len(p) > 0]
-    if not parts:
-        return ExemplarSet.empty(memory.exemplars.dim)
-    return ExemplarSet.concat(parts)
+    return ExemplarSet.concat([memory.exemplars] + [b.exemplars for b in buffers])
 
 
 def subsample_memory(pool: ExemplarSet, capacity: int, seed: int) -> ExemplarSet:

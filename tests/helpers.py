@@ -91,10 +91,7 @@ def write_stream_file(path, dim: int, tasks: list[tuple[int, int, list, list]]) 
 
 def stack_passes(passes: list[TapSet]) -> TapSet:
     """Single-teacher passes as one stacked pass, taps and logits ``(k, B, D)``."""
-    return TapSet(
-        taps=[np.stack([p.taps[i] for p in passes]) for i in range(len(passes[0].taps))],
-        logits=np.stack([p.logits for p in passes]),
-    )
+    return TapSet([np.stack(outputs) for outputs in zip(*(p.outputs for p in passes))])
 
 
 def gathered(stack: np.ndarray, owner: np.ndarray) -> np.ndarray:
@@ -107,8 +104,7 @@ def gathered(stack: np.ndarray, owner: np.ndarray) -> np.ndarray:
 
 def gather_passes(stack: TapSet, origins: np.ndarray) -> TapSet:
     """Each row's own teacher's taps and logits of a stacked pass."""
-    return TapSet(taps=[gathered(t, origins) for t in stack.taps],
-                  logits=gathered(stack.logits, origins))
+    return TapSet([gathered(o, origins) for o in stack.outputs])
 
 
 def routed_distill(kind: str, stack: TapSet, student: TapSet, origins: np.ndarray,
@@ -147,8 +143,7 @@ def per_teacher_l_base(student: TapSet, teachers: list[TapSet], labels: np.ndarr
     unit = per_teacher_distill(student, teachers, origins, kind)
     weighted = per_teacher_distill(student, teachers, origins, kind, consolidation_coef)
     return Objective(ce.value + unit.value * np.float32(consolidation_coef),
-                     [a + b for a, b in zip(ce.taps, weighted.taps)],
-                     ce.logits + weighted.logits)
+                     _joined([ce, weighted]).grads)
 
 
 def consolidation_inputs(artifacts, memory) -> tuple[list, ExemplarSet]:
@@ -541,10 +536,9 @@ def cross_entropy(logits: Tensor, labels: np.ndarray, name: str = "cross_entropy
 
 def distance(students: list[Tensor], targets, owner=None,
              name: str = "stacked_distance") -> Tensor:
-    """``stacked_distance`` as one node on ``(k, B, D)`` target stacks,
-    with each row's own teacher gathered when ``owner`` routes the rows;
-    its backward adds teacher j's contribution into each student in order
-    j = 0..k-1."""
+    """``stacked_distance`` as one node: to one teacher's ``(B, D)``
+    targets, or, when ``owner`` routes the rows, to ``(k, B, D)`` target
+    stacks, each row's own teacher gathered from them."""
     arrays = [s.data for s in students]
     route = None
     if owner is not None:
@@ -553,9 +547,8 @@ def distance(students: list[Tensor], targets, owner=None,
 
     def backward(g: np.ndarray) -> None:
         _, grads = stacked_distance(arrays, targets, route, g, name=name)
-        for s, stack in zip(students, grads):
-            for contribution in stack:
-                _accumulate(s, contribution)
+        for s, grad in zip(students, grads):
+            _accumulate(s, grad)
 
     return _node(value, tuple(students), backward, name)
 
@@ -565,19 +558,19 @@ def tape_objective(student: TapSet, labels: np.ndarray, task_coef: float,
                    kind: str = "features", owner=None) -> Tensor:
     """``l_exp`` and ``l_base`` on a per-op pass (a TapSet of nodes), as the
     tape builds them: ``task_coef`` times the cross-entropy plus
-    ``distill_coef`` times the ``kind`` distance to the ``(k, B, D)``
-    teacher stack, a zero coefficient leaving its term out. ``owner``
-    routes each row to its teacher; without it every row counts for every
-    teacher."""
+    ``distill_coef`` times the ``kind`` distance to ``teacher``, a zero
+    coefficient leaving its term out. ``owner`` routes each row to its
+    teacher in the ``(k, B, D)`` teacher stack; without it ``teacher`` is
+    one teacher's pass and every row counts."""
     terms = []
     if task_coef != 0.0:
         terms.append(scale(cross_entropy(student.logits, labels), task_coef))
     if distill_coef != 0.0:
         n = len(student.taps)
         which = {"features": range(n), "phi_penultimate": [n - 1], "kd_logits": [n]}[kind]
-        outputs, targets = [*student.taps, student.logits], [*teacher.taps, teacher.logits]
         terms.append(scale(
-            distance([outputs[i] for i in which], [targets[i] for i in which], owner),
+            distance([student.outputs[i] for i in which], [teacher.outputs[i] for i in which],
+                     owner),
             distill_coef,
         ))
     out = terms[0]
@@ -761,4 +754,4 @@ def per_op_forward(model: ResidualClassifier, x: np.ndarray, train: bool = False
     taps.append(pen)
     head_in = drop(pen, "head.dropout") if p > 0 else pen
     logits = add(matmul(head_in, leaves["head.W"]), leaves["head.b"])
-    return TapSet(taps=taps, logits=logits), leaves
+    return TapSet([*taps, logits]), leaves

@@ -215,9 +215,12 @@ def _run_program(leaves, instrs, terminal):
     elif term == "ce":
         out = cross_entropy(x, labels)
     else:
-        # a masked terminal routes the selected rows to its one teacher
-        owner = np.where(mask == 1.0, 0, -1) if term.startswith("masked") else None
-        out = distance([x], [target], owner)
+        # a masked terminal routes the selected rows to its one teacher of a
+        # stack of one; an unmasked terminal reads that teacher's (B, D) targets
+        if term.startswith("masked"):
+            out = distance([x], [target], np.where(mask == 1.0, 0, -1))
+        else:
+            out = distance([x], [target[0]])
     return out, tensors, nodes
 
 
@@ -259,31 +262,22 @@ def _loss_fd_cases():
     n, d, classes = 5, 4, 6
 
     def student(arrs):
-        return TapSet(taps=[arrs["s0"], arrs["s1"]], logits=arrs["slog"])
-
-    def summed(parts, like):
-        total = np.zeros_like(like)
-        for g in parts:
-            total += g
-        return total
+        return TapSet([arrs["s0"], arrs["s1"], arrs["slog"]])
 
     def on_student(objective, a):
-        grads = {k: summed(parts, a[k]) for k, parts in zip(("s0", "s1"), objective.taps)}
-        return objective.value, {**grads, "slog": summed(objective.logits, a["slog"])}
+        return objective.value, {k: np.zeros_like(a[k]) if g is None else g
+                                 for k, g in zip(("s0", "s1", "slog"), objective.grads)}
 
     student_arrs = {
         "s0": rng.standard_normal((n, d)),
         "s1": rng.standard_normal((n, d)),
         "slog": rng.standard_normal((n, classes)),
     }
-    teacher = TapSet(
-        taps=[rng.standard_normal((n, d)) for _ in range(2)],
-        logits=rng.standard_normal((n, classes)),
-    )
-    teacher_b = TapSet(
-        taps=[rng.standard_normal((n, d)) for _ in range(2)],
-        logits=rng.standard_normal((n, classes)),
-    )
+    def random_pass():
+        return TapSet([rng.standard_normal((n, d)), rng.standard_normal((n, d)),
+                       rng.standard_normal((n, classes))])
+
+    teacher, teacher_b = random_pass(), random_pass()
     labels = rng.integers(0, classes, size=n)
     origins = np.array([0, 1, 0, -1, 1])
     # each row's own teacher of the two, as consolidation receives them
@@ -291,14 +285,14 @@ def _loss_fd_cases():
     route = (origins, 2)
 
     def case_task(a):
-        loss = task_loss(TapSet(taps=[], logits=a["slog"]), labels)
-        return loss.value, {"slog": summed(loss.logits, a["slog"])}
+        loss = task_loss(TapSet([a["slog"]]), labels)
+        return loss.value, {"slog": loss.grads[-1]}
 
     def case_stability(a):
-        return on_student(distill("features", stack_passes([teacher]), student(a)), a)
+        return on_student(distill("features", teacher, student(a)), a)
 
     def case_expert(a):
-        return on_student(l_exp(student(a), stack_passes([teacher]), labels, 0.7), a)
+        return on_student(l_exp(student(a), teacher, labels, 0.7), a)
 
     def case_batched(a):
         return on_student(distill("features", teachers, student(a), route), a)

@@ -112,7 +112,7 @@ class TestFiniteDifferenceOracle:
         """Unmasked, against a zero target: the mean squared row norm of x
         over its feature count, as a value and as central differences."""
         rng = np.random.default_rng(2)
-        zero = np.zeros((1, 6, 5))
+        zero = np.zeros((6, 5))
         for trial in range(10):
             params = random_params(rng, {"x": (6, 5)})
 
@@ -154,10 +154,10 @@ class TestFiniteDifferenceOracle:
             params = random_params(rng, {"x": (6, 5)})
             target = rng.standard_normal((1, 6, 5))
             owner = np.where(rng.random(6) < 0.5, 0, -1)
-            for m in (None, owner):
-                def build(ps, m=m):
+            for m, t in ((None, target[0]), (owner, target)):
+                def build(ps, m=m, t=t):
                     tx = Tensor(ps["x"], requires_grad=True, name="x")
-                    return distance([tx], [target], m), tx
+                    return distance([tx], [t], m), tx
 
                 loss, tx = build(params)
                 _, analytic = tape_grads(loss, {"x": tx})
@@ -169,7 +169,7 @@ class TestFiniteDifferenceOracle:
         rng = np.random.default_rng(13)
         x = rng.standard_normal((5, 3))
         zero = np.zeros((1, 5, 3))
-        got = distance([Tensor(x)], [zero], None).item()
+        got = distance([Tensor(x)], [zero[0]], None).item()
         assert got == pytest.approx((x ** 2).mean(), rel=1e-12)
         owner = np.array([0, -1, 0, -1, -1])
         tx = Tensor(x, requires_grad=True, name="x")
@@ -184,8 +184,8 @@ class TestFiniteDifferenceOracle:
 
     @pytest.mark.parametrize("routed", [True, False])
     def test_stacked_distance_grads(self, routed):
-        """Central differences with each row routed to one teacher, and with
-        every row counting for every teacher."""
+        """Central differences with each row routed to one of three teachers,
+        and with every row counting for one teacher."""
         rng = np.random.default_rng(14)
         shapes = {"s0": (6, 5), "s1": (6, 3)}
         for trial in range(5):
@@ -193,11 +193,11 @@ class TestFiniteDifferenceOracle:
             targets = [rng.standard_normal((3, *shape)) for shape in shapes.values()]
             # each row has one teacher at most; teacher 2 has no rows in the batch
             owner = rng.integers(-1, 2, size=6)
-            m = owner if routed else None
+            m, ts = (owner, targets) if routed else (None, [t[0] for t in targets])
 
             def build(ps):
                 students = [Tensor(ps[k], requires_grad=True, name=k) for k in shapes]
-                return distance(students, targets, m), students
+                return distance(students, ts, m), students
 
             loss, students = build(params)
             _, analytic = tape_grads(loss, dict(zip(shapes, students)))
@@ -238,49 +238,56 @@ class TestFiniteDifferenceOracle:
         assert got[1]["x"].tobytes() == want[1]["x"].tobytes()
 
     def test_stacked_distance_unmasked_is_the_numpy_mean_bitwise(self):
-        """Without masks the value is numpy's mean over rows and features
-        and the gradient is 2 g d / size, bit for bit, on float32 inputs.
-        A row sum divided by the row count, as an all-ones mask computes
-        it, rounds differently on many of these shapes."""
+        """Unrouted, each student's term is numpy's mean over rows and
+        features, added in student order, and its gradient is 2 g d / size,
+        bit for bit, on float32 inputs. A row sum divided by the row count,
+        as routing every row to one teacher computes it, rounds differently
+        on many of these shapes."""
         rng = np.random.default_rng(17)
         for trial in range(60):
-            k = int(rng.integers(1, 4))
             rows = int(rng.integers(2, 40))
             widths = [int(rng.integers(1, 40)) for _ in range(int(rng.integers(1, 4)))]
             xs = [rng.standard_normal((rows, w)).astype(np.float32) for w in widths]
-            targets = [rng.standard_normal((k, rows, w)).astype(np.float32) for w in widths]
+            targets = [rng.standard_normal((rows, w)).astype(np.float32) for w in widths]
             value, grads = stacked_distance(xs, targets, None, 0.3)
             total = None
-            for j in range(k):
-                per_teacher = None
-                for a, t in zip(xs, targets):
-                    d = t[j] - a
-                    term = (d * d).mean()
-                    per_teacher = term if per_teacher is None else per_teacher + term
-                total = per_teacher if total is None else total + per_teacher
+            for a, t in zip(xs, targets):
+                d = t - a
+                term = (d * d).mean()
+                total = term if total is None else total + term
             want = np.float32(total) * np.float32(0.3)
-            assert np.float32(value).tobytes() == want.tobytes(), (trial, k, rows, widths)
+            assert np.float32(value).tobytes() == want.tobytes(), (trial, rows, widths)
             g = np.float32(0.3)
             for i, (a, t) in enumerate(zip(xs, targets)):
-                assert grads[i].shape == (k, *a.shape)
-                for j in range(k):
-                    want_j = -((g * 2.0 / a.size) * (t[j] - a))
-                    assert grads[i][j].tobytes() == want_j.tobytes(), (trial, i, j)
+                want_i = -((g * 2.0 / a.size) * (t - a))
+                assert grads[i].tobytes() == want_i.tobytes(), (trial, i)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_unrouted_distance_rejects_a_teacher_stack(self, k):
+        """Unrouted targets are one teacher's, in the student's (B, D) shape:
+        a (k, B, D) stack, a stack of one included, is rejected by a
+        GraphError naming both shapes."""
+        s = np.zeros((4, 3), np.float32)
+        with pytest.raises(GraphError, match=rf"student 0 of shape \(4, 3\) and targets of "
+                                             rf"shape \({k}, 4, 3\)"):
+            stacked_distance([s], [np.zeros((k, 4, 3), np.float32)])
 
     @pytest.mark.parametrize("routed", [True, False])
     def test_stacked_distance_values(self, routed):
         """Routed, the mean square over the owned rows of each row's own
-        teacher; unrouted, the sum over teachers of the mean square over all
-        rows. Each form checks the shapes it takes: a routed target is each
-        row's own teacher's, ``(B, D)``, so it has no teacher axis to check."""
+        teacher; unrouted, the mean square over all rows of the one teacher.
+        Each form checks the shapes it takes: either target is ``(B, D)``,
+        one teacher's or each row's own teacher's, so neither has a teacher
+        axis to check."""
         rng = np.random.default_rng(15)
         s = rng.standard_normal((4, 3))
         targets = rng.standard_normal((2, 4, 3))
         owner = np.array([0, -1, 0, 0])
-        m = owner if routed else None
-        got = distance([Tensor(s)], [targets], m).item()
         sq = (targets - s) ** 2
-        want = sq[0][owner == 0].mean() if routed else sum(sq[j].mean() for j in range(2))
+        if routed:
+            got, want = distance([Tensor(s)], [targets], owner).item(), sq[0][owner == 0].mean()
+        else:
+            got, want = distance([Tensor(s)], [targets[1]]).item(), sq[1].mean()
         assert got == pytest.approx(want, rel=1e-12)
         if routed:
             route, own = (owner, 2), gathered(targets, owner)
@@ -293,14 +300,12 @@ class TestFiniteDifferenceOracle:
             with pytest.raises(GraphError, match="at least one teacher"):
                 stacked_distance([s], [own], (owner, 0))
         else:
-            with pytest.raises(GraphError, match="targets of shape .2, 3, 3. do not fit"):
-                distance([Tensor(s)], [targets[:, :3]])
-            with pytest.raises(GraphError, match="do not fit 2 teachers"):
-                distance([Tensor(s), Tensor(s)], [targets, targets[:1]])
+            with pytest.raises(GraphError, match="targets of shape .3, 3. do not fit"):
+                distance([Tensor(s)], [targets[0, :3]])
+            with pytest.raises(GraphError, match="student 1 .* targets of shape .4, 2. do not fit"):
+                distance([Tensor(s), Tensor(s)], [targets[0], targets[1, :, :2]])
             with pytest.raises(GraphError, match="students"):
                 distance([Tensor(s)], [])
-            with pytest.raises(GraphError, match="at least one teacher"):
-                distance([Tensor(s)], [targets[:0]])
 
     @pytest.mark.parametrize("stacked", [True, False])
     def test_stacked_distance_selected_rows_only(self, stacked):
@@ -331,18 +336,20 @@ class TestFiniteDifferenceOracle:
 
     @pytest.mark.parametrize("float32", [True, False])
     def test_stacked_distance_gathers_each_rows_teacher(self, float32):
-        """With owners every student gets one (B, D) contribution, whatever k
-        is, and a row of no teacher gets an exact +0, in either precision."""
+        """Routed or not, every student gets one (B, D) gradient: routed
+        among k teachers, with an exact +0 on a row of no teacher, or
+        without owners to each teacher alone, in either precision."""
         dtype = np.float32 if float32 else np.float64
         rng = np.random.default_rng(18)
         s = rng.standard_normal((5, 3)).astype(dtype)
         targets = rng.standard_normal((4, 5, 3)).astype(dtype)
         owner = np.array([-1, 2, 0, 2, -1])
         _, (grad,) = stacked_distance([s], [gathered(targets, owner)], (owner, 4), 0.5)
-        assert grad.shape == (1, 5, 3)
-        assert np.signbit(grad[0, [0, 4]]).sum() == 0 and not grad[0, [0, 4]].any()
-        _, (stack,) = stacked_distance([s], [targets], None, 0.5)
-        assert stack.shape == (4, 5, 3)
+        assert grad.shape == (5, 3)
+        assert np.signbit(grad[[0, 4]]).sum() == 0 and not grad[[0, 4]].any()
+        for teacher in targets:
+            _, (alone,) = stacked_distance([s], [teacher], None, 0.5)
+            assert alone.shape == (5, 3)
 
     def test_stacked_distance_all_memory_batch_is_exact_zero(self):
         """A batch of memory rows only: an exact 0 value and +0 gradients."""
@@ -352,7 +359,7 @@ class TestFiniteDifferenceOracle:
         owner = np.full(6, -1)
         value, (grad,) = stacked_distance([s], [gathered(targets, owner)], (owner, 2), 0.7)
         assert np.float32(value).tobytes() == np.float32(0.0).tobytes()
-        assert grad.shape == (1, 6, 3)
+        assert grad.shape == (6, 3)
         assert not grad.any() and not np.signbit(grad).any()
 
     def test_stacked_distance_rejects_an_owner_beyond_the_stack(self):
@@ -462,7 +469,7 @@ class TestFiniteDifferenceOracle:
                     h = relu(h)
                 logits = add(matmul(h, tw), tb)
                 ce = cross_entropy(logits, labels)
-                reg = scale(distance([logits], [np.zeros((1, n, c))], None, False), 0.01)
+                reg = scale(distance([logits], [np.zeros((n, c))]), 0.01)
                 return add_scalar(ce, reg), {"w": tw, "b": tb, "g": tg, "be": tbe}
 
             def add_scalar(a, b):

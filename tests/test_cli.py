@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -16,6 +17,7 @@ import numpy as np
 import pytest
 from helpers import (
     MALFORMED_TARGETS,
+    fork_teachers,
     rewrite_last_artifact,
     send_malformed_targets,
     write_stream_file,
@@ -23,6 +25,7 @@ from helpers import (
 
 import batchcl
 import batchcl.protocol as protocol_mod
+from batchcl.baselines import run_baseline
 from batchcl.cli import _build_parser, export_pareto, main, run_experiment, run_sweep, sample_trial
 from batchcl.config import (
     ConfigError,
@@ -31,7 +34,13 @@ from batchcl.config import (
     parse_config,
     parse_sweep,
 )
-from batchcl.protocol import FRAME_OVERHEAD, SYNC_FIXED_NBYTES, decode_sync, unframe
+from batchcl.protocol import (
+    FRAME_OVERHEAD,
+    SYNC_FIXED_NBYTES,
+    decode_sync,
+    run_full_stream,
+    unframe,
+)
 from batchcl.replay import Buffer
 from batchcl.run import child_seed
 from batchcl.streams import TaskStream, load_feature_stream, save_stream
@@ -618,6 +627,27 @@ def test_step_rows_pinned(tmp_path, method):
         assert row.pop("wall_clock_s") >= 0.0
     assert rows[:2] == PINNED_STEP_ROWS[method]
     assert sorted(rows[2]) == PINNED_TIMING_KEYS[method]
+
+
+# sha256 of final_params.to_bytes() for the toy runs of test_summary_bytes_pinned:
+# accuracies move in coarse steps, these move with any bit of any parameter
+PINNED_PARAMS = {
+    "bmc": "27b2ea9a543a60866426ff385d86c9ccc8b380ba492a1c7efd75ba2423435314",
+    "sgd": "d1d91cf95dd7b54438c8b018187dd31d162dd71357ca9ab58d4b459dd683575b",
+    "er": "af304b30fe39f191dc6157e487e283296a6d3ee1636dafd60933be8e4c357438",
+    "oewc": "145cec743717db27550a7408351180605bb1fb32a73e0dfd8cc7f5e10b4b0b92",
+}
+
+
+@pytest.mark.parametrize("method, forked", [("bmc", False), ("bmc", True), ("sgd", False),
+                                            ("er", False), ("oewc", False)])
+def test_final_params_pinned(monkeypatch, method, forked):
+    if forked:
+        fork_teachers(monkeypatch)
+    cfg = parse_config(toy_raw(method=method))
+    stream = build_stream(cfg.stream)
+    report = run_full_stream(stream, cfg) if method == "bmc" else run_baseline(stream, cfg)
+    assert hashlib.sha256(report.final_params.to_bytes()).hexdigest() == PINNED_PARAMS[method]
 
 
 class TestReadmeCli:

@@ -42,14 +42,11 @@ TOY = ModelConfig(
 
 
 def tapset_from(arrays: list[np.ndarray], logits: np.ndarray | None = None) -> TapSet:
-    return TapSet(
-        taps=list(arrays),
-        logits=logits if logits is not None else np.zeros((arrays[0].shape[0], 2)),
-    )
+    return TapSet([*arrays, logits if logits is not None else np.zeros((arrays[0].shape[0], 2))])
 
 
 def logits_only(z: np.ndarray) -> TapSet:
-    return TapSet(taps=[], logits=z)
+    return TapSet([z])
 
 
 class TestTaskLoss:
@@ -83,13 +80,13 @@ class TestFeatureDistillation:
         x = np.random.default_rng(1).standard_normal((6, 4)).astype(np.float32)
         t, _ = m.forward_with_taps(x)
         s, _ = m.forward_with_taps(x)
-        assert float(distill("features", stack_passes([t]), s).value) == 0.0
+        assert float(distill("features", t, s).value) == 0.0
 
     def test_unit_distance_single_tap(self):
         # one row, two features: (1^2 + 0^2) / 2
         teacher = tapset_from([np.array([[1.0, 0.0]])])
         student = tapset_from([np.array([[0.0, 0.0]])])
-        loss = distill("features", stack_passes([teacher]), student)
+        loss = distill("features", teacher, student)
         assert float(loss.value) == pytest.approx(0.5)
 
     def test_teacher_gradients_exactly_zero(self):
@@ -97,32 +94,32 @@ class TestFeatureDistillation:
         teacher = tapset_from([rng.standard_normal((3, 4)), rng.standard_normal((3, 5))])
         student = tapset_from([rng.standard_normal((3, 4)), rng.standard_normal((3, 5))])
         before = [t.copy() for t in teacher.taps]
-        loss = distill("features", stack_passes([teacher]), student)
+        loss = distill("features", teacher, student)
         # the teacher's taps are inputs with no gradient: every gradient the
         # objective returns is the student's, and the teacher is untouched
-        assert loss.logits == []
+        assert loss.grads[-1] is None
         for i in range(2):
-            assert len(loss.taps[i]) == 1 and loss.taps[i][0].shape == student.taps[i].shape
-            assert np.abs(loss.taps[i][0]).max() > 0
+            assert loss.grads[i].shape == student.taps[i].shape
+            assert np.abs(loss.grads[i]).max() > 0
             np.testing.assert_array_equal(teacher.taps[i], before[i])
 
     def test_strictly_positive_when_any_tap_differs(self):
         rng = np.random.default_rng(3)
         a = [rng.standard_normal((2, 3)), rng.standard_normal((2, 3))]
         b = [a[0].copy(), a[1] + 0.5]
-        assert float(distill("features", stack_passes([tapset_from(a)]), tapset_from(b)).value) > 0
+        assert float(distill("features", tapset_from(a), tapset_from(b)).value) > 0
 
     def test_tap_mismatch_rejected(self):
         t = tapset_from([np.zeros((2, 3))])
         s = tapset_from([np.zeros((2, 3)), np.zeros((2, 3))])
         with pytest.raises(GraphError, match="tap count"):
-            distill("features", stack_passes([t]), s)
+            distill("features", t, s)
 
     def test_batch_mean_convention(self):
         # two rows of two features, squares 9, 0, 0, 16 -> mean 25 / 4
         teacher = tapset_from([np.array([[3.0, 0.0], [0.0, 4.0]])])
         student = tapset_from([np.zeros((2, 2))])
-        loss = distill("features", stack_passes([teacher]), student)
+        loss = distill("features", teacher, student)
         assert float(loss.value) == pytest.approx(6.25)
 
 
@@ -137,22 +134,22 @@ class TestExpertObjective:
     def test_zero_coefficient_is_task_loss(self):
         s, _ = self.expert.forward_with_taps(self.x)
         t, _ = self.base.forward_with_taps(self.x)
-        loss = l_exp(s, stack_passes([t]), self.y, 0.0)
+        loss = l_exp(s, t, self.y, 0.0)
         assert float(loss.value) == float(task_loss(s, self.y).value)
 
     def test_expert_at_base_reduces_to_task_loss(self):
         clone = build_model(TOY, seed=0)
         s, _ = clone.forward_with_taps(self.x)
         t, _ = self.base.forward_with_taps(self.x)
-        total = l_exp(s, stack_passes([t]), self.y, 1.0)
+        total = l_exp(s, t, self.y, 1.0)
         assert float(total.value) == pytest.approx(float(task_loss(s, self.y).value), abs=1e-7)
 
     def test_default_coefficient_additivity(self):
         s, _ = self.expert.forward_with_taps(self.x)
         t, _ = self.base.forward_with_taps(self.x)
-        combined = float(l_exp(s, stack_passes([t]), self.y, 1.0).value)
+        combined = float(l_exp(s, t, self.y, 1.0).value)
         parts = float(task_loss(s, self.y).value) + float(
-            distill("features", stack_passes([t]), s).value
+            distill("features", t, s).value
         )
         assert abs(combined - parts) < 1e-6
 
@@ -160,8 +157,8 @@ class TestExpertObjective:
         s, _ = self.expert.forward_with_taps(self.x)
         t, _ = self.base.forward_with_taps(self.x)
         ce = float(task_loss(s, self.y).value)
-        one = float(l_exp(s, stack_passes([t]), self.y, 1.0).value) - ce
-        two = float(l_exp(s, stack_passes([t]), self.y, 2.0).value) - ce
+        one = float(l_exp(s, t, self.y, 1.0).value) - ce
+        two = float(l_exp(s, t, self.y, 2.0).value) - ce
         assert two == pytest.approx(2 * one, rel=1e-6)
 
 
@@ -239,16 +236,15 @@ class TestBatchedDistillation:
             routed_distill("features", stack_passes(teachers), s, self.origins)
 
     def test_empty_expert_list_rejected(self):
-        # rows routed among no teacher at all, and an empty unrouted stack
+        # rows routed among no teacher at all; unrouted, a stack of teachers
+        # (of none or of one) has an axis the one teacher's pass has not
         s = self._taps(self.base)
         with pytest.raises(GraphError, match="at least one"):
             distill("features", s, s, (self.origins, 0))
-        empty = TapSet(
-            taps=[np.zeros((0, *t.shape), np.float32) for t in s.taps],
-            logits=np.zeros((0, *s.logits.shape), np.float32),
-        )
-        with pytest.raises(GraphError, match="at least one"):
-            distill("features", empty, s)
+        for k in (0, 1):
+            stack = TapSet([np.zeros((k, *o.shape), np.float32) for o in s.outputs])
+            with pytest.raises(GraphError, match=rf"targets of shape \({k}, 6, "):
+                distill("features", stack, s)
 
 
 class TestStackedDistillation:
@@ -315,7 +311,7 @@ class TestStackedDistillation:
         origins = np.array([0, -1, 2, 0, 1, -1, 2, 2, 0, 1, -1, 0])
         teacher_logits = rng.standard_normal((k, rows, classes)).astype(np.float32)
         student_logits = rng.standard_normal((rows, classes)).astype(np.float32)
-        teachers = TapSet(taps=[np.zeros((k, rows, 2), np.float32)], logits=teacher_logits)
+        teachers = TapSet([np.zeros((k, rows, 2), np.float32), teacher_logits])
         student = tapset_from([np.zeros((rows, 2), np.float32)], logits=student_logits)
         got = float(routed_distill("kd_logits", teachers, student, origins).value)
         want = sum(
@@ -340,7 +336,7 @@ class TestStackedDistillation:
         stacked = self.stack.forward_as_teacher(self.x)
         with pytest.raises(GraphError, match="routed to teacher 4 of 4"):
             routed_distill("features", stacked, s, np.where(self.origins == 2, 4, self.origins))
-        fewer = TapSet(taps=stacked.taps[:-1], logits=stacked.logits)
+        fewer = TapSet([*stacked.taps[:-1], stacked.logits])
         with pytest.raises(GraphError, match="tap count mismatch"):
             routed_distill("features", fewer, s, self.origins)
         # gathered targets of 6 rows for a student pass of 10
@@ -350,8 +346,7 @@ class TestStackedDistillation:
                 distill(kind, other_rows, s, (self.origins, self.K))
         with pytest.raises(GraphError, match="do not fit"):
             routed_distill("features", stacked, s, self.origins[:6])
-        narrow = TapSet(taps=[t[..., :2] for t in stacked.taps],
-                        logits=stacked.logits[..., :2])
+        narrow = TapSet([o[..., :2] for o in stacked.outputs])
         for kind in DISTILL_KINDS:
             with pytest.raises(GraphError, match="do not fit"):
                 routed_distill(kind, narrow, s, self.origins)
@@ -414,33 +409,32 @@ class TestDistillationAlternatives:
         t, _ = m.forward_with_taps(self.x)
         s, _ = m.forward_with_taps(self.x)
         for kind in ("features", "kd_logits", "phi_penultimate"):
-            assert float(distill(kind, stack_passes([t]), s).value) == 0.0
+            assert float(distill(kind, t, s).value) == 0.0
 
     def test_penultimate_equals_last_tap_distance(self):
         t, _ = build_model(TOY, seed=1).forward_with_taps(self.x)
         s, _ = build_model(TOY, seed=2).forward_with_taps(self.x)
-        only_last_t = TapSet(taps=[t.taps[-1]], logits=t.logits)
-        only_last_s = TapSet(taps=[s.taps[-1]], logits=s.logits)
-        assert float(distill("phi_penultimate", stack_passes([t]), s).value) == pytest.approx(
-            float(distill("features", stack_passes([only_last_t]), only_last_s).value)
+        only_last_t = TapSet([t.taps[-1], t.logits])
+        only_last_s = TapSet([s.taps[-1], s.logits])
+        assert float(distill("phi_penultimate", t, s).value) == pytest.approx(
+            float(distill("features", only_last_t, only_last_s).value)
         )
 
     def test_kd_logits_squared_convention(self):
         """The squared logit difference, averaged over rows and logits."""
         teacher = tapset_from([np.zeros((1, 2))], logits=np.array([[1.0, 0.0]]))
         student = tapset_from([np.zeros((1, 2))], logits=np.array([[0.0, 0.0]]))
-        loss = distill("kd_logits", stack_passes([teacher]), student)
+        loss = distill("kd_logits", teacher, student)
         assert float(loss.value) == pytest.approx(0.5)
 
     def test_kd_logits_is_the_numpy_mean_bitwise(self):
-        """A teacher pass, a stack of one in which every row counts, takes
-        numpy's mean over rows and logits, as every other kind does over
-        features."""
+        """One teacher's pass, in which every row counts, takes numpy's mean
+        over rows and logits, as every other kind does over features."""
         rng = np.random.default_rng(9)
         t, s = (rng.standard_normal((7, 32)).astype(np.float32) for _ in range(2))
         teacher = tapset_from([np.zeros((7, 2), np.float32)], logits=t)
         student = tapset_from([np.zeros((7, 2), np.float32)], logits=s)
-        got = distill("kd_logits", stack_passes([teacher]), student).value
+        got = distill("kd_logits", teacher, student).value
         assert np.float32(got).tobytes() == np.mean((t - s) ** 2).tobytes()
 
     def test_teacher_shielded_for_all_kinds(self):
@@ -453,18 +447,18 @@ class TestDistillationAlternatives:
                 [rng.standard_normal((3, 4))], logits=rng.standard_normal((3, 2))
             )
             before = (teacher.taps[0].copy(), teacher.logits.copy())
-            loss = distill(kind, stack_passes([teacher]), student)
+            loss = distill(kind, teacher, student)
             # gradients come only in the student's shapes; the teacher is untouched
-            for got, out in zip([*loss.taps, loss.logits], [*student.taps, student.logits]):
-                assert all(g.shape == out.shape for g in got)
-            assert sum(len(g) for g in [*loss.taps, loss.logits]) == 1
+            for got, out in zip(loss.grads, student.outputs):
+                assert got is None or got.shape == out.shape
+            assert sum(g is not None for g in loss.grads) == 1
             np.testing.assert_array_equal(teacher.taps[0], before[0])
             np.testing.assert_array_equal(teacher.logits, before[1])
 
     def test_unknown_kind_rejected(self):
         t = tapset_from([np.zeros((1, 2))])
         with pytest.raises(ValueError, match="unknown"):
-            distill("temperature_kl", stack_passes([t]), t)
+            distill("temperature_kl", t, t)
 
 
 @pytest.mark.parametrize("dropout_p", [0.1, 0.3])
@@ -497,17 +491,17 @@ class TestMaskReplay:
         base, student, masks = self._pair(dropout_p)
         teacher = base.forward_as_teacher(self.x, masks)
         for kind in DISTILL_KINDS:
-            assert float(distill(kind, stack_passes([teacher]), student).value) == 0.0
+            assert float(distill(kind, teacher, student).value) == 0.0
 
     def test_expert_at_base_reduces_to_task_loss(self, dropout_p):
         base, student, masks = self._pair(dropout_p)
         teacher = base.forward_as_teacher(self.x, masks)
-        assert float(l_exp(student, stack_passes([teacher]), self.y, 1.0).value) == \
+        assert float(l_exp(student, teacher, self.y, 1.0).value) == \
             float(task_loss(student, self.y).value)
 
     def test_unreplayed_teacher_is_not_at_zero(self, dropout_p):
         base, student, _ = self._pair(dropout_p)
-        unreplayed = stack_passes([base.forward_as_teacher(self.x)])
+        unreplayed = base.forward_as_teacher(self.x)
         assert float(distill("features", unreplayed, student).value) > 0.0
 
     def test_teacher_pass_is_pure(self, dropout_p):
@@ -629,11 +623,11 @@ class TestGradientOracles:
 
     def test_feature_distillation_grad(self):
         t, _ = self.teachers[0].forward_with_taps(self.x)
-        self._check(lambda ts: distill("features", stack_passes([t]), ts))
+        self._check(lambda ts: distill("features", t, ts))
 
     def test_expert_objective_grad(self):
         t, _ = self.teachers[0].forward_with_taps(self.x)
-        self._check(lambda ts: l_exp(ts, stack_passes([t]), self.y, 0.7))
+        self._check(lambda ts: l_exp(ts, t, self.y, 0.7))
 
     def test_batched_distillation_grad(self):
         taps = stack_passes([m.forward_with_taps(self.x)[0] for m in self.teachers])
@@ -662,9 +656,9 @@ class TestGradientOracles:
         ts, record, masks = forward()
         assert masks and not all(m.all() for m in masks)
         target = teacher.forward_as_teacher(x, masks)
-        _, analytic = step_grads(student, record, l_exp(ts, stack_passes([target]), y, 0.7))
+        _, analytic = step_grads(student, record, l_exp(ts, target, y, 0.7))
         numeric = finite_diff_params(
-            lambda: float(l_exp(forward()[0], stack_passes([target]), y, 0.7).value), student.params
+            lambda: float(l_exp(forward()[0], target, y, 0.7).value), student.params
         )
         assert_matches_fd(analytic, numeric)
 

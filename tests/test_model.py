@@ -308,10 +308,10 @@ class TestFusedPass:
         x, y, teacher = self._data(model, 1)
 
         def loss_of(tapset, masks, per_op):
-            stack = teacher.forward_as_teacher(x, masks)
+            base = teacher.forward_as_teacher(x, masks)[0]
             if per_op:
-                return tape_objective(tapset, y, 1.0, stack, 0.7, kind)
-            return l_exp(tapset, stack, y, 0.7, kind)
+                return tape_objective(tapset, y, 1.0, base, 0.7, kind)
+            return l_exp(tapset, base, y, 0.7, kind)
 
         self._assert_same(model, x, True, loss_of)
 
@@ -477,8 +477,7 @@ class TestPassesWriteOnlyTheirOwnArrays:
                                  else (*model.forward_with_taps(x), []))
         teachers = tapset.teachers or stack_vectors(self.CONFIG, models[-1:]).forward_as_teacher(
             x, masks)
-        handed = [x, *tapset.taps, tapset.logits, *masks, *teachers.taps,
-                  teachers.logits, record.head_in, record.head_mask,
+        handed = [x, *tapset.outputs, *masks, *teachers.outputs, record.head_in, record.head_mask,
                   *(a for state in record.layers for a in state[1:])]
         before = TestStackedStudent._bytes(handed)
         origins = np.arange(9) % (max(k, 1) + 1) - 1
@@ -968,8 +967,8 @@ class TestArena:
         m = self._trained(0)
         x = np.random.default_rng(9).standard_normal((6, 4)).astype(np.float32)
         tapset, record, _ = train_pass(m, x, np.random.default_rng(10))
-        target = TapSet(taps=[t + 1.0 for t in tapset.taps], logits=tapset.logits)
-        loss = distill("features", stack_passes([target]), tapset)
+        target = TapSet([*(t + 1.0 for t in tapset.taps), tapset.logits])
+        loss = distill("features", target, tapset)
         grads = m.layout.param_views(m.backward(record, loss))
         for name in ("head.W", "head.b"):
             assert grads[name].tobytes() == np.zeros_like(grads[name]).tobytes(), name

@@ -34,7 +34,6 @@ from helpers import (
     jitter_params,
     rewrite_last_artifact,
     send_malformed_targets,
-    stack_passes,
     train_pass,
     with_snapshot,
 )
@@ -578,7 +577,7 @@ class TestRemoteTrain:
                     cfg = expert_config(epochs=2, lr=0.02, stability_coef=coef)
                     artifact = train_one(stream.tasks[0], config=config, seed=seed, cfg=cfg)
                     expert = model_from_vector(config, artifact.param_vector)
-                    drift = distill("features", stack_passes([expert.forward_as_teacher(x)]),
+                    drift = distill("features", expert.forward_as_teacher(x),
                                     base.forward_as_teacher(x))
                     dists.append(float(drift.value))
                 mean_dist[coef] = float(np.mean(dists))
@@ -953,7 +952,7 @@ class TestTeacherProcess:
 
         def recording(student, targets, labels, *args):
             received.append((args[-1], [None if t is None else t.copy()
-                                        for t in (*targets.taps, targets.logits)]))
+                                        for t in targets.outputs]))
             return real(student, targets, labels, *args)
 
         monkeypatch.setattr(protocol_mod, "l_base", recording)
@@ -968,7 +967,7 @@ class TestTeacherProcess:
             idx = rng.integers(0, len(pool), size=8)
             taps, _, _ = train_pass(stack, pool.features[idx], rng)
             assert k == len(arts) and origins.tobytes() == pool.origins[idx].tobytes()
-            teachers = [*taps.teachers.taps, taps.teachers.logits]
+            teachers = taps.teachers.outputs
             own = np.maximum(origins, 0)
             for i, got in enumerate(targets):
                 if i in which:
