@@ -18,7 +18,7 @@ from .config import BASELINE_METHODS, ExperimentConfig, build_model_config
 from .engine import NonFiniteError, loss_and_grads, train_epochs
 from .losses import FisherState, decay_and_anchor, ewc_penalty, task_loss, update_fisher
 from .model import ResidualClassifier, build_model
-from .replay import ExemplarSet, Memory, draw_batch, epoch_batches, subsample_memory
+from .replay import ExemplarSet, draw_batch, epoch_batches, subsample_memory
 from .run import RunRecorder, RunReport, child_seed
 from .streams import TaskStream, evaluate_cil
 
@@ -63,7 +63,7 @@ def _train_task_replay(
     y: np.ndarray,
     cfg: ExperimentConfig,
     rng: np.random.Generator,
-    memory: Memory,
+    memory: ExemplarSet,
 ) -> None:
     """One task of experience replay: half fresh rows, half memory rows.
 
@@ -80,10 +80,9 @@ def _train_task_replay(
         loss = task_loss(tapset, y[idx])
         if len(memory) == 0:
             return loss_and_grads(loss.value, lambda: model.backward(record, loss))
-        mem = memory.exemplars
-        mem_idx, mem_masks = draw_batch(len(mem), half, model, rng)
-        mem_taps, mem_record = model.forward_with_taps(mem.features[mem_idx], True, mem_masks)
-        mem_loss = task_loss(mem_taps, mem.labels[mem_idx])
+        mem_idx, mem_masks = draw_batch(len(memory), half, model, rng)
+        mem_taps, mem_record = model.forward_with_taps(memory.features[mem_idx], True, mem_masks)
+        mem_loss = task_loss(mem_taps, memory.labels[mem_idx])
 
         return loss_and_grads(
             loss.value + mem_loss.value,
@@ -111,7 +110,7 @@ def run_baseline(stream: TaskStream, cfg: ExperimentConfig) -> RunReport:
         raise ValueError(f"unknown baseline {method!r}; expected one of {BASELINE_METHODS}")
     recorder = RunRecorder(method)
     model = build_model(build_model_config(cfg.model, stream), seed=child_seed(seed, "init"))
-    memory = Memory(cfg.baseline.memory_capacity, stream.dim) if method == "er" else None
+    memory = ExemplarSet.empty(stream.dim) if method == "er" else None
     fisher = (
         FisherState.zeros_like(model.flat_params, gamma=cfg.baseline.gamma)
         if method == "oewc"
@@ -131,10 +130,8 @@ def run_baseline(stream: TaskStream, cfg: ExperimentConfig) -> RunReport:
             fresh = ExemplarSet.from_task_data(
                 task.train_x, task.train_y, task_id=task.task_id, origin=0
             )
-            pool = ExemplarSet.concat([memory.exemplars, fresh])
-            memory.replace(
-                subsample_memory(pool, memory.capacity, seed=child_seed(seed, "memory", t))
-            )
+            memory = subsample_memory(ExemplarSet.concat([memory, fresh]),
+                                      cfg.baseline.memory_capacity, child_seed(seed, "memory", t))
         elif method == "oewc" and cfg.baseline.penalty_coef > 0:
             update_fisher(model, task.train_x, task.train_y, fisher)
             decay_and_anchor(fisher, model.flat_params)

@@ -8,19 +8,22 @@ One incremental step processes a batch of k disjoint tasks:
   2. regularize — experts train in parallel, each decoding its SYNC frame
                   and training on ONLY its own task;
   3. upload     — every expert returns exactly one ARTF frame (its
-                  parameter snapshot, buffer, and training stats);
+                  parameter snapshot, buffer, and training stats); the
+                  coordinator rejects a frame whose snapshot or buffer it
+                  cannot hold, and a buffer of another task's rows;
   4. consolidate— the coordinator pools the memory and the buffers once,
                   trains a copy of the base on the pool while the expert
                   teachers, rebuilt from their snapshots in a forked teacher
-                  process, send it their targets, then refreshes the memory
-                  from the same pool and discards the buffers.
+                  process, send it their targets, then returns the memory
+                  refreshed from the same pool and discards the buffers.
 
 One set of hyper-parameters drives both phases: the step functions read
 the run's ``ExperimentConfig`` (``seed``, ``training`` and ``bmc``).
 
-A step is atomic: an expert failure, a protocol violation or a diverging
-consolidation leaves the base model and the memory byte-identical to before
-the step.
+A step is atomic by construction: it writes neither the base model nor the
+memory, whose :class:`~batchcl.replay.ExemplarSet` it takes and returns
+refreshed, so an expert failure, a protocol violation or a diverging
+consolidation leaves both byte-identical to before the step.
 
 All randomness is derived from the run's master seed through
 :func:`~batchcl.run.child_seed`, whose labels :mod:`batchcl.run` lists, so
@@ -79,9 +82,7 @@ from .model import (
 )
 from .replay import (
     SAMPLING_STRATEGIES,
-    Buffer,
     ExemplarSet,
-    Memory,
     draw_batch,
     epoch_batches,
     merge_pool,
@@ -169,7 +170,7 @@ class ExpertArtifact:
 
     expert_index: int
     param_vector: ParamVector
-    buffer: Buffer
+    buffer: ExemplarSet
     stats: ExpertStats
 
 
@@ -266,17 +267,6 @@ def exemplar_block_nbytes(count: int, dim: int) -> int:
     return 12 + count * (4 * dim + 12)
 
 
-def encode_buffer(buf: Buffer) -> bytes:
-    """owner u32 | capacity u64 | exemplar block"""
-    return struct.pack("<IQ", buf.owner, buf.capacity) + encode_exemplars(buf.exemplars)
-
-
-def decode_buffer(blob: bytes) -> Buffer:
-    (owner, capacity), off = _unpack("<IQ", blob, 0, "buffer header")
-    return Buffer(exemplars=decode_exemplars(memoryview(blob)[off:]), capacity=capacity,
-                  owner=owner)
-
-
 # expert u32 | seed u64 | epochs u32 | buffer capacity u64 | lr f64 |
 # stability f64 | batch u32 | sampling u8 | distill u8 | base blob length u64
 _SYNC_HEADER = "<IQIQddIBBQ"
@@ -285,6 +275,7 @@ SYNC_FIXED_NBYTES = struct.calcsize(_SYNC_HEADER)  # 54
 # expert u32 | epochs u32 | final loss f64 | wall clock f64 | snapshot length u64
 _ARTIFACT_HEADER = "<IIddQ"
 _BUFFER_LENGTH = "<Q"  # between the snapshot and the buffer
+_BUFFER_HEADER = "<IQ"  # the buffer's owner and capacity, then its exemplar block
 ARTIFACT_FIXED_NBYTES = struct.calcsize(_ARTIFACT_HEADER) + struct.calcsize(_BUFFER_LENGTH)  # 40
 
 
@@ -328,12 +319,14 @@ def decode_sync(payload: bytes, config: ModelConfig) -> tuple[int, int, ExpertHy
     return expert_index, seed, hyper, snapshot
 
 
-def _artifact_parts(a: ExpertArtifact) -> list:
+def _artifact_parts(a: ExpertArtifact, capacity: int) -> list:
     """An ARTF payload as the pieces :func:`frame` joins into one message:
     the ``_ARTIFACT_HEADER`` fields, the snapshot's header and a view of its
-    array, the buffer length (``_BUFFER_LENGTH``) and the buffer bytes."""
+    array, the buffer length (``_BUFFER_LENGTH``) and the buffer bytes: its
+    owner (the expert) and ``capacity`` (``_BUFFER_HEADER``), then its
+    exemplar block."""
     pv = a.param_vector.byte_parts()
-    buf = encode_buffer(a.buffer)
+    buf = struct.pack(_BUFFER_HEADER, a.expert_index, capacity) + encode_exemplars(a.buffer)
     return [
         struct.pack(_ARTIFACT_HEADER, a.expert_index, a.stats.epochs, a.stats.final_loss,
                     a.stats.wall_clock_s, sum(map(len, pv))),
@@ -345,10 +338,12 @@ def decode_artifact(payload: bytes, config: ModelConfig) -> ExpertArtifact:
     """Inverse of :func:`_artifact_parts`. The snapshot is a read-only view
     of ``payload`` (:meth:`~batchcl.model.ParamVector.from_bytes`), so it
     keeps the received frame alive and is its only copy; the buffer's rows
-    are copied out. A snapshot of another layout than ``config``'s, and a
-    buffer owned by, or with a row tagged for, another expert, raise
-    ProtocolViolation: :func:`consolidate` stacks the snapshots with the
-    base and distills each pool row toward the teacher its origin names."""
+    are copied out, its owner and capacity checked and dropped. A snapshot
+    of another layout than ``config``'s, and a buffer owned by, or with a
+    row tagged for, another expert, over its capacity, of two tasks or not
+    ``config.input_dim`` wide, raise ProtocolViolation: :func:`consolidate`
+    stacks the snapshots with the base and distills each pool row toward
+    the teacher its origin names."""
     (expert_index, epochs, final_loss, wall, pv_len), off = _unpack(
         _ARTIFACT_HEADER, payload, 0, "artifact header"
     )
@@ -361,11 +356,20 @@ def decode_artifact(payload: bytes, config: ModelConfig) -> ExpertArtifact:
         pv = ParamVector.from_bytes(pv_blob, config)
     except ValueError as e:
         raise ProtocolViolation(f"artifact snapshot at byte {pv_at}: {e}") from e
-    buffer = decode_buffer(buf_blob)
-    others = {buffer.owner, *np.unique(buffer.exemplars.origins).tolist()} - {expert_index}
+    (owner, capacity), at = _unpack(_BUFFER_HEADER, buf_blob, 0, "buffer header")
+    buffer = decode_exemplars(buf_blob[at:])
+    others = {owner, *np.unique(buffer.origins).tolist()} - {expert_index}
     if others:
         raise ProtocolViolation(f"artifact of expert {expert_index} carries a buffer tagged "
                                 f"with expert {min(others)}")
+    bad = f"artifact of expert {expert_index} carries a buffer of"
+    tasks = np.unique(buffer.task_ids).tolist()
+    if len(buffer) > capacity:
+        raise ProtocolViolation(f"{bad} {len(buffer)} rows for capacity {capacity}")
+    if len(tasks) > 1:
+        raise ProtocolViolation(f"{bad} rows of tasks {tasks}")
+    if buffer.dim != config.input_dim:
+        raise ProtocolViolation(f"{bad} rows {buffer.dim} wide for inputs {config.input_dim} wide")
     return ExpertArtifact(expert_index, pv, buffer, ExpertStats(epochs, final_loss, wall))
 
 
@@ -465,7 +469,7 @@ def remote_train(sync: bytes, tasks: tuple[Task, ...], model_config: ModelConfig
             final_loss=epoch_losses[-1] if epoch_losses else float("nan"),
             wall_clock_s=time.perf_counter() - t0,
         ),
-    )))
+    ), h.buffer_capacity))
 
 
 def _train_experts(syncs: list[bytes], tasks: tuple[Task, ...],
@@ -826,7 +830,7 @@ def expert_distances(
     """
     out = []
     for a in artifacts:
-        x = a.buffer.exemplars.features
+        x = a.buffer.features
         row: dict = {
             "expert_index": a.expert_index,
             "task_id": plan.tasks[a.expert_index].task_id,
@@ -856,6 +860,7 @@ def expert_distances(
 @dataclass
 class StepResult:
     base: ResidualClassifier
+    memory: ExemplarSet
     cost: StepCost
     artifacts: list[ExpertArtifact]
     expert_wall_s: float
@@ -866,26 +871,27 @@ class StepResult:
 def run_incremental_step(
     base: ResidualClassifier,
     plan: StepPlan,
-    memory: Memory,
+    memory: ExemplarSet,
     cfg: ExperimentConfig,
     executor,
 ) -> StepResult:
     """Execute sync -> parallel expert training -> consolidate -> memory refresh.
 
     Reads ``cfg.seed``, ``cfg.training`` and ``cfg.bmc``; the model shape is
-    ``base.config``. On success returns the NEW base model and records the step's cost. The
-    step's own transport counts its broadcast and upload bytes. Once the
-    decoded artifacts are experts 0..k-1 in order, it merges the memory and
-    their buffers into one pool, trains :func:`consolidate` on it with their
-    snapshots (origin j is ``snapshots[j]``), and, as the final action,
-    refreshes the memory in place from the same pool. If an expert fails, an
-    expert's message breaks the protocol (a malformed ARTF frame, one whose
-    snapshot is of another layout than ``base``'s, one with rows tagged for
-    another expert, or frames that are not one from each of experts
-    0..k-1), the teacher process fails or sends a malformed frame, or the
-    consolidation loss or a gradient turns non-finite, raises
-    StepFailure with base and memory untouched (the consolidation trains a
-    copy, and the memory write only happens after success).
+    ``base.config``. On success returns the NEW base model, the refreshed
+    memory and the step's cost; the step's own transport counts its
+    broadcast and upload bytes. Once the decoded artifacts are experts
+    0..k-1 in order, each buffer holding only its task's id and classes, it
+    merges ``memory`` and their buffers into one pool, trains
+    :func:`consolidate` on it with their snapshots (origin j is
+    ``snapshots[j]``), and subsamples the same pool to at most
+    ``cfg.bmc.memory_capacity`` rows as the refreshed memory. If an expert
+    fails, an expert's message breaks the protocol (an ARTF frame
+    :func:`decode_artifact` rejects, frames that are not one from each of
+    experts 0..k-1, or a buffer of another task's rows), the teacher process
+    fails or sends a malformed frame, or the consolidation loss or a
+    gradient turns non-finite, raises StepFailure. It never writes ``base``
+    or ``memory``: consolidation trains a copy, and the refresh is a new set.
     """
     transport = CountingTransport()
     base_blob = base.to_param_vector(copy=False).to_bytes()  # one copy of the arena
@@ -914,10 +920,16 @@ def run_incremental_step(
         if experts != list(range(plan.k)):
             raise ProtocolViolation(f"artifacts came from experts {experts}, but the step "
                                     f"has {plan.k} experts")
+        for a, task in zip(received, plan.tasks):
+            y, t = a.buffer.labels, a.buffer.task_ids
+            if (t != task.task_id).any() or ((y < task.class_lo) | (y >= task.class_hi)).any():
+                raise ProtocolViolation(
+                    f"buffer of expert {a.expert_index} has rows outside task {task.task_id} "
+                    f"and its classes [{task.class_lo}, {task.class_hi})")
     except (ExpertFailure, ProtocolViolation) as e:
         raise StepFailure(f"step {plan.step_id}: {e}") from e
 
-    memory_bytes_at_peak = exemplar_block_nbytes(len(memory), memory.exemplars.dim)
+    memory_bytes_at_peak = exemplar_block_nbytes(len(memory), memory.dim)
     expert_param_bytes = sum(a.param_vector.nbytes for a in received)
 
     t1 = time.perf_counter()
@@ -931,10 +943,6 @@ def run_incremental_step(
     consolidation_wall = time.perf_counter() - t1
     distances = expert_distances(base, new_base, received, plan)
 
-    seed = child_seed(cfg.seed, "memory", plan.step_id)
-    memory.replace(subsample_memory(pool, memory.capacity, seed=seed))
-    # buffers are dropped here: nothing retains them past this point
-
     cost = StepCost(
         step_id=plan.step_id,
         broadcast_bytes=transport.broadcast_bytes,
@@ -945,6 +953,8 @@ def run_incremental_step(
     )
     return StepResult(
         base=new_base,
+        memory=subsample_memory(pool, cfg.bmc.memory_capacity,
+                                child_seed(cfg.seed, "memory", plan.step_id)),
         cost=cost,
         artifacts=received,
         expert_wall_s=expert_wall,
@@ -983,14 +993,14 @@ def run_full_stream(stream: TaskStream, cfg: ExperimentConfig, executor=None) ->
         executor = SerialExecutor() if b.workers <= 1 else ProcessExecutor(b.workers)
     recorder = RunRecorder("bmc")
     base = build_model(build_model_config(cfg.model, stream), seed=child_seed(cfg.seed, "init"))
-    memory = Memory(b.memory_capacity, stream.dim)
+    memory = ExemplarSet.empty(stream.dim)
     for plan in plan_steps(stream, cfg):
         step_t0 = time.perf_counter()
         try:
             result = run_incremental_step(base, plan, memory, cfg, executor)
         except StepFailure:
             return recorder.report(base, failed_step=plan.step_id)
-        base = result.base
+        base, memory = result.base, result.memory
         recorder.record(plan.step_id, base, plan.tasks, step_t0, result)
         del result  # its artifacts hold this step's snapshots; none outlives the step
     return recorder.report(base)

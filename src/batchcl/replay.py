@@ -1,10 +1,11 @@
-"""Exemplar stores for rehearsal.
+"""Exemplar sets for rehearsal.
 
-Two kinds of store exist: per-expert Buffers (filled from one task,
-uploaded once, then discarded) and the central Memory (fixed capacity,
-refreshed after every consolidation). Exemplars are kept columnar — one
-feature matrix plus parallel label/task/origin arrays — since stores are
-sliced and concatenated far more often than inspected row by row.
+Every store is an immutable :class:`ExemplarSet`: an expert's buffer
+(sampled from its one task, uploaded once, then discarded) and the central
+memory (refreshed after every consolidation, never mutated: each refresh
+is a new set). Exemplars are kept columnar — one feature matrix plus
+parallel label/task/origin arrays — since sets are sliced and concatenated
+far more often than inspected row by row.
 
 Origin tags record where each pooled exemplar came from in the current
 step: ``ORIGIN_MEMORY`` (-1) or the contributing buffer's expert index.
@@ -100,51 +101,6 @@ class ExemplarSet:
         )
 
 
-@dataclass(frozen=True)
-class Buffer:
-    """One expert's exemplar subset, uploaded once per step then discarded."""
-
-    exemplars: ExemplarSet
-    capacity: int
-    owner: int
-
-    def __post_init__(self):
-        if len(self.exemplars) > self.capacity:
-            raise ValueError(
-                f"buffer over capacity: {len(self.exemplars)} > {self.capacity}"
-            )
-        owners = np.unique(self.exemplars.task_ids)
-        if len(owners) > 1:
-            raise ValueError(f"buffer mixes tasks {owners.tolist()}")
-
-    def __len__(self) -> int:
-        return len(self.exemplars)
-
-
-class Memory:
-    """Central fixed-capacity store; only the consolidation phase reads it."""
-
-    def __init__(self, capacity: int, dim: int):
-        if capacity <= 0:
-            raise ValueError(f"capacity must be positive, got {capacity}")
-        self.capacity = capacity
-        self._exemplars = ExemplarSet.empty(dim)
-
-    @property
-    def exemplars(self) -> ExemplarSet:
-        return self._exemplars
-
-    def __len__(self) -> int:
-        return len(self._exemplars)
-
-    def replace(self, exemplars: ExemplarSet) -> None:
-        if len(exemplars) > self.capacity:
-            raise ValueError(
-                f"memory over capacity: {len(exemplars)} > {self.capacity}"
-            )
-        self._exemplars = exemplars.with_origin(ORIGIN_MEMORY)
-
-
 def sample_buffer(
     features: np.ndarray,
     labels: np.ndarray,
@@ -155,8 +111,9 @@ def sample_buffer(
     owner: int,
     base_model=None,
     expert_model=None,
-) -> Buffer:
-    """Select up to ``capacity`` task exemplars for upload.
+) -> ExemplarSet:
+    """Select up to ``capacity`` task exemplars for upload, tagged with
+    origin ``owner``.
 
     ``random`` draws uniformly without replacement; ``grad_max_base`` keeps
     the examples with the largest per-example task-loss gradient norm under
@@ -168,7 +125,7 @@ def sample_buffer(
     n = len(labels)
     data = ExemplarSet.from_task_data(features, labels, task_id, origin=owner)
     if n <= capacity:
-        return Buffer(exemplars=data, capacity=capacity, owner=owner)
+        return data
     if strategy == "random":
         idx = np.random.default_rng(seed).choice(n, size=capacity, replace=False)
         idx.sort()
@@ -185,20 +142,21 @@ def sample_buffer(
         raise ValueError(
             f"unknown sampling strategy {strategy!r}; expected one of {SAMPLING_STRATEGIES}"
         )
-    return Buffer(exemplars=data.take(idx), capacity=capacity, owner=owner)
+    return data.take(idx)
 
 
-def merge_pool(memory: Memory, buffers: list[Buffer]) -> ExemplarSet:
-    """Pool for consolidation: memory contents plus every uploaded buffer.
+def merge_pool(memory: ExemplarSet, buffers: list[ExemplarSet]) -> ExemplarSet:
+    """Pool for consolidation: the memory plus every uploaded buffer.
 
     Pure concatenation — duplicates stay duplicated, inputs untouched,
     origin tags preserved.
     """
-    return ExemplarSet.concat([memory.exemplars] + [b.exemplars for b in buffers])
+    return ExemplarSet.concat([memory, *buffers])
 
 
 def subsample_memory(pool: ExemplarSet, capacity: int, seed: int) -> ExemplarSet:
-    """Shrink a pool to ``capacity`` with per-task-balanced quotas.
+    """The memory a pool refreshes: at most ``capacity`` of its rows, chosen
+    with per-task-balanced quotas and tagged ``ORIGIN_MEMORY``.
 
     Each task present gets ⌊capacity / #tasks⌋ uniformly chosen slots
     (or all its exemplars if it has fewer); any remaining slots are filled
@@ -208,7 +166,7 @@ def subsample_memory(pool: ExemplarSet, capacity: int, seed: int) -> ExemplarSet
     if capacity <= 0:
         raise ValueError(f"capacity must be positive, got {capacity}")
     if len(pool) <= capacity:
-        return pool
+        return pool.with_origin(ORIGIN_MEMORY)
     rng = np.random.default_rng(seed)
     tasks = np.unique(pool.task_ids)
     quota = capacity // len(tasks)
@@ -232,7 +190,7 @@ def subsample_memory(pool: ExemplarSet, capacity: int, seed: int) -> ExemplarSet
         pick = rng.choice(len(rest), size=take, replace=False)
         chosen.append(rest[np.sort(pick)])
     out = np.sort(np.concatenate(chosen))
-    return pool.take(out)
+    return pool.take(out).with_origin(ORIGIN_MEMORY)
 
 
 def draw_batch(n: int, batch_size: int, model, rng: np.random.Generator):

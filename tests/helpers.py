@@ -9,6 +9,7 @@ format, the oracle of the layout's one header."""
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import struct
 
@@ -185,16 +186,90 @@ def consolidate_reference(base: ResidualClassifier, snapshots, pool, cfg: Experi
     return student.copy()
 
 
-def encode_artifact(a: ExpertArtifact) -> bytes:
-    """An ARTF frame's payload as one blob."""
-    return b"".join(protocol_mod._artifact_parts(a))
+def encode_artifact(a: ExpertArtifact, capacity: int) -> bytes:
+    """An ARTF frame's payload as one blob, its buffer declared of ``capacity``."""
+    return b"".join(protocol_mod._artifact_parts(a, capacity))
+
+
+def buffer_header(payload) -> tuple[int, dict]:
+    """Where an ARTF payload's buffer header starts, and its fields by name:
+    ``owner``, ``capacity``, then the exemplar block's ``rows``."""
+    at = struct.calcsize(protocol_mod._ARTIFACT_HEADER)  # its last field is the length
+    (pv_len,) = struct.unpack_from("<Q", payload, at - 8)
+    at += pv_len + struct.calcsize(protocol_mod._BUFFER_LENGTH)
+    fields = struct.unpack_from(protocol_mod._BUFFER_HEADER + "Q", payload, at)
+    return at, dict(zip(("owner", "capacity", "rows"), fields))
 
 
 def rewrite_last_artifact(msgs: list[bytes], edit, config: ModelConfig) -> list[bytes]:
     """ARTF frames of a step of model shape ``config``, with the last one's
-    artifact replaced by ``edit(artifact)``."""
-    last = decode_artifact(unframe(msgs[-1])[1], config)
-    return [*msgs[:-1], frame(TAG_ARTIFACT, encode_artifact(edit(last)))]
+    artifact replaced by ``edit(artifact)``, its buffer of the capacity the
+    frame declared."""
+    payload = unframe(msgs[-1])[1]
+    capacity = buffer_header(payload)[1]["capacity"]
+    last = decode_artifact(payload, config)
+    return [*msgs[:-1], frame(TAG_ARTIFACT, encode_artifact(edit(last), capacity))]
+
+
+def with_buffer_header(msg: bytes, **fields) -> bytes:
+    """An ARTF frame with its buffer header's ``fields`` (``owner``,
+    ``capacity``) replaced, the rest as it was."""
+    payload = bytearray(unframe(msg)[1])
+    at, header = buffer_header(payload)
+    header.update(fields)
+    struct.pack_into(protocol_mod._BUFFER_HEADER, payload, at, header["owner"],
+                     header["capacity"])
+    return frame(TAG_ARTIFACT, bytes(payload))
+
+
+
+def tagged_for_expert_0(msgs: list[bytes], owner: int, config: ModelConfig) -> list[bytes]:
+    """ARTF frames of a step of model shape ``config``, with the last
+    expert's buffer rows tagged for expert 0 and its buffer header naming
+    ``owner``."""
+    msgs = rewrite_last_artifact(
+        msgs, lambda a: dataclasses.replace(a, buffer=a.buffer.with_origin(0)), config)
+    return [*msgs[:-1], with_buffer_header(msgs[-1], owner=owner)]
+
+# each way :func:`break_last_buffer` breaks a buffer, with what the
+# StepFailure it causes says
+BAD_BUFFERS = {
+    "wider_rows": r"artifact of expert 1 carries a buffer of rows \d+ wide for inputs \d+ wide",
+    "label_past_head": r"buffer of expert 1 has rows outside task \d+",
+    "label_of_another_task": r"buffer of expert 1 has rows outside task \d+",
+    "task_id_of_another_task": r"buffer of expert 1 has rows outside task \d+",
+    "over_capacity": r"artifact of expert 1 carries a buffer of \d+ rows for capacity \d+",
+    "two_tasks": r"artifact of expert 1 carries a buffer of rows of tasks \[\d+, \d+\]",
+}
+
+
+def break_last_buffer(msgs: list[bytes], how: str, tasks, config: ModelConfig) -> list[bytes]:
+    """ARTF frames of a step of two or more ``tasks`` of model shape
+    ``config``, with the last expert's buffer broken the way ``how`` (a key
+    of :data:`BAD_BUFFERS`) names: rows one feature wider; row 0 labelled
+    past the head, or with the first task's first class; every row, or row
+    0 only, of the first task's id; or one row fewer declared as its
+    capacity."""
+    if how == "over_capacity":
+        rows = buffer_header(unframe(msgs[-1])[1])[1]["rows"]
+        return [*msgs[:-1], with_buffer_header(msgs[-1], capacity=rows - 1)]
+
+    def edit(a: ExpertArtifact) -> ExpertArtifact:
+        b = a.buffer
+        features, labels, task_ids = b.features, b.labels.copy(), b.task_ids.copy()
+        if how == "wider_rows":
+            features = np.pad(features, ((0, 0), (0, 1)))
+        elif how == "label_past_head":
+            labels[0] = config.total_classes
+        elif how == "label_of_another_task":
+            labels[0] = tasks[0].class_lo
+        elif how == "task_id_of_another_task":
+            task_ids[:] = tasks[0].task_id
+        elif how == "two_tasks":
+            task_ids[0] = tasks[0].task_id
+        return dataclasses.replace(a, buffer=ExemplarSet(features, labels, task_ids, b.origins))
+
+    return rewrite_last_artifact(msgs, edit, config)
 
 
 def with_snapshot(msg: bytes, blob: bytes) -> bytes:

@@ -67,7 +67,6 @@ from batchcl.protocol import (
 )
 from batchcl.replay import (
     ExemplarSet,
-    Memory,
     draw_batch,
     merge_pool,
     sample_buffer,
@@ -383,7 +382,7 @@ def test_02_degenerate_reduction():
     # inert, and random buffer sampling reads nothing but (data, seed), so
     # the distributed path must land on bit-identical parameters.
     model = build_model(build_model_config(cfg.model, stream), seed=child_seed(master, "init"))
-    memory = Memory(mem_cap, stream.dim)
+    memory = ExemplarSet.empty(stream.dim)
     for t, task in enumerate(stream.tasks):
         buffer = sample_buffer(
             task.train_x, task.train_y, task.task_id, capacity=buf_cap,
@@ -407,9 +406,7 @@ def test_02_degenerate_reduction():
                 losses.append(value)
             sched.step(float(np.mean(losses)))
         model = student
-        memory.replace(
-            subsample_memory(pool, mem_cap, seed=child_seed(master, "memory", t))
-        )
+        memory = subsample_memory(pool, mem_cap, seed=child_seed(master, "memory", t))
 
     got = report.final_params.to_bytes()
     want = model.to_param_vector().to_bytes()
@@ -738,18 +735,17 @@ def test_09_protocol_constraints(tmp_path):
     cfg = experiment(
         "bmc", 9, training=dict(epochs_per_task=1, lr=0.1, batch_size=4),
         bmc=dict(experts_per_step=3, rehearsal_epochs=1, buffer_capacity=10,
-                 task_coef=1.0, consolidation_coef=1.0),
+                 memory_capacity=40, task_coef=1.0, consolidation_coef=1.0),
     )
     base = build_model(model_cfg, seed=child_seed(9, "init"))
-    memory = Memory(40, stream.dim)
     plan = plan_steps(stream, cfg)[0]
     capturing = _CapturingExecutor()
-    result = run_incremental_step(base, plan, memory, cfg, capturing)
-    base2 = result.base
+    result = run_incremental_step(base, plan, ExemplarSet.empty(stream.dim), cfg, capturing)
+    base2, memory = result.base, result.memory
 
     def state() -> bytes:
-        return (base2.to_param_vector().to_bytes() + memory.exemplars.features.tobytes()
-                + memory.exemplars.labels.tobytes())
+        return (base2.to_param_vector().to_bytes() + memory.features.tobytes()
+                + memory.labels.tobytes())
 
     def rejected(edit) -> bool:
         """Whether a step whose frames arrive as ``edit(frames)`` fails on
@@ -776,7 +772,7 @@ def test_09_protocol_constraints(tmp_path):
         and sum(len(m) for m in syncs) == result.cost.broadcast_bytes
         and tasks == plan.tasks
         and shape == model_cfg
-        and not any(isinstance(v, Memory) for v in (*syncs, *tasks, shape))
+        and not any(isinstance(v, ExemplarSet) for v in (*syncs, *tasks, shape))
     )
 
     # (c) a failed step leaves base and memory byte-identical
@@ -844,17 +840,17 @@ def test_10_replay_invariants():
         res_layers_per_block=1, res_dim=8, hidden_dim=6, dropout_p=0.0,
     )
     base = build_model(model_cfg, seed=child_seed(4, "init"))
-    memory = Memory(mem_cap, stream.dim)
+    memory = ExemplarSet.empty(stream.dim)
     executor = SerialExecutor()
     cfg = experiment(
         "bmc", 4, training=dict(epochs_per_task=1, lr=0.1, batch_size=8),
         bmc=dict(experts_per_step=k, rehearsal_epochs=1, buffer_capacity=30,
-                 task_coef=1.0, consolidation_coef=1.0),
+                 memory_capacity=mem_cap, task_coef=1.0, consolidation_coef=1.0),
     )
     over_capacity = []
     for plan in plan_steps(stream, cfg):
         result = run_incremental_step(base, plan, memory, cfg, executor)
-        base = result.base
+        base, memory = result.base, result.memory
         if len(memory) > mem_cap:
             over_capacity.append((plan.step_id, len(memory)))
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from helpers import count_tensors, experiment
 
+import batchcl.baselines as baselines_mod
 from batchcl.baselines import (
     _train_task_plain,
     _train_task_replay,
@@ -16,7 +17,7 @@ from batchcl.baselines import (
 from batchcl.config import ConfigError, build_model_config, parse_config
 from batchcl.losses import FisherState, update_fisher
 from batchcl.model import build_model
-from batchcl.replay import ExemplarSet, Memory
+from batchcl.replay import ORIGIN_MEMORY, ExemplarSet
 from batchcl.streams import Task, TaskStream, generate_stream
 
 MODEL = dict(res_blocks=1, res_layers_per_block=1, res_dim=10, hidden_dim=8, dropout_p=0.0)
@@ -106,11 +107,21 @@ class TestEr:
         er = run_baseline(two_task_stream, cfg("er", 1, memory_capacity=160))
         assert er.records[-1].first_task_acc > 0.5
 
-    def test_capacity_constrained_run_completes(self, two_task_stream):
+    def test_capacity_constrained_run_completes(self, two_task_stream, monkeypatch):
         # a memory far smaller than the data exercises the subsampling path;
-        # Memory itself enforces the capacity bound on every replace
+        # every refreshed memory holds at most the configured rows
+        refreshed = []
+
+        def spied(*args, **kwargs):
+            refreshed.append(real(*args, **kwargs))
+            return refreshed[-1]
+
+        real = baselines_mod.subsample_memory
+        monkeypatch.setattr(baselines_mod, "subsample_memory", spied)
         report = run_baseline(two_task_stream, cfg("er", 0, memory_capacity=12))
         assert len(report.records) == 2
+        assert [len(m) for m in refreshed] == [12, 12]
+        assert all((m.origins == ORIGIN_MEMORY).all() for m in refreshed)
 
 
 class TestOewc:
@@ -149,9 +160,8 @@ class TestNoTensorBuilt:
 
     def test_er_batch_with_memory(self, monkeypatch):
         first = self.stream.tasks[0]
-        memory = Memory(20, self.stream.dim)
-        memory.replace(ExemplarSet.from_task_data(first.train_x, first.train_y, task_id=0,
-                                                  origin=0))
+        memory = ExemplarSet.from_task_data(first.train_x, first.train_y, task_id=0,
+                                            origin=ORIGIN_MEMORY)
         built = count_tensors(monkeypatch)
         _train_task_replay(self.model, self.task.train_x, self.task.train_y, self.cfg,
                            np.random.default_rng(1), memory)

@@ -16,10 +16,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 from helpers import (
+    BAD_BUFFERS,
     MALFORMED_TARGETS,
+    break_last_buffer,
     fork_teachers,
     rewrite_last_artifact,
     send_malformed_targets,
+    tagged_for_expert_0,
     write_stream_file,
 )
 
@@ -41,7 +44,6 @@ from batchcl.protocol import (
     run_full_stream,
     unframe,
 )
-from batchcl.replay import Buffer
 from batchcl.run import child_seed
 from batchcl.streams import TaskStream, load_feature_stream, save_stream
 
@@ -429,17 +431,17 @@ class TestRunVerb:
     def test_misrouted_artifact_fails_the_step_not_the_run(self, tmp_path, monkeypatch, field):
         # the last expert's ARTF frame names expert 7 of a 2-expert step, or
         # carries a buffer owned by and tagged for expert 0
-        def edit(a):
+        def edit(msgs, config):
             if field == "expert_index":
-                return dataclasses.replace(a, expert_index=7)
-            return dataclasses.replace(a, buffer=Buffer(
-                a.buffer.exemplars.with_origin(0), a.buffer.capacity, owner=0))
+                return rewrite_last_artifact(
+                    msgs, lambda a: dataclasses.replace(a, expert_index=7), config)
+            return tagged_for_expert_0(msgs, 0, config)
 
         serial_run = protocol_mod.SerialExecutor.run
         monkeypatch.setattr(
             protocol_mod.SerialExecutor, "run",
-            lambda self, syncs, tasks, config: rewrite_last_artifact(
-                serial_run(self, syncs, tasks, config), edit, config),
+            lambda self, syncs, tasks, config: edit(serial_run(self, syncs, tasks, config),
+                                                    config),
         )
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps(toy_raw(method="bmc", out_dir=str(tmp_path / "out"))))
@@ -447,6 +449,22 @@ class TestRunVerb:
         summary = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert summary["failed_step"] == 0
         assert (tmp_path / "out" / "records.jsonl").exists()
+
+    @pytest.mark.parametrize("how", BAD_BUFFERS)
+    def test_buffer_it_cannot_hold_fails_the_step_not_the_run(self, tmp_path, monkeypatch, how):
+        # step 0's last expert uploads a well-framed buffer the coordinator
+        # cannot pool (BAD_BUFFERS): exit 3, and the summary names step 0
+        serial_run = protocol_mod.SerialExecutor.run
+        monkeypatch.setattr(
+            protocol_mod.SerialExecutor, "run",
+            lambda self, syncs, tasks, config: break_last_buffer(
+                serial_run(self, syncs, tasks, config), how, tasks, config),
+        )
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(toy_raw(method="bmc", out_dir=str(tmp_path / "out"))))
+        assert main(["run", str(cfg_file)]) == 3
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert (summary["failed_step"], summary["n_steps"]) == (0, 0)
 
     def test_snapshot_of_another_layout_fails_the_step_not_the_run(self, tmp_path, monkeypatch):
         # the last expert's snapshot of step 0 names 'head.c' where the

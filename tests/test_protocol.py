@@ -23,8 +23,11 @@ import weakref
 import numpy as np
 import pytest
 from helpers import (
+    BAD_BUFFERS,
     MALFORMED_TARGETS,
     assert_views_of_own_arena,
+    break_last_buffer,
+    buffer_header,
     consolidate_reference,
     consolidation_inputs,
     count_tensors,
@@ -34,7 +37,9 @@ from helpers import (
     jitter_params,
     rewrite_last_artifact,
     send_malformed_targets,
+    tagged_for_expert_0,
     train_pass,
+    with_buffer_header,
     with_snapshot,
 )
 
@@ -63,10 +68,8 @@ from batchcl.protocol import (
     StepPlan,
     consolidate,
     decode_artifact,
-    decode_buffer,
     decode_exemplars,
     decode_sync,
-    encode_buffer,
     encode_exemplars,
     encode_sync,
     exemplar_block_nbytes,
@@ -77,7 +80,7 @@ from batchcl.protocol import (
     run_incremental_step,
     unframe,
 )
-from batchcl.replay import Buffer, ExemplarSet, Memory
+from batchcl.replay import ORIGIN_MEMORY, ExemplarSet, merge_pool, subsample_memory
 from batchcl.run import StepCost, child_seed, cost_accuracy, total_cost
 from batchcl.streams import generate_stream
 
@@ -122,6 +125,11 @@ def make_exemplars(n, dim=6, seed=0):
         task_id=2,
         origin=1,
     )
+
+
+def make_memory(n, seed=0):
+    """A memory of ``n`` rows of :func:`make_exemplars`."""
+    return make_exemplars(n, seed=seed).with_origin(ORIGIN_MEMORY)
 
 
 def make_sync(seed=5, cfg=None, model_seed=1, config=TOY, expert_index=0):
@@ -236,13 +244,6 @@ class TestExemplarCodec:
             es = make_exemplars(n, dim=dim) if n else ExemplarSet.empty(dim)
             assert len(encode_exemplars(es)) == exemplar_block_nbytes(n, dim)
 
-    def test_buffer_round_trip(self):
-        buf = Buffer(exemplars=make_exemplars(7), capacity=12, owner=3)
-        back = decode_buffer(encode_buffer(buf))
-        assert back.owner == 3
-        assert back.capacity == 12
-        assert back.exemplars.features.tobytes() == buf.exemplars.features.tobytes()
-
     def test_short_block_rejected(self):
         with pytest.raises(ProtocolViolation, match="exemplar header truncated at byte 0"):
             decode_exemplars(b"\0" * 3)
@@ -256,14 +257,6 @@ class TestExemplarCodec:
         with pytest.raises(ProtocolViolation, match=f"declares {declared} rows of dim 6.*"
                                                     f"ends at byte {len(blob)}"):
             decode_exemplars(bytes(blob))
-
-    def test_short_buffer_header_rejected(self):
-        with pytest.raises(ProtocolViolation, match="buffer header truncated at byte 0"):
-            decode_buffer(b"\0" * 5)
-
-    def test_buffer_size_is_block_plus_header(self):
-        buf = Buffer(exemplars=make_exemplars(7), capacity=12, owner=3)
-        assert len(encode_buffer(buf)) == 12 + exemplar_block_nbytes(7, 6)
 
 
 def test_fixed_header_sizes_pinned():
@@ -323,20 +316,31 @@ class TestSyncCodec:
 
 class TestArtifactCodec:
     def make_artifact(self):
+        """Expert 1's artifact, its buffer of 5 rows of task 2 (capacity 10)."""
         pv = build_model(TOY, seed=2).to_param_vector()
-        buf = Buffer(exemplars=make_exemplars(5), capacity=10, owner=1)
         return ExpertArtifact(
-            expert_index=1, param_vector=pv, buffer=buf,
+            expert_index=1, param_vector=pv, buffer=make_exemplars(5),
             stats=ExpertStats(epochs=4, final_loss=0.25, wall_clock_s=1.5),
         )
 
     def test_round_trip(self):
         a = self.make_artifact()
-        back = decode_artifact(encode_artifact(a), TOY)
+        payload = encode_artifact(a, 10)
+        back = decode_artifact(payload, TOY)
         assert back.expert_index == 1
         assert back.param_vector.to_bytes() == a.param_vector.to_bytes()
-        assert back.buffer.exemplars.features.tobytes() == a.buffer.exemplars.features.tobytes()
+        assert encode_exemplars(back.buffer) == encode_exemplars(a.buffer)
         assert back.stats == a.stats
+        # the buffer header on the wire: the expert as owner, and the capacity
+        assert buffer_header(payload)[1] == {"owner": 1, "capacity": 10, "rows": 5}
+
+    def test_short_buffer_header_rejected(self):
+        # a buffer of 5 bytes: shorter than its owner and capacity fields
+        payload = encode_artifact(self.make_artifact(), 10)
+        at = buffer_header(payload)[0]
+        short = payload[: at - 8] + struct.pack("<Q", 5) + bytes(5)
+        with pytest.raises(ProtocolViolation, match="buffer header truncated at byte 0"):
+            decode_artifact(short, TOY)
 
     def test_snapshot_is_a_read_only_view_of_the_frame(self):
         msg = artifact_frame()
@@ -344,7 +348,7 @@ class TestArtifactCodec:
         assert np.shares_memory(a.param_vector.payload, np.frombuffer(msg, np.uint8))
         assert not a.param_vector.payload.flags.writeable
         # the buffer's rows are copied out: they do not pin the frame
-        assert not np.shares_memory(a.buffer.exemplars.features, np.frombuffer(msg, np.uint8))
+        assert not np.shares_memory(a.buffer.features, np.frombuffer(msg, np.uint8))
 
     def test_frames_and_snapshots_are_one_copy_of_the_arena(self):
         # a snapshot of about 1 MB, taken as a view of the arena: the SYNC
@@ -355,14 +359,14 @@ class TestArtifactCodec:
         view = model.to_param_vector(copy=False)
         assert view.payload is model.arena
         a = ExpertArtifact(expert_index=0, param_vector=view,
-                           buffer=Buffer(make_exemplars(5), capacity=5, owner=0),
+                           buffer=make_exemplars(5),
                            stats=ExpertStats(epochs=1, final_loss=0.5, wall_clock_s=0.1))
         tracemalloc.start()
         try:
             blob = view.to_bytes()
             blob_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
-            msg = frame(TAG_ARTIFACT, *protocol_mod._artifact_parts(a))
+            msg = frame(TAG_ARTIFACT, *protocol_mod._artifact_parts(a, 5))
             frame_peak = tracemalloc.get_traced_memory()[1] - len(blob)
         finally:
             tracemalloc.stop()
@@ -370,7 +374,7 @@ class TestArtifactCodec:
         assert blob_peak < len(blob) + 65536 and frame_peak < len(msg) + 65536
         copied = dataclasses.replace(a, param_vector=model.to_param_vector())
         assert blob == copied.param_vector.to_bytes()
-        assert msg == frame(TAG_ARTIFACT, encode_artifact(copied))
+        assert msg == frame(TAG_ARTIFACT, encode_artifact(copied, 5))
 
     def test_fixed_size_arithmetic(self):
         a = self.make_artifact()
@@ -379,26 +383,26 @@ class TestArtifactCodec:
             + a.param_vector.nbytes
             + 12 + exemplar_block_nbytes(5, 6)
         )
-        assert len(encode_artifact(a)) == expected
+        assert len(encode_artifact(a, 10)) == expected
 
     def test_short_payload_rejected(self):
         with pytest.raises(ProtocolViolation, match="artifact header truncated at byte 0"):
             decode_artifact(b"x" * 10, TOY)
 
     def test_every_strict_prefix_rejected(self):
-        payload = encode_artifact(self.make_artifact())
+        payload = encode_artifact(self.make_artifact(), 10)
         for n in range(len(payload)):
             with pytest.raises(ProtocolViolation, match="at byte"):
                 decode_artifact(payload[:n], TOY)
 
     def test_malformed_snapshot_rejected(self):
-        payload = bytearray(encode_artifact(self.make_artifact()))
+        payload = bytearray(encode_artifact(self.make_artifact(), 10))
         payload[ARTIFACT_FIXED_NBYTES - 8] ^= 0xFF  # first byte of the snapshot magic
         with pytest.raises(ProtocolViolation, match="artifact snapshot at byte 32: bad magic"):
             decode_artifact(bytes(payload), TOY)
 
     def test_trailing_bytes_rejected(self):
-        payload = encode_artifact(self.make_artifact())
+        payload = encode_artifact(self.make_artifact(), 10)
         with pytest.raises(ProtocolViolation, match=f"2 trailing bytes at byte {len(payload)}"):
             decode_artifact(payload + b"\0\0", TOY)
 
@@ -408,15 +412,35 @@ class TestArtifactCodec:
     def test_buffer_of_another_expert_rejected(self, owner, origins):
         # expert 1's buffer owned by expert 0, or with rows tagged for it
         a = self.make_artifact()
-        rows = dataclasses.replace(a.buffer.exemplars, origins=np.array(origins))
-        payload = encode_artifact(dataclasses.replace(a, buffer=Buffer(rows, 10, owner=owner)))
+        rows = dataclasses.replace(a.buffer, origins=np.array(origins))
+        msg = frame(TAG_ARTIFACT, encode_artifact(dataclasses.replace(a, buffer=rows), 10))
         with pytest.raises(ProtocolViolation,
                            match="^artifact of expert 1 carries a buffer tagged with expert 0$"):
+            decode_artifact(unframe(with_buffer_header(msg, owner=owner))[1], TOY)
+
+    @pytest.mark.parametrize("capacity, rows, message", [
+        (4, make_exemplars(5), "of 5 rows for capacity 4"),
+        (5, make_exemplars(5), None),
+        (10, ExemplarSet.concat([make_exemplars(2), dataclasses.replace(
+            make_exemplars(3), task_ids=np.zeros(3, dtype=np.int64))]), r"of rows of tasks \[0, 2\]"),
+        (10, make_exemplars(5, dim=7), "of rows 7 wide for inputs 6 wide"),
+        (10, make_exemplars(5, dim=5), "of rows 5 wide for inputs 6 wide"),
+    ], ids=["over_capacity", "at_capacity", "two_tasks", "wider_rows", "narrower_rows"])
+    def test_buffer_it_cannot_hold_rejected(self, capacity, rows, message):
+        # a buffer over its declared capacity, of two tasks, or of rows
+        # another width than the model's inputs; a full buffer is accepted
+        payload = encode_artifact(dataclasses.replace(self.make_artifact(), buffer=rows),
+                                  capacity)
+        if message is None:
+            assert len(decode_artifact(payload, TOY).buffer) == len(rows)
+            return
+        with pytest.raises(ProtocolViolation,
+                           match=f"^artifact of expert 1 carries a buffer {message}$"):
             decode_artifact(payload, TOY)
 
 
 def artifact_frame() -> bytes:
-    return frame(TAG_ARTIFACT, encode_artifact(TestArtifactCodec().make_artifact()))
+    return frame(TAG_ARTIFACT, encode_artifact(TestArtifactCodec().make_artifact(), 10))
 
 
 class TestTransport:
@@ -516,24 +540,24 @@ class TestExpertIsolation:
     def test_no_field_can_reach_a_memory(self, stream):
         # what an executor is handed is built purely from value types: bytes,
         # frozen tasks, a frozen config -- no channel back to the
-        # coordinator's Memory or to other experts exists
+        # coordinator's memory or to other experts exists
         capturing = _CapturingExecutor()
         cfg = tiny_config(seed=5, rehearsal_epochs=1)
         plan = plan_steps(stream, cfg)[0]
         run_incremental_step(
-            build_model(TOY, seed=1), plan, Memory(40, stream.dim), cfg, capturing,
+            build_model(TOY, seed=1), plan, ExemplarSet.empty(stream.dim), cfg, capturing,
         )
         syncs, tasks, model_config = capturing.args
         assert all(type(s) is bytes for s in syncs)
         assert tasks == plan.tasks and model_config == TOY
         for value in (*syncs, *tasks, model_config):
-            assert not isinstance(value, Memory)
+            assert not isinstance(value, ExemplarSet)
 
     def test_expert_reads_only_its_own_task(self, stream):
         sync, _ = make_sync(expert_index=2, seed=21)
         tasks = (_PoisonedTask(), _PoisonedTask(), stream.tasks[1], _PoisonedTask())
         artifact = decode_artifact(unframe(remote_train(sync, tasks, TOY))[1], TOY)
-        assert set(artifact.buffer.exemplars.task_ids) == {stream.tasks[1].task_id}
+        assert set(artifact.buffer.task_ids) == {stream.tasks[1].task_id}
         alone = train_one(stream.tasks[1], seed=21)
         assert artifact.param_vector.to_bytes() == alone.param_vector.to_bytes()
 
@@ -548,13 +572,13 @@ class TestRemoteTrain:
     def test_deterministic_given_context(self, stream):
         a1, a2 = train_one(stream.tasks[1], seed=21), train_one(stream.tasks[1], seed=21)
         assert a1.param_vector.to_bytes() == a2.param_vector.to_bytes()
-        assert a1.buffer.exemplars.features.tobytes() == a2.buffer.exemplars.features.tobytes()
+        assert a1.buffer.features.tobytes() == a2.buffer.features.tobytes()
 
     def test_buffer_tagged_with_owner_and_task(self, stream):
         artifact = train_one(stream.tasks[1])
-        assert artifact.buffer.owner == 0
-        assert set(artifact.buffer.exemplars.task_ids) == {stream.tasks[1].task_id}
-        assert len(artifact.buffer.exemplars) <= expert_config().bmc.buffer_capacity
+        assert (artifact.buffer.origins == 0).all()
+        assert set(artifact.buffer.task_ids) == {stream.tasks[1].task_id}
+        assert len(artifact.buffer) <= expert_config().bmc.buffer_capacity
 
     def test_stability_pull_reduces_feature_drift(self, stream):
         # same data and seeds, only the stability coefficient differs; the
@@ -641,13 +665,9 @@ class TestConsolidate:
     def setup_artifacts(self, base, stream, n=2):
         arts = []
         for i in range(n):
-            buf = Buffer(
-                exemplars=ExemplarSet.from_task_data(
-                    stream.tasks[i].train_x[:10], stream.tasks[i].train_y[:10],
-                    task_id=stream.tasks[i].task_id, origin=i,
-                ),
-                capacity=10,
-                owner=i,
+            buf = ExemplarSet.from_task_data(
+                stream.tasks[i].train_x[:10], stream.tasks[i].train_y[:10],
+                task_id=stream.tasks[i].task_id, origin=i,
             )
             arts.append(ExpertArtifact(
                 expert_index=i, param_vector=base.to_param_vector(), buffer=buf,
@@ -660,7 +680,7 @@ class TestConsolidate:
         # off, so the distillation distance and its gradient are exactly zero
         base = build_model(TOY, seed=1)
         arts = self.setup_artifacts(base, stream)
-        out = consolidate(base, *consolidation_inputs(arts, Memory(40, 6)),
+        out = consolidate(base, *consolidation_inputs(arts, ExemplarSet.empty(6)),
                           tiny_config(rehearsal_epochs=2, task_coef=0.0, consolidation_coef=1.0),
                           rng=np.random.default_rng(0))
         assert params_bytes(out) == params_bytes(base)
@@ -670,7 +690,7 @@ class TestConsolidate:
         before_params = params_bytes(base)
         before_stats = b"".join(base.stats[k].tobytes() for k in sorted(base.stats))
         arts = self.setup_artifacts(base, stream)
-        consolidate(base, *consolidation_inputs(arts, Memory(40, 6)),
+        consolidate(base, *consolidation_inputs(arts, ExemplarSet.empty(6)),
                     tiny_config(rehearsal_epochs=2),
                     rng=np.random.default_rng(0))
         assert params_bytes(base) == before_params
@@ -682,23 +702,22 @@ class TestConsolidate:
         base = build_model(TOY, seed=1)
         cfg = tiny_config(rehearsal_epochs=2, task_coef=1.0, consolidation_coef=0.0)
         arts = self.setup_artifacts(base, stream)
-        out1 = consolidate(base, *consolidation_inputs(arts, Memory(40, 6)),
+        out1 = consolidate(base, *consolidation_inputs(arts, ExemplarSet.empty(6)),
                            cfg, rng=np.random.default_rng(5))
         swapped = [
             dataclasses.replace(a, param_vector=build_model(TOY, seed=99 + i).to_param_vector())
             for i, a in enumerate(arts)
         ]
-        out2 = consolidate(base, *consolidation_inputs(swapped, Memory(40, 6)),
+        out2 = consolidate(base, *consolidation_inputs(swapped, ExemplarSet.empty(6)),
                            cfg, rng=np.random.default_rng(5))
         assert params_bytes(out1) == params_bytes(out2)
 
     def test_empty_pool_rejected(self, stream):
         base = build_model(TOY, seed=1)
-        empty = [dataclasses.replace(
-            a, buffer=Buffer(ExemplarSet.empty(6), capacity=10, owner=a.expert_index)
-        ) for a in self.setup_artifacts(base, stream)]
+        empty = [dataclasses.replace(a, buffer=ExemplarSet.empty(6))
+                 for a in self.setup_artifacts(base, stream)]
         with pytest.raises(ValueError, match="empty"):
-            consolidate(base, *consolidation_inputs(empty, Memory(40, 6)),
+            consolidate(base, *consolidation_inputs(empty, ExemplarSet.empty(6)),
                         tiny_config(rehearsal_epochs=1),
                         rng=np.random.default_rng(0))
 
@@ -715,7 +734,7 @@ class TestConsolidate:
         arts = self.setup_artifacts(base, stream, n=3)
         calls = count_passes(monkeypatch)
         cfg = tiny_config(rehearsal_epochs=2, task_coef=1.0, consolidation_coef=consolidation)
-        consolidate(base, *consolidation_inputs(arts, Memory(40, 6)),
+        consolidate(base, *consolidation_inputs(arts, ExemplarSet.empty(6)),
                     cfg, rng=np.random.default_rng(0))
         assert len(calls) == 2 * (30 // 8)
 
@@ -724,7 +743,7 @@ class TestConsolidate:
         # views of that arena
         base = build_model(TOY, seed=1)
         arts = self.setup_artifacts(base, stream)
-        out = consolidate(base, *consolidation_inputs(arts, Memory(40, 6)),
+        out = consolidate(base, *consolidation_inputs(arts, ExemplarSet.empty(6)),
                           tiny_config(rehearsal_epochs=1), rng=np.random.default_rng(0))
         assert out.arena.shape == base.arena.shape
         assert_views_of_own_arena(out)
@@ -744,7 +763,7 @@ class TestConsolidate:
         monkeypatch.setattr(protocol_mod, "stack_vectors", kept)
         base = build_model(TOY, seed=1)
         arts = self.setup_artifacts(base, stream)
-        out = consolidate(base, *consolidation_inputs(arts, Memory(40, 6)),
+        out = consolidate(base, *consolidation_inputs(arts, ExemplarSet.empty(6)),
                           tiny_config(rehearsal_epochs=1), rng=np.random.default_rng(0))
         [(arena, start)] = stacks
         assert arena() is None
@@ -767,7 +786,7 @@ class TestConsolidate:
         monkeypatch.setattr(protocol_mod, "stack_vectors", kept)
         base = build_model(TOY, seed=1)
         arts = self.setup_artifacts(base, stream)
-        out = consolidate(base, *consolidation_inputs(arts, Memory(40, 6)),
+        out = consolidate(base, *consolidation_inputs(arts, ExemplarSet.empty(6)),
                           tiny_config(rehearsal_epochs=1), rng=np.random.default_rng(0))
         assert stacks == []
         assert out.arena.shape == base.arena.shape
@@ -792,11 +811,10 @@ class TestConsolidate:
             )
             arts.append(ExpertArtifact(
                 expert_index=i, param_vector=expert.to_param_vector(),
-                buffer=Buffer(buf, capacity=8, owner=i),
+                buffer=buf,
                 stats=ExpertStats(epochs=1, final_loss=0.5, wall_clock_s=0.0),
             ))
-        memory = Memory(40, 6)
-        memory.replace(make_exemplars(12, seed=42))
+        memory = make_memory(12, seed=42)
         cfg = tiny_config(rehearsal_epochs=3, task_coef=0.7, consolidation_coef=1.3,
                           distill_kind=kind)
         return base, *consolidation_inputs(arts, memory), cfg
@@ -849,7 +867,7 @@ class TestConsolidate:
     def test_no_snapshots_rejected(self):
         base = build_model(TOY, seed=1)
         with pytest.raises(ValueError, match="snapshot"):
-            consolidate(base, *consolidation_inputs([], Memory(40, 6)),
+            consolidate(base, *consolidation_inputs([], ExemplarSet.empty(6)),
                         tiny_config(rehearsal_epochs=1),
                         rng=np.random.default_rng(0))
 
@@ -865,12 +883,9 @@ class TestConsolidate:
         arts = [
             ExpertArtifact(
                 expert_index=i, param_vector=build_model(config, seed=10 + i).to_param_vector(),
-                buffer=Buffer(
-                    exemplars=ExemplarSet.from_task_data(
-                        rng.standard_normal((8, 16)).astype(np.float32),
-                        rng.integers(4 * i, 4 * i + 4, size=8), task_id=i, origin=i,
-                    ),
-                    capacity=8, owner=i,
+                buffer=ExemplarSet.from_task_data(
+                    rng.standard_normal((8, 16)).astype(np.float32),
+                    rng.integers(4 * i, 4 * i + 4, size=8), task_id=i, origin=i,
                 ),
                 stats=ExpertStats(epochs=1, final_loss=0.5, wall_clock_s=0.0),
             )
@@ -878,7 +893,7 @@ class TestConsolidate:
         ]
         built = count_tensors(monkeypatch)
         cfg = experiment(training=dict(batch_size=32), bmc=dict(rehearsal_epochs=1))
-        out = consolidate(base, *consolidation_inputs(arts, Memory(40, 16)),
+        out = consolidate(base, *consolidation_inputs(arts, ExemplarSet.empty(16)),
                           cfg, rng=np.random.default_rng(3))
         assert built == []
         assert params_bytes(out) != params_bytes(base)
@@ -924,11 +939,10 @@ class TestTeacherProcess:
             )
             arts.append(ExpertArtifact(
                 expert_index=i, param_vector=expert.to_param_vector(),
-                buffer=Buffer(buf, capacity=8, owner=i),
+                buffer=buf,
                 stats=ExpertStats(epochs=1, final_loss=0.5, wall_clock_s=0.0),
             ))
-        memory = Memory(40, 6)
-        memory.replace(make_exemplars(memory_rows, seed=42))
+        memory = make_memory(memory_rows, seed=42)
         return base, arts, memory
 
     @pytest.mark.parametrize("kind", DISTILL_KINDS)
@@ -982,16 +996,15 @@ class TestTeacherProcess:
         in_teacher(monkeypatch, lambda: os.kill(os.getpid(), signal.SIGKILL), after=1)
         base = build_model(TOY, seed=child_seed(5, "init"))
         cfg = tiny_config(seed=5, rehearsal_epochs=2)
-        memory = Memory(40, stream.dim)
-        memory.replace(make_exemplars(10))
+        memory = make_memory(10)
         base_before = base.to_param_vector().to_bytes()
-        memory_before = encode_exemplars(memory.exemplars)
+        memory_before = encode_exemplars(memory)
         with pytest.raises(StepFailure, match="step 1: consolidation: teacher process ended "
                                               "with exit code -9 after 4 of 8 batches"):
             run_incremental_step(base, plan_steps(stream, cfg)[1], memory, cfg,
                                  SerialExecutor())
         assert base.to_param_vector().to_bytes() == base_before
-        assert encode_exemplars(memory.exemplars) == memory_before
+        assert encode_exemplars(memory) == memory_before
 
     @pytest.mark.parametrize("how", MALFORMED_TARGETS)
     def test_malformed_teacher_frame_fails_the_step(self, stream, monkeypatch, how):
@@ -1001,10 +1014,9 @@ class TestTeacherProcess:
         send_malformed_targets(monkeypatch, how)
         base = build_model(TOY, seed=child_seed(5, "init"))
         cfg = tiny_config(seed=5, rehearsal_epochs=2)
-        memory = Memory(40, stream.dim)
-        memory.replace(make_exemplars(10))
+        memory = make_memory(10)
         base_before = base.to_param_vector().to_bytes()
-        memory_before = encode_exemplars(memory.exemplars)
+        memory_before = encode_exemplars(memory)
         with pytest.raises(StepFailure, match="^step 1: consolidation: ") as raised:
             run_incremental_step(base, plan_steps(stream, cfg)[1], memory, cfg,
                                  SerialExecutor())
@@ -1017,7 +1029,7 @@ class TestTeacherProcess:
             got, want = map(int, sizes.groups())
             assert got - want == {"short": -4, "long": 4, "odd_length": -1}[how]
         assert base.to_param_vector().to_bytes() == base_before
-        assert encode_exemplars(memory.exemplars) == memory_before
+        assert encode_exemplars(memory) == memory_before
 
     def test_teacher_exception_is_reraised_as_it_is(self, stream, monkeypatch):
         def boom():
@@ -1027,7 +1039,7 @@ class TestTeacherProcess:
         base = build_model(TOY, seed=1)
         arts = TestConsolidate().setup_artifacts(base, stream)
         with pytest.raises(_TeacherBoom, match="^no teacher today$"):
-            consolidate(base, *consolidation_inputs(arts, Memory(40, 6)),
+            consolidate(base, *consolidation_inputs(arts, ExemplarSet.empty(6)),
                         tiny_config(rehearsal_epochs=4),
                         rng=np.random.default_rng(0))
 
@@ -1041,7 +1053,7 @@ class TestTeacherProcess:
         arts = TestConsolidate().setup_artifacts(base, stream)
         t0 = time.perf_counter()
         with np.errstate(all="ignore"), pytest.raises(NonFiniteError):
-            consolidate(base, *consolidation_inputs(arts, Memory(40, 6)),
+            consolidate(base, *consolidation_inputs(arts, ExemplarSet.empty(6)),
                         tiny_config(lr=1e30, rehearsal_epochs=4),
                         rng=np.random.default_rng(0))
         assert time.perf_counter() - t0 < 30
@@ -1066,7 +1078,7 @@ class TestTeacherProcess:
         try:
             signal.setitimer(signal.ITIMER_REAL, 0.5)
             with pytest.raises(Interrupted):
-                consolidate(base, *consolidation_inputs(arts, Memory(40, 6)),
+                consolidate(base, *consolidation_inputs(arts, ExemplarSet.empty(6)),
                             tiny_config(rehearsal_epochs=4),
                             rng=np.random.default_rng(0))
         finally:
@@ -1103,11 +1115,11 @@ class TestTeacherProcess:
             arts[i] = dataclasses.replace(a, param_vector=base.to_param_vector())
         base = build_model(TOY, seed=1)
         cfg = tiny_config(rehearsal_epochs=4, task_coef=1.0, consolidation_coef=consolidation)
-        out = consolidate(base, *consolidation_inputs(arts, Memory(40, 6)),
+        out = consolidate(base, *consolidation_inputs(arts, ExemplarSet.empty(6)),
                           cfg, rng=np.random.default_rng(0))
         assert len(forks) == forked
         fork_teachers(monkeypatch)
-        forked_out = consolidate(base, *consolidation_inputs(arts, Memory(40, 6)),
+        forked_out = consolidate(base, *consolidation_inputs(arts, ExemplarSet.empty(6)),
                                  cfg, rng=np.random.default_rng(0))
         assert out.arena.tobytes() == forked_out.arena.tobytes()
 
@@ -1119,11 +1131,11 @@ class TestTeacherProcess:
         base = build_model(TOY, seed=1)
         arts = TestConsolidate().setup_artifacts(base, stream)
         cfg = tiny_config(rehearsal_epochs=4)
-        resized = consolidate(base, *consolidation_inputs(arts, Memory(40, 6)),
+        resized = consolidate(base, *consolidation_inputs(arts, ExemplarSet.empty(6)),
                               cfg, rng=np.random.default_rng(0))
         teachers = spy_forks(monkeypatch, runs=protocol_mod._teach)
         monkeypatch.setattr(protocol_mod, "_SETPIPE_SZ", None)
-        out = consolidate(base, *consolidation_inputs(arts, Memory(40, 6)),
+        out = consolidate(base, *consolidation_inputs(arts, ExemplarSet.empty(6)),
                           cfg, rng=np.random.default_rng(0))
         assert len(teachers) == 1
         assert out.arena.tobytes() == resized.arena.tobytes()
@@ -1138,14 +1150,33 @@ class TestIncrementalStep:
         base = build_model(TOY, seed=child_seed(master_seed, "init"))
         cfg = tiny_config(seed=master_seed)
         plans = plan_steps(stream, cfg)
-        memory = memory if memory is not None else Memory(40, stream.dim)
+        memory = memory if memory is not None else ExemplarSet.empty(stream.dim)
         result = run_incremental_step(base, plans[plan_idx], memory, cfg, SerialExecutor())
         return base, memory, result
 
     def test_step_produces_k_artifacts_and_fills_memory(self, stream):
         _, memory, result = self.run_one(stream)
         assert [a.expert_index for a in result.artifacts] == [0, 1]
-        assert 0 < len(memory) <= memory.capacity
+        assert len(memory) == 0 and 0 < len(result.memory) <= tiny_config().bmc.memory_capacity
+
+    @pytest.mark.parametrize("memory_rows", [0, 10, 40])
+    def test_step_returns_the_refreshed_memory_and_keeps_its_input(self, stream, memory_rows):
+        # the input memory's arrays are never written; the step returns a
+        # new one of at most memory_capacity rows, every one tagged memory
+        memory = make_memory(memory_rows)
+        before = [getattr(memory, c).tobytes()
+                  for c in ("features", "labels", "task_ids", "origins")]
+        _, _, result = self.run_one(stream, plan_idx=1, memory=memory)
+        assert [getattr(memory, c).tobytes()
+                for c in ("features", "labels", "task_ids", "origins")] == before
+        assert result.memory is not memory
+        assert 0 < len(result.memory) <= tiny_config().bmc.memory_capacity
+        assert (result.memory.origins == ORIGIN_MEMORY).all()
+        # the refresh is the subsample of the pool of memory and buffers
+        seed = child_seed(5, "memory", 1)
+        want = subsample_memory(merge_pool(memory, [a.buffer for a in result.artifacts]),
+                                tiny_config().bmc.memory_capacity, seed)
+        assert encode_exemplars(result.memory) == encode_exemplars(want)
 
     def test_refresh_subsamples_the_pool_consolidation_trained_on(self, stream, monkeypatch):
         # the step merges the memory and the buffers once; consolidation
@@ -1165,8 +1196,7 @@ class TestIncrementalStep:
         spy("merge_pool", lambda args, out: out)
         spy("consolidate", lambda args, out: args[2])
         spy("subsample_memory", lambda args, out: args[0])
-        memory = Memory(40, stream.dim)
-        memory.replace(make_exemplars(10))
+        memory = make_memory(10)
         self.run_one(stream, plan_idx=1, memory=memory)
         [pool] = seen["merge_pool"]
         assert [p is pool for p in seen["consolidate"] + seen["subsample_memory"]] == [True] * 2
@@ -1180,7 +1210,7 @@ class TestIncrementalStep:
         assert result.cost.broadcast_bytes == 2 * sync_msg
         expected_upload = sum(
             FRAME_OVERHEAD + ARTIFACT_FIXED_NBYTES + a.param_vector.nbytes
-            + 12 + exemplar_block_nbytes(len(a.buffer.exemplars), stream.dim)
+            + 12 + exemplar_block_nbytes(len(a.buffer), stream.dim)
             for a in result.artifacts
         )
         assert result.cost.upload_bytes == expected_upload
@@ -1195,11 +1225,11 @@ class TestIncrementalStep:
         master_seed = 5
         base = build_model(TOY, seed=child_seed(master_seed, "init"))
         cfg = tiny_config(seed=master_seed)
-        memory = Memory(40, stream.dim)
+        memory = ExemplarSet.empty(stream.dim)
         costs = []
         for plan in plan_steps(stream, cfg):
             result = run_incremental_step(base, plan, memory, cfg, SerialExecutor())
-            base = result.base
+            base, memory = result.base, result.memory
             costs.append(result.cost)
         blob0 = costs[0].broadcast_bytes
         # both steps broadcast the same-shape snapshot to the same k experts
@@ -1212,10 +1242,9 @@ class TestIncrementalStep:
         base = build_model(TOY, seed=child_seed(master_seed, "init"))
         cfg = tiny_config(seed=master_seed, rehearsal_epochs=2)
         plans = plan_steps(stream, cfg)
-        memory = Memory(40, stream.dim)
-        memory.replace(make_exemplars(10))
+        memory = make_memory(10)
         base_before = base.to_param_vector().to_bytes()
-        memory_before = memory.exemplars.features.tobytes()
+        memory_before = memory.features.tobytes()
 
         real = protocol_mod.remote_train
 
@@ -1230,7 +1259,7 @@ class TestIncrementalStep:
                 base, plans[0], memory, cfg, SerialExecutor()
             )
         assert base.to_param_vector().to_bytes() == base_before
-        assert memory.exemplars.features.tobytes() == memory_before
+        assert memory.features.tobytes() == memory_before
         assert len(memory) == 10
 
 
@@ -1240,10 +1269,9 @@ class TestIncrementalStep:
         # experts train no epoch, so only the consolidation sees the step size
         cfg = tiny_config(seed=master_seed, epochs=0, lr=1e30, rehearsal_epochs=2)
         plans = plan_steps(stream, cfg)
-        memory = Memory(40, stream.dim)
-        memory.replace(make_exemplars(10))
+        memory = make_memory(10)
         base_before = base.to_param_vector().to_bytes()
-        memory_before = memory.exemplars.features.tobytes()
+        memory_before = memory.features.tobytes()
         with np.errstate(all="ignore"), pytest.raises(
             StepFailure, match="step 1: consolidation: non-finite"
         ):
@@ -1251,7 +1279,7 @@ class TestIncrementalStep:
                 base, plans[1], memory, cfg, SerialExecutor()
             )
         assert base.to_param_vector().to_bytes() == base_before
-        assert memory.exemplars.features.tobytes() == memory_before
+        assert memory.features.tobytes() == memory_before
         assert len(memory) == 10
 
 
@@ -1263,31 +1291,25 @@ class TestIncrementalStep:
         base = build_model(TOY, seed=child_seed(master_seed, "init"))
         cfg = tiny_config(seed=master_seed, rehearsal_epochs=2)
         plans = plan_steps(stream, cfg)
-        memory = Memory(40, stream.dim)
-        memory.replace(make_exemplars(10))
+        memory = make_memory(10)
         base_before = base.to_param_vector().to_bytes()
-        memory_before = memory.exemplars.features.tobytes()
+        memory_before = memory.features.tobytes()
         with pytest.raises(StepFailure, match="step 1: frame payload truncated"):
             run_incremental_step(base, plans[1], memory, cfg, truncated)
         assert base.to_param_vector().to_bytes() == base_before
-        assert memory.exemplars.features.tobytes() == memory_before
+        assert memory.features.tobytes() == memory_before
 
 
     @pytest.mark.parametrize("edit, message", [
         # the last frame relabelled, buffer and all, as expert 7's
         (lambda msgs: rewrite_last_artifact(msgs, lambda a: dataclasses.replace(
-            a, expert_index=7, buffer=Buffer(a.buffer.exemplars.with_origin(7),
-                                             a.buffer.capacity, owner=7)), TOY),
+            a, expert_index=7, buffer=a.buffer.with_origin(7)), TOY),
          r"step 1: artifacts came from experts \[0, 7\], but the step has 2 experts"),
         # expert 1's buffer owned by and tagged for expert 0
-        (lambda msgs: rewrite_last_artifact(msgs, lambda a: dataclasses.replace(
-            a, buffer=Buffer(a.buffer.exemplars.with_origin(0), a.buffer.capacity,
-                             owner=0)), TOY),
+        (lambda msgs: tagged_for_expert_0(msgs, 0, TOY),
          "step 1: artifact of expert 1 carries a buffer tagged with expert 0"),
         # expert 1's buffer owned by it, but its rows tagged for expert 0
-        (lambda msgs: rewrite_last_artifact(msgs, lambda a: dataclasses.replace(
-            a, buffer=Buffer(a.buffer.exemplars.with_origin(0), a.buffer.capacity,
-                             owner=1)), TOY),
+        (lambda msgs: tagged_for_expert_0(msgs, 1, TOY),
          "step 1: artifact of expert 1 carries a buffer tagged with expert 0"),
         # expert 0's frame sent twice
         (lambda msgs: [*msgs, msgs[0]],
@@ -1299,6 +1321,18 @@ class TestIncrementalStep:
     @pytest.mark.parametrize("executor", EXECUTORS)
     def test_misrouted_artifact_fails_the_step(self, stream, edit, message, executor):
         self.assert_step_fails(stream, executor, edit, message)
+
+    @pytest.mark.parametrize("how", BAD_BUFFERS)
+    @pytest.mark.parametrize("executor", EXECUTORS)
+    def test_buffer_the_coordinator_cannot_hold_fails_the_step(self, stream, how, executor):
+        # the last expert's well-framed buffer has rows of another width,
+        # labels outside its task's classes, rows of another task's id, or
+        # more rows than its capacity: consolidation never sees it
+        tasks = plan_steps(stream, tiny_config())[1].tasks
+        failure = self.assert_step_fails(
+            stream, executor, lambda msgs: break_last_buffer(msgs, how, tasks, TOY),
+            f"^step 1: {BAD_BUFFERS[how]}")
+        assert isinstance(failure.__cause__, ProtocolViolation)
 
     @pytest.mark.parametrize("edit, entry", [
         # the last snapshot with 'head.b' renamed 'head.c', at equal length
@@ -1331,16 +1365,15 @@ class TestIncrementalStep:
         base = build_model(TOY, seed=child_seed(master_seed, "init"))
         cfg = tiny_config(seed=master_seed, rehearsal_epochs=2)
         plans = plan_steps(stream, cfg)
-        memory = Memory(40, stream.dim)
-        memory.replace(make_exemplars(10))
+        memory = make_memory(10)
         base_before = base.to_param_vector().to_bytes()
-        memory_before = memory.exemplars.features.tobytes()
+        memory_before = memory.features.tobytes()
         with pytest.raises(StepFailure, match=message) as failure:
             run_incremental_step(
                 base, plans[1], memory, cfg, _RewritingExecutor(EXECUTORS[executor](), edit)
             )
         assert base.to_param_vector().to_bytes() == base_before
-        assert memory.exemplars.features.tobytes() == memory_before
+        assert memory.features.tobytes() == memory_before
         return failure.value
 
 
@@ -1584,14 +1617,14 @@ class TestProcessBoundary:
         forks = spy_workers(monkeypatch, tmp_path)
         master_seed = 5
         base = build_model(TOY, seed=child_seed(master_seed, "init"))
-        memory = Memory(40, stream.dim)
+        memory = ExemplarSet.empty(stream.dim)
         cfg = tiny_config(seed=master_seed, rehearsal_epochs=1)
         executor = _RecordingExecutor(2)
         for step, plan in enumerate(plan_steps(stream, cfg)):
             for old in tmp_path.glob("*.pkl"):
                 old.unlink()
             result = run_incremental_step(base, plan, memory, cfg, executor)
-            base = result.base
+            base, memory = result.base, result.memory
             syncs, frames = executor.calls[-1]
             step_forks = forks[2 * step :]
             assert len(step_forks) == 2
@@ -1625,7 +1658,7 @@ class TestProcessBoundary:
         cfg = tiny_config(seed=master_seed, rehearsal_epochs=1)
         plan = plan_steps(stream, cfg)[0]
         run_incremental_step(
-            build_model(TOY, seed=child_seed(master_seed, "init")), plan, Memory(40, stream.dim),
+            build_model(TOY, seed=child_seed(master_seed, "init")), plan, ExemplarSet.empty(stream.dim),
             cfg, ProcessExecutor(8),
         )
         assert len(forks) == plan.k == 2
@@ -1655,7 +1688,7 @@ class TestProcessBoundary:
         cfg = tiny_config(seed=5)
         with pytest.raises(StepFailure, match="step 0: expert 1 diverged in its worker"):
             run_incremental_step(build_model(TOY, seed=child_seed(5, "init")),
-                                 plan_steps(stream, cfg)[0], Memory(40, stream.dim), cfg,
+                                 plan_steps(stream, cfg)[0], ExemplarSet.empty(stream.dim), cfg,
                                  ProcessExecutor(2))
 
     def test_protocol_violation_in_a_worker_is_reraised_as_it_is(self, monkeypatch):
@@ -1677,7 +1710,7 @@ class TestProcessBoundary:
         cfg = tiny_config(seed=5)
         with pytest.raises(StepFailure, match=f"^step 0: {message}$") as failed:
             run_incremental_step(build_model(TOY, seed=child_seed(5, "init")),
-                                 plan_steps(stream, cfg)[0], Memory(40, stream.dim), cfg,
+                                 plan_steps(stream, cfg)[0], ExemplarSet.empty(stream.dim), cfg,
                                  ProcessExecutor(2))
         assert type(failed.value.__cause__) is ExpertFailure
 
@@ -1689,7 +1722,7 @@ class TestProcessBoundary:
         cfg = tiny_config(seed=5)
         with pytest.raises(StepFailure, match="step 0: expert worker 1"):
             run_incremental_step(build_model(TOY, seed=child_seed(5, "init")),
-                                 plan_steps(stream, cfg)[0], Memory(40, stream.dim), cfg,
+                                 plan_steps(stream, cfg)[0], ExemplarSet.empty(stream.dim), cfg,
                                  ProcessExecutor(2))
 
     @pytest.mark.parametrize("outcome", ["returns", "raises", "dies", "exits_early"])

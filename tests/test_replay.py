@@ -1,4 +1,4 @@
-"""Buffer/Memory stores, sampling strategies, batched gradient norms, quota
+"""Exemplar sets, sampling strategies, batched gradient norms, quota
 subsampling, batch draws."""
 
 from __future__ import annotations
@@ -15,9 +15,7 @@ from batchcl.engine import GraphError
 from batchcl.model import ModelConfig, build_model, model_from_vector
 from batchcl.replay import (
     ORIGIN_MEMORY,
-    Buffer,
     ExemplarSet,
-    Memory,
     draw_batch,
     epoch_batches,
     merge_pool,
@@ -60,25 +58,6 @@ class TestContainers:
                 origins=np.zeros(2, dtype=np.int64),
             )
 
-    def test_buffer_rejects_over_capacity(self):
-        with pytest.raises(ValueError, match="capacity"):
-            Buffer(exemplars=make_set(5), capacity=3, owner=0)
-
-    def test_buffer_rejects_mixed_tasks(self):
-        mixed = ExemplarSet.concat([make_set(2, task_id=0), make_set(2, task_id=1)])
-        with pytest.raises(ValueError, match="mixes"):
-            Buffer(exemplars=mixed, capacity=10, owner=0)
-
-    def test_memory_capacity_enforced(self):
-        mem = Memory(capacity=3, dim=4)
-        with pytest.raises(ValueError, match="capacity"):
-            mem.replace(make_set(5))
-
-    def test_memory_retags_origin(self):
-        mem = Memory(capacity=10, dim=4)
-        mem.replace(make_set(4, origin=2))
-        assert (mem.exemplars.origins == ORIGIN_MEMORY).all()
-
 
 class TestSampleBuffer:
     def test_saturation_takes_everything(self):
@@ -87,7 +66,7 @@ class TestSampleBuffer:
         y = rng.integers(0, 3, size=6)
         buf = sample_buffer(x, y, task_id=0, capacity=10, strategy="random", seed=1, owner=0)
         assert len(buf) == 6
-        np.testing.assert_array_equal(buf.exemplars.features, x)
+        np.testing.assert_array_equal(buf.features, x)
 
     def test_random_deterministic(self):
         rng = np.random.default_rng(0)
@@ -95,14 +74,14 @@ class TestSampleBuffer:
         y = rng.integers(0, 3, size=20)
         a = sample_buffer(x, y, 0, capacity=8, strategy="random", seed=5, owner=0)
         b = sample_buffer(x, y, 0, capacity=8, strategy="random", seed=5, owner=0)
-        np.testing.assert_array_equal(a.exemplars.features, b.exemplars.features)
+        np.testing.assert_array_equal(a.features, b.features)
 
     def test_random_is_subset_without_replacement(self):
         rng = np.random.default_rng(0)
         x = np.arange(20, dtype=np.float32).reshape(20, 1).repeat(4, axis=1)
         y = rng.integers(0, 3, size=20)
         buf = sample_buffer(x, y, 0, capacity=8, strategy="random", seed=5, owner=0)
-        picked = buf.exemplars.features[:, 0]
+        picked = buf.features[:, 0]
         assert len(np.unique(picked)) == 8
 
     def test_grad_max_base_matches_bruteforce(self):
@@ -116,7 +95,7 @@ class TestSampleBuffer:
         )
         norms = grad_norms_reference(base, x, y)
         expected = set(np.argsort(-norms, kind="stable")[:4].tolist())
-        got = {int(np.flatnonzero((x == f).all(axis=1))[0]) for f in buf.exemplars.features}
+        got = {int(np.flatnonzero((x == f).all(axis=1))[0]) for f in buf.features}
         assert got == expected
 
     def test_grad_min_expert_matches_bruteforce(self):
@@ -130,7 +109,7 @@ class TestSampleBuffer:
         )
         norms = grad_norms_reference(expert, x, y)
         expected = set(np.argsort(norms, kind="stable")[:4].tolist())
-        got = {int(np.flatnonzero((x == f).all(axis=1))[0]) for f in buf.exemplars.features}
+        got = {int(np.flatnonzero((x == f).all(axis=1))[0]) for f in buf.features}
         assert got == expected
 
     def test_unknown_strategy_rejected(self):
@@ -211,7 +190,7 @@ class TestBatchedGradNorms:
                             base_model=model, expert_model=model)
         norms = grad_norms_reference(model, x, y)
         order = np.argsort(-norms if strategy == "grad_max_base" else norms, kind="stable")
-        np.testing.assert_array_equal(buf.exemplars.features, x[np.sort(order[:20])])
+        np.testing.assert_array_equal(buf.features, x[np.sort(order[:20])])
 
     def test_pass_is_pure(self):
         model = scoring_model(DEEP, 7)
@@ -254,37 +233,26 @@ class TestBatchedGradNorms:
 
 class TestMergePool:
     def test_empty_memory_one_buffer(self):
-        mem = Memory(capacity=10, dim=4)
-        buf = Buffer(exemplars=make_set(5, origin=0), capacity=5, owner=0)
-        pool = merge_pool(mem, [buf])
+        pool = merge_pool(ExemplarSet.empty(4), [make_set(5, origin=0)])
         assert len(pool) == 5
 
     def test_counts_and_origin_tags(self):
-        mem = Memory(capacity=100, dim=4)
-        mem.replace(make_set(10, task_id=9))
-        buffers = [
-            Buffer(exemplars=make_set(5, task_id=i, origin=i, seed=i), capacity=5, owner=i)
-            for i in range(3)
-        ]
+        mem = make_set(10, task_id=9, origin=ORIGIN_MEMORY)
+        buffers = [make_set(5, task_id=i, origin=i, seed=i) for i in range(3)]
         pool = merge_pool(mem, buffers)
         assert len(pool) == 25
         assert set(np.unique(pool.origins)) == {ORIGIN_MEMORY, 0, 1, 2}
 
     def test_duplicates_retained(self):
-        mem = Memory(capacity=10, dim=4)
         s = make_set(3, origin=0)
-        b1 = Buffer(exemplars=s, capacity=3, owner=0)
-        b2 = Buffer(exemplars=s.with_origin(1), capacity=3, owner=1)
-        pool = merge_pool(mem, [b1, b2])
+        pool = merge_pool(ExemplarSet.empty(4), [s, s.with_origin(1)])
         assert len(pool) == 6
 
     def test_inputs_not_mutated(self):
-        mem = Memory(capacity=10, dim=4)
-        mem.replace(make_set(4))
-        before = mem.exemplars.features.copy()
-        buf = Buffer(exemplars=make_set(2, origin=0, seed=9), capacity=2, owner=0)
-        merge_pool(mem, [buf])
-        np.testing.assert_array_equal(mem.exemplars.features, before)
+        mem = make_set(4, origin=ORIGIN_MEMORY)
+        before = mem.features.copy()
+        merge_pool(mem, [make_set(2, origin=0, seed=9)])
+        np.testing.assert_array_equal(mem.features, before)
 
 
 class TestSubsampleMemory:
@@ -292,6 +260,15 @@ class TestSubsampleMemory:
         pool = make_set(5)
         out = subsample_memory(pool, capacity=10, seed=0)
         np.testing.assert_array_equal(out.features, pool.features)
+
+    @pytest.mark.parametrize("capacity", [3, 10])
+    def test_refresh_is_memory_within_capacity(self, capacity):
+        # over and under capacity, every row of buffer origin 2 becomes memory
+        pool = make_set(5, origin=2)
+        out = subsample_memory(pool, capacity, seed=0)
+        assert len(out) == min(capacity, 5)
+        assert (out.origins == ORIGIN_MEMORY).all()
+        assert (pool.origins == 2).all()
 
     def test_exact_division_quota(self):
         pool = ExemplarSet.concat(
