@@ -15,8 +15,9 @@ import struct
 
 import numpy as np
 
-import batchcl.protocol as protocol_mod
+import batchcl.consolidation as consolidation_mod
 import batchcl.replay as replay_mod
+import batchcl.wire as wire_mod
 from batchcl.config import (
     BaselineSpec,
     BmcSpec,
@@ -46,16 +47,10 @@ from batchcl.model import (
     arena_layout,
     stack_vectors,
 )
-from batchcl.protocol import (
-    FRAME_OVERHEAD,
-    TAG_ARTIFACT,
-    TAG_TARGETS,
-    ExpertArtifact,
-    decode_artifact,
-    frame,
-    unframe,
-)
+from batchcl.consolidation import TAG_TARGETS
+from batchcl.pipes import FRAME_OVERHEAD, frame, unframe
 from batchcl.replay import ExemplarSet, merge_pool
+from batchcl.wire import TAG_ARTIFACT, ExpertArtifact, decode_artifact
 
 
 def experiment(method: str = "bmc", seed: int = 0, *, model: dict | None = None,
@@ -148,7 +143,7 @@ def per_teacher_l_base(student: TapSet, teachers: list[TapSet], labels: np.ndarr
 
 
 def consolidation_inputs(artifacts, memory) -> tuple[list, ExemplarSet]:
-    """What a step hands ``protocol.consolidate`` for ``artifacts`` of
+    """What a step hands ``consolidation.consolidate`` for ``artifacts`` of
     experts 0..k-1 in that order: their snapshots in that order, and the
     pool of ``memory`` and their buffers."""
     return ([a.param_vector for a in artifacts],
@@ -157,7 +152,7 @@ def consolidation_inputs(artifacts, memory) -> tuple[list, ExemplarSet]:
 
 def consolidate_reference(base: ResidualClassifier, snapshots, pool, cfg: ExperimentConfig,
                           rng: np.random.Generator) -> ResidualClassifier:
-    """``protocol.consolidate`` with both coefficients on, as a plain loop:
+    """``consolidation.consolidate`` with both coefficients on, as a plain loop:
     each batch is a ``draw_batch`` of the pool (looked up in
     ``batchcl.replay`` at each call), one stacked pass of the
     student and its teachers, the per-teacher consolidation objective
@@ -188,16 +183,16 @@ def consolidate_reference(base: ResidualClassifier, snapshots, pool, cfg: Experi
 
 def encode_artifact(a: ExpertArtifact, capacity: int) -> bytes:
     """An ARTF frame's payload as one blob, its buffer declared of ``capacity``."""
-    return b"".join(protocol_mod._artifact_parts(a, capacity))
+    return b"".join(wire_mod._artifact_parts(a, capacity))
 
 
 def buffer_header(payload) -> tuple[int, dict]:
     """Where an ARTF payload's buffer header starts, and its fields by name:
     ``owner``, ``capacity``, then the exemplar block's ``rows``."""
-    at = struct.calcsize(protocol_mod._ARTIFACT_HEADER)  # its last field is the length
+    at = struct.calcsize(wire_mod._ARTIFACT_HEADER)  # its last field is the length
     (pv_len,) = struct.unpack_from("<Q", payload, at - 8)
-    at += pv_len + struct.calcsize(protocol_mod._BUFFER_LENGTH)
-    fields = struct.unpack_from(protocol_mod._BUFFER_HEADER + "Q", payload, at)
+    at += pv_len + struct.calcsize(wire_mod._BUFFER_LENGTH)
+    fields = struct.unpack_from(wire_mod._BUFFER_HEADER + "Q", payload, at)
     return at, dict(zip(("owner", "capacity", "rows"), fields))
 
 
@@ -217,7 +212,7 @@ def with_buffer_header(msg: bytes, **fields) -> bytes:
     payload = bytearray(unframe(msg)[1])
     at, header = buffer_header(payload)
     header.update(fields)
-    struct.pack_into(protocol_mod._BUFFER_HEADER, payload, at, header["owner"],
+    struct.pack_into(wire_mod._BUFFER_HEADER, payload, at, header["owner"],
                      header["capacity"])
     return frame(TAG_ARTIFACT, bytes(payload))
 
@@ -276,7 +271,7 @@ def with_snapshot(msg: bytes, blob: bytes) -> bytes:
     """An ARTF frame with its snapshot bytes replaced by ``blob``, the
     snapshot length field to match, the rest as it was."""
     payload = unframe(msg)[1]
-    at = struct.calcsize(protocol_mod._ARTIFACT_HEADER)  # its last field is the length
+    at = struct.calcsize(wire_mod._ARTIFACT_HEADER)  # its last field is the length
     (pv_len,) = struct.unpack_from("<Q", payload, at - 8)
     return frame(TAG_ARTIFACT, payload[: at - 8], struct.pack("<Q", len(blob)), blob,
                  payload[at + pv_len :])
@@ -389,22 +384,22 @@ def fork_teachers(monkeypatch) -> None:
     """Make every consolidation with the distillation term on fork its
     teacher process, however few batches it runs and however few CPUs this
     process may use."""
-    monkeypatch.setattr(protocol_mod, "_FORK_MIN_BATCHES", 0)
-    monkeypatch.setattr(protocol_mod, "_usable_cores", lambda: 2)
+    monkeypatch.setattr(consolidation_mod, "_FORK_MIN_BATCHES", 0)
+    monkeypatch.setattr(consolidation_mod, "_usable_cores", lambda: 2)
 
 
 def send_malformed_targets(monkeypatch, how: str) -> None:
     """Make every consolidation with the distillation term fork its teacher
     process (:func:`fork_teachers`), and make that process send each
     batch's TGTS frame broken the way ``MALFORMED_TARGETS[how]`` breaks it."""
-    real, mangle = protocol_mod._teach, MALFORMED_TARGETS[how]
+    real, mangle = consolidation_mod._teach, MALFORMED_TARGETS[how]
 
     def teach(*args):
         for msg in real(*args):
             yield mangle(msg)
 
     fork_teachers(monkeypatch)
-    monkeypatch.setattr(protocol_mod, "_teach", teach)
+    monkeypatch.setattr(consolidation_mod, "_teach", teach)
 
 
 def train_pass(model: ResidualClassifier, x: np.ndarray, rng: np.random.Generator):

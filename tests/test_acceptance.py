@@ -52,15 +52,11 @@ from batchcl.losses import (
     task_loss,
 )
 from batchcl.model import ModelConfig, TapSet, build_model
+from batchcl.pipes import ExpertFailure, ProtocolViolation
 from batchcl.protocol import (
-    ARTIFACT_FIXED_NBYTES,
-    SYNC_FIXED_NBYTES,
-    ExpertFailure,
     ProcessExecutor,
-    ProtocolViolation,
     SerialExecutor,
     StepFailure,
-    exemplar_block_nbytes,
     plan_steps,
     run_full_stream,
     run_incremental_step,
@@ -74,6 +70,7 @@ from batchcl.replay import (
 )
 from batchcl.run import child_seed, cost_accuracy, total_cost
 from batchcl.streams import generate_stream
+from batchcl.wire import ARTIFACT_FIXED_NBYTES, SYNC_FIXED_NBYTES, exemplar_block_nbytes
 
 # ---------------------------------------------------------------------------
 # pinned configurations for the trend criteria

@@ -37,15 +37,11 @@ from batchcl.config import (
     parse_config,
     parse_sweep,
 )
-from batchcl.protocol import (
-    FRAME_OVERHEAD,
-    SYNC_FIXED_NBYTES,
-    decode_sync,
-    run_full_stream,
-    unframe,
-)
+from batchcl.pipes import FRAME_OVERHEAD, unframe
+from batchcl.protocol import run_full_stream
 from batchcl.run import child_seed
 from batchcl.streams import TaskStream, load_feature_stream, save_stream
+from batchcl.wire import SYNC_FIXED_NBYTES, decode_sync
 
 
 def toy_raw(method="sgd", **extra):

@@ -19,7 +19,7 @@ from helpers import experiment, fork_teachers
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import batchcl.protocol as protocol_mod
+import batchcl.consolidation as consolidation_mod
 from batchcl.losses import DISTILL_KINDS
 from batchcl.protocol import ProcessExecutor, SerialExecutor, run_full_stream
 from batchcl.replay import SAMPLING_STRATEGIES
@@ -60,7 +60,7 @@ def run_in_layout(cfg, experts: str, teachers: str) -> tuple:
         if teachers == "forked":
             fork_teachers(mp)
         else:  # no consolidation is long enough to fork
-            mp.setattr(protocol_mod, "_FORK_MIN_BATCHES", 10 ** 9)
+            mp.setattr(consolidation_mod, "_FORK_MIN_BATCHES", 10 ** 9)
         report = run_full_stream(stream, cfg, executor=executor)
     assert report.failed_step is None
     with tempfile.TemporaryDirectory() as out:

@@ -44,45 +44,46 @@ from helpers import (
 )
 
 import batchcl.baselines as baselines_mod
+import batchcl.consolidation as consolidation_mod
+import batchcl.pipes as pipes_mod
 import batchcl.protocol as protocol_mod
 import batchcl.replay as replay_mod
+import batchcl.wire as wire_mod
 from batchcl.baselines import run_baseline
+from batchcl.consolidation import consolidate
 from batchcl.engine import NonFiniteError
 from batchcl.losses import DISTILL_KINDS, distilled_outputs
 from batchcl.model import ModelConfig, ParamVector, ResidualClassifier, build_model, stack_vectors
+from batchcl.pipes import FRAME_OVERHEAD, ExpertFailure, ProtocolViolation, frame, unframe
 from batchcl.protocol import (
+    ProcessExecutor,
+    SerialExecutor,
+    StepFailure,
+    StepPlan,
+    plan_steps,
+    remote_train,
+    run_full_stream,
+    run_incremental_step,
+)
+from batchcl.replay import ORIGIN_MEMORY, ExemplarSet, merge_pool, subsample_memory
+from batchcl.run import StepCost, child_seed, cost_accuracy, total_cost
+from batchcl.streams import generate_stream
+from batchcl.wire import (
     ARTIFACT_FIXED_NBYTES,
-    FRAME_OVERHEAD,
     SYNC_FIXED_NBYTES,
     TAG_ARTIFACT,
     TAG_SYNC,
     CountingTransport,
     ExpertArtifact,
-    ExpertFailure,
     ExpertHyper,
     ExpertStats,
-    ProcessExecutor,
-    ProtocolViolation,
-    SerialExecutor,
-    StepFailure,
-    StepPlan,
-    consolidate,
     decode_artifact,
     decode_exemplars,
     decode_sync,
     encode_exemplars,
     encode_sync,
     exemplar_block_nbytes,
-    frame,
-    plan_steps,
-    remote_train,
-    run_full_stream,
-    run_incremental_step,
-    unframe,
 )
-from batchcl.replay import ORIGIN_MEMORY, ExemplarSet, merge_pool, subsample_memory
-from batchcl.run import StepCost, child_seed, cost_accuracy, total_cost
-from batchcl.streams import generate_stream
 
 TOY = ModelConfig(
     input_dim=6, total_classes=8, res_blocks=1, res_layers_per_block=1,
@@ -227,7 +228,7 @@ class TestFraming:
 class TestExemplarCodec:
     def test_round_trip_bit_exact(self):
         es = make_exemplars(9)
-        back = decode_exemplars(encode_exemplars(es))
+        back = decode_exemplars(encode_exemplars(es), 0)
         assert back.features.tobytes() == es.features.tobytes()
         assert np.array_equal(back.labels, es.labels)
         assert np.array_equal(back.task_ids, es.task_ids)
@@ -237,7 +238,7 @@ class TestExemplarCodec:
         es = ExemplarSet.empty(6)
         blob = encode_exemplars(es)
         assert len(blob) == 12
-        assert len(decode_exemplars(blob)) == 0
+        assert len(decode_exemplars(blob, 0)) == 0
 
     def test_analytic_size(self):
         for n, dim in [(0, 6), (5, 6), (17, 3)]:
@@ -246,7 +247,7 @@ class TestExemplarCodec:
 
     def test_short_block_rejected(self):
         with pytest.raises(ProtocolViolation, match="exemplar header truncated at byte 0"):
-            decode_exemplars(b"\0" * 3)
+            decode_exemplars(b"\0" * 3, 0)
 
     @pytest.mark.parametrize("declared", [6, 4])
     def test_misstated_row_count_rejected(self, declared):
@@ -256,7 +257,7 @@ class TestExemplarCodec:
         struct.pack_into("<Q", blob, 0, declared)
         with pytest.raises(ProtocolViolation, match=f"declares {declared} rows of dim 6.*"
                                                     f"ends at byte {len(blob)}"):
-            decode_exemplars(bytes(blob))
+            decode_exemplars(bytes(blob), 0)
 
 
 def test_fixed_header_sizes_pinned():
@@ -339,7 +340,17 @@ class TestArtifactCodec:
         payload = encode_artifact(self.make_artifact(), 10)
         at = buffer_header(payload)[0]
         short = payload[: at - 8] + struct.pack("<Q", 5) + bytes(5)
-        with pytest.raises(ProtocolViolation, match="buffer header truncated at byte 0"):
+        with pytest.raises(ProtocolViolation, match=f"buffer header truncated at byte {at}:"):
+            decode_artifact(short, TOY)
+
+    def test_short_exemplar_header_rejected(self):
+        # a buffer of its owner and capacity fields and 3 bytes: shorter
+        # than the exemplar header that follows them
+        payload = encode_artifact(self.make_artifact(), 10)
+        at = buffer_header(payload)[0]
+        short = payload[: at - 8] + struct.pack("<Q", 15) + payload[at : at + 15]
+        with pytest.raises(ProtocolViolation,
+                           match=f"exemplar header truncated at byte {at + 12}:"):
             decode_artifact(short, TOY)
 
     def test_snapshot_is_a_read_only_view_of_the_frame(self):
@@ -366,7 +377,7 @@ class TestArtifactCodec:
             blob = view.to_bytes()
             blob_peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.reset_peak()
-            msg = frame(TAG_ARTIFACT, *protocol_mod._artifact_parts(a, 5))
+            msg = frame(TAG_ARTIFACT, *wire_mod._artifact_parts(a, 5))
             frame_peak = tracemalloc.get_traced_memory()[1] - len(blob)
         finally:
             tracemalloc.stop()
@@ -752,7 +763,7 @@ class TestConsolidate:
         # a short consolidation trains the student as slice 0 of a stack; it
         # leaves as a copy of that slice, and the stacked arena is freed as
         # consolidate returns
-        real = protocol_mod.stack_vectors
+        real = consolidation_mod.stack_vectors
         stacks = []
 
         def kept(*args):
@@ -760,7 +771,7 @@ class TestConsolidate:
             stacks.append((weakref.ref(stack.arena), stack.arena[0].copy()))
             return stack
 
-        monkeypatch.setattr(protocol_mod, "stack_vectors", kept)
+        monkeypatch.setattr(consolidation_mod, "stack_vectors", kept)
         base = build_model(TOY, seed=1)
         arts = self.setup_artifacts(base, stream)
         out = consolidate(base, *consolidation_inputs(arts, ExemplarSet.empty(6)),
@@ -774,7 +785,7 @@ class TestConsolidate:
         # the student trains alone in the coordinator and leaves as the model
         # it trained, with an arena of its own; only the teacher process
         # stacks (the experts alone), so the coordinator builds no stack
-        coordinator, real = os.getpid(), protocol_mod.stack_vectors
+        coordinator, real = os.getpid(), consolidation_mod.stack_vectors
         stacks = []
 
         def kept(*args):
@@ -783,7 +794,7 @@ class TestConsolidate:
                 stacks.append(stack.arena.shape)
             return stack
 
-        monkeypatch.setattr(protocol_mod, "stack_vectors", kept)
+        monkeypatch.setattr(consolidation_mod, "stack_vectors", kept)
         base = build_model(TOY, seed=1)
         arts = self.setup_artifacts(base, stream)
         out = consolidate(base, *consolidation_inputs(arts, ExemplarSet.empty(6)),
@@ -856,7 +867,7 @@ class TestConsolidate:
                     run_baseline(stream, er_cfg).final_params.to_bytes())
 
         plain, plain_er = outputs()
-        for module in (replay_mod, protocol_mod, baselines_mod):
+        for module in (replay_mod, consolidation_mod, baselines_mod):
             monkeypatch.setattr(module, "draw_batch", mirrored)
         changed, changed_er = outputs()
         assert plain[0] == plain[1] == plain[2]
@@ -956,20 +967,20 @@ class TestTeacherProcess:
         # of one (k+1)-stack train pass (student and teachers) on the same
         # draws, gathered row by row: a memory row reads teacher 0's
         if not forked:
-            monkeypatch.setattr(protocol_mod, "_FORK_MIN_BATCHES", 10 ** 9)
+            monkeypatch.setattr(consolidation_mod, "_FORK_MIN_BATCHES", 10 ** 9)
         config = dataclasses.replace(TOY, res_blocks=2, dropout_p=dropout_p)
         base, arts, memory = self.setup(config, rows, memory_rows)
         cfg = tiny_config(rehearsal_epochs=3, task_coef=0.7, consolidation_coef=1.3,
                           distill_kind=kind)
         received = []
-        real = protocol_mod.l_base
+        real = consolidation_mod.l_base
 
         def recording(student, targets, labels, *args):
             received.append((args[-1], [None if t is None else t.copy()
                                         for t in targets.outputs]))
             return real(student, targets, labels, *args)
 
-        monkeypatch.setattr(protocol_mod, "l_base", recording)
+        monkeypatch.setattr(consolidation_mod, "l_base", recording)
         snapshots, pool = consolidation_inputs(arts, memory)
         consolidate(base, snapshots, pool, cfg, rng=np.random.default_rng(43))
 
@@ -1047,7 +1058,7 @@ class TestTeacherProcess:
         # 8 batches of a 20-row pool: the student fails at its second batch
         # while the teacher process sleeps in its second pass (batches 5 to
         # 8); it is killed, then reaped
-        teachers = spy_forks(monkeypatch, runs=protocol_mod._teach)
+        teachers = spy_forks(monkeypatch, runs=consolidation_mod._teach)
         in_teacher(monkeypatch, lambda: time.sleep(60), after=1)
         base = build_model(TOY, seed=1)
         arts = TestConsolidate().setup_artifacts(base, stream)
@@ -1069,7 +1080,7 @@ class TestTeacherProcess:
         def interrupt(signum, frame):
             raise Interrupted
 
-        teachers = spy_forks(monkeypatch, runs=protocol_mod._teach)
+        teachers = spy_forks(monkeypatch, runs=consolidation_mod._teach)
         in_teacher(monkeypatch, lambda: time.sleep(60), after=1)
         base = build_model(TOY, seed=1)
         arts = TestConsolidate().setup_artifacts(base, stream)
@@ -1096,8 +1107,8 @@ class TestTeacherProcess:
         # 4 epochs of 2 batches on a 20-row pool: 8 batches fork if at least
         # 8 must, and not if 9 must, nor on one CPU; either way the student
         # ends the same
-        monkeypatch.setattr(protocol_mod, "_FORK_MIN_BATCHES", shortest)
-        monkeypatch.setattr(protocol_mod, "_usable_cores", lambda: cores)
+        monkeypatch.setattr(consolidation_mod, "_FORK_MIN_BATCHES", shortest)
+        monkeypatch.setattr(consolidation_mod, "_usable_cores", lambda: cores)
         forks = []
         real_fork = os.fork
 
@@ -1133,8 +1144,8 @@ class TestTeacherProcess:
         cfg = tiny_config(rehearsal_epochs=4)
         resized = consolidate(base, *consolidation_inputs(arts, ExemplarSet.empty(6)),
                               cfg, rng=np.random.default_rng(0))
-        teachers = spy_forks(monkeypatch, runs=protocol_mod._teach)
-        monkeypatch.setattr(protocol_mod, "_SETPIPE_SZ", None)
+        teachers = spy_forks(monkeypatch, runs=consolidation_mod._teach)
+        monkeypatch.setattr(pipes_mod, "_SETPIPE_SZ", None)
         out = consolidate(base, *consolidation_inputs(arts, ExemplarSet.empty(6)),
                           cfg, rng=np.random.default_rng(0))
         assert len(teachers) == 1
@@ -1351,7 +1362,7 @@ class TestIncrementalStep:
         if teachers == "forked":
             fork_teachers(monkeypatch)
         else:
-            monkeypatch.setattr(protocol_mod, "_FORK_MIN_BATCHES", 10 ** 9)
+            monkeypatch.setattr(consolidation_mod, "_FORK_MIN_BATCHES", 10 ** 9)
         failure = self.assert_step_fails(
             stream, executor, edit,
             rf"^step 1: artifact snapshot at byte 32: layout mismatch for '{entry}' at byte \d+$")
@@ -1389,11 +1400,11 @@ class _RewritingExecutor:
 
 
 def spy_forks(monkeypatch, runs=None) -> list[int]:
-    """Record the children ``protocol.Forked`` forks: returns the list that
+    """Record the children ``pipes.Forked`` forks: returns the list that
     each fork of a child running ``runs`` (a job's function; any, if None)
     appends the child's pid to, in fork order."""
     forks: list[int] = []
-    real_init = protocol_mod.Forked.__init__
+    real_init = pipes_mod.Forked.__init__
 
     def init(self, jobs):
         jobs = list(jobs)
@@ -1403,7 +1414,7 @@ def spy_forks(monkeypatch, runs=None) -> list[int]:
             forks.extend(pid for pid, job in zip(getattr(self, "pids", ()), jobs)
                           if runs is None or job.func is runs)
 
-    monkeypatch.setattr(protocol_mod.Forked, "__init__", init)
+    monkeypatch.setattr(pipes_mod.Forked, "__init__", init)
     return forks
 
 
@@ -1537,7 +1548,7 @@ class TestForked:
     def test_frames_come_back_byte_identical_in_order(self):
         # two children, the second one read first: each pipe is its own
         jobs = [frames_then(self.MSGS), frames_then(self.MSGS[::-1])]
-        with protocol_mod.Forked(jobs) as children:
+        with pipes_mod.Forked(jobs) as children:
             second = list(children.records(1, 3, "child 1", "frames"))
             first = list(children.records(0, 3, "child 0", "frames"))
         assert first == self.MSGS and second == self.MSGS[::-1]
@@ -1548,7 +1559,7 @@ class TestForked:
         def boom():
             raise _ChildBoom("after one frame")
 
-        with protocol_mod.Forked([frames_then(self.MSGS[:1], boom)]) as children:
+        with pipes_mod.Forked([frames_then(self.MSGS[:1], boom)]) as children:
             msgs = children.records(0, 2, "child 0", "frames")
             assert next(msgs) == self.MSGS[0]
             with pytest.raises(_ChildBoom, match="^after one frame$"):
@@ -1561,15 +1572,15 @@ class TestForked:
         def boom():
             raise raised
 
-        with protocol_mod.Forked([frames_then([], boom)]) as children:
+        with pipes_mod.Forked([frames_then([], boom)]) as children:
             with pytest.raises(ExpertFailure) as got:
                 list(children.records(0, 1, "child 0", "frames"))
         assert type(got.value) is ExpertFailure and str(got.value) == message
         assert children.codes == [1] and reaped(children.pids)
 
     def test_exception_frame_that_does_not_unpickle_fails_naming_the_child(self):
-        job = frames_then([frame(protocol_mod.TAG_EXCEPTION, b"not a pickle")])
-        with protocol_mod.Forked([job]) as children:
+        job = frames_then([frame(pipes_mod.TAG_EXCEPTION, b"not a pickle")])
+        with pipes_mod.Forked([job]) as children:
             with pytest.raises(ExpertFailure, match="^child 0 raised an exception that does "
                                                     "not unpickle: UnpicklingError: "):
                 list(children.records(0, 2, "child 0", "frames"))
@@ -1581,7 +1592,7 @@ class TestForked:
         ids=["killed", "exits"])
     def test_child_that_ends_early_fails_with_its_exit_code_and_count(self, cut, end, code):
         job = frames_then([self.MSGS[0], self.MSGS[1][:cut]], end)
-        with protocol_mod.Forked([job]) as children:
+        with pipes_mod.Forked([job]) as children:
             with pytest.raises(ExpertFailure,
                                match=f"^child 0 ended with exit code {code} after 1 of 3 frames$"):
                 list(children.records(0, 3, "child 0", "frames"))
@@ -1600,7 +1611,7 @@ class TestForked:
                else frames_then(self.MSGS))
         t0 = time.perf_counter()
         with contextlib.suppress(Failed):
-            with protocol_mod.Forked([job, job]) as children:
+            with pipes_mod.Forked([job, job]) as children:
                 if outcome == "read":
                     for w in range(2):
                         assert list(children.records(w, 3, f"child {w}", "frames")) == self.MSGS

@@ -18,6 +18,9 @@ import batchcl
     ("batchcl.replay", ["batchcl.model", "batchcl.engine"]),
     ("batchcl.cli", ["jsonschema"]),
     ("batchcl.cli", ["multiprocessing", "concurrent.futures"]),
+    ("batchcl.consolidation", ["batchcl.wire", "batchcl.protocol", "batchcl.run"]),
+    ("batchcl.pipes", ["numpy", "batchcl.model"]),
+    ("batchcl.wire", ["batchcl.consolidation", "batchcl.protocol", "batchcl.config"]),
 ])
 def test_loads_without(module, absent):
     src = str(Path(batchcl.__file__).resolve().parents[1])
