@@ -2,16 +2,20 @@
 the base on a step's pool, each pool row toward its own expert.
 
 Where a consolidation is long enough for a fork to pay and a second CPU
-can run it, the teachers run in a forked teacher process that sends their
-outputs as one TGTS frame per batch; otherwise they are slices 1..k of the
-student's own stacked pass, and nothing forks. The phase reads the
-snapshots and the pool, and nothing of the wire's artifact.
+can run it, the teachers run in a forked teacher process. It draws every
+batch, rows and dropout masks, and sends each as one TGTS frame: the row
+indices, the dropout keep-bits, then the teachers' outputs. The student
+trains on the batches the frames carry and draws nothing. Otherwise the
+teachers are slices 1..k of the student's own stacked pass, the student
+draws its batches, and nothing forks. The phase reads the snapshots and
+the pool, and nothing of the wire's artifact.
 """
 
 from __future__ import annotations
 
 import os
 from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -48,14 +52,18 @@ def consolidate(
 
     With the distillation term on, the k experts teach from a process of
     their own (:func:`_teach`), forked before the first batch. It inherits
-    the decoded snapshots, the pool and the RNG's state, replays every
-    batch's draws with ``draw_batch`` as the student makes them, and sends
-    each row its own expert's outputs, one TGTS frame per batch, which the
-    student's routed distance reads. The teachers never read the student,
-    so they run ahead of it. The teacher process is reaped before this
-    returns or raises: killed first if the student fails (a NonFiniteError,
-    an interrupt, a malformed frame); its own exception is re-raised here
-    as it is; if it ends early, ExpertFailure.
+    the decoded snapshots, the pool and the RNG's state, makes every
+    batch's draws with ``draw_batch``, and sends each batch as one TGTS
+    frame: its rows, its dropout keep-bits and each row's own expert's
+    outputs. The student takes its rows and masks from the frame
+    (:func:`_frame_decoder`), so it draws nothing and ``rng`` is left where
+    it was; the masks are rebuilt with the float operations that drew
+    them, so the student trains on the same bits as if it had drawn. The
+    teachers never read the student, so they run ahead of it. The teacher
+    process is reaped before this returns or raises: killed first if the
+    student fails (a NonFiniteError, an interrupt, a malformed frame); its
+    own exception is re-raised here as it is; if it ends early,
+    ExpertFailure.
 
     A consolidation of fewer than ``_FORK_MIN_BATCHES`` batches, or one in
     a process that may run on one CPU only (:func:`_usable_cores`), forks
@@ -81,30 +89,33 @@ def consolidate(
     model = stack_vectors(base.config, [base, *snapshots]) if stacked else base.copy()
     student = model.slice(0) if stacked else model
 
-    def train(targets):
+    def train(batches, targets):
         def step(batch):
-            idx, masks = batch
+            idx, masks = batch[:2]
             taps, record = model.forward_with_taps(features[idx], train=True, masks=masks)
             own = origins[idx]
-            loss = l_base(taps, targets(taps, own), labels[idx], task_coef, consolidation_coef,
-                          kind, (own, k))
+            loss = l_base(taps, targets(batch, taps, own), labels[idx], task_coef,
+                          consolidation_coef, kind, (own, k))
             return loss_and_grads(loss.value, lambda: student.backward(record, loss))
 
         train_epochs(student.flat_params, student.layout.param_slices, t.lr, b.rehearsal_epochs,
-                     lambda: (draw_batch(n, batch_size, student, rng)
-                              for _ in range(batches_per_epoch)), step)
+                     batches, step)
+
+    def drawn():
+        return (draw_batch(n, batch_size, student, rng) for _ in range(batches_per_epoch))
 
     if consolidation_coef == 0:
-        train(lambda taps, own: None)
+        train(drawn, lambda batch, taps, own: None)
     elif stacked:
-        train(lambda taps, own: _own_outputs(taps.teachers, own, which))
+        train(drawn, lambda batch, taps, own: _own_outputs(taps.teachers, own, which))
         return student.copy()  # an arena of its own; the stack goes as this returns
     else:
         job = partial(_teach, base.config, snapshots, features, origins, batch_size, rng,
                       which, total)
+        taught = _frame_decoder(n, batch_size, student, which)
         with Forked([job]) as teacher:
-            msgs = teacher.records(0, total, "teacher process", "batches")
-            train(lambda taps, own: _routed_targets(next(msgs), taps, which))
+            received = map(taught, teacher.records(0, total, "teacher process", "batches"))
+            train(lambda: islice(received, batches_per_epoch), lambda batch, taps, own: batch[2])
     return student
 
 
@@ -143,10 +154,13 @@ def _teach(config: ModelConfig, snapshots: list[ParamVector], features: np.ndarr
     Stacks the k snapshots once. For each of ``batches`` batches it makes
     the batch's draws with :func:`~batchcl.replay.draw_batch` from ``rng``,
     its copy of the student's RNG, runs the stack's teacher pass on the
-    batch's rows with its dropout masks, and yields a TGTS frame of the
-    outputs ``which`` names (indices into a pass's ``outputs``), each
-    ``(B, D)`` block of each row's own expert's output, in that order; a
-    memory row carries expert 0's. One pass covers ``_TEACHER_CHUNK`` batches
+    batch's rows with its dropout masks, and yields a TGTS frame holding
+    the batch: its row indices (int64), its dropout keep-bits
+    (``np.packbits`` of ``mask != 0`` over every site in draw order; none
+    without dropout), then the outputs ``which`` names (indices into a
+    pass's ``outputs``), each ``(B, D)`` block of each row's own expert's
+    output, in that order; a memory row carries expert 0's. One pass covers
+    ``_TEACHER_CHUNK`` batches
     (:meth:`~batchcl.model.ResidualClassifier.over_batches`), with the
     bits of a pass per batch.
     """
@@ -157,26 +171,51 @@ def _teach(config: ModelConfig, snapshots: list[ParamVector], features: np.ndarr
         idx = np.stack([rows for rows, _ in draws])
         masks = [np.stack(site) for site in zip(*(m for _, m in draws))]
         passes = teachers.forward_as_teacher(features[idx], masks)  # (k, n, B, D)
-        for b, rows in enumerate(idx):
+        for b, (rows, batch_masks) in enumerate(draws):
             own = _own_outputs(passes[:, b], origins[rows], which).outputs
-            yield frame(TAG_TARGETS, *(memoryview(own[i]).cast("B") for i in which))
+            keep = b""
+            if batch_masks:
+                keep = np.packbits(np.concatenate([m.ravel() for m in batch_masks]) != 0)
+            yield frame(TAG_TARGETS, memoryview(rows).cast("B"), keep,
+                        *(memoryview(own[i]).cast("B") for i in which))
 
 
-def _routed_targets(msg: bytes, student: TapSet, which: list[int]) -> TapSet:
-    """A :func:`_teach` frame as a TapSet shaped like the ``student`` pass:
-    the outputs ``which`` names are views of its payload, the others None.
-    Anything but a TGTS frame of exactly their bytes is a ProtocolViolation,
-    raised before any view is taken."""
-    payload = _unframe_as(TAG_TARGETS, msg)
-    outputs = student.outputs
-    want = sum(outputs[i].nbytes for i in which)
-    if len(payload) != want:
-        raise ProtocolViolation(f"teacher frame of {len(payload)} bytes for {want} bytes "
-                                f"of targets")
-    flat = np.frombuffer(payload, dtype=student.logits.dtype)
-    got: list = [None] * len(outputs)
-    at = 0
-    for i in which:
-        got[i] = flat[at : at + outputs[i].size].reshape(outputs[i].shape)
-        at += outputs[i].size
-    return TapSet(got)
+def _frame_decoder(n: int, batch_size: int, student: ResidualClassifier, which: list[int]):
+    """The decoder of :func:`_teach`'s frames for a pool of ``n`` rows and a
+    ``student`` of the teachers' shape: it maps a frame to the batch it
+    carries, ``(row indices, dropout masks, targets)``. The masks are
+    :meth:`~batchcl.model.ResidualClassifier.masks_from_keep` of its
+    keep-bits, and the targets a TapSet whose outputs ``which`` names are
+    ``(B, D)`` views of its payload, the others None. Anything but a TGTS
+    frame of exactly the rows, keep-bits and targets of a batch, or a row
+    index outside ``[0, n)``, is a ProtocolViolation, raised before any
+    view is taken."""
+    config, dtype = student.config, student.flat_params.dtype
+    units = batch_size * sum(config.dropout_widths)
+    rows_end = 8 * batch_size
+    keep_end = rows_end + (units + 7) // 8
+    widths = [(i, config.output_widths[i]) for i in which]
+    size = keep_end + dtype.itemsize * batch_size * sum(w for _, w in widths)
+    outputs = len(config.output_widths)
+
+    def decode(msg: bytes):
+        payload = _unframe_as(TAG_TARGETS, msg)
+        if len(payload) != size:
+            raise ProtocolViolation(f"teacher frame of {len(payload)} bytes for {size} bytes "
+                                    f"of rows, keep-bits and targets")
+        idx = np.frombuffer(payload, dtype="<i8", count=batch_size)
+        low, high = idx.min(), idx.max()
+        if low < 0 or high >= n:
+            raise ProtocolViolation(f"teacher frame row {low if low < 0 else high} outside "
+                                    f"a pool of {n} rows")
+        keep = np.unpackbits(np.frombuffer(payload[rows_end:keep_end], dtype=np.uint8),
+                             count=units)
+        flat = np.frombuffer(payload[keep_end:], dtype=dtype)
+        targets: list = [None] * outputs
+        at = 0
+        for i, w in widths:
+            targets[i] = flat[at : at + batch_size * w].reshape(batch_size, w)
+            at += batch_size * w
+        return idx, student.masks_from_keep(keep, batch_size), TapSet(targets)
+
+    return decode

@@ -7,6 +7,7 @@ from .autodiff import (
     batch_norm_grads,
     check_finite,
     dropout_mask,
+    dropout_multiplier,
     fold_batch_stats,
     loss_and_grads,
     softmax_cross_entropy,
@@ -21,6 +22,7 @@ __all__ = [
     "batch_norm_grads",
     "check_finite",
     "dropout_mask",
+    "dropout_multiplier",
     "fold_batch_stats",
     "loss_and_grads",
     "softmax_cross_entropy",

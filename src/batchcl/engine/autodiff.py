@@ -4,9 +4,10 @@ Nothing in a training run builds a graph. The objectives' two ops,
 ``softmax_cross_entropy`` and ``stacked_distance``, take plain arrays and
 return their value together with the gradients of their inputs. The
 model's passes share ``batch_norm_arrays``, ``batch_norm_grads`` and
-``dropout_mask``, and its hand-written backward carries the objectives'
-gradients to the parameters. ``loss_and_grads`` is where every step checks
-that its loss is finite before it runs that backward.
+``dropout_mask`` (``dropout_multiplier`` for flags drawn elsewhere), and
+its hand-written backward carries the objectives' gradients to the
+parameters. ``loss_and_grads`` is where every step checks that its loss is
+finite before it runs that backward.
 
 The define-by-run tape below (``Tensor``, ``_node``, ``_accumulate``,
 ``backward``, ``gradients``) is kept only as the engine of the per-op
@@ -55,9 +56,16 @@ def dropout_mask(
     shape: tuple[int, ...], p: float, rng: np.random.Generator, dtype
 ) -> np.ndarray:
     """Inverted-dropout multiplier: 0 for a dropped unit, 1/(1-p) for a kept one."""
-    keep = (rng.random(shape) >= p).astype(dtype)
-    keep *= np.asarray(1.0 / (1.0 - p), dtype=dtype)
-    return keep
+    return dropout_multiplier(rng.random(shape) >= p, p, dtype)
+
+
+def dropout_multiplier(keep: np.ndarray, p: float, dtype) -> np.ndarray:
+    """The multiplier :func:`dropout_mask` makes of ``keep``, its flags of
+    kept units (bools, or 0/1 as ``np.unpackbits`` gives them), by the same
+    float operations: the same bits for the same flags."""
+    mult = keep.astype(dtype)
+    mult *= np.asarray(1.0 / (1.0 - p), dtype=dtype)
+    return mult
 
 
 BN_MOMENTUM = 0.1

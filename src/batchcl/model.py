@@ -65,6 +65,7 @@ from .engine import (
     batch_norm_grads,
     check_finite,
     dropout_mask,
+    dropout_multiplier,
     fold_batch_stats,
 )
 
@@ -98,6 +99,20 @@ class ModelConfig:
                 raise ValueError(f"{name} must be an integer >= 1, got {v!r}")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ValueError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
+
+    @property
+    def dropout_widths(self) -> list[int]:
+        """The units of each dropout site of a pass, in layer order: the
+        stem, every block layer, and the head's input; none without dropout."""
+        if self.dropout_p == 0.0:
+            return []
+        return [self.res_dim] * (1 + self.res_blocks * self.res_layers_per_block) + [
+            self.hidden_dim]
+
+    @property
+    def output_widths(self) -> list[int]:
+        """The width of each of a pass's outputs: its taps, then its logits."""
+        return [self.res_dim] * self.res_blocks + [self.hidden_dim, self.total_classes]
 
 
 @dataclass
@@ -447,13 +462,26 @@ class ResidualClassifier:
         One draw covers every site, split in layer order: the same stream,
         in the same order, as one draw per site.
         """
-        if self.config.dropout_p == 0.0:
-            return []
         c = self.config
-        widths = [c.res_dim] * (1 + c.res_blocks * c.res_layers_per_block) + [c.hidden_dim]
-        flat = dropout_mask((n * sum(widths),), c.dropout_p, rng, self.params["stem.W"].dtype)
+        if not c.dropout_widths:
+            return []
+        units = n * sum(c.dropout_widths)
+        return self._site_masks(dropout_mask((units,), c.dropout_p, rng, self.flat_params.dtype), n)
+
+    def masks_from_keep(self, keep: np.ndarray, n: int) -> list[np.ndarray]:
+        """The :meth:`draw_masks` of ``n`` rows whose kept units are ``keep``,
+        the flat flags of every site in its draw order (``mask != 0`` of its
+        masks, joined): equal bit for bit to the masks that kept them."""
+        c = self.config
+        if not c.dropout_widths:
+            return []
+        return self._site_masks(dropout_multiplier(keep, c.dropout_p, self.flat_params.dtype), n)
+
+    def _site_masks(self, flat: np.ndarray, n: int) -> list[np.ndarray]:
+        """``flat``, the multipliers of every site of ``n`` rows in layer
+        order, as one ``(n, width)`` view per site."""
         masks, start = [], 0
-        for w in widths:
+        for w in self.config.dropout_widths:
             masks.append(flat[start : start + n * w].reshape(n, w))
             start += n * w
         return masks
@@ -591,9 +619,7 @@ class ResidualClassifier:
     @property
     def dropout_sites(self) -> int:
         """Dropout layers of a pass: stem, every block layer, and the head."""
-        if self.config.dropout_p == 0.0:
-            return 0
-        return 2 + self.config.res_blocks * self.config.res_layers_per_block
+        return len(self.config.dropout_widths)
 
     def _check_input(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)

@@ -119,6 +119,35 @@ def _serve(out_fd: int, read_ends: list, job) -> None:
         os._exit(code)
 
 
+def _frames(fd: int):
+    """Every whole frame the pipe ``fd`` carries, in order, each its
+    own bytes, until the pipe ends (a partial last frame is dropped).
+
+    Each read fills one buffer of ``_PIPE_BYTES`` with whatever the pipe
+    holds, and the frames are cut out of it. A frame's head that a read
+    left incomplete moves to the buffer's front before the next read, and
+    the buffer grows to hold a frame larger than itself.
+    """
+    buf, start, end = bytearray(_PIPE_BYTES), 0, 0  # buf[start:end] is unread
+    while True:
+        size = FRAME_OVERHEAD
+        if end - start >= size:
+            size += struct.unpack_from("<Q", buf, start + 4)[0]
+            if end - start >= size:
+                yield bytes(memoryview(buf)[start : start + size])
+                start += size
+                continue
+        if start:
+            buf[: end - start] = buf[start:end]
+            start, end = 0, end - start
+        if size > len(buf):
+            buf += bytes(size - len(buf))
+        got = os.readv(fd, [memoryview(buf)[end:]])
+        if not got:
+            return
+        end += got
+
+
 class Forked:
     """Child processes forked from this one, one per job, each writing the
     frames its job yields (:func:`_serve`) to a pipe of its own.
@@ -128,10 +157,13 @@ class Forked:
     system refuses, it keeps its default size), so that a child streaming
     frames runs that far ahead of its reader and the two processes swap
     the CPU less often when they share one. :meth:`records` reads a
-    child's frames. Leaving the ``with`` block reaps every child; if the
-    block raised (an exception, a KeyboardInterrupt), the children still
-    running are killed first. ``codes`` then holds each child's exit code,
-    a negative one being the signal that killed it.
+    child's frames in bulk (:func:`_frames`): each read takes all the pipe
+    holds, up to ``_PIPE_BYTES``, so a child blocked on a full pipe is
+    woken once per read, not once per frame. Leaving the ``with`` block
+    reaps every child; if the block raised (an exception, a
+    KeyboardInterrupt), the children still running are killed first.
+    ``codes`` then holds each child's exit code, a negative one being the
+    signal that killed it.
     """
 
     def __init__(self, jobs):
@@ -141,7 +173,7 @@ class Forked:
         try:
             for job in jobs:
                 r, out_fd = os.pipe()
-                self.pipes.append(open(r, "rb"))
+                self.pipes.append(open(r, "rb", buffering=0))
                 if _SETPIPE_SZ is not None:
                     try:
                         fcntl.fcntl(r, _SETPIPE_SZ, _PIPE_BYTES)
@@ -173,28 +205,26 @@ class Forked:
             self.exit_code(w)
 
     def records(self, w: int, n: int, what: str, unit: str):
-        """Child ``w``'s first ``n`` frames as they arrive. An EXCP frame's
-        exception is raised here as it is, or, if it does not unpickle, an
-        ExpertFailure naming ``what``; a pipe that ends before the n-th
-        frame raises ExpertFailure naming ``what``, the child's exit code
-        and how many of the ``n`` ``unit`` came."""
-        pipe = self.pipes[w]
+        """Child ``w``'s first ``n`` frames as they arrive, each its own
+        bytes. An EXCP frame's exception is raised here as it is, or, if it
+        does not unpickle, an ExpertFailure naming ``what``; a pipe that
+        ends before the n-th frame raises ExpertFailure naming ``what``, the
+        child's exit code and how many of the ``n`` ``unit`` came."""
+        frames = _frames(self.pipes[w].fileno())
         for got in range(n):
-            head = pipe.read(FRAME_OVERHEAD)
-            size = struct.unpack_from("<Q", head, 4)[0] if len(head) == FRAME_OVERHEAD else None
-            payload = None if size is None else pipe.read(size)
-            if payload is None or len(payload) < size:
+            msg = next(frames, None)
+            if msg is None:
                 # a negative code is the signal that killed the child
                 raise ExpertFailure(f"{what} ended with exit code {self.exit_code(w)} "
                                     f"after {got} of {n} {unit}")
-            if head[:4] == TAG_EXCEPTION:
+            if msg[:4] == TAG_EXCEPTION:
                 try:
-                    e = pickle.loads(payload)
+                    e = pickle.loads(msg[FRAME_OVERHEAD:])
                 except Exception as bad:
                     raise ExpertFailure(f"{what} raised an exception that does not unpickle: "
                                         f"{type(bad).__name__}: {bad}") from bad
                 raise e
-            yield head + payload
+            yield msg
 
     def exit_code(self, w: int) -> int:
         """Child ``w``'s exit code, reaping it first if need be."""

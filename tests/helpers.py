@@ -370,13 +370,17 @@ def reference_accepts(blob: bytes, config: ModelConfig) -> bool:
     return True
 
 
-# ways to break a teacher process's TGTS frame: each maps the frame to
-# what the teacher process sends instead
+# ways to break a teacher process's TGTS frame: each maps the frame's fields
+# (its row indices, keep-bits and targets) to what the teacher process sends
+# instead; "truncated_masks" needs a model with dropout
 MALFORMED_TARGETS = {
-    "wrong_tag": lambda msg: TAG_ARTIFACT + msg[4:],
-    "short": lambda msg: frame(TAG_TARGETS, msg[FRAME_OVERHEAD:-4]),
-    "long": lambda msg: frame(TAG_TARGETS, msg[FRAME_OVERHEAD:], bytes(4)),
-    "odd_length": lambda msg: frame(TAG_TARGETS, msg[FRAME_OVERHEAD:-1]),
+    "wrong_tag": lambda rows, keep, targets: frame(TAG_ARTIFACT, rows, keep, targets),
+    "short": lambda rows, keep, targets: frame(TAG_TARGETS, rows, keep, targets[:-4]),
+    "long": lambda rows, keep, targets: frame(TAG_TARGETS, rows, keep, targets, bytes(4)),
+    "odd_length": lambda rows, keep, targets: frame(TAG_TARGETS, rows, keep, targets[:-1]),
+    "rows_out_of_range": lambda rows, keep, targets: frame(
+        TAG_TARGETS, struct.pack("<q", 1 << 40), rows[8:], keep, targets),
+    "truncated_masks": lambda rows, keep, targets: frame(TAG_TARGETS, rows, keep[:-1], targets),
 }
 
 
@@ -394,9 +398,15 @@ def send_malformed_targets(monkeypatch, how: str) -> None:
     batch's TGTS frame broken the way ``MALFORMED_TARGETS[how]`` breaks it."""
     real, mangle = consolidation_mod._teach, MALFORMED_TARGETS[how]
 
-    def teach(*args):
-        for msg in real(*args):
-            yield mangle(msg)
+    def teach(config, snapshots, features, origins, batch_size, *rest):
+        rows = 8 * batch_size
+        units = 0 if config.dropout_p == 0.0 else batch_size * (
+            config.res_dim * (1 + config.res_blocks * config.res_layers_per_block)
+            + config.hidden_dim)
+        keep = rows + (units + 7) // 8
+        for msg in real(config, snapshots, features, origins, batch_size, *rest):
+            payload = msg[FRAME_OVERHEAD:]
+            yield mangle(payload[:rows], payload[rows:keep], payload[keep:])
 
     fork_teachers(monkeypatch)
     monkeypatch.setattr(consolidation_mod, "_teach", teach)

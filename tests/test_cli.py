@@ -384,10 +384,13 @@ class TestRunVerb:
     def test_malformed_teacher_frame_fails_the_step_not_the_run(self, tmp_path, monkeypatch,
                                                                  how):
         # every TGTS frame of the teacher process forked for step 0's
-        # consolidation breaks the protocol
+        # consolidation breaks the protocol; with dropout on, each frame
+        # carries keep-bits to break
         send_malformed_targets(monkeypatch, how)
+        raw = toy_raw(method="bmc", out_dir=str(tmp_path / "out"))
+        raw["model"]["dropout_p"] = 0.1
         cfg_file = tmp_path / "cfg.json"
-        cfg_file.write_text(json.dumps(toy_raw(method="bmc", out_dir=str(tmp_path / "out"))))
+        cfg_file.write_text(json.dumps(raw))
         assert main(["run", str(cfg_file)]) == 3
         rows = [json.loads(s) for s in (tmp_path / "out" / "records.jsonl").read_text().splitlines()]
         assert [r["type"] for r in rows] == ["timing", "summary"]

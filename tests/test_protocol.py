@@ -99,12 +99,12 @@ def stream():
     )
 
 
-def tiny_config(seed=13, epochs=1, lr=0.1, **bmc):
+def tiny_config(seed=13, epochs=1, lr=0.1, dropout_p=0.0, **bmc):
     """A bmc run on the module stream with the TOY model shape."""
     return experiment(
         "bmc", seed,
         model=dict(res_blocks=1, res_layers_per_block=1, res_dim=8, hidden_dim=6,
-                   dropout_p=0.0),
+                   dropout_p=dropout_p),
         training=dict(epochs_per_task=epochs, lr=lr, batch_size=8),
         bmc={"experts_per_step": 2, "rehearsal_epochs": 4, "buffer_capacity": 12,
              "memory_capacity": 40, **bmc},
@@ -875,6 +875,34 @@ class TestConsolidate:
         assert changed[0] != plain[0]
         assert changed_er != plain_er
 
+    def test_forked_coordinator_draws_nothing(self, stream, monkeypatch):
+        # stacked, the coordinator draws each batch; forked, the teacher
+        # process draws them all and the coordinator none, and the student
+        # trains on the same rows and dropout bits either way
+        coordinator, real = os.getpid(), consolidation_mod.draw_batch
+        draws = []
+
+        def counted(*args):
+            if os.getpid() == coordinator:
+                draws.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(consolidation_mod, "draw_batch", counted)
+        base = build_model(dataclasses.replace(TOY, dropout_p=0.1), seed=1)
+        arts = self.setup_artifacts(base, stream)
+        cfg = tiny_config(rehearsal_epochs=4, dropout_p=0.1)
+        inputs = consolidation_inputs(arts, ExemplarSet.empty(6))
+        with monkeypatch.context() as mp:
+            mp.setattr(consolidation_mod, "_FORK_MIN_BATCHES", 10 ** 9)
+            stacked = consolidate(base, *inputs, cfg, rng=np.random.default_rng(0))
+        assert len(draws) == 4 * (20 // 8)
+        draws.clear()
+        with monkeypatch.context() as mp:
+            fork_teachers(mp)
+            forked = consolidate(base, *inputs, cfg, rng=np.random.default_rng(0))
+        assert draws == []
+        assert forked.arena.tobytes() == stacked.arena.tobytes()
+
     def test_no_snapshots_rejected(self):
         base = build_model(TOY, seed=1)
         with pytest.raises(ValueError, match="snapshot"):
@@ -1019,12 +1047,13 @@ class TestTeacherProcess:
 
     @pytest.mark.parametrize("how", MALFORMED_TARGETS)
     def test_malformed_teacher_frame_fails_the_step(self, stream, monkeypatch, how):
-        # every batch's TGTS frame arrives with another tag, or a payload
-        # that is not the student's targets' bytes: the step fails before
-        # any view of it is taken, and base and memory stay as they were
+        # every batch's TGTS frame arrives with another tag, a payload that
+        # is not a batch's rows, keep-bits and targets, or a row outside the
+        # pool: the step fails before any view of it is taken, and base and
+        # memory stay as they were
         send_malformed_targets(monkeypatch, how)
-        base = build_model(TOY, seed=child_seed(5, "init"))
-        cfg = tiny_config(seed=5, rehearsal_epochs=2)
+        base = build_model(dataclasses.replace(TOY, dropout_p=0.1), seed=child_seed(5, "init"))
+        cfg = tiny_config(seed=5, rehearsal_epochs=2, dropout_p=0.1)
         memory = make_memory(10)
         base_before = base.to_param_vector().to_bytes()
         memory_before = encode_exemplars(memory)
@@ -1034,11 +1063,15 @@ class TestTeacherProcess:
         assert type(raised.value.__cause__) is ProtocolViolation
         if how == "wrong_tag":
             assert "expected a b'TGTS' frame, got b'ARTF'" in str(raised.value)
+        elif how == "rows_out_of_range":
+            assert re.search(r"teacher frame row 1099511627776 outside a pool of \d+ rows$",
+                             str(raised.value))
         else:
-            sizes = re.search(r"teacher frame of (\d+) bytes for (\d+) bytes of targets$",
-                              str(raised.value))
+            sizes = re.search(r"teacher frame of (\d+) bytes for (\d+) bytes of rows, "
+                              r"keep-bits and targets$", str(raised.value))
             got, want = map(int, sizes.groups())
-            assert got - want == {"short": -4, "long": 4, "odd_length": -1}[how]
+            assert got - want == {"short": -4, "long": 4, "odd_length": -1,
+                                  "truncated_masks": -1}[how]
         assert base.to_param_vector().to_bytes() == base_before
         assert encode_exemplars(memory) == memory_before
 
@@ -1597,6 +1630,72 @@ class TestForked:
                                match=f"^child 0 ended with exit code {code} after 1 of 3 frames$"):
                 list(children.records(0, 3, "child 0", "frames"))
         assert children.codes == [code] and reaped(children.pids)
+
+    # 18 KiB of small frames: more than a 4 KiB read takes, less than a pipe
+    # of the default 64 KiB holds, so a child writes them all and exits
+    SMALL = [frame(b"TGTS", bytes([i % 256]) * (i % 97)) for i in range(300)]
+
+    @staticmethod
+    def count_reads(monkeypatch) -> list:
+        """Patch ``os.readv`` in this process to append each read's length
+        to the returned list."""
+        reads, real = [], os.readv
+
+        def counting(fd, buffers):
+            got = real(fd, buffers)
+            reads.append(got)
+            return got
+
+        monkeypatch.setattr(os, "readv", counting)
+        return reads
+
+    def test_many_small_frames_arrive_in_one_read(self, monkeypatch):
+        # the child has written all its frames and exited before the first
+        # read: one read takes them all, and each comes out whole
+        with pipes_mod.Forked([frames_then(self.SMALL)]) as children:
+            assert children.exit_code(0) == 0
+            reads = self.count_reads(monkeypatch)
+            got = list(children.records(0, len(self.SMALL), "child 0", "frames"))
+        assert got == self.SMALL and all(type(m) is bytes for m in got)
+        assert reads == [sum(map(len, self.SMALL))]
+
+    def test_frames_larger_than_the_read_buffer_arrive_whole(self, monkeypatch):
+        # a read buffer of 16 bytes, smaller than a header and a payload: a
+        # frame's header and its payload each arrive over several reads
+        monkeypatch.setattr(pipes_mod, "_PIPE_BYTES", 16)
+        msgs = [self.SMALL[3], frame(b"TGTS", np.random.default_rng(1).bytes(100 << 10)),
+                *self.SMALL[:20]]
+        with pipes_mod.Forked([frames_then(msgs)]) as children:
+            reads = self.count_reads(monkeypatch)
+            assert list(children.records(0, len(msgs), "child 0", "frames")) == msgs
+        assert len(reads) > len(msgs) and children.codes == [0]
+
+    def test_exception_after_frames_in_one_read_is_reraised_after_them(self, monkeypatch):
+        def boom():
+            raise _ChildBoom("after 30 frames")
+
+        with pipes_mod.Forked([frames_then(self.SMALL[:30], boom)]) as children:
+            assert children.exit_code(0) == 1
+            reads = self.count_reads(monkeypatch)
+            msgs = children.records(0, 40, "child 0", "frames")
+            assert [next(msgs) for _ in range(30)] == self.SMALL[:30]
+            with pytest.raises(_ChildBoom, match="^after 30 frames$"):
+                next(msgs)
+        assert len(reads) == 1 and reaped(children.pids)
+
+    def test_child_killed_mid_frame_after_frames_in_one_read(self, monkeypatch):
+        # 30 whole frames and the head of the 31st share the read
+        job = frames_then([*self.SMALL[:30], self.MSGS[1][:100]],
+                          lambda: os.kill(os.getpid(), signal.SIGKILL))
+        with pipes_mod.Forked([job]) as children:
+            assert children.exit_code(0) == -9
+            reads = self.count_reads(monkeypatch)
+            msgs = children.records(0, 40, "child 0", "frames")
+            assert [next(msgs) for _ in range(30)] == self.SMALL[:30]
+            with pytest.raises(ExpertFailure,
+                               match="^child 0 ended with exit code -9 after 30 of 40 frames$"):
+                next(msgs)
+        assert reads[-1] == 0 and reaped(children.pids)
 
     @pytest.mark.parametrize("outcome, codes", [
         ("read", [0, 0]), ("unread", [1, 1]), ("raised", [-9, -9])])
