@@ -199,11 +199,13 @@ def _collect_points(pattern: str) -> list[tuple[float, float]]:
                 obj = json.loads(line)
             except json.JSONDecodeError:
                 continue
-            if not isinstance(obj, dict) or "total_cost" not in obj:
+            if not isinstance(obj, dict):
                 continue
-            acc = obj.get("final_mean_acc", obj.get("mean_acc"))
-            if acc is not None:
-                points.append((obj["total_cost"], acc))
+            point = (obj.get("total_cost"), obj.get("final_mean_acc", obj.get("mean_acc")))
+            # a cost or accuracy that is not a finite real number (a bool is
+            # not one) is skipped like a malformed line
+            if all(type(v) in (int, float) and abs(v) <= sys.float_info.max for v in point):
+                points.append(point)
     return points
 
 

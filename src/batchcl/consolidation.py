@@ -190,7 +190,7 @@ def _frame_decoder(n: int, batch_size: int, student: ResidualClassifier, which: 
     frame of exactly the rows, keep-bits and targets of a batch, or a row
     index outside ``[0, n)``, is a ProtocolViolation, raised before any
     view is taken."""
-    config, dtype = student.config, student.flat_params.dtype
+    config, dtype = student.config, student.arena.dtype
     units = batch_size * sum(config.dropout_widths)
     rows_end = 8 * batch_size
     keep_end = rows_end + (units + 7) // 8

@@ -143,11 +143,12 @@ class TapSet:
 
 class PassRecord(NamedTuple):
     """What a student pass keeps for :meth:`ResidualClassifier.backward`: each
-    layer's state as ``_values`` records it, ``(prefix, input, output, xhat,
-    inv_std, mask)`` with the output after ReLU and dropout, the head's
-    input and the dropout mask that made it (or None), and whether batch
-    statistics normalized. In a single model's pass a layer's output is the
-    next layer's input, one array; nothing writes into a recorded array."""
+    layer's state as ``_values`` records it, ``(index, input, output, xhat,
+    inv_std, mask)`` with the layer's index in ``_layers`` and the output
+    after ReLU and dropout, the head's input and the dropout mask that made
+    it (or None), and whether batch statistics normalized. In a single
+    model's pass a layer's output is the next layer's input, one array;
+    nothing writes into a recorded array."""
 
     layers: list[tuple]
     head_in: np.ndarray
@@ -363,6 +364,12 @@ class ResidualClassifier:
         return m
 
     def _bind(self, config: ModelConfig, arena: np.ndarray) -> None:
+        """Make ``arena`` this model's state: its views, and the table every
+        pass, backward and norm walk reaches a layer through, so that none
+        looks a name up. ``_layers[i]`` is affine layer i's ``(W, b, gamma,
+        beta, (running mean, running var), gradient slices)``, the vectors
+        broadcast over the rows and the slices those of its ``(W, b, gamma,
+        beta)`` in the flat gradient; ``_head`` is ``(W, b, W slice, b slice)``."""
         layout = self.layout = arena_layout(config)
         self.config = config
         self.classes = config.total_classes
@@ -370,17 +377,15 @@ class ResidualClassifier:
         self.flat_params = arena[..., : layout.n_params]
         params = self.params = layout.param_views(self.flat_params)
         stats = self.stats = layout.stat_views(arena[..., layout.n_params :])
-        # what a pass reads of each layer, in build order, and of the head,
-        # resolved once per binding so that no pass looks a name up: the
-        # weight, the bias and normalization scales broadcast over the rows,
-        # and the running buffers
-        self._head_views = (params["head.W"], params["head.b"][..., None, :])
-        self._layer_views = [
-            (prefix, params[f"{prefix}.W"], params[f"{prefix}.b"][..., None, :],
-             params[f"{prefix}.bn.gamma"][..., None, :], params[f"{prefix}.bn.beta"][..., None, :],
-             (stats[f"{prefix}.bn.running_mean"], stats[f"{prefix}.bn.running_var"]))
-            for prefix, _, _ in _affine_layers(config)
-        ]
+        slices = layout.param_slices
+        self._layers = [(
+            params[f"{p}.W"],
+            *(params[f"{p}.{n}"][..., None, :] for n in ("b", "bn.gamma", "bn.beta")),
+            (stats[f"{p}.bn.running_mean"], stats[f"{p}.bn.running_var"]),
+            tuple(slices[f"{p}.{n}"] for n in ("W", "b", "bn.gamma", "bn.beta")),
+        ) for p, _, _ in _affine_layers(config)]
+        self._head = (params["head.W"], params["head.b"][..., None, :], slices["head.W"],
+                      slices["head.b"])
 
     def forward_with_taps(self, x: np.ndarray, train: bool = False,
                           masks=()) -> tuple[TapSet, PassRecord]:
@@ -401,24 +406,12 @@ class ResidualClassifier:
         statistics. ``TapSet.teachers`` is the pass of slices 1..k, equal
         bit for bit to their :meth:`forward_as_teacher` given these masks.
         """
-        x = self._check_input(x)
-        n = len(x)
-        if train and n < 2:
-            raise GraphError(f"stem.bn: train-mode batch of size {n} (need >= 2)")
-        stacked = self.params["stem.W"].ndim == 3
-        if stacked and not train:
-            raise GraphError("a stack runs its student pass in train mode only")
-        # passes run in whatever precision the parameters carry (float32 in
-        # production; tests build float64 twins for derivative oracles)
-        dtype = self.params["stem.W"].dtype
         if not train:
             masks = ()
         layers: list[tuple] = []
-        outputs, head_in = self._values(
-            x.astype(dtype, copy=False), "train" if train else "eval", masks, layers
-        )
+        outputs, head_in = self._values(x, "train" if train else "eval", masks, layers)
         teachers = None
-        if stacked:
+        if self.arena.ndim == 2:
             teachers = TapSet(outputs)[1:]
             outputs, head_in = [o[0] for o in outputs], head_in[0]
         record = PassRecord(layers, head_in, masks[-1] if masks else None, train)
@@ -439,19 +432,17 @@ class ResidualClassifier:
         start from +0 themselves, and x + (-0) is x. A parameter nothing
         reaches keeps an exact zero.
         """
-        params, slices = self.params, self.layout.param_slices
         flat = np.zeros(self.layout.n_params, dtype=self.arena.dtype)
         *taps, last, g = objective.grads
         head = ()
         if g is not None:
-            w = params["head.W"]
-            dw = flat[slices["head.W"]].reshape(w.shape)
-            np.matmul(record.head_in.T, g, out=dw)
-            np.add.reduce(g, axis=0, out=flat[slices["head.b"]])
+            w, _, dw, db = self._head
+            np.matmul(record.head_in.T, g, out=flat[dw].reshape(w.shape))
+            np.add.reduce(g, axis=0, out=flat[db])
             d = g @ w.T
             head = (d if record.head_mask is None else d * record.head_mask,)
         taps.append(_sum(*head, last))
-        step = partial(_layer_backward, params, flat, slices, record.train)
+        step = partial(_layer_backward, self._layers, flat, record.train)
         _walk_trunk(self.config, record.layers, step, taps)
         return flat
 
@@ -466,7 +457,7 @@ class ResidualClassifier:
         if not c.dropout_widths:
             return []
         units = n * sum(c.dropout_widths)
-        return self._site_masks(dropout_mask((units,), c.dropout_p, rng, self.flat_params.dtype), n)
+        return self._site_masks(dropout_mask((units,), c.dropout_p, rng, self.arena.dtype), n)
 
     def masks_from_keep(self, keep: np.ndarray, n: int) -> list[np.ndarray]:
         """The :meth:`draw_masks` of ``n`` rows whose kept units are ``keep``,
@@ -475,7 +466,7 @@ class ResidualClassifier:
         c = self.config
         if not c.dropout_widths:
             return []
-        return self._site_masks(dropout_multiplier(keep, c.dropout_p, self.flat_params.dtype), n)
+        return self._site_masks(dropout_multiplier(keep, c.dropout_p, self.arena.dtype), n)
 
     def _site_masks(self, flat: np.ndarray, n: int) -> list[np.ndarray]:
         """``flat``, the multipliers of every site of ``n`` rows in layer
@@ -490,8 +481,13 @@ class ResidualClassifier:
         """The architecture on plain arrays: ``(outputs, head input)``, the
         outputs being the taps, then the logits (:class:`TapSet`).
 
-        This is every pass's arithmetic. ``mode`` picks the normalization
-        statistics: ``"train"`` takes batch statistics and folds them into
+        This is every pass's arithmetic and the one check of its input,
+        which raises :class:`GraphError`: ``x`` is ``(B, input_dim)``, or
+        ``(n, B, input_dim)`` on a stack :meth:`over_batches`, of at least 2
+        rows under batch statistics, and a stack runs no eval pass. ``x`` is
+        cast to the arena's precision (float32 in production; tests build
+        float64 twins). ``mode`` picks the normalization statistics:
+        ``"train"`` takes batch statistics and folds them into
         the running buffers (a stack's slice 0 only), ``"teacher"`` takes
         batch statistics and touches nothing, ``"eval"`` uses the running
         buffers. A train pass gathers slice 0's batch statistics layer by
@@ -504,8 +500,8 @@ class ResidualClassifier:
         ``masks`` are the dropout multipliers, one per site in layer
         order; a teacher pass may take none, and any other count raises
         :class:`GraphError`. When ``layers`` is a list, each layer
-        appends what its backward needs: (prefix, input, output, xhat,
-        inv_std, mask), where the output is the layer's value after ReLU
+        appends what its backward needs: (index in ``_layers``, input,
+        output, xhat, inv_std, mask), where the output is the value after ReLU
         and dropout, which is the next layer's input; no pre-ReLU value is
         kept. A stack's layers append copies of slice 0's, so the teachers'
         states are freed as the pass goes on; a layer whose input is the
@@ -519,15 +515,28 @@ class ResidualClassifier:
         takes one fresh array, ``gamma * xhat``, since the record keeps
         xhat. No pass writes into an array it was given or has handed out.
         """
-        if (masks or mode == "train") and len(masks) != self.dropout_sites:
-            raise GraphError(f"{len(masks)} dropout masks for {self.dropout_sites} dropout layers")
+        x, d, rank = np.asarray(x), self.config.input_dim, max(2, self.arena.ndim)
+        if x.ndim != rank or x.shape[-1] != d:
+            form = "a stack over batches takes (n, B, d)" if rank == 3 else "a pass takes (B, d)"
+            raise GraphError(f"input shape {x.shape}: {form} with d = input_dim={d}")
         train = mode != "eval"
+        if train and x.shape[-2] < 2:
+            raise GraphError(f"{mode} pass on a batch of size {x.shape[-2]} (batch statistics "
+                             f"need >= 2 rows)")
+        if not train and self.arena.ndim > 1:
+            raise GraphError("a stack runs its student pass in train mode only")
+        sites = len(self.config.dropout_widths)
+        if (masks or mode == "train") and len(masks) != sites:
+            raise GraphError(f"{len(masks)} dropout masks for {sites} dropout layers")
+        x = x.astype(self.arena.dtype, copy=False)
         replay = iter(masks)
         batch: list[np.ndarray] = []  # slice 0's batch statistics, in layout order
         last: list = [None, None]  # the last layer's output and its recorded slice 0
 
-        def layer(h: np.ndarray, views: tuple, dropped: bool) -> np.ndarray:
-            prefix, w, b, gamma, beta, running = views
+        table = self._layers
+
+        def layer(h: np.ndarray, i: int, dropped: bool) -> np.ndarray:
+            w, b, gamma, beta, running, _ = table[i]
             z = h @ w
             z += b
             xhat, inv_std = batch_norm_arrays(
@@ -548,22 +557,22 @@ class ResidualClassifier:
             if layers is not None:
                 h0, xhat0, inv_std0 = state
                 last[:] = y, y[0].copy() if stacked else y
-                layers.append((prefix, h0, last[1], xhat0, inv_std0, mask))
+                layers.append((i, h0, last[1], xhat0, inv_std0, mask))
             return y
 
-        views = iter(self._layer_views)
-        h = layer(x, next(views), True)
+        index = itertools.count()
+        h = layer(x, next(index), True)
         outputs: list[np.ndarray] = []
         for _ in range(self.config.res_blocks):
             r = h
             for _ in range(self.config.res_layers_per_block):
-                r = layer(r, next(views), True)
+                r = layer(r, next(index), True)
             h = h + r
             outputs.append(h)
-        pen = layer(h, next(views), False)
+        pen = layer(h, next(index), False)
         outputs.append(pen)
         head_in = pen * next(replay) if masks else pen
-        head_w, head_b = self._head_views
+        head_w, head_b, _, _ = self._head
         logits = head_in @ head_w
         logits += head_b
         if mode == "train":
@@ -603,35 +612,10 @@ class ResidualClassifier:
         statistics over its own rows, so slice ``[j, b]`` equals the pass of
         batch b alone, bit for bit, in fewer and larger array ops.
         """
-        if self.arena.ndim == 3:
-            x = np.asarray(x)
-            if x.ndim != 3:
-                raise GraphError(f"input shape {x.shape}: a stack over batches takes (n, B, d)")
-            self._check_input(x[0])
-        else:
-            x = self._check_input(x)
-        if x.shape[-2] < 2:
-            raise GraphError(f"teacher pass on {x.shape[-2]} rows (batch statistics need >= 2)")
-        return TapSet(self._values(
-            x.astype(self.params["stem.W"].dtype, copy=False), "teacher", masks, None
-        )[0])
-
-    @property
-    def dropout_sites(self) -> int:
-        """Dropout layers of a pass: stem, every block layer, and the head."""
-        return len(self.config.dropout_widths)
-
-    def _check_input(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x)
-        if x.ndim != 2 or x.shape[1] != self.config.input_dim:
-            raise GraphError(
-                f"input shape {x.shape} does not match input_dim={self.config.input_dim}"
-            )
-        return x
+        return TapSet(self._values(x, "teacher", masks, None)[0])
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Eval-mode argmax over every registered class (ties -> lowest id)."""
-        x = self._check_input(x).astype(self.params["stem.W"].dtype, copy=False)
         return np.argmax(self._values(x, "eval", (), None)[0][-1], axis=1)
 
     def per_example_grad_norms(self, x: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -649,30 +633,27 @@ class ResidualClassifier:
         ``|g xhat|^2 + |g|^2`` (gamma and beta). The head's ``dz`` is
         ``softmax(logits) - onehot(label)``.
         """
-        x = self._check_input(x)
+        layers: list[tuple] = []
+        (*_, logits), head_in = self._values(x, "eval", (), layers)
         labels = np.asarray(labels)
-        n = len(x)
+        n = len(head_in)
         if labels.shape != (n,) or (n and (labels.min() < 0 or labels.max() >= self.classes)):
             raise GraphError(f"labels {labels.shape} do not index {self.classes} classes "
                              f"for {n} rows")
-        params = self.params
-        layers: list[tuple] = []
-        (*_, logits), head_in = self._values(
-            x.astype(params["stem.W"].dtype, copy=False), "eval", (), layers
-        )
         ez = np.exp(logits - logits.max(axis=1, keepdims=True))
         delta = ez / ez.sum(axis=1, keepdims=True)
         delta[np.arange(n), labels] -= 1.0
         sq = (_row_sq(head_in) + 1.0) * _row_sq(delta)
 
         def step(state: tuple, g: np.ndarray, need_dx: bool):
-            prefix, h, output, xhat, inv_std, _ = state
+            i, h, output, xhat, inv_std, _ = state
+            w, _, gamma, *_ = self._layers[i]
             g = g * (output > 0)
-            dz = g * params[f"{prefix}.bn.gamma"] * inv_std
+            dz = g * gamma * inv_std
             sq[:] += (_row_sq(h) + 1.0) * _row_sq(dz) + _row_sq(g * xhat) + _row_sq(g)
-            return dz @ params[f"{prefix}.W"].T if need_dx else None
+            return dz @ w.T if need_dx else None
 
-        tap_grads = [None] * self.config.res_blocks + [delta @ params["head.W"].T]
+        tap_grads = [None] * self.config.res_blocks + [delta @ self._head[0].T]
         _walk_trunk(self.config, layers, step, tap_grads)
         return np.sqrt(sq)
 
@@ -710,11 +691,12 @@ def _sum(*parts):
     return total
 
 
-def _layer_backward(params: dict, flat: np.ndarray, slices: dict, train: bool, state: tuple,
-                    g: np.ndarray, need_dx: bool):
+def _layer_backward(table: list, flat: np.ndarray, train: bool, state: tuple, g: np.ndarray,
+                    need_dx: bool):
     """Backward of one affine -> BN -> ReLU -> dropout layer, given the
-    gradient of its output: writes the layer's parameter gradients into
-    their ``slices`` of the flat gradient and returns the gradient of its
+    gradient of its output: writes the parameter gradients of the layer
+    ``table`` (a model's ``_layers``) holds at its recorded index into
+    their slices of the flat gradient and returns the gradient of its
     input (if needed).
 
     The ReLU's gate reads the recorded output, not the pre-ReLU value:
@@ -722,19 +704,16 @@ def _layer_backward(params: dict, flat: np.ndarray, slices: dict, train: bool, s
     and where it is 1/(1-p) >= 1 the output is positive exactly when the
     pre-ReLU value is, so the bits are the same.
     """
-    prefix, h, output, xhat, inv_std, mask = state
+    i, h, output, xhat, inv_std, mask = state
+    w, _, gamma, _, _, (dw, db, dgamma, dbeta) = table[i]
     if mask is None:
         g = g * (output > 0)
     else:
         g = g * mask
         g *= output > 0
-    w = params[f"{prefix}.W"]
-    dgamma, dbeta, dz = batch_norm_grads(g, xhat, inv_std, params[f"{prefix}.bn.gamma"], train)
-    flat[slices[f"{prefix}.bn.gamma"]] = dgamma
-    flat[slices[f"{prefix}.bn.beta"]] = dbeta
-    np.add.reduce(dz, axis=0, out=flat[slices[f"{prefix}.b"]])
-    dw = flat[slices[f"{prefix}.W"]].reshape(w.shape)
-    np.matmul(h.T, dz, out=dw)
+    flat[dgamma], flat[dbeta], dz = batch_norm_grads(g, xhat, inv_std, gamma, train)
+    np.add.reduce(dz, axis=0, out=flat[db])
+    np.matmul(h.T, dz, out=flat[dw].reshape(w.shape))
     return dz @ w.T if need_dx else None
 
 

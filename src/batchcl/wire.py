@@ -12,6 +12,7 @@ serialized from a view of the arena with one join.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -45,8 +46,15 @@ class ExpertHyper:
     distill_kind: str
 
     def __post_init__(self):
+        # what the config's bounds reject, since a header is read, not parsed
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2 (normalization needs 2 rows)")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        if not (math.isfinite(self.stability_coef) and self.stability_coef >= 0):
+            raise ValueError(f"stability_coef must be finite and >= 0, got {self.stability_coef}")
+        if self.buffer_capacity < 1:
+            raise ValueError(f"buffer_capacity must be >= 1, got {self.buffer_capacity}")
 
 
 @dataclass(frozen=True)

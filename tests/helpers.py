@@ -277,6 +277,24 @@ def with_snapshot(msg: bytes, blob: bytes) -> bytes:
                  payload[at + pv_len :])
 
 
+# each SYNC header field the config's bounds cover: its offset in the
+# payload and its format
+SYNC_FIELDS = {name: (struct.calcsize(before), fmt) for name, before, fmt in (
+    ("buffer_capacity", "<IQI", "<Q"), ("lr", "<IQIQ", "<d"),
+    ("stability_coef", "<IQIQd", "<d"), ("batch_size", "<IQIQdd", "<I"))}
+# values of those fields that the config's bounds reject
+SYNC_OUT_OF_BOUNDS = [("batch_size", 1), ("lr", -1.0), ("lr", 0.0), ("lr", math.nan),
+                      ("lr", math.inf), ("stability_coef", -1.0), ("stability_coef", math.nan),
+                      ("stability_coef", math.inf), ("buffer_capacity", 0)]
+
+
+def with_sync_field(payload: bytes, field: str, value) -> bytes:
+    """A SYNC payload with its header field ``field`` (a key of
+    :data:`SYNC_FIELDS`) set to ``value``, the rest as it was."""
+    at, fmt = SYNC_FIELDS[field]
+    return b"".join([payload[:at], struct.pack(fmt, value), payload[at + struct.calcsize(fmt):]])
+
+
 # -- reference CLPV codec ----------------------------------------------------
 #
 # The snapshot format entry by entry: an encoder of any entries, a parser

@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import importlib
 import json
 import os
+import pkgutil
 import re
 import shlex
-import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -23,6 +24,7 @@ from helpers import (
     rewrite_last_artifact,
     send_malformed_targets,
     tagged_for_expert_0,
+    with_sync_field,
     write_stream_file,
 )
 
@@ -482,20 +484,23 @@ class TestRunVerb:
         assert [r["type"] for r in rows] == ["timing", "summary"]
         assert rows[-1]["failed_step"] == 0
 
-    @pytest.mark.parametrize("field", ["batch_size", "base_snapshot"])
-    def test_malformed_sync_fails_the_step_not_the_run(self, tmp_path, monkeypatch, field):
-        # every expert's SYNC frame carries a batch size of 1, or a base
-        # snapshot with a bad magic
-        at = FRAME_OVERHEAD + (
-            struct.calcsize("<IQIQdd") if field == "batch_size" else SYNC_FIXED_NBYTES
-        )
-        patch = struct.pack("<I", 1) if field == "batch_size" else b"XXXX"
+    @pytest.mark.parametrize("field, value", [
+        ("batch_size", 1), ("lr", -1.0), ("lr", 0.0), ("stability_coef", -1.0),
+        ("stability_coef", float("nan")), ("buffer_capacity", 0), ("base_snapshot", b"XXXX")])
+    def test_malformed_sync_fails_the_step_not_the_run(self, tmp_path, monkeypatch, field, value):
+        # every expert's SYNC frame carries a header value the config's
+        # bounds reject (each of which, unchecked, makes the run raise), or
+        # a base snapshot with a bad magic
+        def malformed(m: bytes) -> bytes:
+            if field == "base_snapshot":
+                at = FRAME_OVERHEAD + SYNC_FIXED_NBYTES
+                return m[:at] + value + m[at + len(value):]
+            return m[:FRAME_OVERHEAD] + with_sync_field(m[FRAME_OVERHEAD:], field, value)
+
         serial_run = protocol_mod.SerialExecutor.run
         monkeypatch.setattr(
             protocol_mod.SerialExecutor, "run",
-            lambda self, syncs, *args: serial_run(
-                self, [m[:at] + patch + m[at + 4:] for m in syncs], *args
-            ),
+            lambda self, syncs, *args: serial_run(self, [malformed(m) for m in syncs], *args),
         )
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps(toy_raw(method="bmc", out_dir=str(tmp_path / "out"))))
@@ -696,6 +701,18 @@ class TestReadmeCli:
             except SystemExit:
                 pytest.fail(f"README command does not parse: {shlex.join(argv)}")
 
+    def test_layout_table_has_a_row_per_module(self):
+        # every top-level module and subpackage but the entry point has a
+        # row, and every row names a module that imports
+        text = self.README.read_text()
+        layout = text[text.index("## Layout"):text.index("\n## ", text.index("## Layout"))]
+        rows = re.findall(r"^\| `(batchcl\.[\w.]+)` \|", layout, re.M)
+        package = Path(batchcl.__file__).parent
+        modules = {f"batchcl.{m.name}" for m in pkgutil.iter_modules([str(package)])}
+        assert sorted(rows) == sorted(modules - {"batchcl.__main__"})
+        for name in rows:
+            importlib.import_module(name)
+
     def json_block(self, after: str) -> str:
         text = self.README.read_text()
         return re.search(r"```json\n(.*?)```", text[text.index(after):], re.S).group(1)
@@ -834,6 +851,19 @@ class TestPareto:
         (tmp_path / "b.json").write_bytes(b"\xff\xfe" + "{}".encode("utf-16-le"))
         assert main(["pareto", str(tmp_path / "*.json")]) == 0
         assert capsys.readouterr().out.splitlines() == ["total_cost,mean_acc", "1.0,0.5"]
+
+    @pytest.mark.parametrize("bad", [
+        {"total_cost": None}, {"total_cost": "x"}, {"final_mean_acc": [1]},
+        {"total_cost": True}, {"total_cost": float("nan")}, {"total_cost": 10 ** 400}])
+    def test_cli_verb_skips_a_point_that_is_not_a_finite_number(self, tmp_path, capsys, bad):
+        # the bad line, were it read, would dominate both others
+        lines = [{"type": "summary", "total_cost": 1, "final_mean_acc": 0.5},
+                 {"type": "summary", "total_cost": 0.5, "final_mean_acc": 0.9, **bad},
+                 {"type": "summary", "total_cost": 2, "final_mean_acc": 0.6}]
+        (tmp_path / "s.jsonl").write_text("\n".join(map(json.dumps, lines)))
+        assert main(["pareto", str(tmp_path / "*.jsonl")]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "total_cost,mean_acc", "1.0,0.5", "2.0,0.6"]
 
     def test_cli_verb_skips_matched_directory(self, tmp_path, capsys):
         (tmp_path / "s0.json").write_text(

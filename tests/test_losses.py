@@ -481,7 +481,7 @@ class TestMaskReplay:
 
     def test_teacher_reproduces_taps_and_logits(self, dropout_p):
         base, student, masks = self._pair(dropout_p)
-        assert len(masks) == base.dropout_sites > 0
+        assert len(masks) == len(base.config.dropout_widths) > 0
         teacher = base.forward_as_teacher(self.x, masks)
         for t, s in zip(teacher.taps, student.taps):
             np.testing.assert_array_equal(t, s)

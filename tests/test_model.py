@@ -500,6 +500,51 @@ class TestPassesWriteOnlyTheirOwnArrays:
             assert TestStackedStudent._bytes(handed) == before
 
 
+class NoLookup:
+    """A mapping whose every lookup, by name, method or iteration, fails."""
+
+    def __getitem__(self, name):
+        raise AssertionError(f"looked up {name!r}")
+
+    def __getattr__(self, attr):
+        raise AssertionError(f"looked up .{attr}")
+
+
+class TestPassesReadTheBoundTable:
+    """Every pass, backward and norm walk reaches a layer through the table
+    the model's binding built: none looks a parameter or its gradient's
+    slice up by name."""
+
+    CONFIG = ModelConfig(input_dim=6, total_classes=5, res_blocks=2, res_layers_per_block=2,
+                         res_dim=8, hidden_dim=7, dropout_p=0.1)
+
+    def test_no_pass_looks_a_name_up(self, monkeypatch):
+        model = build_model(self.CONFIG, seed=120)
+        jitter_params(model, seed=121)
+        stack = stack_vectors(self.CONFIG, [build_model(self.CONFIG, seed=122 + j)
+                                            for j in range(2)])
+        data = np.random.default_rng(124)
+        x = data.standard_normal((9, 6)).astype(np.float32)
+        xs = data.standard_normal((3, 9, 6)).astype(np.float32)
+        y = np.arange(9) % 5
+        masks = [model.draw_masks(9, data) for _ in range(len(xs) + 1)]
+        chunk_masks = [np.stack(site) for site in zip(*masks[1:])]
+
+        def passes(m: ResidualClassifier, chunk: ResidualClassifier) -> list:
+            tapset, record = m.forward_with_taps(x, True, masks[0])
+            grads = m.backward(record, task_loss(tapset, y))
+            return [a.tobytes() for a in (
+                *tapset.outputs, grads, m.arena, m.per_example_grad_norms(x, y), m.predict(x),
+                *chunk.forward_as_teacher(xs, chunk_masks).outputs)]
+
+        want = passes(model.copy(), stack.over_batches())
+        m, chunk = model.copy(), stack.over_batches()
+        for bound in (m, chunk):
+            monkeypatch.setattr(bound, "params", NoLookup())
+        monkeypatch.setattr(m.layout, "param_slices", NoLookup())
+        assert passes(m, chunk) == want
+
+
 class TestParamVector:
     def test_round_trip_bit_exact(self):
         m = build_model(TOY, seed=2)

@@ -25,6 +25,7 @@ import pytest
 from helpers import (
     BAD_BUFFERS,
     MALFORMED_TARGETS,
+    SYNC_OUT_OF_BOUNDS,
     assert_views_of_own_arena,
     break_last_buffer,
     buffer_header,
@@ -41,6 +42,7 @@ from helpers import (
     train_pass,
     with_buffer_header,
     with_snapshot,
+    with_sync_field,
 )
 
 import batchcl.baselines as baselines_mod
@@ -308,11 +310,11 @@ class TestSyncCodec:
         with pytest.raises(ProtocolViolation, match="sampling 9"):
             decode_sync(bytes(payload), TOY)
 
-    def test_batch_size_below_two_rejected(self, stream):
-        payload = bytearray(unframe(make_sync()[0])[1])
-        struct.pack_into("<I", payload, struct.calcsize("<IQIQdd"), 1)
-        with pytest.raises(ProtocolViolation, match="sync header at byte 0: batch_size"):
-            decode_sync(bytes(payload), TOY)
+    @pytest.mark.parametrize("field, value", SYNC_OUT_OF_BOUNDS)
+    def test_header_value_the_config_forbids_rejected(self, stream, field, value):
+        payload = with_sync_field(unframe(make_sync()[0])[1], field, value)
+        with pytest.raises(ProtocolViolation, match=f"sync header at byte 0: {field}"):
+            decode_sync(payload, TOY)
 
 
 class TestArtifactCodec:

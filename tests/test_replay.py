@@ -354,7 +354,7 @@ class TestDrawBatch:
         assert idx.tobytes() == want.integers(0, 30, size=4).tobytes()
         assert [m.tobytes() for m in masks] == [
             m.tobytes() for m in self.MODEL.draw_masks(4, want)]
-        assert len(masks) == self.MODEL.dropout_sites
+        assert len(masks) == len(self.MODEL.config.dropout_widths)
         assert rng.bit_generator.state == want.bit_generator.state
 
     def test_singleton_pool(self):
