@@ -6,6 +6,7 @@ from .autodiff import (
     batch_norm_arrays,
     batch_norm_grads,
     check_finite,
+    distance_value,
     dropout_mask,
     dropout_multiplier,
     fold_batch_stats,
@@ -21,6 +22,7 @@ __all__ = [
     "batch_norm_arrays",
     "batch_norm_grads",
     "check_finite",
+    "distance_value",
     "dropout_mask",
     "dropout_multiplier",
     "fold_batch_stats",

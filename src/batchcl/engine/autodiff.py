@@ -2,7 +2,8 @@
 
 Nothing in a training run builds a graph. The objectives' two ops,
 ``softmax_cross_entropy`` and ``stacked_distance``, take plain arrays and
-return their value together with the gradients of their inputs. The
+return their value together with the gradients of their inputs
+(``distance_value`` is the distance's value for a reader of nothing else). The
 model's passes share ``batch_norm_arrays``, ``batch_norm_grads`` and
 ``dropout_mask`` (``dropout_multiplier`` for flags drawn elsewhere), and
 its hand-written backward carries the objectives' gradients to the
@@ -191,9 +192,10 @@ def stacked_distance(
     """Squared distances of students to their teachers' targets, summed, times ``weight``.
 
     This is the one distance op of the engine: every distillation term is
-    one call of it. ``students[i]`` is a ``(B, D_i)`` array and
-    ``targets[i]`` the ``(B, D_i)`` array the teachers put in its place (a
-    constant: it gets no gradient). A term is the squared difference of
+    one call of it, and :func:`distance_value` is its unrouted value alone.
+    ``students[i]`` is a ``(B, D_i)`` array and ``targets[i]`` the
+    ``(B, D_i)`` array the teachers put in its place (a constant: it gets
+    no gradient). A term is the squared difference of
     target and student, averaged over rows and over the D_i features,
     whatever the features are (taps or logits): the one normalization, so
     a term's scale does not grow with D_i.
@@ -220,9 +222,43 @@ def stacked_distance(
     other teacher's share of a row is zero, and an exact +0 on a row of
     none.
     """
+    _check_distance(students, targets, route, name)
+    dtype = students[0].dtype
+    g = np.asarray(weight, dtype=dtype)
+    diffs = [t - s for s, t in zip(students, targets)]
+    if route is None:
+        grads = [-((g * 2.0 / s.size) * d) for d, s in zip(diffs, students)]
+        return np.asarray(_mean_sq_total(diffs), dtype=dtype) * g, grads
+    owner, k = route
+    m = (owner == np.arange(k)[:, None]).astype(dtype)
+    sel, owned = np.maximum(owner, 0), (owner >= 0).astype(dtype)
+    counts = np.maximum(np.add.reduce(m, axis=1), 1)
+    denoms = [counts * s.shape[1] for s in students]
+    terms = [np.add.reduce(m * np.add.reduce(d * d, axis=-1), axis=-1) / den
+             for d, den in zip(diffs, denoms)]
+    total = reduce(operator.add, reduce(operator.add, terms))
+    # each row's coefficient is its own teacher's, or 0 for a row of none;
+    # 0.0 - x turns that row's -0 into +0
+    grads = [0.0 - ((g * 2.0 / den)[sel] * owned)[:, None] * d for d, den in zip(diffs, denoms)]
+    return np.asarray(total, dtype=dtype) * g, grads
+
+
+def distance_value(students: Sequence[np.ndarray], targets: Sequence[np.ndarray]) -> np.ndarray:
+    """The value of :func:`stacked_distance` without ``route``, at weight 1,
+    and no gradient: the same checks and float operations, so the same
+    bits, for a caller that reads only the value."""
+    _check_distance(students, targets, None, "distance_value")
+    diffs = [t - s for s, t in zip(students, targets)]
+    return np.asarray(_mean_sq_total(diffs), dtype=students[0].dtype)
+
+
+def _check_distance(students: Sequence[np.ndarray], targets: Sequence[np.ndarray], route,
+                    name: str) -> None:
+    """Raise :class:`GraphError` unless there are one or more ``(B, D_i)``
+    students with equally shaped targets, and ``route``, if any, routes
+    each of the B rows to one of its teachers or to none."""
     if not students or len(students) != len(targets):
         raise GraphError(f"{name}: {len(students)} students for {len(targets)} targets")
-    dtype = students[0].dtype
     rows = students[0].shape[0]
     if route is not None:
         owner, k = route
@@ -239,25 +275,12 @@ def stacked_distance(
                 f"{name}: student {i} of shape {s.shape} and targets of shape "
                 f"{t.shape} do not fit as one ({rows}, D) pair"
             )
-    g = np.asarray(weight, dtype=dtype)
-    diffs = [t - s for s, t in zip(students, targets)]
-    if route is None:
-        denoms = [s.size for s in students]
-        terms = [np.add.reduce(d * d, axis=(-2, -1)) / den for d, den in zip(diffs, denoms)]
-        total = reduce(operator.add, terms)
-        grads = [-((g * 2.0 / den) * d) for d, den in zip(diffs, denoms)]
-        return np.asarray(total, dtype=dtype) * g, grads
-    m = (owner == np.arange(k)[:, None]).astype(dtype)
-    sel, owned = np.maximum(owner, 0), (owner >= 0).astype(dtype)
-    counts = np.maximum(np.add.reduce(m, axis=1), 1)
-    denoms = [counts * s.shape[1] for s in students]
-    terms = [np.add.reduce(m * np.add.reduce(d * d, axis=-1), axis=-1) / den
-             for d, den in zip(diffs, denoms)]
-    total = reduce(operator.add, reduce(operator.add, terms))
-    # each row's coefficient is its own teacher's, or 0 for a row of none;
-    # 0.0 - x turns that row's -0 into +0
-    grads = [0.0 - ((g * 2.0 / den)[sel] * owned)[:, None] * d for d, den in zip(diffs, denoms)]
-    return np.asarray(total, dtype=dtype) * g, grads
+
+
+def _mean_sq_total(diffs: list[np.ndarray]):
+    """The unrouted distance of target-minus-student ``diffs``: each one's
+    squared mean as numpy's reduce rounds it, added in order."""
+    return reduce(operator.add, [np.add.reduce(d * d, axis=(-2, -1)) / d.size for d in diffs])
 
 
 def loss_and_grads(

@@ -90,7 +90,8 @@ def train_epochs(
     applies one SGD update. The scheduler then sees the epoch's mean loss.
     An epoch without batches adds no mean and leaves the learning rate
     alone. A non-finite gradient raises :class:`NonFiniteError` from the
-    update.
+    update. The loop lets go of each gradient once its update is applied,
+    so the next ``step`` builds its gradient while no other one is alive.
     """
     opt = SGD(lr)
     sched = PlateauScheduler(opt)
@@ -100,6 +101,7 @@ def train_epochs(
         for batch in batches():
             value, grads = step(batch)
             opt.step(params, grads, slices)
+            del grads
             losses.append(value)
         if losses:
             means.append(float(np.mean(losses)))

@@ -16,6 +16,7 @@ Objectives:
 - ``distill``              distillation toward teachers (every tap / last tap / logits):
                            one teacher every row counts for, or each row's own
                            expert's gathered outputs, routed by origin
+- ``drift``                the value of the one-teacher ``distill``, without gradients
 - ``l_exp``                expert objective: task + stability (``distill`` to the base)
 - ``l_base``               consolidation objective: replay task loss + routed ``distill``
 - ``ewc_penalty``          quadratic parameter-importance penalty (on the parameters)
@@ -34,7 +35,13 @@ from typing import Mapping
 
 import numpy as np
 
-from .engine import GraphError, loss_and_grads, softmax_cross_entropy, stacked_distance
+from .engine import (
+    GraphError,
+    distance_value,
+    loss_and_grads,
+    softmax_cross_entropy,
+    stacked_distance,
+)
 from .model import TapSet
 
 
@@ -103,16 +110,30 @@ def distill(kind: str, teachers: TapSet, student: TapSet,
     are those of a sum of k one-teacher distances, all in one
     :func:`~batchcl.engine.stacked_distance` call.
     """
+    which, students, targets = _compared(kind, teachers, student)
+    value, grads = stacked_distance(
+        students, targets, route, weight,
+        name="teacher_distance" if route is None else "expert_distance",
+    )
+    got = dict(zip(which, grads))
+    return Objective(value, [got.get(i) for i in range(len(student.outputs))])
+
+
+def drift(kind: str, teachers: TapSet, student: TapSet) -> float:
+    """The value of the unrouted :func:`distill` at weight 1, bit for bit,
+    built without its gradients: the drift telemetry reads nothing else."""
+    _, students, targets = _compared(kind, teachers, student)
+    return float(distance_value(students, targets))
+
+
+def _compared(kind: str, teachers: TapSet, student: TapSet):
+    """The indices of the outputs the ``kind`` distance compares, then the
+    student's and the teachers' arrays of those outputs."""
     n = len(student.taps)
     if len(teachers.taps) != n:
         raise GraphError(f"tap count mismatch: teacher {len(teachers.taps)} vs student {n}")
     which = distilled_outputs(kind, n)
-    value, grads = stacked_distance(
-        [student.outputs[i] for i in which], [teachers.outputs[i] for i in which], route, weight,
-        name="teacher_distance" if route is None else "expert_distance",
-    )
-    got = dict(zip(which, grads))
-    return Objective(value, [got.get(i) for i in range(n + 1)])
+    return which, [student.outputs[i] for i in which], [teachers.outputs[i] for i in which]
 
 
 def l_exp(

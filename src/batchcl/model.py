@@ -196,7 +196,8 @@ class ParamVector:
         The payload is a float32 view of ``blob``, not a copy: it keeps
         ``blob`` alive, and it is read-only when ``blob`` is (bytes, or a
         view of them, as a decoded frame is). A model built from it
-        (:func:`model_from_vector`, :func:`stack_vectors`) copies it.
+        (:func:`model_from_vector`, :func:`stack_vectors`) copies it;
+        :func:`model_over_vector` reads it in place.
         """
         layout = arena_layout(config)
         if blob[:4] != PARAM_VECTOR_MAGIC:
@@ -761,8 +762,17 @@ def model_from_vector(config: ModelConfig, pv: ParamVector) -> ResidualClassifie
     This is how a worker reconstructs the base model it was sent. The
     arena is a copy of the snapshot's payload; no initialization is drawn.
     """
+    return model_over_vector(config, pv).copy()
+
+
+def model_over_vector(config: ModelConfig, pv: ParamVector) -> ResidualClassifier:
+    """A model of shape ``config`` whose arena is the payload of ``pv``, a
+    snapshot of that layout, in place: no copy. A decoded snapshot's
+    payload is read-only, so this serves a teacher pass
+    (:meth:`ResidualClassifier.forward_as_teacher`), which writes nothing;
+    a train pass, which folds its statistics into the arena, raises."""
     arena_layout(config).check_header(pv.layout.header)
-    return ResidualClassifier._from_arena(config, pv.payload.copy())
+    return ResidualClassifier._from_arena(config, pv.payload)
 
 
 def stack_vectors(config: ModelConfig, sources) -> ResidualClassifier:

@@ -35,7 +35,11 @@ counted and returns exactly the ARTF frame it counts. Task data lives
 worker-side: a forked worker inherits its step's tasks, the model shape
 and its SYNC frames, and picks its own task by the index in the SYNC
 frame. A step lets go of each frame once it has consumed it, so the
-coordinator holds each snapshot once.
+coordinator holds each snapshot once: it hands the executor the only
+reference to its SYNC frames, and the serial executor drops each one as
+its expert returns; the drift telemetry reads the base, each snapshot
+inside its ARTF frame and the new base in place, in single teacher
+passes, copying no model.
 """
 
 from __future__ import annotations
@@ -49,8 +53,15 @@ import numpy as np
 from .config import ExperimentConfig, build_model_config
 from .consolidation import consolidate
 from .engine import NonFiniteError, loss_and_grads, train_epochs
-from .losses import distill, l_exp
-from .model import ModelConfig, ResidualClassifier, build_model, model_from_vector, stack_vectors
+from .losses import drift, l_exp
+from .model import (
+    ModelConfig,
+    ResidualClassifier,
+    build_model,
+    model_from_vector,
+    model_over_vector,
+    stack_vectors,
+)
 from .pipes import ExpertFailure, Forked, ProtocolViolation, _unframe_as, frame
 from .replay import ExemplarSet, epoch_batches, merge_pool, sample_buffer, subsample_memory
 from .run import RunRecorder, RunReport, StepCost, child_seed
@@ -169,12 +180,17 @@ def _train_experts(syncs: list[bytes], tasks: tuple[Task, ...],
     module's ``remote_train``: the serial run, and an expert worker's job.
     It returns them only when all are done, so in a worker a full pipe
     never holds up its next expert while the coordinator reads another
-    worker's pipe."""
-    return [remote_train(sync, tasks, model_config) for sync in syncs]
+    worker's pipe. It empties ``syncs``, taking each frame out of the list
+    as its expert starts, so a frame whose only reference was the list is
+    freed when its expert returns."""
+    return [remote_train(syncs.pop(0), tasks, model_config) for _ in range(len(syncs))]
 
 
 class SerialExecutor:
-    """Deterministic single-worker execution, in launch order."""
+    """Deterministic single-worker execution, in launch order. Like
+    :func:`_train_experts` it empties ``syncs``: the step hands it the only
+    reference to its SYNC frames, so at most one of them is alive while an
+    expert trains."""
 
     def run(self, syncs: list[bytes], tasks: tuple[Task, ...],
             model_config: ModelConfig) -> list[bytes]:
@@ -227,10 +243,14 @@ def expert_distances(
     stability coefficient holds down;
     ``consolidated_expert_distance`` is how far the consolidated base ended
     from the expert, the distance the consolidation coefficient pulls in.
-    Both are the ``features`` :func:`~batchcl.losses.distill` of one
-    dropout-free teacher pass to the next, one teacher each, computed on
-    the coordinator from the received artifacts, so nothing extra crosses
-    the wire: one pass of the stack (base, expert, new base) per expert. A
+    Both are the ``features`` :func:`~batchcl.losses.drift` of one
+    dropout-free teacher pass to the next, one teacher each: the value of
+    the unrouted :func:`~batchcl.losses.distill`, with no gradient built.
+    They are computed on the coordinator from the received artifacts, so
+    nothing extra crosses the wire, with three single teacher passes per
+    expert that read the base, the expert's snapshot and the new base in
+    place (:func:`~batchcl.model.model_over_vector`): no model is copied,
+    and each pass equals its slice of a stack of the three bit for bit. A
     buffer of fewer than 2 rows (no batch statistics) gives None.
     """
     out = []
@@ -244,15 +264,12 @@ def expert_distances(
         if len(x) < 2:
             row.update(expert_base_distance=None, consolidated_expert_distance=None)
         else:
-            passes = stack_vectors(
-                base.config, [base, a.param_vector, new_base]
-            ).forward_as_teacher(x)
+            expert_pass = model_over_vector(base.config, a.param_vector).forward_as_teacher(x)
             row.update(
-                expert_base_distance=float(distill("features", passes[0], passes[1]).value),
-                consolidated_expert_distance=float(
-                    distill("features", passes[1], passes[2]).value),
+                expert_base_distance=drift("features", base.forward_as_teacher(x), expert_pass),
+                consolidated_expert_distance=drift(
+                    "features", expert_pass, new_base.forward_as_teacher(x)),
             )
-            del passes  # before the next expert's stack runs: 3 slices of activations
         out.append(row)
     return out
 
@@ -305,9 +322,11 @@ def run_incremental_step(
 
     t0 = time.perf_counter()
     try:
+        # the list is the only reference to the frames: an executor that
+        # empties it (SerialExecutor) frees each frame once its expert returns
         artifact_msgs = executor.run(syncs, plan.tasks, base.config)
         expert_wall = time.perf_counter() - t0
-        del syncs  # consumed: the coordinator holds no copy of the base but its arena
+        del syncs  # what is left: the coordinator holds no copy of the base but its arena
         # sorting makes everything downstream arrival-order independent
         received = sorted(
             (decode_artifact(transport.send_artifact(m), base.config) for m in artifact_msgs),

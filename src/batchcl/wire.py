@@ -90,10 +90,15 @@ def encode_exemplars(es: ExemplarSet) -> bytes:
     return head + rows.tobytes()
 
 
-def decode_exemplars(blob: bytes, at: int) -> ExemplarSet:
+def decode_exemplars(blob: bytes, at: int, width: int) -> ExemplarSet:
     """Inverse of :func:`encode_exemplars` for the block at byte ``at`` of
-    ``blob``, which runs to its end; errors name offsets in ``blob``."""
+    ``blob``, which runs to its end, of rows ``width`` features wide; errors
+    name offsets in ``blob``. The header's width is checked before a row
+    type is built from it, so no declared width reaches numpy."""
     (count, dim), off = _unpack("<QI", blob, at, "exemplar header")
+    if dim != width:
+        raise ProtocolViolation(
+            f"exemplar header at byte {at} declares rows {dim} wide for inputs {width} wide")
     end = at + exemplar_block_nbytes(count, dim)
     if len(blob) != end:
         raise ProtocolViolation(
@@ -205,7 +210,7 @@ def decode_artifact(payload: bytes, config: ModelConfig) -> ExpertArtifact:
         raise ProtocolViolation(f"artifact snapshot at byte {pv_at}: {e}") from e
     # the buffer runs to the payload's end, so its errors name payload offsets
     (owner, capacity), at = _unpack(_BUFFER_HEADER, payload, buf_at, "buffer header")
-    buffer = decode_exemplars(payload, at)
+    buffer = decode_exemplars(payload, at, config.input_dim)
     others = {owner, *np.unique(buffer.origins).tolist()} - {expert_index}
     if others:
         raise ProtocolViolation(f"artifact of expert {expert_index} carries a buffer tagged "
@@ -216,8 +221,6 @@ def decode_artifact(payload: bytes, config: ModelConfig) -> ExpertArtifact:
         raise ProtocolViolation(f"{bad} {len(buffer)} rows for capacity {capacity}")
     if len(tasks) > 1:
         raise ProtocolViolation(f"{bad} rows of tasks {tasks}")
-    if buffer.dim != config.input_dim:
-        raise ProtocolViolation(f"{bad} rows {buffer.dim} wide for inputs {config.input_dim} wide")
     return ExpertArtifact(expert_index, pv, buffer, ExpertStats(epochs, final_loss, wall))
 
 

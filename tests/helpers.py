@@ -226,15 +226,21 @@ def tagged_for_expert_0(msgs: list[bytes], owner: int, config: ModelConfig) -> l
         msgs, lambda a: dataclasses.replace(a, buffer=a.buffer.with_origin(0)), config)
     return [*msgs[:-1], with_buffer_header(msgs[-1], owner=owner)]
 
+# empty buffers declared of a width no numpy row type holds: past a C int
+# in bytes, or in dims
+_EMPTY_OF_WIDTH = {"empty_2**30_wide": 2**30, "empty_2**32-1_wide": 2**32 - 1}
+
 # each way :func:`break_last_buffer` breaks a buffer, with what the
 # StepFailure it causes says
 BAD_BUFFERS = {
-    "wider_rows": r"artifact of expert 1 carries a buffer of rows \d+ wide for inputs \d+ wide",
+    "wider_rows": r"exemplar header at byte \d+ declares rows \d+ wide for inputs \d+ wide",
     "label_past_head": r"buffer of expert 1 has rows outside task \d+",
     "label_of_another_task": r"buffer of expert 1 has rows outside task \d+",
     "task_id_of_another_task": r"buffer of expert 1 has rows outside task \d+",
     "over_capacity": r"artifact of expert 1 carries a buffer of \d+ rows for capacity \d+",
     "two_tasks": r"artifact of expert 1 carries a buffer of rows of tasks \[\d+, \d+\]",
+    **{how: rf"exemplar header at byte \d+ declares rows {dim} wide for inputs \d+ wide"
+       for how, dim in _EMPTY_OF_WIDTH.items()},
 }
 
 
@@ -243,11 +249,18 @@ def break_last_buffer(msgs: list[bytes], how: str, tasks, config: ModelConfig) -
     ``config``, with the last expert's buffer broken the way ``how`` (a key
     of :data:`BAD_BUFFERS`) names: rows one feature wider; row 0 labelled
     past the head, or with the first task's first class; every row, or row
-    0 only, of the first task's id; or one row fewer declared as its
-    capacity."""
+    0 only, of the first task's id; one row fewer declared as its
+    capacity; or no rows, declared 2**30 or 2**32 - 1 wide."""
     if how == "over_capacity":
         rows = buffer_header(unframe(msgs[-1])[1])[1]["rows"]
         return [*msgs[:-1], with_buffer_header(msgs[-1], capacity=rows - 1)]
+    if how in _EMPTY_OF_WIDTH:
+        msgs = rewrite_last_artifact(msgs, lambda a: dataclasses.replace(
+            a, buffer=ExemplarSet.empty(config.input_dim)), config)
+        last = bytearray(msgs[-1])
+        # the frame ends with the empty exemplar block's dim field
+        struct.pack_into("<I", last, len(last) - 4, _EMPTY_OF_WIDTH[how])
+        return [*msgs[:-1], bytes(last)]
 
     def edit(a: ExpertArtifact) -> ExpertArtifact:
         b = a.buffer

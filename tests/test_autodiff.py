@@ -32,6 +32,7 @@ import batchcl.engine
 from batchcl.engine import (
     GraphError,
     NonFiniteError,
+    distance_value,
     dropout_mask,
     loss_and_grads,
     softmax_cross_entropy,
@@ -261,6 +262,27 @@ class TestFiniteDifferenceOracle:
             for i, (a, t) in enumerate(zip(xs, targets)):
                 want_i = -((g * 2.0 / a.size) * (t - a))
                 assert grads[i].tobytes() == want_i.tobytes(), (trial, i)
+
+    def test_distance_value_is_the_unrouted_value_bitwise(self):
+        """The value alone, built with no gradient, is the unrouted
+        distance's value at weight 1, bit for bit, in float32 and float64,
+        and it rejects what the distance rejects."""
+        rng = np.random.default_rng(23)
+        for dtype in (np.float32, np.float64):
+            for trial in range(30):
+                rows = int(rng.integers(2, 40))
+                widths = [int(rng.integers(1, 40)) for _ in range(int(rng.integers(1, 4)))]
+                xs = [rng.standard_normal((rows, w)).astype(dtype) for w in widths]
+                targets = [rng.standard_normal((rows, w)).astype(dtype) for w in widths]
+                value, _ = stacked_distance(xs, targets)
+                got = distance_value(xs, targets)
+                assert got.dtype == value.dtype and got.tobytes() == value.tobytes(), trial
+        s = np.zeros((4, 3), np.float32)
+        with pytest.raises(GraphError, match=r"student 0 of shape \(4, 3\) and targets of "
+                                             r"shape \(1, 4, 3\)"):
+            distance_value([s], [np.zeros((1, 4, 3), np.float32)])
+        with pytest.raises(GraphError, match="1 students for 0 targets"):
+            distance_value([s], [])
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_unrouted_distance_rejects_a_teacher_stack(self, k):

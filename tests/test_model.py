@@ -41,6 +41,7 @@ from batchcl.model import (
     arena_layout,
     build_model,
     model_from_vector,
+    model_over_vector,
     stack_vectors,
 )
 from hypothesis import given, settings
@@ -621,6 +622,26 @@ class TestParamVector:
         assert m.to_param_vector().to_bytes() == pv.to_bytes()
         m.params["head.b"][:] = 123.0  # the model owns copies, not the snapshot's arrays
         assert snapshot_entries(pv)["head.b"].max() != 123.0
+
+    def test_model_over_vector_reads_a_decoded_snapshot_in_place(self):
+        # a model over a decoded snapshot's read-only payload: no copy, the
+        # teacher pass of a loaded model bit for bit, and a train pass,
+        # which would fold its statistics into the payload, raises
+        rng = np.random.default_rng(5)
+        src = build_model(TOY, seed=3)
+        train_pass(src, rng.standard_normal((8, 4)).astype(np.float32), rng)
+        pv = ParamVector.from_bytes(src.to_param_vector().to_bytes(), TOY)
+        over = model_over_vector(TOY, pv)
+        assert np.shares_memory(over.arena, pv.payload) and not over.arena.flags.writeable
+        x = rng.standard_normal((6, 4)).astype(np.float32)
+        got = over.forward_as_teacher(x).outputs
+        want = model_from_vector(TOY, pv).forward_as_teacher(x).outputs
+        assert [o.tobytes() for o in got] == [o.tobytes() for o in want]
+        with pytest.raises(ValueError, match="read-only"):
+            over.forward_with_taps(x, train=True, masks=over.draw_masks(len(x), rng))
+        wider = build_model(dataclasses.replace(TOY, total_classes=7), seed=3)
+        with pytest.raises(ValueError, match="layout mismatch for 'head.W'"):
+            model_over_vector(TOY, wider.to_param_vector())
 
     def test_layout_mismatch_rejected(self):
         m = build_model(TOY, seed=3)

@@ -3,6 +3,8 @@ epoch loop that runs them."""
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,21 @@ class TestTrainEpochs:
                 params, W, 0.1, 1, lambda: [0],
                 lambda _: (1.0, np.array([1.0, np.inf])),
             )
+
+    def test_spent_gradient_is_gone_when_the_next_step_runs(self):
+        # one live gradient: the loop lets go of a gradient once its update
+        # is applied, so no two model-sized gradients are alive at once
+        params = np.zeros(1)
+        spent: list[weakref.ref] = []
+
+        def step(_):
+            assert [ref() for ref in spent] == [None] * len(spent)
+            grads = np.ones(1)
+            spent.append(weakref.ref(grads))
+            return 1.0, grads
+
+        train_epochs(params, ONE, 0.1, 2, lambda: [0, 1, 2], step)
+        assert len(spent) == 6
 
     def test_fresh_schedule_per_call(self):
         params = np.zeros(1)

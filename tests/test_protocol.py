@@ -52,9 +52,10 @@ import batchcl.protocol as protocol_mod
 import batchcl.replay as replay_mod
 import batchcl.wire as wire_mod
 from batchcl.baselines import run_baseline
+from batchcl.config import build_model_config
 from batchcl.consolidation import consolidate
 from batchcl.engine import NonFiniteError
-from batchcl.losses import DISTILL_KINDS, distilled_outputs
+from batchcl.losses import DISTILL_KINDS, distill, distilled_outputs
 from batchcl.model import ModelConfig, ParamVector, ResidualClassifier, build_model, stack_vectors
 from batchcl.pipes import FRAME_OVERHEAD, ExpertFailure, ProtocolViolation, frame, unframe
 from batchcl.protocol import (
@@ -230,7 +231,7 @@ class TestFraming:
 class TestExemplarCodec:
     def test_round_trip_bit_exact(self):
         es = make_exemplars(9)
-        back = decode_exemplars(encode_exemplars(es), 0)
+        back = decode_exemplars(encode_exemplars(es), 0, 6)
         assert back.features.tobytes() == es.features.tobytes()
         assert np.array_equal(back.labels, es.labels)
         assert np.array_equal(back.task_ids, es.task_ids)
@@ -240,7 +241,7 @@ class TestExemplarCodec:
         es = ExemplarSet.empty(6)
         blob = encode_exemplars(es)
         assert len(blob) == 12
-        assert len(decode_exemplars(blob, 0)) == 0
+        assert len(decode_exemplars(blob, 0, 6)) == 0
 
     def test_analytic_size(self):
         for n, dim in [(0, 6), (5, 6), (17, 3)]:
@@ -249,7 +250,7 @@ class TestExemplarCodec:
 
     def test_short_block_rejected(self):
         with pytest.raises(ProtocolViolation, match="exemplar header truncated at byte 0"):
-            decode_exemplars(b"\0" * 3, 0)
+            decode_exemplars(b"\0" * 3, 0, 6)
 
     @pytest.mark.parametrize("declared", [6, 4])
     def test_misstated_row_count_rejected(self, declared):
@@ -259,7 +260,7 @@ class TestExemplarCodec:
         struct.pack_into("<Q", blob, 0, declared)
         with pytest.raises(ProtocolViolation, match=f"declares {declared} rows of dim 6.*"
                                                     f"ends at byte {len(blob)}"):
-            decode_exemplars(bytes(blob), 0)
+            decode_exemplars(bytes(blob), 0, 6)
 
 
 def test_fixed_header_sizes_pinned():
@@ -432,12 +433,15 @@ class TestArtifactCodec:
             decode_artifact(unframe(with_buffer_header(msg, owner=owner))[1], TOY)
 
     @pytest.mark.parametrize("capacity, rows, message", [
-        (4, make_exemplars(5), "of 5 rows for capacity 4"),
+        (4, make_exemplars(5), "^artifact of expert 1 carries a buffer of 5 rows for capacity 4$"),
         (5, make_exemplars(5), None),
         (10, ExemplarSet.concat([make_exemplars(2), dataclasses.replace(
-            make_exemplars(3), task_ids=np.zeros(3, dtype=np.int64))]), r"of rows of tasks \[0, 2\]"),
-        (10, make_exemplars(5, dim=7), "of rows 7 wide for inputs 6 wide"),
-        (10, make_exemplars(5, dim=5), "of rows 5 wide for inputs 6 wide"),
+            make_exemplars(3), task_ids=np.zeros(3, dtype=np.int64))]),
+         r"^artifact of expert 1 carries a buffer of rows of tasks \[0, 2\]$"),
+        (10, make_exemplars(5, dim=7), r"^exemplar header at byte \d+ declares rows 7 wide for "
+                                       r"inputs 6 wide$"),
+        (10, make_exemplars(5, dim=5), r"^exemplar header at byte \d+ declares rows 5 wide for "
+                                       r"inputs 6 wide$"),
     ], ids=["over_capacity", "at_capacity", "two_tasks", "wider_rows", "narrower_rows"])
     def test_buffer_it_cannot_hold_rejected(self, capacity, rows, message):
         # a buffer over its declared capacity, of two tasks, or of rows
@@ -447,9 +451,22 @@ class TestArtifactCodec:
         if message is None:
             assert len(decode_artifact(payload, TOY).buffer) == len(rows)
             return
-        with pytest.raises(ProtocolViolation,
-                           match=f"^artifact of expert 1 carries a buffer {message}$"):
+        with pytest.raises(ProtocolViolation, match=message):
             decode_artifact(payload, TOY)
+
+    @pytest.mark.parametrize("dim", [2**30, 2**32 - 1])
+    def test_empty_buffer_of_a_width_numpy_cannot_hold_rejected(self, dim):
+        # a buffer header declaring 0 rows of a width no row type can have:
+        # the block's length is right, so only the width check stops it
+        # before numpy raises its own ValueError
+        payload = bytearray(encode_artifact(dataclasses.replace(
+            self.make_artifact(), buffer=ExemplarSet.empty(TOY.input_dim)), 10))
+        at = len(payload) - 4  # the empty block's dim field
+        struct.pack_into("<I", payload, at, dim)
+        with pytest.raises(ProtocolViolation, match=f"^exemplar header at byte {at - 8} "
+                                                    f"declares rows {dim} wide for inputs "
+                                                    f"{TOY.input_dim} wide$"):
+            decode_artifact(bytes(payload), TOY)
 
 
 def artifact_frame() -> bytes:
@@ -524,7 +541,8 @@ class _PoisonedTask:
 
 class _CapturingExecutor(SerialExecutor):
     def run(self, syncs, tasks, model_config):
-        self.args = (syncs, tasks, model_config)
+        # a copy: the serial run empties the list as each expert starts
+        self.args = (list(syncs), tasks, model_config)
         return super().run(syncs, tasks, model_config)
 
 
@@ -1940,6 +1958,38 @@ class TestFullStream:
         untrained = run_full_stream(stream, tiny_config(epochs=0))
         assert all(e["final_loss"] is None for r in untrained.records for e in r.experts)
 
+    @pytest.mark.parametrize("res_dim", [8, 256])
+    def test_telemetry_equals_the_three_stack_bit_for_bit(self, stream, monkeypatch, res_dim):
+        # the drift telemetry runs single teacher passes over the base, the
+        # decoded snapshot in place and the new base, builds no stack and
+        # no copy, and gives the bits of the features distill of a stack
+        # of the three's slices
+        cfg = experiment(
+            "bmc", 5,
+            model=dict(res_blocks=2, res_layers_per_block=2, res_dim=res_dim, hidden_dim=6,
+                       dropout_p=0.0),
+            training=dict(epochs_per_task=1, lr=0.1, batch_size=8),
+            bmc={"experts_per_step": 2, "rehearsal_epochs": 1, "buffer_capacity": 12,
+                 "memory_capacity": 40},
+        )
+        plan = plan_steps(stream, cfg)[0]
+        base = build_model(build_model_config(cfg.model, stream), seed=1)
+        result = run_incremental_step(base, plan, ExemplarSet.empty(stream.dim), cfg,
+                                      SerialExecutor())
+        stacked = []
+        monkeypatch.setattr(protocol_mod, "stack_vectors",
+                            lambda *args: stacked.append(args) or stack_vectors(*args))
+        rows = protocol_mod.expert_distances(base, result.base, result.artifacts, plan)
+        assert stacked == [] and rows == result.expert_distances
+        for a, row in zip(result.artifacts, rows):
+            assert not a.param_vector.payload.flags.writeable  # a view of its ARTF frame
+            passes = stack_vectors(base.config, [base, a.param_vector, result.base]
+                                   ).forward_as_teacher(a.buffer.features)
+            want = [distill("features", passes[0], passes[1]).value,
+                    distill("features", passes[1], passes[2]).value]
+            got = [row["expert_base_distance"], row["consolidated_expert_distance"]]
+            assert np.array(got, np.float64).tobytes() == np.array(want, np.float64).tobytes()
+
     def test_steps_go_through_the_module_global(self, stream, monkeypatch):
         # a probe that replaces protocol.run_incremental_step sees every step
         real = protocol_mod.run_incremental_step
@@ -2026,6 +2076,52 @@ class TestSnapshotLifetimes:
         left = [t.size for t in big
                 if step_0_lines & {(f.filename, f.lineno) for f in t.traceback}]
         assert left == [size]
+
+
+    def test_experts_and_telemetry_hold_no_spare_arena(self, stream, monkeypatch):
+        # the step's traced peak over what it held on entering each phase,
+        # in arenas A (about 1.09 MB here; activations and rows are KB):
+        # - experts, serial, k = 2: the SYNC frames are on hand at entry,
+        #   and each goes as its expert returns, so the frames add nothing
+        #   while the last expert trains beside k - 1 ARTF frames; that
+        #   expert adds its 2-arena stack and its one live gradient (or its
+        #   ARTF frame as it leaves): 3 A. A kept SYNC frame, or a spent
+        #   gradient kept while the next is built, adds another A.
+        # - telemetry: single passes over the base, the decoded snapshot
+        #   and the new base in place add activations only; a stack of the
+        #   three would add 3 A.
+        cfg = experiment(
+            "bmc", 13,
+            model=dict(res_blocks=2, res_layers_per_block=2, res_dim=256, hidden_dim=8,
+                       dropout_p=0.0),
+            training=dict(epochs_per_task=1, lr=0.1, batch_size=8),
+            bmc={"experts_per_step": 2, "rehearsal_epochs": 1, "buffer_capacity": 12,
+                 "memory_capacity": 40},
+        )
+        peaks: dict[str, list[float]] = {"experts": [], "telemetry": []}
+
+        def probed(name, fn):
+            def phase(*args):
+                entry = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                out = fn(*args)
+                peaks[name].append(tracemalloc.get_traced_memory()[1] - entry)
+                return out
+            return phase
+
+        monkeypatch.setattr(SerialExecutor, "run", probed("experts", SerialExecutor.run))
+        monkeypatch.setattr(protocol_mod, "expert_distances",
+                            probed("telemetry", protocol_mod.expert_distances))
+        arena = build_model(build_model_config(cfg.model, stream), 0).arena.nbytes
+        tracemalloc.start()
+        try:
+            report = run_full_stream(stream, cfg, executor=SerialExecutor())
+        finally:
+            tracemalloc.stop()
+        assert report.failed_step is None and arena >= 1_000_000
+        assert len(peaks["experts"]) == len(peaks["telemetry"]) == 2
+        assert max(peaks["experts"]) / arena < 3.5, peaks
+        assert max(peaks["telemetry"]) / arena < 0.5, peaks
 
 
 class TestCostLedger:
